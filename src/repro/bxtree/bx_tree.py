@@ -38,12 +38,10 @@ replays more than a handful of operations at a time should do the same.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.btree.bplus_tree import BPlusTree
 from repro.bxtree.grid import Grid
 from repro.bxtree.key_store import make_key_store
 from repro.bxtree.spacefill import HilbertCurve, SpaceFillingCurve, ZCurve
@@ -629,25 +627,6 @@ class BxTree:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def btree(self) -> BPlusTree:
-        """Deprecated alias for the key-store internals.
-
-        Reaching into ``BxTree.btree`` bypasses the :class:`KeyStore`
-        surface and only works for the B+-tree backend; use
-        ``BxTree.store`` (see ``docs/backends.md``).  Kept for one
-        release as a warning shim.
-        """
-        warnings.warn(
-            "BxTree.btree is deprecated; use BxTree.store (the KeyStore surface)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        tree = getattr(self.store, "tree", None)
-        if tree is not None:
-            return tree
-        return self.store  # backend has no inner B+-tree; duck-compatible
-
     @property
     def active_partitions(self) -> List[int]:
         if self._sorted_partitions is None:

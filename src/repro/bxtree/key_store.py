@@ -14,9 +14,10 @@ implement it:
 
 ``"flat"``
     :class:`FlatKeyStore`, a fully vectorized sorted-array engine: one
-    sorted ``int64`` key array, ``np.searchsorted`` lookups, merge-based
-    batch application, and structure-of-arrays candidate columns for the
-    kNN filter.  No pages, no per-node Python loop — and answers pinned
+    sorted ``int64`` key array aligned with an ``int64`` slot array over
+    a slab of payloads and motion records, ``np.searchsorted`` lookups,
+    and batch application that writes only the edited slab rows.  No
+    pages, no per-node Python loop, no derived copy — and answers pinned
     **bit-identical** to the B+-tree backend (same ids, same float
     distances, same result order, duplicate keys kept in the same
     insertion order).
@@ -47,6 +48,14 @@ from repro.storage.buffer_manager import BufferManager
 
 #: Flat candidate motion state: ``(oid, px, py, vx, vy, reference_time)``.
 CandidateState = Tuple[int, float, float, float, float, float]
+
+#: One slab row of the motion array; ``.tolist()`` yields a CandidateState.
+MOTION = np.dtype([("oid", "i8")] + [(name, "f8") for name in ("x", "y", "vx", "vy", "t")])
+
+
+def _motion_row(o: Any) -> CandidateState:
+    """The candidate state of one motion payload (AttributeError if opaque)."""
+    return o.oid, o.position.x, o.position.y, o.velocity.vx, o.velocity.vy, o.reference_time
 
 
 def _object_array(values: Sequence[Any]) -> np.ndarray:
@@ -118,23 +127,30 @@ class KeyStore(Protocol):
 
 
 class FlatKeyStore:
-    """Vectorized sorted-array key-store backend.
+    """Vectorized sorted-array key-store backend over a slot-indexed slab.
 
-    Layout: one sorted ``np.int64`` key array aligned with an object
-    array of payloads (the authoritative store — an object array so
-    compaction and merged insertion are C-speed pointer copies, not
-    Python list rebuilds), plus lazily derived structure-of-arrays
-    motion columns (oid/px/py/vx/vy/rt) that feed the kNN candidate
-    extraction without touching the payload objects.
+    Layout: a sorted ``np.int64`` key array aligned with an ``np.int64``
+    slot array; ``_slots[i]`` names entry ``i``'s row in a slab holding
+    the payload object array (the authoritative store) and one
+    structured :data:`MOTION` array (oid/x/y/vx/vy/t) that feeds the kNN
+    candidate extraction without touching the payload objects.  Records
+    never move: a mutation writes the edited rows in place and shifts
+    only the two integer arrays, so the motion array is always current.
+    Released rows go to a free list and are reused before the slab
+    doubles — every slab row is either named by exactly one live slot or
+    on the free list.  The motion array is dropped (``None``) for the
+    store's lifetime once a payload without motion attributes is
+    written; candidates are then read by attribute access per call.
 
     Everything is driven by ``np.searchsorted``: point operations use one
     scalar bisection, batch operations use **one** vectorized bisection
     per batch.  ``apply_batch`` resolves the whole batch against a frozen
-    snapshot of the array (deletes/replacements recorded positionally,
-    insertions accumulated as a pending run) and then commits with one
-    boolean-mask compaction and one merged ``np.insert`` — semantically
-    identical to the B+-tree's sequential key-ordered sweep, including
-    flag values, duplicate-run ordering and upsert-miss degradation.
+    snapshot of the arrays (deletes/replacements recorded positionally,
+    insertions accumulated as a pending run) and then commits with
+    O(batch) slab writes, one ``np.delete`` and one merged ``np.insert``
+    — semantically identical to the B+-tree's sequential key-ordered
+    sweep, including flag values, duplicate-run ordering and upsert-miss
+    degradation.
 
     The store keeps a :class:`BufferManager` reference purely for the
     uniform stats surface; it performs no paged I/O, so its I/O counters
@@ -151,61 +167,54 @@ class FlatKeyStore:
         del page_size  # no pages; accepted for factory-signature parity
         self.buffer = buffer if buffer is not None else BufferManager()
         self._keys = np.empty(0, dtype=np.int64)
-        self._values = np.empty(0, dtype=object)
-        #: Lazy SoA motion columns: ``None`` = stale, ``()`` = payloads are
-        #: not motion records (fall back to attribute access per call),
-        #: else a 6-tuple of aligned arrays.
-        self._soa: Optional[Tuple[np.ndarray, ...]] = None
+        self._slots = np.empty(0, dtype=np.int64)
+        self._payload = np.empty(0, dtype=object)
+        #: Motion rows aligned with ``_payload``; ``None`` = payloads are
+        #: not motion records (fall back to attribute access per call).
+        self._motion: Optional[np.ndarray] = np.zeros(0, dtype=MOTION)
+        self._free: List[int] = []
 
     # -- sizes ---------------------------------------------------------
     @property
     def size(self) -> int:
-        return len(self._values)
+        return len(self._keys)
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._keys)
 
     # -- updates -------------------------------------------------------
     def bulk_load(self, items: Iterable[Tuple[int, Any]]) -> None:
-        if len(self._values):
+        if len(self._keys):
             raise ValueError("bulk_load requires an empty store")
         pairs = sorted(items, key=lambda pair: pair[0])  # stable: ties keep order
         if not pairs:
             return
         self._keys = np.fromiter((k for k, _ in pairs), np.int64, len(pairs))
-        self._values = _object_array([v for _, v in pairs])
-        self._soa = None
+        self._slots = np.asarray(self._acquire(len(pairs)), dtype=np.int64)
+        self._write(self._slots, [v for _, v in pairs])
 
     def insert(self, key: int, value: Any) -> None:
         pos = int(np.searchsorted(self._keys, key, side="right"))
+        slot = self._acquire(1)
+        self._write(slot, [value])
         self._keys = np.insert(self._keys, pos, key)
-        values = np.empty(len(self._values) + 1, dtype=object)
-        values[:pos] = self._values[:pos]
-        values[pos] = value
-        values[pos + 1 :] = self._values[pos:]
-        self._values = values
-        self._soa = None
+        self._slots = np.insert(self._slots, pos, slot[0])
 
     def delete(self, key: int, value: Any) -> bool:
-        lo = int(np.searchsorted(self._keys, key, side="left"))
-        hi = int(np.searchsorted(self._keys, key, side="right"))
-        for pos in range(lo, hi):
-            if self._values[pos] == value:
-                self._keys = np.delete(self._keys, pos)
-                self._values = np.delete(self._values, pos)
-                self._soa = None
-                return True
-        return False
+        pos = self._find(key, value)
+        if pos < 0:
+            return False
+        self._release(self._slots[pos : pos + 1])
+        self._keys = np.delete(self._keys, pos)
+        self._slots = np.delete(self._slots, pos)
+        return True
 
     def replace(self, key: int, old_value: Any, new_value: Any) -> bool:
-        lo = int(np.searchsorted(self._keys, key, side="left"))
-        hi = int(np.searchsorted(self._keys, key, side="right"))
-        for pos in range(lo, hi):
-            if self._values[pos] == old_value:
-                self._values[pos] = new_value
-                self._soa = None
-                return True
-        return False
+        pos = self._find(key, old_value)
+        if pos < 0:
+            return False
+        self._write(self._slots[pos : pos + 1], [new_value])
+        return True
 
     def apply_batch(
         self,
@@ -218,13 +227,15 @@ class FlatKeyStore:
         Work items are ordered exactly as the B+-tree orders them —
         ``(key, kind, arrival)`` with deletes before upserts before
         inserts of the same key — and resolved against a frozen snapshot
-        of the array: a delete marks the leftmost surviving value-equal
+        of the arrays: a delete marks the leftmost surviving value-equal
         position; an upsert rewrites a marked position (or an earlier
         upsert-miss's pending entry) in place, degrading to an insertion
         of its new value when no match survives; inserts accumulate as a
-        pending key-ordered run.  The commit is three vectorized steps:
-        in-place replacements, one boolean-mask compaction, and one
-        merged ``np.insert`` whose ``side="right"`` positions land every
+        pending key-ordered run.  The commit touches O(batch) slab rows:
+        replacements are written into their own slots, removed slots are
+        released (and recycled by the same batch's insertions), and the
+        key/slot arrays take one ``np.delete`` and one merged
+        ``np.insert`` whose ``side="right"`` positions land every
         pending entry after the surviving duplicates of its key, in
         arrival order — the ``bisect_right`` placement of the B+-tree.
         """
@@ -239,7 +250,8 @@ class FlatKeyStore:
             + [(key, 2, i) for i, (key, _) in enumerate(inserts)]
         )
         keys = self._keys
-        values = self._values
+        slots = self._slots
+        payload = self._payload
         # One vectorized bisection pair for every lookup in the batch.
         work_keys = np.fromiter((key for key, _, _ in work), np.int64, len(work))
         work_lo = np.searchsorted(keys, work_keys, side="left").tolist()
@@ -254,7 +266,7 @@ class FlatKeyStore:
             for pos in range(lo, hi):
                 if pos in removed:
                     continue
-                current = replaced[pos] if pos in replaced else values[pos]
+                current = replaced[pos] if pos in replaced else payload[slots[pos]]
                 if current == target:
                     return pos, -1
             for j in pending_by_key.get(key, ()):
@@ -287,31 +299,24 @@ class FlatKeyStore:
             else:  # insert: after surviving duplicates, in arrival order
                 push(key, inserts[i][1])
 
-        # Commit: replacements in place, one compaction, one merged insert.
-        for pos, value in replaced.items():
-            values[pos] = value
+        # Commit: replacements in their slots, removed slots released,
+        # pending rows written, one delete + one merged insert on the ints.
+        if replaced:
+            self._write(slots[list(replaced)], list(replaced.values()))
         if removed:
-            keep = np.ones(len(keys), dtype=bool)
-            keep[list(removed)] = False
-            keys = keys[keep]
-            values = values[keep]
+            gone = list(removed)
+            self._release(slots[gone])
+            keys = np.delete(keys, gone)
+            slots = np.delete(slots, gone)
         if pending_keys:
             run = np.asarray(pending_keys, dtype=np.int64)
             positions = np.searchsorted(keys, run, side="right")
+            fresh = self._acquire(len(run))
+            self._write(fresh, pending_values)
             keys = np.insert(keys, positions, run)
-            # Scatter-merge the pending run: pending entry j lands at slot
-            # positions[j] + j (np.insert's final-index formula), survivors
-            # fill the rest in order — all C-speed pointer copies.
-            slots = positions + np.arange(len(run))
-            merged = np.empty(len(values) + len(run), dtype=object)
-            survivors = np.ones(len(merged), dtype=bool)
-            survivors[slots] = False
-            merged[survivors] = values
-            merged[slots] = _object_array(pending_values)
-            values = merged
+            slots = np.insert(slots, positions, fresh)
         self._keys = keys
-        self._values = values
-        self._soa = None
+        self._slots = slots
         return delete_flags, upsert_flags
 
     # -- queries -------------------------------------------------------
@@ -320,7 +325,8 @@ class FlatKeyStore:
         hi = int(np.searchsorted(self._keys, high, side="right"))
         if hi <= lo:
             return []
-        return list(zip(self._keys[lo:hi].tolist(), self._values[lo:hi].tolist()))
+        values = self._payload[self._slots[lo:hi]]
+        return list(zip(self._keys[lo:hi].tolist(), values.tolist()))
 
     def range_search_batch(
         self,
@@ -331,10 +337,9 @@ class FlatKeyStore:
         if not ranges:
             return []
         lo_idx, hi_idx = self._bounds(ranges)
-        keys = self._keys
-        values = self._values
+        keys, slots, payload = self._keys, self._slots, self._payload
         return [
-            list(zip(keys[lo:hi].tolist(), values[lo:hi].tolist())) if hi > lo else []
+            list(zip(keys[lo:hi].tolist(), payload[slots[lo:hi]].tolist())) if hi > lo else []
             for lo, hi in zip(lo_idx, hi_idx)
         ]
 
@@ -344,45 +349,17 @@ class FlatKeyStore:
         if not ranges:
             return []
         lo_idx, hi_idx = self._bounds(ranges)
-        cols = self._candidate_columns()
-        if cols is None:
-            values = self._values
+        slots, rows = self._slots, self._motion
+        if rows is None:
+            payload = self._payload
             return [
-                [
-                    (
-                        o.oid,
-                        o.position.x,
-                        o.position.y,
-                        o.velocity.vx,
-                        o.velocity.vy,
-                        o.reference_time,
-                    )
-                    for o in values[lo:hi]
-                ]
+                [_motion_row(o) for o in payload[slots[lo:hi]]]
                 for lo, hi in zip(lo_idx, hi_idx)
             ]
-        oid, px, py, vx, vy, rt = cols
-        out: List[List[CandidateState]] = []
-        for lo, hi in zip(lo_idx, hi_idx):
-            if hi <= lo:
-                out.append([])
-                continue
-            out.append(
-                list(
-                    zip(
-                        oid[lo:hi].tolist(),
-                        px[lo:hi].tolist(),
-                        py[lo:hi].tolist(),
-                        vx[lo:hi].tolist(),
-                        vy[lo:hi].tolist(),
-                        rt[lo:hi].tolist(),
-                    )
-                )
-            )
-        return out
+        return [rows[slots[lo:hi]].tolist() if hi > lo else [] for lo, hi in zip(lo_idx, hi_idx)]
 
     def items(self) -> Iterator[Tuple[int, Any]]:
-        return zip(self._keys.tolist(), self._values.tolist())
+        return zip(self._keys.tolist(), self._payload[self._slots].tolist())
 
     # -- internals -----------------------------------------------------
     def _bounds(self, ranges: Sequence[Tuple[int, int]]) -> Tuple[List[int], List[int]]:
@@ -394,23 +371,46 @@ class FlatKeyStore:
         hi_idx = np.searchsorted(self._keys, highs, side="right").tolist()
         return lo_idx, hi_idx
 
-    def _candidate_columns(self) -> Optional[Tuple[np.ndarray, ...]]:
-        """Rebuild the SoA motion columns if stale; ``None`` for opaque payloads."""
-        if self._soa is None:
-            values = self._values
-            n = len(values)
+    def _find(self, key: int, value: Any) -> int:
+        """Position of the leftmost entry of ``key`` equal to ``value``, or -1."""
+        lo = int(np.searchsorted(self._keys, key, side="left"))
+        hi = int(np.searchsorted(self._keys, key, side="right"))
+        for pos in range(lo, hi):
+            if self._payload[self._slots[pos]] == value:
+                return pos
+        return -1
+
+    def _acquire(self, n: int) -> List[int]:
+        """Take ``n`` slab rows off the free list, doubling the slab if short."""
+        free = self._free
+        if len(free) < n:
+            old = len(self._payload)
+            new = max(2 * old, old + n - len(free))
+            payload = np.empty(new, dtype=object)
+            payload[:old] = self._payload
+            self._payload = payload
+            if self._motion is not None:
+                motion = np.zeros(new, dtype=MOTION)
+                motion[:old] = self._motion
+                self._motion = motion
+            free.extend(range(old, new))
+        taken = free[len(free) - n :]
+        del free[len(free) - n :]
+        return taken
+
+    def _release(self, slots: np.ndarray) -> None:
+        """Return slab rows to the free list, dropping their payload references."""
+        self._payload[slots] = None
+        self._free.extend(slots.tolist())
+
+    def _write(self, slots: Sequence[int], values: List[Any]) -> None:
+        """Store ``values`` (and their motion rows) in slab rows ``slots``."""
+        self._payload[slots] = _object_array(values)
+        if self._motion is not None:
             try:
-                self._soa = (
-                    np.fromiter((v.oid for v in values), np.int64, n),
-                    np.fromiter((v.position.x for v in values), np.float64, n),
-                    np.fromiter((v.position.y for v in values), np.float64, n),
-                    np.fromiter((v.velocity.vx for v in values), np.float64, n),
-                    np.fromiter((v.velocity.vy for v in values), np.float64, n),
-                    np.fromiter((v.reference_time for v in values), np.float64, n),
-                )
+                self._motion[slots] = np.fromiter(map(_motion_row, values), MOTION, len(values))
             except AttributeError:
-                self._soa = ()
-        return self._soa if self._soa else None
+                self._motion = None
 
 
 #: Registered key-store backends, by name.

@@ -9,7 +9,9 @@ range results in key order.  The Hypothesis suites drive both backends
 through random operation interleavings and mixed batches over a tiny
 key/value domain (so duplicate keys and value collisions are the common
 case, not the edge case) and require the stores to agree after every
-step.  The factory tests pin the ``make_key_store`` idiom to its
+step — once with int payloads (the opaque fallback) and once with
+``MovingObject`` payloads, which is the only way into the flat store's
+motion slab.  The factory tests pin the ``make_key_store`` idiom to its
 ``make_executor`` sibling.
 """
 
@@ -28,7 +30,6 @@ from repro.bxtree import (
     make_key_store,
 )
 from repro.geometry.point import Point
-from repro.geometry.rect import Rect
 from repro.geometry.vector import Vector
 from repro.objects.moving_object import MovingObject
 from repro.storage.buffer_manager import BufferManager
@@ -43,20 +44,37 @@ PROPERTY_SETTINGS = settings(
 keys = st.integers(min_value=0, max_value=15)
 values = st.integers(min_value=0, max_value=3)
 
-operations = st.lists(
-    st.one_of(
-        st.tuples(st.just("insert"), keys, values),
-        st.tuples(st.just("delete"), keys, values),
-        st.tuples(st.just("replace"), keys, values, values),
-        st.tuples(
-            st.just("batch"),
-            st.lists(st.tuples(keys, values), max_size=4),
-            st.lists(st.tuples(keys, values), max_size=4),
-            st.lists(st.tuples(keys, values, values), max_size=4),
+
+def _operations(values):
+    """Interleavings of point operations and mixed batches over ``values``."""
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("insert"), keys, values),
+            st.tuples(st.just("delete"), keys, values),
+            st.tuples(st.just("replace"), keys, values, values),
+            st.tuples(
+                st.just("batch"),
+                st.lists(st.tuples(keys, values), max_size=4),
+                st.lists(st.tuples(keys, values), max_size=4),
+                st.lists(st.tuples(keys, values, values), max_size=4),
+            ),
         ),
-    ),
-    max_size=25,
-)
+        max_size=25,
+    )
+
+
+def _motion(i):
+    """One of a handful of value-comparable snapshots (oids repeat across them)."""
+    return MovingObject(
+        oid=i % 3,
+        position=Point(10.0 * i, 0.5 * i),
+        velocity=Vector(0.25 * i, -1.0),
+        reference_time=float(i % 2),
+    )
+
+
+operations = _operations(values)
+motions = values.map(_motion)
 
 
 def _apply(store, op):
@@ -89,6 +107,32 @@ def test_random_interleavings_match_btree(ops):
         else:
             assert expected == actual
         assert list(reference.items()) == list(flat.items())
+
+
+@PROPERTY_SETTINGS
+@given(loaded=st.lists(st.tuples(keys, motions), max_size=6), ops=_operations(motions))
+def test_motion_payload_interleavings_keep_the_slab_current(loaded, ops):
+    """The motion slab answers like the paged store after every single step.
+
+    Duplicates, same-key upserts, upsert misses, delete-then-reinsert in
+    one batch, point operations and growth past the bulk-loaded slab all
+    write motion rows in place; none may leave a stale or shared row.
+    """
+    paged = BTreeKeyStore()
+    flat = FlatKeyStore()
+    for store in (paged, flat):
+        store.bulk_load(list(loaded))
+    ranges = [(0, 15), (0, 7), (8, 15), (3, 3)]
+    for op in [None, *ops]:
+        if op is not None:
+            assert _apply(paged, op) == _apply(flat, op)
+        assert flat.knn_candidates_batch(ranges) == paged.knn_candidates_batch(ranges)
+        assert list(flat.items()) == list(paged.items())
+        assert flat._motion is not None and len(flat._motion) == len(flat._payload)
+        live = flat._slots.tolist()
+        assert len(set(live)) == len(live) == len(flat)
+        assert not set(live) & set(flat._free)
+        assert len(flat._free) + len(flat) == len(flat._payload)
 
 
 @PROPERTY_SETTINGS
@@ -126,6 +170,10 @@ def test_bulk_load_matches_btree(pairs):
 # ----------------------------------------------------------------------
 # Boundary semantics
 # ----------------------------------------------------------------------
+def _candidate(o):
+    return (o.oid, o.position.x, o.position.y, o.velocity.vx, o.velocity.vy, o.reference_time)
+
+
 def test_empty_store_edges():
     flat = FlatKeyStore()
     assert flat.range_search(0, 100) == []
@@ -201,6 +249,66 @@ def test_knn_candidates_fall_back_for_opaque_payloads():
     ]
 
 
+def test_opaque_payload_drops_the_motion_slab_for_good():
+    """A non-motion payload after motion ones: attribute access from then on."""
+    flat = FlatKeyStore()
+    objects = [_motion(i) for i in range(4)]
+    flat.bulk_load(list(enumerate(objects)))
+    expected = [[_candidate(o) for o in objects]]
+    assert flat._motion is not None
+    assert flat.knn_candidates_batch([(0, 3)]) == expected
+
+    flat.apply_batch(inserts=[(9, "opaque")])
+    assert flat._motion is None
+    assert flat.knn_candidates_batch([(0, 3)]) == expected
+    with pytest.raises(AttributeError):
+        flat.knn_candidates_batch([(0, 9)])
+
+    # The slab does not come back once the opaque payload is gone, and
+    # later writes (growth included) keep serving by attribute access.
+    assert flat.delete(9, "opaque")
+    extra = [_motion(i) for i in range(4, 12)]
+    flat.apply_batch(inserts=[(4 + i, obj) for i, obj in enumerate(extra)])
+    assert flat._motion is None
+    assert flat.knn_candidates_batch([(0, 20)]) == [
+        [_candidate(o) for o in objects + extra]
+    ]
+
+
+class _CountedPayload:
+    """A motion payload that counts reads of ``position`` on a shared tally."""
+
+    def __init__(self, oid, tally):
+        self.oid = oid
+        self.velocity = Vector(1.0, 0.0)
+        self.reference_time = 0.0
+        self._tally = tally
+
+    @property
+    def position(self):
+        self._tally.append(self.oid)
+        return Point(float(self.oid), 0.0)
+
+
+def test_knn_after_update_reads_only_the_updated_payloads():
+    """No O(n) pass: m moves then a kNN touch O(m) payloads, not all n."""
+    n, m = 2000, 16
+    tally = []
+    stored = [_CountedPayload(i, tally) for i in range(n)]
+    flat = FlatKeyStore()
+    flat.bulk_load([(i, obj) for i, obj in enumerate(stored)])
+    del tally[:]
+    moved = [_CountedPayload(i, tally) for i in range(m)]
+    delete_flags, _ = flat.apply_batch(
+        deletes=[(i, stored[i]) for i in range(m)],
+        inserts=[(n + i, obj) for i, obj in enumerate(moved)],
+    )
+    assert all(delete_flags)
+    (candidates,) = flat.knn_candidates_batch([(0, 2 * n)])
+    assert [cand[0] for cand in candidates] == list(range(m, n)) + list(range(m))
+    assert len(tally) <= 4 * m
+
+
 # ----------------------------------------------------------------------
 # The make_key_store factory (the make_executor idiom)
 # ----------------------------------------------------------------------
@@ -248,22 +356,3 @@ def test_multi_tree_factories_reject_instances():
         make_vp_bx_tree(None, key_store=instance)
     with pytest.raises(TypeError, match="name or class"):
         _FamilyFactory("Bx", key_store=instance)
-
-
-# ----------------------------------------------------------------------
-# The deprecation shim
-# ----------------------------------------------------------------------
-@pytest.mark.filterwarnings("always:BxTree.btree is deprecated")
-def test_btree_reach_in_warns_and_still_works():
-    index = BxTree()
-    with pytest.warns(DeprecationWarning, match="BxTree.btree is deprecated"):
-        tree = index.btree
-    assert isinstance(tree, BPlusTree)
-    assert tree is index.store.tree
-
-    flat_index = BxTree(key_store="flat")
-    with pytest.warns(DeprecationWarning, match="BxTree.btree is deprecated"):
-        shim = flat_index.btree
-    # No inner B+-tree to hand back: the duck-compatible store surface is
-    # returned so read-only reach-ins (items, range_search) keep working.
-    assert shim is flat_index.store
