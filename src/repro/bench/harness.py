@@ -6,8 +6,9 @@ range queries) is replayed against it, and the average physical I/O and
 wall-clock time per query and per update are reported.
 
 The same harness runs both unpartitioned indexes (Bx-tree, TPR*-tree) and
-their VP counterparts, because they share the ``insert / update /
-range_query`` protocol and expose their buffer pool for I/O accounting.
+their VP counterparts, because they all satisfy
+:class:`~repro.core.index_manager.MovingIndex` and expose their buffer pool
+for I/O accounting.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.bulk import loader_accepts
 from repro.bxtree.bx_tree import BxTree
 from repro.core.partitioned_index import (
     VPIndex,
@@ -140,20 +140,19 @@ class ExperimentRunner:
     Args:
         workload: the workload to replay.
         bulk_build: when True (default) the build phase uses the index's
-            ``bulk_load`` if it has one, so the figure drivers measure
+            ``bulk_load``, so the figure drivers measure
             steady-state update/query I/O rather than the Python overhead of
             N root-to-leaf insertions; pass False to force the incremental
             build path (used by the build-cost comparisons).
         batch: when True (default) events are grouped into same-window,
             same-type batches and replayed through the index's
-            ``update_batch`` / ``range_query_batch`` when it has them
-            (falling back to the per-event protocol otherwise); False
-            replays strictly event by event.  Both modes produce identical
+            ``update_batch`` / ``range_query_batch``; False replays
+            strictly event by event.  Both modes produce identical
             query answers; batching only amortizes per-operation work.
         batch_window: grouping window in timestamps for batch mode.
-        bulk_strategy: packing strategy forwarded to ``bulk_load`` for
-            indexes that accept one (e.g. ``"velocity_str"`` on the TPR
-            family); None uses each index's default packing.
+        bulk_strategy: packing strategy forwarded to ``bulk_load`` (e.g.
+            ``"velocity_str"`` on the TPR family); None uses each index's
+            default packing.
     """
 
     def __init__(
@@ -177,26 +176,19 @@ class ExperimentRunner:
             dataset=self.workload.name,
         )
         stats = index.buffer.stats
-        loader = getattr(index, "bulk_load", None) if self.bulk_build else None
         build_start = time.perf_counter()
-        if loader is not None:
-            if self.bulk_strategy is not None and loader_accepts(loader, "strategy"):
-                loader(self.workload.initial_objects, strategy=self.bulk_strategy)
-            else:
-                loader(self.workload.initial_objects)
+        if self.bulk_build:
+            index.bulk_load(self.workload.initial_objects, strategy=self.bulk_strategy)
         else:
             for obj in self.workload.initial_objects:
                 index.insert(obj)
         metrics.build_time = time.perf_counter() - build_start
 
-        update_batch = getattr(index, "update_batch", None) if self.batch else None
-        query_batch = getattr(index, "range_query_batch", None) if self.batch else None
         window = self.batch_window if self.batch else 0.0
 
         # Replay in same-window, same-type batches: identical event order,
-        # with timing and I/O accounting per batch.  Indexes exposing the
-        # batch protocol receive whole batches; single-event batches and
-        # indexes without the protocol take the per-event path.
+        # with timing and I/O accounting per batch.  Single-event batches
+        # take the per-event path.
         for batch in self.workload.grouped_events(window=window):
             before = stats.physical.total
             before_logical = stats.logical.reads
@@ -204,8 +196,8 @@ class ExperimentRunner:
             before_misses = stats.buffer.misses
             if isinstance(batch[0], UpdateEvent):
                 started = time.perf_counter()
-                if update_batch is not None and len(batch) > 1:
-                    update_batch([(event.old, event.new) for event in batch])
+                if self.batch and len(batch) > 1:
+                    index.update_batch([(event.old, event.new) for event in batch])
                 else:
                     for event in batch:
                         index.update(event.old, event.new)
@@ -218,8 +210,8 @@ class ExperimentRunner:
             else:
                 returned = 0
                 started = time.perf_counter()
-                if query_batch is not None and len(batch) > 1:
-                    for result in query_batch([event.query for event in batch]):
+                if self.batch and len(batch) > 1:
+                    for result in index.range_query_batch([event.query for event in batch]):
                         returned += len(result)
                 else:
                     for event in batch:

@@ -29,7 +29,7 @@ from repro.core.pc_kmeans import (
 from repro.core.outlier import optimal_tau, expansion_rate_objective
 from repro.core.velocity_analyzer import VelocityAnalyzer, VelocityPartitioning
 from repro.core.adaptation import TauMonitor, refresh_taus
-from repro.core.index_manager import IndexManager
+from repro.core.index_manager import IndexManager, MovingIndex
 from repro.core.partitioned_index import (
     VPIndex,
     make_vp_bx_tree,
@@ -60,6 +60,7 @@ __all__ = [
     "TauMonitor",
     "refresh_taus",
     "IndexManager",
+    "MovingIndex",
     "VPIndex",
     "make_vp_bx_tree",
     "make_vp_tprstar_tree",

@@ -15,15 +15,15 @@ plus one outlier index, and translates the standard index operations:
   (its transformed range bounded by an axis-aligned MBR), executed on every
   index, and the union of the results is filtered with the original query.
 
-The underlying indexes only need the small protocol
-``insert/delete/range_query`` shared by :class:`~repro.tprtree.TPRStarTree`
-and :class:`~repro.bxtree.BxTree`.
+The underlying indexes satisfy :class:`SubIndex` — the :class:`MovingIndex`
+contract every index in the repo shares, plus the two batch entry points
+only the manager calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -50,20 +50,93 @@ from repro.objects.queries import (
 OUTLIER_PARTITION = -1
 
 
-class MovingObjectIndex(Protocol):
-    """Protocol implemented by TPR*/Bx trees (and any future base index)."""
+@runtime_checkable
+class MovingIndex(Protocol):
+    """The contract every moving-object index satisfies.
+
+    Implemented by the Bx-tree, the TPR/TPR*-trees, :class:`VPIndex` and,
+    in the serving layer, by ``VersionedShard``, the process-shard handle
+    and ``ShardedIndex`` itself — so a caller holding any of them batches,
+    bulk-loads and queries without probing for the method first.  The
+    seven mutations are exactly ``repro.serve.shard_log.LOG_OPS``: what
+    the write-ahead log records is what an index can be asked to do.
+    ``delete``/``update`` receive the object's current stored snapshot;
+    ``bulk_load`` requires an empty index, and a family with a single
+    packing (the Bx-tree's sorted leaves) ignores ``strategy``.
+    """
+
+    #: Buffer pool surface: ``stats``, ``flush()``, ``batch_hints_enabled``.
+    buffer: Any
+
+    def __len__(self) -> int: ...
+
+    def bulk_load(
+        self, objects: Sequence[MovingObject], strategy: Optional[str] = None
+    ) -> None:
+        """Build the (empty) index from ``objects`` in one packing pass."""
 
     def insert(self, obj: MovingObject) -> None:
         """Insert an object snapshot."""
-        ...
+
+    def insert_batch(self, objects: Sequence[MovingObject]) -> None:
+        """Insert a batch of snapshots."""
 
     def delete(self, obj: MovingObject) -> bool:
-        """Delete a previously inserted snapshot; True when it existed."""
-        ...
+        """Delete a stored snapshot; True when it existed."""
+
+    def delete_batch(self, objects: Sequence[MovingObject]) -> List[bool]:
+        """Delete a batch; success flags aligned with the input."""
+
+    def update(self, old: MovingObject, new: MovingObject) -> bool:
+        """Replace ``old`` by ``new`` (same id); True when ``old`` existed."""
+
+    def update_batch(self, pairs: Sequence[Tuple[MovingObject, MovingObject]]) -> int:
+        """Apply ``(old, new)`` pairs; returns how many olds existed."""
 
     def range_query(self, query: RangeQuery, exact: bool = True) -> List[int]:
-        """Ids of objects qualifying for (or candidate for) ``query``."""
-        ...
+        """Ids of objects qualifying for (``exact``) or candidate for ``query``."""
+
+    def range_query_batch(
+        self, queries: Sequence[RangeQuery], exact: bool = True
+    ) -> List[List[int]]:
+        """Batched :meth:`range_query`; results align with the input."""
+
+    def knn_query(
+        self,
+        center: Point,
+        k: int,
+        query_time: float,
+        issue_time: float = 0.0,
+        space: Optional[Rect] = None,
+        radius_state: Optional[AdaptiveRadius] = None,
+    ) -> List[Tuple[int, float]]:
+        """Up to ``k`` ``(oid, distance)`` pairs nearest ``center`` at ``query_time``."""
+
+    def knn_query_batch(
+        self,
+        queries: Sequence[KNNQuery],
+        space: Optional[Rect] = None,
+        radius_state: Optional[AdaptiveRadius] = None,
+    ) -> List[List[Tuple[int, float]]]:
+        """Batched :meth:`knn_query`; results align with the input."""
+
+
+@runtime_checkable
+class SubIndex(MovingIndex, Protocol):
+    """What :class:`IndexManager` additionally needs of a per-partition index."""
+
+    def apply_batch(
+        self,
+        deletes: Sequence[MovingObject] = (),
+        inserts: Sequence[MovingObject] = (),
+        updates: Sequence[Tuple[MovingObject, MovingObject]] = (),
+    ) -> Tuple[List[bool], int]:
+        """One mixed sweep: ``(delete flags, how many update olds existed)``."""
+
+    def knn_candidates_batch(
+        self, queries: Sequence[RangeQuery]
+    ) -> List[List[CandidateState]]:
+        """Per-query candidate motion states, unfiltered and without eviction hints."""
 
 
 @dataclass(slots=True)
@@ -81,8 +154,8 @@ class IndexManager:
     def __init__(
         self,
         partitioning: VelocityPartitioning,
-        index_factory: Callable[..., MovingObjectIndex],
-        outlier_factory: Optional[Callable[..., MovingObjectIndex]] = None,
+        index_factory: Callable[..., SubIndex],
+        outlier_factory: Optional[Callable[..., SubIndex]] = None,
         index_kwargs: Optional[Dict[str, object]] = None,
     ) -> None:
         """Create one index per DVA plus the outlier index.
@@ -100,7 +173,7 @@ class IndexManager:
         """
         self.partitioning = partitioning
         self._index_kwargs: Dict[str, object] = dict(index_kwargs or {})
-        self.dva_indexes: List[MovingObjectIndex] = [
+        self.dva_indexes: List[SubIndex] = [
             index_factory(i, **self._index_kwargs) for i in range(partitioning.k)
         ]
         if outlier_factory is not None:
@@ -157,13 +230,11 @@ class IndexManager:
         """Partition-aware bulk build: route every object, pack each index once.
 
         All objects are routed to their partition and rotated into its frame
-        in one pass, then every sub-index is built with its own ``bulk_load``
-        (falling back to per-object insertion for index types without one).
+        in one pass, then every sub-index is built with its own ``bulk_load``.
         Returns the number of objects loaded per partition.
 
-        ``strategy`` selects the packing strategy (e.g. ``"velocity_str"``)
-        for sub-indexes whose loader understands one; loaders without a
-        ``strategy`` parameter (the Bx family's sorted leaf packing) ignore
+        ``strategy`` selects the packing strategy (e.g. ``"velocity_str"``);
+        families with a single packing (the Bx-tree's sorted leaves) ignore
         it.
 
         The directory is only committed after every input has been validated
@@ -186,31 +257,21 @@ class IndexManager:
             )
             groups.setdefault(partition, []).append(stored)
         for partition, group in groups.items():
-            index = self._index_of(partition)
-            loader = getattr(index, "bulk_load", None)
-            if loader is not None:
-                if strategy is not None and loader_accepts(loader, "strategy"):
-                    # Reuse the manager's own DVAs instead of letting every
-                    # sub-index re-run the velocity analyzer: a DVA
-                    # partition is already direction-homogeneous (its frame
-                    # aligns the dominant axis with x), so it bins against
-                    # the frame's x-axis alone, while the outlier index
-                    # bins its off-axis objects against the global DVAs.
-                    # (``axes`` is probed separately — a loader may accept a
-                    # strategy without accepting precomputed axes.)
-                    if strategy == "velocity_str" and loader_accepts(loader, "axes"):
-                        if partition == OUTLIER_PARTITION:
-                            axes = [dva.axis for dva in self.partitioning.dvas]
-                        else:
-                            axes = [Vector(1.0, 0.0)]
-                        loader(group, strategy=strategy, axes=axes)
-                    else:
-                        loader(group, strategy=strategy)
+            loader = self._index_of(partition).bulk_load
+            # Reuse the manager's own DVAs instead of letting every
+            # sub-index re-run the velocity analyzer: a DVA partition is
+            # already direction-homogeneous (its frame aligns the dominant
+            # axis with x), so it bins against the frame's x-axis alone,
+            # while the outlier index bins its off-axis objects against the
+            # global DVAs.  (``axes`` is TPR-specific, hence probed.)
+            if strategy == "velocity_str" and loader_accepts(loader, "axes"):
+                if partition == OUTLIER_PARTITION:
+                    axes = [dva.axis for dva in self.partitioning.dvas]
                 else:
-                    loader(group)
+                    axes = [Vector(1.0, 0.0)]
+                loader(group, strategy=strategy, axes=axes)
             else:
-                for stored in group:
-                    index.insert(stored)
+                loader(group, strategy=strategy)
         self._directory.update(records)
         return {partition: len(group) for partition, group in groups.items()}
 
@@ -307,14 +368,7 @@ class IndexManager:
         for i, partition in enumerate(partitions):
             groups.setdefault(partition, []).append(i)
         for partition, members in groups.items():
-            index = self._index_of(partition)
-            batch_insert = getattr(index, "insert_batch", None)
-            group = [stored_objects[i] for i in members]
-            if batch_insert is not None:
-                batch_insert(group)
-            else:
-                for stored in group:
-                    index.insert(stored)
+            self._index_of(partition).insert_batch([stored_objects[i] for i in members])
         for obj, partition, stored in zip(objects, partitions, stored_objects):
             self._directory[obj.oid] = _StoredObject(
                 partition=partition, original=obj, stored=stored
@@ -339,12 +393,9 @@ class IndexManager:
                 continue
             groups.setdefault(record.partition, []).append((position, record.stored))
         for partition, members in groups.items():
-            index = self._index_of(partition)
-            batch_delete = getattr(index, "delete_batch", None)
-            if batch_delete is not None:
-                results = batch_delete([stored for _, stored in members])
-            else:
-                results = [index.delete(stored) for _, stored in members]
+            results = self._index_of(partition).delete_batch(
+                [stored for _, stored in members]
+            )
             for (position, _), result in zip(members, results):
                 flags[position] = bool(result)
         return flags
@@ -397,25 +448,11 @@ class IndexManager:
         # insertions (migrations in) and same-partition updates run in a
         # single sweep instead of three.
         for partition in sorted(set(same) | set(deletes) | set(inserts)):
-            index = self._index_of(partition)
-            batch_apply = getattr(index, "apply_batch", None)
-            group_deletes = deletes.get(partition, [])
-            group_inserts = inserts.get(partition, [])
-            group_updates = same.get(partition, [])
-            if batch_apply is not None:
-                batch_apply(
-                    deletes=group_deletes,
-                    inserts=group_inserts,
-                    updates=group_updates,
-                )
-                continue
-            for stored in group_deletes:
-                index.delete(stored)
-            for old_stored, new_stored in group_updates:
-                index.delete(old_stored)
-                index.insert(new_stored)
-            for stored in group_inserts:
-                index.insert(stored)
+            self._index_of(partition).apply_batch(
+                deletes=deletes.get(partition, []),
+                inserts=inserts.get(partition, []),
+                updates=same.get(partition, []),
+            )
         return partitions
 
     # ------------------------------------------------------------------
@@ -448,15 +485,9 @@ class IndexManager:
         results: List[List[int]] = [[] for _ in queries]
         seen: List[set] = [set() for _ in queries]
 
-        def run(index: MovingObjectIndex, transformed: List[RangeQuery]) -> None:
+        def run(index: SubIndex, transformed: List[RangeQuery]) -> None:
             """Collect one sub-index's candidates through its batch surface."""
-            batch = getattr(index, "range_query_batch", None)
-            if batch is not None:
-                candidate_lists = batch(transformed, exact=False)
-            else:
-                candidate_lists = [
-                    index.range_query(query, exact=False) for query in transformed
-                ]
+            candidate_lists = index.range_query_batch(transformed, exact=False)
             for qi, candidates in enumerate(candidate_lists):
                 self._filter_into(candidates, queries[qi], seen[qi], results[qi])
 
@@ -547,26 +578,16 @@ class IndexManager:
         pools: List[dict] = [{} for _ in queries]
         directory = self._directory
 
-        def run(index: MovingObjectIndex, transformed: List[RangeQuery]) -> None:
+        def run(index: SubIndex, transformed: List[RangeQuery]) -> None:
             """Resolve one sub-index's raw candidates into motion states."""
-            fetch = getattr(index, "knn_candidates_batch", None)
-            if fetch is not None:
-                # The kNN-specific candidate surface: same shared machinery
-                # as range_query_batch, but without the one-pass eviction
-                # hint (filter rounds re-scan grown windows) and without the
-                # exact predicate (we re-rank in the original frame anyway).
-                candidate_lists = [
-                    [state[0] for state in states] for states in fetch(transformed)
-                ]
-            elif (batch := getattr(index, "range_query_batch", None)) is not None:
-                candidate_lists = batch(transformed, exact=False)
-            else:
-                candidate_lists = [
-                    index.range_query(query, exact=False) for query in transformed
-                ]
-            for qi, candidates in enumerate(candidate_lists):
+            # The kNN-specific candidate surface: same shared machinery as
+            # range_query_batch, but without the one-pass eviction hint
+            # (filter rounds re-scan grown windows) and without the exact
+            # predicate (we re-rank in the original frame anyway).
+            for qi, states in enumerate(index.knn_candidates_batch(transformed)):
                 pool = pools[qi]
-                for oid in candidates:
+                for state in states:
+                    oid = state[0]
                     if oid in pool:
                         continue
                     record = directory.get(oid)
@@ -621,7 +642,7 @@ class IndexManager:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _index_of(self, partition: int) -> MovingObjectIndex:
+    def _index_of(self, partition: int) -> SubIndex:
         if partition == OUTLIER_PARTITION:
             return self.outlier_index
         return self.dva_indexes[partition]

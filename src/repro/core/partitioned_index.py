@@ -24,7 +24,7 @@ from repro.bxtree.bx_tree import (
     DEFAULT_SPACE,
     BxTree,
 )
-from repro.core.index_manager import OUTLIER_PARTITION, IndexManager, MovingObjectIndex
+from repro.core.index_manager import OUTLIER_PARTITION, IndexManager, SubIndex
 from repro.core.velocity_analyzer import (
     VelocityAnalyzer,
     VelocityPartitioning,
@@ -45,7 +45,7 @@ class VPIndex:
     def __init__(
         self,
         partitioning: VelocityPartitioning,
-        index_factory: Callable[..., MovingObjectIndex],
+        index_factory: Callable[..., SubIndex],
         buffer: BufferManager,
         name: str,
         space: Optional[Rect] = None,
@@ -182,12 +182,12 @@ class VPIndex:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def dva_indexes(self) -> List[MovingObjectIndex]:
+    def dva_indexes(self) -> List[SubIndex]:
         """The underlying per-DVA sub-indexes."""
         return self.manager.dva_indexes
 
     @property
-    def outlier_index(self) -> MovingObjectIndex:
+    def outlier_index(self) -> SubIndex:
         """The sub-index holding velocity outliers."""
         return self.manager.outlier_index
 

@@ -4,9 +4,7 @@
 that :class:`~repro.serve.ShardedIndex` historically took one by one
 (``name``/``space``/``max_workers``/``shard_factory``/``supervisor``/
 ``logs``/``stores``) and adds the executor choice introduced with the
-pluggable-executor redesign.  The old keyword spellings still work on the
-constructor — they fold into a config and emit a ``DeprecationWarning``
-(see the migration note in ``docs/sharding.md``).
+pluggable-executor redesign.
 
 Typical use::
 

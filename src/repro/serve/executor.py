@@ -228,8 +228,6 @@ def _shard_worker_main(conn, index: Any) -> None:
     success or failure — carries the shard's cumulative I/O counters so
     the parent's mirror stays exact without extra round trips.
     """
-    from repro.bulk import loader_accepts
-
     while True:
         try:
             message = conn.recv()
@@ -251,13 +249,6 @@ def _shard_worker_main(conn, index: Any) -> None:
             elif op == "__hints_set__":
                 index.buffer.batch_hints_enabled = args[0]
                 value = None
-            elif op == "bulk_load":
-                objects, strategy = args
-                loader = index.bulk_load
-                if strategy is not None and loader_accepts(loader, "strategy"):
-                    value = loader(objects, strategy=strategy, **kwargs)
-                else:
-                    value = loader(objects, **kwargs)
             else:
                 value = getattr(index, op)(*args, **kwargs)
             reply = (True, value, _stats_tuple(index.buffer.stats))
@@ -349,11 +340,7 @@ class _ProcessShard:
         return self._call("update_batch", list(pairs), **kwargs)
 
     def bulk_load(self, objects, strategy: Optional[str] = None, **kwargs) -> None:
-        # The worker re-checks whether the hosted loader accepts a
-        # strategy, so this proxy can always advertise the parameter.
-        return self._owner._call(
-            self._shard_id, "bulk_load", (list(objects), strategy), kwargs
-        )
+        return self._call("bulk_load", list(objects), strategy=strategy, **kwargs)
 
     # -- queries -------------------------------------------------------
     # ``epoch`` crosses the pipe only when pinned: an unversioned hosted

@@ -33,6 +33,7 @@ from bisect import insort
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.serve.config import ServeConfig
+from repro.serve.shard_log import apply_record
 from repro.serve.sharded_index import ShardedIndex
 
 __all__ = ["EpochOracle"]
@@ -123,37 +124,13 @@ class EpochOracle:
         return len(self._mutations)
 
     # -- replay (verdict side) -----------------------------------------
-    def _apply(self, op: str, payload: Any) -> None:
-        twin = self.twin
-        if op == "bulk_load":
-            objects, strategy = payload
-            if strategy is not None:
-                twin.bulk_load(list(objects), strategy=strategy)
-            else:
-                twin.bulk_load(list(objects))
-        elif op == "insert":
-            twin.insert(payload)
-        elif op == "insert_batch":
-            twin.insert_batch(list(payload))
-        elif op == "delete":
-            twin.delete(payload)
-        elif op == "delete_batch":
-            twin.delete_batch(list(payload))
-        elif op == "update":
-            old, new = payload
-            twin.update(old, new)
-        elif op == "update_batch":
-            twin.update_batch(list(payload))
-        else:
-            raise ValueError(f"unknown mutation op {op!r}")
-
     def advance_to(self, epoch: int) -> None:
         """Bring the twin to exactly the state at ``epoch`` (quiescent)."""
         while self._applied < len(self._mutations):
             mutation_epoch, _, op, payload = self._mutations[self._applied]
             if mutation_epoch > epoch:
                 break
-            self._apply(op, payload)
+            apply_record(self.twin, op, payload)
             self._applied += 1
 
     def expected(self, epoch: int, kind: str, payload: Any) -> Any:

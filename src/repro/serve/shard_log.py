@@ -27,6 +27,11 @@ pickle, and reopening the file recovers the record list — truncating a
 torn tail, which is safe because records are appended *before* execution,
 so a torn final record describes a mutation whose caller never got an
 acknowledgement.  See ``docs/storage.md`` and ``docs/robustness.md``.
+
+A mutation is one record, ``(op, payload, epoch)``, everywhere it travels:
+the serving layer builds it, the log stores it, and :func:`apply_record`
+— the only code that turns an op name into an index call — applies it,
+whether to a live shard, a recovering one or the consistency oracle's twin.
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ import threading
 import zlib
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
+from repro.serve.snapshot import VersionedShard
+from repro.storage.durable import DurabilityError
+
 #: Operations a :class:`ShardLog` record may carry.
 LOG_OPS = (
     "bulk_load",
@@ -48,6 +56,28 @@ LOG_OPS = (
     "update",
     "update_batch",
 )
+
+
+def apply_record(index: Any, op: str, payload: Any, **epoch_kwargs: int) -> Any:
+    """Apply one logged mutation to ``index`` through its public method ``op``.
+
+    ``payload`` follows the log's conventions: ``bulk_load`` carries
+    ``(objects, strategy)``, ``update`` carries ``(old, new)``, the batch
+    ops carry their sequence and ``insert``/``delete`` the object.
+    ``epoch_kwargs`` (``epoch``, ``gc_floor``) reach versioned shards only;
+    callers applying to a bare index pass none.
+    """
+    if op not in LOG_OPS:
+        raise ValueError(f"unknown shard-log op {op!r}")
+    method = getattr(index, op)
+    if op == "bulk_load":
+        objects, strategy = payload
+        return method(list(objects), strategy=strategy, **epoch_kwargs)
+    if op == "update":
+        return method(*payload, **epoch_kwargs)
+    if op.endswith("_batch"):
+        return method(list(payload), **epoch_kwargs)
+    return method(payload, **epoch_kwargs)
 
 
 class ShardLog:
@@ -88,44 +118,16 @@ class ShardLog:
         shard — exactly what the supervisor must hand back to the caller
         whose mutation triggered the recovery.
 
-        A target exposing ``apply_logged`` (a versioned shard) receives
-        each record with its epoch, so recovery also restores the shard's
-        epoch counter and snapshot overlay; any other target gets the
-        plain public calls.
+        A versioned shard receives each record with its epoch, so recovery
+        also restores its epoch counter and snapshot overlay; a bare index
+        gets the plain calls.
         """
         result: Any = None
-        apply_logged = getattr(index, "apply_logged", None)
-        if apply_logged is not None:
-            for op, payload, epoch in self._records:
-                result = apply_logged(op, payload, epoch)
-            return result
-        for op, payload, _ in self._records:
-            if op == "bulk_load":
-                objects, strategy = payload
-                loader = index.bulk_load
-                if strategy is not None:
-                    result = loader(list(objects), strategy=strategy)
-                else:
-                    result = loader(list(objects))
-            elif op == "insert":
-                result = index.insert(payload)
-            elif op == "insert_batch":
-                result = index.insert_batch(list(payload))
-            elif op == "delete":
-                result = index.delete(payload)
-            elif op == "delete_batch":
-                result = index.delete_batch(list(payload))
-            elif op == "update":
-                old, new = payload
-                result = index.update(old, new)
-            else:  # update_batch
-                result = index.update_batch(list(payload))
+        versioned = isinstance(index, VersionedShard)
+        for op, payload, epoch in self._records:
+            kwargs = {"epoch": epoch} if versioned else {}
+            result = apply_record(index, op, payload, **kwargs)
         return result
-
-    @property
-    def records(self) -> Sequence[Tuple[str, Any]]:
-        """The logged ``(op, payload)`` pairs, oldest first (read-only view)."""
-        return tuple((op, payload) for op, payload, _ in self._records)
 
     @property
     def entries(self) -> Sequence[Tuple[str, Any, Optional[int]]]:
@@ -170,19 +172,20 @@ class DurableShardLog(ShardLog):
     """A :class:`ShardLog` whose records also live in an append-only file.
 
     Record format: ``length (u32) | crc32(body) (u32) | body`` where the
-    body is the pickled ``(op, payload, epoch)`` record (files written
-    before epochs existed carry ``(op, payload)`` pairs and load with
-    ``epoch=None``).  Appends are written and
-    (by default) fsync'd before :meth:`append` returns, so by the time the
-    serving layer executes a mutation its WAL record is already durable —
-    the invariant shard recovery relies on.
+    body is the pickled ``(op, payload, epoch)`` record.  Appends are
+    written and (by default) fsync'd before :meth:`append` returns, so by
+    the time the serving layer executes a mutation its WAL record is
+    already durable — the invariant shard recovery relies on.
 
     Opening an existing file rebuilds the record list, stopping at the
     first record whose length or checksum does not add up and truncating
     the file there: a torn tail record is a mutation that was never
     executed (append happens before execution) and never acknowledged, so
     dropping it keeps the log consistent with every answer the index ever
-    returned.
+    returned.  A frame whose checksum holds but whose body is not an
+    ``(op, payload, epoch)`` record is not a torn write; opening refuses it
+    with :class:`~repro.storage.durable.DurabilityError` instead of
+    silently dropping it and every acknowledged record after it.
 
     Appends are serialized by an internal lock — the serving layer appends
     outside the per-shard locks, so two routed mutations may hit the same
@@ -213,7 +216,11 @@ class DurableShardLog(ShardLog):
         self._lock = threading.Lock()
         self._fd = os.open(self._path, os.O_RDWR | os.O_CREAT, 0o644)
         self._size = 0
-        self._load_existing()
+        try:
+            self._load_existing()
+        except DurabilityError:
+            os.close(self._fd)
+            raise
 
     @property
     def path(self) -> str:
@@ -233,12 +240,19 @@ class DurableShardLog(ShardLog):
             body = data[offset + header.size : offset + header.size + length]
             if len(body) < length or zlib.crc32(body) != crc:
                 break
+            # A valid checksum means the frame was written whole: whatever
+            # is wrong with its content, it is not a torn tail to drop.
             try:
-                record = pickle.loads(body)
-                op, payload = record[0], record[1]
-                epoch = record[2] if len(record) > 2 else None
-            except Exception:
-                break
+                op, payload, epoch = pickle.loads(body)
+            except Exception as error:
+                raise DurabilityError(
+                    f"{self._path}: WAL frame at offset {offset} passes its "
+                    f"checksum but is not an (op, payload, epoch) record: {error}"
+                ) from error
+            if op not in LOG_OPS:
+                raise DurabilityError(
+                    f"{self._path}: WAL frame at offset {offset} names unknown op {op!r}"
+                )
             self._records.append((op, payload, epoch))
             offset += header.size + length
         self._size = offset
@@ -295,4 +309,4 @@ class DurableShardLog(ShardLog):
                 self._fd = -1
 
 
-__all__ = ["LOG_OPS", "DurableShardLog", "ShardLog"]
+__all__ = ["LOG_OPS", "DurableShardLog", "ShardLog", "apply_record"]

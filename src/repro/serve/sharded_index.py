@@ -3,9 +3,8 @@
 A :class:`ShardedIndex` owns N independent *shards* — complete instances of
 any moving-object index family (``BxTree``, ``TPRTree``/``TPRStarTree``,
 ``VPIndex``), each with its own :class:`~repro.storage.BufferManager` and
-:class:`~repro.storage.stats.IOStats` — and presents the exact same index
-protocol the harness already speaks (``insert`` / ``update_batch`` /
-``range_query_batch`` / ``knn_query_batch`` / ``bulk_load`` / ``buffer``).
+:class:`~repro.storage.stats.IOStats` — and itself satisfies the
+:class:`~repro.core.index_manager.MovingIndex` protocol its shards do.
 
 **Routing.**  Every object id is owned by exactly one shard, chosen by a
 fixed multiplicative hash of the id (:func:`shard_of`).  Updates,
@@ -53,9 +52,9 @@ import copy
 import random
 import threading
 import time
-import warnings
 from concurrent.futures import CancelledError, Future
 from contextlib import contextmanager
+from functools import partial
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import (
     Callable,
@@ -68,7 +67,6 @@ from typing import (
     Union,
 )
 
-from repro.bulk import loader_accepts
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.objects.knn import AdaptiveRadius, KNNQuery
@@ -76,7 +74,7 @@ from repro.objects.moving_object import MovingObject
 from repro.objects.queries import RangeQuery
 from repro.serve.config import ServeConfig
 from repro.serve.executor import Executor, make_executor
-from repro.serve.shard_log import ShardLog
+from repro.serve.shard_log import ShardLog, apply_record
 from repro.serve.snapshot import SnapshotTooOldError, VersionedShard
 from repro.serve.supervisor import (
     SHARD_FAILED,
@@ -263,19 +261,6 @@ class _FamilyFactory:
         return TPRStarTree(buffer=buffer, **extra)
 
 
-#: Legacy ``ShardedIndex.__init__`` keyword arguments that now live on
-#: :class:`ServeConfig` (passing any of them emits a DeprecationWarning).
-_LEGACY_KWARGS = (
-    "name",
-    "space",
-    "max_workers",
-    "shard_factory",
-    "supervisor",
-    "logs",
-    "stores",
-)
-
-
 class ShardedIndex:
     """Hash-partitioned serving facade over independent index shards.
 
@@ -290,29 +275,6 @@ class ShardedIndex:
             shard calls run: ``"serial"``, ``"thread"`` (default),
             ``"process"``, or an unattached
             :class:`~repro.serve.Executor` instance.
-        name: deprecated — use ``config=ServeConfig(name=...)``.
-        space: deprecated — use ``config`` (data space, forwarded as the
-            default kNN search space).
-        max_workers: deprecated — use ``config`` (fan-out width;
-            defaults to the shard count, must be at least 1).
-        shard_factory: deprecated — use ``config`` (zero-argument
-            callable building one fresh, empty shard; arms automatic
-            WAL-replay recovery.  Without a factory, baseline or store,
-            failed shards stay failed — queries can still degrade with
-            ``partial=True``).
-        supervisor: deprecated — use ``config`` (retry/backoff, circuit
-            breaker and timeout policy; the default retries transient
-            faults and trips a shard's breaker after 3 consecutive
-            failures, with no timeouts).
-        logs: deprecated — use ``config`` (pre-built per-shard
-            write-ahead logs, one per shard; the durable store passes
-            :class:`~repro.serve.shard_log.DurableShardLog` instances,
-            by default each shard gets a private in-memory
-            :class:`ShardLog`).
-        stores: deprecated — use ``config`` (per-shard durable
-            :class:`~repro.serve.durable_store.ShardStore` backends;
-            normally wired by :class:`~repro.serve.DurableStore`, not by
-            hand.  Durable stores require an in-process executor).
     """
 
     def __init__(
@@ -321,43 +283,13 @@ class ShardedIndex:
         config: Optional[ServeConfig] = None,
         *,
         executor: Optional[object] = None,
-        name: Optional[str] = None,
-        space: Optional[Rect] = None,
-        max_workers: Optional[int] = None,
-        shard_factory: Optional[Callable[[], object]] = None,
-        supervisor: Optional[SupervisorConfig] = None,
-        logs: Optional[Sequence[ShardLog]] = None,
-        stores: Optional[Sequence[object]] = None,
     ) -> None:
         if config is not None and not isinstance(config, ServeConfig):
             raise TypeError(
-                "the second ShardedIndex argument is a ServeConfig; pass "
-                "legacy options by keyword (deprecated) or on the config"
+                "the second ShardedIndex argument is a ServeConfig "
+                f"(got {type(config).__name__})"
             )
-        legacy = {
-            key: value
-            for key, value in (
-                ("name", name),
-                ("space", space),
-                ("max_workers", max_workers),
-                ("shard_factory", shard_factory),
-                ("supervisor", supervisor),
-                ("logs", logs),
-                ("stores", stores),
-            )
-            if value is not None
-        }
         resolved = config if config is not None else ServeConfig()
-        if legacy:
-            warnings.warn(
-                "passing "
-                + "/".join(sorted(legacy))
-                + " to ShardedIndex directly is deprecated; bundle them in "
-                "a ServeConfig (see docs/sharding.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            resolved = resolved.merged(**legacy)
         if executor is not None:
             resolved = resolved.merged(executor=executor)
         shards = list(shards)
@@ -599,13 +531,6 @@ class ShardedIndex:
                 with self._epoch_lock:
                     if epoch > self._published_epoch:
                         self._published_epoch = epoch
-
-    @staticmethod
-    def _epoch_kwargs(epoch: Optional[int], gc_floor: Optional[int]) -> Dict[str, int]:
-        """Mutation kwargs threading the epoch to versioned shards."""
-        if epoch is None:
-            return {}
-        return {"epoch": epoch, "gc_floor": gc_floor}
 
     @property
     def closed(self) -> bool:
@@ -1109,33 +1034,46 @@ class ShardedIndex:
                     shard_id, RuntimeError("circuit open")
                 )
 
-    def _group_by_shard(self, oids: Sequence[int]) -> Dict[int, List[int]]:
-        """Input positions grouped by owning shard (input order preserved)."""
-        groups: Dict[int, List[int]] = {}
-        for position, oid in enumerate(oids):
-            groups.setdefault(self.shard_of(oid), []).append(position)
+    def _routed(self, items: Sequence[T], oids: Sequence[int]) -> Dict[int, List[T]]:
+        """``items`` grouped by the owning shard of their ``oids`` (input order kept)."""
+        groups: Dict[int, List[T]] = {}
+        for item, oid in zip(items, oids):
+            groups.setdefault(self.shard_of(oid), []).append(item)
         return groups
 
-    def _scatter(
-        self,
-        groups: Dict[int, List[int]],
-        apply: Callable[[object, List[int]], T],
-    ) -> Dict[int, T]:
-        """Run ``apply(shard, member_positions)`` per routed group (strict).
+    def _scatter(self, tasks: Dict[int, Callable[[object], T]]) -> Dict[int, T]:
+        """Run one supervised mutation task per routed shard (strict).
 
-        Mutation path: failures after the supervision policy (retry /
-        recovery) are strict — the first one raises.
+        Failures after the supervision policy (retry / recovery) are
+        strict — the first one raises.
         """
-        tasks = {
-            shard_id: (lambda shard, m=members: apply(shard, m))
-            for shard_id, members in groups.items()
-        }
         results, statuses, failures = self._supervised_run(
             tasks, read_only=False, timeout=self._config.update_timeout_s
         )
         self._strict_statuses(statuses, failures)
         self._raise_first(failures)
         return results
+
+    def _mutate(self, op: str, payloads: Dict[int, object]) -> Dict[int, object]:
+        """Log and apply one mutation; returns the per-shard results.
+
+        ``payloads`` maps each routed shard to its record payload (see
+        :func:`~repro.serve.shard_log.apply_record` for the per-op
+        shapes).  Under one epoch, every shard's record is appended to its
+        write-ahead log before any shard executes, and each shard is then
+        handed that same payload through ``apply_record`` — so what a
+        recovery replays is, by construction, what the live shard ran.
+        """
+        with self._update_epoch() as (epoch, gc_floor):
+            for shard_id, payload in payloads.items():
+                self._logs[shard_id].append(op, payload, epoch=epoch)
+            kwargs = {} if epoch is None else {"epoch": epoch, "gc_floor": gc_floor}
+            return self._scatter(
+                {
+                    shard_id: partial(apply_record, op=op, payload=payload, **kwargs)
+                    for shard_id, payload in payloads.items()
+                }
+            )
 
     def _fan_out(
         self, apply: Callable[[object], T], partial: bool
@@ -1164,112 +1102,54 @@ class ShardedIndex:
         self._ensure_open()
         return sum(len(shard) for shard in self.shards)
 
-    def _single(self, shard_id: int, task: Callable[[object], T]) -> T:
-        """One supervised mutation on one shard (strict)."""
-        results, statuses, failures = self._supervised_run(
-            {shard_id: task}, read_only=False, timeout=self._config.update_timeout_s
-        )
-        self._strict_statuses(statuses, failures)
-        self._raise_first(failures)
-        return results[shard_id]
-
     def insert(self, obj: MovingObject) -> None:
         """Insert an object into its owning shard."""
-        shard_id = self.shard_of(obj.oid)
-        with self._update_epoch() as (epoch, gc_floor):
-            self._logs[shard_id].append("insert", obj, epoch=epoch)
-            kwargs = self._epoch_kwargs(epoch, gc_floor)
-            self._single(shard_id, lambda shard: shard.insert(obj, **kwargs))
+        self._mutate("insert", {self.shard_of(obj.oid): obj})
 
     def delete(self, obj: MovingObject) -> bool:
         """Delete an object snapshot from its owning shard."""
         shard_id = self.shard_of(obj.oid)
-        with self._update_epoch() as (epoch, gc_floor):
-            self._logs[shard_id].append("delete", obj, epoch=epoch)
-            kwargs = self._epoch_kwargs(epoch, gc_floor)
-            return self._single(shard_id, lambda shard: shard.delete(obj, **kwargs))
+        return self._mutate("delete", {shard_id: obj})[shard_id]
 
     def update(self, old: MovingObject, new: MovingObject) -> bool:
         """Update one object on its owning shard; True when ``old`` existed."""
         if old.oid != new.oid:
             raise ValueError("an update must keep the object id")
         shard_id = self.shard_of(old.oid)
-        with self._update_epoch() as (epoch, gc_floor):
-            self._logs[shard_id].append("update", (old, new), epoch=epoch)
-            kwargs = self._epoch_kwargs(epoch, gc_floor)
-            return self._single(
-                shard_id, lambda shard: shard.update(old, new, **kwargs)
-            )
+        return self._mutate("update", {shard_id: (old, new)})[shard_id]
 
     def bulk_load(self, objects: Sequence[MovingObject], strategy: Optional[str] = None) -> None:
         """Bulk-build every shard from its routed slice of ``objects``.
 
-        ``strategy`` is forwarded to shard loaders that accept one (the
-        TPR family's packing strategies); loaders without the parameter
-        ignore it, mirroring :meth:`IndexManager.bulk_load`.
+        ``strategy`` is forwarded to every shard's loader (the TPR
+        family's packing strategies; the Bx family ignores it).
         """
         objects = list(objects)
         if not objects:
             return
-        groups = self._group_by_shard([obj.oid for obj in objects])
-        with self._update_epoch() as (epoch, gc_floor):
-            slices = {
-                shard_id: [objects[i] for i in members]
-                for shard_id, members in groups.items()
-            }
-            for shard_id, group in slices.items():
-                self._logs[shard_id].append("bulk_load", (group, strategy), epoch=epoch)
-            kwargs = self._epoch_kwargs(epoch, gc_floor)
-
-            def load(shard, members: List[int]) -> None:
-                loader = shard.bulk_load
-                group = [objects[i] for i in members]
-                if strategy is not None and loader_accepts(loader, "strategy"):
-                    loader(group, strategy=strategy, **kwargs)
-                else:
-                    loader(group, **kwargs)
-
-            self._scatter(groups, load)
+        slices = self._routed(objects, [obj.oid for obj in objects])
+        self._mutate(
+            "bulk_load", {shard_id: (group, strategy) for shard_id, group in slices.items()}
+        )
 
     def insert_batch(self, objects: Sequence[MovingObject]) -> None:
         """Insert a batch, one grouped ``insert_batch`` per owning shard."""
         objects = list(objects)
-        if not objects:
-            return
-        groups = self._group_by_shard([obj.oid for obj in objects])
-        with self._update_epoch() as (epoch, gc_floor):
-            for shard_id, members in groups.items():
-                self._logs[shard_id].append(
-                    "insert_batch", [objects[i] for i in members], epoch=epoch
-                )
-            kwargs = self._epoch_kwargs(epoch, gc_floor)
-            self._scatter(
-                groups,
-                lambda shard, members: shard.insert_batch(
-                    [objects[i] for i in members], **kwargs
-                ),
-            )
+        if objects:
+            self._mutate("insert_batch", self._routed(objects, [obj.oid for obj in objects]))
 
     def delete_batch(self, objects: Sequence[MovingObject]) -> List[bool]:
         """Delete a batch; per-object success flags aligned with the input."""
         objects = list(objects)
         if not objects:
             return []
-        groups = self._group_by_shard([obj.oid for obj in objects])
-        with self._update_epoch() as (epoch, gc_floor):
-            for shard_id, members in groups.items():
-                self._logs[shard_id].append(
-                    "delete_batch", [objects[i] for i in members], epoch=epoch
-                )
-            kwargs = self._epoch_kwargs(epoch, gc_floor)
-            flag_groups = self._scatter(
-                groups,
-                lambda shard, members: shard.delete_batch(
-                    [objects[i] for i in members], **kwargs
-                ),
-            )
+        positions = self._routed(range(len(objects)), [obj.oid for obj in objects])
+        flag_groups = self._mutate(
+            "delete_batch",
+            {shard_id: [objects[i] for i in members] for shard_id, members in positions.items()},
+        )
         flags = [False] * len(objects)
-        for shard_id, members in groups.items():
+        for shard_id, members in positions.items():
             for position, flag in zip(members, flag_groups[shard_id]):
                 flags[position] = bool(flag)
         return flags
@@ -1287,19 +1167,7 @@ class ShardedIndex:
                 raise ValueError("an update must keep the object id")
         if not pairs:
             return 0
-        groups = self._group_by_shard([old.oid for old, _ in pairs])
-        with self._update_epoch() as (epoch, gc_floor):
-            for shard_id, members in groups.items():
-                self._logs[shard_id].append(
-                    "update_batch", [pairs[i] for i in members], epoch=epoch
-                )
-            kwargs = self._epoch_kwargs(epoch, gc_floor)
-            counts = self._scatter(
-                groups,
-                lambda shard, members: shard.update_batch(
-                    [pairs[i] for i in members], **kwargs
-                ),
-            )
+        counts = self._mutate("update_batch", self._routed(pairs, [old.oid for old, _ in pairs]))
         return sum(counts.values())
 
     # ------------------------------------------------------------------

@@ -235,43 +235,11 @@ class VersionedShard:
         epoch: Optional[int] = None,
         gc_floor: Optional[int] = None,
     ):
-        from repro.bulk import loader_accepts
-
         objects = list(objects)
-        loader = self.base.bulk_load
-        if strategy is not None and loader_accepts(loader, "strategy"):
-            result = loader(objects, strategy=strategy)
-        else:
-            result = loader(objects)
+        result = self.base.bulk_load(objects, strategy=strategy)
         self._record(epoch, [(obj.oid, None) for obj in objects])
         self._prune(gc_floor)
         return result
-
-    def apply_logged(self, op: str, payload, epoch: Optional[int] = None):
-        """Replay one WAL record, rebuilding overlay state and epoch.
-
-        This is the recovery entry point: :meth:`ShardLog.replay` routes
-        records here when the target shard is versioned, so a shard
-        rebuilt from a baseline/image plus its WAL tail ends at the same
-        epoch — and the same retained overlay — as the one it replaces.
-        """
-        if op == "bulk_load":
-            objects, strategy = payload
-            return self.bulk_load(list(objects), strategy=strategy, epoch=epoch)
-        if op == "insert":
-            return self.insert(payload, epoch=epoch)
-        if op == "insert_batch":
-            return self.insert_batch(list(payload), epoch=epoch)
-        if op == "delete":
-            return self.delete(payload, epoch=epoch)
-        if op == "delete_batch":
-            return self.delete_batch(list(payload), epoch=epoch)
-        if op == "update":
-            old, new = payload
-            return self.update(old, new, epoch=epoch)
-        if op == "update_batch":
-            return self.update_batch(list(payload), epoch=epoch)
-        raise ValueError(f"unknown logged operation {op!r}")
 
     # -- queries (epoch-reconciled) ------------------------------------
     def range_query(

@@ -163,7 +163,7 @@ class TPRTree:
         self,
         objects: Iterable[MovingObject],
         fill: float = DEFAULT_BULK_FILL,
-        strategy: str = "midpoint_str",
+        strategy: Optional[str] = None,
         axes: Optional[Sequence] = None,
     ) -> None:
         """Build the tree bottom-up from ``objects`` with STR packing.
@@ -178,7 +178,7 @@ class TPRTree:
 
         Two strategies are offered:
 
-        * ``"midpoint_str"`` (default) — plain STR over centers projected
+        * ``"midpoint_str"`` (the default, also for ``None``) — plain STR over centers projected
           half a horizon ahead (the midpoint trick approximates velocity
           grouping without analyzing velocities);
         * ``"velocity_str"`` — the objects are first binned by dominant
@@ -204,6 +204,8 @@ class TPRTree:
                 strategy is unknown.
         """
         objects = list(objects)
+        if strategy is None:
+            strategy = "midpoint_str"
         if strategy not in PACKING_STRATEGIES:
             raise ValueError(
                 f"unknown packing strategy {strategy!r}; expected one of "

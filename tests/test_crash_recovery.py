@@ -104,10 +104,37 @@ def test_abandoned_store_reopen_replays_bounded_tail(tmp_path):
     # else.
     assert sum(store.replayed_on_open) == len(updates)
     for shard_id in range(crash_child.NUM_SHARDS):
-        ops = [op for op, _ in recovered.shard_log(shard_id).records]
+        ops = [op for op, _, _ in recovered.shard_log(shard_id).entries]
         assert "bulk_load" not in ops
     assert crash_child.answers(recovered) == live
     _assert_pages_checksum_clean(recovered)
+    recovered.close()
+
+
+def test_abandoned_bx_store_replays_a_bulk_load_that_named_a_strategy(tmp_path):
+    # The WAL records the strategy the caller passed even though the Bx
+    # family ignores it; no checkpoint follows, so reopening restores the
+    # empty generation-0 image (a bare BxTree) and replays that record.
+    root = str(tmp_path / "store")
+    objects = crash_child.make_objects()
+
+    index = DurableStore(root, fsync=False).create(
+        crash_child.make_shard,
+        num_shards=crash_child.NUM_SHARDS,
+        space=crash_child.SPACE,
+        buffer_pages=crash_child.BUFFER_PAGES,
+        max_workers=1,
+    )
+    index.bulk_load(objects, strategy="velocity_str")
+    live = crash_child.answers(index)
+
+    store = DurableStore(root, fsync=False)
+    recovered = store.open(max_workers=1)
+    assert store.replayed_on_open == [1] * crash_child.NUM_SHARDS
+    assert crash_child.answers(recovered) == live
+    assert crash_child.answers(recovered) == crash_child.answers(
+        _twin_with_history(objects, [])
+    )
     recovered.close()
 
 
@@ -217,9 +244,9 @@ def test_sigkill_recovery_matches_clean_twin(tmp_path, kill_event, kill_ordinal)
     assert sum(store.replayed_on_open) <= crash_child.NUM_UPDATES
     replayed_pairs = []
     for shard_id in range(crash_child.NUM_SHARDS):
-        records = recovered.shard_log(shard_id).records
-        assert all(op == "update" for op, _ in records)
-        replayed_pairs.extend(payload for _, payload in records)
+        records = recovered.shard_log(shard_id).entries
+        assert all(op == "update" for op, _, _ in records)
+        replayed_pairs.extend(payload for _, payload, _ in records)
     _assert_pages_checksum_clean(recovered)
 
     # The clean twin applies exactly the updates whose WAL append

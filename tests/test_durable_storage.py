@@ -12,9 +12,15 @@ layer's checkpoint/WAL protocol (``docs/storage.md``):
 * double-write torn-page recovery on reopen, for both torn-home and
   torn-DW crash windows;
 * composition with the fault injector and the buffer manager (including
-  the ``with`` form that flushes on exit).
+  the ``with`` form that flushes on exit);
+* the durable WAL's reopen rule: a torn tail is dropped, a whole frame
+  that is not a record is refused.
 """
 
+import os
+import pickle
+import struct
+import zlib
 from array import array
 
 import pytest
@@ -24,6 +30,7 @@ from repro.geometry.moving_rect import MovingRect
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.objects.moving_object import MovingObject
+from repro.serve.shard_log import DurableShardLog
 from repro.storage import (
     BufferManager,
     DurabilityError,
@@ -361,3 +368,60 @@ def test_buffer_manager_context_manager_flushes_on_exception(tmp_path):
     reopened = FileDiskManager(path, slot_bytes=SLOT, fsync=False)
     assert reopened.read(page_id).payload == "still-flushed"
     reopened.close()
+
+
+# ----------------------------------------------------------------------
+# Durable WAL: what reopening keeps, drops and refuses
+# ----------------------------------------------------------------------
+def _wal_with_two_records(path):
+    log = DurableShardLog(path, fsync=False)
+    log.append("insert", _moving_object(1), epoch=1)
+    log.append("delete", _moving_object(1), epoch=2)
+    log.close()
+    return os.path.getsize(path)
+
+
+@pytest.mark.parametrize("damage", ("short", "crc"))
+def test_wal_reopen_truncates_a_torn_tail(tmp_path, damage):
+    path = str(tmp_path / "wal.log")
+    size = _wal_with_two_records(path)
+    with open(path, "r+b") as handle:
+        if damage == "short":  # the append stopped halfway through the frame
+            handle.truncate(size - 5)
+        else:  # the whole length landed, the last bytes did not
+            handle.seek(size - 1)
+            handle.write(b"\xff")
+    log = DurableShardLog(path, fsync=False)
+    assert [(op, epoch) for op, _, epoch in log.entries] == [("insert", 1)]
+    log.append("update", (_moving_object(1), _moving_object(1)), epoch=2)
+    log.close()
+    reopened = DurableShardLog(path, fsync=False)
+    assert [op for op, _, _ in reopened.entries] == ["insert", "update"]
+    reopened.close()
+
+
+@pytest.mark.parametrize(
+    "body",
+    (
+        pickle.dumps(("insert", _moving_object(2))),  # the pre-epoch 2-tuple
+        pickle.dumps(("compact", None, 3)),  # not a LOG_OPS member
+        b"not a pickle",
+    ),
+    ids=("two_tuple", "unknown_op", "not_a_pickle"),
+)
+def test_wal_reopen_refuses_a_whole_frame_that_is_not_a_record(tmp_path, body):
+    path = str(tmp_path / "wal.log")
+    _wal_with_two_records(path)
+    with open(path, "ab") as handle:
+        handle.write(struct.pack("<II", len(body), zlib.crc32(body)) + body)
+    # An acknowledged record after the bad frame: truncating at the frame
+    # would silently lose it.
+    tail = DurableShardLog(str(tmp_path / "tail.log"), fsync=False)
+    tail.append("insert", _moving_object(3), epoch=3)
+    tail.close()
+    with open(str(tmp_path / "tail.log"), "rb") as source, open(path, "ab") as handle:
+        handle.write(source.read())
+    size = os.path.getsize(path)
+    with pytest.raises(DurabilityError, match="WAL frame"):
+        DurableShardLog(path, fsync=False)
+    assert os.path.getsize(path) == size  # refused, not truncated

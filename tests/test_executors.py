@@ -280,24 +280,14 @@ def test_make_executor_specs():
 
 
 # ----------------------------------------------------------------------
-# ServeConfig surface: legacy kwargs deprecate, build() wires everything
+# ServeConfig surface: the config is the one way in, build() wires everything
 # ----------------------------------------------------------------------
-@pytest.mark.filterwarnings("default::DeprecationWarning")
-def test_legacy_constructor_kwargs_still_work_but_warn(workload):
-    shard = build_standard_indexes(workload, PARAMS, which=("Bx",))["Bx"]
-    with pytest.warns(DeprecationWarning, match="ServeConfig"):
-        index = ShardedIndex([shard], name="legacy", space=PARAMS.space)
-    try:
-        assert index.name == "legacy"
-        assert index.config.space == PARAMS.space
-    finally:
-        index.close()
-
-
 def test_config_and_wrong_positional_type_are_rejected(workload):
     shard = build_standard_indexes(workload, PARAMS, which=("Bx",))["Bx"]
     with pytest.raises(TypeError, match="ServeConfig"):
         ShardedIndex([shard], "a-name")
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        ShardedIndex([shard], name="a-name")  # options live on ServeConfig only
 
 
 def test_build_classmethod_serves_end_to_end(workload):

@@ -511,7 +511,7 @@ def test_shard_log_rejects_unknown_ops_and_freezes_payloads(workload):
     batch = list(workload.initial_objects[:3])
     log.append("insert_batch", batch)
     batch.clear()  # mutating the caller's list must not corrupt the log
-    op, payload = log.records[0]
+    op, payload, _ = log.entries[0]
     assert op == "insert_batch"
     assert len(payload) == 3
 
@@ -828,6 +828,27 @@ def test_recover_shard_is_explicitly_callable(workload):
         assert index.recovery_events[0]["shard_id"] == 0
         after = index.range_query_batch([e.query for e in workload.query_events])
         assert after == before  # a recovery of a healthy shard is invisible
+    finally:
+        index.close()
+
+
+def test_unversioned_bx_shard_recovers_a_bulk_load_that_named_a_strategy(workload):
+    # The WAL keeps the caller's strategy although Bx ignores it; with
+    # snapshots off the record replays straight into a bare BxTree.
+    index = ShardedIndex.build(
+        "Bx",
+        shards=2,
+        config=ServeConfig(snapshots=False, supervisor=_supervisor()),
+        space=PARAMS.space,
+        max_update_interval=PARAMS.max_update_interval,
+    )
+    try:
+        index.bulk_load(workload.initial_objects, strategy="velocity_str")
+        queries = [e.query for e in workload.query_events]
+        before = index.range_query_batch(queries)
+        index.recover_shard(0)
+        assert index.recovery_events[0]["replayed_records"] == 1
+        assert index.range_query_batch(queries) == before
     finally:
         index.close()
 
