@@ -48,7 +48,6 @@ from repro.core import (
     VelocityPartitioning,
     DominantVelocityAxis,
     CoordinateFrame,
-    IndexManager,
     VPIndex,
     TauMonitor,
     refresh_taus,
@@ -95,7 +94,6 @@ __all__ = [
     "VelocityPartitioning",
     "DominantVelocityAxis",
     "CoordinateFrame",
-    "IndexManager",
     "VPIndex",
     "TauMonitor",
     "refresh_taus",

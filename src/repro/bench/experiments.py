@@ -78,9 +78,7 @@ def fig07_search_space_expansion(
         else:  # Bx(VP)
             samples = []
             for partition, sub in enumerate(index.dva_indexes):
-                transformed = [
-                    index.manager.transform_query(q, partition) for q in queries
-                ]
+                transformed = [index.transform_query(q, partition) for q in queries]
                 samples.extend(query_expansion_rates(sub, transformed, label=name))
         rows.append(
             {

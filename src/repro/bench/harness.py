@@ -18,11 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.bxtree.bx_tree import BxTree
-from repro.core.partitioned_index import (
-    VPIndex,
-    make_vp_bx_tree,
-    make_vp_tprstar_tree,
-)
+from repro.core.partitioned_index import make_vp_bx_tree, make_vp_tprstar_tree
 from repro.core.velocity_analyzer import VelocityAnalyzer
 from repro.geometry.rect import Rect
 from repro.objects.knn import AdaptiveRadius, KNNQuery
@@ -509,8 +505,3 @@ def run_comparison(
     for name, index in indexes.items():
         results.append(runner.run(index, name=name))
     return results
-
-
-def vp_index_for(index: object) -> Optional[VPIndex]:
-    """Return the argument if it is a VP index (convenience for experiments)."""
-    return index if isinstance(index, VPIndex) else None

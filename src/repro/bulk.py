@@ -16,24 +16,6 @@ from typing import List, Optional, Sequence
 PACKING_STRATEGIES = ("midpoint_str", "velocity_str")
 
 
-def loader_accepts(loader, *names: str) -> bool:
-    """Whether a callable's signature has every keyword parameter in ``names``.
-
-    Lets strategy-aware callers (the index manager, the bench harness)
-    forward packing options to loaders that understand them while leaving
-    the Bx family's sorted leaf packing untouched — each forwarded keyword
-    must be probed, not just ``strategy``, because a loader may grow one
-    option without the other.
-    """
-    import inspect
-
-    try:
-        parameters = inspect.signature(loader).parameters
-    except (TypeError, ValueError):  # builtins / C callables
-        return False
-    return all(name in parameters for name in names)
-
-
 def chunk_count(n: int, capacity: int) -> int:
     """Number of nodes needed to pack ``n`` entries at up to ``capacity`` each."""
     return max(1, -(-n // capacity))

@@ -10,10 +10,11 @@ The package provides:
   the rate of search-area expansion (Section 5.2, Equations 8-10);
 * :mod:`repro.core.velocity_analyzer` — Algorithm 1, combining the above;
 * :mod:`repro.core.dva` — dominant velocity axes and coordinate transforms;
-* :mod:`repro.core.index_manager` — routing of inserts/deletes/updates and
-  range queries across the DVA indexes and the outlier index (Algorithm 3);
-* :mod:`repro.core.partitioned_index` — ready-made Bx(VP) and TPR*(VP)
-  factories used by the experiments;
+* :mod:`repro.core.index_manager` — :class:`VPIndex`, the one class that
+  routes inserts/deletes/updates and range/kNN queries across the DVA indexes
+  and the outlier index (Algorithm 3), beside the ``MovingIndex`` protocol;
+* :mod:`repro.core.partitioned_index` — the Bx(VP) and TPR*(VP) factories
+  and sample helpers used by the experiments;
 * :mod:`repro.core.cost_model` — the analytic search-space-expansion model
   of Section 4 (Equations 2-7).
 """
@@ -29,12 +30,8 @@ from repro.core.pc_kmeans import (
 from repro.core.outlier import optimal_tau, expansion_rate_objective
 from repro.core.velocity_analyzer import VelocityAnalyzer, VelocityPartitioning
 from repro.core.adaptation import TauMonitor, refresh_taus
-from repro.core.index_manager import IndexManager, MovingIndex
-from repro.core.partitioned_index import (
-    VPIndex,
-    make_vp_bx_tree,
-    make_vp_tprstar_tree,
-)
+from repro.core.index_manager import MovingIndex, VPIndex
+from repro.core.partitioned_index import make_vp_bx_tree, make_vp_tprstar_tree
 from repro.core.cost_model import (
     unpartitioned_search_area,
     partitioned_search_area,
@@ -59,7 +56,6 @@ __all__ = [
     "VelocityPartitioning",
     "TauMonitor",
     "refresh_taus",
-    "IndexManager",
     "MovingIndex",
     "VPIndex",
     "make_vp_bx_tree",

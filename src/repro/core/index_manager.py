@@ -1,7 +1,7 @@
-"""The index manager (Sections 5.3 and 5.4).
+"""The index manager (Sections 5.3 and 5.4): :class:`VPIndex`.
 
-The index manager owns one underlying moving-object index per DVA partition
-plus one outlier index, and translates the standard index operations:
+A velocity-partitioned index owns one underlying moving-object index per DVA
+partition plus one outlier index, and translates the standard index operations:
 
 * **insert** — the object goes to the DVA whose axis is closest to its
   velocity (in perpendicular distance), unless that distance exceeds the
@@ -16,8 +16,10 @@ plus one outlier index, and translates the standard index operations:
   index, and the union of the results is filtered with the original query.
 
 The underlying indexes satisfy :class:`SubIndex` — the :class:`MovingIndex`
-contract every index in the repo shares, plus the two batch entry points
-only the manager calls.
+contract every index in the repo shares (and :class:`VPIndex` itself
+implements), plus the two batch entry points only :class:`VPIndex` calls.
+All sub-indexes share one buffer pool of the size the unpartitioned index
+gets, so the comparison is not biased by extra RAM.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tupl
 
 import numpy as np
 
-from repro.bulk import loader_accepts
 from repro.core.dva import CoordinateFrame
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -45,8 +46,9 @@ from repro.objects.queries import (
     RangeQuery,
     RectangularRange,
 )
+from repro.storage.buffer_manager import BufferManager
 
-#: Index of the outlier partition in the manager's partition numbering.
+#: Index of the outlier partition in :class:`VPIndex`'s partition numbering.
 OUTLIER_PARTITION = -1
 
 
@@ -65,7 +67,8 @@ class MovingIndex(Protocol):
     packing (the Bx-tree's sorted leaves) ignores ``strategy``.
     """
 
-    #: Buffer pool surface: ``stats``, ``flush()``, ``batch_hints_enabled``.
+    #: Buffer pool surface: ``stats`` and ``flush()`` (the hint kill-switch
+    #: lives on ``BufferManager`` alone; serving-layer views do not relay it).
     buffer: Any
 
     def __len__(self) -> int: ...
@@ -123,7 +126,19 @@ class MovingIndex(Protocol):
 
 @runtime_checkable
 class SubIndex(MovingIndex, Protocol):
-    """What :class:`IndexManager` additionally needs of a per-partition index."""
+    """What :class:`VPIndex` additionally needs of a per-partition index."""
+
+    def bulk_load(
+        self,
+        objects: Sequence[MovingObject],
+        strategy: Optional[str] = None,
+        axes: Optional[Sequence[Vector]] = None,
+    ) -> None:
+        """:meth:`MovingIndex.bulk_load` given the DVAs ``"velocity_str"`` bins by.
+
+        A family without velocity binning (the Bx-tree) ignores ``axes``
+        exactly as it ignores ``strategy``.
+        """
 
     def apply_batch(
         self,
@@ -148,48 +163,41 @@ class _StoredObject:
     stored: MovingObject
 
 
-class IndexManager:
-    """Routes operations across the DVA indexes and the outlier index."""
+class VPIndex:
+    """A velocity-partitioned moving-object index (Bx(VP), TPR*(VP))."""
 
     def __init__(
         self,
         partitioning: VelocityPartitioning,
-        index_factory: Callable[..., SubIndex],
-        outlier_factory: Optional[Callable[..., SubIndex]] = None,
-        index_kwargs: Optional[Dict[str, object]] = None,
+        index_factory: Callable[[int], SubIndex],
+        buffer: BufferManager,
+        name: str,
+        space: Optional[Rect] = None,
     ) -> None:
         """Create one index per DVA plus the outlier index.
 
         Args:
             partitioning: output of the velocity analyzer.
-            index_factory: called with the partition number to build each DVA
-                index (partition numbers are 0..k-1).
-            outlier_factory: builds the outlier index; defaults to calling
-                ``index_factory`` with :data:`OUTLIER_PARTITION`.
-            index_kwargs: backend keyword arguments forwarded verbatim to
-                *every* factory call (DVA and outlier alike), so a
-                constructor choice such as the Bx ``key_store`` backend
-                reaches each sub-index instead of stopping at the manager.
+            index_factory: called with the partition number (0..k-1, then
+                :data:`OUTLIER_PARTITION`) to build each sub-index on
+                ``buffer``; not kept, so the index pickles and deep-copies.
+            buffer: the buffer pool shared by every sub-index.
+            name: display name used by the harness (e.g. ``"Bx(VP)"``).
+            space: data space, when known; seeds kNN filter radii.
         """
         self.partitioning = partitioning
-        self._index_kwargs: Dict[str, object] = dict(index_kwargs or {})
+        self.buffer = buffer
+        self.name = name
+        self.space = space
         self.dva_indexes: List[SubIndex] = [
-            index_factory(i, **self._index_kwargs) for i in range(partitioning.k)
+            index_factory(i) for i in range(partitioning.k)
         ]
-        if outlier_factory is not None:
-            self.outlier_index = outlier_factory(**self._index_kwargs)
-        else:
-            self.outlier_index = index_factory(OUTLIER_PARTITION, **self._index_kwargs)
+        self.outlier_index: SubIndex = index_factory(OUTLIER_PARTITION)
         self._directory: Dict[int, _StoredObject] = {}
 
     # ------------------------------------------------------------------
     # Partition routing
     # ------------------------------------------------------------------
-    @property
-    def k(self) -> int:
-        """Number of DVA partitions (excluding the outlier partition)."""
-        return self.partitioning.k
-
     def frame_of(self, partition: int) -> Optional[CoordinateFrame]:
         """Coordinate frame of a DVA partition (None for the outlier index)."""
         if partition == OUTLIER_PARTITION:
@@ -212,8 +220,8 @@ class IndexManager:
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-    def insert(self, obj: MovingObject) -> int:
-        """Insert an object; returns the partition chosen for it."""
+    def insert(self, obj: MovingObject) -> None:
+        """Insert an object into the partition its velocity selects."""
         if obj.oid in self._directory:
             raise KeyError(f"object {obj.oid} is already indexed; use update()")
         partition = self.partition_for(obj)
@@ -222,16 +230,17 @@ class IndexManager:
         self._directory[obj.oid] = _StoredObject(
             partition=partition, original=obj, stored=stored
         )
-        return partition
 
     def bulk_load(
         self, objects: Sequence[MovingObject], strategy: Optional[str] = None
-    ) -> Dict[int, int]:
+    ) -> None:
         """Partition-aware bulk build: route every object, pack each index once.
 
         All objects are routed to their partition and rotated into its frame
         in one pass, then every sub-index is built with its own ``bulk_load``.
-        Returns the number of objects loaded per partition.
+        The velocity analysis itself happened up front, when the
+        :class:`~repro.core.velocity_analyzer.VelocityPartitioning` was
+        computed — bulk loading only routes and packs.
 
         ``strategy`` selects the packing strategy (e.g. ``"velocity_str"``);
         families with a single packing (the Bx-tree's sorted leaves) ignore
@@ -239,8 +248,8 @@ class IndexManager:
 
         The directory is only committed after every input has been validated
         and every sub-index loaded, so a rejected input (duplicate oid,
-        non-empty sub-index) does not leave the manager claiming objects its
-        indexes never received.
+        non-empty sub-index) does not leave the directory claiming objects
+        the sub-indexes never received.
 
         Raises:
             KeyError: if any object id is already indexed or appears twice.
@@ -257,35 +266,34 @@ class IndexManager:
             )
             groups.setdefault(partition, []).append(stored)
         for partition, group in groups.items():
-            loader = self._index_of(partition).bulk_load
-            # Reuse the manager's own DVAs instead of letting every
-            # sub-index re-run the velocity analyzer: a DVA partition is
-            # already direction-homogeneous (its frame aligns the dominant
-            # axis with x), so it bins against the frame's x-axis alone,
-            # while the outlier index bins its off-axis objects against the
-            # global DVAs.  (``axes`` is TPR-specific, hence probed.)
-            if strategy == "velocity_str" and loader_accepts(loader, "axes"):
+            # Reuse our own DVAs instead of letting every sub-index re-run
+            # the velocity analyzer: a DVA partition is already
+            # direction-homogeneous (its frame aligns the dominant axis with
+            # x), so it bins against the frame's x-axis alone, while the
+            # outlier index bins its off-axis objects against the global DVAs.
+            axes = None
+            if strategy == "velocity_str":
                 if partition == OUTLIER_PARTITION:
                     axes = [dva.axis for dva in self.partitioning.dvas]
                 else:
                     axes = [Vector(1.0, 0.0)]
-                loader(group, strategy=strategy, axes=axes)
-            else:
-                loader(group, strategy=strategy)
+            self._index_of(partition).bulk_load(group, strategy=strategy, axes=axes)
         self._directory.update(records)
-        return {partition: len(group) for partition, group in groups.items()}
 
-    def delete(self, oid: int) -> bool:
-        """Delete object ``oid`` from whichever partition hosts it."""
-        record = self._directory.pop(oid, None)
+    def delete(self, obj: MovingObject) -> bool:
+        """Delete an object by id from whichever partition hosts it."""
+        record = self._directory.pop(obj.oid, None)
         if record is None:
             return False
         return self._index_of(record.partition).delete(record.stored)
 
-    def update(self, new: MovingObject) -> int:
-        """Update an object (deletion + insertion, possibly migrating partitions)."""
-        self.delete(new.oid)
-        return self.insert(new)
+    def update(self, old: MovingObject, new: MovingObject) -> bool:
+        """Deletion + insertion (possibly migrating partitions); True when it existed."""
+        if old.oid != new.oid:
+            raise ValueError("an update must keep the object id")
+        existed = self.delete(old)
+        self.insert(new)
+        return existed
 
     def _classify_and_transform(
         self, objects: List[MovingObject]
@@ -340,8 +348,8 @@ class IndexManager:
                 )
         return partitions, stored_objects
 
-    def insert_batch(self, objects: Sequence[MovingObject]) -> List[int]:
-        """Insert a batch; returns the partition chosen per object.
+    def insert_batch(self, objects: Sequence[MovingObject]) -> None:
+        """Insert a batch of objects.
 
         The batch is classified and rotated in one vectorized pass
         (:meth:`_classify_and_transform`) and each touched sub-index
@@ -354,7 +362,7 @@ class IndexManager:
         """
         objects = list(objects)
         if not objects:
-            return []
+            return
         oids = [obj.oid for obj in objects]
         if len(self._directory.keys() & set(oids)) or len(set(oids)) != len(oids):
             duplicate = next(
@@ -373,10 +381,9 @@ class IndexManager:
             self._directory[obj.oid] = _StoredObject(
                 partition=partition, original=obj, stored=stored
             )
-        return partitions
 
-    def delete_batch(self, oids: Sequence[int]) -> List[bool]:
-        """Delete a batch of object ids; flags align with the input order.
+    def delete_batch(self, objects: Sequence[MovingObject]) -> List[bool]:
+        """Delete a batch of objects by id; flags align with the input order.
 
         Ids are grouped by their *current* partition (directory lookup,
         Section 5.3) and each sub-index receives one grouped
@@ -384,11 +391,11 @@ class IndexManager:
         id yields ``False``, exactly as repeated :meth:`delete` calls
         would.
         """
-        oids = list(oids)
-        flags = [False] * len(oids)
+        objects = list(objects)
+        flags = [False] * len(objects)
         groups: Dict[int, List[Tuple[int, MovingObject]]] = {}
-        for position, oid in enumerate(oids):
-            record = self._directory.pop(oid, None)
+        for position, obj in enumerate(objects):
+            record = self._directory.pop(obj.oid, None)
             if record is None:
                 continue
             groups.setdefault(record.partition, []).append((position, record.stored))
@@ -400,8 +407,8 @@ class IndexManager:
                 flags[position] = bool(result)
         return flags
 
-    def update_batch(self, objects: Sequence[MovingObject]) -> List[int]:
-        """Apply a batch of updates; returns the partition chosen per object.
+    def update_batch(self, pairs: Sequence[Tuple[MovingObject, MovingObject]]) -> int:
+        """Apply a batch of updates; returns how many old snapshots existed.
 
         The batch is classified in one vectorized pass (perpendicular
         distances to every DVA for the whole batch at once instead of N
@@ -412,20 +419,23 @@ class IndexManager:
         Bx-tree collapses same-key updates into in-place replacements),
         migrations become one grouped ``delete_batch`` per source
         partition and one grouped ``insert_batch`` per target.  Directory
-        state ends up exactly as under pair-by-pair ``update``.
+        state ends up exactly as under pair-by-pair :meth:`update`.
         """
-        objects = list(objects)
-        if not objects:
-            return []
-        oids = [obj.oid for obj in objects]
-        if len(objects) == 1 or len(set(oids)) != len(oids):
-            # Repeated oids: relative order matters, take the scalar path.
-            return [self.update(obj) for obj in objects]
+        pairs = list(pairs)
+        oids = [old.oid for old, _ in pairs]
+        objects = [new for _, new in pairs]
+        if oids != [obj.oid for obj in objects]:
+            raise ValueError("an update must keep the object id")
+        if len(pairs) < 2 or len(set(oids)) != len(oids):
+            # Repeated oids: relative order matters (a later pair's existence
+            # depends on an earlier pair's insert), so take the scalar path.
+            return sum(1 for old, new in pairs if self.update(old, new))
         partitions, stored_objects = self._classify_and_transform(objects)
         same: Dict[int, List[Tuple[MovingObject, MovingObject]]] = {}
         deletes: Dict[int, List[MovingObject]] = {}
         inserts: Dict[int, List[MovingObject]] = {}
         directory = self._directory
+        before = len(directory)
         for obj, partition, stored in zip(objects, partitions, stored_objects):
             record = directory.get(obj.oid)
             if record is None:
@@ -453,13 +463,16 @@ class IndexManager:
                 inserts=inserts.get(partition, []),
                 updates=same.get(partition, []),
             )
-        return partitions
+        # With unique oids every pair's object exists afterwards, so the
+        # directory growth is exactly the number of pairs that did NOT exist.
+        return len(pairs) - (len(directory) - before)
 
     # ------------------------------------------------------------------
     # Queries (Algorithm 3)
     # ------------------------------------------------------------------
-    def range_query(self, query: RangeQuery) -> List[int]:
-        """Object ids qualifying for ``query``."""
+    def range_query(self, query: RangeQuery, exact: bool = True) -> List[int]:
+        """Object ids qualifying for ``query`` (Algorithm 3 over all partitions)."""
+        del exact  # the VP query algorithm always applies the exact filter
         results: List[int] = []
         seen = set()
         for partition in range(self.partitioning.k):
@@ -470,7 +483,9 @@ class IndexManager:
         self._filter_into(candidates, query, seen, results)
         return results
 
-    def range_query_batch(self, queries: Sequence[RangeQuery]) -> List[List[int]]:
+    def range_query_batch(
+        self, queries: Sequence[RangeQuery], exact: bool = True
+    ) -> List[List[int]]:
         """Algorithm 3 over a whole query batch; results align with the input.
 
         The loop nesting is inverted relative to :meth:`range_query`: each
@@ -479,6 +494,7 @@ class IndexManager:
         traversals), with per-query exact filtering preserving exactly the
         per-query answers and answer order of the scalar method.
         """
+        del exact  # the VP query algorithm always applies the exact filter
         queries = list(queries)
         if not queries:
             return []
@@ -548,7 +564,8 @@ class IndexManager:
 
         Args:
             queries: the kNN probes (centers in the original frame).
-            space: data space (initial radius seed and expansion cap).
+            space: data space (initial radius seed and expansion cap);
+                defaults to the space the index was built with.
             radius_state: optional cross-batch adaptive radius seed.
 
         Returns:
@@ -557,8 +574,8 @@ class IndexManager:
         """
         return expanding_knn_batch(
             self._knn_candidates_batch,
-            queries,
-            space=space,
+            list(queries),
+            space=space if space is not None else self.space,
             population=len(self),
             radius_state=radius_state,
         )

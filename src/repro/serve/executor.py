@@ -33,8 +33,8 @@ agnostic.
 ``(op, args, kwargs)`` tuples, pickled by the pipe; ``op`` is an index
 method name (``"update_batch"``, ``"range_query_batch"``, …) or one of
 the double-underscore control verbs (``"__len__"``, ``"__flush__"``,
-``"__snapshot__"``, ``"__hints_get__"``, ``"__hints_set__"``,
-``"__close__"``).  Worker → parent replies are ``(ok, payload, stats)``
+``"__snapshot__"``, ``"__close__"``).  Worker → parent replies are
+``(ok, payload, stats)``
 where ``payload`` is the return value (or the raised exception) and
 ``stats`` is the worker's cumulative six-counter I/O state
 ``(physical r/w, logical r/w, buffer hit/miss)``, copied into the
@@ -63,8 +63,6 @@ CONTROL_VERBS = (
     "__len__",
     "__flush__",
     "__snapshot__",
-    "__hints_get__",
-    "__hints_set__",
     "__close__",
 )
 
@@ -244,11 +242,6 @@ def _shard_worker_main(conn, index: Any) -> None:
                 value = index.buffer.flush()
             elif op == "__snapshot__":
                 value = index
-            elif op == "__hints_get__":
-                value = index.buffer.batch_hints_enabled
-            elif op == "__hints_set__":
-                index.buffer.batch_hints_enabled = args[0]
-                value = None
             else:
                 value = getattr(index, op)(*args, **kwargs)
             reply = (True, value, _stats_tuple(index.buffer.stats))
@@ -277,8 +270,7 @@ class _ProcessBuffer:
 
     ``stats`` is the parent-side mirror — a plain :class:`IOStats`
     refreshed from every worker reply, so reads are local and exact as
-    of the last completed call.  ``flush`` and the batch-hints toggle
-    cross the pipe.
+    of the last completed call.  ``flush`` crosses the pipe.
     """
 
     def __init__(self, owner: "ProcessExecutor", shard_id: int, stats: IOStats) -> None:
@@ -288,14 +280,6 @@ class _ProcessBuffer:
 
     def flush(self) -> None:
         self._owner._call(self._shard_id, "__flush__", (), {})
-
-    @property
-    def batch_hints_enabled(self) -> bool:
-        return self._owner._call(self._shard_id, "__hints_get__", (), {})
-
-    @batch_hints_enabled.setter
-    def batch_hints_enabled(self, enabled: bool) -> None:
-        self._owner._call(self._shard_id, "__hints_set__", (bool(enabled),), {})
 
 
 class _ProcessShard:

@@ -183,18 +183,7 @@ class _AggregateBuffer:
     """
 
     def __init__(self, shards: Sequence) -> None:
-        self._shards = shards
         self.stats = AggregateStats(lambda: [shard.buffer.stats for shard in shards])
-
-    @property
-    def batch_hints_enabled(self) -> bool:
-        """Whether the advisory sweep hints are enabled on every shard."""
-        return all(shard.buffer.batch_hints_enabled for shard in self._shards)
-
-    @batch_hints_enabled.setter
-    def batch_hints_enabled(self, enabled: bool) -> None:
-        for shard in self._shards:
-            shard.buffer.batch_hints_enabled = enabled
 
 
 class _FamilyFactory:

@@ -17,8 +17,8 @@ paths never rebuild per-entry ``MovingRect``/``Rect`` objects.
 
 :class:`TPREntry` remains the *exchange record*: insertions hand entries to
 a node, and cold paths (tests, introspection, orphan reinsertion) read them
-back via :attr:`TPRNode.entries`, which materializes entry objects from the
-columns on demand.  Whole-node dumps that need no exchange records (e.g.
+back via :meth:`TPRNode.entry_at`, which materializes one entry object from
+the columns on demand.  Whole-node dumps that need no exchange records (e.g.
 ``iter_objects``) use :meth:`TPRNode.iter_records`, which yields flat
 per-entry tuples straight off the columns.  All structural mutation goes through the node methods
 (``append_entry`` / ``remove_at`` / ``set_bound_at`` / ...), which keep the
@@ -66,38 +66,6 @@ class TPREntry:
     def is_leaf_entry(self) -> bool:
         """Whether the entry references an object (as opposed to a child page)."""
         return self.oid is not None
-
-
-class _EntriesView(Sequence):
-    """Live sequence view over a node's column-stored entries.
-
-    Iteration and indexing materialize :class:`TPREntry` records on demand;
-    ``append``/``remove`` write through to the owning node's columns, so the
-    historical ``node.entries.append(entry)`` idiom keeps working.
-    """
-
-    __slots__ = ("_node",)
-
-    def __init__(self, node: "TPRNode") -> None:
-        self._node = node
-
-    def __len__(self) -> int:
-        return self._node.num_entries
-
-    def __getitem__(self, index):
-        node = self._node
-        if isinstance(index, slice):
-            return [node.entry_at(i) for i in range(node.num_entries)[index]]
-        return node.entry_at(range(node.num_entries)[index])
-
-    def __iter__(self) -> Iterator[TPREntry]:
-        node = self._node
-        for i in range(node.num_entries):
-            yield node.entry_at(i)
-
-    def append(self, entry: TPREntry) -> None:
-        """Write-through append to the owning node's columns."""
-        self._node.append_entry(entry)
 
 
 class TPRNode:
@@ -358,15 +326,6 @@ class TPRNode:
             self._vy1,
             self._tref,
         )
-
-    @property
-    def entries(self) -> _EntriesView:
-        """Sequence view materializing entries on demand (append writes through)."""
-        return _EntriesView(self)
-
-    @entries.setter
-    def entries(self, new_entries: Sequence[TPREntry]) -> None:
-        self.set_entries(list(new_entries))
 
     # ------------------------------------------------------------------
     # Bounds

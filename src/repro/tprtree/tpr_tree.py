@@ -241,7 +241,7 @@ class TPRTree:
             levels += 1
         root = self._node(self.root_page_id)
         root.is_leaf = levels == 0
-        root.entries = entries
+        root.set_entries(entries)
         root.parent_page_id = None
         if not root.is_leaf:
             for child_page_id in root.refs:
@@ -278,7 +278,7 @@ class TPRTree:
             slab.sort(key=lambda pair: pair[0][1])
             for pairs in even_chunks(slab, self._chunk_count(len(slab), cap)):
                 node = self._new_node(is_leaf=is_leaf)
-                node.entries = [entry for _, entry in pairs]
+                node.set_entries([entry for _, entry in pairs])
                 if not is_leaf:
                     for child_page_id in node.refs:
                         child = self._node(child_page_id)

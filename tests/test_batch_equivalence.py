@@ -1,7 +1,7 @@
 """Batch-vs-sequential equivalence of the whole index stack.
 
 The batched execution pipeline (``update_batch`` / ``range_query_batch``
-through ``BxTree``, the TPR family, ``IndexManager`` and ``VPIndex``) must
+through ``BxTree``, the TPR family and ``VPIndex``) must
 be an *optimization*, not a behavior change: replaying grouped batches has
 to return the same query answers as per-event replay, leave the same
 objects stored, and never touch more B+-tree nodes per update.
@@ -76,13 +76,15 @@ def _replay(index, batches, mode, shuffle_seed=None):
     return query_results, update_io, update_nodes
 
 
-def _stored_objects(index, name):
+def _stored_objects(index, name, workload):
     """Canonical multiset of stored objects (for content comparison)."""
     if name.endswith("(VP)"):
-        directory = index.manager._directory
-        return sorted(
-            (oid, record.partition, record.original) for oid, record in directory.items()
-        )
+        # The stream only moves objects, so the live ids are the initial ones.
+        oids = sorted(obj.oid for obj in workload.initial_objects)
+        assert len(index) == len(oids)
+        stored = [(oid, index.partition_of(oid), index.stored_object(oid)) for oid in oids]
+        assert all(obj is not None for _, _, obj in stored)
+        return stored
     if name.startswith("Bx"):
         return sorted(
             (key, obj.oid, repr(obj)) for key, obj in index.store.items()
@@ -111,7 +113,9 @@ def test_batch_replay_matches_sequential(workload, batches, name):
 
     # Identical final contents.
     assert len(sequential) == len(batched)
-    assert _stored_objects(sequential, name) == _stored_objects(batched, name)
+    assert _stored_objects(sequential, name, workload) == _stored_objects(
+        batched, name, workload
+    )
 
     # Update work is never worse: the shared descents of the batch path
     # strictly reduce logical node touches for the Bx family, and the TPR
@@ -134,11 +138,9 @@ def test_batch_order_within_timestamp_is_irrelevant(workload, batches, name):
     assert [sorted(r) for r in ref_queries] == [sorted(r) for r in shuf_queries]
     assert len(reference) == len(shuffled)
 
-    def canonical(index):
-        objs = _stored_objects(index, name)
-        return objs
-
-    assert canonical(reference) == canonical(shuffled)
+    assert _stored_objects(reference, name, workload) == _stored_objects(
+        shuffled, name, workload
+    )
 
 
 def test_update_io_not_worse_at_bench_density():
@@ -373,9 +375,8 @@ def test_knn_batch_matches_brute_force_after_replay(workload, batches):
     index = _replayed_index(workload, batches, "TPR*(VP)")
     probes = _knn_probes(workload)
     answers = index.knn_query_batch(probes, space=PARAMS.space)
-    live = [
-        record.original for record in index.manager._directory.values()
-    ]
+    live = [index.stored_object(obj.oid) for obj in workload.initial_objects]
+    assert len(live) == len(index) and None not in live
     for probe, answer in zip(probes, answers):
         ranked = sorted(
             (obj.position_at(probe.query_time).distance_to(probe.center), obj.oid)

@@ -77,14 +77,13 @@ def assert_tpr_invariants(tree: TPRTree):
     def walk(page_id: int, depth: int):
         node = tree._node(page_id)
         if page_id != tree.root_page_id:
-            assert len(node.entries) >= tree.min_entries
-        assert len(node.entries) <= tree.max_entries
+            assert node.num_entries >= tree.min_entries
+        assert node.num_entries <= tree.max_entries
         if node.is_leaf:
             depths.add(depth)
             return
-        for entry in node.entries:
-            assert entry.child_page_id is not None
-            walk(entry.child_page_id, depth + 1)
+        for child_page_id in node.refs:
+            walk(child_page_id, depth + 1)
 
     walk(tree.root_page_id, 1)
     assert depths == {tree.height}
@@ -293,9 +292,7 @@ class TestVPIndexBulkLoad:
         assert len(bulk) == len(incremental) == len(objects)
         assert bulk.partition_sizes() == incremental.partition_sizes()
         for oid in (0, 7, 299):
-            assert bulk.manager.partition_of(oid) == incremental.manager.partition_of(
-                oid
-            )
+            assert bulk.partition_of(oid) == incremental.partition_of(oid)
         assert_equivalent_queries(
             bulk, incremental, objects, some_queries(SMALL_SPACE, seed=66)
         )
@@ -326,7 +323,7 @@ class TestVPIndexBulkLoad:
         # The rejected load must not have committed anything: the directory
         # still matches the sub-index contents exactly.
         assert len(index) == 20
-        assert index.manager.partition_of(25) is None
+        assert index.partition_of(25) is None
         assert sum(index.partition_sizes().values()) == 20
         # Duplicate oids inside one batch are rejected up front as well.
         fresh = make_vp_bx_tree(
@@ -401,8 +398,8 @@ class TestVelocityStrPacking:
         )
 
     def test_bx_tree_ignores_strategy_via_manager(self):
-        # The Bx bulk_load has no strategy parameter; the manager must not
-        # crash forwarding one to it.
+        # Sorted leaf packing is the Bx-tree's only one: it takes and ignores
+        # the strategy (and the axes) the VP index hands every sub-index.
         objects = make_objects(200, axis_aligned=True, seed=29)
         partitioning = analyze_sample(sample_velocities_from_objects(objects))
         index = make_vp_bx_tree(
@@ -456,44 +453,39 @@ class TestVelocityBins:
         assert all(len(group) >= 5 for group in bins)
         assert len(bins) == len(unmerged) - 1
 
-    def test_manager_forwards_strategy_without_axes_support(self):
-        # A sub-index whose loader accepts a strategy but no precomputed
-        # axes must still bulk-load cleanly (each keyword is probed
-        # separately before forwarding).
-        from repro.core.index_manager import IndexManager
-
-        class StrategyOnlyIndex:
-            def __init__(self):
-                self.tree = TPRStarTree(buffer=BufferManager(capacity=64), page_size=1024)
-                self.saw_strategy = None
-
-            def bulk_load(self, objects, strategy="midpoint_str"):
-                self.saw_strategy = strategy
-                self.tree.bulk_load(objects, strategy=strategy)
-
-            def insert(self, obj):
-                self.tree.insert(obj)
-
-            def delete(self, obj):
-                return self.tree.delete(obj)
-
-            def range_query(self, query, exact=True):
-                return self.tree.range_query(query, exact=exact)
+    def test_vp_index_hands_each_partition_its_axes(self):
+        # Under "velocity_str" a DVA partition bins against its frame's
+        # x-axis alone and the outlier index against the global DVAs; every
+        # other strategy passes no axes.
+        from repro.core.index_manager import OUTLIER_PARTITION
+        from repro.geometry.vector import Vector
+        from repro.objects.moving_object import MovingObject
 
         objects = make_objects(120, axis_aligned=True, seed=59)
         partitioning = analyze_sample(sample_velocities_from_objects(objects))
-        indexes = []
+        objects.append(MovingObject(120, Point(50.0, 50.0), Vector(30.0, 30.0)))
+        for strategy in (None, "midpoint_str", "velocity_str"):
+            index = make_vp_tprstar_tree(partitioning, buffer_pages=64, page_size=1024)
+            seen = {}
 
-        def factory(partition):
-            index = StrategyOnlyIndex()
-            indexes.append(index)
-            return index
+            def record(partition, sub):
+                def bulk_load(group, strategy=None, axes=None):
+                    seen[partition] = (strategy, axes)
+                    TPRStarTree.bulk_load(sub, group, strategy=strategy, axes=axes)
 
-        manager = IndexManager(partitioning, factory)
-        manager.bulk_load(objects, strategy="velocity_str")
-        assert len(manager) == len(objects)
-        assert all(
-            index.saw_strategy == "velocity_str"
-            for index in indexes
-            if index.saw_strategy is not None
-        )
+                sub.bulk_load = bulk_load
+
+            for partition, sub in enumerate(index.dva_indexes):
+                record(partition, sub)
+            record(OUTLIER_PARTITION, index.outlier_index)
+            index.bulk_load(objects, strategy=strategy)
+            assert len(index) == len(objects)
+            assert set(seen) == {0, 1, OUTLIER_PARTITION}
+            if strategy != "velocity_str":
+                assert set(seen.values()) == {(strategy, None)}
+                continue
+            assert seen[0] == seen[1] == ("velocity_str", [Vector(1.0, 0.0)])
+            assert seen[OUTLIER_PARTITION] == (
+                "velocity_str",
+                [dva.axis for dva in partitioning.dvas],
+            )

@@ -111,8 +111,8 @@ def test_codec_tpr_node_round_trip():
     decoded = decode_payload(blob)
     assert decoded.page_id == 9
     assert decoded.is_leaf and decoded.parent_page_id == 4
-    assert [e.oid for e in decoded.entries] == [0, 1, 2]
-    assert [e.bound for e in decoded.entries] == [e.bound for e in node.entries]
+    assert list(decoded.refs) == [0, 1, 2]
+    assert list(decoded.iter_records()) == list(node.iter_records())
     assert encode_payload(decoded) == blob
 
 

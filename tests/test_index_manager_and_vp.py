@@ -1,14 +1,15 @@
-"""Tests for the index manager (Algorithm 3) and the VP index facades."""
+"""Tests for the index manager (:class:`VPIndex`, Algorithm 3) and its factories."""
 
+import copy
+import pickle
 import random
 
 import pytest
 
 from repro.bxtree.bx_tree import BxTree
 from repro.core.dva import DominantVelocityAxis
-from repro.core.index_manager import OUTLIER_PARTITION, IndexManager
+from repro.core.index_manager import OUTLIER_PARTITION, VPIndex
 from repro.core.partitioned_index import (
-    VPIndex,
     analyze_sample,
     make_vp_bx_tree,
     make_vp_tprstar_tree,
@@ -36,11 +37,24 @@ def xy_partitioning(tau: float = 5.0) -> VelocityPartitioning:
     )
 
 
-def tpr_manager(tau: float = 5.0) -> IndexManager:
+def tpr_manager(tau: float = 5.0) -> VPIndex:
+    """A hand-built TPR*(VP) index over the x and y axes."""
     buffer = BufferManager(capacity=64)
-    return IndexManager(
+    return VPIndex(
         xy_partitioning(tau),
-        index_factory=lambda partition: TPRStarTree(buffer=buffer, max_entries=8),
+        lambda partition: TPRStarTree(buffer=buffer, max_entries=8),
+        buffer,
+        name="TPR*(VP)",
+    )
+
+
+def vp_index(flavour: str, objects) -> VPIndex:
+    """An empty Bx(VP) or TPR*(VP) index partitioned by ``objects``' velocities."""
+    partitioning = analyze_sample(sample_velocities_from_objects(objects), k=2)
+    if flavour == "bx":
+        return make_vp_bx_tree(partitioning, space=SMALL_SPACE, buffer_pages=32, page_size=1024)
+    return make_vp_tprstar_tree(
+        partitioning, buffer_pages=32, page_size=1024, space=SMALL_SPACE
     )
 
 
@@ -50,9 +64,9 @@ class TestRouting:
         along_x = MovingObject(1, Point(100, 100), Vector(30.0, 1.0))
         along_y = MovingObject(2, Point(200, 200), Vector(1.0, 30.0))
         diagonal = MovingObject(3, Point(300, 300), Vector(20.0, 20.0))
-        assert manager.insert(along_x) == 0
-        assert manager.insert(along_y) == 1
-        assert manager.insert(diagonal) == OUTLIER_PARTITION
+        for obj in (along_x, along_y, diagonal):
+            manager.insert(obj)
+        assert [manager.partition_of(oid) for oid in (1, 2, 3)] == [0, 1, OUTLIER_PARTITION]
         sizes = manager.partition_sizes()
         assert sizes[0] == 1 and sizes[1] == 1 and sizes[OUTLIER_PARTITION] == 1
 
@@ -67,8 +81,8 @@ class TestRouting:
         manager = tpr_manager()
         obj = MovingObject(1, Point(50, 50), Vector(25.0, 0.0))
         manager.insert(obj)
-        assert manager.delete(1)
-        assert not manager.delete(1)
+        assert manager.delete(obj)
+        assert not manager.delete(obj)
         assert len(manager) == 0
 
     def test_update_migrates_partition_on_turn(self):
@@ -77,9 +91,24 @@ class TestRouting:
         manager.insert(obj)
         assert manager.partition_of(1) == 0
         turned = obj.with_update(Point(60, 50), Vector(0.5, 25.0), 5.0)
-        assert manager.update(turned) == 1
+        assert manager.update(obj, turned)
         assert manager.partition_of(1) == 1
         assert len(manager) == 1
+
+    @pytest.mark.parametrize("flavour", ["bx", "tprstar"])
+    def test_update_must_keep_the_object_id(self, flavour):
+        objects = make_objects(6, seed=2)
+        index = vp_index(flavour, objects)
+        index.insert_batch(objects[:4])
+        stranger, other = objects[4], objects[5]
+        with pytest.raises(ValueError, match="must keep the object id"):
+            index.update(objects[0], stranger)
+        moved = objects[1].with_update(objects[1].position_at(2.0), objects[1].velocity, 2.0)
+        with pytest.raises(ValueError, match="must keep the object id"):
+            index.update_batch([(objects[1], moved), (objects[2], other)])
+        # Neither call touched the index: nothing replaced, nothing added.
+        assert len(index) == 4
+        assert [index.stored_object(o.oid) for o in objects] == objects[:4] + [None, None]
 
     def test_stored_object_returns_original_coordinates(self):
         manager = tpr_manager()
@@ -94,8 +123,9 @@ class TestBatchSurface:
         objects = make_objects(60, seed=11)
         sequential = tpr_manager()
         batched = tpr_manager()
-        partitions = [sequential.insert(obj) for obj in objects]
-        assert batched.insert_batch(objects) == partitions
+        for obj in objects:
+            sequential.insert(obj)
+        batched.insert_batch(objects)
         assert len(batched) == len(sequential)
         for obj in objects:
             assert batched.partition_of(obj.oid) == sequential.partition_of(obj.oid)
@@ -121,8 +151,9 @@ class TestBatchSurface:
         batched = tpr_manager()
         sequential.insert_batch(objects)
         batched.insert_batch(objects)
-        victims = [obj.oid for obj in objects[:20]] + [999, objects[0].oid]
-        expected = [sequential.delete(oid) for oid in victims]
+        stranger = MovingObject(999, Point(1, 1), Vector(1.0, 0.0))
+        victims = objects[:20] + [stranger, objects[0]]
+        expected = [sequential.delete(obj) for obj in victims]
         assert batched.delete_batch(victims) == expected
         assert len(batched) == len(sequential)
 
@@ -152,8 +183,11 @@ class TestQueryTransformation:
             dvas=[DominantVelocityAxis(axis=Vector(1.0, 1.0), tau=5.0)]
         )
         buffer = BufferManager(capacity=16)
-        manager = IndexManager(
-            partitioning, lambda p: TPRStarTree(buffer=buffer, max_entries=8)
+        manager = VPIndex(
+            partitioning,
+            lambda p: TPRStarTree(buffer=buffer, max_entries=8),
+            buffer,
+            name="TPR*(VP)",
         )
         query = TimeSliceRangeQuery(RectangularRange(Rect(0, 0, 10, 10)), time=1.0)
         transformed = manager.transform_query(query, 0)
@@ -266,3 +300,34 @@ class TestVPFactories:
             index.insert(obj)
         sizes = index.partition_sizes()
         assert sum(sizes.values()) == len(objects)
+
+    @pytest.mark.parametrize("flavour", ["bx", "tprstar"])
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda i: pickle.loads(pickle.dumps(i))])
+    def test_loaded_index_survives_pickle_and_deepcopy(self, flavour, clone):
+        # VP shards are pickled into process workers and deep-copied as
+        # recovery baselines: the index must hold no closure.
+        objects = make_objects(150, axis_aligned=True, seed=87)
+        index = vp_index(flavour, objects)
+        index.bulk_load(objects)
+        twin = clone(index)
+        assert twin is not index and twin.buffer is twin.outlier_index.buffer
+        moved = [
+            (obj, obj.with_update(obj.position_at(4.0), obj.velocity, 4.0))
+            for obj in objects[:30]
+        ]
+        for each in (index, twin):
+            assert each.update_batch(moved) == len(moved)
+        rng = random.Random(13)
+        queries = [
+            make_circular_query(
+                Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000)),
+                1500.0,
+                time=rng.uniform(4.0, 25.0),
+                issue_time=4.0,
+            )
+            for _ in range(8)
+        ]
+        assert twin.range_query_batch(queries) == index.range_query_batch(queries)
+        probe = dict(center=Point(5000, 5000), k=7, query_time=10.0, issue_time=4.0)
+        assert twin.knn_query(**probe) == index.knn_query(**probe)
+        assert twin.partition_sizes() == index.partition_sizes()

@@ -39,7 +39,7 @@ class TestNode:
     def test_find_and_remove_child_entry(self):
         bound = MovingObject(1, Point(0, 0), Vector(0, 0)).as_moving_rect()
         node = TPRNode(page_id=0, is_leaf=False)
-        node.entries.append(TPREntry(bound=bound, child_page_id=7))
+        node.append_entry(TPREntry(bound=bound, child_page_id=7))
         assert node.find_entry_for_child(7).child_page_id == 7
         node.remove_entry_for_child(7)
         assert node.num_entries == 0
@@ -281,7 +281,7 @@ class TestBatchSurface:
 
 
 class TestColumnarIterator:
-    def test_iter_records_matches_entries_view(self):
+    def test_iter_records_matches_entry_at(self):
         rng = random.Random(31)
         node = TPRNode(page_id=0, is_leaf=True)
         for oid in range(10):
@@ -291,10 +291,11 @@ class TestColumnarIterator:
                 Vector(rng.uniform(-5, 5), rng.uniform(-5, 5)),
                 reference_time=rng.uniform(0, 10),
             )
-            node.entries.append(TPREntry(bound=obj.as_moving_rect(), oid=oid))
+            node.append_entry(TPREntry(bound=obj.as_moving_rect(), oid=oid))
         records = list(node.iter_records())
         assert len(records) == node.num_entries
-        for record, entry in zip(records, node.entries):
+        for slot, record in enumerate(records):
+            entry = node.entry_at(slot)
             ref, x0, y0, x1, y1, vx0, vy0, vx1, vy1, tref = record
             assert ref == entry.oid
             assert (x0, y0, x1, y1) == (
