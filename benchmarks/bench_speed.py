@@ -401,40 +401,6 @@ def measure(
     }
 
 
-def measure_packing(
-    params: Optional[WorkloadParameters] = None,
-    datasets: Sequence[str] = ("SA", "CH"),
-    which: Sequence[str] = ("TPR*", "TPR*(VP)"),
-) -> Dict[str, object]:
-    """Compare bulk-packing strategies on replayed workloads.
-
-    For every dataset and index, the tree is bulk-built once per strategy
-    (midpoint STR versus velocity-binned STR) and the full event stream is
-    replayed on top, so the numbers reflect packing quality *under churn* —
-    the regime ROADMAP.md flagged as the hard one for velocity-aware
-    packing — not just the freshly built tree.
-    """
-    if params is None:
-        params = WorkloadParameters(**BENCH_PARAMS)
-    report: Dict[str, object] = {}
-    for dataset in datasets:
-        workload = build_workload(dataset, params)
-        per_dataset: Dict[str, Dict[str, Dict[str, float]]] = {}
-        for strategy in ("midpoint_str", "velocity_str"):
-            runner = ExperimentRunner(workload, bulk_strategy=strategy)
-            for name, index in build_standard_indexes(workload, params, which=which).items():
-                metrics = runner.run(index, name=name)
-                per_dataset.setdefault(name, {})[strategy] = {
-                    "build_s": round(metrics.build_time, 4),
-                    "query_io": round(metrics.avg_query_io, 4),
-                    "query_ms": round(metrics.avg_query_time_ms, 4),
-                    "update_io": round(metrics.avg_update_io, 4),
-                    "results": metrics.results_returned,
-                }
-        report[dataset] = per_dataset
-    return report
-
-
 def measure_scale(
     dataset: str = "SA",
     params: Optional[WorkloadParameters] = None,
@@ -764,9 +730,7 @@ def measure_htap(
         )
         try:
             index.bulk_load(workload.initial_objects)
-            oracle.record_mutation(
-                index.epoch, "bulk_load", (workload.initial_objects, None)
-            )
+            oracle.record_mutation(index.epoch, "bulk_load", workload.initial_objects)
             report = load_driver.run_htap(
                 index,
                 oracle,
@@ -1066,7 +1030,6 @@ def run(
     output: str = DEFAULT_OUTPUT,
     dataset: str = "SA",
     which: Sequence[str] = STANDARD_INDEXES,
-    packing: bool = False,
     scale: bool = False,
     faults: bool = False,
     persist: bool = False,
@@ -1145,8 +1108,6 @@ def run(
         overrides = QUICK_PARAMS if quick else BENCH_PARAMS
         params = WorkloadParameters(**overrides)
         report = measure(dataset=dataset, params=params, which=which)
-        if packing:
-            report["packing"] = measure_packing(params=params)
         report["mode"] = "quick" if quick else "bench"
     report["total_wall_s"] = round(time.perf_counter() - started, 2)
     history = load_history(output)
@@ -1186,12 +1147,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description=__doc__.splitlines()[0], parents=[common]
     )
     parser.set_defaults(mode=None)
-    parser.add_argument(
-        "--packing",
-        action="store_true",
-        help="also compare bulk-packing strategies (midpoint vs velocity STR) "
-        "on replayed SA/CH workloads (default mode only)",
-    )
     # Hidden aliases: the pre-subcommand spellings keep working.
     parser.add_argument("--scale", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--faults", action="store_true", help=argparse.SUPPRESS)
@@ -1332,7 +1287,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         quick=getattr(args, "quick", False),
         output=output,
         dataset=getattr(args, "dataset", "SA"),
-        packing=getattr(args, "packing", False),
         scale=mode == "scale",
         faults=mode == "faults",
         persist=mode == "persist",
@@ -1449,16 +1403,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"knn {row['per_event_knn_ms']:7.3f} -> {row['knn_ms']:7.3f}ms "
             f"({row['knn_speedup']:4.2f}x)"
         )
-    for dataset, indexes in report.get("packing", {}).items():
-        for name, strategies in indexes.items():
-            mid = strategies["midpoint_str"]
-            vel = strategies["velocity_str"]
-            print(
-                f"packing {dataset} {name:10s} query_io "
-                f"{mid['query_io']:6.2f} (midpoint) vs {vel['query_io']:6.2f} "
-                f"(velocity)  update_io {mid['update_io']:5.2f} vs "
-                f"{vel['update_io']:5.2f}"
-            )
     print(f"wrote {output} ({report['total_wall_s']}s total)")
     return 0
 

@@ -146,9 +146,6 @@ class ExperimentRunner:
             strictly event by event.  Both modes produce identical
             query answers; batching only amortizes per-operation work.
         batch_window: grouping window in timestamps for batch mode.
-        bulk_strategy: packing strategy forwarded to ``bulk_load`` (e.g.
-            ``"velocity_str"`` on the TPR family); None uses each index's
-            default packing.
     """
 
     def __init__(
@@ -157,13 +154,11 @@ class ExperimentRunner:
         bulk_build: bool = True,
         batch: bool = True,
         batch_window: float = DEFAULT_BATCH_WINDOW,
-        bulk_strategy: Optional[str] = None,
     ) -> None:
         self.workload = workload
         self.bulk_build = bulk_build
         self.batch = batch
         self.batch_window = batch_window
-        self.bulk_strategy = bulk_strategy
 
     def run(self, index, name: Optional[str] = None) -> IndexMetrics:
         """Load the initial objects, replay the events, and report metrics."""
@@ -174,7 +169,7 @@ class ExperimentRunner:
         stats = index.buffer.stats
         build_start = time.perf_counter()
         if self.bulk_build:
-            index.bulk_load(self.workload.initial_objects, strategy=self.bulk_strategy)
+            index.bulk_load(self.workload.initial_objects)
         else:
             for obj in self.workload.initial_objects:
                 index.insert(obj)

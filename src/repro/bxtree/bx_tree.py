@@ -161,15 +161,13 @@ class BxTree:
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-    def bulk_load(self, objects, strategy: Optional[str] = None, axes=None) -> None:
+    def bulk_load(self, objects) -> None:
         """Build the index from ``objects`` with one sorted B+-tree packing.
 
         Bx keys are computed for every snapshot up front (one pass that also
         feeds the velocity histogram and the partition counters), then the
         underlying B+-tree is leaf-packed in key order instead of descending
-        from the root once per object.  ``strategy`` and ``axes`` are part
-        of the shared index protocols and ignored: sorted leaf packing is the
-        only one.
+        from the root once per object.
 
         Raises:
             ValueError: if the index is not empty.

@@ -63,8 +63,8 @@ class MovingIndex(Protocol):
     seven mutations are exactly ``repro.serve.shard_log.LOG_OPS``: what
     the write-ahead log records is what an index can be asked to do.
     ``delete``/``update`` receive the object's current stored snapshot;
-    ``bulk_load`` requires an empty index, and a family with a single
-    packing (the Bx-tree's sorted leaves) ignores ``strategy``.
+    ``bulk_load`` requires an empty index and packs it the family's one
+    way (sorted leaves for the Bx-tree, midpoint STR for the TPR family).
     """
 
     #: Buffer pool surface: ``stats`` and ``flush()`` (the hint kill-switch
@@ -73,9 +73,7 @@ class MovingIndex(Protocol):
 
     def __len__(self) -> int: ...
 
-    def bulk_load(
-        self, objects: Sequence[MovingObject], strategy: Optional[str] = None
-    ) -> None:
+    def bulk_load(self, objects: Sequence[MovingObject]) -> None:
         """Build the (empty) index from ``objects`` in one packing pass."""
 
     def insert(self, obj: MovingObject) -> None:
@@ -127,18 +125,6 @@ class MovingIndex(Protocol):
 @runtime_checkable
 class SubIndex(MovingIndex, Protocol):
     """What :class:`VPIndex` additionally needs of a per-partition index."""
-
-    def bulk_load(
-        self,
-        objects: Sequence[MovingObject],
-        strategy: Optional[str] = None,
-        axes: Optional[Sequence[Vector]] = None,
-    ) -> None:
-        """:meth:`MovingIndex.bulk_load` given the DVAs ``"velocity_str"`` bins by.
-
-        A family without velocity binning (the Bx-tree) ignores ``axes``
-        exactly as it ignores ``strategy``.
-        """
 
     def apply_batch(
         self,
@@ -231,9 +217,7 @@ class VPIndex:
             partition=partition, original=obj, stored=stored
         )
 
-    def bulk_load(
-        self, objects: Sequence[MovingObject], strategy: Optional[str] = None
-    ) -> None:
+    def bulk_load(self, objects: Sequence[MovingObject]) -> None:
         """Partition-aware bulk build: route every object, pack each index once.
 
         All objects are routed to their partition and rotated into its frame
@@ -241,10 +225,6 @@ class VPIndex:
         The velocity analysis itself happened up front, when the
         :class:`~repro.core.velocity_analyzer.VelocityPartitioning` was
         computed — bulk loading only routes and packs.
-
-        ``strategy`` selects the packing strategy (e.g. ``"velocity_str"``);
-        families with a single packing (the Bx-tree's sorted leaves) ignore
-        it.
 
         The directory is only committed after every input has been validated
         and every sub-index loaded, so a rejected input (duplicate oid,
@@ -266,18 +246,7 @@ class VPIndex:
             )
             groups.setdefault(partition, []).append(stored)
         for partition, group in groups.items():
-            # Reuse our own DVAs instead of letting every sub-index re-run
-            # the velocity analyzer: a DVA partition is already
-            # direction-homogeneous (its frame aligns the dominant axis with
-            # x), so it bins against the frame's x-axis alone, while the
-            # outlier index bins its off-axis objects against the global DVAs.
-            axes = None
-            if strategy == "velocity_str":
-                if partition == OUTLIER_PARTITION:
-                    axes = [dva.axis for dva in self.partitioning.dvas]
-                else:
-                    axes = [Vector(1.0, 0.0)]
-            self._index_of(partition).bulk_load(group, strategy=strategy, axes=axes)
+            self._index_of(partition).bulk_load(group)
         self._directory.update(records)
 
     def delete(self, obj: MovingObject) -> bool:

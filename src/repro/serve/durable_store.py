@@ -78,7 +78,9 @@ from repro.storage.stats import IOStats
 
 _META_HEADER = struct.Struct("<II")
 _MANIFEST = "MANIFEST.json"
-_MANIFEST_VERSION = 1
+#: Covers the WAL record shapes too (the log files carry no version of
+#: their own); 2 = a ``bulk_load`` payload is the tuple of objects.
+_MANIFEST_VERSION = 2
 
 
 # ----------------------------------------------------------------------

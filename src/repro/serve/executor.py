@@ -57,15 +57,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.storage.faults import ShardDownError
 from repro.storage.stats import IOStats
 
-#: Control verbs of the process-mode message protocol (everything else is
-#: dispatched as an index method by name).
-CONTROL_VERBS = (
-    "__len__",
-    "__flush__",
-    "__snapshot__",
-    "__close__",
-)
-
 
 class Executor:
     """Where shard operations run (see the module docstring).
@@ -323,8 +314,8 @@ class _ProcessShard:
     def update_batch(self, pairs, **kwargs) -> int:
         return self._call("update_batch", list(pairs), **kwargs)
 
-    def bulk_load(self, objects, strategy: Optional[str] = None, **kwargs) -> None:
-        return self._call("bulk_load", list(objects), strategy=strategy, **kwargs)
+    def bulk_load(self, objects, **kwargs) -> None:
+        return self._call("bulk_load", list(objects), **kwargs)
 
     # -- queries -------------------------------------------------------
     # ``epoch`` crosses the pipe only when pinned: an unversioned hosted
@@ -426,7 +417,9 @@ class ProcessExecutor(Executor):
     Args:
         max_workers: fan-out thread width (these threads only block on
             pipes; default: the shard count).
-        start_method: ``multiprocessing`` start method.  Defaults to
+
+    Attributes:
+        start_method: the ``multiprocessing`` start method in use:
             ``"fork"`` where available (no interpreter re-import per
             worker) and ``"spawn"`` elsewhere.
     """
@@ -434,16 +427,12 @@ class ProcessExecutor(Executor):
     kind = "process"
     parallel = True
 
-    def __init__(
-        self, max_workers: Optional[int] = None, start_method: Optional[str] = None
-    ) -> None:
+    def __init__(self, max_workers: Optional[int] = None) -> None:
         super().__init__()
         self._requested_workers = max_workers
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
-        self.start_method = start_method
+        methods = multiprocessing.get_all_start_methods()
+        self.start_method = "fork" if "fork" in methods else "spawn"
+        self._ctx = multiprocessing.get_context(self.start_method)
         self._workers: Dict[int, _Worker] = {}
         self._mirrors: List[IOStats] = []
         self._handles: List[_ProcessShard] = []
@@ -603,7 +592,6 @@ def make_executor(spec: Any, max_workers: Optional[int] = None) -> Executor:
 
 
 __all__ = [
-    "CONTROL_VERBS",
     "EXECUTORS",
     "Executor",
     "ProcessExecutor",

@@ -11,10 +11,12 @@ the same shard count and shard family as the index under test, serial
 executor, snapshots disabled — the plainest quiescent configuration the
 serving layer offers, sharing the exact merge code the live index uses.
 The workload records every mutation it applies as ``(epoch, op,
-payload)`` and every epoch-pinned answer it receives as ``(epoch, kind,
-payload, answer)``; :meth:`check` then replays the mutation stream into
-the twin epoch by epoch and re-evaluates each answered query batch at
-its pinned epoch, reporting every divergence.
+payload)`` — ``op`` and ``payload`` exactly as the write-ahead log holds
+them (:mod:`repro.serve.shard_log`) — and every epoch-pinned answer it
+receives as ``(epoch, kind, payload, answer)``; :meth:`check` then
+replays the mutation stream into the twin epoch by epoch and
+re-evaluates each answered query batch at its pinned epoch, reporting
+every divergence.
 
 Bit-identity is deliberate: answers are ids and ``float`` distances
 computed by the same kernels on both sides, so even the distances must
@@ -58,7 +60,7 @@ class EpochOracle:
         oracle = EpochOracle(num_shards=4, shard_factory=make_bx, space=space)
         # workload side (under test):
         index.bulk_load(objects)
-        oracle.record_mutation(index.epoch, "bulk_load", (objects, None))
+        oracle.record_mutation(index.epoch, "bulk_load", objects)
         ...
         with index.pin() as epoch:
             answer = index.range_query_batch(queries, epoch=epoch)
@@ -92,9 +94,9 @@ class EpochOracle:
         """Record one applied update batch and the epoch it was assigned.
 
         ``op``/``payload`` follow the WAL conventions
-        (:data:`repro.serve.shard_log.LOG_OPS`): ``bulk_load`` carries
-        ``(objects, strategy)``, ``update`` carries ``(old, new)``, batch
-        ops carry their sequence, ``insert``/``delete`` carry the object.
+        (:data:`repro.serve.shard_log.LOG_OPS`): ``update`` carries
+        ``(old, new)``, ``bulk_load`` and the batch ops carry their
+        sequence, ``insert``/``delete`` carry the object.
         Recording may happen in any order; mutations are replayed sorted
         by ``(epoch, recording order)``.
         """

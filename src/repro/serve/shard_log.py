@@ -32,6 +32,9 @@ A mutation is one record, ``(op, payload, epoch)``, everywhere it travels:
 the serving layer builds it, the log stores it, and :func:`apply_record`
 — the only code that turns an op name into an index call — applies it,
 whether to a live shard, a recovering one or the consistency oracle's twin.
+The payload is the op's data and nothing else — one object, one ``(old,
+new)`` pair, or a tuple of either; ``bulk_load`` is shaped like
+``insert_batch``.
 """
 
 from __future__ import annotations
@@ -57,25 +60,26 @@ LOG_OPS = (
     "update_batch",
 )
 
+#: The :data:`LOG_OPS` whose payload is a sequence (of objects, or of
+#: ``(old, new)`` pairs) rather than one object or one pair.
+_SEQUENCE_OPS = ("bulk_load", "insert_batch", "delete_batch", "update_batch")
+
 
 def apply_record(index: Any, op: str, payload: Any, **epoch_kwargs: int) -> Any:
     """Apply one logged mutation to ``index`` through its public method ``op``.
 
-    ``payload`` follows the log's conventions: ``bulk_load`` carries
-    ``(objects, strategy)``, ``update`` carries ``(old, new)``, the batch
-    ops carry their sequence and ``insert``/``delete`` the object.
+    ``payload`` follows the log's conventions: ``update`` carries
+    ``(old, new)``, ``bulk_load`` and the batch ops carry their sequence
+    and ``insert``/``delete`` the object.
     ``epoch_kwargs`` (``epoch``, ``gc_floor``) reach versioned shards only;
     callers applying to a bare index pass none.
     """
     if op not in LOG_OPS:
         raise ValueError(f"unknown shard-log op {op!r}")
     method = getattr(index, op)
-    if op == "bulk_load":
-        objects, strategy = payload
-        return method(list(objects), strategy=strategy, **epoch_kwargs)
     if op == "update":
         return method(*payload, **epoch_kwargs)
-    if op.endswith("_batch"):
+    if op in _SEQUENCE_OPS:
         return method(list(payload), **epoch_kwargs)
     return method(payload, **epoch_kwargs)
 
@@ -99,10 +103,7 @@ class ShardLog:
         """
         if op not in LOG_OPS:
             raise ValueError(f"unknown shard-log op {op!r}")
-        if op == "bulk_load":
-            objects, strategy = payload
-            payload = (tuple(objects), strategy)
-        elif op.endswith("_batch"):
+        if op in _SEQUENCE_OPS:
             payload = tuple(payload)
         self._store(op, payload, epoch)
 

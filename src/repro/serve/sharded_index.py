@@ -132,20 +132,14 @@ class AggregateStats:
     access time, so harness-style ``before = stats.physical.total`` /
     ``after - before`` accounting works unchanged on a sharded index.
 
-    ``parts`` may be a fixed sequence of :class:`IOStats` or a callable
-    returning the current sequence — the serving layer passes a callable
-    so the aggregate follows shard *recovery* (a rebuilt shard brings a
-    fresh stats object; a snapshot would keep summing the dead one).
+    ``parts`` is a callable returning the current sequence of
+    :class:`IOStats`, so the aggregate follows shard *recovery* (a rebuilt
+    shard brings a fresh stats object; a fixed list would keep summing the
+    dead one).
     """
 
-    def __init__(
-        self, parts: Union[Sequence[IOStats], Callable[[], Sequence[IOStats]]]
-    ) -> None:
-        if callable(parts):
-            self._provider = parts
-        else:
-            fixed = list(parts)
-            self._provider = lambda: fixed
+    def __init__(self, parts: Callable[[], Sequence[IOStats]]) -> None:
+        self._provider = parts
 
     @property
     def physical(self) -> Counter:
@@ -1107,19 +1101,21 @@ class ShardedIndex:
         shard_id = self.shard_of(old.oid)
         return self._mutate("update", {shard_id: (old, new)})[shard_id]
 
-    def bulk_load(self, objects: Sequence[MovingObject], strategy: Optional[str] = None) -> None:
+    def bulk_load(self, objects: Sequence[MovingObject]) -> None:
         """Bulk-build every shard from its routed slice of ``objects``.
 
-        ``strategy`` is forwarded to every shard's loader (the TPR
-        family's packing strategies; the Bx family ignores it).
+        Raises:
+            ValueError: if the index already holds objects.  Rejected here,
+                before anything is logged: every shard would refuse the
+                record only after it was appended, and then so would every
+                later recovery replaying it.
         """
         objects = list(objects)
         if not objects:
             return
-        slices = self._routed(objects, [obj.oid for obj in objects])
-        self._mutate(
-            "bulk_load", {shard_id: (group, strategy) for shard_id, group in slices.items()}
-        )
+        if len(self):
+            raise ValueError("bulk_load requires an empty index")
+        self._mutate("bulk_load", self._routed(objects, [obj.oid for obj in objects]))
 
     def insert_batch(self, objects: Sequence[MovingObject]) -> None:
         """Insert a batch, one grouped ``insert_batch`` per owning shard."""

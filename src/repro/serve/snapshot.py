@@ -231,12 +231,11 @@ class VersionedShard:
     def bulk_load(
         self,
         objects: Sequence[MovingObject],
-        strategy: Optional[str] = None,
         epoch: Optional[int] = None,
         gc_floor: Optional[int] = None,
     ):
         objects = list(objects)
-        result = self.base.bulk_load(objects, strategy=strategy)
+        result = self.base.bulk_load(objects)
         self._record(epoch, [(obj.oid, None) for obj in objects])
         self._prune(gc_floor)
         return result

@@ -40,7 +40,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bulk import PACKING_STRATEGIES, chunk_count, even_chunks, velocity_bins
+from repro.bulk import chunk_count, even_chunks
 from repro.geometry import kernels
 from repro.geometry.moving_rect import MovingRect
 from repro.geometry.point import Point
@@ -159,13 +159,7 @@ class TPRTree:
         self._insert_entry(entry, level=0)
         self.size += 1
 
-    def bulk_load(
-        self,
-        objects: Iterable[MovingObject],
-        fill: float = DEFAULT_BULK_FILL,
-        strategy: Optional[str] = None,
-        axes: Optional[Sequence] = None,
-    ) -> None:
+    def bulk_load(self, objects: Iterable[MovingObject]) -> None:
         """Build the tree bottom-up from ``objects`` with STR packing.
 
         Sort-Tile-Recursive packing (Leutenegger et al.): entries are sorted
@@ -176,17 +170,9 @@ class TPRTree:
         choose-subtree scans, no splits and no forced reinsertions, which is
         what makes build phases tractable at bench scale.
 
-        Two strategies are offered:
-
-        * ``"midpoint_str"`` (the default, also for ``None``) — plain STR over centers projected
-          half a horizon ahead (the midpoint trick approximates velocity
-          grouping without analyzing velocities);
-        * ``"velocity_str"`` — the objects are first binned by dominant
-          velocity axis (:func:`repro.bulk.velocity_bins`, the VP
-          analyzer's clustering; ``axes`` supplies precomputed DVAs), the
-          leaf level is packed per bin so no leaf mixes objects from
-          different movement regimes, and the upper levels are packed
-          jointly with midpoint STR.
+        Centers are projected half a horizon ahead (the midpoint trick
+        approximates velocity grouping without analyzing velocities), and
+        nodes are filled to :data:`DEFAULT_BULK_FILL`.
 
         Every produced node respects the tree's ``min_fill``/fan-out
         invariants, so subsequent incremental updates behave exactly as on an
@@ -194,50 +180,22 @@ class TPRTree:
 
         Args:
             objects: the initial population (the tree must be empty).
-            fill: target node fill as a fraction of ``max_entries``.
-            strategy: one of :data:`repro.bulk.PACKING_STRATEGIES`.
-            axes: optional dominant velocity axes for ``"velocity_str"``
-                (analyzed from the objects when omitted).
 
         Raises:
-            ValueError: if the tree already contains objects or the
-                strategy is unknown.
+            ValueError: if the tree already contains objects.
         """
         objects = list(objects)
-        if strategy is None:
-            strategy = "midpoint_str"
-        if strategy not in PACKING_STRATEGIES:
-            raise ValueError(
-                f"unknown packing strategy {strategy!r}; expected one of "
-                f"{PACKING_STRATEGIES}"
-            )
         if self.size:
             raise ValueError("bulk_load requires an empty tree")
         if not objects:
             return
-        if not 0.0 < fill <= 1.0:
-            raise ValueError("fill must be in (0, 1]")
         self.current_time = max(
             self.current_time, max(o.reference_time for o in objects)
         )
         levels = 0
-        if strategy == "velocity_str" and len(objects) > self.max_entries:
-            # Pack the leaf level per velocity bin, then hand the combined
-            # parent entries to the ordinary midpoint-STR level loop.
-            bins = velocity_bins(objects, axes=axes, min_bin=self.min_entries)
-            entries = []
-            for group in bins:
-                entries.extend(
-                    self._pack_level(
-                        [TPREntry(bound=o.as_moving_rect(), oid=o.oid) for o in group],
-                        fill,
-                    )
-                )
-            levels = 1
-        else:
-            entries = [TPREntry(bound=o.as_moving_rect(), oid=o.oid) for o in objects]
+        entries = [TPREntry(bound=o.as_moving_rect(), oid=o.oid) for o in objects]
         while len(entries) > self.max_entries:
-            entries = self._pack_level(entries, fill)
+            entries = self._pack_level(entries)
             levels += 1
         root = self._node(self.root_page_id)
         root.is_leaf = levels == 0
@@ -252,11 +210,14 @@ class TPRTree:
         self._height = levels + 1
         self.size = len(objects)
 
-    def _pack_level(self, entries: List[TPREntry], fill: float) -> List[TPREntry]:
+    def _pack_level(self, entries: List[TPREntry]) -> List[TPREntry]:
         """Pack one level of entries into nodes; returns the parent entries."""
         t = self.current_time
         is_leaf = entries[0].is_leaf_entry
-        cap = max(self.min_entries, min(self.max_entries, int(self.max_entries * fill)))
+        cap = max(
+            self.min_entries,
+            min(self.max_entries, int(self.max_entries * DEFAULT_BULK_FILL)),
+        )
         num_nodes = self._chunk_count(len(entries), cap)
         num_slabs = int(math.ceil(math.sqrt(num_nodes)))
         # Sort on centers projected half a horizon ahead: two objects are

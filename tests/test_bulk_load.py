@@ -332,160 +332,3 @@ class TestVPIndexBulkLoad:
         with pytest.raises(KeyError):
             fresh.bulk_load([objects[0], objects[0]])
         assert len(fresh) == 0
-
-
-class TestVelocityStrPacking:
-    """The velocity-binned STR strategy (``strategy="velocity_str"``)."""
-
-    def make(self, tree_cls=TPRStarTree):
-        return tree_cls(buffer=BufferManager(capacity=64), page_size=1024)
-
-    def test_same_answers_as_midpoint(self):
-        objects = make_objects(400, axis_aligned=True, seed=11)
-        queries = some_queries(SMALL_SPACE, seed=31)
-        for tree_cls in (TPRTree, TPRStarTree):
-            midpoint = self.make(tree_cls)
-            midpoint.bulk_load(objects)  # default strategy
-            velocity = self.make(tree_cls)
-            velocity.bulk_load(objects, strategy="velocity_str")
-            assert len(velocity) == len(midpoint) == len(objects)
-            assert_equivalent_queries(velocity, midpoint, objects, queries)
-
-    def test_structure_invariants(self):
-        objects = make_objects(500, axis_aligned=True, seed=13)
-        tree = self.make()
-        tree.bulk_load(objects, strategy="velocity_str")
-        assert_tpr_invariants(tree)
-
-    def test_unknown_strategy_raises(self):
-        tree = self.make()
-        with pytest.raises(ValueError):
-            tree.bulk_load(make_objects(10), strategy="nope")
-
-    def test_explicit_axes_skip_the_analyzer(self):
-        from repro.geometry.vector import Vector
-
-        objects = make_objects(300, axis_aligned=True, seed=17)
-        tree = self.make()
-        tree.bulk_load(
-            objects, strategy="velocity_str", axes=[Vector(1.0, 0.0), Vector(0.0, 1.0)]
-        )
-        assert len(tree) == len(objects)
-        assert_tpr_invariants(tree)
-
-    def test_updates_keep_working_after_velocity_build(self):
-        objects = make_objects(250, axis_aligned=True, seed=19)
-        tree = self.make()
-        tree.bulk_load(objects, strategy="velocity_str")
-        moved = objects[0].with_update(
-            position=objects[0].position_at(5.0),
-            velocity=objects[0].velocity,
-            reference_time=5.0,
-        )
-        assert tree.update(objects[0], moved)
-        assert_tpr_invariants(tree)
-
-    def test_vp_index_forwards_strategy(self):
-        objects = make_objects(300, axis_aligned=True, seed=23)
-        partitioning = analyze_sample(sample_velocities_from_objects(objects))
-        midpoint = make_vp_tprstar_tree(partitioning, buffer_pages=64, page_size=1024)
-        midpoint.bulk_load(objects)
-        velocity = make_vp_tprstar_tree(partitioning, buffer_pages=64, page_size=1024)
-        velocity.bulk_load(objects, strategy="velocity_str")
-        assert len(velocity) == len(midpoint) == len(objects)
-        assert_equivalent_queries(
-            velocity, midpoint, objects, some_queries(SMALL_SPACE, seed=41)
-        )
-
-    def test_bx_tree_ignores_strategy_via_manager(self):
-        # Sorted leaf packing is the Bx-tree's only one: it takes and ignores
-        # the strategy (and the axes) the VP index hands every sub-index.
-        objects = make_objects(200, axis_aligned=True, seed=29)
-        partitioning = analyze_sample(sample_velocities_from_objects(objects))
-        index = make_vp_bx_tree(
-            partitioning, space=SMALL_SPACE, buffer_pages=64, page_size=1024
-        )
-        index.bulk_load(objects, strategy="velocity_str")
-        assert len(index) == len(objects)
-
-
-class TestVelocityBins:
-    def test_bins_by_nearest_axis(self):
-        from repro.bulk import velocity_bins
-        from repro.geometry.vector import Vector
-
-        objects = make_objects(200, axis_aligned=True, seed=43)
-        bins = velocity_bins(objects, axes=[Vector(1.0, 0.0), Vector(0.0, 1.0)])
-        assert sum(len(group) for group in bins) == len(objects)
-        for group, axis in zip(bins, [Vector(1.0, 0.0), Vector(0.0, 1.0)]):
-            for obj in group:
-                assert obj.velocity.perpendicular_distance_to_axis(axis) < 1e-9
-
-    def test_small_input_single_bin(self):
-        from repro.bulk import velocity_bins
-
-        objects = make_objects(2, seed=47)
-        assert velocity_bins(objects) == [objects]
-        assert velocity_bins([]) == []
-
-    def test_min_bin_merges_slivers(self):
-        from repro.bulk import velocity_bins
-        from repro.geometry.vector import Vector
-        from repro.objects.moving_object import MovingObject
-
-        objects = make_objects(47, axis_aligned=True, seed=53)
-        # Three diagonal movers form a sliver bin below min_bin; it must
-        # merge into the largest bin instead of producing an underfull node.
-        for oid in range(47, 50):
-            objects.append(
-                MovingObject(
-                    oid=oid,
-                    position=Point(100.0 * oid, 100.0 * oid),
-                    velocity=Vector(30.0, 30.0),
-                    reference_time=0.0,
-                )
-            )
-        axes = [Vector(1.0, 0.0), Vector(0.0, 1.0), Vector(1.0, 1.0)]
-        unmerged = velocity_bins(objects, axes=axes, min_bin=1)
-        assert sorted(len(group) for group in unmerged)[0] == 3
-        bins = velocity_bins(objects, axes=axes, min_bin=5)
-        assert sum(len(group) for group in bins) == len(objects)
-        assert all(len(group) >= 5 for group in bins)
-        assert len(bins) == len(unmerged) - 1
-
-    def test_vp_index_hands_each_partition_its_axes(self):
-        # Under "velocity_str" a DVA partition bins against its frame's
-        # x-axis alone and the outlier index against the global DVAs; every
-        # other strategy passes no axes.
-        from repro.core.index_manager import OUTLIER_PARTITION
-        from repro.geometry.vector import Vector
-        from repro.objects.moving_object import MovingObject
-
-        objects = make_objects(120, axis_aligned=True, seed=59)
-        partitioning = analyze_sample(sample_velocities_from_objects(objects))
-        objects.append(MovingObject(120, Point(50.0, 50.0), Vector(30.0, 30.0)))
-        for strategy in (None, "midpoint_str", "velocity_str"):
-            index = make_vp_tprstar_tree(partitioning, buffer_pages=64, page_size=1024)
-            seen = {}
-
-            def record(partition, sub):
-                def bulk_load(group, strategy=None, axes=None):
-                    seen[partition] = (strategy, axes)
-                    TPRStarTree.bulk_load(sub, group, strategy=strategy, axes=axes)
-
-                sub.bulk_load = bulk_load
-
-            for partition, sub in enumerate(index.dva_indexes):
-                record(partition, sub)
-            record(OUTLIER_PARTITION, index.outlier_index)
-            index.bulk_load(objects, strategy=strategy)
-            assert len(index) == len(objects)
-            assert set(seen) == {0, 1, OUTLIER_PARTITION}
-            if strategy != "velocity_str":
-                assert set(seen.values()) == {(strategy, None)}
-                continue
-            assert seen[0] == seen[1] == ("velocity_str", [Vector(1.0, 0.0)])
-            assert seen[OUTLIER_PARTITION] == (
-                "velocity_str",
-                [dva.axis for dva in partitioning.dvas],
-            )

@@ -11,6 +11,7 @@ Two tiers (see ``docs/storage.md`` for the recovery state machine):
   recover in the parent and compare against a clean twin.
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -20,9 +21,21 @@ import pytest
 
 import crash_child
 import repro
+from repro.serve import ShardedIndex
 from repro.serve.durable_store import DurableStore
 from repro.storage import FaultProfile, fault_wrap
-from repro.storage.durable import FileDiskManager
+from repro.storage.durable import DurabilityError, FileDiskManager
+
+
+def _create_store(root):
+    """A fresh durable sharded Bx index under ``root`` (``crash_child``'s topology)."""
+    return DurableStore(root, fsync=False).create(
+        crash_child.make_shard,
+        num_shards=crash_child.NUM_SHARDS,
+        space=crash_child.SPACE,
+        buffer_pages=crash_child.BUFFER_PAGES,
+        max_workers=1,
+    )
 
 
 def _twin_with_history(objects, updates):
@@ -52,13 +65,7 @@ def test_clean_close_reopen_replays_nothing(tmp_path):
     objects = crash_child.make_objects()
     updates = crash_child.make_updates(objects)
 
-    index = DurableStore(root, fsync=False).create(
-        crash_child.make_shard,
-        num_shards=crash_child.NUM_SHARDS,
-        space=crash_child.SPACE,
-        buffer_pages=crash_child.BUFFER_PAGES,
-        max_workers=1,
-    )
+    index = _create_store(root)
     index.bulk_load(objects)
     for old, new in updates:
         index.update(old, new)
@@ -82,13 +89,7 @@ def test_abandoned_store_reopen_replays_bounded_tail(tmp_path):
     objects = crash_child.make_objects()
     updates = crash_child.make_updates(objects)
 
-    index = DurableStore(root, fsync=False).create(
-        crash_child.make_shard,
-        num_shards=crash_child.NUM_SHARDS,
-        space=crash_child.SPACE,
-        buffer_pages=crash_child.BUFFER_PAGES,
-        max_workers=1,
-    )
+    index = _create_store(root)
     index.bulk_load(objects)
     index.checkpoint()
     for old, new in updates:
@@ -111,21 +112,14 @@ def test_abandoned_store_reopen_replays_bounded_tail(tmp_path):
     recovered.close()
 
 
-def test_abandoned_bx_store_replays_a_bulk_load_that_named_a_strategy(tmp_path):
-    # The WAL records the strategy the caller passed even though the Bx
-    # family ignores it; no checkpoint follows, so reopening restores the
-    # empty generation-0 image (a bare BxTree) and replays that record.
+def test_abandoned_bx_store_replays_a_bulk_load(tmp_path):
+    # No checkpoint follows the bulk load, so reopening restores the empty
+    # generation-0 image (a bare BxTree) and replays that one record.
     root = str(tmp_path / "store")
     objects = crash_child.make_objects()
 
-    index = DurableStore(root, fsync=False).create(
-        crash_child.make_shard,
-        num_shards=crash_child.NUM_SHARDS,
-        space=crash_child.SPACE,
-        buffer_pages=crash_child.BUFFER_PAGES,
-        max_workers=1,
-    )
-    index.bulk_load(objects, strategy="velocity_str")
+    index = _create_store(root)
+    index.bulk_load(objects)
     live = crash_child.answers(index)
 
     store = DurableStore(root, fsync=False)
@@ -138,18 +132,72 @@ def test_abandoned_bx_store_replays_a_bulk_load_that_named_a_strategy(tmp_path):
     recovered.close()
 
 
+def test_bulk_load_into_a_nonempty_index_is_rejected_before_it_is_logged(tmp_path):
+    # The shards refuse such a load only after its record is in their WAL,
+    # and a record a shard refuses is one every later recovery dies on.
+    root = str(tmp_path / "store")
+    objects = crash_child.make_objects()
+    half = len(objects) // 2
+    in_memory = ShardedIndex.build(
+        "Bx",
+        shards=crash_child.NUM_SHARDS,
+        executor="serial",
+        space=crash_child.SPACE,
+        max_update_interval=crash_child.MAX_UPDATE_INTERVAL,
+        page_size=crash_child.PAGE_SIZE,
+    )
+    durable = _create_store(root)
+    for index in (in_memory, durable):
+        index.bulk_load(objects[:half])
+        logged = [len(index.shard_log(s)) for s in range(index.num_shards)]
+        with pytest.raises(ValueError, match="bulk_load requires an empty index"):
+            index.bulk_load(objects[half:])
+        assert [len(index.shard_log(s)) for s in range(index.num_shards)] == logged
+    live = crash_child.answers(in_memory)
+    assert crash_child.answers(durable) == live
+
+    in_memory.recover_shard(0)
+    assert crash_child.answers(in_memory) == live
+    in_memory.close()
+    # The durable index is abandoned, not closed: reopening replays its WAL.
+    reopened = DurableStore(root, fsync=False).open(max_workers=1)
+    assert crash_child.answers(reopened) == live
+    reopened.close()
+
+
+def test_open_refuses_a_manifest_of_another_version(tmp_path):
+    # The manifest version also covers the WAL record shapes: a store
+    # written by another build is refused whole, not replayed on a guess.
+    root = str(tmp_path / "store")
+    index = _create_store(root)
+    index.bulk_load(crash_child.make_objects())  # abandoned: the WALs hold it
+    manifest_path = os.path.join(root, "MANIFEST.json")
+    with open(manifest_path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    manifest["version"] = 1  # what builds with the (objects, option) bulk_load record wrote
+    with open(manifest_path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
+
+    def snapshot():
+        files = {}
+        for folder, _, names in os.walk(root):
+            for name in names:
+                with open(os.path.join(folder, name), "rb") as handle:
+                    files[os.path.join(folder, name)] = handle.read()
+        return files
+
+    before = snapshot()
+    with pytest.raises(DurabilityError, match="manifest version 1"):
+        DurableStore(root, fsync=False).open(max_workers=1)
+    assert snapshot() == before  # nothing truncated or rewritten
+
+
 def test_explicit_checkpoint_truncates_wals(tmp_path):
     root = str(tmp_path / "store")
     objects = crash_child.make_objects()
     updates = crash_child.make_updates(objects)
 
-    index = DurableStore(root, fsync=False).create(
-        crash_child.make_shard,
-        num_shards=crash_child.NUM_SHARDS,
-        space=crash_child.SPACE,
-        buffer_pages=crash_child.BUFFER_PAGES,
-        max_workers=1,
-    )
+    index = _create_store(root)
     index.bulk_load(objects)
     for old, new in updates:
         index.update(old, new)
@@ -176,13 +224,7 @@ def test_supervised_recovery_restores_durable_shard_from_store(tmp_path):
     objects = crash_child.make_objects()
     updates = crash_child.make_updates(objects)
 
-    index = DurableStore(root, fsync=False).create(
-        crash_child.make_shard,
-        num_shards=crash_child.NUM_SHARDS,
-        space=crash_child.SPACE,
-        buffer_pages=crash_child.BUFFER_PAGES,
-        max_workers=1,
-    )
+    index = _create_store(root)
     index.bulk_load(objects)
     index.checkpoint()
     # Kill shard 0's storage a few physical ops into the update storm.

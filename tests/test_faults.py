@@ -519,7 +519,7 @@ def test_shard_log_rejects_unknown_ops_and_freezes_payloads(workload):
 def test_shard_log_replay_rebuilds_and_returns_last_result(workload):
     objects = list(workload.initial_objects[:20])
     log = ShardLog()
-    log.append("bulk_load", (objects[:10], None))
+    log.append("bulk_load", objects[:10])
     log.append("insert_batch", objects[10:])
     log.append("delete", objects[0])
     replica = build_standard_indexes(workload, PARAMS, which=("Bx",))["Bx"]
@@ -832,9 +832,8 @@ def test_recover_shard_is_explicitly_callable(workload):
         index.close()
 
 
-def test_unversioned_bx_shard_recovers_a_bulk_load_that_named_a_strategy(workload):
-    # The WAL keeps the caller's strategy although Bx ignores it; with
-    # snapshots off the record replays straight into a bare BxTree.
+def test_unversioned_bx_shard_recovers_a_bulk_load(workload):
+    # With snapshots off the record replays straight into a bare BxTree.
     index = ShardedIndex.build(
         "Bx",
         shards=2,
@@ -843,7 +842,7 @@ def test_unversioned_bx_shard_recovers_a_bulk_load_that_named_a_strategy(workloa
         max_update_interval=PARAMS.max_update_interval,
     )
     try:
-        index.bulk_load(workload.initial_objects, strategy="velocity_str")
+        index.bulk_load(workload.initial_objects)
         queries = [e.query for e in workload.query_events]
         before = index.range_query_batch(queries)
         index.recover_shard(0)

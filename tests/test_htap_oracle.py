@@ -88,7 +88,7 @@ def _oracle(index):
 
 def _loaded(index, oracle, workload):
     index.bulk_load(workload.initial_objects)
-    oracle.record_mutation(index.epoch, "bulk_load", (workload.initial_objects, None))
+    oracle.record_mutation(index.epoch, "bulk_load", workload.initial_objects)
 
 
 def _pinned_answers(index, queries, probes):

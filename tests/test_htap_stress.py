@@ -111,7 +111,7 @@ def test_concurrent_pinned_answers_are_oracle_consistent(
     index = _build(workload, executor)
     with index, _oracle(index) as oracle:
         index.bulk_load(workload.initial_objects)
-        oracle.record_mutation(index.epoch, "bulk_load", (workload.initial_objects, None))
+        oracle.record_mutation(index.epoch, "bulk_load", workload.initial_objects)
         report = load_driver.run_htap(
             index,
             oracle,
@@ -146,7 +146,7 @@ def test_sigkill_mid_stream_keeps_post_recovery_epochs_consistent(
     index = _build(workload, "process")
     with index, _oracle(index) as oracle:
         index.bulk_load(workload.initial_objects)
-        oracle.record_mutation(index.epoch, "bulk_load", (workload.initial_objects, None))
+        oracle.record_mutation(index.epoch, "bulk_load", workload.initial_objects)
 
         stop = threading.Event()
         errors: list = []

@@ -5,8 +5,7 @@ Two contracts that everything above the index families leans on:
 * every index — the four families, the VP variants, and the serving
   layer's ``VersionedShard``, process-shard handle and ``ShardedIndex`` —
   satisfies :class:`~repro.core.index_manager.MovingIndex`, including a
-  ``bulk_load`` that takes a ``strategy`` whether or not the family has
-  more than one packing;
+  ``bulk_load`` that takes the objects and nothing else;
 * a ``ShardedIndex`` mutation is exactly one ``(op, payload, epoch)`` WAL
   entry per routed shard, and :func:`~repro.serve.shard_log.apply_record`
   replaying a shard's entries into a fresh shard reproduces that shard's
@@ -20,6 +19,7 @@ import pytest
 from repro.bench.harness import build_standard_indexes
 from repro.core.index_manager import MovingIndex, SubIndex
 from repro.objects.knn import KNNQuery
+from repro.objects.moving_object import MovingObject
 from repro.serve import LOG_OPS, ShardedIndex, VersionedShard
 from repro.serve.shard_log import apply_record
 from repro.workload.events import UpdateEvent
@@ -90,11 +90,8 @@ INDEXES = {
 }
 
 
-@pytest.mark.parametrize("strategy", (None, "velocity_str"))
 @pytest.mark.parametrize("name", list(INDEXES))
-def test_every_index_satisfies_the_protocol_and_loads_with_a_strategy(
-    workload, name, strategy
-):
+def test_every_index_satisfies_the_protocol(workload, name):
     index, owner = INDEXES[name](workload)
     try:
         assert [member for member in MEMBERS if not hasattr(index, member)] == []
@@ -102,8 +99,16 @@ def test_every_index_satisfies_the_protocol_and_loads_with_a_strategy(
         if name in ("Bx", "TPR", "TPR*"):
             assert isinstance(index, SubIndex)
         objects = workload.initial_objects
-        index.bulk_load(objects, strategy=strategy)
+        with pytest.raises(TypeError):
+            index.bulk_load(objects, strategy="velocity_str")
+        assert len(index) == 0
+        index.bulk_load(objects)
         assert len(index) == len(objects)
+        if isinstance(index, ShardedIndex):
+            for sid in range(index.num_shards):
+                ((op, payload, _),) = index.shard_log(sid).entries  # the TypeError logged nothing
+                assert op == "bulk_load" and isinstance(payload, tuple)
+                assert all(isinstance(obj, MovingObject) for obj in payload)
         for event in workload.query_events:
             expected = sorted(obj.oid for obj in objects if event.query.matches(obj))
             assert sorted(index.range_query(event.query)) == expected
@@ -123,7 +128,7 @@ def _mutation_script(workload):
     pairs = [moves[obj.oid] for obj in loaded if obj.oid in moves][:40]
     untouched = [obj for obj in loaded if obj.oid not in moves]
     rows = [
-        ("bulk_load", (loaded, "velocity_str"), loaded),
+        ("bulk_load", (loaded,), loaded),
         ("insert", (spare[0],), spare[:1]),
         ("insert_batch", (spare[1:30],), spare[1:30]),
         ("update", pairs[0], [pairs[0][0]]),
