@@ -573,7 +573,19 @@ class BPlusTree:
                 just-scanned leaves would evict exactly the pages the next
                 round needs.
         """
-        results: List[List[Tuple[int, Any]]] = [[] for _ in ranges]
+        return self._leaf_sweep(ranges, sequential_hint, with_keys=True)
+
+    def range_values_batch(
+        self, ranges: Sequence[Tuple[int, int]], sequential_hint: bool = True
+    ) -> List[List[Any]]:
+        """:meth:`range_search_batch` without the keys: the same sweep, values only."""
+        return self._leaf_sweep(ranges, sequential_hint, with_keys=False)
+
+    def _leaf_sweep(
+        self, ranges: Sequence[Tuple[int, int]], sequential_hint: bool, with_keys: bool
+    ) -> List[list]:
+        """The one batched leaf sweep; per range ``(key, value)`` pairs or values."""
+        results: List[list] = [[] for _ in ranges]
         order = sorted(range(len(ranges)), key=lambda i: ranges[i][0])
         leaf: Optional[_LeafNode] = None
         buffer = self.buffer
@@ -592,8 +604,9 @@ class BPlusTree:
                     keys = node.keys
                     start = bisect.bisect_left(keys, key_lo)
                     stop = bisect.bisect_right(keys, key_hi)
-                    for j in range(start, stop):
-                        out.append((keys[j], node.values[j]))
+                    if start < stop:
+                        values = node.values[start:stop]
+                        out.extend(zip(keys[start:stop], values) if with_keys else values)
                     if stop < len(keys) or node.next_leaf is None:
                         break
                     node = self._node(node.next_leaf)

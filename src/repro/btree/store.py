@@ -12,10 +12,17 @@ to this one; see ``docs/backends.md``.
 
 from __future__ import annotations
 
+from itertools import accumulate, chain
+from operator import attrgetter
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.btree.bplus_tree import BPlusTree
+from repro.objects.knn import motion_rows
 from repro.storage.buffer_manager import BufferManager
+
+_OID = attrgetter("oid")
 
 
 class BTreeKeyStore:
@@ -76,29 +83,23 @@ class BTreeKeyStore:
         return self.tree.range_search_batch(ranges, sequential_hint=sequential_hint)
 
     def knn_candidates_batch(
-        self, ranges: Sequence[Tuple[int, int]]
-    ) -> List[List[Tuple[int, float, float, float, float, float]]]:
-        """Per-range candidate motion states ``(oid, px, py, vx, vy, rt)``.
+        self, ranges: Sequence[Tuple[int, int]], ids_only: bool = False
+    ) -> List[np.ndarray]:
+        """Per-range candidates: ``MOTION`` rows, or ``int64`` oids with ``ids_only``.
 
-        No sequential-eviction hint: the kNN filter rounds re-scan grown
-        versions of these same ranges, so the just-scanned leaves are
-        exactly the pages the next round wants resident.
+        One values-only leaf sweep and one array for the whole batch, cut
+        into per-range slices.  No sequential-eviction hint: the kNN filter
+        rounds re-scan grown versions of these same ranges, so the
+        just-scanned leaves are exactly the pages the next round wants.
         """
-        scans = self.tree.range_search_batch(ranges, sequential_hint=False)
-        return [
-            [
-                (
-                    obj.oid,
-                    obj.position.x,
-                    obj.position.y,
-                    obj.velocity.vx,
-                    obj.velocity.vy,
-                    obj.reference_time,
-                )
-                for _, obj in scanned
-            ]
-            for scanned in scans
-        ]
+        scans = self.tree.range_values_batch(ranges, sequential_hint=False)
+        stops = list(accumulate(map(len, scans)))
+        values = chain.from_iterable(scans)
+        if ids_only:
+            flat = np.fromiter(map(_OID, values), np.int64)
+        else:
+            flat = motion_rows(values)
+        return [flat[start:stop] for start, stop in zip([0] + stops, stops)]
 
     def items(self) -> Iterator[Tuple[int, Any]]:
         return self.tree.items()

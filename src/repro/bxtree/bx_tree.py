@@ -50,7 +50,7 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.objects.knn import (
     AdaptiveRadius,
-    CandidateState,
+    MOTION,
     KNNQuery,
     expanding_knn_batch,
 )
@@ -534,16 +534,18 @@ class BxTree:
         )
 
     def knn_candidates_batch(
-        self, queries: Sequence[RangeQuery]
-    ) -> List[List[CandidateState]]:
-        """Candidate motion states per filter query (one shared sweep per partition).
+        self, queries: Sequence[RangeQuery], ids_only: bool = False
+    ) -> List[np.ndarray]:
+        """Candidate ``MOTION`` rows per filter query (one shared sweep per partition).
 
         The unrefined twin of :meth:`range_query_batch`: the same enlarged
-        windows and merged curve ranges, but the scanned B+-tree records are
-        returned as flat motion states (for the kNN distance ranking)
-        instead of being filtered with the exact query predicate.
+        windows and merged curve ranges, but the scanned records come back
+        as one motion array per query (for the kNN distance ranking)
+        instead of being filtered with the exact query predicate.  With
+        ``ids_only`` the arrays hold just the ``int64`` oids — what the VP
+        index asks for, since it ranks the original, unrotated records.
         """
-        out: List[dict] = [{} for _ in queries]
+        found: List[List[np.ndarray]] = [[] for _ in queries]
         curve_size = self._curve_size
         for partition in self.active_partitions:
             base_key = partition * curve_size
@@ -555,19 +557,16 @@ class BxTree:
                     ranges.append((base_key + lo, base_key + hi))
                     owners.append(qi)
             # Candidate extraction is the store's job (the flat backend
-            # serves it from SoA motion columns without touching the
-            # payload objects); only the cross-partition oid dedup stays
-            # here.  The store skips the sequential-eviction hint: the
+            # serves it from its motion slab without touching the payload
+            # objects).  The store skips the sequential-eviction hint: the
             # kNN filter rounds re-scan grown versions of these same
             # ranges, so the just-scanned leaves are exactly the pages
             # the next round wants resident.
-            scans = self.store.knn_candidates_batch(ranges)
+            scans = self.store.knn_candidates_batch(ranges, ids_only=ids_only)
             for qi, scanned in zip(owners, scans):
-                pool = out[qi]
-                for candidate in scanned:
-                    if candidate[0] not in pool:
-                        pool[candidate[0]] = candidate
-        return [list(pool.values()) for pool in out]
+                found[qi].append(scanned)
+        empty = np.empty(0, dtype=np.int64 if ids_only else MOTION)
+        return [np.concatenate(arrays) if arrays else empty for arrays in found]
 
     def enlarged_window(self, query: RangeQuery, partition: int) -> Rect:
         """Query window enlarged back to the partition's label time.

@@ -44,18 +44,8 @@ from typing import (
 import numpy as np
 
 from repro.btree.store import BTreeKeyStore
+from repro.objects.knn import MOTION, motion_rows
 from repro.storage.buffer_manager import BufferManager
-
-#: Flat candidate motion state: ``(oid, px, py, vx, vy, reference_time)``.
-CandidateState = Tuple[int, float, float, float, float, float]
-
-#: One slab row of the motion array; ``.tolist()`` yields a CandidateState.
-MOTION = np.dtype([("oid", "i8")] + [(name, "f8") for name in ("x", "y", "vx", "vy", "t")])
-
-
-def _motion_row(o: Any) -> CandidateState:
-    """The candidate state of one motion payload (AttributeError if opaque)."""
-    return o.oid, o.position.x, o.position.y, o.velocity.vx, o.velocity.vy, o.reference_time
 
 
 def _object_array(values: Sequence[Any]) -> np.ndarray:
@@ -118,9 +108,9 @@ class KeyStore(Protocol):
     ) -> List[List[Tuple[int, Any]]]: ...
 
     def knn_candidates_batch(
-        self, ranges: Sequence[Tuple[int, int]]
-    ) -> List[List[CandidateState]]:
-        """Per-range candidate motion states ``(oid, px, py, vx, vy, rt)``."""
+        self, ranges: Sequence[Tuple[int, int]], ids_only: bool = False
+    ) -> List[np.ndarray]:
+        """Per-range candidates: ``MOTION`` rows, or ``int64`` oids with ``ids_only``."""
         ...
 
     def items(self) -> Iterator[Tuple[int, Any]]: ...
@@ -344,19 +334,18 @@ class FlatKeyStore:
         ]
 
     def knn_candidates_batch(
-        self, ranges: Sequence[Tuple[int, int]]
-    ) -> List[List[CandidateState]]:
+        self, ranges: Sequence[Tuple[int, int]], ids_only: bool = False
+    ) -> List[np.ndarray]:
         if not ranges:
             return []
         lo_idx, hi_idx = self._bounds(ranges)
         slots, rows = self._slots, self._motion
-        if rows is None:
+        if rows is None:  # opaque payloads: read the attributes per call
             payload = self._payload
-            return [
-                [_motion_row(o) for o in payload[slots[lo:hi]]]
-                for lo, hi in zip(lo_idx, hi_idx)
-            ]
-        return [rows[slots[lo:hi]].tolist() if hi > lo else [] for lo, hi in zip(lo_idx, hi_idx)]
+            found = [motion_rows(payload[slots[lo:hi]]) for lo, hi in zip(lo_idx, hi_idx)]
+            return [rows["oid"] for rows in found] if ids_only else found
+        column = rows["oid"] if ids_only else rows
+        return [column[slots[lo:hi]] for lo, hi in zip(lo_idx, hi_idx)]
 
     def items(self) -> Iterator[Tuple[int, Any]]:
         return zip(self._keys.tolist(), self._payload[self._slots].tolist())
@@ -408,7 +397,7 @@ class FlatKeyStore:
         self._payload[slots] = _object_array(values)
         if self._motion is not None:
             try:
-                self._motion[slots] = np.fromiter(map(_motion_row, values), MOTION, len(values))
+                self._motion[slots] = motion_rows(values)
             except AttributeError:
                 self._motion = None
 
@@ -458,7 +447,6 @@ def make_key_store(
 __all__ = [
     "KEY_STORES",
     "BTreeKeyStore",
-    "CandidateState",
     "FlatKeyStore",
     "KeyStore",
     "make_key_store",

@@ -25,6 +25,7 @@ gets, so the comparison is not biased by extra RAM.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
@@ -36,9 +37,9 @@ from repro.geometry.vector import Vector
 from repro.core.velocity_analyzer import VelocityPartitioning
 from repro.objects.knn import (
     AdaptiveRadius,
-    CandidateState,
     KNNQuery,
     expanding_knn_batch,
+    motion_rows,
 )
 from repro.objects.moving_object import MovingObject
 from repro.objects.queries import (
@@ -50,6 +51,8 @@ from repro.storage.buffer_manager import BufferManager
 
 #: Index of the outlier partition in :class:`VPIndex`'s partition numbering.
 OUTLIER_PARTITION = -1
+
+_ORIGINAL = attrgetter("original")
 
 
 @runtime_checkable
@@ -135,9 +138,13 @@ class SubIndex(MovingIndex, Protocol):
         """One mixed sweep: ``(delete flags, how many update olds existed)``."""
 
     def knn_candidates_batch(
-        self, queries: Sequence[RangeQuery]
-    ) -> List[List[CandidateState]]:
-        """Per-query candidate motion states, unfiltered and without eviction hints."""
+        self, queries: Sequence[RangeQuery], ids_only: bool = False
+    ) -> List[np.ndarray]:
+        """Per-query unfiltered candidates, scanned without eviction hints.
+
+        One ``repro.objects.knn.MOTION`` array per query, or one ``int64``
+        array of just the oids with ``ids_only``.
+        """
 
 
 @dataclass(slots=True)
@@ -549,53 +556,31 @@ class VPIndex:
             radius_state=radius_state,
         )
 
-    def _knn_candidates_batch(
-        self, queries: Sequence[RangeQuery]
-    ) -> List[List[CandidateState]]:
-        """Candidate motion states per filter query across every partition.
+    def _knn_candidates_batch(self, queries: Sequence[RangeQuery]) -> List[np.ndarray]:
+        """Candidate ``MOTION`` rows per filter query across every partition.
 
         The unrefined twin of :meth:`range_query_batch`: the sub-indexes
-        return raw candidate ids from their rotated frames, and each id is
-        resolved through the directory to its *original* (unrotated)
-        snapshot so the kNN distance ranking happens in the frame the query
-        was asked in.
+        return bare candidate ids from their rotated frames (the kNN
+        candidate surface: same shared machinery as ``range_query_batch``,
+        but without the one-pass eviction hint — filter rounds re-scan
+        grown windows — and without the exact predicate), and each distinct
+        id is resolved once through the directory to its *original*
+        (unrotated) snapshot, so the kNN distance ranking happens in the
+        frame the query was asked in and no rotated row is ever built.
         """
         queries = list(queries)
-        pools: List[dict] = [{} for _ in queries]
-        directory = self._directory
-
-        def run(index: SubIndex, transformed: List[RangeQuery]) -> None:
-            """Resolve one sub-index's raw candidates into motion states."""
-            # The kNN-specific candidate surface: same shared machinery as
-            # range_query_batch, but without the one-pass eviction hint
-            # (filter rounds re-scan grown windows) and without the exact
-            # predicate (we re-rank in the original frame anyway).
-            for qi, states in enumerate(index.knn_candidates_batch(transformed)):
-                pool = pools[qi]
-                for state in states:
-                    oid = state[0]
-                    if oid in pool:
-                        continue
-                    record = directory.get(oid)
-                    if record is None:
-                        continue
-                    original = record.original
-                    pool[oid] = (
-                        oid,
-                        original.position.x,
-                        original.position.y,
-                        original.velocity.vx,
-                        original.velocity.vy,
-                        original.reference_time,
-                    )
-
-        for partition in range(self.partitioning.k):
-            run(
-                self._index_of(partition),
-                [self.transform_query(query, partition) for query in queries],
+        scans = [
+            self._index_of(partition).knn_candidates_batch(
+                [self.transform_query(query, partition) for query in queries], ids_only=True
             )
-        run(self.outlier_index, queries)
-        return [list(pool.values()) for pool in pools]
+            for partition in range(self.partitioning.k)
+        ]
+        scans.append(self.outlier_index.knn_candidates_batch(queries, ids_only=True))
+        lookup = self._directory.get
+        return [
+            motion_rows(map(_ORIGINAL, filter(None, map(lookup, np.unique(found).tolist()))))
+            for found in map(np.concatenate, zip(*scans))
+        ]
 
     def transform_query(self, query: RangeQuery, partition: int) -> RangeQuery:
         """Rotate ``query`` into the coordinate frame of ``partition``.

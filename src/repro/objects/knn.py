@@ -20,12 +20,12 @@ Two surfaces are provided:
   ``knn_query_batch`` methods.  A whole batch of :class:`KNNQuery` probes
   shares each expanding-range *round*: all still-unfinished queries issue
   their circular filter queries together (one shared index traversal per
-  round), candidate motion states accumulate per query, and the
-  candidate-ranking distance pass runs vectorized over numpy arrays.  An
-  optional :class:`AdaptiveRadius` carries the final radii of one batch
-  into the initial radii of the next, which saves filter rounds without
-  ever changing answers (the stopping rule and the final in-circle ranking
-  are radius-schedule independent).
+  round), candidate motion rows accumulate per query in one
+  :data:`MOTION` array, and the candidate-ranking distance pass runs
+  vectorized over its columns.  An optional :class:`AdaptiveRadius`
+  carries the final radii of one batch into the initial radii of the next,
+  which saves filter rounds without ever changing answers (the stopping
+  rule and the final in-circle ranking are radius-schedule independent).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import median
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,14 +55,39 @@ DEFAULT_INITIAL_RADIUS = 100.0
 #: configurations.
 DEFAULT_MAX_ROUNDS = 64
 
-#: A candidate's flat motion state: ``(oid, x, y, vx, vy, reference_time)``.
+#: One candidate's motion record — the one currency of the kNN path, from
+#: the key store to the ranker (and the slab row of the flat key store).
+MOTION = np.dtype([("oid", "i8")] + [(name, "f8") for name in ("x", "y", "vx", "vy", "t")])
+
+#: What ``row.tolist()`` of a :data:`MOTION` row yields:
+#: ``(oid, x, y, vx, vy, reference_time)``.
 CandidateState = Tuple[int, float, float, float, float, float]
 
 #: Per-round candidate provider: maps the active queries' circular filter
-#: queries to one list of candidate motion states per query.  Providers may
-#: return supersets (unrefined index candidates); the driver ranks by exact
+#: queries to one :data:`MOTION` array of candidates per query.  Providers
+#: may return supersets (unrefined index candidates) in any order and may
+#: repeat rows; the driver keeps the first row seen per oid, ranks by exact
 #: predicted distance and never trusts the provider's filtering.
-CandidateProvider = Callable[[List[RangeQuery]], List[List[CandidateState]]]
+CandidateProvider = Callable[[List[RangeQuery]], List[np.ndarray]]
+
+
+def motion_rows(objects: Iterable[MovingObject]) -> np.ndarray:
+    """The :data:`MOTION` array of ``objects`` (AttributeError if one is opaque).
+
+    The rows are gathered in a list on purpose.  ``np.fromiter`` over a
+    generator is a third faster, but then no container a kNN request
+    allocates outlives a statement, CPython's cyclic collector stops
+    running inside kNN, and the young generation that updates fill is swept
+    during update requests instead (``replay-bx`` ``update_p95_ms`` +35 %;
+    ROADMAP § Performance, PR 20).
+    """
+    return np.array(
+        [
+            (o.oid, o.position.x, o.position.y, o.velocity.vx, o.velocity.vy, o.reference_time)
+            for o in objects
+        ],
+        dtype=MOTION,
+    )
 
 
 @dataclass(frozen=True)
@@ -163,10 +188,11 @@ def expanding_knn_batch(
 
     Every round issues the circular filter queries of all still-unfinished
     probes together through ``candidates_for`` (one shared traversal for the
-    whole round), accumulates the returned candidate motion states per
-    probe, and retires the probes whose circle provably contains their k
-    nearest.  The distance pass that decides retirement and ranks the final
-    answers runs vectorized over numpy arrays.
+    whole round), merges the returned candidate rows into the probe's
+    pool (one :data:`MOTION` array, the first row seen per oid wins), and
+    retires the probes whose circle provably contains their k nearest.  The
+    distance pass that decides retirement and ranks the final answers runs
+    vectorized over the pool's columns.
 
     Args:
         candidates_for: per-round candidate provider (see
@@ -203,7 +229,7 @@ def expanding_knn_batch(
             max_radii.append(math.hypot(space.width, space.height))
         else:
             max_radii.append(radius * (RADIUS_GROWTH_FACTOR ** DEFAULT_MAX_ROUNDS))
-    candidates: List[Dict[int, CandidateState]] = [{} for _ in queries]
+    pools: List[np.ndarray] = [np.empty(0, dtype=MOTION)] * n
     active = [i for i in range(n) if queries[i].k > 0]
     for i in range(n):
         if queries[i].k <= 0:
@@ -221,11 +247,11 @@ def expanding_knn_batch(
         fetched = candidates_for(filter_queries)
         rounds += 1
         still_active: List[int] = []
-        for i, states in zip(active, fetched):
-            pool = candidates[i]
-            for state in states:
-                if state[0] not in pool:
-                    pool[state[0]] = state
+        for i, rows in zip(active, fetched):
+            # np.unique's indices name the first occurrence of each oid:
+            # earlier rounds' rows come first, so they win.
+            seen = np.concatenate((pools[i], rows))
+            pool = pools[i] = seen[np.unique(seen["oid"], return_index=True)[1]]
             query = queries[i]
             oids, distances = _rank_distances(pool, query.center, query.query_time)
             in_circle = distances <= radii[i]
@@ -256,23 +282,13 @@ def expanding_knn_batch(
 
 
 def _rank_distances(
-    pool: Dict[int, CandidateState], center: Point, query_time: float
+    pool: np.ndarray, center: Point, query_time: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized predicted distances of a candidate pool at ``query_time``."""
-    m = len(pool)
-    if m == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    states = list(pool.values())
-    oids = np.fromiter((s[0] for s in states), np.int64, m)
-    xs = np.fromiter((s[1] for s in states), np.float64, m)
-    ys = np.fromiter((s[2] for s in states), np.float64, m)
-    vxs = np.fromiter((s[3] for s in states), np.float64, m)
-    vys = np.fromiter((s[4] for s in states), np.float64, m)
-    trefs = np.fromiter((s[5] for s in states), np.float64, m)
-    dt = query_time - trefs
-    px = xs + vxs * dt
-    py = ys + vys * dt
-    return oids, np.hypot(px - center.x, py - center.y)
+    """Oids and predicted distances at ``query_time`` of a :data:`MOTION` pool."""
+    dt = query_time - pool["t"]
+    px = pool["x"] + pool["vx"] * dt
+    py = pool["y"] + pool["vy"] * dt
+    return pool["oid"], np.hypot(px - center.x, py - center.y)
 
 
 def _top_k(

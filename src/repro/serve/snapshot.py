@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.objects.knn import AdaptiveRadius, KNNQuery, _rank_distances
+from repro.objects.knn import AdaptiveRadius, KNNQuery, _rank_distances, motion_rows
 from repro.objects.moving_object import MovingObject
 from repro.objects.queries import RangeQuery
 
@@ -332,18 +332,7 @@ class VersionedShard:
         raw = self.base.knn_query_batch(
             widened, space=space, radius_state=radius_state
         )
-        pool = {
-            oid: (
-                oid,
-                state.position.x,
-                state.position.y,
-                state.velocity.vx,
-                state.velocity.vy,
-                state.reference_time,
-            )
-            for oid, state in states.items()
-            if state is not None
-        }
+        pool = motion_rows(state for state in states.values() if state is not None)
         # The expanding search never returns candidates beyond the space
         # diagonal; the brute-forced epoch states honour the same cap.
         cap = math.hypot(space.width, space.height) if space is not None else None
@@ -353,13 +342,12 @@ class VersionedShard:
                 reconciled.append([])
                 continue
             merged = [pair for pair in ranked if pair[0] not in states]
-            if pool:
-                oids, distances = _rank_distances(pool, query.center, query.query_time)
-                merged.extend(
-                    (int(oid), float(distance))
-                    for oid, distance in zip(oids, distances)
-                    if cap is None or distance <= cap
-                )
+            oids, distances = _rank_distances(pool, query.center, query.query_time)
+            merged.extend(
+                (int(oid), float(distance))
+                for oid, distance in zip(oids, distances)
+                if cap is None or distance <= cap
+            )
             merged.sort(key=lambda pair: (pair[1], pair[0]))
             reconciled.append(merged[: query.k])
         return reconciled

@@ -47,6 +47,7 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.objects.knn import (
     AdaptiveRadius,
+    MOTION,
     CandidateState,
     KNNQuery,
     expanding_knn_batch,
@@ -528,21 +529,25 @@ class TPRTree:
         )
 
     def knn_candidates_batch(
-        self, queries: Sequence[RangeQuery]
-    ) -> List[List[CandidateState]]:
-        """Unrefined candidate motion states per query (one shared traversal).
+        self, queries: Sequence[RangeQuery], ids_only: bool = False
+    ) -> List[np.ndarray]:
+        """Unrefined candidate ``MOTION`` rows per query (one shared traversal).
 
         The kNN-filter twin of :meth:`range_query_batch`: same shared,
-        buffer-hinted traversal, but candidates come back as flat motion
-        states for the distance ranking instead of being refined with the
-        exact range predicate.  The VP index manager also calls this to
-        collect per-partition candidates without paying the exact filter in
-        the rotated frame.
+        buffer-hinted traversal, but candidates come back as one motion
+        array per query for the distance ranking instead of being refined
+        with the exact range predicate.  The VP index calls this with
+        ``ids_only`` to collect each partition's candidates as bare
+        ``int64`` oids (the leaves' ref column), paying neither the exact
+        filter nor the motion rows of the rotated frame.
         """
-        return self._shared_search(queries)
+        dtype = np.int64 if ids_only else MOTION
+        return [np.array(found, dtype=dtype) for found in self._shared_search(queries, ids_only)]
 
-    def _shared_search(self, queries: Sequence[RangeQuery]) -> List[List[CandidateState]]:
-        """Candidate motion states per query from ONE hinted shared traversal.
+    def _shared_search(
+        self, queries: Sequence[RangeQuery], ids_only: bool = False
+    ) -> List[list]:
+        """Candidate motion states (or bare oids) per query from ONE hinted shared traversal.
 
         The pre-order traversal visits each node at most once for the whole
         query group.  While it runs, the buffer manager is advised that a
@@ -581,7 +586,7 @@ class TPRTree:
                     query.end_time,
                 )
             )
-        out: List[List[CandidateState]] = [[] for _ in queries]
+        out: List[list] = [[] for _ in queries]
         # One (num_queries, 11) float matrix for the whole traversal: the
         # vectorized per-node intersect pass slices its active rows out of
         # it instead of re-packing tuples at every node.
@@ -590,7 +595,7 @@ class TPRTree:
         buffer.advise_sequential(True)
         try:
             self._search_many(
-                self.root_page_id, list(range(len(queries))), infos, infos_arr, out, []
+                self.root_page_id, list(range(len(queries))), infos, infos_arr, out, [], ids_only
             )
         finally:
             buffer.release_frontier()
@@ -603,8 +608,9 @@ class TPRTree:
         active: List[int],
         infos: List[Tuple],
         infos_arr,
-        out: List[List[CandidateState]],
+        out: List[list],
         path: List[int],
+        ids_only: bool,
     ) -> None:
         """Pre-order traversal testing each entry against all active queries.
 
@@ -619,7 +625,8 @@ class TPRTree:
         tuples for the scalar per-entry loops and as one ``(Q, 11)`` float
         matrix for the vectorized per-node pass, which kicks in once the
         node's ``active x entries`` grid reaches
-        :data:`VECTOR_MATCH_MIN_WORK`.
+        :data:`VECTOR_MATCH_MIN_WORK`.  With ``ids_only`` a leaf hit
+        records the entry's oid instead of its motion state.
         """
         node = self._node(page_id)
         is_leaf = node.is_leaf
@@ -652,11 +659,12 @@ class TPRTree:
                         active[j] for j in np.nonzero(matrix[:, i])[0].tolist()
                     ]
                 if is_leaf:
-                    state = (refs[i], x0s[i], y0s[i], vx0s[i], vy0s[i], trefs[i])
+                    oid = refs[i]
+                    state = oid if ids_only else (oid, x0s[i], y0s[i], vx0s[i], vy0s[i], trefs[i])
                     for qi in matching:
                         out[qi].append(state)
                 else:
-                    self._search_many(refs[i], matching, infos, infos_arr, out, path)
+                    self._search_many(refs[i], matching, infos, infos_arr, out, path, ids_only)
         elif len(active) == 1:
             # Once a subtree concerns a single query — the common case as
             # soon as the batch's probes separate spatially — skip the
@@ -672,9 +680,9 @@ class TPRTree:
                 ):
                     continue
                 if is_leaf:
-                    bucket.append((refs[i], bx0, by0, bvx0, bvy0, bref))
+                    bucket.append(refs[i] if ids_only else (refs[i], bx0, by0, bvx0, bvy0, bref))
                 else:
-                    self._search_many(refs[i], active, infos, infos_arr, out, path)
+                    self._search_many(refs[i], active, infos, infos_arr, out, path, ids_only)
         else:
             for i, (bx0, by0, bx1, by1, bvx0, bvy0, bvx1, bvy1, bref) in enumerate(
                 zip(*node.columns)
@@ -689,11 +697,11 @@ class TPRTree:
                 if not matching:
                     continue
                 if is_leaf:
-                    state = (refs[i], bx0, by0, bvx0, bvy0, bref)
+                    state = refs[i] if ids_only else (refs[i], bx0, by0, bvx0, bvy0, bref)
                     for qi in matching:
                         out[qi].append(state)
                 else:
-                    self._search_many(refs[i], matching, infos, infos_arr, out, path)
+                    self._search_many(refs[i], matching, infos, infos_arr, out, path, ids_only)
         if not is_leaf:
             path.pop()
 

@@ -17,6 +17,7 @@ motion slab.  The factory tests pin the ``make_key_store`` idiom to its
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,7 @@ from repro.bxtree import (
 )
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
+from repro.objects.knn import MOTION
 from repro.objects.moving_object import MovingObject
 from repro.storage.buffer_manager import BufferManager
 
@@ -126,7 +128,7 @@ def test_motion_payload_interleavings_keep_the_slab_current(loaded, ops):
     for op in [None, *ops]:
         if op is not None:
             assert _apply(paged, op) == _apply(flat, op)
-        assert flat.knn_candidates_batch(ranges) == paged.knn_candidates_batch(ranges)
+        assert _candidate_lists(flat, ranges) == _candidate_lists(paged, ranges)
         assert list(flat.items()) == list(paged.items())
         assert flat._motion is not None and len(flat._motion) == len(flat._payload)
         live = flat._slots.tolist()
@@ -172,6 +174,19 @@ def test_bulk_load_matches_btree(pairs):
 # ----------------------------------------------------------------------
 def _candidate(o):
     return (o.oid, o.position.x, o.position.y, o.velocity.vx, o.velocity.vy, o.reference_time)
+
+
+def _candidate_lists(store, ranges):
+    """``store``'s per-range ``MOTION`` candidates as lists of ``CandidateState``.
+
+    Also holds the ``ids_only`` form to the ``oid`` column of the full one.
+    """
+    rows = store.knn_candidates_batch(ranges)
+    oids = store.knn_candidates_batch(ranges, ids_only=True)
+    assert all(found.dtype == MOTION for found in rows)
+    assert all(ids.dtype == np.int64 for ids in oids)
+    assert [found["oid"].tolist() for found in rows] == [ids.tolist() for ids in oids]
+    return [found.tolist() for found in rows]
 
 
 def test_empty_store_edges():
@@ -224,9 +239,10 @@ def test_knn_candidates_match_btree_backend():
     for store in (paged, flat):
         store.bulk_load([(i % 5, obj) for i, obj in enumerate(objects)])
     ranges = [(0, 2), (3, 4), (4, 3), (0, 10)]
-    expected = paged.knn_candidates_batch(ranges)
-    actual = flat.knn_candidates_batch(ranges)
+    expected = _candidate_lists(paged, ranges)
+    actual = _candidate_lists(flat, ranges)
     assert expected == actual
+    assert [len(per_range) for per_range in actual] == [8, 4, 0, 12]
     for per_range in actual:
         for cand in per_range:
             assert type(cand[0]) is int
@@ -244,7 +260,7 @@ def test_knn_candidates_fall_back_for_opaque_payloads():
     ]
     for i, obj in enumerate(objects):
         flat.insert(i, obj)
-    assert flat.knn_candidates_batch([(0, 2)]) == [
+    assert _candidate_lists(flat, [(0, 2)]) == [
         [(o.oid, 1.0, 2.0, 0.0, 0.0, 0.0) for o in objects]
     ]
 
@@ -256,13 +272,14 @@ def test_opaque_payload_drops_the_motion_slab_for_good():
     flat.bulk_load(list(enumerate(objects)))
     expected = [[_candidate(o) for o in objects]]
     assert flat._motion is not None
-    assert flat.knn_candidates_batch([(0, 3)]) == expected
+    assert _candidate_lists(flat, [(0, 3)]) == expected
 
     flat.apply_batch(inserts=[(9, "opaque")])
     assert flat._motion is None
-    assert flat.knn_candidates_batch([(0, 3)]) == expected
-    with pytest.raises(AttributeError):
-        flat.knn_candidates_batch([(0, 9)])
+    assert _candidate_lists(flat, [(0, 3)]) == expected
+    for ids_only in (False, True):
+        with pytest.raises(AttributeError):
+            flat.knn_candidates_batch([(0, 9)], ids_only=ids_only)
 
     # The slab does not come back once the opaque payload is gone, and
     # later writes (growth included) keep serving by attribute access.
@@ -270,7 +287,7 @@ def test_opaque_payload_drops_the_motion_slab_for_good():
     extra = [_motion(i) for i in range(4, 12)]
     flat.apply_batch(inserts=[(4 + i, obj) for i, obj in enumerate(extra)])
     assert flat._motion is None
-    assert flat.knn_candidates_batch([(0, 20)]) == [
+    assert _candidate_lists(flat, [(0, 20)]) == [
         [_candidate(o) for o in objects + extra]
     ]
 

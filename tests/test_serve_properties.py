@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.vector import Vector
-from repro.objects.knn import KNNQuery, _rank_distances
+from repro.objects.knn import KNNQuery, _rank_distances, motion_rows
 from repro.objects.moving_object import MovingObject
 from repro.objects.queries import RangeQuery, RectangularRange
 from repro.serve import ShardedIndex, shard_of
@@ -170,18 +170,7 @@ def test_knn_merge_equals_brute_force_top_k(objects, k, cx, cy, query_time):
     divergence is a merge bug, not float noise.
     """
     probe = KNNQuery(center=Point(cx, cy), k=k, query_time=query_time, issue_time=0.0)
-    pool = {
-        obj.oid: (
-            obj.oid,
-            obj.position.x,
-            obj.position.y,
-            obj.velocity.vx,
-            obj.velocity.vy,
-            obj.reference_time,
-        )
-        for obj in objects
-    }
-    oids, distances = _rank_distances(pool, probe.center, probe.query_time)
+    oids, distances = _rank_distances(motion_rows(objects), probe.center, probe.query_time)
     order = np.lexsort((oids, distances))
     expected = [(int(oids[j]), float(distances[j])) for j in order[:k]]
 
