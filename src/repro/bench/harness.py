@@ -241,11 +241,6 @@ class KNNMetrics:
         return self.io_total / self.num_queries if self.num_queries else 0.0
 
     @property
-    def avg_node_accesses(self) -> float:
-        """Average logical node accesses per kNN probe."""
-        return self.node_accesses / self.num_queries if self.num_queries else 0.0
-
-    @property
     def avg_time_ms(self) -> float:
         """Average wall-clock milliseconds per kNN probe."""
         if not self.num_queries:

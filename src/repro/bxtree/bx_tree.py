@@ -24,8 +24,9 @@ Range queries are answered per partition:
 **Per-object versus batch API.**  Mirroring ``geometry/kernels.py`` and
 ``btree/bplus_tree.py``, the index exposes two update/query surfaces with
 identical semantics.  ``insert``/``delete``/``update``/``range_query`` is
-the per-object protocol shared with the TPR-tree family; use it for
-isolated operations.  ``insert_batch``/``delete_batch``/``update_batch``/
+the per-object algorithm (small batches fall back to it, and it overrides
+the batch-of-one :class:`~repro.objects.knn.ScalarVerbs`, which supplies
+``knn_query``); use it for isolated operations.  ``insert_batch``/``delete_batch``/``update_batch``/
 ``range_query_batch`` amortize co-arriving work: Bx keys, label positions
 and histogram cells for a whole batch are computed in one pass over flat
 numpy arrays, the underlying B+-tree is swept left-to-right with shared
@@ -52,6 +53,7 @@ from repro.objects.knn import (
     AdaptiveRadius,
     MOTION,
     KNNQuery,
+    ScalarVerbs,
     expanding_knn_batch,
 )
 from repro.objects.moving_object import MovingObject
@@ -91,7 +93,7 @@ DEFAULT_RANGE_MERGE_GAP = 64
 MIN_VECTOR_BATCH = 8
 
 
-class BxTree:
+class BxTree(ScalarVerbs):
     """Bx-tree over a pluggable 1-D key store (paged B+-tree by default)."""
 
     name = "Bx"
@@ -473,33 +475,6 @@ class BxTree:
     # ------------------------------------------------------------------
     # kNN queries (batched expanding-range filter over the shared sweep)
     # ------------------------------------------------------------------
-    def knn_query(
-        self,
-        center: Point,
-        k: int,
-        query_time: float,
-        issue_time: float = 0.0,
-        space: Optional[Rect] = None,
-        radius_state: Optional[AdaptiveRadius] = None,
-    ) -> List[Tuple[int, float]]:
-        """The ``k`` objects predicted to be nearest ``center`` at ``query_time``.
-
-        Single-probe convenience over :meth:`knn_query_batch`.
-
-        Args:
-            center: query point.
-            k: number of neighbours requested.
-            query_time: the (future) timestamp the prediction refers to.
-            issue_time: the current time the query is issued at.
-            space: data space override; defaults to the index's own space.
-            radius_state: optional cross-batch adaptive radius seed.
-
-        Returns:
-            Up to ``k`` ``(oid, distance)`` pairs sorted by ``(distance, oid)``.
-        """
-        probe = KNNQuery(center=center, k=k, query_time=query_time, issue_time=issue_time)
-        return self.knn_query_batch([probe], space=space, radius_state=radius_state)[0]
-
     def knn_query_batch(
         self,
         queries: Sequence[KNNQuery],

@@ -112,11 +112,6 @@ class CoordinateFrame:
             vector.vx * self.axis.vy + vector.vy * self.normal.vy,
         )
 
-    def from_frame_rect(self, rect: Rect) -> Rect:
-        """Axis-aligned original-frame MBR of a frame-coordinates rectangle."""
-        corners = [self.from_frame_point(c) for c in rect.corners()]
-        return Rect.bounding_points(corners)
-
 
 @dataclass(frozen=True)
 class DominantVelocityAxis:

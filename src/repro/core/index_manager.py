@@ -17,7 +17,7 @@ partition plus one outlier index, and translates the standard index operations:
 
 The underlying indexes satisfy :class:`SubIndex` — the :class:`MovingIndex`
 contract every index in the repo shares (and :class:`VPIndex` itself
-implements), plus the two batch entry points only :class:`VPIndex` calls.
+implements), plus the three things only :class:`VPIndex` asks of them.
 All sub-indexes share one buffer pool of the size the unpartitioned index
 gets, so the comparison is not biased by extra RAM.
 """
@@ -38,6 +38,7 @@ from repro.core.velocity_analyzer import VelocityPartitioning
 from repro.objects.knn import (
     AdaptiveRadius,
     KNNQuery,
+    ScalarVerbs,
     expanding_knn_batch,
     motion_rows,
 )
@@ -57,17 +58,22 @@ _ORIGINAL = attrgetter("original")
 
 @runtime_checkable
 class MovingIndex(Protocol):
-    """The contract every moving-object index satisfies.
+    """The contract every moving-object index satisfies: the batch verbs.
 
     Implemented by the Bx-tree, the TPR/TPR*-trees, :class:`VPIndex` and,
     in the serving layer, by ``VersionedShard``, the process-shard handle
     and ``ShardedIndex`` itself — so a caller holding any of them batches,
     bulk-loads and queries without probing for the method first.  The
-    seven mutations are exactly ``repro.serve.shard_log.LOG_OPS``: what
+    four mutations are exactly ``repro.serve.shard_log.LOG_OPS``: what
     the write-ahead log records is what an index can be asked to do.
-    ``delete``/``update`` receive the object's current stored snapshot;
-    ``bulk_load`` requires an empty index and packs it the family's one
-    way (sorted leaves for the Bx-tree, midpoint STR for the TPR family).
+    ``delete_batch``/``update_batch`` receive the objects' current stored
+    snapshots; ``bulk_load`` requires an empty index and packs it the
+    family's one way (sorted leaves for the Bx-tree, midpoint STR for the
+    TPR family).
+
+    The scalar spellings (``insert``, ``delete``, ``update``,
+    ``range_query``, ``knn_query``) are not protocol: every index has them
+    from :class:`~repro.objects.knn.ScalarVerbs`, as a batch of one.
     """
 
     #: Buffer pool surface: ``stats`` and ``flush()`` (the hint kill-switch
@@ -79,42 +85,17 @@ class MovingIndex(Protocol):
     def bulk_load(self, objects: Sequence[MovingObject]) -> None:
         """Build the (empty) index from ``objects`` in one packing pass."""
 
-    def insert(self, obj: MovingObject) -> None:
-        """Insert an object snapshot."""
-
     def insert_batch(self, objects: Sequence[MovingObject]) -> None:
         """Insert a batch of snapshots."""
-
-    def delete(self, obj: MovingObject) -> bool:
-        """Delete a stored snapshot; True when it existed."""
 
     def delete_batch(self, objects: Sequence[MovingObject]) -> List[bool]:
         """Delete a batch; success flags aligned with the input."""
 
-    def update(self, old: MovingObject, new: MovingObject) -> bool:
-        """Replace ``old`` by ``new`` (same id); True when ``old`` existed."""
-
     def update_batch(self, pairs: Sequence[Tuple[MovingObject, MovingObject]]) -> int:
         """Apply ``(old, new)`` pairs; returns how many olds existed."""
 
-    def range_query(self, query: RangeQuery, exact: bool = True) -> List[int]:
-        """Ids of objects qualifying for (``exact``) or candidate for ``query``."""
-
-    def range_query_batch(
-        self, queries: Sequence[RangeQuery], exact: bool = True
-    ) -> List[List[int]]:
-        """Batched :meth:`range_query`; results align with the input."""
-
-    def knn_query(
-        self,
-        center: Point,
-        k: int,
-        query_time: float,
-        issue_time: float = 0.0,
-        space: Optional[Rect] = None,
-        radius_state: Optional[AdaptiveRadius] = None,
-    ) -> List[Tuple[int, float]]:
-        """Up to ``k`` ``(oid, distance)`` pairs nearest ``center`` at ``query_time``."""
+    def range_query_batch(self, queries: Sequence[RangeQuery]) -> List[List[int]]:
+        """Per query, the ids of the qualifying objects; aligned with the input."""
 
     def knn_query_batch(
         self,
@@ -122,12 +103,24 @@ class MovingIndex(Protocol):
         space: Optional[Rect] = None,
         radius_state: Optional[AdaptiveRadius] = None,
     ) -> List[List[Tuple[int, float]]]:
-        """Batched :meth:`knn_query`; results align with the input."""
+        """Per probe, up to ``k`` ``(oid, distance)`` pairs; aligned with the input."""
 
 
 @runtime_checkable
 class SubIndex(MovingIndex, Protocol):
-    """What :class:`VPIndex` additionally needs of a per-partition index."""
+    """What :class:`VPIndex` additionally needs of a per-partition index.
+
+    Three things only :class:`VPIndex` asks for: unrefined range
+    candidates (``exact=False``), a mixed mutation sweep and the kNN
+    candidate scan.  Its scalar ``insert``/``delete`` call the sub-index's
+    scalar verbs, which like everywhere are
+    :class:`~repro.objects.knn.ScalarVerbs`', not protocol.
+    """
+
+    def range_query_batch(
+        self, queries: Sequence[RangeQuery], exact: bool = True
+    ) -> List[List[int]]:
+        """Qualifying ids per query, or with ``exact=False`` every scanned candidate."""
 
     def apply_batch(
         self,
@@ -156,7 +149,7 @@ class _StoredObject:
     stored: MovingObject
 
 
-class VPIndex:
+class VPIndex(ScalarVerbs):
     """A velocity-partitioned moving-object index (Bx(VP), TPR*(VP))."""
 
     def __init__(
@@ -446,31 +439,16 @@ class VPIndex:
     # ------------------------------------------------------------------
     # Queries (Algorithm 3)
     # ------------------------------------------------------------------
-    def range_query(self, query: RangeQuery, exact: bool = True) -> List[int]:
-        """Object ids qualifying for ``query`` (Algorithm 3 over all partitions)."""
-        del exact  # the VP query algorithm always applies the exact filter
-        results: List[int] = []
-        seen = set()
-        for partition in range(self.partitioning.k):
-            transformed = self.transform_query(query, partition)
-            candidates = self._index_of(partition).range_query(transformed, exact=False)
-            self._filter_into(candidates, query, seen, results)
-        candidates = self.outlier_index.range_query(query, exact=False)
-        self._filter_into(candidates, query, seen, results)
-        return results
-
-    def range_query_batch(
-        self, queries: Sequence[RangeQuery], exact: bool = True
-    ) -> List[List[int]]:
+    def range_query_batch(self, queries: Sequence[RangeQuery]) -> List[List[int]]:
         """Algorithm 3 over a whole query batch; results align with the input.
 
-        The loop nesting is inverted relative to :meth:`range_query`: each
-        DVA rotates every query of the batch once and hands the whole group
-        to the sub-index's ``range_query_batch`` (shared descents /
-        traversals), with per-query exact filtering preserving exactly the
-        per-query answers and answer order of the scalar method.
+        Partition by partition, each DVA rotates every query of the batch
+        once and hands the whole group to the sub-index's
+        ``range_query_batch`` (shared descents / traversals; a batch of one
+        is the sub-index's scalar search); Line 8's filter with the
+        original query then runs per query, so each answer and its order
+        are those of the query asked alone.
         """
-        del exact  # the VP query algorithm always applies the exact filter
         queries = list(queries)
         if not queries:
             return []
@@ -494,33 +472,6 @@ class VPIndex:
     # ------------------------------------------------------------------
     # kNN queries (batched expanding-range filter over Algorithm 3)
     # ------------------------------------------------------------------
-    def knn_query(
-        self,
-        center: Point,
-        k: int,
-        query_time: float,
-        issue_time: float = 0.0,
-        space: Optional[Rect] = None,
-        radius_state: Optional[AdaptiveRadius] = None,
-    ) -> List[Tuple[int, float]]:
-        """The ``k`` objects predicted to be nearest ``center`` at ``query_time``.
-
-        Single-probe convenience over :meth:`knn_query_batch`.
-
-        Args:
-            center: query point (in the original, unrotated frame).
-            k: number of neighbours requested.
-            query_time: the (future) timestamp the prediction refers to.
-            issue_time: the current time the query is issued at.
-            space: data space (initial radius seed and expansion cap).
-            radius_state: optional cross-batch adaptive radius seed.
-
-        Returns:
-            Up to ``k`` ``(oid, distance)`` pairs sorted by ``(distance, oid)``.
-        """
-        probe = KNNQuery(center=center, k=k, query_time=query_time, issue_time=issue_time)
-        return self.knn_query_batch([probe], space=space, radius_state=radius_state)[0]
-
     def knn_query_batch(
         self,
         queries: Sequence[KNNQuery],

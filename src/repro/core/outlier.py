@@ -39,11 +39,6 @@ class TauSearchResult:
     candidates: Tuple[Tuple[float, float], ...]
     """Every evaluated ``(tau_candidate, objective_value)`` pair."""
 
-    @property
-    def best_candidate(self) -> Tuple[float, float]:
-        """The winning ``(tau, objective_value)`` pair."""
-        return (self.tau, self.objective)
-
 
 def expansion_rate_objective(
     n_d: int, v_yd: float, v_ymax: float, n_total: int = 0
@@ -133,16 +128,4 @@ def optimal_tau(
         return TauSearchResult(tau=v_ymax, objective=0.0, candidates=((v_ymax, 0.0),))
     return TauSearchResult(
         tau=best_tau, objective=best_objective, candidates=tuple(candidates)
-    )
-
-
-def partition_speeds(
-    velocities: Sequence, axis
-) -> np.ndarray:
-    """Perpendicular speeds of ``velocities`` with respect to ``axis``.
-
-    Small convenience used by the velocity analyzer and by tests.
-    """
-    return np.array(
-        [v.perpendicular_distance_to_axis(axis) for v in velocities], dtype=float
     )

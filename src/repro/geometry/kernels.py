@@ -241,11 +241,6 @@ def extent_area(ext: Extent) -> float:
     return (ext[2] - ext[0]) * (ext[3] - ext[1])
 
 
-def extent_margin(ext: Extent) -> float:
-    """Perimeter of an extent's MBR (at its anchor time)."""
-    return 2.0 * ((ext[2] - ext[0]) + (ext[3] - ext[1]))
-
-
 def intersection_area(a: Extent, b: Extent, elapsed: float = 0.0) -> float:
     """Overlap area of two extents ``elapsed`` time units after their anchor.
 

@@ -16,7 +16,7 @@ speed for ``t - reference_time`` time units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable
 
 from repro.geometry import kernels
 from repro.geometry.point import Point
@@ -120,11 +120,6 @@ class MovingRect:
     # Derived quantities
     # ------------------------------------------------------------------
     @property
-    def velocity_extents(self) -> Tuple[float, float, float, float]:
-        """``(v_x_min, v_y_min, v_x_max, v_y_max)``."""
-        return (self.v_x_min, self.v_y_min, self.v_x_max, self.v_y_max)
-
-    @property
     def expansion_rate_x(self) -> float:
         """Rate at which the x extent grows per time unit (>= 0 for a valid bound)."""
         return self.v_x_max - self.v_x_min
@@ -133,9 +128,6 @@ class MovingRect:
     def expansion_rate_y(self) -> float:
         """Rate at which the y extent grows per time unit."""
         return self.v_y_max - self.v_y_min
-
-    def area_at(self, time: float) -> float:
-        return self.rect_at(time).area
 
     def contains(self, other: "MovingRect", start: float, end: float) -> bool:
         """Conservative containment test over the interval ``[start, end]``.

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Tuple
 
 from repro.geometry.point import Point
 
@@ -178,27 +178,12 @@ class Rect:
             self.y_max + margin_y,
         )
 
-    def expanded_by_interval(
-        self, dx_min: float, dy_min: float, dx_max: float, dy_max: float
-    ) -> "Rect":
-        """Grow each boundary independently (used for query enlargement)."""
-        return Rect(
-            self.x_min + dx_min,
-            self.y_min + dy_min,
-            self.x_max + dx_max,
-            self.y_max + dy_max,
-        )
-
     def translated(self, dx: float, dy: float) -> "Rect":
         return Rect(self.x_min + dx, self.y_min + dy, self.x_max + dx, self.y_max + dy)
 
     def enlargement_area(self, other: "Rect") -> float:
         """Extra area needed for this rectangle to also cover ``other``."""
         return self.union(other).area - self.area
-
-    def clipped_to(self, bounds: "Rect") -> "Rect":
-        """Clip this rectangle to ``bounds`` (they must overlap)."""
-        return self.intersection(bounds)
 
     def min_distance_to_point(self, point: Point) -> float:
         """Minimum Euclidean distance from the rectangle to ``point``."""
@@ -209,8 +194,3 @@ class Rect:
     def intersects_circle(self, center: Point, radius: float) -> bool:
         """Whether the rectangle intersects a circle (used for circular queries)."""
         return self.min_distance_to_point(center) <= radius
-
-
-def bounding_rect_of(rects: Sequence[Rect]) -> Rect:
-    """Convenience wrapper around :meth:`Rect.bounding`."""
-    return Rect.bounding(rects)

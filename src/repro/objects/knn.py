@@ -26,6 +26,9 @@ Two surfaces are provided:
   carries the final radii of one batch into the initial radii of the next,
   which saves filter rounds without ever changing answers (the stopping
   rule and the final in-circle ranking are radius-schedule independent).
+
+:class:`ScalarVerbs` lives here too, beside the :class:`KNNQuery` it
+builds: this is the one module every index layer already imports.
 """
 
 from __future__ import annotations
@@ -105,6 +108,55 @@ class KNNQuery:
     k: int
     query_time: float
     issue_time: float = 0.0
+
+
+class ScalarVerbs:
+    """The five scalar verbs, each defined once as a batch of one.
+
+    The batch verbs are the index protocol
+    (``repro.core.index_manager.MovingIndex``); every index — tree
+    families, ``VPIndex`` and the serving layer's shard views — mixes this
+    in for the per-object spelling.  ``**kwargs`` go straight to the batch
+    verb, so a layer whose batch verbs take more (``epoch``/``gc_floor`` in
+    ``repro.serve``) takes it here too.  The tree families override the
+    scalar mutations and searches that *are* their algorithm (their small
+    batches fall back to them); ``knn_query`` is defined here alone.
+    """
+
+    def insert(self, obj: MovingObject, **kwargs) -> None:
+        """Insert an object snapshot."""
+        self.insert_batch([obj], **kwargs)
+
+    def delete(self, obj: MovingObject, **kwargs) -> bool:
+        """Delete a stored snapshot; True when it existed."""
+        return self.delete_batch([obj], **kwargs)[0]
+
+    def update(self, old: MovingObject, new: MovingObject, **kwargs) -> bool:
+        """Replace ``old`` by ``new`` (same id); True when ``old`` existed."""
+        return bool(self.update_batch([(old, new)], **kwargs))
+
+    def range_query(self, query: RangeQuery, **kwargs) -> List[int]:
+        """Ids of the objects qualifying for ``query``."""
+        return self.range_query_batch([query], **kwargs)[0]
+
+    def knn_query(
+        self,
+        center: Point,
+        k: int,
+        query_time: float,
+        issue_time: float = 0.0,
+        space: Optional[Rect] = None,
+        radius_state: Optional[AdaptiveRadius] = None,
+        **kwargs,
+    ) -> List[Tuple[int, float]]:
+        """Up to ``k`` ``(oid, distance)`` pairs nearest ``center`` at ``query_time``.
+
+        Sorted by ``(distance, oid)``; ``space`` seeds the initial filter
+        radius and caps the expansion, ``radius_state`` carries radii
+        across calls (see :func:`expanding_knn_batch`).
+        """
+        probe = KNNQuery(center=center, k=k, query_time=query_time, issue_time=issue_time)
+        return self.knn_query_batch([probe], space=space, radius_state=radius_state, **kwargs)[0]
 
 
 class AdaptiveRadius:

@@ -207,32 +207,6 @@ class RangeQuery:
         )
 
 
-def _segment_intersects_circle(
-    start: Point, velocity: Vector, duration: float, center: Point, radius: float
-) -> bool:
-    """Whether the segment ``start + velocity * [0, duration]`` meets the circle."""
-    return kernels.segment_intersects_circle(
-        start.x, start.y, velocity.vx, velocity.vy, duration, center.x, center.y, radius
-    )
-
-
-def _segment_intersects_rect(
-    start: Point, velocity: Vector, duration: float, rect: Rect
-) -> bool:
-    """Whether the segment ``start + velocity * [0, duration]`` meets the rectangle."""
-    return kernels.segment_intersects_rect(
-        start.x,
-        start.y,
-        velocity.vx,
-        velocity.vy,
-        duration,
-        rect.x_min,
-        rect.y_min,
-        rect.x_max,
-        rect.y_max,
-    )
-
-
 # ----------------------------------------------------------------------
 # Convenience constructors for the three query types of Section 2.1
 # ----------------------------------------------------------------------

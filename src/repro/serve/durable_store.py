@@ -79,8 +79,8 @@ from repro.storage.stats import IOStats
 _META_HEADER = struct.Struct("<II")
 _MANIFEST = "MANIFEST.json"
 #: Covers the WAL record shapes too (the log files carry no version of
-#: their own); 2 = a ``bulk_load`` payload is the tuple of objects.
-_MANIFEST_VERSION = 2
+#: their own); 3 = every record is one of the four batch ``LOG_OPS``.
+_MANIFEST_VERSION = 3
 
 
 # ----------------------------------------------------------------------

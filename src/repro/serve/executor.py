@@ -25,7 +25,7 @@ runs on each shard (routing, supervision, WAL, merge); an
 **Handles.**  ``attach(shards)`` returns one *handle* per shard and the
 serving layer only ever talks to handles.  For the in-process executors
 the handle *is* the index; for the process executor it is a proxy with
-the same method surface (``insert`` … ``knn_query_batch``, ``buffer``
+the same method surface (``bulk_load`` … ``knn_query_batch``, ``buffer``
 with live ``stats``), so the supervision/merge code upstairs is executor
 agnostic.
 
@@ -54,6 +54,7 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.objects.knn import ScalarVerbs
 from repro.storage.faults import ShardDownError
 from repro.storage.stats import IOStats
 
@@ -273,14 +274,14 @@ class _ProcessBuffer:
         self._owner._call(self._shard_id, "__flush__", (), {})
 
 
-class _ProcessShard:
+class _ProcessShard(ScalarVerbs):
     """Parent-side proxy of one worker-hosted shard.
 
-    Exposes the same method surface as the index it fronts, so the
+    Exposes the same batch surface as the index it fronts, so the
     supervision and merge code of :class:`~repro.serve.ShardedIndex`
     is identical across executors.  Every method is one message over the
     shard's pipe; batched calls therefore cost one round trip per shard
-    per batch regardless of batch size.
+    per batch regardless of batch size (a scalar verb is a batch of one).
     """
 
     def __init__(self, owner: "ProcessExecutor", shard_id: int, name: str, stats: IOStats) -> None:
@@ -296,15 +297,6 @@ class _ProcessShard:
     # Mutations forward **kwargs so the serving layer's snapshot plumbing
     # (``epoch=…, gc_floor=…``) crosses the pipe to the versioned shard
     # hosted in the worker; without snapshots the kwargs are simply empty.
-    def insert(self, obj, **kwargs) -> None:
-        return self._call("insert", obj, **kwargs)
-
-    def delete(self, obj, **kwargs) -> bool:
-        return self._call("delete", obj, **kwargs)
-
-    def update(self, old, new, **kwargs) -> bool:
-        return self._call("update", old, new, **kwargs)
-
     def insert_batch(self, objects, **kwargs) -> None:
         return self._call("insert_batch", list(objects), **kwargs)
 
@@ -320,28 +312,9 @@ class _ProcessShard:
     # -- queries -------------------------------------------------------
     # ``epoch`` crosses the pipe only when pinned: an unversioned hosted
     # shard (snapshots disabled) does not accept the parameter.
-    def range_query(self, query, exact: bool = True, epoch=None) -> List[int]:
+    def range_query_batch(self, queries, epoch=None) -> List[List[int]]:
         extra = {} if epoch is None else {"epoch": epoch}
-        return self._call("range_query", query, exact=exact, **extra)
-
-    def range_query_batch(self, queries, exact: bool = True, epoch=None) -> List[List[int]]:
-        extra = {} if epoch is None else {"epoch": epoch}
-        return self._call("range_query_batch", list(queries), exact=exact, **extra)
-
-    def knn_query(
-        self, center, k, query_time, issue_time=0.0, space=None, radius_state=None, epoch=None
-    ):
-        extra = {} if epoch is None else {"epoch": epoch}
-        return self._call(
-            "knn_query",
-            center,
-            k,
-            query_time,
-            issue_time=issue_time,
-            space=space,
-            radius_state=radius_state,
-            **extra,
-        )
+        return self._call("range_query_batch", list(queries), **extra)
 
     def knn_query_batch(self, queries, space=None, radius_state=None, epoch=None):
         # radius_state crosses as a pickled copy: the worker still shares

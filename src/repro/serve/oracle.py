@@ -94,9 +94,8 @@ class EpochOracle:
         """Record one applied update batch and the epoch it was assigned.
 
         ``op``/``payload`` follow the WAL conventions
-        (:data:`repro.serve.shard_log.LOG_OPS`): ``update`` carries
-        ``(old, new)``, ``bulk_load`` and the batch ops carry their
-        sequence, ``insert``/``delete`` carry the object.
+        (:data:`repro.serve.shard_log.LOG_OPS`): a sequence of objects,
+        or of ``(old, new)`` pairs for ``update_batch``.
         Recording may happen in any order; mutations are replayed sorted
         by ``(epoch, recording order)``.
         """
@@ -119,11 +118,6 @@ class EpochOracle:
     def answers_recorded(self) -> int:
         """How many epoch-pinned answers the workload recorded."""
         return len(self._samples)
-
-    @property
-    def mutations_recorded(self) -> int:
-        """How many mutations the workload recorded."""
-        return len(self._mutations)
 
     # -- replay (verdict side) -----------------------------------------
     def advance_to(self, epoch: int) -> None:

@@ -1,14 +1,14 @@
 """Per-shard write-ahead update log backing shard recovery.
 
 Every routed mutation of a :class:`~repro.serve.ShardedIndex` — bulk
-load, insert, delete, update, and their batch forms — is appended to the
-owning shard's :class:`ShardLog` *before* the shard executes it.  The log
-is therefore the shard's complete intended history: replaying it, in
-order, through the same public calls into a freshly built empty shard
-deterministically reconstructs the state of a shard that never failed
-(the indexes are deterministic functions of their operation sequence, so
-the rebuilt structure — and every subsequent answer — is bit-identical;
-``tests/test_faults.py`` pins this).
+load and the insert, delete and update batches (a scalar call is a batch
+of one) — is appended to the owning shard's :class:`ShardLog` *before*
+the shard executes it.  The log is therefore the shard's complete
+intended history: replaying it, in order, through the same public calls
+into a freshly built empty shard deterministically reconstructs the state
+of a shard that never failed (the indexes are deterministic functions of
+their operation sequence, so the rebuilt structure — and every subsequent
+answer — is bit-identical; ``tests/test_faults.py`` pins this).
 
 Logging ahead of execution is what makes mid-operation failure safe: if
 a shard dies halfway through applying a batch, its on-"disk" state is
@@ -32,9 +32,8 @@ A mutation is one record, ``(op, payload, epoch)``, everywhere it travels:
 the serving layer builds it, the log stores it, and :func:`apply_record`
 — the only code that turns an op name into an index call — applies it,
 whether to a live shard, a recovering one or the consistency oracle's twin.
-The payload is the op's data and nothing else — one object, one ``(old,
-new)`` pair, or a tuple of either; ``bulk_load`` is shaped like
-``insert_batch``.
+The payload is the op's data and nothing else, and has one shape: a tuple
+of objects, or of ``(old, new)`` pairs for ``update_batch``.
 """
 
 from __future__ import annotations
@@ -49,39 +48,22 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from repro.serve.snapshot import VersionedShard
 from repro.storage.durable import DurabilityError
 
-#: Operations a :class:`ShardLog` record may carry.
-LOG_OPS = (
-    "bulk_load",
-    "insert",
-    "insert_batch",
-    "delete",
-    "delete_batch",
-    "update",
-    "update_batch",
-)
-
-#: The :data:`LOG_OPS` whose payload is a sequence (of objects, or of
-#: ``(old, new)`` pairs) rather than one object or one pair.
-_SEQUENCE_OPS = ("bulk_load", "insert_batch", "delete_batch", "update_batch")
+#: Operations a :class:`ShardLog` record may carry: the four mutations of
+#: the index protocol (``repro.core.index_manager.MovingIndex``).
+LOG_OPS = ("bulk_load", "insert_batch", "delete_batch", "update_batch")
 
 
 def apply_record(index: Any, op: str, payload: Any, **epoch_kwargs: int) -> Any:
     """Apply one logged mutation to ``index`` through its public method ``op``.
 
-    ``payload`` follows the log's conventions: ``update`` carries
-    ``(old, new)``, ``bulk_load`` and the batch ops carry their sequence
-    and ``insert``/``delete`` the object.
+    ``payload`` is the op's sequence — objects, or ``(old, new)`` pairs for
+    ``update_batch``.
     ``epoch_kwargs`` (``epoch``, ``gc_floor``) reach versioned shards only;
     callers applying to a bare index pass none.
     """
     if op not in LOG_OPS:
         raise ValueError(f"unknown shard-log op {op!r}")
-    method = getattr(index, op)
-    if op == "update":
-        return method(*payload, **epoch_kwargs)
-    if op in _SEQUENCE_OPS:
-        return method(list(payload), **epoch_kwargs)
-    return method(payload, **epoch_kwargs)
+    return getattr(index, op)(list(payload), **epoch_kwargs)
 
 
 class ShardLog:
@@ -95,7 +77,7 @@ class ShardLog:
     def append(self, op: str, payload: Any, epoch: Optional[int] = None) -> None:
         """Append one record; ``op`` must be a member of :data:`LOG_OPS`.
 
-        Sequence payloads are copied into tuples so a caller mutating its
+        The payload is copied into a tuple so a caller mutating its
         batch list after the call cannot corrupt the replay history.
         ``epoch`` is the global snapshot epoch the mutation was assigned
         (``None`` for unversioned callers); replaying through a versioned
@@ -103,9 +85,7 @@ class ShardLog:
         """
         if op not in LOG_OPS:
             raise ValueError(f"unknown shard-log op {op!r}")
-        if op in _SEQUENCE_OPS:
-            payload = tuple(payload)
-        self._store(op, payload, epoch)
+        self._store(op, tuple(payload), epoch)
 
     def _store(self, op: str, payload: Any, epoch: Optional[int]) -> None:
         """Persist one canonicalized record (subclasses add durability)."""

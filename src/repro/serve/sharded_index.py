@@ -67,9 +67,8 @@ from typing import (
     Union,
 )
 
-from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.objects.knn import AdaptiveRadius, KNNQuery
+from repro.objects.knn import AdaptiveRadius, KNNQuery, ScalarVerbs
 from repro.objects.moving_object import MovingObject
 from repro.objects.queries import RangeQuery
 from repro.serve.config import ServeConfig
@@ -244,7 +243,7 @@ class _FamilyFactory:
         return TPRStarTree(buffer=buffer, **extra)
 
 
-class ShardedIndex:
+class ShardedIndex(ScalarVerbs):
     """Hash-partitioned serving facade over independent index shards.
 
     Args:
@@ -1040,9 +1039,8 @@ class ShardedIndex:
     def _mutate(self, op: str, payloads: Dict[int, object]) -> Dict[int, object]:
         """Log and apply one mutation; returns the per-shard results.
 
-        ``payloads`` maps each routed shard to its record payload (see
-        :func:`~repro.serve.shard_log.apply_record` for the per-op
-        shapes).  Under one epoch, every shard's record is appended to its
+        ``payloads`` maps each routed shard to its record payload (its
+        slice of the batch).  Under one epoch, every shard's record is appended to its
         write-ahead log before any shard executes, and each shard is then
         handed that same payload through ``apply_record`` — so what a
         recovery replays is, by construction, what the live shard ran.
@@ -1084,22 +1082,6 @@ class ShardedIndex:
     def __len__(self) -> int:
         self._ensure_open()
         return sum(len(shard) for shard in self.shards)
-
-    def insert(self, obj: MovingObject) -> None:
-        """Insert an object into its owning shard."""
-        self._mutate("insert", {self.shard_of(obj.oid): obj})
-
-    def delete(self, obj: MovingObject) -> bool:
-        """Delete an object snapshot from its owning shard."""
-        shard_id = self.shard_of(obj.oid)
-        return self._mutate("delete", {shard_id: obj})[shard_id]
-
-    def update(self, old: MovingObject, new: MovingObject) -> bool:
-        """Update one object on its owning shard; True when ``old`` existed."""
-        if old.oid != new.oid:
-            raise ValueError("an update must keep the object id")
-        shard_id = self.shard_of(old.oid)
-        return self._mutate("update", {shard_id: (old, new)})[shard_id]
 
     def bulk_load(self, objects: Sequence[MovingObject]) -> None:
         """Bulk-build every shard from its routed slice of ``objects``.
@@ -1158,37 +1140,24 @@ class ShardedIndex:
     # ------------------------------------------------------------------
     # Queries (fan out to every shard, merge canonically)
     # ------------------------------------------------------------------
-    def range_query(
+    def range_query_batch(
         self,
-        query: RangeQuery,
-        exact: bool = True,
+        queries: Sequence[RangeQuery],
+        partial: bool = False,
         epoch: Optional[int] = None,
-    ) -> List[int]:
-        """Object ids qualifying for ``query``, in ascending-id order.
+    ) -> Union[List[List[int]], PartialResult]:
+        """Per query, the qualifying object ids in ascending-id order.
 
         The union of the per-shard answers equals the unsharded answer
         set (shards partition the objects); ascending-id order is the
         serving layer's canonical answer order, chosen because it is
         shard-count invariant — per-candidate traversal order is not.
-        """
-        return self.range_query_batch([query], exact=exact, epoch=epoch)[0]
-
-    def range_query_batch(
-        self,
-        queries: Sequence[RangeQuery],
-        exact: bool = True,
-        partial: bool = False,
-        epoch: Optional[int] = None,
-    ) -> Union[List[List[int]], PartialResult]:
-        """Batched :meth:`range_query`; per-query results align with the input.
 
         With snapshots enabled the whole batch is answered at one pinned
         epoch: either the ``epoch`` argument (≤ the published epoch) or,
         when ``None``, the epoch published at call time — so the batch
         sees a consistent cross-shard cut even while update batches are
-        applied concurrently (see ``docs/htap.md``).  Pinning requires
-        ``exact=True``; approximate answers depend on live tree geometry
-        and are not reconstructible at an older epoch.
+        applied concurrently (see ``docs/htap.md``).
 
         With ``partial=True`` the call never raises on shard failure:
         open-circuit shards are skipped, failing/timing-out shards are
@@ -1197,20 +1166,13 @@ class ShardedIndex:
         no shard failed — then the payload equals the strict answer).
         """
         queries = list(queries)
-        if not exact:
-            if epoch is not None:
-                raise ValueError("epoch pinning requires exact=True")
-            pinned, owned = None, False
-        else:
-            pinned, owned = self._resolve_pin(epoch)
+        pinned, owned = self._resolve_pin(epoch)
         try:
             if not queries:
                 return PartialResult([], [], epoch=pinned) if partial else []
             shard_kwargs = {} if pinned is None else {"epoch": pinned}
             per_shard, statuses = self._fan_out(
-                lambda shard: shard.range_query_batch(
-                    queries, exact=exact, **shard_kwargs
-                ),
+                lambda shard: shard.range_query_batch(queries, **shard_kwargs),
                 partial=partial,
             )
         finally:
@@ -1229,22 +1191,6 @@ class ShardedIndex:
                 results, [statuses[sid] for sid in sorted(statuses)], epoch=pinned
             )
         return results
-
-    def knn_query(
-        self,
-        center: Point,
-        k: int,
-        query_time: float,
-        issue_time: float = 0.0,
-        space: Optional[Rect] = None,
-        radius_state: Optional[AdaptiveRadius] = None,
-        epoch: Optional[int] = None,
-    ) -> List[Tuple[int, float]]:
-        """Single-probe kNN over every shard (see :meth:`knn_query_batch`)."""
-        probe = KNNQuery(center=center, k=k, query_time=query_time, issue_time=issue_time)
-        return self.knn_query_batch(
-            [probe], space=space, radius_state=radius_state, epoch=epoch
-        )[0]
 
     def knn_query_batch(
         self,

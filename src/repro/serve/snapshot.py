@@ -46,9 +46,8 @@ import math
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.objects.knn import AdaptiveRadius, KNNQuery, _rank_distances, motion_rows
+from repro.objects.knn import AdaptiveRadius, KNNQuery, ScalarVerbs, _rank_distances, motion_rows
 from repro.objects.moving_object import MovingObject
 from repro.objects.queries import RangeQuery
 
@@ -69,17 +68,19 @@ class SnapshotTooOldError(LookupError):
     """
 
 
-class VersionedShard:
+class VersionedShard(ScalarVerbs):
     """One shard index plus its epoch undo-log overlay.
 
-    The wrapper exposes the shard's full mutation/query surface; every
+    The wrapper exposes the shard's batch mutation/query surface; every
     mutation additionally accepts ``epoch`` (the batch's global epoch)
     and ``gc_floor`` (the oldest epoch any reader still needs — deltas
-    at or below it are pruned), and every exact query additionally
-    accepts ``epoch`` to answer at a pinned historical epoch.  Unknown
-    attributes (``buffer``, ``name``, ``compact``, …) delegate to the
-    wrapped index, so the wrapper drops into every call site that held a
-    bare shard — including pickling into a worker process.
+    at or below it are pruned), and every query additionally accepts
+    ``epoch`` to answer at a pinned historical epoch.  The scalar verbs
+    are :class:`~repro.objects.knn.ScalarVerbs`' batches of one, so they
+    are undo-logged too.  Unknown attributes (``buffer``, ``name``,
+    ``compact``, …) delegate to the wrapped index, so the wrapper drops
+    into every call site that held a bare shard — including pickling
+    into a worker process.
     """
 
     def __init__(self, base: object, epoch: int = 0) -> None:
@@ -127,10 +128,6 @@ class VersionedShard:
             deltas.pop(0)
         self.floor = gc_floor
 
-    def delta_epochs(self) -> List[int]:
-        """Epochs currently retained in the overlay (oldest first)."""
-        return [epoch for epoch, _ in self._deltas]
-
     def states_at(self, epoch: int) -> Dict[int, Optional[MovingObject]]:
         """Epoch-``epoch`` states of every object touched after it.
 
@@ -156,40 +153,6 @@ class VersionedShard:
         return states
 
     # -- mutations (undo-logged) ---------------------------------------
-    def insert(
-        self,
-        obj: MovingObject,
-        epoch: Optional[int] = None,
-        gc_floor: Optional[int] = None,
-    ):
-        result = self.base.insert(obj)
-        self._record(epoch, [(obj.oid, None)])
-        self._prune(gc_floor)
-        return result
-
-    def delete(
-        self,
-        obj: MovingObject,
-        epoch: Optional[int] = None,
-        gc_floor: Optional[int] = None,
-    ) -> bool:
-        removed = self.base.delete(obj)
-        self._record(epoch, [(obj.oid, obj)] if removed else [])
-        self._prune(gc_floor)
-        return removed
-
-    def update(
-        self,
-        old: MovingObject,
-        new: MovingObject,
-        epoch: Optional[int] = None,
-        gc_floor: Optional[int] = None,
-    ) -> bool:
-        existed = self.base.update(old, new)
-        self._record(epoch, [(old.oid, old if existed else None)])
-        self._prune(gc_floor)
-        return existed
-
     def insert_batch(
         self,
         objects: Sequence[MovingObject],
@@ -224,7 +187,12 @@ class VersionedShard:
     ) -> int:
         pairs = list(pairs)
         count = self.base.update_batch(pairs)
-        self._record(epoch, [(old.oid, old) for old, _ in pairs])
+        # The count decides the pre-images when every old existed or none
+        # did (so for every batch of one).  A mixed batch would need
+        # per-pair flags (ROADMAP item 6); it records the olds, which leaves
+        # a pinned reader a phantom for each pair that missed.
+        missed = count == 0
+        self._record(epoch, [(old.oid, None if missed else old) for old, _ in pairs])
         self._prune(gc_floor)
         return count
 
@@ -241,18 +209,9 @@ class VersionedShard:
         return result
 
     # -- queries (epoch-reconciled) ------------------------------------
-    def range_query(
-        self,
-        query: RangeQuery,
-        exact: bool = True,
-        epoch: Optional[int] = None,
-    ) -> List[int]:
-        return self.range_query_batch([query], exact=exact, epoch=epoch)[0]
-
     def range_query_batch(
         self,
         queries: Sequence[RangeQuery],
-        exact: bool = True,
         epoch: Optional[int] = None,
     ) -> List[List[int]]:
         """Per-query qualifying oids, reconciled to ``epoch`` when pinned.
@@ -262,10 +221,8 @@ class VersionedShard:
         — the predicate the index answers are defined against — so the
         reconciled answer set equals a quiescent evaluation at ``epoch``.
         """
-        if epoch is not None and not exact:
-            raise ValueError("epoch-pinned range queries require exact=True")
         queries = list(queries)
-        answers = self.base.range_query_batch(queries, exact=exact)
+        answers = self.base.range_query_batch(queries)
         if epoch is None or epoch >= self.epoch:
             return answers
         states = self.states_at(epoch)
@@ -282,21 +239,6 @@ class VersionedShard:
             merged.sort()
             reconciled.append(merged)
         return reconciled
-
-    def knn_query(
-        self,
-        center: Point,
-        k: int,
-        query_time: float,
-        issue_time: float = 0.0,
-        space: Optional[Rect] = None,
-        radius_state: Optional[AdaptiveRadius] = None,
-        epoch: Optional[int] = None,
-    ) -> List[Tuple[int, float]]:
-        probe = KNNQuery(center=center, k=k, query_time=query_time, issue_time=issue_time)
-        return self.knn_query_batch(
-            [probe], space=space, radius_state=radius_state, epoch=epoch
-        )[0]
 
     def knn_query_batch(
         self,

@@ -133,11 +133,6 @@ class FaultCounters:
     down_errors: int = 0
     injected_latency_s: float = 0.0
 
-    @property
-    def total_errors(self) -> int:
-        """Every injected error across the three error families."""
-        return self.read_errors + self.write_errors + self.down_errors
-
 
 class FaultInjectingDiskManager:
     """A :class:`DiskManager` wrapper that injects faults per a profile.

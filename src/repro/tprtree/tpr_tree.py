@@ -17,8 +17,10 @@ through the ``soa_*`` geometry kernels instead of materializing per-entry
 ``MovingRect`` objects.
 
 **Per-object versus batch API.**  Mirroring ``geometry/kernels.py``, the
-tree exposes the per-object protocol (``insert`` / ``delete`` / ``update``
-/ ``range_query``) plus a batch surface (``insert_batch`` / ``delete_batch``
+tree exposes its per-object algorithm (``insert`` / ``delete`` / ``update``
+/ ``range_query``, overriding the batch-of-one
+:class:`~repro.objects.knn.ScalarVerbs` that supplies ``knn_query``) plus
+the batch surface every index shares (``insert_batch`` / ``delete_batch``
 / ``update_batch`` / ``range_query_batch`` / ``knn_query_batch``) for
 co-arriving operations.  A batch advances the clock once, then replays its
 operations in projected-position order, so consecutive operations descend
@@ -50,6 +52,7 @@ from repro.objects.knn import (
     MOTION,
     CandidateState,
     KNNQuery,
+    ScalarVerbs,
     expanding_knn_batch,
 )
 from repro.objects.moving_object import MovingObject
@@ -78,7 +81,7 @@ DEFAULT_BULK_FILL = 0.9
 VECTOR_MATCH_MIN_WORK = 100
 
 
-class TPRTree:
+class TPRTree(ScalarVerbs):
     """A TPR-tree over simulated paged storage.
 
     Args:
@@ -469,34 +472,6 @@ class TPRTree:
     # ------------------------------------------------------------------
     # kNN queries (batched expanding-range filter over the shared traversal)
     # ------------------------------------------------------------------
-    def knn_query(
-        self,
-        center: Point,
-        k: int,
-        query_time: float,
-        issue_time: float = 0.0,
-        space: Optional[Rect] = None,
-        radius_state: Optional[AdaptiveRadius] = None,
-    ) -> List[Tuple[int, float]]:
-        """The ``k`` objects predicted to be nearest ``center`` at ``query_time``.
-
-        Single-probe convenience over :meth:`knn_query_batch`.
-
-        Args:
-            center: query point.
-            k: number of neighbours requested.
-            query_time: the (future) timestamp the prediction refers to.
-            issue_time: the current time the query is issued at.
-            space: data space (seeds the initial filter radius and caps the
-                expansion at the space diagonal).
-            radius_state: optional cross-batch adaptive radius seed.
-
-        Returns:
-            Up to ``k`` ``(oid, distance)`` pairs sorted by ``(distance, oid)``.
-        """
-        probe = KNNQuery(center=center, k=k, query_time=query_time, issue_time=issue_time)
-        return self.knn_query_batch([probe], space=space, radius_state=radius_state)[0]
-
     def knn_query_batch(
         self,
         queries: Sequence[KNNQuery],
@@ -714,12 +689,6 @@ class TPRTree:
             if node.is_leaf and node.num_entries:
                 yield node.bound(self.current_time)
 
-    def iter_all_bounds(self) -> Iterator[MovingRect]:
-        """Bounds of every node in the tree (used by the cost model)."""
-        for node in self._iter_nodes():
-            if node.num_entries:
-                yield node.bound(self.current_time)
-
     def iter_objects(self) -> Iterator[Tuple[int, MovingRect]]:
         """``(oid, bound)`` of every stored object.
 
@@ -752,11 +721,9 @@ class TPRTree:
     # ------------------------------------------------------------------
     # Structural metrics (overridden by the TPR*-tree)
     # ------------------------------------------------------------------
-    # The hot-path hooks take flat kernel extents (8-tuples anchored at the
-    # current time) so choose-subtree, split scoring and forced reinsertion
-    # never build intermediate MovingRect/Rect objects; the MovingRect
-    # wrappers below them remain the convenient entry points for external
-    # callers and one-off evaluations.
+    # The hooks take flat kernel extents (8-tuples anchored at the current
+    # time) so choose-subtree, split scoring and forced reinsertion never
+    # build intermediate MovingRect/Rect objects.
 
     def _extent_cost(self, ext: kernels.Extent) -> float:
         """Goodness (lower is better) of a node bound given as a kernel extent.
@@ -773,17 +740,6 @@ class TPRTree:
             + self._extent_cost(ext_b)
             + kernels.intersection_area(ext_a, ext_b)
         )
-
-    def _bound_cost(self, bound: MovingRect) -> float:
-        """:meth:`_extent_cost` of a :class:`MovingRect` bound."""
-        return self._extent_cost(kernels.extent_of(bound, self.current_time))
-
-    def _enlargement_cost(self, bound: MovingRect, extra: MovingRect) -> float:
-        """Increase of :meth:`_bound_cost` if ``extra`` joins ``bound``."""
-        t = self.current_time
-        ext = kernels.extent_of(bound, t)
-        combined = kernels.union_extent(ext, kernels.extent_of(extra, t))
-        return self._extent_cost(combined) - self._extent_cost(ext)
 
     # ------------------------------------------------------------------
     # Insertion machinery

@@ -174,7 +174,7 @@ def test_open_refuses_a_manifest_of_another_version(tmp_path):
     manifest_path = os.path.join(root, "MANIFEST.json")
     with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
-    manifest["version"] = 1  # what builds with the (objects, option) bulk_load record wrote
+    manifest["version"] = 2  # what builds that logged scalar insert/delete/update records wrote
     with open(manifest_path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle)
 
@@ -187,7 +187,7 @@ def test_open_refuses_a_manifest_of_another_version(tmp_path):
         return files
 
     before = snapshot()
-    with pytest.raises(DurabilityError, match="manifest version 1"):
+    with pytest.raises(DurabilityError, match="manifest version 2"):
         DurableStore(root, fsync=False).open(max_workers=1)
     assert snapshot() == before  # nothing truncated or rewritten
 
@@ -287,8 +287,8 @@ def test_sigkill_recovery_matches_clean_twin(tmp_path, kill_event, kill_ordinal)
     replayed_pairs = []
     for shard_id in range(crash_child.NUM_SHARDS):
         records = recovered.shard_log(shard_id).entries
-        assert all(op == "update" for op, _, _ in records)
-        replayed_pairs.extend(payload for _, payload, _ in records)
+        assert all(op == "update_batch" and len(payload) == 1 for op, payload, _ in records)
+        replayed_pairs.extend(payload[0] for _, payload, _ in records)
     _assert_pages_checksum_clean(recovered)
 
     # The clean twin applies exactly the updates whose WAL append

@@ -375,8 +375,8 @@ def test_buffer_manager_context_manager_flushes_on_exception(tmp_path):
 # ----------------------------------------------------------------------
 def _wal_with_two_records(path):
     log = DurableShardLog(path, fsync=False)
-    log.append("insert", _moving_object(1), epoch=1)
-    log.append("delete", _moving_object(1), epoch=2)
+    log.append("insert_batch", [_moving_object(1)], epoch=1)
+    log.append("delete_batch", [_moving_object(1)], epoch=2)
     log.close()
     return os.path.getsize(path)
 
@@ -392,24 +392,26 @@ def test_wal_reopen_truncates_a_torn_tail(tmp_path, damage):
             handle.seek(size - 1)
             handle.write(b"\xff")
     log = DurableShardLog(path, fsync=False)
-    assert [(op, epoch) for op, _, epoch in log.entries] == [("insert", 1)]
-    log.append("update", (_moving_object(1), _moving_object(1)), epoch=2)
+    assert [(op, epoch) for op, _, epoch in log.entries] == [("insert_batch", 1)]
+    log.append("update_batch", [(_moving_object(1), _moving_object(1))], epoch=2)
     log.close()
     reopened = DurableShardLog(path, fsync=False)
-    assert [op for op, _, _ in reopened.entries] == ["insert", "update"]
+    assert [op for op, _, _ in reopened.entries] == ["insert_batch", "update_batch"]
     reopened.close()
 
 
 @pytest.mark.parametrize(
-    "body",
+    "body, names",
     (
-        pickle.dumps(("insert", _moving_object(2))),  # the pre-epoch 2-tuple
-        pickle.dumps(("compact", None, 3)),  # not a LOG_OPS member
-        b"not a pickle",
+        (pickle.dumps(("insert_batch", (_moving_object(2),))), "WAL frame"),  # pre-epoch 2-tuple
+        (pickle.dumps(("compact", None, 3)), "unknown op 'compact'"),
+        # What a parent-commit WAL may hold: a scalar op this build no longer replays.
+        (pickle.dumps(("update", (_moving_object(2),) * 2, 3)), "unknown op 'update'"),
+        (b"not a pickle", "WAL frame"),
     ),
-    ids=("two_tuple", "unknown_op", "not_a_pickle"),
+    ids=("two_tuple", "unknown_op", "scalar_op", "not_a_pickle"),
 )
-def test_wal_reopen_refuses_a_whole_frame_that_is_not_a_record(tmp_path, body):
+def test_wal_reopen_refuses_a_whole_frame_that_is_not_a_record(tmp_path, body, names):
     path = str(tmp_path / "wal.log")
     _wal_with_two_records(path)
     with open(path, "ab") as handle:
@@ -417,11 +419,11 @@ def test_wal_reopen_refuses_a_whole_frame_that_is_not_a_record(tmp_path, body):
     # An acknowledged record after the bad frame: truncating at the frame
     # would silently lose it.
     tail = DurableShardLog(str(tmp_path / "tail.log"), fsync=False)
-    tail.append("insert", _moving_object(3), epoch=3)
+    tail.append("insert_batch", [_moving_object(3)], epoch=3)
     tail.close()
     with open(str(tmp_path / "tail.log"), "rb") as source, open(path, "ab") as handle:
         handle.write(source.read())
     size = os.path.getsize(path)
-    with pytest.raises(DurabilityError, match="WAL frame"):
+    with pytest.raises(DurabilityError, match=names):
         DurableShardLog(path, fsync=False)
     assert os.path.getsize(path) == size  # refused, not truncated

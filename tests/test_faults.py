@@ -521,10 +521,10 @@ def test_shard_log_replay_rebuilds_and_returns_last_result(workload):
     log = ShardLog()
     log.append("bulk_load", objects[:10])
     log.append("insert_batch", objects[10:])
-    log.append("delete", objects[0])
+    log.append("delete_batch", objects[:1])
     replica = build_standard_indexes(workload, PARAMS, which=("Bx",))["Bx"]
     result = log.replay(replica)
-    assert result is True  # delete() of a present object
+    assert result == [True]  # delete_batch() of a present object
     assert len(replica) == 19
 
 

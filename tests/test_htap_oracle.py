@@ -23,7 +23,11 @@ import time
 import pytest
 
 from repro.bench.harness import build_standard_indexes
+from repro.geometry.point import Point
+from repro.geometry.vector import Vector
 from repro.objects.knn import KNNQuery
+from repro.objects.moving_object import MovingObject
+from repro.objects.queries import RectangularRange, TimeSliceRangeQuery
 from repro.serve import EpochOracle, ServeConfig, ShardedIndex, SnapshotTooOldError
 from repro.workload.events import UpdateEvent
 from repro.workload.generator import build_workload
@@ -160,14 +164,85 @@ def test_explicit_epoch_must_be_published(workload, queries):
             index.range_query_batch(queries, epoch=-1)
 
 
-def test_epoch_pinning_requires_exact(workload, queries):
+def test_sharded_range_query_batch_takes_no_exact(workload, queries):
+    """``exact=`` lives below the VP seam only: a ``ShardedIndex`` answer is always exact."""
     index = _build(workload)
     with index:
         index.bulk_load(workload.initial_objects)
-        with pytest.raises(ValueError, match="exact=True"):
-            index.range_query_batch(queries, exact=False, epoch=index.epoch)
-        # Approximate answers without a pin remain available.
-        index.range_query_batch(queries, exact=False)
+        with pytest.raises(TypeError, match="exact"):
+            index.range_query_batch(queries, exact=False)
+        with pytest.raises(TypeError, match="exact"):
+            index.range_query(queries[0], exact=False)
+
+
+# ----------------------------------------------------------------------
+# Undo pre-images of an update whose old snapshot was never stored
+# ----------------------------------------------------------------------
+def _moved(obj, time=1.0):
+    return obj, obj.with_update(obj.position_at(time), obj.velocity, time)
+
+
+def _ghost_pairs(index, shard, count):
+    """``(old, new)`` pairs of never-inserted objects that route to ``shard``."""
+    oids = itertools.islice(
+        (oid for oid in itertools.count(10_000) if index.shard_of(oid) == shard), count
+    )
+    return [
+        _moved(MovingObject(oid, Point(20_000.0 + 100.0 * i, 25_000.0), Vector(1.0, 0.5), 0.5))
+        for i, oid in enumerate(oids)
+    ]
+
+
+def _assert_pinned_cut_survives(index, apply, pairs):
+    """``apply(pairs)`` under a held pin leaves the pinned range and kNN answers as they were."""
+    everything = [TimeSliceRangeQuery(RectangularRange(PARAMS.space), time=2.0, issue_time=1.0)]
+    nearest = [
+        KNNQuery(center=old.position_at(2.0), k=3, query_time=2.0, issue_time=1.0)
+        for old, _ in pairs
+    ]
+    with index.pin() as epoch:
+        frozen = index.range_query_batch(everything, epoch=epoch)
+        frozen_knn = index.knn_query_batch(nearest, space=PARAMS.space, epoch=epoch)
+        apply(pairs)
+        assert index.epoch == epoch + 1
+        assert index.range_query_batch(everything, epoch=epoch) == frozen
+        assert index.knn_query_batch(nearest, space=PARAMS.space, epoch=epoch) == frozen_knn
+    live = index.range_query_batch(everything)[0]
+    assert all(new.oid in live for _, new in pairs)
+
+
+@pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+def test_update_that_misses_leaves_no_phantom_in_a_pinned_cut(workload, executor):
+    """An upsert-miss records "absent", not its ``old``, as the undo pre-image.
+
+    Exact whenever the returned count decides it: a batch of one (the
+    scalar ``update`` included), a batch where every old missed, a batch
+    where every old hit.
+    """
+    index = _build(workload, executor=executor)
+    with index:
+        index.bulk_load(workload.initial_objects)
+        shard = index.shard_of(workload.initial_objects[0].oid)
+        stored = [obj for obj in workload.initial_objects if index.shard_of(obj.oid) == shard]
+        ghosts = _ghost_pairs(index, shard, 4)
+        _assert_pinned_cut_survives(index, lambda pairs: index.update(*pairs[0]), ghosts[:1])
+        _assert_pinned_cut_survives(index, index.update_batch, ghosts[1:2])
+        _assert_pinned_cut_survives(index, index.update_batch, ghosts[2:])
+        _assert_pinned_cut_survives(index, index.update_batch, [_moved(o) for o in stored[:2]])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a batch mixing hits and misses on one shard needs per-pair flags "
+    "from update_batch (ROADMAP item 6); docs/htap.md, 'Known gap'",
+)
+def test_mixed_hit_and_miss_batch_leaves_no_phantom_in_a_pinned_cut(workload):
+    index = _build(workload)
+    with index:
+        index.bulk_load(workload.initial_objects)
+        hit = workload.initial_objects[0]
+        ghost = _ghost_pairs(index, index.shard_of(hit.oid), 1)[0]
+        _assert_pinned_cut_survives(index, index.update_batch, [ghost, _moved(hit)])
 
 
 def test_snapshots_disabled_serves_live_and_rejects_pins(workload, queries):

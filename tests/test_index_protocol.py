@@ -1,26 +1,35 @@
 """One index protocol, one mutation record.
 
-Two contracts that everything above the index families leans on:
+Three contracts that everything above the index families leans on:
 
 * every index — the four families, the VP variants, and the serving
   layer's ``VersionedShard``, process-shard handle and ``ShardedIndex`` —
-  satisfies :class:`~repro.core.index_manager.MovingIndex`, including a
-  ``bulk_load`` that takes the objects and nothing else;
+  satisfies :class:`~repro.core.index_manager.MovingIndex` (the batch
+  verbs), including a ``bulk_load`` that takes the objects and nothing
+  else;
+* the five scalar verbs are :class:`~repro.objects.knn.ScalarVerbs`'
+  batches of one: no serving class spells one out, ``knn_query`` is defined
+  nowhere else, and they answer like the batch verbs on every index;
 * a ``ShardedIndex`` mutation is exactly one ``(op, payload, epoch)`` WAL
-  entry per routed shard, and :func:`~repro.serve.shard_log.apply_record`
-  replaying a shard's entries into a fresh shard reproduces that shard's
-  answers — on every executor.
+  entry per routed shard, ``op`` one of the four batch ``LOG_OPS``, and
+  :func:`~repro.serve.shard_log.apply_record` replaying a shard's entries
+  into a fresh shard reproduces that shard's answers — on every executor.
 """
 
 from __future__ import annotations
 
+import ast
+import pathlib
+
 import pytest
 
+import repro
 from repro.bench.harness import build_standard_indexes
 from repro.core.index_manager import MovingIndex, SubIndex
-from repro.objects.knn import KNNQuery
+from repro.objects.knn import KNNQuery, ScalarVerbs
 from repro.objects.moving_object import MovingObject
 from repro.serve import LOG_OPS, ShardedIndex, VersionedShard
+from repro.serve.executor import _ProcessShard
 from repro.serve.shard_log import apply_record
 from repro.workload.events import UpdateEvent
 from repro.workload.generator import build_workload
@@ -28,14 +37,15 @@ from repro.workload.parameters import WorkloadParameters
 
 PARAMS = WorkloadParameters(num_objects=300, time_duration=30.0, num_queries=10)
 
+SCALAR_VERBS = ("insert", "delete", "update", "range_query", "knn_query")
+
 MEMBERS = (
     "buffer",
     "__len__",
     *LOG_OPS,
-    "range_query",
     "range_query_batch",
-    "knn_query",
     "knn_query_batch",
+    *SCALAR_VERBS,
 )
 
 
@@ -111,14 +121,33 @@ def test_every_index_satisfies_the_protocol(workload, name):
                 assert all(isinstance(obj, MovingObject) for obj in payload)
         for event in workload.query_events:
             expected = sorted(obj.oid for obj in objects if event.query.matches(obj))
-            assert sorted(index.range_query(event.query)) == expected
+            answer = index.range_query(event.query)
+            assert sorted(answer) == expected
+            assert index.range_query_batch([event.query]) == [answer]
+        probe = KNNQuery(center=objects[0].position, k=5, query_time=2.0, issue_time=1.0)
+        nearest = index.knn_query(
+            probe.center, probe.k, probe.query_time, issue_time=1.0, space=PARAMS.space
+        )
+        assert len(nearest) == 5
+        assert [nearest] == index.knn_query_batch([probe], space=PARAMS.space)
+        # The scalar mutations: what each returns, hit and miss.
+        old = objects[0]
+        new = old.with_update(old.position_at(1.0), old.velocity, 1.0)
+        ghost = MovingObject(len(objects) + 7, old.position, old.velocity, 1.0)
+        assert index.update(old, new) is True
+        assert index.update(ghost, ghost) is False  # an upsert: it is stored now
+        assert index.insert(MovingObject(ghost.oid + 1, old.position, old.velocity, 1.0)) is None
+        assert len(index) == len(objects) + 2
+        assert index.delete(new) is True
+        assert index.delete(new) is False
+        assert len(index) == len(objects) + 1
     finally:
         if owner is not None:
             owner.close()
 
 
 def _mutation_script(workload):
-    """The seven mutations as ``(op, arguments, oids they route by)`` rows."""
+    """Seven calls as ``(verb, arguments, oids they route by, logged op)`` rows."""
     objects = workload.initial_objects
     loaded, spare = objects[:200], objects[200:]
     moves = {}
@@ -128,15 +157,15 @@ def _mutation_script(workload):
     pairs = [moves[obj.oid] for obj in loaded if obj.oid in moves][:40]
     untouched = [obj for obj in loaded if obj.oid not in moves]
     rows = [
-        ("bulk_load", (loaded,), loaded),
-        ("insert", (spare[0],), spare[:1]),
-        ("insert_batch", (spare[1:30],), spare[1:30]),
-        ("update", pairs[0], [pairs[0][0]]),
-        ("update_batch", (pairs[1:],), [old for old, _ in pairs[1:]]),
-        ("delete", (untouched[0],), untouched[:1]),
-        ("delete_batch", (untouched[1:20],), untouched[1:20]),
+        ("bulk_load", (loaded,), loaded, "bulk_load"),
+        ("insert", (spare[0],), spare[:1], "insert_batch"),
+        ("insert_batch", (spare[1:30],), spare[1:30], "insert_batch"),
+        ("update", pairs[0], [pairs[0][0]], "update_batch"),
+        ("update_batch", (pairs[1:],), [old for old, _ in pairs[1:]], "update_batch"),
+        ("delete", (untouched[0],), untouched[:1], "delete_batch"),
+        ("delete_batch", (untouched[1:20],), untouched[1:20], "delete_batch"),
     ]
-    assert sorted(op for op, _, _ in rows) == sorted(LOG_OPS)
+    assert sorted({op for _, _, _, op in rows}) == sorted(LOG_OPS)  # all four, nothing else
     return rows
 
 
@@ -144,17 +173,20 @@ def _mutation_script(workload):
 def test_each_mutation_is_one_record_per_routed_shard_and_replays(workload, executor):
     index = _build_sharded("Bx", 3, executor)
     try:
-        for op, arguments, routed_by in _mutation_script(workload):
+        for verb, arguments, routed_by, op in _mutation_script(workload):
             before = [len(index.shard_log(sid)) for sid in range(index.num_shards)]
-            getattr(index, op)(*arguments)
+            getattr(index, verb)(*arguments)
             routed = {index.shard_of(obj.oid) for obj in routed_by}
             for sid in range(index.num_shards):
                 entries = index.shard_log(sid).entries[before[sid] :]
                 if sid not in routed:
-                    assert entries == (), (op, sid)
+                    assert entries == (), (verb, sid)
                     continue
-                assert len(entries) == 1, (op, sid)
-                assert (entries[0][0], entries[0][2]) == (op, index.epoch), (op, sid)
+                assert len(entries) == 1, (verb, sid)
+                assert (entries[0][0], entries[0][2]) == (op, index.epoch), (verb, sid)
+                # The shard's slice of the batch: for a scalar verb, a tuple of one.
+                mine = [obj for obj in routed_by if index.shard_of(obj.oid) == sid]
+                assert isinstance(entries[0][1], tuple) and len(entries[0][1]) == len(mine)
 
         queries = [event.query for event in workload.query_events]
         probes = [
@@ -173,3 +205,25 @@ def test_each_mutation_is_one_record_per_routed_shard_and_replays(workload, exec
             )
     finally:
         index.close()
+
+
+def test_scalar_verbs_are_defined_once():
+    """No serving class spells out a scalar verb; ``knn_query`` lives on the mixin alone."""
+    root = pathlib.Path(repro.__file__).parent
+    defined = [
+        (path.relative_to(root).as_posix(), node.name, item.name)
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in SCALAR_VERBS
+    ]
+    assert [row for row in defined if row[2] == "knn_query"] == [
+        ("objects/knn.py", "ScalarVerbs", "knn_query")
+    ]
+    assert [row for row in defined if row[0].startswith("serve/")] == []
+    # Inherited, not delegated: VersionedShard's __getattr__ would hand an
+    # unknown ``insert`` to the bare index and skip the undo log.
+    for cls in (VersionedShard, _ProcessShard, ShardedIndex):
+        for verb in SCALAR_VERBS:
+            assert getattr(cls, verb) is getattr(ScalarVerbs, verb), (cls.__name__, verb)
