@@ -69,7 +69,7 @@ from repro.bench.harness import (  # noqa: E402
 )
 from repro.bxtree.bx_tree import BxTree  # noqa: E402
 from repro.objects.knn import AdaptiveRadius  # noqa: E402
-from repro.serve import DurableStore, RetryPolicy, SupervisorConfig  # noqa: E402
+from repro.serve import DurableStore, RetryPolicy, ServeConfig, SupervisorConfig  # noqa: E402
 from repro.storage import fault_wrap  # noqa: E402
 from repro.storage.faults import FaultProfile  # noqa: E402
 from repro.workload.events import UpdateEvent  # noqa: E402
@@ -936,7 +936,7 @@ def measure_persistence(
             name=name,
             space=params.space,
             buffer_pages=params.buffer_pages,
-            max_workers=1,
+            config=ServeConfig(max_workers=1),
         )
         index.bulk_load(workload.initial_objects)
         build_s = time.perf_counter() - started
@@ -959,7 +959,7 @@ def measure_persistence(
         # checkpoint — and recover the store from disk alone.
         started = time.perf_counter()
         crashed = DurableStore(root)
-        recovered = crashed.open(max_workers=1)
+        recovered = crashed.open(ServeConfig(max_workers=1))
         recovery_ms = (time.perf_counter() - started) * 1000.0
         started = time.perf_counter()
         cold_range = recovered.range_query_batch(queries)
@@ -972,7 +972,7 @@ def measure_persistence(
         # Clean shutdown happened above: the reopen replays nothing.
         started = time.perf_counter()
         clean = DurableStore(root)
-        reopened = clean.open(max_workers=1)
+        reopened = clean.open(ServeConfig(max_workers=1))
         cold_reopen_ms = (time.perf_counter() - started) * 1000.0
         clean_match_range = float(reopened.range_query_batch(queries) == warm_range)
         reopened.close()

@@ -1,7 +1,7 @@
 """Ablations of the VP design choices (Section 5 parameters).
 
-Not a figure of the paper, but DESIGN.md calls out the design knobs the
-paper fixes by fiat: the number of DVA partitions k (2 for road networks),
+Not a figure of the paper: these are the design knobs the paper fixes by
+fiat — the number of DVA partitions k (2 for road networks),
 the velocity-sample size (10,000 points), and the space-filling curve of the
 underlying Bx-tree (Hilbert).  These benchmarks quantify how sensitive the
 results are to each choice.

@@ -28,7 +28,7 @@ from repro import (
     VelocityAnalyzer,
     Vector,
     WorkloadParameters,
-    make_vp_bx_tree,
+    make_index,
 )
 from repro.geometry.rect import Rect
 from repro.network.generators import melbourne_like
@@ -48,13 +48,7 @@ def main() -> None:
     print(f"{workload.num_objects} delivery vans on the {network.name} network")
 
     partitioning = VelocityAnalyzer(k=2).analyze(workload.velocity_sample())
-    index = make_vp_bx_tree(
-        partitioning,
-        space=params.space,
-        buffer_pages=params.buffer_pages,
-        max_update_interval=params.max_update_interval,
-        page_size=params.page_size,
-    )
+    index = make_index("Bx(VP)", partitioning=partitioning, **params.index_kwargs())
 
     live = {}
     for van in workload.initial_objects:

@@ -24,11 +24,9 @@ from repro import (
     TimeSliceRangeQuery,
     VelocityAnalyzer,
     WorkloadParameters,
-    make_vp_tprstar_tree,
+    make_index,
 )
 from repro.network.generators import san_francisco_like
-from repro.storage.buffer_manager import BufferManager
-from repro.tprtree.tprstar_tree import TPRStarTree
 from repro.workload.network_workload import NetworkWorkloadGenerator
 
 #: How far ahead the dispatcher looks when matching taxis to passengers (ts).
@@ -58,12 +56,8 @@ def main() -> None:
     print("dominant travel directions (degrees):",
           [round(d.angle_degrees(), 1) for d in partitioning.dvas])
 
-    vp_index = make_vp_tprstar_tree(
-        partitioning, buffer_pages=params.buffer_pages, page_size=params.page_size
-    )
-    plain_index = TPRStarTree(
-        buffer=BufferManager(capacity=params.buffer_pages), page_size=params.page_size
-    )
+    vp_index = make_index("TPR*(VP)", partitioning=partitioning, **params.index_kwargs())
+    plain_index = make_index("TPR*", **params.index_kwargs())
 
     latest = {}
     for taxi in workload.initial_objects:

@@ -24,6 +24,11 @@ Quickstart::
     runner = ExperimentRunner(workload)
     for name, index in indexes.items():
         print(runner.run(index, name=name).as_row())
+
+One index of one family is ``make_index("TPR*", **params.index_kwargs())``
+(the VP families add ``partitioning=VelocityAnalyzer().analyze(sample)``);
+``build_standard_indexes`` is that call once per competitor, and
+``repro.serve.ShardedIndex.build`` the same recipe once per shard.
 """
 
 from repro.geometry import Point, Rect, Vector, MovingRect
@@ -51,6 +56,7 @@ from repro.core import (
     VPIndex,
     TauMonitor,
     refresh_taus,
+    make_index,
     make_vp_bx_tree,
     make_vp_tprstar_tree,
 )
@@ -97,6 +103,7 @@ __all__ = [
     "VPIndex",
     "TauMonitor",
     "refresh_taus",
+    "make_index",
     "make_vp_bx_tree",
     "make_vp_tprstar_tree",
     "RoadNetwork",

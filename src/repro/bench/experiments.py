@@ -9,7 +9,7 @@ EXPERIMENTS.md records the measured shapes against the paper's claims.
 The paper-scale parameters (100K+ objects) are impractical for a pure-Python
 simulator, so each driver takes a :class:`~repro.workload.WorkloadParameters`
 whose defaults are scaled down but keep every ratio that drives the paper's
-qualitative conclusions (see DESIGN.md, "Substitutions").
+qualitative conclusions.
 
 **Build protocol.**  The comparison drivers default to ``bulk_build=False``:
 the paper's figures compare *insertion-built* indexes (the TPR*-tree's
@@ -34,11 +34,9 @@ from repro.analysis.expansion import (
     query_expansion_rates,
 )
 from repro.bench.harness import ExperimentRunner, build_standard_indexes, run_comparison
-from repro.bxtree.bx_tree import BxTree
 from repro.core.pc_kmeans import centroid_kmeans_dvas, find_dvas, pca_only_dva
-from repro.core.partitioned_index import make_vp_bx_tree, make_vp_tprstar_tree
+from repro.core.partitioned_index import make_index
 from repro.core.velocity_analyzer import VelocityAnalyzer, VelocityPartitioning
-from repro.storage.buffer_manager import BufferManager
 from repro.workload.generator import DATASETS, build_workload
 from repro.workload.parameters import WorkloadParameters
 
@@ -99,11 +97,10 @@ def fig07_search_space_expansion(
 def fig10_dva_discovery(
     dataset: str = "SA",
     params: Optional[WorkloadParameters] = None,
-    k: int = 2,
     bulk_build: bool = False,
     batch: bool = True,
 ) -> List[Row]:
-    """Compare the naive DVA-finding approaches against Algorithm 2.
+    """Compare the naive DVA-finding approaches against Algorithm 2 (k = 2).
 
     The quality metric is the mean perpendicular distance from each velocity
     point to its assigned axis — small values mean the partitions really are
@@ -124,8 +121,8 @@ def fig10_dva_discovery(
     rows: List[Row] = []
     for name, result in (
         ("PCA only (naive I)", pca_only_dva(velocities)),
-        ("centroid k-means (naive II)", centroid_kmeans_dvas(velocities, k)),
-        ("PC-distance k-means (ours)", find_dvas(velocities, k)),
+        ("centroid k-means (naive II)", centroid_kmeans_dvas(velocities, 2)),
+        ("PC-distance k-means (ours)", find_dvas(velocities, 2)),
     ):
         angles = sorted(round(math.degrees(axis.angle) % 180.0, 1) for axis in result.axes)
         rows.append(
@@ -162,16 +159,7 @@ def fig17_tau_threshold(
         """Replay the workload on both VP indexes under one partitioning."""
         rows: List[Row] = []
         for name in which:
-            if name == "Bx(VP)":
-                index = make_vp_bx_tree(
-                    partitioning, space=params.space, buffer_pages=params.buffer_pages,
-                    max_update_interval=params.max_update_interval,
-                    page_size=params.page_size,
-                )
-            else:
-                index = make_vp_tprstar_tree(
-                    partitioning, buffer_pages=params.buffer_pages, page_size=params.page_size
-                )
+            index = make_index(name, partitioning=partitioning, **params.index_kwargs())
             metrics = runner.run(index, name=name)
             rows.append(
                 {
@@ -388,10 +376,7 @@ def ablation_vp_parameters(
     for k in ks:
         analyzer = VelocityAnalyzer(k=k)
         partitioning = analyzer.analyze(workload.velocity_sample())
-        index = make_vp_bx_tree(
-            partitioning, space=params.space, buffer_pages=params.buffer_pages,
-            max_update_interval=params.max_update_interval, page_size=params.page_size,
-        )
+        index = make_index("Bx(VP)", partitioning=partitioning, **params.index_kwargs())
         metrics = runner.run(index, name=f"Bx(VP) k={k}")
         rows.append(
             {
@@ -405,10 +390,7 @@ def ablation_vp_parameters(
     for sample_size in sample_sizes:
         analyzer = VelocityAnalyzer(k=2, sample_size=sample_size)
         partitioning = analyzer.analyze(workload.velocity_sample())
-        index = make_vp_bx_tree(
-            partitioning, space=params.space, buffer_pages=params.buffer_pages,
-            max_update_interval=params.max_update_interval, page_size=params.page_size,
-        )
+        index = make_index("Bx(VP)", partitioning=partitioning, **params.index_kwargs())
         metrics = runner.run(index, name=f"Bx(VP) sample={sample_size}")
         rows.append(
             {
@@ -434,13 +416,7 @@ def ablation_space_filling_curve(
     runner = ExperimentRunner(workload, bulk_build=bulk_build, batch=batch)
     rows: List[Row] = []
     for curve in ("hilbert", "z"):
-        index = BxTree(
-            buffer=BufferManager(capacity=params.buffer_pages),
-            space=params.space,
-            curve=curve,
-            max_update_interval=params.max_update_interval,
-            page_size=params.page_size,
-        )
+        index = make_index("Bx", curve=curve, **params.index_kwargs())
         metrics = runner.run(index, name=f"Bx[{curve}]")
         row = metrics.as_row()
         row["curve"] = curve

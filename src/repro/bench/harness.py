@@ -15,17 +15,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.bxtree.bx_tree import BxTree
-from repro.core.partitioned_index import make_vp_bx_tree, make_vp_tprstar_tree
+from repro.core.partitioned_index import FAMILIES, make_index
 from repro.core.velocity_analyzer import VelocityAnalyzer
 from repro.geometry.rect import Rect
 from repro.objects.knn import AdaptiveRadius, KNNQuery
 from repro.serve import ServeConfig, ShardedIndex, SupervisorConfig
-from repro.storage.buffer_manager import BufferManager
-from repro.tprtree.tpr_tree import TPRTree
-from repro.tprtree.tprstar_tree import TPRStarTree
+from repro.storage.faults import fault_wrap
 from repro.workload.events import UpdateEvent, Workload
 from repro.workload.parameters import WorkloadParameters
 
@@ -145,20 +143,12 @@ class ExperimentRunner:
             ``update_batch`` / ``range_query_batch``; False replays
             strictly event by event.  Both modes produce identical
             query answers; batching only amortizes per-operation work.
-        batch_window: grouping window in timestamps for batch mode.
     """
 
-    def __init__(
-        self,
-        workload: Workload,
-        bulk_build: bool = True,
-        batch: bool = True,
-        batch_window: float = DEFAULT_BATCH_WINDOW,
-    ) -> None:
+    def __init__(self, workload: Workload, bulk_build: bool = True, batch: bool = True) -> None:
         self.workload = workload
         self.bulk_build = bulk_build
         self.batch = batch
-        self.batch_window = batch_window
 
     def run(self, index, name: Optional[str] = None) -> IndexMetrics:
         """Load the initial objects, replay the events, and report metrics."""
@@ -175,7 +165,7 @@ class ExperimentRunner:
                 index.insert(obj)
         metrics.build_time = time.perf_counter() - build_start
 
-        window = self.batch_window if self.batch else 0.0
+        window = DEFAULT_BATCH_WINDOW if self.batch else 0.0
 
         # Replay in same-window, same-type batches: identical event order,
         # with timing and I/O accounting per batch.  Single-event batches
@@ -282,7 +272,6 @@ def run_knn(
     batch: bool = True,
     batch_size: Optional[int] = None,
     radius_state: Optional[AdaptiveRadius] = None,
-    name: Optional[str] = None,
 ) -> KNNMetrics:
     """Replay kNN probes against ``index`` and record per-probe metrics.
 
@@ -300,13 +289,12 @@ def run_knn(
         batch: replay through the batch surface (default) or per event.
         batch_size: probes per batch in batch mode; None runs one batch.
         radius_state: optional cross-batch adaptive radius seed (batch mode).
-        name: metrics label; defaults to the index's own name.
 
     Returns:
         The replay's :class:`KNNMetrics`, including the per-probe answers.
     """
     probes = list(probes)
-    metrics = KNNMetrics(index_name=name or getattr(index, "name", type(index).__name__))
+    metrics = KNNMetrics(index_name=getattr(index, "name", type(index).__name__))
     stats = index.buffer.stats
     if batch:
         step = batch_size if batch_size is not None else max(len(probes), 1)
@@ -345,43 +333,38 @@ STANDARD_INDEXES = ("Bx", "Bx(VP)", "TPR*", "TPR*(VP)")
 
 #: Extended line-up including the original TPR-tree baseline (used by the
 #: TPR-family ablation benchmark; the paper's figures only plot the four
-#: standard indexes).
-EXTENDED_INDEXES = ("Bx", "Bx(VP)", "TPR", "TPR*", "TPR*(VP)")
+#: standard indexes): every family :func:`make_index` builds.
+EXTENDED_INDEXES = FAMILIES
 
 
 def build_standard_indexes(
     workload: Workload,
     params: Optional[WorkloadParameters] = None,
     which: Sequence[str] = STANDARD_INDEXES,
-    k: int = 2,
-    analyzer_seed: int = 0,
     shards: int = 1,
     supervisor: Optional[SupervisorConfig] = None,
     executor: Optional[object] = None,
     max_workers: Optional[int] = None,
     disk_profile: Optional[object] = None,
-    key_store: Optional[object] = None,
+    key_store: Optional[str] = None,
 ) -> Dict[str, object]:
     """Build the paper's four competing indexes for one workload.
 
-    The VP variants run the velocity analyzer over the workload's velocity
-    sample (10,000 points maximum, as in the paper) before the indexes are
-    created.
+    Every index comes from :func:`~repro.core.partitioned_index.make_index`
+    with the one Table-1 setting ``params.index_kwargs()``.  The VP variants
+    run the velocity analyzer over the workload's velocity sample (10,000
+    points maximum, as in the paper) before the indexes are created.
 
-    With ``shards > 1`` every family is wrapped in a
-    :class:`~repro.serve.ShardedIndex`: ``shards`` independent instances
-    (each with its own buffer pool of ``params.buffer_pages`` — the
-    shared-nothing serving model gives every worker its own RAM), behind
-    the hash router of the serving layer.  The VP variants' velocity
-    analysis still runs once; the shards share the partitioning result.
-    The wrapper is given a ``shard_factory`` building one more identical
-    instance, which arms automatic WAL-replay shard recovery (see
-    ``docs/robustness.md``); ``supervisor`` tunes the retry/breaker/timeout
-    policy and ``executor`` picks where shard calls run (``"serial"`` /
-    ``"thread"`` / ``"process"`` or an :class:`~repro.serve.Executor`
-    instance — a fresh instance is required per index, so string specs are
-    the convenient spelling here), with ``max_workers`` capping the
-    fan-out width.  See ``docs/serving.md``.
+    With ``shards > 1`` every family is served by a
+    :class:`~repro.serve.ShardedIndex` built through
+    :meth:`~repro.serve.ShardedIndex.build`: ``shards`` independent instances
+    (each with its own buffer pool — the shared-nothing serving model gives
+    every worker its own RAM) behind the hash router, the same recipe armed
+    as ``shard_factory`` for WAL-replay recovery (``docs/robustness.md``).
+    The velocity analysis still runs once; the shards share its result.
+    ``supervisor`` tunes the retry/breaker/timeout policy, ``executor`` picks
+    where shard calls run (``"serial"`` / ``"thread"`` / ``"process"``) and
+    ``max_workers`` caps the fan-out width.  See ``docs/serving.md``.
 
     ``disk_profile`` (a :class:`~repro.storage.faults.FaultProfile`)
     slides a fault injector under every built instance's simulated disk —
@@ -390,108 +373,50 @@ def build_standard_indexes(
     ``read_latency_s``).  The injector travels with the shard into worker
     processes under the ``process`` executor.
 
-    ``key_store`` selects the Bx key-store backend (``"btree"``/``"flat"``
-    or a backend class; see ``docs/backends.md``) for the ``Bx`` and
-    ``Bx(VP)`` families — the TPR family has no 1-D key store and ignores
-    it.  A name or class, never an instance: the builder makes several
-    trees (shards, VP sub-indexes, recovery factories) and each needs its
-    own store.
+    ``key_store`` names the Bx key-store backend (``"btree"``/``"flat"``,
+    see ``docs/backends.md``) of the ``Bx`` and ``Bx(VP)`` families — the
+    TPR family has no 1-D key store and is built without it.
     """
     if params is None:
         params = WorkloadParameters()
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
-    if key_store is not None and not isinstance(key_store, (str, type)):
-        raise TypeError(
-            "build_standard_indexes builds one key store per tree; pass a "
-            "backend name or class, not an instance"
-        )
-    indexes: Dict[str, object] = {}
     partitioning = None
     if any(name.endswith("(VP)") for name in which):
-        analyzer = VelocityAnalyzer(k=k, seed=analyzer_seed)
-        partitioning = analyzer.analyze(workload.velocity_sample())
-
-    def make(name: str) -> object:
-        """Build one unsharded instance of the named index family."""
-        if name == "Bx":
-            return BxTree(
-                buffer=BufferManager(capacity=params.buffer_pages),
-                space=params.space,
-                max_update_interval=params.max_update_interval,
-                page_size=params.page_size,
-                key_store=key_store,
-            )
-        if name == "TPR":
-            return TPRTree(
-                buffer=BufferManager(capacity=params.buffer_pages),
-                page_size=params.page_size,
-            )
-        if name == "TPR*":
-            return TPRStarTree(
-                buffer=BufferManager(capacity=params.buffer_pages),
-                page_size=params.page_size,
-            )
-        if name == "Bx(VP)":
-            return make_vp_bx_tree(
-                partitioning,
-                space=params.space,
-                buffer_pages=params.buffer_pages,
-                max_update_interval=params.max_update_interval,
-                page_size=params.page_size,
-                key_store=key_store,
-            )
-        if name == "TPR*(VP)":
-            return make_vp_tprstar_tree(
-                partitioning,
-                buffer_pages=params.buffer_pages,
-                page_size=params.page_size,
-            )
-        raise ValueError(f"unknown index name {name!r}")
+        partitioning = VelocityAnalyzer().analyze(workload.velocity_sample())
 
     def make_instance(name: str) -> object:
-        """``make`` plus the shared device model, when one is configured."""
-        index = make(name)
+        """One unsharded instance of the family, on the shared device model."""
+        index = make_index(
+            name,
+            partitioning=partitioning,
+            key_store=key_store if name.startswith("Bx") else None,
+            **params.index_kwargs(),
+        )
         if disk_profile is not None:
-            from repro.storage.faults import fault_wrap
-
             fault_wrap(index.buffer, profile=disk_profile)
         return index
 
-    for name in which:
-        if shards == 1:
-            indexes[name] = make_instance(name)
-        else:
-            indexes[name] = ShardedIndex(
-                [make_instance(name) for _ in range(shards)],
-                config=ServeConfig(
-                    name=name,
-                    space=params.space,
-                    shard_factory=lambda name=name: make_instance(name),
-                    supervisor=supervisor,
-                    executor=executor,
-                    max_workers=max_workers,
-                    key_store=key_store,
-                ),
-            )
-    return indexes
+    if shards == 1:
+        return {name: make_instance(name) for name in which}
+    return {
+        name: ShardedIndex.build(
+            partial(make_instance, name),
+            shards=shards,
+            executor=executor,
+            config=ServeConfig(
+                name=name, space=params.space, supervisor=supervisor, max_workers=max_workers
+            ),
+        )
+        for name in which
+    }
 
 
 def run_comparison(
     workload: Workload,
     params: Optional[WorkloadParameters] = None,
-    which: Sequence[str] = STANDARD_INDEXES,
-    k: int = 2,
     bulk_build: bool = True,
     batch: bool = True,
-    shards: int = 1,
 ) -> List[IndexMetrics]:
     """Run the full comparison of the standard indexes on one workload."""
     runner = ExperimentRunner(workload, bulk_build=bulk_build, batch=batch)
-    results: List[IndexMetrics] = []
-    indexes = build_standard_indexes(
-        workload, params=params, which=which, k=k, shards=shards
-    )
-    for name, index in indexes.items():
-        results.append(runner.run(index, name=name))
-    return results
+    indexes = build_standard_indexes(workload, params=params)
+    return [runner.run(index, name=name) for name, index in indexes.items()]

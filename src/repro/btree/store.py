@@ -31,15 +31,9 @@ class BTreeKeyStore:
     name = "btree"
 
     def __init__(
-        self,
-        buffer: Optional[BufferManager] = None,
-        page_size: Optional[int] = None,
-        tree: Optional[BPlusTree] = None,
+        self, buffer: Optional[BufferManager] = None, page_size: Optional[int] = None
     ) -> None:
-        if tree is not None:
-            self.tree = tree
-        else:
-            self.tree = BPlusTree(buffer=buffer, page_size=page_size)
+        self.tree = BPlusTree(buffer=buffer, page_size=page_size)
         self.buffer = self.tree.buffer
 
     # -- sizes ---------------------------------------------------------

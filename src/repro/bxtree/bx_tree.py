@@ -39,7 +39,7 @@ replays more than a handful of operations at a time should do the same.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,10 +106,8 @@ class BxTree(ScalarVerbs):
         curve_order: int = DEFAULT_CURVE_ORDER,
         num_buckets: int = DEFAULT_NUM_BUCKETS,
         max_update_interval: float = DEFAULT_MAX_UPDATE_INTERVAL,
-        histogram_cells: int = DEFAULT_HISTOGRAM_CELLS,
-        range_merge_gap: int = DEFAULT_RANGE_MERGE_GAP,
         page_size: Optional[int] = None,
-        key_store: Any = None,
+        key_store: Optional[str] = None,
     ) -> None:
         if num_buckets < 1:
             raise ValueError("num_buckets must be at least 1")
@@ -123,14 +121,11 @@ class BxTree(ScalarVerbs):
         self.bucket_duration = max_update_interval / num_buckets
         self.max_update_interval = max_update_interval
         self.histogram = VelocityHistogram(
-            Grid(space, histogram_cells, histogram_cells)
+            Grid(space, DEFAULT_HISTOGRAM_CELLS, DEFAULT_HISTOGRAM_CELLS)
         )
-        self.range_merge_gap = range_merge_gap
         #: The key-store backend (see docs/backends.md): ``None`` selects the
         #: paged B+-tree reference; ``"flat"`` the vectorized sorted array.
         self.store = make_key_store(key_store, buffer=self.buffer, page_size=page_size)
-        if len(self.store):
-            raise ValueError("key_store instance must be empty (one store per tree)")
         self._partition_counts: Dict[int, int] = {}
         #: Sorted active-partition list, recomputed lazily only when the set
         #: of partitions changes (every query walks this list).
@@ -585,9 +580,7 @@ class BxTree(ScalarVerbs):
         cx = np.repeat(np.arange(lo_x, hi_x + 1, dtype=np.int64), span_y)
         cy = np.tile(np.arange(lo_y, hi_y + 1, dtype=np.int64), hi_x - lo_x + 1)
         indexes = np.sort(self.curve.encode_many(cx, cy))
-        return self.curve.ranges_from_sorted_indexes(
-            indexes, merge_gap=self.range_merge_gap
-        )
+        return self.curve.ranges_from_sorted_indexes(indexes, merge_gap=DEFAULT_RANGE_MERGE_GAP)
 
     def _scan_window(self, partition: int, window: Rect) -> List[MovingObject]:
         ranges = self._ranges_for_window(window)

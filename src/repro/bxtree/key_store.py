@@ -23,8 +23,8 @@ implement it:
     insertion order).
 
 Backends are selected with :func:`make_key_store`, mirroring the
-``make_executor`` idiom of the serving layer (``None`` | name | class |
-instance); see ``docs/backends.md`` for the contract table and guidance.
+``make_executor`` idiom of the serving layer (``None`` | name); see
+``docs/backends.md`` for the contract table and guidance.
 """
 
 from __future__ import annotations
@@ -410,38 +410,22 @@ KEY_STORES = {
 
 
 def make_key_store(
-    spec: Any = None,
+    spec: Optional[str] = None,
     buffer: Optional[BufferManager] = None,
     page_size: Optional[int] = None,
 ) -> KeyStore:
-    """Resolve a key-store spec: None, a backend name, a class, or an instance.
+    """Build the key store a spec names: ``None`` (the paged B+-tree) or a backend name.
 
-    ``None`` resolves to the historical default (the paged B+-tree);
-    a string must be one of :data:`KEY_STORES`; a class is instantiated
-    with ``(buffer=..., page_size=...)``; a ready instance passes through
-    unchanged (it must be empty when handed to a fresh ``BxTree``, and it
-    cannot be shared across trees — factories that build several trees
-    accept only names and classes).
+    A string must be one of :data:`KEY_STORES`.  A name and nothing else:
+    every tree builds its own store, so there is no instance to hand over.
     """
     if spec is None:
         spec = "btree"
-    if isinstance(spec, str):
-        try:
-            factory = KEY_STORES[spec]
-        except KeyError:
-            raise ValueError(
-                f"unknown key store {spec!r} (choose from {sorted(KEY_STORES)})"
-            ) from None
-        return factory(buffer=buffer, page_size=page_size)
-    if isinstance(spec, type):
-        return spec(buffer=buffer, page_size=page_size)
-    if callable(getattr(spec, "apply_batch", None)) and callable(
-        getattr(spec, "range_search_batch", None)
-    ):
-        return spec
-    raise TypeError(
-        f"key_store must be None, a name, a class, or a KeyStore (got {type(spec).__name__})"
-    )
+    if not isinstance(spec, str):
+        raise TypeError(f"key_store must be None or a backend name (got {type(spec).__name__})")
+    if spec not in KEY_STORES:
+        raise ValueError(f"unknown key store {spec!r} (choose from {sorted(KEY_STORES)})")
+    return KEY_STORES[spec](buffer=buffer, page_size=page_size)
 
 
 __all__ = [

@@ -13,8 +13,9 @@ The package provides:
 * :mod:`repro.core.index_manager` — :class:`VPIndex`, the one class that
   routes inserts/deletes/updates and range/kNN queries across the DVA indexes
   and the outlier index (Algorithm 3), beside the ``MovingIndex`` protocol;
-* :mod:`repro.core.partitioned_index` — the Bx(VP) and TPR*(VP) factories
-  and sample helpers used by the experiments;
+* :mod:`repro.core.partitioned_index` — :func:`make_index`, the one function
+  that turns a family name into an index, the Bx(VP) and TPR*(VP) factories
+  it calls, and sample helpers used by the experiments;
 * :mod:`repro.core.cost_model` — the analytic search-space-expansion model
   of Section 4 (Equations 2-7).
 """
@@ -31,7 +32,7 @@ from repro.core.outlier import optimal_tau, expansion_rate_objective
 from repro.core.velocity_analyzer import VelocityAnalyzer, VelocityPartitioning
 from repro.core.adaptation import TauMonitor, refresh_taus
 from repro.core.index_manager import MovingIndex, VPIndex
-from repro.core.partitioned_index import make_vp_bx_tree, make_vp_tprstar_tree
+from repro.core.partitioned_index import make_index, make_vp_bx_tree, make_vp_tprstar_tree
 from repro.core.cost_model import (
     unpartitioned_search_area,
     partitioned_search_area,
@@ -58,6 +59,7 @@ __all__ = [
     "refresh_taus",
     "MovingIndex",
     "VPIndex",
+    "make_index",
     "make_vp_bx_tree",
     "make_vp_tprstar_tree",
     "unpartitioned_search_area",

@@ -21,9 +21,9 @@ This module implements that remedy:
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.core.outlier import DEFAULT_TAU_HISTOGRAM_BUCKETS, optimal_tau
+from repro.core.outlier import optimal_tau
 from repro.core.velocity_analyzer import VelocityPartitioning
 from repro.geometry.vector import Vector
 
@@ -36,20 +36,18 @@ class TauMonitor:
         reservoir_size: maximum number of speed samples retained per DVA;
             once full, reservoir sampling keeps a uniform sample of the
             stream, so old rush-hour speeds age out as new ones arrive.
-        seed: RNG seed for the reservoir sampling.
     """
 
     def __init__(
         self,
         partitioning: VelocityPartitioning,
         reservoir_size: int = 2_000,
-        seed: Optional[int] = 0,
     ) -> None:
         if reservoir_size < 10:
             raise ValueError("reservoir_size must be at least 10")
         self.partitioning = partitioning
         self.reservoir_size = reservoir_size
-        self._rng = random.Random(seed)
+        self._rng = random.Random(0)
         self._reservoirs: List[List[float]] = [[] for _ in partitioning.dvas]
         self._seen: List[int] = [0 for _ in partitioning.dvas]
 
@@ -93,7 +91,6 @@ class TauMonitor:
 
 def refresh_taus(
     monitor: TauMonitor,
-    histogram_buckets: int = DEFAULT_TAU_HISTOGRAM_BUCKETS,
     min_samples: int = 50,
 ) -> VelocityPartitioning:
     """Recompute τ for every DVA from the monitor's current speed samples.
@@ -114,7 +111,7 @@ def refresh_taus(
         if len(samples) < min_samples:
             refreshed.append(dva)
             continue
-        tau = optimal_tau(samples, histogram_buckets=histogram_buckets).tau
+        tau = optimal_tau(samples).tau
         refreshed.append(dva.with_tau(tau))
     updated = VelocityPartitioning(
         dvas=refreshed, analysis_time_seconds=old.analysis_time_seconds

@@ -40,15 +40,11 @@ class TauSearchResult:
     """Every evaluated ``(tau_candidate, objective_value)`` pair."""
 
 
-def expansion_rate_objective(
-    n_d: int, v_yd: float, v_ymax: float, n_total: int = 0
-) -> float:
+def expansion_rate_objective(n_d: int, v_yd: float, v_ymax: float) -> float:
     """Equation 10: the part of the expansion rate that depends on τ.
 
-    ``n_total`` is accepted (and ignored) so callers can pass the full
-    Equation 8/9 context; only ``n_d (v_yd - v_ymax)`` varies with τ.
+    Of the full Equation 8/9 context only ``n_d (v_yd - v_ymax)`` varies with τ.
     """
-    del n_total
     return n_d * (v_yd - v_ymax)
 
 

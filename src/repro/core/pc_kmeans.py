@@ -22,6 +22,9 @@ from typing import List, Optional, Sequence
 from repro.core.pca import first_principal_component
 from repro.geometry.vector import Vector
 
+#: Safety bound on the reassignment loops of both k-means variants.
+MAX_ITERATIONS = 50
+
 
 @dataclass
 class PCKMeansResult:
@@ -45,18 +48,12 @@ class PCKMeansResult:
         return groups
 
 
-def find_dvas(
-    velocities: Sequence[Vector],
-    k: int,
-    max_iterations: int = 50,
-    seed: Optional[int] = 0,
-) -> PCKMeansResult:
+def find_dvas(velocities: Sequence[Vector], k: int, seed: Optional[int] = 0) -> PCKMeansResult:
     """Algorithm 2: k-means clustering based on distance to each cluster's 1st PC.
 
     Args:
         velocities: sample of velocity points (Figure 1b style).
         k: number of DVA partitions (the paper uses 2 for road networks).
-        max_iterations: safety bound on the reassignment loop.
         seed: seed of the random initial assignment (``None`` for OS entropy).
 
     Returns:
@@ -79,7 +76,7 @@ def find_dvas(
 
     axes = _axes_of(velocities, assignments, k)
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         moved = False
         new_assignments = []
         for velocity, current in zip(velocities, assignments):
@@ -115,20 +112,15 @@ def pca_only_dva(velocities: Sequence[Vector]) -> PCKMeansResult:
     return PCKMeansResult(axes=[axis], assignments=[0] * len(velocities), iterations=1)
 
 
-def centroid_kmeans_dvas(
-    velocities: Sequence[Vector],
-    k: int,
-    max_iterations: int = 50,
-    seed: Optional[int] = 0,
-) -> PCKMeansResult:
+def centroid_kmeans_dvas(velocities: Sequence[Vector], k: int) -> PCKMeansResult:
     """Naive approach II: classic centroid k-means, then PCA per cluster."""
     if len(velocities) < k:
         raise ValueError("need at least k velocity points")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     centroids = [velocities[i] for i in rng.sample(range(len(velocities)), k)]
     assignments = [0] * len(velocities)
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         moved = False
         for i, velocity in enumerate(velocities):
             best = min(

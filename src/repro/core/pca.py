@@ -72,13 +72,13 @@ def first_principal_component(
     return first.normalized()
 
 
-def explained_variance_ratio(velocities: Sequence[Vector], center: bool = False) -> float:
+def explained_variance_ratio(velocities: Sequence[Vector]) -> float:
     """Fraction of total variance captured by the first component.
 
     A value close to 1.0 means the cluster is nearly one-dimensional in
     velocity space — exactly the situation VP exploits.
     """
-    components = principal_components(velocities, center=center)
+    components = principal_components(velocities)
     total = sum(variance for _, variance in components)
     if total <= 0.0:
         return 1.0

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.dva import DominantVelocityAxis
-from repro.core.outlier import DEFAULT_TAU_HISTOGRAM_BUCKETS, optimal_tau
+from repro.core.outlier import optimal_tau
 from repro.core.pc_kmeans import find_dvas
 from repro.core.pca import first_principal_component
 from repro.geometry.vector import Vector
@@ -107,26 +107,17 @@ class VelocityAnalyzer:
 
     Args:
         k: number of DVA partitions (2 for typical road networks).
-        tau_histogram_buckets: resolution of the τ search histogram.
         sample_size: maximum number of velocity points analyzed; larger
-            samples are uniformly sub-sampled.
-        seed: seed for the clustering's random initialization and the
-            sub-sampling, so experiments are reproducible.
+            samples are uniformly sub-sampled (with a fixed seed, like the
+            clustering's random initialization, so experiments are
+            reproducible).
     """
 
-    def __init__(
-        self,
-        k: int = 2,
-        tau_histogram_buckets: int = DEFAULT_TAU_HISTOGRAM_BUCKETS,
-        sample_size: int = DEFAULT_SAMPLE_SIZE,
-        seed: Optional[int] = 0,
-    ) -> None:
+    def __init__(self, k: int = 2, sample_size: int = DEFAULT_SAMPLE_SIZE) -> None:
         if k < 1:
             raise ValueError("k must be at least 1")
         self.k = k
-        self.tau_histogram_buckets = tau_histogram_buckets
         self.sample_size = sample_size
-        self.seed = seed
 
     def analyze(self, velocities: Sequence[Vector]) -> VelocityPartitioning:
         """Run Algorithm 1 on a sample of velocity points.
@@ -137,7 +128,7 @@ class VelocityAnalyzer:
         started = _time.perf_counter()
         sample = self._subsample(velocities)
         # Line 2: find the DVA partitions with PC-distance k-means.
-        clustering = find_dvas(sample, self.k, seed=self.seed)
+        clustering = find_dvas(sample, self.k)
         groups = clustering.partition_members(sample)
 
         dvas: List[DominantVelocityAxis] = []
@@ -147,7 +138,7 @@ class VelocityAnalyzer:
                 continue
             # Line 4: maximum perpendicular distance threshold τ.
             speeds = [v.perpendicular_distance_to_axis(axis) for v in members]
-            tau = optimal_tau(speeds, self.tau_histogram_buckets).tau
+            tau = optimal_tau(speeds).tau
             # Line 5: points beyond τ go to the outlier partition;
             # Line 6: recompute the DVA from the points that remain.
             kept = [
@@ -170,5 +161,5 @@ class VelocityAnalyzer:
             return list(velocities)
         import random
 
-        rng = random.Random(self.seed)
+        rng = random.Random(0)
         return rng.sample(list(velocities), self.sample_size)

@@ -146,7 +146,6 @@ def expected_node_accesses(
     nodes: Iterable[MovingRect],
     query: MovingRect,
     query_interval: float,
-    space_area: float = 1.0,
 ) -> float:
     """Expected number of node accesses of ``query`` (Equation 1).
 
@@ -154,8 +153,6 @@ def expected_node_accesses(
         nodes: moving bounds of every node in the tree.
         query: the moving/expanding range query.
         query_interval: length of the query time interval ``qT``.
-        space_area: area of the data space (the paper assumes a unit space;
-            passing the actual space area rescales the probability).
     """
     total = 0.0
     for node in nodes:
@@ -163,4 +160,4 @@ def expected_node_accesses(
         total += sweeping_volume(n_prime, query_interval)
     if query_interval == 0.0:
         return 0.0
-    return total / (space_area * query_interval) if space_area != 1.0 else total
+    return total

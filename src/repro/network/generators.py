@@ -121,7 +121,7 @@ def grid_network(
     return network
 
 
-def chicago_like(seed: Optional[int] = 0, space: Rect = DEFAULT_SPACE) -> RoadNetwork:
+def chicago_like(space: Rect = DEFAULT_SPACE) -> RoadNetwork:
     """Chicago stand-in: sparse, nearly perfect axis-aligned grid (most skewed)."""
     return grid_network(
         "CH",
@@ -131,11 +131,11 @@ def chicago_like(seed: Optional[int] = 0, space: Rect = DEFAULT_SPACE) -> RoadNe
         rotation_degrees=0.0,
         jitter=0.01,
         irregular_fraction=0.02,
-        seed=seed,
+        seed=0,
     )
 
 
-def san_francisco_like(seed: Optional[int] = 1, space: Rect = DEFAULT_SPACE) -> RoadNetwork:
+def san_francisco_like(space: Rect = DEFAULT_SPACE) -> RoadNetwork:
     """San Francisco stand-in: grid rotated off the axes with a little noise."""
     return grid_network(
         "SA",
@@ -145,11 +145,11 @@ def san_francisco_like(seed: Optional[int] = 1, space: Rect = DEFAULT_SPACE) -> 
         rotation_degrees=27.0,
         jitter=0.03,
         irregular_fraction=0.06,
-        seed=seed,
+        seed=1,
     )
 
 
-def melbourne_like(seed: Optional[int] = 2, space: Rect = DEFAULT_SPACE) -> RoadNetwork:
+def melbourne_like(space: Rect = DEFAULT_SPACE) -> RoadNetwork:
     """Melbourne CBD stand-in: dense grid with noticeable irregular links."""
     return grid_network(
         "MEL",
@@ -159,11 +159,11 @@ def melbourne_like(seed: Optional[int] = 2, space: Rect = DEFAULT_SPACE) -> Road
         rotation_degrees=8.0,
         jitter=0.06,
         irregular_fraction=0.15,
-        seed=seed,
+        seed=2,
     )
 
 
-def new_york_like(seed: Optional[int] = 3, space: Rect = DEFAULT_SPACE) -> RoadNetwork:
+def new_york_like(space: Rect = DEFAULT_SPACE) -> RoadNetwork:
     """New York stand-in: densest grid, shortest edges, most irregular links."""
     return grid_network(
         "NY",
@@ -173,7 +173,7 @@ def new_york_like(seed: Optional[int] = 3, space: Rect = DEFAULT_SPACE) -> RoadN
         rotation_degrees=29.0,
         jitter=0.08,
         irregular_fraction=0.25,
-        seed=seed,
+        seed=3,
     )
 
 
@@ -186,7 +186,7 @@ NETWORK_BUILDERS: Dict[str, Callable[..., RoadNetwork]] = {
 }
 
 
-def network_for(dataset: str, seed: Optional[int] = None, space: Rect = DEFAULT_SPACE) -> RoadNetwork:
+def network_for(dataset: str, space: Rect = DEFAULT_SPACE) -> RoadNetwork:
     """Build the stand-in network for one of the paper's dataset names."""
     try:
         builder = NETWORK_BUILDERS[dataset.upper()]
@@ -194,6 +194,4 @@ def network_for(dataset: str, seed: Optional[int] = None, space: Rect = DEFAULT_
         raise ValueError(
             f"unknown road network {dataset!r}; expected one of {sorted(NETWORK_BUILDERS)}"
         ) from None
-    if seed is None:
-        return builder(space=space)
-    return builder(seed=seed, space=space)
+    return builder(space=space)

@@ -58,6 +58,14 @@ DEFAULT_INITIAL_RADIUS = 100.0
 #: configurations.
 DEFAULT_MAX_ROUNDS = 64
 
+#: Expansion rounds of the classic per-query :func:`k_nearest_neighbors`.
+CLASSIC_MAX_ROUNDS = 12
+
+#: :class:`AdaptiveRadius`: safety factor on the suggested radius, and the
+#: weight of the newest batch in the exponential moving average.
+RADIUS_MARGIN = 1.25
+RADIUS_SMOOTHING = 0.5
+
 #: One candidate's motion record — the one currency of the kNN path, from
 #: the key store to the ranker (and the slab row of the flat key store).
 MOTION = np.dtype([("oid", "i8")] + [(name, "f8") for name in ("x", "y", "vx", "vy", "t")])
@@ -146,17 +154,15 @@ class ScalarVerbs:
         query_time: float,
         issue_time: float = 0.0,
         space: Optional[Rect] = None,
-        radius_state: Optional[AdaptiveRadius] = None,
         **kwargs,
     ) -> List[Tuple[int, float]]:
         """Up to ``k`` ``(oid, distance)`` pairs nearest ``center`` at ``query_time``.
 
         Sorted by ``(distance, oid)``; ``space`` seeds the initial filter
-        radius and caps the expansion, ``radius_state`` carries radii
-        across calls (see :func:`expanding_knn_batch`).
+        radius and caps the expansion (see :func:`expanding_knn_batch`).
         """
         probe = KNNQuery(center=center, k=k, query_time=query_time, issue_time=issue_time)
-        return self.knn_query_batch([probe], space=space, radius_state=radius_state, **kwargs)[0]
+        return self.knn_query_batch([probe], space=space, **kwargs)[0]
 
 
 class AdaptiveRadius:
@@ -177,13 +183,7 @@ class AdaptiveRadius:
     final in-circle ranking make the answers radius-schedule independent.
     """
 
-    def __init__(self, margin: float = 1.25, smoothing: float = 0.5) -> None:
-        if margin <= 0.0:
-            raise ValueError("margin must be positive")
-        if not 0.0 < smoothing <= 1.0:
-            raise ValueError("smoothing must be in (0, 1]")
-        self.margin = margin
-        self.smoothing = smoothing
+    def __init__(self) -> None:
         self._unit: Optional[float] = None
 
     @property
@@ -195,7 +195,7 @@ class AdaptiveRadius:
         """Initial radius suggestion for a ``k``-NN probe (None without data)."""
         if self._unit is None or k <= 0:
             return None
-        return self._unit * math.sqrt(k) * self.margin
+        return self._unit * math.sqrt(k) * RADIUS_MARGIN
 
     def observe(self, finals: Sequence[Tuple[int, float]]) -> None:
         """Fold one batch's ``(k, sufficient radius)`` pairs into the estimate."""
@@ -210,7 +210,7 @@ class AdaptiveRadius:
         if self._unit is None:
             self._unit = batch_unit
         else:
-            s = self.smoothing
+            s = RADIUS_SMOOTHING
             self._unit = (1.0 - s) * self._unit + s * batch_unit
 
 
@@ -234,7 +234,6 @@ def expanding_knn_batch(
     space: Optional[Rect] = None,
     population: Optional[int] = None,
     radius_state: Optional[AdaptiveRadius] = None,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> List[List[Tuple[int, float]]]:
     """Answer a batch of kNN probes with shared expanding-range rounds.
 
@@ -256,7 +255,6 @@ def expanding_knn_batch(
         radius_state: optional cross-batch radius seed; its estimate
             overrides the density-based initial radius and the batch's
             final radii are folded back into it.
-        max_rounds: safety bound on the number of expansion rounds.
 
     Returns:
         Per probe, up to ``k`` ``(oid, distance)`` pairs sorted by
@@ -310,7 +308,7 @@ def expanding_knn_batch(
             done = (
                 int(in_circle.sum()) >= query.k
                 or radii[i] >= max_radii[i]
-                or rounds >= max_rounds
+                or rounds >= DEFAULT_MAX_ROUNDS
             )
             if done:
                 results[i] = _top_k(oids, distances, in_circle, query.k)
@@ -361,11 +359,8 @@ def k_nearest_neighbors(
     k: int,
     query_time: float,
     objects_by_id: Callable[[int], Optional[MovingObject]],
-    issue_time: float = 0.0,
     space: Optional[Rect] = None,
     population: Optional[int] = None,
-    initial_radius: Optional[float] = None,
-    max_rounds: int = 12,
 ) -> List[Tuple[int, float]]:
     """The ``k`` objects predicted to be nearest ``center`` at ``query_time``.
 
@@ -381,12 +376,9 @@ def k_nearest_neighbors(
         query_time: the (future) timestamp the prediction refers to.
         objects_by_id: callback returning the current snapshot of an object
             (used to rank candidates); return ``None`` for unknown ids.
-        issue_time: the current time the query is issued at.
         space: data space, used to derive the initial radius and to cap the
             expansion; defaults to a cap derived from the candidates seen.
         population: number of indexed objects (for the initial radius guess).
-        initial_radius: overrides the density-based initial radius.
-        max_rounds: safety bound on the number of expansion rounds.
 
     Returns:
         Up to ``k`` ``(oid, distance)`` pairs sorted by increasing predicted
@@ -395,24 +387,18 @@ def k_nearest_neighbors(
     """
     if k <= 0:
         return []
-    if initial_radius is not None:
-        radius = initial_radius
-    elif space is not None and population is not None:
+    if space is not None and population is not None:
         radius = initial_knn_radius(space, population, k)
     else:
         radius = DEFAULT_INITIAL_RADIUS
     if space is not None:
         max_radius = math.hypot(space.width, space.height)
     else:
-        max_radius = radius * (RADIUS_GROWTH_FACTOR ** max_rounds)
+        max_radius = radius * (RADIUS_GROWTH_FACTOR**CLASSIC_MAX_ROUNDS)
 
     candidates: Sequence[int] = []
-    for _ in range(max_rounds):
-        query = TimeSliceRangeQuery(
-            CircularRange(center=center, radius=radius),
-            time=query_time,
-            issue_time=issue_time,
-        )
+    for _ in range(CLASSIC_MAX_ROUNDS):
+        query = TimeSliceRangeQuery(CircularRange(center=center, radius=radius), time=query_time)
         candidates = index.range_query(query)
         if len(candidates) >= k or radius >= max_radius:
             break

@@ -157,7 +157,7 @@ class RangeQuery:
     # ------------------------------------------------------------------
     # Exact qualification predicate
     # ------------------------------------------------------------------
-    def matches(self, obj: MovingObject, samples: int = 16) -> bool:
+    def matches(self, obj: MovingObject) -> bool:
         """Whether ``obj`` qualifies for this query (exact for our query types).
 
         For a stationary range the object's relative trajectory is linear, so

@@ -1,10 +1,9 @@
-"""Serving-layer configuration: one dataclass instead of eight kwargs.
+"""Serving-layer configuration: the one recipe, and the one place it is refused.
 
-:class:`ServeConfig` consolidates the loosely coupled keyword arguments
-that :class:`~repro.serve.ShardedIndex` historically took one by one
-(``name``/``space``/``max_workers``/``shard_factory``/``supervisor``/
-``logs``/``stores``) and adds the executor choice introduced with the
-pluggable-executor redesign.
+:class:`ServeConfig` is everything a :class:`~repro.serve.ShardedIndex`
+needs beyond its shards: the constructor takes nothing else, and
+:class:`~repro.serve.DurableStore` and :meth:`ShardedIndex.build` take it
+whole (``build`` keeps ``executor=`` and ``space=`` as its two shorthands).
 
 Typical use::
 
@@ -12,16 +11,20 @@ Typical use::
 
     index = ShardedIndex(
         shards,
-        config=ServeConfig(name="Bx", space=space, executor="process"),
+        ServeConfig(name="Bx", space=space, executor="process"),
     )
 
-or, end to end, :meth:`ShardedIndex.build`.
+or, end to end, :meth:`ShardedIndex.build`.  :func:`check_constructible` is
+called by every entry point before it creates anything, so a combination
+that cannot be served fails with nothing on disk and no worker spawned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional, Sequence
+
+from repro.serve.executor import make_executor
 
 
 @dataclass(frozen=True)
@@ -41,21 +44,14 @@ class ServeConfig:
             arms WAL-replay recovery for in-memory deployments.
         supervisor: retry/breaker/timeout policy
             (:class:`~repro.serve.SupervisorConfig`).
-        logs: pre-existing write-ahead logs, one per shard (used by
-            :class:`~repro.serve.DurableStore` when reopening).
-        stores: per-shard durable page stores (ditto).
+        stores: per-shard durable page stores, each carrying its shard's
+            write-ahead log (set by :class:`~repro.serve.DurableStore`).
         snapshots: epoch-based snapshot isolation (see ``docs/htap.md``).
             When true (the default) every applied update batch advances a
             global epoch, queries pin a consistent cross-shard epoch, and
             shards keep the undo deltas readers still need.  ``False``
             restores the quiescent-read contract with zero overlay
             overhead (and makes epoch pinning raise).
-        key_store: Bx key-store backend for *factory-built* shards —
-            ``"btree"`` (the paged default when ``None``) or ``"flat"``
-            (the vectorized sorted array), or a backend class; see
-            ``docs/backends.md``.  A name or class, never an instance:
-            each shard needs its own store.  Pre-built shards passed to
-            the constructor keep whatever backend they were built with.
     """
 
     name: Optional[str] = None
@@ -64,20 +60,60 @@ class ServeConfig:
     max_workers: Optional[int] = None
     shard_factory: Optional[Callable[[], Any]] = None
     supervisor: Optional[Any] = None
-    logs: Optional[Sequence[Any]] = field(default=None, repr=False)
     stores: Optional[Sequence[Any]] = field(default=None, repr=False)
     snapshots: bool = True
-    key_store: Optional[Any] = None
 
     def merged(self, **overrides: Any) -> "ServeConfig":
         """A copy with every non-``None`` override applied."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        for key, value in overrides.items():
-            if key not in values:
-                raise TypeError(f"ServeConfig has no field {key!r}")
-            if value is not None:
-                values[key] = value
-        return ServeConfig(**values)
+        return replace(self, **{k: v for k, v in overrides.items() if v is not None})
 
 
-__all__ = ["ServeConfig"]
+def check_constructible(
+    config: ServeConfig,
+    num_shards: int,
+    *,
+    durable: bool = False,
+    buffers: Sequence[Any] = (),
+    family: Any = None,
+    key_store: Optional[str] = None,
+) -> ServeConfig:
+    """Refuse every family x key store x executor x durable cell that cannot be served.
+
+    The single rejection site of the serving layer: ``ShardedIndex.build``,
+    ``DurableStore.create``/``open`` and the ``ShardedIndex`` constructor
+    each call it *first*, with what they know, so nothing — directory,
+    file, worker process or shard — exists yet when it raises.  Returns
+    ``config`` with its executor spec resolved to an (unattached)
+    :class:`~repro.serve.Executor`, which is how the executor's kind is
+    known this early; unknown names stay :func:`make_executor`'s error.
+    """
+    config = replace(config, executor=make_executor(config.executor))
+    if num_shards < 1:
+        raise ValueError("a ShardedIndex needs at least one shard (shards >= 1)")
+    if config.max_workers is not None and config.max_workers < 1:
+        raise ValueError("max_workers must be at least 1")
+    if config.stores is not None and len(config.stores) != num_shards:
+        raise ValueError("stores must match the shard count")
+    if len({id(buffer) for buffer in buffers}) != len(buffers):
+        raise ValueError("shards must not share a buffer pool")
+    if durable or config.stores is not None:
+        if config.executor.kind == "process":
+            raise ValueError(
+                "durable stores require an in-process executor (serial/thread): "
+                "checkpointing talks to the shard's pages directly"
+            )
+        if key_store not in (None, "btree"):
+            raise ValueError(
+                "durable_dir requires the paged 'btree' key store: "
+                "checkpoints persist buffer pages, and the flat "
+                "backend keeps its arrays off-page (docs/backends.md)"
+            )
+        if callable(family):
+            raise ValueError(
+                "durable_dir needs a named family (the store owns each "
+                "shard's buffer; a custom factory cannot accept it)"
+            )
+    return config
+
+
+__all__ = ["ServeConfig", "check_constructible"]

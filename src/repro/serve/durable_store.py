@@ -62,10 +62,9 @@ import zlib
 from typing import Any, Callable, List, Optional
 
 from repro.geometry.rect import Rect
-from repro.serve.config import ServeConfig
+from repro.serve.config import ServeConfig, check_constructible
 from repro.serve.shard_log import DurableShardLog, ShardLog
 from repro.serve.sharded_index import ShardedIndex
-from repro.serve.supervisor import SupervisorConfig
 from repro.storage.buffer_manager import DEFAULT_BUFFER_PAGES, BufferManager
 from repro.storage.disk_manager import DiskManager
 from repro.storage.durable import (
@@ -396,30 +395,16 @@ class DurableStore:
         ]
 
     def _assemble(
-        self,
-        shards: List[Any],
-        stores: List[ShardStore],
-        manifest: dict,
-        config: Optional[ServeConfig],
+        self, shards: List[Any], stores: List[ShardStore], manifest: dict, config: ServeConfig
     ) -> ShardedIndex:
+        # The stores are the durable state; the manifest supplies the
+        # name/space defaults the config can override.
         space = manifest.get("space")
-        base = config if config is not None else ServeConfig()
-        # The store's logs/stores always win (they are the durable state);
-        # the manifest supplies name/space defaults the config can override.
-        resolved = ServeConfig(
-            name=base.name or manifest.get("name"),
-            space=base.space if base.space is not None else (
-                None if space is None else Rect(*space)
-            ),
-            executor=base.executor,
-            max_workers=base.max_workers,
-            shard_factory=base.shard_factory,
-            supervisor=base.supervisor,
-            logs=[store.log for store in stores],
-            stores=stores,
-            snapshots=base.snapshots,
+        if config.space is None and space is not None:
+            config = config.merged(space=Rect(*space))
+        return ShardedIndex(
+            shards, config.merged(name=config.name or manifest.get("name"), stores=stores)
         )
-        return ShardedIndex(shards, config=resolved)
 
     def create(
         self,
@@ -428,10 +413,8 @@ class DurableStore:
         name: Optional[str] = None,
         space: Optional[Rect] = None,
         buffer_pages: int = DEFAULT_BUFFER_PAGES,
-        slot_bytes: int = DEFAULT_SLOT_BYTES,
-        max_workers: Optional[int] = None,
-        supervisor: Optional[SupervisorConfig] = None,
         config: Optional[ServeConfig] = None,
+        family: Optional[str] = None,
     ) -> ShardedIndex:
         """Create a new durable sharded index at :attr:`root`.
 
@@ -439,21 +422,27 @@ class DurableStore:
         returns an empty index over it — unlike the in-memory
         ``shard_factory`` of :class:`ShardedIndex`, which allocates its
         own storage, a durable shard's storage is owned by its store.
-        ``config`` carries the serving-policy fields (supervisor, fan-out
-        width, executor — which must stay in-process for durable shards);
-        ``max_workers``/``supervisor`` remain as store-level shorthands.
+        ``config`` carries the serving policy (supervisor, fan-out width,
+        executor — which must stay in-process for durable shards) and the
+        default ``space``; ``family`` is recorded in the manifest for
+        :meth:`open` to compare (``ShardedIndex.build`` passes it).
         """
         if self.exists:
             raise DurabilityError(f"{self.root}: store already exists; open() it")
-        if num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
+        config = check_constructible(
+            (config if config is not None else ServeConfig()).merged(space=space),
+            num_shards,
+            durable=True,
+        )
         os.makedirs(self.root, exist_ok=True)
+        space = config.space
         manifest = {
             "version": _MANIFEST_VERSION,
+            "family": family,
             "num_shards": num_shards,
             "name": name,
             "buffer_pages": buffer_pages,
-            "slot_bytes": slot_bytes,
+            "slot_bytes": DEFAULT_SLOT_BYTES,
             "space": None
             if space is None
             else [space.x_min, space.y_min, space.x_max, space.y_max],
@@ -467,18 +456,19 @@ class DurableStore:
             json.dumps(manifest, indent=2).encode("utf-8"),
             self._fsync,
         )
-        resolved = (config if config is not None else ServeConfig()).merged(
-            max_workers=max_workers, supervisor=supervisor
-        )
-        return self._assemble(shards, stores, manifest, resolved)
+        return self._assemble(shards, stores, manifest, config)
 
     def open(
-        self,
-        max_workers: Optional[int] = None,
-        supervisor: Optional[SupervisorConfig] = None,
-        config: Optional[ServeConfig] = None,
+        self, config: Optional[ServeConfig] = None, expect: Optional[dict] = None
     ) -> ShardedIndex:
-        """Recover the durable index (checkpoint images + WAL-tail replay)."""
+        """Recover the durable index (checkpoint images + WAL-tail replay).
+
+        ``expect`` maps manifest keys (``family``, ``num_shards``,
+        ``buffer_pages``) to the values the caller believes the store was
+        created with; the first one the manifest contradicts raises
+        ``ValueError`` before any shard is touched (a key the manifest
+        does not record is not compared).
+        """
         try:
             with open(os.path.join(self.root, _MANIFEST), "r", encoding="utf-8") as f:
                 manifest = json.load(f)
@@ -492,13 +482,21 @@ class DurableStore:
                 f"{self.root}: manifest version {manifest.get('version')} "
                 f"(this build reads {_MANIFEST_VERSION})"
             )
+        for key, wanted in (expect or {}).items():
+            if manifest.get(key) not in (None, wanted):
+                raise ValueError(
+                    f"{self.root}: the store was created with {key}={manifest[key]!r}, "
+                    f"not {wanted!r} (open it as it is, or build into a new directory)"
+                )
+        config = check_constructible(
+            config if config is not None else ServeConfig(),
+            manifest["num_shards"],
+            durable=True,
+        )
         stores = self._stores(manifest)
         shards = [store.open() for store in stores]
         self.replayed_on_open = [store.replayed_on_open for store in stores]
-        resolved = (config if config is not None else ServeConfig()).merged(
-            max_workers=max_workers, supervisor=supervisor
-        )
-        return self._assemble(shards, stores, manifest, resolved)
+        return self._assemble(shards, stores, manifest, config)
 
 
 __all__ = [

@@ -387,10 +387,6 @@ class ProcessExecutor(Executor):
     recovered shard is shipped to a respawned worker by
     :meth:`replace`.
 
-    Args:
-        max_workers: fan-out thread width (these threads only block on
-            pipes; default: the shard count).
-
     Attributes:
         start_method: the ``multiprocessing`` start method in use:
             ``"fork"`` where available (no interpreter re-import per
@@ -400,9 +396,8 @@ class ProcessExecutor(Executor):
     kind = "process"
     parallel = True
 
-    def __init__(self, max_workers: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._requested_workers = max_workers
         methods = multiprocessing.get_all_start_methods()
         self.start_method = "fork" if "fork" in methods else "spawn"
         self._ctx = multiprocessing.get_context(self.start_method)
@@ -411,8 +406,6 @@ class ProcessExecutor(Executor):
         self._handles: List[_ProcessShard] = []
 
     def _attach(self, shards: List[Any]) -> List[Any]:
-        if self._requested_workers is not None:
-            self._max_workers = self._requested_workers
         for shard_id, shard in enumerate(shards):
             self._mirrors.append(IOStats())
             self._handles.append(self._spawn(shard_id, shard))
@@ -538,8 +531,8 @@ EXECUTORS = {
 }
 
 
-def make_executor(spec: Any, max_workers: Optional[int] = None) -> Executor:
-    """Resolve an executor spec: None, a kind name, a class, or an instance.
+def make_executor(spec: Any) -> Executor:
+    """Resolve an executor spec: None, a kind name, or an instance.
 
     ``None`` resolves to the historical default (:class:`ThreadExecutor`);
     a string must be one of :data:`EXECUTORS`; an :class:`Executor`
@@ -548,17 +541,9 @@ def make_executor(spec: Any, max_workers: Optional[int] = None) -> Executor:
     if spec is None:
         return ThreadExecutor()
     if isinstance(spec, str):
-        try:
-            factory = EXECUTORS[spec]
-        except KeyError:
-            raise ValueError(
-                f"unknown executor {spec!r} (choose from {sorted(EXECUTORS)})"
-            ) from None
-        if factory is ProcessExecutor:
-            return ProcessExecutor(max_workers=max_workers)
-        return factory()
-    if isinstance(spec, type) and issubclass(spec, Executor):
-        return spec()
+        if spec not in EXECUTORS:
+            raise ValueError(f"unknown executor {spec!r} (choose from {sorted(EXECUTORS)})")
+        return EXECUTORS[spec]()
     if isinstance(spec, Executor):
         return spec
     raise TypeError(f"executor must be None, a name, or an Executor (got {type(spec).__name__})")

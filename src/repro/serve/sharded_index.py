@@ -67,12 +67,13 @@ from typing import (
     Union,
 )
 
+from repro.core.partitioned_index import make_index
 from repro.geometry.rect import Rect
 from repro.objects.knn import AdaptiveRadius, KNNQuery, ScalarVerbs
 from repro.objects.moving_object import MovingObject
 from repro.objects.queries import RangeQuery
-from repro.serve.config import ServeConfig
-from repro.serve.executor import Executor, make_executor
+from repro.serve.config import ServeConfig, check_constructible
+from repro.serve.executor import Executor
 from repro.serve.shard_log import ShardLog, apply_record
 from repro.serve.snapshot import SnapshotTooOldError, VersionedShard
 from repro.serve.supervisor import (
@@ -84,6 +85,7 @@ from repro.serve.supervisor import (
     ShardStatus,
     SupervisorConfig,
 )
+from repro.storage.buffer_manager import DEFAULT_BUFFER_PAGES
 from repro.storage.faults import InjectedFault, ShardDownError
 from repro.storage.stats import BufferCounter, Counter, IOStats
 
@@ -179,70 +181,6 @@ class _AggregateBuffer:
         self.stats = AggregateStats(lambda: [shard.buffer.stats for shard in shards])
 
 
-class _FamilyFactory:
-    """Zero-argument shard factory for a *named* index family.
-
-    What :meth:`ShardedIndex.build` arms as ``shard_factory``: builds one
-    empty ``Bx`` / ``TPR`` / ``TPR*`` instance with its own buffer pool
-    (imports deferred — the serving layer otherwise has no dependency on
-    the index families).  The VP variants need workload-derived velocity
-    partitioning and are passed to ``build`` as a callable instead.
-    """
-
-    def __init__(
-        self,
-        family: str,
-        space: Optional[Rect] = None,
-        buffer_pages: int = 50,
-        page_size: Optional[int] = None,
-        max_update_interval: Optional[float] = None,
-        key_store: Optional[object] = None,
-    ) -> None:
-        if family not in ("Bx", "TPR", "TPR*"):
-            raise ValueError(
-                f"unknown index family {family!r} (named families: Bx, TPR, "
-                "TPR*; pass a callable for the VP variants)"
-            )
-        if key_store is not None and not isinstance(key_store, (str, type)):
-            raise TypeError(
-                "key_store must be a backend name or class for shard "
-                "factories (every shard needs its own store; a shared "
-                "instance cannot be handed to each one)"
-            )
-        self.family = family
-        self.space = space
-        self.buffer_pages = buffer_pages
-        self.page_size = page_size
-        self.max_update_interval = max_update_interval
-        self.key_store = key_store
-
-    def __call__(self, buffer=None):
-        from repro.storage.buffer_manager import BufferManager
-
-        if buffer is None:
-            buffer = BufferManager(capacity=self.buffer_pages)
-        extra = {}
-        if self.page_size is not None:
-            extra["page_size"] = self.page_size
-        if self.family == "Bx":
-            from repro.bxtree.bx_tree import BxTree
-
-            if self.max_update_interval is not None:
-                extra["max_update_interval"] = self.max_update_interval
-            if self.space is not None:
-                extra["space"] = self.space
-            if self.key_store is not None:
-                extra["key_store"] = self.key_store
-            return BxTree(buffer=buffer, **extra)
-        if self.family == "TPR":
-            from repro.tprtree.tpr_tree import TPRTree
-
-            return TPRTree(buffer=buffer, **extra)
-        from repro.tprtree.tprstar_tree import TPRStarTree
-
-        return TPRStarTree(buffer=buffer, **extra)
-
-
 class ShardedIndex(ScalarVerbs):
     """Hash-partitioned serving facade over independent index shards.
 
@@ -251,37 +189,22 @@ class ShardedIndex(ScalarVerbs):
             must have its *own* buffer pool — shards are the unit of
             parallelism, and a shared pool would race.
         config: a :class:`~repro.serve.ServeConfig` bundling everything
-            else (name, space, executor, supervision, WAL/stores) — see
+            else (name, space, executor, supervision, stores) — see
             its field docs.  ``None`` means all defaults.
-        executor: convenience override of ``config.executor`` — where
-            shard calls run: ``"serial"``, ``"thread"`` (default),
-            ``"process"``, or an unattached
-            :class:`~repro.serve.Executor` instance.
     """
 
-    def __init__(
-        self,
-        shards: Sequence,
-        config: Optional[ServeConfig] = None,
-        *,
-        executor: Optional[object] = None,
-    ) -> None:
+    def __init__(self, shards: Sequence, config: Optional[ServeConfig] = None) -> None:
         if config is not None and not isinstance(config, ServeConfig):
             raise TypeError(
                 "the second ShardedIndex argument is a ServeConfig "
                 f"(got {type(config).__name__})"
             )
-        resolved = config if config is not None else ServeConfig()
-        if executor is not None:
-            resolved = resolved.merged(executor=executor)
         shards = list(shards)
-        if not shards:
-            raise ValueError("a ShardedIndex needs at least one shard (num_shards >= 1)")
-        if resolved.max_workers is not None and resolved.max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
-        buffers = [shard.buffer for shard in shards]
-        if len({id(buffer) for buffer in buffers}) != len(buffers):
-            raise ValueError("shards must not share a buffer pool")
+        resolved = check_constructible(
+            config if config is not None else ServeConfig(),
+            len(shards),
+            buffers=[shard.buffer for shard in shards],
+        )
         self.config = resolved
         self.name = resolved.name or (
             f"{getattr(shards[0], 'name', type(shards[0]).__name__)}"
@@ -291,21 +214,13 @@ class ShardedIndex(ScalarVerbs):
         self._config = (
             resolved.supervisor if resolved.supervisor is not None else SupervisorConfig()
         )
-        logs = resolved.logs
-        stores = resolved.stores
         self._locks = [threading.Lock() for _ in shards]
-        if logs is None:
+        if resolved.stores is None:
+            self._stores: List[Optional[object]] = [None for _ in shards]
             self._logs: List[ShardLog] = [ShardLog() for _ in shards]
         else:
-            self._logs = list(logs)
-            if len(self._logs) != len(shards):
-                raise ValueError("logs must match the shard count")
-        if stores is None:
-            self._stores: List[Optional[object]] = [None for _ in shards]
-        else:
-            self._stores = list(stores)
-            if len(self._stores) != len(shards):
-                raise ValueError("stores must match the shard count")
+            self._stores = list(resolved.stores)
+            self._logs = [store.log for store in self._stores]
         self._snapshots = bool(resolved.snapshots)
         if self._snapshots:
             # Epoch-version every shard.  A shard restored from a durable
@@ -320,16 +235,7 @@ class ShardedIndex(ScalarVerbs):
                 else VersionedShard(shard, epoch=self._logs[shard_id].last_epoch)
                 for shard_id, shard in enumerate(shards)
             ]
-        self._backend: Executor = make_executor(
-            resolved.executor, max_workers=resolved.max_workers
-        )
-        if self._backend.kind == "process" and any(
-            store is not None for store in self._stores
-        ):
-            raise ValueError(
-                "durable stores require an in-process executor (serial/thread): "
-                "checkpointing talks to the shard's pages directly"
-            )
+        self._backend: Executor = resolved.executor
         # Handles: the objects supervised tasks run against.  For the
         # in-process executors these are the shard indexes themselves;
         # for the process executor they are worker proxies.
@@ -350,10 +256,7 @@ class ShardedIndex(ScalarVerbs):
         ]
         # One jitter RNG per shard: backoff schedules stay deterministic
         # even when several shards retry concurrently.
-        self._rngs = [
-            random.Random(self._config.seed * 1_000_003 + shard_id)
-            for shard_id in range(len(shards))
-        ]
+        self._rngs = [random.Random(shard_id) for shard_id in range(len(shards))]
         #: Completed recoveries, oldest first (shard id, wall seconds,
         #: replayed record count, attempts) — read by the fault bench.
         self.recovery_events: List[Dict[str, float]] = []
@@ -577,17 +480,6 @@ class ShardedIndex(ScalarVerbs):
                 self._compact_locked(shard_id)
 
     @classmethod
-    def open(cls, root: str, **kwargs) -> "ShardedIndex":
-        """Recover a durable index from a :class:`DurableStore` directory.
-
-        Convenience for ``DurableStore(root).open(**kwargs)`` (the import
-        is deferred — the durable store imports this module).
-        """
-        from repro.serve.durable_store import DurableStore
-
-        return DurableStore(root).open(**kwargs)
-
-    @classmethod
     def build(
         cls,
         family: Union[str, Callable[[], object]] = "Bx",
@@ -597,108 +489,93 @@ class ShardedIndex(ScalarVerbs):
         config: Optional[ServeConfig] = None,
         *,
         space: Optional[Rect] = None,
-        buffer_pages: int = 50,
+        buffer_pages: int = DEFAULT_BUFFER_PAGES,
         page_size: Optional[int] = None,
         max_update_interval: Optional[float] = None,
-        supervisor: Optional[SupervisorConfig] = None,
-        max_workers: Optional[int] = None,
-        name: Optional[str] = None,
-        key_store: Optional[object] = None,
+        key_store: Optional[str] = None,
     ) -> "ShardedIndex":
-        """Build a ready-to-serve sharded index in one call.
+        """Build a ready-to-serve sharded index from one recipe.
 
         Wires the shards, the shard factory (arming WAL-replay recovery),
         the executor and — with ``durable_dir`` — the per-shard durable
-        stores, replacing the historical dance of building N index
-        instances by hand and threading eight keyword arguments through.
+        stores.  Every combination that cannot be served is refused by
+        :func:`~repro.serve.config.check_constructible` before anything
+        is created.
 
         Args:
-            family: index family name (``"Bx"``, ``"TPR"``, ``"TPR*"``)
-                or a zero-argument callable building one shard (use a
-                callable for the VP variants, whose velocity partitioning
-                needs workload data).
+            family: an unpartitioned family name (``"Bx"``, ``"TPR"``,
+                ``"TPR*"``), built per shard by
+                :func:`~repro.core.partitioned_index.make_index` from the
+                keyword arguments below, or a zero-argument callable
+                building one shard (the VP variants, whose velocity
+                partitioning needs workload data:
+                ``partial(make_index, "Bx(VP)", partitioning=...)``).
             shards: shard count (default :data:`DEFAULT_SHARDS`).
             executor: ``"serial"`` / ``"thread"`` / ``"process"`` or an
                 :class:`~repro.serve.Executor` instance; default thread.
-            durable_dir: when set, create (or reopen, if it already holds
-                a manifest) a :class:`~repro.serve.DurableStore` at this
-                path instead of serving from memory.  Requires a *named*
-                family and an in-process executor.
-            config: base :class:`ServeConfig`; the explicit arguments
-                override its fields.
+            durable_dir: when set, create a
+                :class:`~repro.serve.DurableStore` at this path instead of
+                serving from memory — or reopen the one already there,
+                provided ``family``/``shards``/``buffer_pages`` are what it
+                was created with.  Requires a *named* family, the paged key
+                store and an in-process executor.
+            config: the rest of the recipe (supervisor, fan-out width,
+                snapshots, name); ``executor`` and ``space`` override its
+                fields.
             space: data space for ``"Bx"`` shards and kNN defaults.
             buffer_pages: per-shard buffer-pool capacity.
             page_size: page size in bytes (family default when ``None``).
             max_update_interval: Bx-tree update horizon (family default
                 when ``None``).
-            supervisor: retry/breaker/timeout policy.
-            max_workers: fan-out width (default: the shard count).
-            name: display name (default: the family name).
-            key_store: Bx key-store backend for the factory-built shards
-                (``"btree"``/``"flat"`` or a backend class; see
-                ``docs/backends.md``).  Requires the paged default with
-                ``durable_dir`` — durable checkpoints persist buffer
-                pages, which the flat backend does not use.
+            key_store: Bx key-store backend of the built shards,
+                ``"btree"`` (default) or ``"flat"``; see ``docs/backends.md``.
         """
-        if shards < 1:
-            raise ValueError("shards must be at least 1")
-        base = config if config is not None else ServeConfig()
-        if key_store is None:
-            key_store = base.key_store
-        if durable_dir is not None and key_store is not None:
-            from repro.btree.store import BTreeKeyStore
-
-            paged = key_store == "btree" or (
-                isinstance(key_store, type) and issubclass(key_store, BTreeKeyStore)
-            )
-            if not paged:
-                raise ValueError(
-                    "durable_dir requires the paged 'btree' key store: "
-                    "checkpoints persist buffer pages, and the flat "
-                    "backend keeps its arrays off-page (docs/backends.md)"
-                )
         if callable(family):
             factory: Callable[[], object] = family
             family_name = getattr(family, "__name__", type(family).__name__)
         else:
-            factory = _FamilyFactory(
-                family,
-                space=space,
-                buffer_pages=buffer_pages,
-                page_size=page_size,
-                max_update_interval=max_update_interval,
-                key_store=key_store,
-            )
+            recipe = {
+                "space": space,
+                "buffer_pages": buffer_pages,
+                "page_size": page_size,
+                "max_update_interval": max_update_interval,
+                "key_store": key_store,
+            }
+            # ``None`` is "the family's default": make_index is not handed it.
+            given = {key: value for key, value in recipe.items() if value is not None}
+            factory = partial(make_index, family, **given)
             family_name = family
-        base = base.merged(
-            name=name or base.name or family_name,
-            space=space,
-            executor=executor,
-            max_workers=max_workers,
-            shard_factory=factory,
-            supervisor=supervisor,
+        base = config if config is not None else ServeConfig()
+        base = check_constructible(
+            base.merged(
+                name=base.name or family_name,
+                space=space,
+                executor=executor,
+                shard_factory=factory,
+            ),
+            shards,
+            durable=durable_dir is not None,
+            family=family,
             key_store=key_store,
         )
-        if durable_dir is not None:
-            if callable(family):
-                raise ValueError(
-                    "durable_dir needs a named family (the store owns each "
-                    "shard's buffer; a custom factory cannot accept it)"
-                )
-            from repro.serve.durable_store import DurableStore
+        if durable_dir is None:
+            return cls([factory() for _ in range(shards)], base)
+        from repro.serve.durable_store import DurableStore
 
-            store = DurableStore(durable_dir)
-            if store.exists:
-                return store.open(config=base)
-            return store.create(
-                factory,
-                num_shards=shards,
-                name=base.name,
-                space=space,
-                buffer_pages=buffer_pages,
-                config=base,
+        store = DurableStore(durable_dir)
+        if store.exists:
+            return store.open(
+                base, expect={"family": family, "num_shards": shards, "buffer_pages": buffer_pages}
             )
-        return cls([factory() for _ in range(shards)], config=base)
+        factory()  # dry run: a recipe that cannot build a shard fails before the store exists
+        return store.create(
+            lambda buffer: factory(buffer=buffer),
+            num_shards=shards,
+            name=base.name,
+            buffer_pages=buffer_pages,
+            config=base,
+            family=family,
+        )
 
     def __enter__(self) -> "ShardedIndex":
         return self
@@ -1029,9 +906,7 @@ class ShardedIndex(ScalarVerbs):
         Failures after the supervision policy (retry / recovery) are
         strict — the first one raises.
         """
-        results, statuses, failures = self._supervised_run(
-            tasks, read_only=False, timeout=self._config.update_timeout_s
-        )
+        results, statuses, failures = self._supervised_run(tasks, read_only=False, timeout=None)
         self._strict_statuses(statuses, failures)
         self._raise_first(failures)
         return results

@@ -188,8 +188,7 @@ class SupervisorConfig:
             so the call is *abandoned*: its shard is marked failed for
             this batch and the breaker records the failure, while the
             worker finishes in the background under the shard lock.
-        update_timeout_s: same budget for routed mutation calls.
-        seed: seed of the per-shard jitter RNGs.
+            Routed mutation calls carry no timeout.
         clock: time source for breaker cool-downs (fake-clock friendly).
         sleep: delay delivery for backoff (fake-sleep friendly).
     """
@@ -198,8 +197,6 @@ class SupervisorConfig:
     failure_threshold: int = 3
     reset_timeout_s: float = 1.0
     query_timeout_s: Optional[float] = None
-    update_timeout_s: Optional[float] = None
-    seed: int = 0
     clock: Callable[[], float] = time.monotonic
     sleep: Callable[[float], None] = time.sleep
 

@@ -112,7 +112,6 @@ class FileDiskManager:
             double-write recovery) when present.
         slot_bytes: on-disk slot size; must match the file's header when
             reopening an existing store.
-        stats: shared I/O counters (a private one is created if omitted).
         fsync: issue real fsync barriers (see the module docstring);
             disable only in tests where durability across a host crash is
             irrelevant.
@@ -128,7 +127,6 @@ class FileDiskManager:
         self,
         path: str,
         slot_bytes: int = DEFAULT_SLOT_BYTES,
-        stats: Optional[IOStats] = None,
         fsync: bool = True,
         crash_hook: Optional[Callable[[str], None]] = None,
     ) -> None:
@@ -136,7 +134,7 @@ class FileDiskManager:
             raise ValueError("slot_bytes must be at least 256")
         self.path = str(path)
         self.slot_bytes = slot_bytes
-        self.stats = stats if stats is not None else IOStats()
+        self.stats = IOStats()
         self._fsync_enabled = fsync
         self._crash_hook = crash_hook
         self._free_ids: List[int] = []

@@ -291,11 +291,7 @@ class FaultInjectingDiskManager:
         return self.inner.allocated_page_ids
 
 
-def fault_wrap(
-    buffer,
-    profile: Optional[FaultProfile] = None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> FaultInjectingDiskManager:
+def fault_wrap(buffer, profile: Optional[FaultProfile] = None) -> FaultInjectingDiskManager:
     """Slide a fault injector under an existing buffer manager, in place.
 
     Wraps ``buffer.disk`` in a :class:`FaultInjectingDiskManager` and
@@ -304,7 +300,7 @@ def fault_wrap(
     the inner disk's page table and stats, so accounting is unchanged
     until a fault actually fires.
     """
-    injector = FaultInjectingDiskManager(buffer.disk, profile=profile, sleep=sleep)
+    injector = FaultInjectingDiskManager(buffer.disk, profile=profile)
     buffer.disk = injector
     return injector
 

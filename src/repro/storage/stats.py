@@ -87,21 +87,21 @@ class IOStats:
         if self._active_scope is not None:
             self.scopes[self._active_scope].writes += count
 
-    def record_logical_read(self, count: int = 1) -> None:
-        self.logical.reads += count
+    def record_logical_read(self) -> None:
+        self.logical.reads += 1
 
-    def record_logical_write(self, count: int = 1) -> None:
-        self.logical.writes += count
+    def record_logical_write(self) -> None:
+        self.logical.writes += 1
 
-    def record_buffer_hit(self, count: int = 1) -> None:
-        self.buffer.hits += count
+    def record_buffer_hit(self) -> None:
+        self.buffer.hits += 1
         if self._active_scope is not None:
-            self.buffer_scopes[self._active_scope].hits += count
+            self.buffer_scopes[self._active_scope].hits += 1
 
-    def record_buffer_miss(self, count: int = 1) -> None:
-        self.buffer.misses += count
+    def record_buffer_miss(self) -> None:
+        self.buffer.misses += 1
         if self._active_scope is not None:
-            self.buffer_scopes[self._active_scope].misses += count
+            self.buffer_scopes[self._active_scope].misses += 1
 
     # ------------------------------------------------------------------
     # Scoping

@@ -91,7 +91,6 @@ class TPRNode:
         self,
         page_id: int,
         is_leaf: bool,
-        entries: Optional[Sequence[TPREntry]] = None,
         parent_page_id: Optional[int] = None,
     ) -> None:
         self.page_id = page_id
@@ -107,9 +106,6 @@ class TPRNode:
         self._vy1 = array("d")
         self._tref = array("d")
         self._refs = array("q")
-        if entries:
-            for entry in entries:
-                self.append_entry(entry)
 
     # ------------------------------------------------------------------
     # Column access (the kernel-facing hot surface)

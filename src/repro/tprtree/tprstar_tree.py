@@ -25,13 +25,12 @@ mirroring the transformed-node construction of the cost model.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.geometry import kernels
 from repro.objects.moving_object import MovingObject
-from repro.storage.buffer_manager import BufferManager
 from repro.tprtree.node import TPRNode
-from repro.tprtree.tpr_tree import DEFAULT_HORIZON, TPRTree
+from repro.tprtree.tpr_tree import TPRTree
 
 #: Nominal query side length the tree is optimized for (Section 6 of the
 #: paper: "The TPR*-tree is optimized for query size of 1000x1000m^2").
@@ -46,25 +45,9 @@ class TPRStarTree(TPRTree):
 
     name = "TPR*"
 
-    def __init__(
-        self,
-        buffer: Optional[BufferManager] = None,
-        max_entries: Optional[int] = None,
-        min_fill: float = 0.4,
-        horizon: float = DEFAULT_HORIZON,
-        nominal_query_extent: float = DEFAULT_NOMINAL_QUERY_EXTENT,
-        sweep_steps: int = 2,
-        page_size: Optional[int] = None,
-    ) -> None:
-        super().__init__(
-            buffer=buffer,
-            max_entries=max_entries,
-            min_fill=min_fill,
-            horizon=horizon,
-            page_size=page_size,
-        )
-        self.nominal_query_extent = nominal_query_extent
-        self.sweep_steps = sweep_steps
+    def __init__(self, *args, **kwargs) -> None:
+        """Takes exactly the :class:`TPRTree` constructor arguments."""
+        super().__init__(*args, **kwargs)
         self._reinsert_done_levels: set = set()
 
     # ------------------------------------------------------------------
@@ -72,7 +55,7 @@ class TPRStarTree(TPRTree):
     # ------------------------------------------------------------------
     def _extent_cost(self, ext: kernels.Extent) -> float:
         """Fused sweep integral of the bound grown by the nominal query extent."""
-        return kernels.extent_sweep_volume(ext, self.nominal_query_extent, self.horizon)
+        return kernels.extent_sweep_volume(ext, DEFAULT_NOMINAL_QUERY_EXTENT, self.horizon)
 
     def _split_cost_extents(self, ext_a: kernels.Extent, ext_b: kernels.Extent) -> float:
         """Sweeping volumes of the halves plus their overlap now and at the horizon."""

@@ -66,6 +66,19 @@ class WorkloadParameters:
         """A copy with some parameters overridden."""
         return replace(self, **overrides)
 
+    def index_kwargs(self) -> dict:
+        """The Table-1 setting every competing index is built from.
+
+        What :func:`~repro.core.partitioned_index.make_index` (and
+        ``ShardedIndex.build``) take beside the family name.
+        """
+        return {
+            "space": self.space,
+            "buffer_pages": self.buffer_pages,
+            "page_size": self.page_size,
+            "max_update_interval": self.max_update_interval,
+        }
+
 
 #: Default parameter set used across the experiments (scaled-down Table 1).
 DEFAULT_PARAMETERS = WorkloadParameters()

@@ -42,10 +42,9 @@ class QueryWorkloadGenerator:
             events.append(QueryEvent(time=issue_time, query=self.make_query(issue_time)))
         return events
 
-    def make_query(self, issue_time: float, predictive_time: Optional[float] = None) -> RangeQuery:
+    def make_query(self, issue_time: float) -> RangeQuery:
         """A single query issued at ``issue_time``."""
-        if predictive_time is None:
-            predictive_time = self.params.query_predictive_time
+        predictive_time = self.params.query_predictive_time
         center = self._random_center()
         if self.params.rectangular_queries:
             half = self.params.rectangle_side / 2.0

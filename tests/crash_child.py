@@ -140,7 +140,7 @@ def main(root, kill_event, kill_ordinal):
         name="Bx",
         space=SPACE,
         buffer_pages=BUFFER_PAGES,
-        max_workers=1,
+        config=ServeConfig(max_workers=1),
     )
     index.bulk_load(make_objects())
     index.checkpoint()

@@ -179,14 +179,14 @@ def test_wal_recovery_preserves_backend_and_answers(
 # ----------------------------------------------------------------------
 # Configuration plumbing
 # ----------------------------------------------------------------------
-def test_serve_config_key_store_routes_and_merges(workload):
-    config = ServeConfig(key_store="flat")
-    assert config.merged(name="Bx").key_store == "flat"
-    assert config.merged(key_store="btree").key_store == "btree"
+def test_build_key_store_reaches_every_shard_and_the_armed_factory(workload):
+    # The backend is part of the shard recipe (a ``build`` keyword), not of
+    # the serving policy: ServeConfig has no such field.
+    with pytest.raises(TypeError):
+        ServeConfig(key_store="flat")
     with ShardedIndex.build(
-        family="Bx", shards=2, space=PARAMS.space, config=config
+        family="Bx", shards=2, space=PARAMS.space, key_store="flat"
     ) as index:
-        assert index.config.key_store == "flat"
         for shard in index.shards:
             assert isinstance(shard.store, FlatKeyStore)
         # The armed factory keeps the backend choice too.
@@ -194,18 +194,6 @@ def test_serve_config_key_store_routes_and_merges(workload):
     with ShardedIndex.build(family="Bx", shards=2, space=PARAMS.space) as index:
         for shard in index.shards:
             assert isinstance(shard.store, BTreeKeyStore)
-
-
-def test_build_kwarg_overrides_config(workload):
-    with ShardedIndex.build(
-        family="Bx",
-        shards=2,
-        space=PARAMS.space,
-        config=ServeConfig(key_store="btree"),
-        key_store="flat",
-    ) as index:
-        for shard in index.shards:
-            assert isinstance(shard.store, FlatKeyStore)
 
 
 def test_durable_dir_requires_paged_backend(tmp_path):

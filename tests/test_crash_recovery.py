@@ -21,7 +21,7 @@ import pytest
 
 import crash_child
 import repro
-from repro.serve import ShardedIndex
+from repro.serve import ServeConfig, ShardedIndex
 from repro.serve.durable_store import DurableStore
 from repro.storage import FaultProfile, fault_wrap
 from repro.storage.durable import DurabilityError, FileDiskManager
@@ -34,7 +34,7 @@ def _create_store(root):
         num_shards=crash_child.NUM_SHARDS,
         space=crash_child.SPACE,
         buffer_pages=crash_child.BUFFER_PAGES,
-        max_workers=1,
+        config=ServeConfig(max_workers=1),
     )
 
 
@@ -73,7 +73,7 @@ def test_clean_close_reopen_replays_nothing(tmp_path):
     index.close()
 
     store = DurableStore(root, fsync=False)
-    reopened = store.open(max_workers=1)
+    reopened = store.open(ServeConfig(max_workers=1))
     # close() checkpointed every shard: nothing is left to replay.
     assert store.replayed_on_open == [0] * crash_child.NUM_SHARDS
     assert crash_child.answers(reopened) == live
@@ -99,7 +99,7 @@ def test_abandoned_store_reopen_replays_bounded_tail(tmp_path):
     # buffer pages never reach pages.db, no checkpoint, no close.
 
     store = DurableStore(root, fsync=False)
-    recovered = store.open(max_workers=1)
+    recovered = store.open(ServeConfig(max_workers=1))
     # Bounded replay: the checkpoint truncated the bulk-load history, so
     # each shard replays exactly its post-checkpoint updates and nothing
     # else.
@@ -123,7 +123,7 @@ def test_abandoned_bx_store_replays_a_bulk_load(tmp_path):
     live = crash_child.answers(index)
 
     store = DurableStore(root, fsync=False)
-    recovered = store.open(max_workers=1)
+    recovered = store.open(ServeConfig(max_workers=1))
     assert store.replayed_on_open == [1] * crash_child.NUM_SHARDS
     assert crash_child.answers(recovered) == live
     assert crash_child.answers(recovered) == crash_child.answers(
@@ -160,7 +160,7 @@ def test_bulk_load_into_a_nonempty_index_is_rejected_before_it_is_logged(tmp_pat
     assert crash_child.answers(in_memory) == live
     in_memory.close()
     # The durable index is abandoned, not closed: reopening replays its WAL.
-    reopened = DurableStore(root, fsync=False).open(max_workers=1)
+    reopened = DurableStore(root, fsync=False).open(ServeConfig(max_workers=1))
     assert crash_child.answers(reopened) == live
     reopened.close()
 
@@ -188,8 +188,73 @@ def test_open_refuses_a_manifest_of_another_version(tmp_path):
 
     before = snapshot()
     with pytest.raises(DurabilityError, match="manifest version 2"):
-        DurableStore(root, fsync=False).open(max_workers=1)
+        DurableStore(root, fsync=False).open(ServeConfig(max_workers=1))
     assert snapshot() == before  # nothing truncated or rewritten
+
+
+def _open_descriptors_under(root):
+    links = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            links.append(os.readlink(f"/proc/self/fd/{fd}"))
+        except OSError:
+            pass  # the listing's own descriptor
+    return [link for link in links if link.startswith(root)]
+
+
+@pytest.mark.parametrize(
+    "recipe",
+    [
+        {"executor": "process"},
+        {"key_store": "flat"},
+        {"family": crash_child.make_shard},
+    ],
+    ids=["process-executor", "flat-key-store", "callable-family"],
+)
+def test_build_refuses_an_unservable_durable_recipe_before_the_store_exists(tmp_path, recipe):
+    # At the parent commit the first two raised only after a complete store
+    # (manifest + shard directories) was committed, with its files left
+    # open: the retry below then silently opened the leftover.
+    root = str(tmp_path / "store")
+    with pytest.raises(ValueError) as raised:
+        ShardedIndex.build(**{"family": "Bx", "shards": 2, "durable_dir": root, **recipe})
+    assert not os.path.exists(root)
+    assert _open_descriptors_under(root) == []
+    assert raised.traceback[-1].path.name == "config.py"
+    assert raised.traceback[-1].name == "check_constructible"
+    with ShardedIndex.build("Bx", shards=2, executor="serial", durable_dir=root) as index:
+        assert index.shard_log(0).entries == ()  # created here, not reopened
+
+
+def test_build_into_an_existing_store_compares_its_arguments_with_the_manifest(tmp_path):
+    # At the parent commit the second build returned the stored 2-shard Bx
+    # topology (50-page pools) under the name "TPR*", armed with a factory
+    # of TPR*-trees.
+    root = str(tmp_path / "store")
+    objects = crash_child.make_objects()
+    with ShardedIndex.build("Bx", shards=2, executor="serial", durable_dir=root) as index:
+        index.bulk_load(objects)
+    for arguments, mismatch in (
+        ({"family": "TPR*", "shards": 4, "buffer_pages": 7}, "family='Bx', not 'TPR\\*'"),
+        ({"family": "Bx", "shards": 4}, "num_shards=2, not 4"),
+        ({"family": "Bx", "shards": 2, "buffer_pages": 7}, "buffer_pages=50, not 7"),
+    ):
+        with pytest.raises(ValueError, match=mismatch):
+            ShardedIndex.build(durable_dir=root, **arguments)
+        assert _open_descriptors_under(root) == []  # refused before a shard was opened
+    with ShardedIndex.build("Bx", shards=2, executor="serial", durable_dir=root) as index:
+        assert (index.name, index.num_shards, len(index)) == ("Bx", 2, len(objects))
+    # A store made by DurableStore.create directly records no family: not compared.
+    bare = str(tmp_path / "bare")
+    _create_store(bare).close()
+    with open(os.path.join(bare, "MANIFEST.json"), encoding="utf-8") as handle:
+        assert json.load(handle)["family"] is None
+    ShardedIndex.build(
+        "TPR*",
+        shards=crash_child.NUM_SHARDS,
+        buffer_pages=crash_child.BUFFER_PAGES,
+        durable_dir=bare,
+    ).close()
 
 
 def test_explicit_checkpoint_truncates_wals(tmp_path):
@@ -211,7 +276,7 @@ def test_explicit_checkpoint_truncates_wals(tmp_path):
         assert wal is not None and os.path.getsize(wal) == 0
     # Abandon post-checkpoint: recovery now replays nothing at all.
     store = DurableStore(root, fsync=False)
-    recovered = store.open(max_workers=1)
+    recovered = store.open(ServeConfig(max_workers=1))
     assert store.replayed_on_open == [0] * crash_child.NUM_SHARDS
     assert crash_child.answers(recovered) == live
     recovered.close()
@@ -241,7 +306,7 @@ def test_supervised_recovery_restores_durable_shard_from_store(tmp_path):
     index.close()
 
     store = DurableStore(root, fsync=False)
-    recovered = store.open(max_workers=1)
+    recovered = store.open(ServeConfig(max_workers=1))
     assert crash_child.answers(recovered) == live
     recovered.close()
 
@@ -280,7 +345,7 @@ def test_sigkill_recovery_matches_clean_twin(tmp_path, kill_event, kill_ordinal)
     )
 
     store = DurableStore(root)
-    recovered = store.open(max_workers=1)
+    recovered = store.open(ServeConfig(max_workers=1))
     # Bounded replay: only post-checkpoint updates live in the tails —
     # never the bulk load the checkpoint folded away.
     assert sum(store.replayed_on_open) <= crash_child.NUM_UPDATES

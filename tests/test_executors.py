@@ -257,7 +257,7 @@ def test_process_close_terminates_every_worker(workload):
 
 
 def test_executor_instances_are_single_use(workload):
-    executor = ProcessExecutor(max_workers=2)
+    executor = ProcessExecutor()
     index = _build(workload, "Bx", shards=2, executor=executor)
     try:
         shard = build_standard_indexes(workload, PARAMS, which=("Bx",))["Bx"]
@@ -272,11 +272,13 @@ def test_make_executor_specs():
     assert isinstance(make_executor("serial"), SerialExecutor)
     assert isinstance(make_executor("thread"), ThreadExecutor)
     assert isinstance(make_executor("process"), ProcessExecutor)
-    assert isinstance(make_executor(SerialExecutor), SerialExecutor)
+    ready = SerialExecutor()
+    assert make_executor(ready) is ready
     with pytest.raises(ValueError, match="unknown executor"):
         make_executor("fibers")
-    with pytest.raises(TypeError):
-        make_executor(42)
+    for spec in (42, SerialExecutor):  # a name or an instance: no class spelling
+        with pytest.raises(TypeError):
+            make_executor(spec)
 
 
 # ----------------------------------------------------------------------

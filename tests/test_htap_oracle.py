@@ -28,7 +28,7 @@ from repro.geometry.vector import Vector
 from repro.objects.knn import KNNQuery
 from repro.objects.moving_object import MovingObject
 from repro.objects.queries import RectangularRange, TimeSliceRangeQuery
-from repro.serve import EpochOracle, ServeConfig, ShardedIndex, SnapshotTooOldError
+from repro.serve import DurableStore, EpochOracle, ServeConfig, ShardedIndex, SnapshotTooOldError
 from repro.workload.events import UpdateEvent
 from repro.workload.generator import build_workload
 from repro.workload.parameters import WorkloadParameters
@@ -360,7 +360,7 @@ def test_durable_restart_restores_the_published_epoch(
             index.update_batch(pairs)
         saved_epoch = index.epoch
         saved_answers = index.range_query_batch(queries, epoch=saved_epoch)
-    reopened = ShardedIndex.open(root)
+    reopened = DurableStore(root).open()
     with reopened:
         assert reopened.epoch == saved_epoch
         assert reopened.range_query_batch(queries, epoch=saved_epoch) == saved_answers

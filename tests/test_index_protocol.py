@@ -1,6 +1,6 @@
-"""One index protocol, one mutation record.
+"""One index protocol, one mutation record, one construction path.
 
-Three contracts that everything above the index families leans on:
+Four contracts that everything above the index families leans on:
 
 * every index — the four families, the VP variants, and the serving
   layer's ``VersionedShard``, process-shard handle and ``ShardedIndex`` —
@@ -13,22 +13,32 @@ Three contracts that everything above the index families leans on:
 * a ``ShardedIndex`` mutation is exactly one ``(op, payload, epoch)`` WAL
   entry per routed shard, ``op`` one of the four batch ``LOG_OPS``, and
   :func:`~repro.serve.shard_log.apply_record` replaying a shard's entries
-  into a fresh shard reproduces that shard's answers — on every executor.
+  into a fresh shard reproduces that shard's answers — on every executor;
+* the configuration matrix is a table (:data:`MATRIX`): every cell of
+  family x key store x executor x durable is either built through
+  ``make_index`` / ``ShardedIndex.build`` and answers like its unsharded
+  twin, or is refused by ``serve/config.py::check_constructible`` with
+  nothing on disk and no worker spawned.  ``docs/serving.md`` carries the
+  same table, rendered by :func:`matrix_table`.
 """
 
 from __future__ import annotations
 
 import ast
+import itertools
+import multiprocessing
+import os
 import pathlib
+from functools import partial
 
 import pytest
 
 import repro
-from repro.bench.harness import build_standard_indexes
+from repro import VelocityAnalyzer, make_index
 from repro.core.index_manager import MovingIndex, SubIndex
 from repro.objects.knn import KNNQuery, ScalarVerbs
 from repro.objects.moving_object import MovingObject
-from repro.serve import LOG_OPS, ShardedIndex, VersionedShard
+from repro.serve import LOG_OPS, ServeConfig, ShardedIndex, VersionedShard
 from repro.serve.executor import _ProcessShard
 from repro.serve.shard_log import apply_record
 from repro.workload.events import UpdateEvent
@@ -48,52 +58,102 @@ MEMBERS = (
     *SCALAR_VERBS,
 )
 
+FAMILIES = ("Bx", "Bx(VP)", "TPR", "TPR*", "TPR*(VP)")
+KEY_STORES = (None, "btree", "flat")  # of the Bx families; the TPR family has none
+EXECUTORS = ("serial", "thread", "process")
+
+
+def _refusal(family, key_store, executor, durable):
+    """Why ``check_constructible`` refuses a cell (``None``: the cell is served)."""
+    if not durable:
+        return None
+    if executor == "process":
+        return "in-process executor"
+    if family.endswith("(VP)"):  # built from workload data, so passed as a callable
+        return "named family"
+    if key_store == "flat":
+        return "paged 'btree' key store"
+    return None
+
+
+#: ``(family, key store, executor, durable) -> refusal`` for every cell.
+MATRIX = {
+    cell: _refusal(*cell)
+    for family in FAMILIES
+    for cell in itertools.product(
+        (family,), KEY_STORES if family.startswith("Bx") else (None,), EXECUTORS, (False, True)
+    )
+}
+
+
+def matrix_table():
+    """The constructible-cell table of ``docs/serving.md``, one row per family x key store."""
+    columns = list(itertools.product((False, True), EXECUTORS))
+    lines = [
+        "| family | key store | "
+        + " | ".join(f"{'durable' if d else 'memory'} {e}" for d, e in columns)
+        + " |",
+        "|---|---|" + "---|" * len(columns),
+    ]
+    for family, key_store in dict.fromkeys(cell[:2] for cell in MATRIX):
+        cells = [MATRIX[family, key_store, e, d] or "served" for d, e in columns]
+        store = "-" if not family.startswith("Bx") else f"`{key_store or 'None'}`"
+        lines.append(f"| `{family}` | {store} | " + " | ".join(cells) + " |")
+    return "\n".join(lines)
+
 
 @pytest.fixture(scope="module")
 def workload():
     return build_workload("SA", PARAMS)
 
 
-def _build_sharded(family, shards, executor):
+@pytest.fixture(scope="module")
+def partitioning(workload):
+    return VelocityAnalyzer().analyze(workload.velocity_sample())
+
+
+def _recipe(family, partitioning, key_store=None):
+    """``make_index`` bound to the module's Table-1 setting (no instance yet)."""
+    return partial(
+        make_index, family, partitioning=partitioning, key_store=key_store, **PARAMS.index_kwargs()
+    )
+
+
+def _build_sharded(family, shards, executor, durable_dir=None, key_store=None):
     return ShardedIndex.build(
         family,
         shards=shards,
         executor=executor,
-        space=PARAMS.space,
-        buffer_pages=PARAMS.buffer_pages,
-        page_size=PARAMS.page_size,
-        max_update_interval=PARAMS.max_update_interval,
+        durable_dir=durable_dir,
+        key_store=key_store,
+        **PARAMS.index_kwargs(),
     )
 
 
 def _family(name):
-    def make(workload):
-        return build_standard_indexes(workload, PARAMS, which=(name,))[name], None
+    def make(partitioning):
+        return _recipe(name, partitioning)(), None
 
     return make
 
 
-def _versioned(workload):
-    return VersionedShard(_family("Bx")(workload)[0]), None
+def _versioned(partitioning):
+    return VersionedShard(_recipe("Bx", partitioning)()), None
 
 
-def _process_handle(workload):
+def _process_handle(partitioning):
     owner = _build_sharded("TPR*", 1, "process")
     return owner.shards[0], owner
 
 
-def _sharded(workload):
+def _sharded(partitioning):
     index = _build_sharded("TPR*", 2, "serial")
     return index, index
 
 
 #: name -> factory returning ``(empty index, what to close afterwards)``.
 INDEXES = {
-    "Bx": _family("Bx"),
-    "TPR": _family("TPR"),
-    "TPR*": _family("TPR*"),
-    "Bx(VP)": _family("Bx(VP)"),
-    "TPR*(VP)": _family("TPR*(VP)"),
+    **{family: _family(family) for family in FAMILIES},
     "VersionedShard": _versioned,
     "process handle": _process_handle,
     "ShardedIndex": _sharded,
@@ -101,8 +161,8 @@ INDEXES = {
 
 
 @pytest.mark.parametrize("name", list(INDEXES))
-def test_every_index_satisfies_the_protocol(workload, name):
-    index, owner = INDEXES[name](workload)
+def test_every_index_satisfies_the_protocol(workload, partitioning, name):
+    index, owner = INDEXES[name](partitioning)
     try:
         assert [member for member in MEMBERS if not hasattr(index, member)] == []
         assert isinstance(index, MovingIndex)
@@ -144,6 +204,89 @@ def test_every_index_satisfies_the_protocol(workload, name):
     finally:
         if owner is not None:
             owner.close()
+
+
+def _cell_id(cell):
+    family, key_store, executor, durable = cell
+    return f"{family}-{key_store}-{executor}-{'durable' if durable else 'memory'}"
+
+
+@pytest.mark.parametrize("cell", list(MATRIX), ids=_cell_id)
+def test_every_cell_of_the_matrix_is_served_or_refused_up_front(
+    workload, partitioning, tmp_path, cell
+):
+    family, key_store, executor, durable = cell
+    root = str(tmp_path / "store") if durable else None
+    recipe = _recipe(family, partitioning, key_store)
+
+    def build():
+        if family.endswith("(VP)"):  # the analyzed workload rides in on a callable
+            config = ServeConfig(name=family, space=PARAMS.space)
+            return ShardedIndex.build(recipe, 2, executor, root, config)
+        return _build_sharded(family, 2, executor, root, key_store)
+
+    if MATRIX[cell] is not None:
+        with pytest.raises(ValueError, match=MATRIX[cell]) as raised:
+            build()
+        frame = raised.traceback[-1]
+        assert (frame.frame.f_globals["__name__"], frame.name) == (
+            "repro.serve.config",
+            "check_constructible",
+        )
+        assert not os.path.exists(root)
+        assert multiprocessing.active_children() == []
+        return
+    queries = [event.query for event in workload.query_events]
+    probes = [
+        KNNQuery(center=query.range.center, k=5, query_time=query.end_time) for query in queries
+    ]
+    twin = recipe()
+    twin.bulk_load(workload.initial_objects)
+    with build() as index:
+        assert (index.name, index.num_shards, index.executor.kind) == (family, 2, executor)
+        assert not durable or os.path.exists(os.path.join(root, "MANIFEST.json"))
+        index.bulk_load(workload.initial_objects)
+        assert len(index) == len(twin)
+        assert index.range_query_batch(queries) == [
+            sorted(answer) for answer in twin.range_query_batch(queries)
+        ]
+        assert index.knn_query_batch(probes, space=PARAMS.space) == (
+            twin.knn_query_batch(probes, space=PARAMS.space)
+        )
+        if family.startswith("Bx"):  # the armed recovery recipe kept the backend
+            shard = index.shard_factory()
+            assert getattr(shard, "outlier_index", shard).store.name == (key_store or "btree")
+
+
+@pytest.mark.parametrize("durable", (False, True), ids=("memory", "durable"))
+@pytest.mark.parametrize(
+    "recipe, owner",
+    [
+        ({"family": "quad"}, "make_index"),
+        ({"family": "Bx(VP)"}, "make_index"),  # a VP name without its partitioning
+        ({"family": "TPR*", "key_store": "btree"}, "make_index"),  # no key store to name
+        ({"key_store": "lsm"}, "make_key_store"),
+        ({"executor": "fibers"}, "make_executor"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else "-".join(value.values()),
+)
+def test_an_unknown_name_is_refused_by_the_function_that_owns_its_registry(
+    tmp_path, recipe, owner, durable
+):
+    root = str(tmp_path / "store") if durable else None
+    if durable and "lsm" in recipe.values():
+        owner = "check_constructible"  # anything but the paged store is refused there first
+    with pytest.raises(ValueError) as raised:
+        ShardedIndex.build(**{"family": "Bx", "shards": 2, "durable_dir": root, **recipe})
+    assert raised.traceback[-1].name == owner
+    assert root is None or not os.path.exists(root)
+    assert multiprocessing.active_children() == []
+
+
+def test_the_docs_carry_the_matrix_table():
+    docs = pathlib.Path(__file__).resolve().parents[1] / "docs" / "serving.md"
+    assert matrix_table() in docs.read_text(encoding="utf-8")
+    assert len(MATRIX) == 54 and sum(refusal is None for refusal in MATRIX.values()) == 35
 
 
 def _mutation_script(workload):

@@ -329,21 +329,20 @@ def test_knn_after_update_reads_only_the_updated_payloads():
 # ----------------------------------------------------------------------
 # The make_key_store factory (the make_executor idiom)
 # ----------------------------------------------------------------------
-def test_factory_resolves_default_names_classes_and_instances():
+def test_factory_resolves_the_default_and_names():
     assert isinstance(make_key_store(None), BTreeKeyStore)
     assert isinstance(make_key_store("btree"), BTreeKeyStore)
     assert isinstance(make_key_store("flat"), FlatKeyStore)
-    assert isinstance(make_key_store(FlatKeyStore), FlatKeyStore)
-    ready = FlatKeyStore()
-    assert make_key_store(ready) is ready
     assert set(KEY_STORES) == {"btree", "flat"}
 
 
 def test_factory_rejects_unknown_name_and_bad_spec():
     with pytest.raises(ValueError, match="unknown key store"):
         make_key_store("lsm")
-    with pytest.raises(TypeError, match="key_store"):
-        make_key_store(42)
+    # A key store is named: the class and instance spellings are gone.
+    for spec in (42, FlatKeyStore, FlatKeyStore()):
+        with pytest.raises(TypeError, match="key_store"):
+            make_key_store(spec)
 
 
 def test_factory_threads_buffer_and_page_size():
@@ -360,16 +359,23 @@ def test_bxtree_selects_backend_and_rejects_nonempty_instance():
     assert isinstance(BxTree(key_store="flat").store, FlatKeyStore)
     used = FlatKeyStore()
     used.insert(1, 1)
-    with pytest.raises(ValueError, match="empty"):
-        BxTree(key_store=used)
+    with pytest.raises(TypeError, match="backend name"):
+        BxTree(key_store=used)  # empty or not: no instance is ever handed over
 
 
 def test_multi_tree_factories_reject_instances():
+    """One rejection, in ``make_key_store``, whichever factory the spec came through."""
+    from repro import VelocityAnalyzer, Vector, make_index
     from repro.core.partitioned_index import make_vp_bx_tree
-    from repro.serve.sharded_index import _FamilyFactory
+    from repro.serve import ShardedIndex
 
+    partitioning = VelocityAnalyzer(k=1).analyze([Vector(1.0, 0.1 * i) for i in range(5)])
     instance = FlatKeyStore()
-    with pytest.raises(TypeError, match="instance"):
-        make_vp_bx_tree(None, key_store=instance)
-    with pytest.raises(TypeError, match="name or class"):
-        _FamilyFactory("Bx", key_store=instance)
+    for build in (
+        lambda: make_vp_bx_tree(partitioning, key_store=instance),
+        lambda: make_index("Bx", key_store=instance),
+        lambda: ShardedIndex.build("Bx", shards=2, key_store=instance),
+    ):
+        with pytest.raises(TypeError, match="backend name") as raised:
+            build()
+        assert raised.traceback[-1].name == "make_key_store"
