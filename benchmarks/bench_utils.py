@@ -34,8 +34,8 @@ def print_figure(title: str, rows) -> None:
     """Print a figure's table and persist its deterministic columns.
 
     pytest captures stdout of passing tests, so the copy under
-    ``benchmarks/results/`` is what survives a quiet benchmark run;
-    EXPERIMENTS.md points at these files.  The printed table keeps the
+    ``benchmarks/results/`` is what survives a quiet benchmark run.
+    The printed table keeps the
     wall-clock columns; the file drops them, so a committed figure changes
     only when an I/O count, hit ratio or answer size does (CI's full job
     runs ``git diff --exit-code benchmarks/results`` after the slow tier).

@@ -7,8 +7,8 @@ round — the experiment itself already averages over many queries/updates),
 prints the figure's table, and asserts the qualitative shape the paper
 reports.
 
-Scale: the drivers run with scaled-down parameters (see EXPERIMENTS.md).
-Set ``REPRO_FULL_SCALE=1`` to run closer to the paper's Table 1 settings —
+Scale: the drivers run with scaled-down parameters.  Set
+``REPRO_FULL_SCALE=1`` to run closer to the paper's Table 1 settings —
 expect hours of runtime under pure Python.
 """
 

@@ -1,36 +1,20 @@
-"""Open-loop latency load driver for the sharded serving layer.
+"""The HTAP load driver: one updater lane against epoch-pinned query lanes.
 
-``bench_speed.py serve`` measures *batch* cost per operation; this driver
-measures what a client actually experiences: per-request latency under a
-fixed arrival process.  It replays a mixed update/range/kNN operation
-stream against a (usually sharded, usually process-backed) index in two
-modes and reports per-op-type percentiles plus throughput:
-
-* **closed loop** — ``clients`` threads issue requests back to back; the
-  latency of a request is its service time, and the aggregate throughput
-  is the system's saturation rate.  Updates all ride one lane (client 0)
-  so their stream order — which the index's update semantics require —
-  is preserved; queries fan across the remaining lanes.
-* **open loop** — requests arrive on a Poisson process at ``rate_ops_s``
-  (self-calibrated to ~70% of the closed-loop throughput when not
-  given), and the latency of a request is measured from its *scheduled*
-  arrival, not from when the driver got around to issuing it.  A slow
-  request therefore also charges the requests queued behind it — the
-  coordinated-omission-free number a closed loop cannot produce.
-
-:func:`run_htap` is the third mode, added with the snapshot-serving
-work: one updater thread streams update batches flat out while query
+:func:`run_htap` streams update batches flat out on one thread while query
 threads answer epoch-pinned range/kNN batches concurrently, every
 mutation and every answer recorded into an
 :class:`~repro.serve.EpochOracle` — the run's headline numbers are the
 sustained update throughput, the epoch lag queries observed, and the
 oracle's verdict that every concurrent answer was bit-identical to a
-quiescent evaluation at its pinned epoch (``docs/htap.md``).
+quiescent evaluation at its pinned epoch (``docs/htap.md``).  It is
+shared by ``bench_speed.py htap`` and ``tests/test_htap_stress.py``.
+
+Request latency under an arrival process (closed-loop saturation, then
+open-loop Poisson arrivals charged from the scheduled arrival) is
+``perfbench``'s job — ``serve-mixed`` phases A and B.
 
 Percentiles are nearest-rank (no interpolation), so a reported p99 is an
-actually observed latency.  The driver builds a fresh index per mode
-(the update stream is stateful and cannot be replayed twice into the
-same index), which is why it takes an index *factory*, not an index.
+actually observed latency.
 """
 
 from __future__ import annotations
@@ -39,52 +23,7 @@ import math
 import random
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-#: (kind, payload): kind is "update" (payload ``(old, new)``), "range"
-#: (payload a RangeQuery) or "knn" (payload a KNNQuery).
-Operation = Tuple[str, object]
-
-#: Open-loop arrival rate as a fraction of the measured closed-loop
-#: saturation throughput, when --rate is not given.  Below saturation so
-#: the queue drains between bursts; high enough that queueing happens.
-CALIBRATION_FRACTION = 0.7
-
-#: Minimum self-calibrated rate: keeps the open loop finite when the
-#: closed-loop measurement was degenerate (e.g. a near-empty op list).
-MIN_RATE_OPS_S = 1.0
-
-
-def build_operations(
-    workload, probes: Sequence[object], seed: int = 0
-) -> List[Operation]:
-    """The mixed request stream: every update, range query and kNN probe.
-
-    Updates keep their stream order (the workload's update semantics
-    depend on it); queries and probes are interleaved among them at
-    seeded-random positions, so the mix — not the workload file's
-    event grouping — decides what contends with what.
-    """
-    lanes: Dict[str, List[Operation]] = {
-        "update": [("update", (e.old, e.new)) for e in workload.update_events],
-        "range": [("range", e.query) for e in workload.query_events],
-        "knn": [("knn", probe) for probe in probes],
-    }
-    kinds = [kind for kind, ops in lanes.items() for _ in ops]
-    random.Random(seed).shuffle(kinds)
-    cursors = {kind: iter(ops) for kind, ops in lanes.items()}
-    return [next(cursors[kind]) for kind in kinds]
-
-
-def _issue(index, kind: str, payload, space) -> None:
-    """Execute one request against ``index`` (the unit of latency)."""
-    if kind == "update":
-        old, new = payload
-        index.update(old, new)
-    elif kind == "range":
-        index.range_query_batch([payload])
-    else:
-        index.knn_query_batch([payload], space=space)
+from typing import Dict, List, Sequence, Tuple
 
 
 def percentile(sorted_samples: Sequence[float], fraction: float) -> float:
@@ -95,9 +34,7 @@ def percentile(sorted_samples: Sequence[float], fraction: float) -> float:
     return sorted_samples[rank - 1]
 
 
-def summarize(
-    samples: Dict[str, List[float]], wall_s: float
-) -> Dict[str, object]:
+def summarize(samples: Dict[str, List[float]], wall_s: float) -> Dict[str, object]:
     """Per-op-type p50/p95/p99 (ms) plus aggregate throughput."""
     total = sum(len(latencies) for latencies in samples.values())
     report: Dict[str, object] = {
@@ -111,93 +48,8 @@ def summarize(
             "p50_ms": round(percentile(ordered, 0.50) * 1000.0, 3),
             "p95_ms": round(percentile(ordered, 0.95) * 1000.0, 3),
             "p99_ms": round(percentile(ordered, 0.99) * 1000.0, 3),
-            "mean_ms": round(
-                sum(ordered) / len(ordered) * 1000.0 if ordered else 0.0, 3
-            ),
+            "mean_ms": round(sum(ordered) / len(ordered) * 1000.0 if ordered else 0.0, 3),
         }
-    return report
-
-
-def run_closed_loop(
-    index, operations: Sequence[Operation], clients: int = 2, space=None
-) -> Dict[str, object]:
-    """``clients`` threads issue back to back; latency = service time."""
-    if clients < 1:
-        raise ValueError("clients must be at least 1")
-    lanes: List[List[Operation]] = [[] for _ in range(clients)]
-    spread = 0
-    for operation in operations:
-        if operation[0] == "update":
-            lanes[0].append(operation)  # one lane keeps the update order
-        else:
-            lanes[spread % clients].append(operation)
-            spread += 1
-
-    samples: Dict[str, List[float]] = {}
-    errors: List[BaseException] = []
-    merge = threading.Lock()
-
-    def worker(lane: List[Operation]) -> None:
-        local: Dict[str, List[float]] = {}
-        try:
-            for kind, payload in lane:
-                issued = time.perf_counter()
-                _issue(index, kind, payload, space)
-                local.setdefault(kind, []).append(time.perf_counter() - issued)
-        except BaseException as error:  # noqa: BLE001 - re-raised below
-            errors.append(error)
-        with merge:
-            for kind, latencies in local.items():
-                samples.setdefault(kind, []).extend(latencies)
-
-    threads = [threading.Thread(target=worker, args=(lane,)) for lane in lanes]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall = time.perf_counter() - started
-    if errors:
-        raise errors[0]
-    return summarize(samples, wall)
-
-
-def run_open_loop(
-    index,
-    operations: Sequence[Operation],
-    rate_ops_s: float,
-    space=None,
-    seed: int = 0,
-) -> Dict[str, object]:
-    """Poisson arrivals at ``rate_ops_s``; latency measured from arrival.
-
-    One dispatch lane serves the arrival queue in order (which also
-    preserves the update stream's order).  When the lane falls behind,
-    requests are issued immediately but *charged from their scheduled
-    arrival* — queue wait is part of the latency, never silently
-    dropped (no coordinated omission).
-    """
-    if rate_ops_s <= 0.0:
-        raise ValueError("rate_ops_s must be positive")
-    rng = random.Random(seed)
-    due, arrivals = 0.0, []
-    for _ in operations:
-        due += rng.expovariate(rate_ops_s)
-        arrivals.append(due)
-
-    samples: Dict[str, List[float]] = {}
-    started = time.perf_counter()
-    for (kind, payload), scheduled in zip(operations, arrivals):
-        ahead = scheduled - (time.perf_counter() - started)
-        if ahead > 0.0:
-            time.sleep(ahead)
-        _issue(index, kind, payload, space)
-        samples.setdefault(kind, []).append(
-            (time.perf_counter() - started) - scheduled
-        )
-    wall = time.perf_counter() - started
-    report = summarize(samples, wall)
-    report["rate_ops_s"] = round(rate_ops_s, 2)
     return report
 
 
@@ -273,12 +125,8 @@ def run_htap(
         local_lags: List[int] = []
         try:
             while not stop.is_set():
-                query_batch = rng.sample(
-                    list(queries), min(query_batch_size, len(queries))
-                )
-                probe_batch = rng.sample(
-                    list(probes), min(query_batch_size, len(probes))
-                )
+                query_batch = rng.sample(list(queries), min(query_batch_size, len(queries)))
+                probe_batch = rng.sample(list(probes), min(query_batch_size, len(probes)))
                 with index.pin() as epoch:
                     if query_batch:
                         issued = time.perf_counter()
@@ -287,9 +135,7 @@ def run_htap(
                         oracle.record_answer(epoch, "range", query_batch, answer)
                     if probe_batch:
                         issued = time.perf_counter()
-                        answer = index.knn_query_batch(
-                            probe_batch, space=space, epoch=epoch
-                        )
+                        answer = index.knn_query_batch(probe_batch, space=space, epoch=epoch)
                         local["knn"].append(time.perf_counter() - issued)
                         oracle.record_answer(epoch, "knn", probe_batch, answer)
                     local_lags.append(index.epoch - epoch)
@@ -316,57 +162,15 @@ def run_htap(
         raise errors[0]
 
     mismatches = oracle.check()
-    report = summarize(
-        {kind: values for kind, values in latencies.items() if values}, wall
-    )
+    report = summarize({kind: values for kind, values in latencies.items() if values}, wall)
     report["query_clients"] = query_clients
     report["updates_applied"] = updates_applied
-    report["update_throughput_ops"] = (
-        round(updates_applied / wall, 2) if wall > 0.0 else 0.0
-    )
+    report["update_throughput_ops"] = round(updates_applied / wall, 2) if wall > 0.0 else 0.0
     report["final_epoch"] = index.epoch
-    report["epoch_lag_mean"] = (
-        round(sum(lags) / len(lags), 3) if lags else 0.0
-    )
+    report["epoch_lag_mean"] = round(sum(lags) / len(lags), 3) if lags else 0.0
     report["epoch_lag_max"] = float(max(lags)) if lags else 0.0
     report["answers_checked"] = oracle.answers_recorded
     report["answers_consistent"] = 0.0 if mismatches else 1.0
     if mismatches:
         report["first_mismatch"] = mismatches[0][:500]
     return report
-
-
-def drive(
-    make_index: Callable[[], object],
-    operations: Sequence[Operation],
-    clients: int = 2,
-    rate_ops_s: Optional[float] = None,
-    space=None,
-    seed: int = 0,
-) -> Dict[str, object]:
-    """Closed-loop saturation run, then the open-loop latency run.
-
-    ``make_index`` builds (and loads) a fresh index per mode; each index
-    is closed afterwards when it has a ``close``.  When ``rate_ops_s``
-    is None the open-loop rate is :data:`CALIBRATION_FRACTION` of the
-    measured closed-loop throughput.
-    """
-    index = make_index()
-    try:
-        closed = run_closed_loop(index, operations, clients=clients, space=space)
-    finally:
-        if hasattr(index, "close"):
-            index.close()
-    if rate_ops_s is None:
-        rate_ops_s = max(
-            MIN_RATE_OPS_S, CALIBRATION_FRACTION * float(closed["throughput_ops"])
-        )
-    index = make_index()
-    try:
-        open_loop = run_open_loop(
-            index, operations, rate_ops_s, space=space, seed=seed
-        )
-    finally:
-        if hasattr(index, "close"):
-            index.close()
-    return {"clients": clients, "closed": closed, "open": open_loop}

@@ -1,13 +1,7 @@
-"""Quick-mode invocation of the speed micro-harness: keeps
-``bench_speed.py`` exercised on every test run and asserts the two headline
-perf claims at smoke scale —
-
-* bulk loading beats incremental building (bulk-loading PR), and
-* batched replay does not lose to per-event replay, with identical query
-  results (batched-execution PR).
-
-The bench-scale numbers live in the ``BENCH_speed.json`` history at the
-repo root; regenerate/append with ``python benchmarks/bench_speed.py``.
+"""One smoke per cell of ``bench_speed.py``: the quick run prints its rows,
+every correctness flag reads 1.0 and the process would exit 0 — and exits 1
+as soon as one flag does not.  Timings are reported, never asserted on:
+speed is ``perfbench``'s job.
 """
 
 from __future__ import annotations
@@ -15,213 +9,34 @@ from __future__ import annotations
 import json
 
 import bench_speed
+import pytest
 
 
-def test_quick_mode_appends_history(tmp_path):
-    output = tmp_path / "BENCH_speed.json"
-    first = bench_speed.run(quick=True, output=str(output))
-    second = bench_speed.run(quick=True, output=str(output))
-
-    on_disk = json.loads(output.read_text(encoding="utf-8"))
-    history = on_disk["history"]
-    assert len(history) == 2, "each run must append, not overwrite"
-    assert history[0]["indexes"] == first["indexes"]
-    assert history[1]["indexes"] == second["indexes"]
-    assert all(entry["mode"] == "quick" for entry in history)
-
-    for name in ("Bx", "Bx(VP)", "TPR*", "TPR*(VP)"):
-        row = second["indexes"][name]
-        assert row["build_bulk_s"] > 0.0
-        assert row["build_incremental_s"] > 0.0
-        assert row["build_speedup"] > 0.0
-        # Batched and per-event replay must return the same query answers,
-        # and the batched kNN replay the same neighbour rankings.
-        assert row["results_match"] == 1.0, name
-        assert row["knn_results_match"] == 1.0, name
-        assert row["knn_ms"] > 0.0 and row["per_event_knn_ms"] > 0.0, name
-        # Batched replay must not collapse: even with scheduler noise at
-        # smoke scale it stays within a wide band of the per-event path
-        # (the bench-scale history is where the ≥2x Bx-family win lives).
-        assert row["update_speedup"] > 0.6, (name, row["update_speedup"])
-    # The TPR*-tree is the pathological incremental builder (forced
-    # reinsertions); bulk loading wins by >10x on a quiet machine, so even
-    # with heavy scheduling noise it must at least not lose.
-    assert second["indexes"]["TPR*"]["build_speedup"] > 1.0
-    # Deterministic (noise-free) form of "batched replay is not slower":
-    # shared descents mean the Bx family touches no more nodes per update
-    # than the per-event path.
-    for name in ("Bx", "Bx(VP)"):
-        row = second["indexes"][name]
-        assert row["update_nodes"] <= row["per_event_update_nodes"], name
+def _run(tmp_path, *argv):
+    """``main(argv + --quick --output)``: the exit status and the written report."""
+    output = tmp_path / "report.json"
+    status = bench_speed.main([*argv, "--quick", "--output", str(output)])
+    return status, json.loads(output.read_text(encoding="utf-8"))
 
 
-def test_history_migrates_legacy_snapshot(tmp_path):
-    output = tmp_path / "BENCH_speed.json"
-    legacy = {"mode": "bench", "indexes": {"Bx": {"update_ms": 1.0}}}
-    output.write_text(json.dumps(legacy), encoding="utf-8")
-    report = bench_speed.run(quick=True, output=str(output))
-    history = json.loads(output.read_text(encoding="utf-8"))["history"]
-    assert len(history) == 2
-    assert history[0] == legacy
-    assert history[1]["indexes"] == report["indexes"]
+def test_serve_cell(tmp_path):
+    """The executor-backed sweep: sharded rows answer like the unsharded row."""
+    status, report = _run(tmp_path, "serve", "--shards", "1,2", "--workers", "2")
+    assert status == 0
+    assert report["cell"] == "serve-quick"
+    assert report["params"]["executor"] == bench_speed.SERVE_EXECUTOR
+    assert list(report["rows"]) == ["shards=1", "shards=2"]
+    for label, row in report["rows"].items():
+        assert row["update_ms"] > 0.0 and row["query_ms"] > 0.0 and row["knn_ms"] > 0.0
+        assert row["results_match"] == 1.0, label
+        assert row["knn_results_match"] == 1.0, label
 
 
-def _fake_entry(update_ms, mode="quick", dataset="SA", params=None):
-    return {
-        "mode": mode,
-        "dataset": dataset,
-        "params": params or {"num_objects": 400},
-        "indexes": {"Bx": {"update_ms": update_ms}},
-    }
-
-
-def test_check_regression_gate(tmp_path):
-    import check_regression
-
-    history = tmp_path / "history.json"
-    report = tmp_path / "report.json"
-    history.write_text(json.dumps({"history": [_fake_entry(0.02)]}))
-
-    # Within the limit: passes.
-    report.write_text(json.dumps({"history": [_fake_entry(0.024)]}))
-    assert (
-        check_regression.main([str(report), "--history", str(history)]) == 0
-    )
-
-    # Beyond +25%: fails.
-    report.write_text(json.dumps({"history": [_fake_entry(0.03)]}))
-    assert (
-        check_regression.main([str(report), "--history", str(history)]) == 1
-    )
-
-    # A looser limit admits the same report.
-    assert (
-        check_regression.main(
-            [str(report), "--history", str(history), "--max-regression", "0.6"]
-        )
-        == 0
-    )
-
-
-def test_check_regression_covers_knn(tmp_path):
-    import check_regression
-
-    def entry(update_ms, knn_ms=None):
-        row = {"update_ms": update_ms}
-        if knn_ms is not None:
-            row["knn_ms"] = knn_ms
-        return {
-            "mode": "quick",
-            "dataset": "SA",
-            "params": {"num_objects": 400},
-            "indexes": {"Bx": row},
-        }
-
-    history = tmp_path / "history.json"
-    report = tmp_path / "report.json"
-    history.write_text(json.dumps({"history": [entry(0.02, knn_ms=0.5)]}))
-
-    # A stable update time does not excuse a regressed batched kNN time.
-    report.write_text(json.dumps({"history": [entry(0.02, knn_ms=0.7)]}))
-    assert check_regression.main([str(report), "--history", str(history)]) == 1
-
-    # Baselines predating the knn metric are skipped, not failed.
-    history.write_text(json.dumps({"history": [entry(0.02)]}))
-    assert check_regression.main([str(report), "--history", str(history)]) == 0
-
-    # The reverse is a failure: a report that stopped emitting a gated
-    # metric would silently disarm the gate.
-    history.write_text(json.dumps({"history": [entry(0.02, knn_ms=0.5)]}))
-    report.write_text(json.dumps({"history": [entry(0.02)]}))
-    assert check_regression.main([str(report), "--history", str(history)]) == 1
-
-
-def test_check_regression_requires_comparable_baseline(tmp_path):
-    import check_regression
-
-    history = tmp_path / "history.json"
-    report = tmp_path / "report.json"
-    # Baseline exists but at bench scale: a quick report must not be judged
-    # against it (absolute times differ by an order of magnitude).
-    history.write_text(
-        json.dumps(
-            {"history": [_fake_entry(0.001, mode="bench", params={"num_objects": 2000})]}
-        )
-    )
-    report.write_text(json.dumps({"history": [_fake_entry(0.03)]}))
-    assert (
-        check_regression.main([str(report), "--history", str(history)]) == 0
-    )
-
-    # The most recent comparable entry wins, not the most recent entry.
-    history.write_text(
-        json.dumps(
-            {
-                "history": [
-                    _fake_entry(0.03),
-                    _fake_entry(0.001, mode="bench", params={"num_objects": 2000}),
-                ]
-            }
-        )
-    )
-    assert (
-        check_regression.main([str(report), "--history", str(history)]) == 0
-    )
-
-
-def test_scale_mode_records_shard_rows(tmp_path):
-    """The sharded scale sweep: per-shard-count rows with matching answers."""
-    output = tmp_path / "BENCH_speed.json"
-    report = bench_speed.run(
-        quick=True, scale=True, output=str(output), shard_counts=(1, 2)
-    )
-    assert report["mode"] == "scale-quick"
-    assert sorted(report["shards"], key=int) == ["1", "2"]
-    for count, rows in report["shards"].items():
-        for name in bench_speed.SCALE_INDEXES:
-            row = rows[name]
-            assert row["update_ms"] > 0.0
-            assert row["knn_ms"] > 0.0
-            # Every sharded row's answers must match the unsharded (1-shard)
-            # baseline row: range via totals, kNN exactly.
-            assert row["results_match"] == 1.0, (count, name)
-            assert row["knn_results_match"] == 1.0, (count, name)
-    on_disk = json.loads(output.read_text(encoding="utf-8"))
-    assert on_disk["history"][-1]["shards"] == report["shards"]
-
-
-def test_check_regression_gates_sharded_rows(tmp_path):
-    import check_regression
-
-    def entry(update_ms, knn_ms):
-        return {
-            "mode": "scale-quick",
-            "dataset": "SA",
-            "params": {"num_objects": 2500},
-            "shards": {
-                "1": {"Bx": {"update_ms": update_ms, "knn_ms": knn_ms}},
-                "4": {"Bx": {"update_ms": update_ms, "knn_ms": knn_ms}},
-            },
-        }
-
-    history = tmp_path / "history.json"
-    report = tmp_path / "report.json"
-    history.write_text(json.dumps({"history": [entry(0.02, 0.5)]}))
-
-    report.write_text(json.dumps({"history": [entry(0.021, 0.51)]}))
-    assert check_regression.main([str(report), "--history", str(history)]) == 0
-
-    # A regressed sharded knn_ms fails even with update_ms stable.
-    report.write_text(json.dumps({"history": [entry(0.02, 0.9)]}))
-    assert check_regression.main([str(report), "--history", str(history)]) == 1
-
-
-def test_faults_mode_records_recovery_and_recall(tmp_path):
+def test_faults_cell(tmp_path):
     """The fault-injection run: kill, degrade, recover, match exactly."""
-    output = tmp_path / "BENCH_speed.json"
-    report = bench_speed.run(quick=True, faults=True, output=str(output))
-    assert report["mode"] == "faults-quick"
-    row = report["faults"]["Bx"]
+    status, report = _run(tmp_path, "faults")
+    assert status == 0
+    row = report["rows"][bench_speed.FAULT_INDEX]
     assert row["recovery_ms"] > 0.0
     assert row["replayed_records"] > 0
     # The outage was real: partial answers were incomplete, and the
@@ -232,164 +47,39 @@ def test_faults_mode_records_recovery_and_recall(tmp_path):
     # WAL-replay recovery restores bit-identical answers.
     assert row["post_recovery_results_match"] == 1.0
     assert row["post_recovery_knn_match"] == 1.0
-    on_disk = json.loads(output.read_text(encoding="utf-8"))
-    assert on_disk["history"][-1]["faults"] == report["faults"]
 
 
-def test_check_regression_gates_fault_rows(tmp_path):
-    import check_regression
-
-    def entry(recovery_ms, recall):
-        return {
-            "mode": "faults-quick",
-            "dataset": "SA",
-            "params": {"num_objects": 800},
-            "faults": {
-                "Bx": {
-                    "recovery_ms": recovery_ms,
-                    "degraded_recall_range": recall,
-                    "degraded_recall_knn": recall,
-                }
-            },
-        }
-
-    history = tmp_path / "history.json"
-    report = tmp_path / "report.json"
-    history.write_text(json.dumps({"history": [entry(5.0, 0.75)]}))
-
-    report.write_text(json.dumps({"history": [entry(5.5, 0.75)]}))
-    assert check_regression.main([str(report), "--history", str(history)]) == 0
-
-    # Slower recovery fails the latency gate.
-    report.write_text(json.dumps({"history": [entry(9.0, 0.75)]}))
-    assert check_regression.main([str(report), "--history", str(history)]) == 1
-
-    # Eroded degraded recall fails the quality floor, recovery stable.
-    report.write_text(json.dumps({"history": [entry(5.0, 0.4)]}))
-    assert check_regression.main([str(report), "--history", str(history)]) == 1
+def test_htap_cell(tmp_path):
+    """The mixed workload: every concurrent answer passes the oracle."""
+    status, report = _run(tmp_path, "htap")
+    assert status == 0
+    assert list(report["rows"]) == list(bench_speed.HTAP_INDEXES)
+    for name, row in report["rows"].items():
+        assert row["updates_applied"] > 0, name
+        assert row["answers_checked"] > 0, name
+        assert row["answers_consistent"] == 1.0, name
 
 
-def test_serve_mode_records_executor_rows_and_latency(tmp_path):
-    """The executor-backed sweep plus the open-loop latency sections."""
-    output = tmp_path / "BENCH_speed.json"
-    report = bench_speed.run(
-        quick=True,
-        serve=True,
-        output=str(output),
-        shard_counts=(1, 2),
-        workers=2,
-    )
-    assert report["mode"] == "serve-quick"
-    assert report["params"]["executor"] == bench_speed.SERVE_EXECUTOR
-    assert sorted(report["serve"], key=int) == ["1", "2"]
-    for count, rows in report["serve"].items():
-        for name in bench_speed.SERVE_INDEXES:
-            row = rows[name]
-            assert row["update_ms"] > 0.0
-            assert row["query_ms"] > 0.0
-            assert row["knn_ms"] > 0.0
-            # Executor-served rows must answer bit-identically to the
-            # unsharded baseline row.
-            assert row["results_match"] == 1.0, (count, name)
-            assert row["knn_results_match"] == 1.0, (count, name)
-    latency = report["latency"]
-    assert latency["shards"] == 2
-    assert latency["operations"] > 0
-    for loop in ("closed", "open"):
-        section = latency[loop]
-        assert section["throughput_ops"] > 0.0
-        for kind in ("update", "range", "knn"):
-            assert section[kind]["count"] > 0, (loop, kind)
-            assert section[kind]["p95_ms"] >= section[kind]["p50_ms"]
-    # Open-loop arrivals are calibrated below closed-loop saturation.
-    assert latency["open"]["rate_ops_s"] <= latency["closed"]["throughput_ops"]
-    on_disk = json.loads(output.read_text(encoding="utf-8"))
-    assert on_disk["history"][-1]["latency"] == report["latency"]
+@pytest.mark.parametrize("flag", bench_speed.CORRECTNESS_FLAGS)
+def test_a_failed_flag_is_exit_status_1(monkeypatch, capsys, tmp_path, flag):
+    """Any correctness flag below 1.0 fails the run; no file is written unasked."""
+    row = {
+        "recovery_ms": 1.0,
+        "replayed_records": 3.0,
+        "recovery_attempts": 1.0,
+        "degraded_recall_range": 0.7,
+        "degraded_recall_knn": 0.7,
+        "post_recovery_results_match": 1.0,
+        "post_recovery_knn_match": 1.0,
+    }
 
+    def measure(params, dataset):
+        return {"dataset": dataset, "params": {}, "rows": {"Bx": dict(row)}}
 
-def test_check_regression_gates_serve_rows(tmp_path):
-    import check_regression
-
-    def entry(query_ms, match=1.0):
-        return {
-            "mode": "serve-quick",
-            "dataset": "SA",
-            "params": {"num_objects": 2500, "executor": "process"},
-            "serve": {
-                "1": {"TPR*": {"query_ms": query_ms, "results_match": match}},
-                "4": {"TPR*": {"query_ms": query_ms, "results_match": match}},
-            },
-        }
-
-    history = tmp_path / "history.json"
-    report = tmp_path / "report.json"
-    history.write_text(json.dumps({"history": [entry(1.0)]}))
-
-    report.write_text(json.dumps({"history": [entry(1.1)]}))
-    assert check_regression.main([str(report), "--history", str(history)]) == 0
-
-    # A regressed served batch-query time fails.
-    report.write_text(json.dumps({"history": [entry(2.0)]}))
-    assert check_regression.main([str(report), "--history", str(history)]) == 1
-
-    # Answers that stop matching the unsharded baseline fail the floor
-    # even with timings stable.
-    report.write_text(json.dumps({"history": [entry(1.0, match=0.0)]}))
-    assert check_regression.main([str(report), "--history", str(history)]) == 1
-
-    # A different executor is a different experiment, not a baseline.
-    changed = entry(9.0)
-    changed["params"]["executor"] = "serial"
-    report.write_text(json.dumps({"history": [changed]}))
-    assert check_regression.main([str(report), "--history", str(history)]) == 0
-
-
-def test_check_regression_gates_latency_sections(tmp_path):
-    import check_regression
-
-    def entry(p95_ms, throughput=1000.0):
-        kinds = {
-            kind: {"p95_ms": p95_ms} for kind in ("update", "range", "knn")
-        }
-        return {
-            "mode": "serve-quick",
-            "dataset": "SA",
-            "params": {"num_objects": 2500, "executor": "process"},
-            "latency": {
-                "closed": {"throughput_ops": throughput, **kinds},
-                "open": dict(kinds),
-            },
-        }
-
-    history = tmp_path / "history.json"
-    report = tmp_path / "report.json"
-    history.write_text(json.dumps({"history": [entry(5.0)]}))
-
-    report.write_text(json.dumps({"history": [entry(5.5)]}))
-    assert check_regression.main([str(report), "--history", str(history)]) == 0
-
-    # A regressed p95 fails.
-    report.write_text(json.dumps({"history": [entry(11.0)]}))
-    assert check_regression.main([str(report), "--history", str(history)]) == 1
-
-    # Collapsed closed-loop throughput fails the floor, p95s stable.
-    report.write_text(json.dumps({"history": [entry(5.0, throughput=100.0)]}))
-    assert check_regression.main([str(report), "--history", str(history)]) == 1
-
-
-def test_check_regression_skips_new_section_with_notice(tmp_path, capsys):
-    """A section new to the fresh report passes with a notice, not a crash."""
-    import check_regression
-
-    base = {"mode": "faults-quick", "dataset": "SA", "params": {"num_objects": 800}}
-    history = tmp_path / "history.json"
-    report = tmp_path / "report.json"
-    # The comparable baseline entry predates the 'faults' section entirely.
-    history.write_text(json.dumps({"history": [dict(base)]}))
-    report.write_text(
-        json.dumps(
-            {"history": [{**base, "faults": {"Bx": {"recovery_ms": 5.0}}}]}
-        )
-    )
-    assert check_regression.main([str(report), "--history", str(history)]) == 0
-    assert "notice" in capsys.readouterr().out
+    monkeypatch.setattr(bench_speed, "measure_faults", measure)
+    monkeypatch.chdir(tmp_path)
+    assert bench_speed.main(["faults", "--quick"]) == 0
+    row[flag] = 0.0
+    assert bench_speed.main(["faults", "--quick"]) == 1
+    assert f"FAILED faults Bx: {flag} = 0.0" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == [], "no --output, no file"

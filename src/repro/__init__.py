@@ -42,7 +42,6 @@ from repro.objects import (
     MovingRangeQuery,
     KNNQuery,
     AdaptiveRadius,
-    k_nearest_neighbors,
 )
 from repro.storage import BufferManager, DiskManager, IOStats
 from repro.tprtree import TPRTree, TPRStarTree
@@ -86,7 +85,6 @@ __all__ = [
     "MovingRangeQuery",
     "KNNQuery",
     "AdaptiveRadius",
-    "k_nearest_neighbors",
     "BufferManager",
     "DiskManager",
     "IOStats",

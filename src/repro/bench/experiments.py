@@ -3,8 +3,7 @@
 Each function reproduces one figure of the paper's evaluation: it assembles
 the workloads, runs the competing indexes through the harness, and returns a
 list of row dictionaries with the same series the figure plots.  The
-``benchmarks/`` pytest modules call these functions and print the tables;
-EXPERIMENTS.md records the measured shapes against the paper's claims.
+``benchmarks/`` pytest modules call these functions and print the tables.
 
 The paper-scale parameters (100K+ objects) are impractical for a pure-Python
 simulator, so each driver takes a :class:`~repro.workload.WorkloadParameters`
@@ -16,8 +15,8 @@ the paper's figures compare *insertion-built* indexes (the TPR*-tree's
 choose-subtree/split/reinsertion heuristics are part of what is being
 measured), so the figure assertions are calibrated against that structure.
 Pass ``bulk_build=True`` to build with the ~10-40x faster STR/leaf-packing
-``bulk_load`` path instead — useful for quick looks and tracked separately
-by ``benchmarks/bench_speed.py``.
+``bulk_load`` path instead — useful for quick looks; ``perfbench`` times
+bulk-built indexes.
 """
 
 from __future__ import annotations

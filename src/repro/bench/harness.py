@@ -246,8 +246,8 @@ def knn_queries_from_workload(workload: Workload, k: int = DEFAULT_KNN_K) -> Lis
     the end of the event stream: the kNN replay runs against the fully
     replayed index, and a moving-object index only answers questions about
     the present and future of its clock — an entry's time-parameterized
-    bound does not cover the object's past positions, so a probe issued
-    "before" the index clock would silently lose candidates.
+    bound does not cover the object's past positions, so the TPR family
+    refuses a probe issued before its clock (``ValueError``).
     """
     events = workload.sorted_events()
     issue_time = events[-1].time if events else 0.0
@@ -269,26 +269,23 @@ def run_knn(
     index,
     probes: Sequence[KNNQuery],
     space: Optional[Rect] = None,
-    batch: bool = True,
     batch_size: Optional[int] = None,
     radius_state: Optional[AdaptiveRadius] = None,
 ) -> KNNMetrics:
     """Replay kNN probes against ``index`` and record per-probe metrics.
 
-    In batch mode the probes are grouped into fixed-size batches (the
-    concurrent-users model: a tracking service ranks nearest vehicles for
-    many subscribers at once) and each group runs through the index's
-    ``knn_query_batch`` with shared expanding-range rounds; per-event mode
-    issues one ``knn_query`` per probe.  Both modes return identical
-    answers — batching only amortizes traversals and filter rounds.
+    The probes are grouped into fixed-size batches (the concurrent-users
+    model: a tracking service ranks nearest vehicles for many subscribers
+    at once) and each group runs through the index's ``knn_query_batch``
+    with shared expanding-range rounds.  Answers do not depend on the
+    grouping — batching only amortizes traversals and filter rounds.
 
     Args:
-        index: any index exposing ``knn_query`` / ``knn_query_batch``.
+        index: any index exposing ``knn_query_batch``.
         probes: the kNN probes to replay, in order.
         space: data space (initial radius seed and expansion cap).
-        batch: replay through the batch surface (default) or per event.
-        batch_size: probes per batch in batch mode; None runs one batch.
-        radius_state: optional cross-batch adaptive radius seed (batch mode).
+        batch_size: probes per batch; None runs one batch.
+        radius_state: optional cross-batch adaptive radius seed.
 
     Returns:
         The replay's :class:`KNNMetrics`, including the per-probe answers.
@@ -296,28 +293,13 @@ def run_knn(
     probes = list(probes)
     metrics = KNNMetrics(index_name=getattr(index, "name", type(index).__name__))
     stats = index.buffer.stats
-    if batch:
-        step = batch_size if batch_size is not None else max(len(probes), 1)
-        groups = [probes[i : i + step] for i in range(0, len(probes), step)]
-    else:
-        groups = [[probe] for probe in probes]
-    for group in groups:
+    step = batch_size if batch_size is not None else max(len(probes), 1)
+    for start in range(0, len(probes), step):
+        group = probes[start : start + step]
         io_before = stats.physical.total
         nodes_before = stats.logical.reads
         started = time.perf_counter()
-        if batch:
-            answers = index.knn_query_batch(group, space=space, radius_state=radius_state)
-        else:
-            answers = [
-                index.knn_query(
-                    probe.center,
-                    probe.k,
-                    probe.query_time,
-                    issue_time=probe.issue_time,
-                    space=space,
-                )
-                for probe in group
-            ]
+        answers = index.knn_query_batch(group, space=space, radius_state=radius_state)
         metrics.time_total += time.perf_counter() - started
         metrics.io_total += stats.physical.total - io_before
         metrics.node_accesses += stats.logical.reads - nodes_before

@@ -14,7 +14,6 @@ from repro.objects.knn import (
     KNNQuery,
     expanding_knn_batch,
     initial_knn_radius,
-    k_nearest_neighbors,
 )
 
 __all__ = [
@@ -29,6 +28,5 @@ __all__ = [
     "KNNQuery",
     "AdaptiveRadius",
     "expanding_knn_batch",
-    "k_nearest_neighbors",
     "initial_knn_radius",
 ]

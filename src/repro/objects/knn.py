@@ -10,22 +10,16 @@ the current k-th would also be inside the circle), so the candidates are
 ranked by their predicted distance at the query time and the top ``k``
 returned.
 
-Two surfaces are provided:
-
-* :func:`k_nearest_neighbors` — the classic per-query algorithm.  It only
-  needs the index's ``range_query`` method plus a way to look up the
-  current snapshot of an object by id, so it works unchanged for the
-  Bx-tree, the TPR*-tree and their velocity-partitioned variants.
-* :func:`expanding_knn_batch` — the batched driver behind the indexes'
-  ``knn_query_batch`` methods.  A whole batch of :class:`KNNQuery` probes
-  shares each expanding-range *round*: all still-unfinished queries issue
-  their circular filter queries together (one shared index traversal per
-  round), candidate motion rows accumulate per query in one
-  :data:`MOTION` array, and the candidate-ranking distance pass runs
-  vectorized over its columns.  An optional :class:`AdaptiveRadius`
-  carries the final radii of one batch into the initial radii of the next,
-  which saves filter rounds without ever changing answers (the stopping
-  rule and the final in-circle ranking are radius-schedule independent).
+:func:`expanding_knn_batch` is the one driver, behind every index's
+``knn_query_batch`` (a scalar ``knn_query`` is a batch of one).  A whole
+batch of :class:`KNNQuery` probes shares each expanding-range *round*: all
+still-unfinished queries issue their circular filter queries together (one
+shared index traversal per round), candidate motion rows accumulate per
+query in one :data:`MOTION` array, and the candidate-ranking distance pass
+runs vectorized over its columns.  An optional :class:`AdaptiveRadius`
+carries the final radii of one batch into the initial radii of the next,
+which saves filter rounds without ever changing answers (the stopping
+rule and the final in-circle ranking are radius-schedule independent).
 
 :class:`ScalarVerbs` lives here too, beside the :class:`KNNQuery` it
 builds: this is the one module every index layer already imports.
@@ -57,9 +51,6 @@ DEFAULT_INITIAL_RADIUS = 100.0
 #: terminate in a handful of rounds; the bound only guards degenerate
 #: configurations.
 DEFAULT_MAX_ROUNDS = 64
-
-#: Expansion rounds of the classic per-query :func:`k_nearest_neighbors`.
-CLASSIC_MAX_ROUNDS = 12
 
 #: :class:`AdaptiveRadius`: safety factor on the suggested radius, and the
 #: weight of the newest batch in the exponential moving average.
@@ -351,65 +342,3 @@ def _top_k(
     order = np.lexsort((oids[selected], distances[selected]))
     top = selected[order[:k]]
     return [(int(oids[j]), float(distances[j])) for j in top]
-
-
-def k_nearest_neighbors(
-    index,
-    center: Point,
-    k: int,
-    query_time: float,
-    objects_by_id: Callable[[int], Optional[MovingObject]],
-    space: Optional[Rect] = None,
-    population: Optional[int] = None,
-) -> List[Tuple[int, float]]:
-    """The ``k`` objects predicted to be nearest ``center`` at ``query_time``.
-
-    This is the classic per-query algorithm over the generic ``range_query``
-    protocol; indexes with a ``knn_query_batch`` method answer batches of
-    probes with shared filter rounds instead (see
-    :func:`expanding_knn_batch`).
-
-    Args:
-        index: any moving-object index exposing ``range_query``.
-        center: query point.
-        k: number of neighbours requested.
-        query_time: the (future) timestamp the prediction refers to.
-        objects_by_id: callback returning the current snapshot of an object
-            (used to rank candidates); return ``None`` for unknown ids.
-        space: data space, used to derive the initial radius and to cap the
-            expansion; defaults to a cap derived from the candidates seen.
-        population: number of indexed objects (for the initial radius guess).
-
-    Returns:
-        Up to ``k`` ``(oid, distance)`` pairs sorted by increasing predicted
-        distance (fewer when the index holds fewer than ``k`` objects within
-        the maximum search radius).
-    """
-    if k <= 0:
-        return []
-    if space is not None and population is not None:
-        radius = initial_knn_radius(space, population, k)
-    else:
-        radius = DEFAULT_INITIAL_RADIUS
-    if space is not None:
-        max_radius = math.hypot(space.width, space.height)
-    else:
-        max_radius = radius * (RADIUS_GROWTH_FACTOR**CLASSIC_MAX_ROUNDS)
-
-    candidates: Sequence[int] = []
-    for _ in range(CLASSIC_MAX_ROUNDS):
-        query = TimeSliceRangeQuery(CircularRange(center=center, radius=radius), time=query_time)
-        candidates = index.range_query(query)
-        if len(candidates) >= k or radius >= max_radius:
-            break
-        radius = min(radius * RADIUS_GROWTH_FACTOR, max_radius)
-
-    ranked: List[Tuple[int, float]] = []
-    for oid in candidates:
-        obj = objects_by_id(oid)
-        if obj is None:
-            continue
-        distance = obj.position_at(query_time).distance_to(center)
-        ranked.append((oid, distance))
-    ranked.sort(key=lambda pair: (pair[1], pair[0]))
-    return ranked[:k]

@@ -11,8 +11,7 @@ runs on each shard (routing, supervision, WAL, merge); an
 * :class:`ThreadExecutor` — shard calls fan out on a thread pool.  This
   is the historical default: updates scale (they route to one shard
   each) but query fan-out shares one GIL, so per-query latency *loses*
-  at higher shard counts (measured in ``BENCH_speed.json``'s scale
-  entries).
+  at higher shard counts (PR 5's shard sweep, ROADMAP § Performance).
 * :class:`ProcessExecutor` — each shard lives in its own worker process
   and the serving layer talks to it through a :class:`_ProcessShard`
   proxy speaking a compact message protocol over a pipe.  Queries cross

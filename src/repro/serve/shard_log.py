@@ -14,7 +14,11 @@ Logging ahead of execution is what makes mid-operation failure safe: if
 a shard dies halfway through applying a batch, its on-"disk" state is
 suspect, but the log still holds the full batch — recovery discards the
 suspect shard entirely and replays the log, so the batch is applied
-exactly once on the rebuilt timeline.
+exactly once on the rebuilt timeline.  The one record that must *not* be
+replayed is a mutation the shard rejected (raised something other than a
+fault, leaving its state as it was): the serving layer takes it back with
+:meth:`ShardLog.retract`, the inverse of ``append``, so a log holds
+exactly what its shard applied.
 
 The base :class:`ShardLog` is in-memory; replay cost is kept bounded by
 *compaction* — the serving layer truncates the log after a successful
@@ -90,6 +94,17 @@ class ShardLog:
     def _store(self, op: str, payload: Any, epoch: Optional[int]) -> None:
         """Persist one canonicalized record (subclasses add durability)."""
         self._records.append((op, payload, epoch))
+
+    def retract(self) -> None:
+        """Drop the newest record: the inverse of :meth:`append`.
+
+        For the one case where a logged mutation must not be replayed —
+        the shard *rejected* it (raised something other than a fault), so
+        the live shard never applied it and a replay would raise again.
+        The serving layer calls this from the writer that appended the
+        record, before any other append (``ShardedIndex._mutate``).
+        """
+        self._records.pop()
 
     def replay(self, index: Any) -> Any:
         """Apply every record to ``index`` in order; returns the last result.
@@ -180,7 +195,7 @@ class DurableShardLog(ShardLog):
             inside a torn WAL write.
     """
 
-    __slots__ = ("_path", "_fsync_enabled", "_crash_hook", "_lock", "_fd", "_size")
+    __slots__ = ("_path", "_fsync_enabled", "_crash_hook", "_lock", "_fd", "_size", "_starts")
 
     _HEADER = struct.Struct("<II")
 
@@ -197,6 +212,8 @@ class DurableShardLog(ShardLog):
         self._lock = threading.Lock()
         self._fd = os.open(self._path, os.O_RDWR | os.O_CREAT, 0o644)
         self._size = 0
+        #: File offset each record's frame starts at (what retract cuts back to).
+        self._starts: List[int] = []
         try:
             self._load_existing()
         except DurabilityError:
@@ -235,6 +252,7 @@ class DurableShardLog(ShardLog):
                     f"{self._path}: WAL frame at offset {offset} names unknown op {op!r}"
                 )
             self._records.append((op, payload, epoch))
+            self._starts.append(offset)
             offset += header.size + length
         self._size = offset
         if offset < len(data):
@@ -255,13 +273,23 @@ class DurableShardLog(ShardLog):
                 self._crash_hook("wal:torn")
                 os.pwrite(self._fd, frame[half:], self._size + half)
             self._file_sync()
+            self._starts.append(self._size)
             self._size += len(frame)
             self._records.append((op, payload, epoch))
+
+    def retract(self) -> None:
+        """Drop the newest record and cut the file back to where it began."""
+        with self._lock:
+            self._records.pop()
+            self._size = self._starts.pop()
+            os.ftruncate(self._fd, self._size)
+            self._file_sync()
 
     def truncate(self) -> None:
         """Compact: drop the records and empty the backing file."""
         with self._lock:
             self._records.clear()
+            self._starts.clear()
             os.ftruncate(self._fd, 0)
             self._file_sync()
             self._size = 0
@@ -280,6 +308,7 @@ class DurableShardLog(ShardLog):
             self._fd = os.open(self._path, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o644)
             self._file_sync()
             self._records.clear()
+            self._starts.clear()
             self._size = 0
 
     def close(self) -> None:

@@ -786,16 +786,17 @@ class ShardedIndex(ScalarVerbs):
         futures: Dict[int, "Future[T]"],
         statuses: Dict[int, ShardStatus],
         timeout: Optional[float],
-    ) -> Tuple[Dict[int, T], Dict[int, ShardFailedError]]:
-        """Collect fan-out futures into per-shard results and failures.
+        results: Dict[int, T],
+    ) -> Dict[int, ShardFailedError]:
+        """Collect fan-out futures into ``results``; returns the per-shard failures.
 
         A per-call ``timeout`` is a shared deadline: every future must
         resolve within ``timeout`` seconds of the gather starting.  On an
         unexpected (non-supervision) exception the remaining futures are
         cancelled and awaited before it propagates, so ``__exit__`` /
-        ``close()`` never races abandoned workers.
+        ``close()`` never races abandoned workers — and the ones that
+        still ran to completion are recorded in ``results`` like any other.
         """
-        results: Dict[int, T] = {}
         failures: Dict[int, ShardFailedError] = {}
         deadline = None if timeout is None else time.monotonic() + timeout
         pending = dict(futures)
@@ -831,24 +832,28 @@ class ShardedIndex(ScalarVerbs):
         except BaseException:
             for future in pending.values():
                 future.cancel()
-            for future in pending.values():
+            for shard_id, future in pending.items():
                 try:
-                    future.result()
+                    results[shard_id] = future.result()
                 except BaseException:
                     pass
             raise
-        return results, failures
+        return failures
 
     def _supervised_run(
         self,
         tasks: Dict[int, Callable[[object], T]],
         read_only: bool,
         timeout: Optional[float],
-    ) -> Tuple[Dict[int, T], Dict[int, ShardStatus], Dict[int, ShardFailedError]]:
+        results: Dict[int, T],
+    ) -> Tuple[Dict[int, ShardStatus], Dict[int, ShardFailedError]]:
         """Run one supervised task per shard, in parallel when useful.
 
         Results, statuses and failures are keyed by shard so merge order
-        never depends on thread scheduling.
+        never depends on thread scheduling.  ``results`` is the caller's
+        dict: a shard is in it exactly when its task — or the recovery
+        that stood in for it — returned, which the caller can still read
+        when this call ends in a non-supervision exception.
         """
         self._ensure_open()
         statuses = {shard_id: ShardStatus(shard_id) for shard_id in tasks}
@@ -860,7 +865,6 @@ class ShardedIndex(ScalarVerbs):
         # deterministic, reproducible interleaving); per-call timeouts
         # need a second thread and are ignored there.
         if (len(tasks) <= 1 and timeout is None) or not self._backend.parallel:
-            results: Dict[int, T] = {}
             failures: Dict[int, ShardFailedError] = {}
             for shard_id, task in tasks.items():
                 try:
@@ -869,13 +873,12 @@ class ShardedIndex(ScalarVerbs):
                     pass
                 except ShardFailedError as error:
                     failures[shard_id] = error
-            return results, statuses, failures
+            return statuses, failures
         pool = self._backend.pool()
         futures = {
             shard_id: pool.submit(work, shard_id, task) for shard_id, task in tasks.items()
         }
-        results, failures = self._gather(futures, statuses, timeout)
-        return results, statuses, failures
+        return statuses, self._gather(futures, statuses, timeout, results)
 
     @staticmethod
     def _raise_first(failures: Dict[int, ShardFailedError]) -> None:
@@ -900,17 +903,6 @@ class ShardedIndex(ScalarVerbs):
             groups.setdefault(self.shard_of(oid), []).append(item)
         return groups
 
-    def _scatter(self, tasks: Dict[int, Callable[[object], T]]) -> Dict[int, T]:
-        """Run one supervised mutation task per routed shard (strict).
-
-        Failures after the supervision policy (retry / recovery) are
-        strict — the first one raises.
-        """
-        results, statuses, failures = self._supervised_run(tasks, read_only=False, timeout=None)
-        self._strict_statuses(statuses, failures)
-        self._raise_first(failures)
-        return results
-
     def _mutate(self, op: str, payloads: Dict[int, object]) -> Dict[int, object]:
         """Log and apply one mutation; returns the per-shard results.
 
@@ -919,17 +911,36 @@ class ShardedIndex(ScalarVerbs):
         write-ahead log before any shard executes, and each shard is then
         handed that same payload through ``apply_record`` — so what a
         recovery replays is, by construction, what the live shard ran.
+
+        Failures after the supervision policy (retry / recovery) are
+        strict — the first one raises, and the failed shard's record stays
+        logged: its recovery applies it.  A *rejection* is different: a
+        shard raising anything else (a caller's bug — a duplicate id, a bad
+        argument) refused its slice whole, as the ``MovingIndex`` mutations
+        do, and would refuse it again on every replay.  Its record is
+        retracted, as is that of every shard the aborted scatter never
+        ran, so each log holds exactly what its shard applied.
         """
         with self._update_epoch() as (epoch, gc_floor):
             for shard_id, payload in payloads.items():
                 self._logs[shard_id].append(op, payload, epoch=epoch)
             kwargs = {} if epoch is None else {"epoch": epoch, "gc_floor": gc_floor}
-            return self._scatter(
-                {
-                    shard_id: partial(apply_record, op=op, payload=payload, **kwargs)
-                    for shard_id, payload in payloads.items()
-                }
-            )
+            tasks = {
+                shard_id: partial(apply_record, op=op, payload=payload, **kwargs)
+                for shard_id, payload in payloads.items()
+            }
+            results: Dict[int, object] = {}
+            try:
+                statuses, failures = self._supervised_run(
+                    tasks, read_only=False, timeout=None, results=results
+                )
+            except Exception:
+                for shard_id in payloads.keys() - results.keys():
+                    self._logs[shard_id].retract()
+                raise
+            self._strict_statuses(statuses, failures)
+            self._raise_first(failures)
+            return results
 
     def _fan_out(
         self, apply: Callable[[object], T], partial: bool
@@ -943,8 +954,9 @@ class ShardedIndex(ScalarVerbs):
         tasks = {
             shard_id: (lambda shard: apply(shard)) for shard_id in range(len(self.shards))
         }
-        results, statuses, failures = self._supervised_run(
-            tasks, read_only=True, timeout=self._config.query_timeout_s
+        results: Dict[int, T] = {}
+        statuses, failures = self._supervised_run(
+            tasks, read_only=True, timeout=self._config.query_timeout_s, results=results
         )
         if not partial:
             self._strict_statuses(statuses, failures)

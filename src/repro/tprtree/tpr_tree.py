@@ -417,6 +417,20 @@ class TPRTree(ScalarVerbs):
         parent.set_bound_at(slot, child.bound_extent(t), t)
         self._write_node(parent)
 
+    def _refuse_past(self, query: RangeQuery) -> None:
+        """Raise when ``query`` starts before the tree clock.
+
+        A time-parameterized bound is tightened at :attr:`current_time` and
+        only grows from there: it says nothing about where its objects were
+        *before*, so a traversal at an earlier time prunes subtrees that
+        held qualifying objects — candidates lost without a trace.
+        """
+        if query.start_time < self.current_time:
+            raise ValueError(
+                f"query starts at t={query.start_time}, before the tree clock "
+                f"t={self.current_time}: a TPR-tree answers only the present and future"
+            )
+
     def range_query(self, query: RangeQuery, exact: bool = True) -> List[int]:
         """Object ids qualifying for ``query``.
 
@@ -426,7 +440,12 @@ class TPRTree(ScalarVerbs):
                 refined with the exact containment predicate; when False the
                 raw candidate set (every object whose bound intersects the
                 query's bounding rectangle over the interval) is returned.
+
+        Raises:
+            ValueError: if the query starts before :attr:`current_time`
+                (also from the batch and kNN surfaces).
         """
+        self._refuse_past(query)
         query_rect = query.as_moving_rect()
         start, end = query.start_time, query.end_time
         candidates = self._search(self.root_page_id, query_rect, start, end)
@@ -544,6 +563,7 @@ class TPRTree(ScalarVerbs):
         """
         infos = []
         for query in queries:
+            self._refuse_past(query)
             query_rect = query.as_moving_rect()
             rect = query_rect.rect
             infos.append(

@@ -17,7 +17,7 @@ PAPER_SPACE = Rect(0.0, 0.0, 100_000.0, 100_000.0)
 #: Scaled-down default data space.  The cardinality default is ~33x smaller
 #: than the paper's 100K objects, so the space is shrunk as well to keep the
 #: object density (and with it the number of objects a query window covers)
-#: in a realistic range; see EXPERIMENTS.md for the scaling rationale.
+#: in a realistic range.
 DEFAULT_SPACE = Rect(0.0, 0.0, 50_000.0, 50_000.0)
 
 

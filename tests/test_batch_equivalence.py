@@ -149,8 +149,8 @@ def test_update_io_not_worse_at_bench_density():
     At very small scales the LRU buffer makes physical I/O noisy in both
     directions (fewer logical touches can age pages out sooner); at the
     bench-like density used here the batch path's shared descents and
-    space-ordered sweeps win outright, which is the measured claim of
-    BENCH_speed.json.
+    space-ordered sweeps win outright (the batched-vs-per-event speed-up
+    PR 2 measured, ROADMAP § Performance).
     """
     params = WorkloadParameters(num_objects=1200, time_duration=60.0, num_queries=10)
     workload = build_workload("SA", params)
@@ -275,10 +275,9 @@ def test_knn_batch_matches_sequential(workload, batches, name):
 def test_knn_io_not_worse_at_bench_density():
     """Batched kNN physical I/O versus sequential probes at bench density.
 
-    This is the measured claim of ``BENCH_speed.json``: at a disk-bound
-    scale the shared traversals and shared filter rounds mean the batch
-    path reads no more pages than per-probe replay, for all four standard
-    indexes.
+    At a disk-bound scale the shared traversals and shared filter rounds
+    mean the batch path reads no more pages than per-probe replay, for all
+    four standard indexes.
     """
     params = WorkloadParameters(num_objects=1200, time_duration=60.0, num_queries=10)
     wl = build_workload("SA", params)

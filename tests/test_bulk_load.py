@@ -22,7 +22,6 @@ from repro.core.partitioned_index import (
 )
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.objects.knn import k_nearest_neighbors
 from repro.objects.queries import (
     CircularRange,
     TimeIntervalRangeQuery,
@@ -35,7 +34,12 @@ from repro.tprtree.tprstar_tree import TPRStarTree
 from tests.conftest import SMALL_SPACE, brute_force_range, make_objects
 
 
-def some_queries(space: Rect, seed: int = 21, count: int = 12):
+def some_queries(space: Rect, seed: int = 21, count: int = 12, earliest: float = 0.0):
+    """Seeded time-slice / time-interval queries starting no earlier than ``earliest``.
+
+    The TPR family refuses a query before its clock, so a fixture that
+    moved objects to time t asks with ``earliest=t``.
+    """
     rng = random.Random(seed)
     queries = []
     for index in range(count):
@@ -47,15 +51,15 @@ def some_queries(space: Rect, seed: int = 21, count: int = 12):
         if index % 2:
             queries.append(
                 TimeSliceRangeQuery(
-                    CircularRange(center, radius), time=rng.uniform(0.0, 30.0)
+                    CircularRange(center, radius), time=earliest + rng.uniform(0.0, 30.0)
                 )
             )
         else:
             queries.append(
                 TimeIntervalRangeQuery(
                     CircularRange(center, radius),
-                    start_time=rng.uniform(0.0, 10.0),
-                    end_time=rng.uniform(10.0, 40.0),
+                    start_time=earliest + rng.uniform(0.0, 10.0),
+                    end_time=earliest + rng.uniform(10.0, 40.0),
                 )
             )
     return queries
@@ -161,28 +165,11 @@ class TestTPRBulkLoad:
 
     def test_knn_equivalence(self, tree_cls):
         objects = make_objects(300, seed=13)
-        by_id = {obj.oid: obj for obj in objects}
         bulk, incremental = self.build_pair(tree_cls, objects)
         for center in (Point(2_000.0, 2_000.0), Point(8_000.0, 5_000.0)):
-            expected = k_nearest_neighbors(
-                incremental,
-                center,
-                k=10,
-                query_time=15.0,
-                objects_by_id=by_id.get,
-                space=SMALL_SPACE,
-                population=len(objects),
-            )
-            actual = k_nearest_neighbors(
-                bulk,
-                center,
-                k=10,
-                query_time=15.0,
-                objects_by_id=by_id.get,
-                space=SMALL_SPACE,
-                population=len(objects),
-            )
-            assert actual == expected
+            expected = incremental.knn_query(center, 10, 15.0, space=SMALL_SPACE)
+            assert len(expected) == 10
+            assert bulk.knn_query(center, 10, 15.0, space=SMALL_SPACE) == expected
 
     def test_updates_after_bulk_load(self, tree_cls):
         objects = make_objects(200, seed=17)
@@ -201,7 +188,7 @@ class TestTPRBulkLoad:
             bulk,
             incremental,
             list(updated.values()),
-            some_queries(SMALL_SPACE, seed=33),
+            some_queries(SMALL_SPACE, seed=33, earliest=20.0),
         )
         assert_tpr_invariants(bulk)
 
@@ -306,7 +293,7 @@ class TestVPIndexBulkLoad:
             )
             assert bulk.update(obj, moved)
             incremental.update(obj, moved)
-        for query in some_queries(SMALL_SPACE, seed=77):
+        for query in some_queries(SMALL_SPACE, seed=77, earliest=12.0):
             assert sorted(bulk.range_query(query)) == sorted(
                 incremental.range_query(query)
             )

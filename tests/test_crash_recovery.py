@@ -16,11 +16,14 @@ import os
 import signal
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
 import crash_child
 import repro
+from repro.core.partitioned_index import analyze_sample, sample_velocities_from_objects
+from repro.objects.moving_object import MovingObject
 from repro.serve import ServeConfig, ShardedIndex
 from repro.serve.durable_store import DurableStore
 from repro.storage import FaultProfile, fault_wrap
@@ -163,6 +166,71 @@ def test_bulk_load_into_a_nonempty_index_is_rejected_before_it_is_logged(tmp_pat
     reopened = DurableStore(root, fsync=False).open(ServeConfig(max_workers=1))
     assert crash_child.answers(reopened) == live
     reopened.close()
+
+
+@pytest.mark.parametrize("kind", ["serial", "thread", "process", "durable"])
+def test_a_mutation_a_shard_rejects_leaves_no_record_behind(tmp_path, kind):
+    # Only the shard knows an id is already indexed, so the record is in the
+    # WAL before the KeyError; left there, every later recovery dies on it —
+    # and a shard the aborted scatter never ran would *gain* its slice.
+    root = str(tmp_path / "store")
+    objects = crash_child.make_objects()
+    recipe = partial(
+        repro.make_index,
+        "Bx(VP)",
+        partitioning=analyze_sample(sample_velocities_from_objects(objects), k=2),
+        space=crash_child.SPACE,
+        max_update_interval=crash_child.MAX_UPDATE_INTERVAL,
+        page_size=crash_child.PAGE_SIZE,
+    )
+    if kind == "durable":
+        index = DurableStore(root, fsync=False).create(
+            lambda buffer: recipe(buffer=buffer),
+            num_shards=2,
+            space=crash_child.SPACE,
+            buffer_pages=crash_child.BUFFER_PAGES,
+            config=ServeConfig(executor="serial"),
+        )
+    else:
+        index = ShardedIndex.build(recipe, shards=2, executor=kind, space=crash_child.SPACE)
+    twin = ShardedIndex.build(recipe, shards=2, executor="serial", space=crash_child.SPACE)
+    index.bulk_load(objects)
+    twin.bulk_load(objects)
+    duplicate = next(obj for obj in objects if index.shard_of(obj.oid) == 0)
+    fresh_oid = next(oid for oid in range(len(objects), 10**6) if index.shard_of(oid) == 1)
+    fresh = MovingObject(
+        oid=fresh_oid,
+        position=duplicate.position,
+        velocity=duplicate.velocity,
+        reference_time=duplicate.reference_time,
+    )
+
+    with pytest.raises(KeyError, match="already indexed"):
+        index.insert(duplicate)
+    with pytest.raises(KeyError, match="already indexed"):
+        index.insert_batch([duplicate, fresh])
+    # Shard 0 refused both; shard 1 ran its slice of the batch only where
+    # shard calls overlap (never on a serial executor, which stops at the
+    # first raise).  Each log holds exactly what its shard applied.
+    accepted = len(index.shards[1]) - len(twin.shards[1])
+    assert accepted in ((0,) if kind in ("serial", "durable") else (0, 1))
+    assert [len(index.shard_log(shard_id)) for shard_id in range(2)] == [1, 1 + accepted]
+    if accepted:
+        twin.insert(fresh)
+    expected = crash_child.answers(twin)
+    assert crash_child.answers(index) == expected
+
+    if kind == "durable":
+        # Abandoned, not closed: reopening replays both WALs.
+        recovered = DurableStore(root, fsync=False).open(ServeConfig(max_workers=1))
+    else:
+        recovered = index
+        for shard_id in range(2):
+            index.recover_shard(shard_id)
+    assert len(recovered) == len(objects) + accepted
+    assert crash_child.answers(recovered) == expected
+    recovered.close()
+    twin.close()
 
 
 def test_open_refuses_a_manifest_of_another_version(tmp_path):

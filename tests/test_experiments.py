@@ -1,8 +1,7 @@
 """Smoke tests of the per-figure experiment drivers (tiny parameters).
 
 These tests check that every driver produces rows with the expected columns
-and series; the full-size shapes are exercised by the benchmarks and recorded
-in EXPERIMENTS.md.
+and series; the full-size shapes are exercised by the benchmarks.
 """
 
 import pytest

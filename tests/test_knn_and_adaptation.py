@@ -15,7 +15,7 @@ from repro.core.partitioned_index import (
 from repro.core.velocity_analyzer import VelocityPartitioning
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
-from repro.objects.knn import initial_knn_radius, k_nearest_neighbors
+from repro.objects.knn import initial_knn_radius
 from repro.storage.buffer_manager import BufferManager
 from repro.tprtree.tprstar_tree import TPRStarTree
 
@@ -30,10 +30,6 @@ def brute_force_knn(objects, center, k, time):
 
 
 class TestKNN:
-    def _lookup(self, objects):
-        by_id = {obj.oid: obj for obj in objects}
-        return by_id.get
-
     @pytest.mark.parametrize("k", [1, 5, 12])
     def test_knn_on_tprstar_matches_brute_force(self, k):
         objects = make_objects(150, seed=31, max_speed=40.0)
@@ -44,10 +40,7 @@ class TestKNN:
         for _ in range(5):
             center = Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000))
             time = rng.uniform(0.0, 30.0)
-            result = k_nearest_neighbors(
-                tree, center, k, time, self._lookup(objects),
-                space=SMALL_SPACE, population=len(objects),
-            )
+            result = tree.knn_query(center, k, time, space=SMALL_SPACE)
             expected = brute_force_knn(objects, center, k, time)
             assert [oid for oid, _ in result] == [oid for oid, _ in expected]
 
@@ -63,10 +56,7 @@ class TestKNN:
         for obj in objects:
             tree.insert(obj)
         center = Point(5_000.0, 5_000.0)
-        result = k_nearest_neighbors(
-            tree, center, 7, 15.0, self._lookup(objects),
-            space=SMALL_SPACE, population=len(objects),
-        )
+        result = tree.knn_query(center, 7, 15.0, space=SMALL_SPACE)
         assert [oid for oid, _ in result] == [
             oid for oid, _ in brute_force_knn(objects, center, 7, 15.0)
         ]
@@ -78,10 +68,7 @@ class TestKNN:
         for obj in objects:
             index.insert(obj)
         center = Point(4_000.0, 6_000.0)
-        result = k_nearest_neighbors(
-            index, center, 9, 20.0, self._lookup(objects),
-            space=SMALL_SPACE, population=len(objects),
-        )
+        result = index.knn_query(center, 9, 20.0, space=SMALL_SPACE)
         assert [oid for oid, _ in result] == [
             oid for oid, _ in brute_force_knn(objects, center, 9, 20.0)
         ]
@@ -92,10 +79,7 @@ class TestKNN:
         for obj in objects:
             tree.insert(obj)
         center = Point(2_000.0, 2_000.0)
-        result = k_nearest_neighbors(
-            tree, center, 10, 5.0, self._lookup(objects),
-            space=SMALL_SPACE, population=len(objects),
-        )
+        result = tree.knn_query(center, 10, 5.0, space=SMALL_SPACE)
         distances = [d for _, d in result]
         assert distances == sorted(distances)
         for oid, distance in result:
@@ -107,15 +91,12 @@ class TestKNN:
         tree = TPRStarTree(buffer=BufferManager(capacity=16), max_entries=8)
         for obj in objects:
             tree.insert(obj)
-        result = k_nearest_neighbors(
-            tree, Point(0.0, 0.0), 50, 1.0, self._lookup(objects),
-            space=SMALL_SPACE, population=5,
-        )
+        result = tree.knn_query(Point(0.0, 0.0), 50, 1.0, space=SMALL_SPACE)
         assert len(result) == 5
 
     def test_k_zero(self):
         tree = TPRStarTree(buffer=BufferManager(capacity=16))
-        assert k_nearest_neighbors(tree, Point(0, 0), 0, 1.0, lambda oid: None) == []
+        assert tree.knn_query(Point(0, 0), 0, 1.0) == []
 
     def test_initial_radius_scales_with_density(self):
         sparse = initial_knn_radius(SMALL_SPACE, population=10, k=3)

@@ -1,14 +1,21 @@
 """Tests for the TPR-tree and TPR*-tree."""
 
 import random
+from functools import partial
 
 import pytest
 
+from repro.core.partitioned_index import (
+    analyze_sample,
+    make_index,
+    sample_velocities_from_objects,
+)
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.objects.moving_object import MovingObject
 from repro.objects.queries import RectangularRange, TimeSliceRangeQuery
 from repro.geometry.rect import Rect
+from repro.serve import ShardedIndex
 from repro.storage.buffer_manager import BufferManager
 from repro.tprtree.node import TPREntry, TPRNode
 from repro.tprtree.tpr_tree import TPRTree
@@ -176,6 +183,43 @@ class TestRangeQueries:
         tree = small_tree()
         query = make_circular_query(Point(0, 0), 100.0, time=1.0)
         assert tree.range_query(query) == []
+
+
+class TestPastTimeProbe:
+    """A query before the tree clock raises instead of losing candidates.
+
+    A time-parameterized bound covers its objects from the clock onward
+    only, so a traversal at an earlier time prunes subtrees that held
+    qualifying objects.  The Bx family is two-sided and unaffected.
+    """
+
+    @pytest.mark.parametrize("family", ["TPR*", "TPR*(VP)", "2 shards"])
+    def test_range_and_knn_before_the_clock_raise(self, family):
+        objects = make_objects(120, seed=5, axis_aligned=True, start_time=10.0)
+        if family == "TPR*":
+            index = make_index("TPR*")
+        else:
+            vp = partial(
+                make_index,
+                "TPR*(VP)",
+                partitioning=analyze_sample(sample_velocities_from_objects(objects), k=2),
+            )
+            index = vp() if family == "TPR*(VP)" else ShardedIndex.build(vp, shards=2)
+        index.bulk_load(objects)
+        center = Point(5_000.0, 5_000.0)
+        past = make_circular_query(center, 2_000.0, time=9.0)
+        with pytest.raises(ValueError, match="before the tree clock"):
+            index.range_query(past)
+        with pytest.raises(ValueError, match="before the tree clock"):
+            index.range_query_batch([past, past])
+        with pytest.raises(ValueError, match="before the tree clock"):
+            index.knn_query(center, 5, 9.0)
+        # At the clock and after it, the same calls answer.
+        now = make_circular_query(center, 2_000.0, time=10.0)
+        assert set(index.range_query(now)) == brute_force_range(objects, now)
+        assert len(index.knn_query(center, 5, 10.0)) == 5
+        if family == "2 shards":
+            index.close()
 
 
 class TestStructuralIntegrityUnderChurn:
