@@ -14,9 +14,13 @@ This module is the flat, structure-of-arrays alternative for those loops:
 * a *projected rect* is a plain 4-tuple ``(x_min, y_min, x_max, y_max)``;
 * an *extent* is a plain 8-tuple ``(x_min, y_min, x_max, y_max,
   v_x_min, v_y_min, v_x_max, v_y_max)`` anchored at a caller-tracked time;
-* batch kernels take any sequence of objects shaped like ``MovingRect``
-  (a ``rect`` with ``x_min``/... plus the four VBR components and a
-  ``reference_time``) and return tuples/lists of floats.
+* the object-facing kernels (``project``, ``extent_of``, ``batch_centers``,
+  ``bound_extent``) take objects shaped like ``MovingRect`` (a ``rect`` with
+  ``x_min``/... plus the four VBR components and a ``reference_time``) and
+  return tuples/lists of floats;
+* the ``soa_*`` kernels take the nine parallel ``array('d')`` bound columns
+  of an array-backed node (``TPRNode.columns``) and make one fused pass
+  over them.
 
 When to use what:
 
@@ -81,16 +85,6 @@ def extent_of(bound, time: float) -> Extent:
     )
 
 
-def batch_project(bounds: Sequence, time: float) -> List[ProjectedRect]:
-    """Project many bounds to ``time`` (one 4-tuple each, no Rect objects)."""
-    return [project(b, time) for b in bounds]
-
-
-def batch_extents(bounds: Sequence, time: float) -> List[Extent]:
-    """Re-anchor many bounds at ``time`` as flat extent tuples."""
-    return [extent_of(b, time) for b in bounds]
-
-
 def batch_centers(bounds: Sequence, time: float) -> List[Tuple[float, float]]:
     """Centers of the projected MBRs (the STR / split sort keys)."""
     centers = []
@@ -112,8 +106,8 @@ def batch_centers(bounds: Sequence, time: float) -> List[Tuple[float, float]]:
 def soa_extents(x0s, y0s, x1s, y1s, vx0s, vy0s, vx1s, vy1s, trefs, time: float) -> List[Extent]:
     """Re-anchor a node's column-stored bounds at ``time`` as flat extents.
 
-    Column twin of :func:`batch_extents`: one fused pass over the nine
-    parallel bound columns of an array-backed node.
+    Column twin of :func:`extent_of`: one fused pass over the nine parallel
+    bound columns of an array-backed node.
     """
     out: List[Extent] = []
     append = out.append
@@ -176,6 +170,162 @@ def soa_bound_extent(x0s, y0s, x1s, y1s, vx0s, vy0s, vx1s, vy1s, trefs, time: fl
     if x0 == _INF:
         raise ValueError("cannot bound an empty collection of moving rectangles")
     return (x0, y0, x1, y1, vx0, vy0, vx1, vy1)
+
+
+def soa_choose_child_area(
+    x0s, y0s, x1s, y1s, vx0s, vy0s, vx1s, vy1s, trefs, ext_new: Extent, time: float
+) -> int:
+    """Slot of the child whose projected area grows least by absorbing ``ext_new``.
+
+    The TPR-tree's choose-subtree scan as one pass over a node's columns:
+    each child is re-anchored at ``time`` (as :func:`soa_extents` does), its
+    :func:`extent_area` and the area of its :func:`union_extent` with
+    ``ext_new`` (anchored at ``time`` too) are evaluated inline, operation
+    for operation, and the first lexicographic minimum of ``(enlargement,
+    area)`` wins -- the lowest slot on a full tie.  No tuple is built and no
+    function is called per child.
+    """
+    nx0, ny0, nx1, ny1 = ext_new[:4]
+    best_slot = slot = -1
+    best_enlargement = best_cost = 0.0
+    for x0, y0, x1, y1, vx0, vy0, vx1, vy1, tref in zip(
+        x0s, y0s, x1s, y1s, vx0s, vy0s, vx1s, vy1s, trefs
+    ):
+        slot += 1
+        elapsed = time - tref
+        if elapsed > 0.0:
+            x0 += vx0 * elapsed
+            y0 += vy0 * elapsed
+            x1 += vx1 * elapsed
+            y1 += vy1 * elapsed
+        cost = (x1 - x0) * (y1 - y0)
+        width = (x1 if x1 > nx1 else nx1) - (x0 if x0 < nx0 else nx0)
+        height = (y1 if y1 > ny1 else ny1) - (y0 if y0 < ny0 else ny0)
+        enlargement = width * height - cost
+        if (
+            enlargement < best_enlargement
+            or (enlargement == best_enlargement and cost < best_cost)
+            or best_slot < 0
+        ):
+            best_slot = slot
+            best_enlargement = enlargement
+            best_cost = cost
+    if best_slot < 0:
+        raise ValueError("cannot choose a child of an empty node")
+    return best_slot
+
+
+def soa_choose_child_sweep(
+    x0s,
+    y0s,
+    x1s,
+    y1s,
+    vx0s,
+    vy0s,
+    vx1s,
+    vy1s,
+    trefs,
+    ext_new: Extent,
+    time: float,
+    query_extent: float,
+    horizon: float,
+) -> int:
+    """Slot of the child whose sweeping volume grows least by absorbing ``ext_new``.
+
+    The TPR*-tree's choose-subtree scan as one pass over a node's columns:
+    each child is re-anchored at ``time`` (as :func:`soa_extents` does), its
+    :func:`extent_sweep_volume` and that of its :func:`union_extent` with
+    ``ext_new`` (anchored at ``time`` too) are evaluated inline, operation
+    for operation, and the first lexicographic minimum of ``(enlargement,
+    volume)`` wins -- the lowest slot on a full tie.  No tuple is built and
+    no function is called per child.
+
+    When the velocity box of ``ext_new`` lies inside the child's, the
+    union's VBR is the child's up to the sign of a zero, which the
+    ``px``/``py``/``qx``/``qy`` terms of :func:`sweep_volume` cannot see, so
+    the child's terms are reused.  ``horizon`` must be positive (the trees
+    reject anything else at construction; :func:`sweep_volume` keeps its
+    own guard for direct callers).
+    """
+    nx0, ny0, nx1, ny1, nvx0, nvy0, nvx1, nvy1 = ext_new
+    h2 = horizon * horizon
+    h3 = h2 * horizon
+    best_slot = slot = -1
+    best_enlargement = best_cost = 0.0
+    for x0, y0, x1, y1, vx0, vy0, vx1, vy1, tref in zip(
+        x0s, y0s, x1s, y1s, vx0s, vy0s, vx1s, vy1s, trefs
+    ):
+        slot += 1
+        elapsed = time - tref
+        if elapsed > 0.0:
+            x0 += vx0 * elapsed
+            y0 += vy0 * elapsed
+            x1 += vx1 * elapsed
+            y1 += vy1 * elapsed
+
+        # sweep_volume of the child grown by the nominal query.
+        px = (vx1 if vx1 > 0.0 else 0.0) - (vx0 if vx0 < 0.0 else 0.0)
+        py = (vy1 if vy1 > 0.0 else 0.0) - (vy0 if vy0 < 0.0 else 0.0)
+        if vx0 >= 0.0 and vx1 >= 0.0:
+            qx = vx0 if vx0 < vx1 else vx1
+        elif vx0 <= 0.0 and vx1 <= 0.0:
+            qx = -vx0 if -vx0 < -vx1 else -vx1
+        else:
+            qx = 0.0
+        if vy0 >= 0.0 and vy1 >= 0.0:
+            qy = vy0 if vy0 < vy1 else vy1
+        elif vy0 <= 0.0 and vy1 <= 0.0:
+            qy = -vy0 if -vy0 < -vy1 else -vy1
+        else:
+            qy = 0.0
+        width = (x1 - x0) + query_extent
+        height = (y1 - y0) + query_extent
+        cost = (
+            width * height * horizon
+            + (width * py + height * px) * h2 / 2.0
+            + (px * py - qx * qy) * h3 / 3.0
+        )
+
+        # sweep_volume of the union with the new entry, likewise grown.
+        if not (vx0 <= nvx0 and vy0 <= nvy0 and vx1 >= nvx1 and vy1 >= nvy1):
+            vx0 = vx0 if vx0 < nvx0 else nvx0
+            vy0 = vy0 if vy0 < nvy0 else nvy0
+            vx1 = vx1 if vx1 > nvx1 else nvx1
+            vy1 = vy1 if vy1 > nvy1 else nvy1
+            px = (vx1 if vx1 > 0.0 else 0.0) - (vx0 if vx0 < 0.0 else 0.0)
+            py = (vy1 if vy1 > 0.0 else 0.0) - (vy0 if vy0 < 0.0 else 0.0)
+            if vx0 >= 0.0 and vx1 >= 0.0:
+                qx = vx0 if vx0 < vx1 else vx1
+            elif vx0 <= 0.0 and vx1 <= 0.0:
+                qx = -vx0 if -vx0 < -vx1 else -vx1
+            else:
+                qx = 0.0
+            if vy0 >= 0.0 and vy1 >= 0.0:
+                qy = vy0 if vy0 < vy1 else vy1
+            elif vy0 <= 0.0 and vy1 <= 0.0:
+                qy = -vy0 if -vy0 < -vy1 else -vy1
+            else:
+                qy = 0.0
+        width = ((x1 if x1 > nx1 else nx1) - (x0 if x0 < nx0 else nx0)) + query_extent
+        height = ((y1 if y1 > ny1 else ny1) - (y0 if y0 < ny0 else ny0)) + query_extent
+        union_cost = (
+            width * height * horizon
+            + (width * py + height * px) * h2 / 2.0
+            + (px * py - qx * qy) * h3 / 3.0
+        )
+        enlargement = union_cost - cost
+
+        if (
+            enlargement < best_enlargement
+            or (enlargement == best_enlargement and cost < best_cost)
+            or best_slot < 0
+        ):
+            best_slot = slot
+            best_enlargement = enlargement
+            best_cost = cost
+    if best_slot < 0:
+        raise ValueError("cannot choose a child of an empty node")
+    return best_slot
 
 
 # ----------------------------------------------------------------------

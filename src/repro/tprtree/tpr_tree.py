@@ -90,7 +90,12 @@ class TPRTree(ScalarVerbs):
             fan-out implied by a 4 KB page.
         min_fill: minimum fill factor (fraction of ``max_entries``).
         horizon: time horizon over which structural decisions integrate
-            the bound expansion.
+            the bound expansion; positive and finite (at zero every
+            sweeping volume is 0.0 and TPR* choose-subtree degenerates to
+            "always the first child").
+
+    Raises:
+        ValueError: on a fan-out, fill factor or horizon outside its range.
     """
 
     name = "TPR"
@@ -115,6 +120,8 @@ class TPRTree(ScalarVerbs):
             raise ValueError("max_entries must be at least 4")
         if not 0.0 < min_fill <= 0.5:
             raise ValueError("min_fill must be in (0, 0.5]")
+        if not 0.0 < horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         self.buffer = buffer if buffer is not None else BufferManager()
         self.max_entries = max_entries
         self.min_entries = max(2, int(max_entries * min_fill))
@@ -742,8 +749,10 @@ class TPRTree(ScalarVerbs):
     # Structural metrics (overridden by the TPR*-tree)
     # ------------------------------------------------------------------
     # The hooks take flat kernel extents (8-tuples anchored at the current
-    # time) so choose-subtree, split scoring and forced reinsertion never
-    # build intermediate MovingRect/Rect objects.
+    # time) so split scoring and forced reinsertion never build intermediate
+    # MovingRect/Rect objects.  Choose-subtree, the hot scan, does not go
+    # through them: ``_pick_child`` is one fused column kernel per cost
+    # model, which must price a bound exactly as ``_extent_cost`` does.
 
     def _extent_cost(self, ext: kernels.Extent) -> float:
         """Goodness (lower is better) of a node bound given as a kernel extent.
@@ -794,26 +803,8 @@ class TPRTree(ScalarVerbs):
         return path
 
     def _pick_child(self, node: TPRNode, ext_new: kernels.Extent) -> int:
-        """Slot of the child whose bound degrades least by absorbing ``ext_new``.
-
-        The scan runs entirely on the node's SoA columns: every candidate
-        extent comes from one fused column pass, its cost and
-        union-with-the-new-entry cost are evaluated with the float hooks,
-        and ties are broken by the smaller existing cost.
-        """
-        best_slot = -1
-        best_key = None
-        for slot, ext in enumerate(
-            kernels.soa_extents(*node.columns, time=self.current_time)
-        ):
-            cost = self._extent_cost(ext)
-            enlargement = self._extent_cost(kernels.union_extent(ext, ext_new)) - cost
-            key = (enlargement, cost)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_slot = slot
-        assert best_slot >= 0
-        return best_slot
+        """Slot of the child whose projected area grows least by absorbing ``ext_new``."""
+        return kernels.soa_choose_child_area(*node.columns, ext_new, self.current_time)
 
     def _handle_overflow_and_adjust(self, path: List[TPRNode], base_level: int = 0) -> None:
         """Split overfull nodes bottom-up and re-tighten bounds along the path.

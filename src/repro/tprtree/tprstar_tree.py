@@ -67,6 +67,12 @@ class TPRStarTree(TPRTree):
             + 0.5 * self.horizon * (overlap + overlap_end)
         )
 
+    def _pick_child(self, node: TPRNode, ext_new: kernels.Extent) -> int:
+        """Slot of the child whose sweeping volume grows least by absorbing ``ext_new``."""
+        return kernels.soa_choose_child_sweep(
+            *node.columns, ext_new, self.current_time, DEFAULT_NOMINAL_QUERY_EXTENT, self.horizon
+        )
+
     # ------------------------------------------------------------------
     # Insertion with pick-worst forced reinsertion
     # ------------------------------------------------------------------

@@ -9,8 +9,12 @@ the index refactors cannot silently drift.
 from __future__ import annotations
 
 import random
+from array import array
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import kernels
 from repro.geometry.moving_rect import MovingRect
@@ -74,12 +78,6 @@ class TestProjectionKernels:
         rng = random.Random(3)
         bounds = [random_moving_rect(rng) for _ in range(20)]
         time = 7.0
-        assert kernels.batch_project(bounds, time) == [
-            kernels.project(b, time) for b in bounds
-        ]
-        assert kernels.batch_extents(bounds, time) == [
-            kernels.extent_of(b, time) for b in bounds
-        ]
         for (cx, cy), b in zip(kernels.batch_centers(bounds, time), bounds):
             center = b.rect_at(time).center
             assert cx == pytest.approx(center.x)
@@ -112,7 +110,7 @@ class TestBoundKernels:
         for _ in range(30):
             bounds = [random_moving_rect(rng) for _ in range(rng.randint(2, 10))]
             time = 3.0
-            extents = kernels.batch_extents(bounds, time)
+            extents = [kernels.extent_of(b, time) for b in bounds]
             leave_one_out = kernels.remove_one_extents(extents)
             for index in range(len(bounds)):
                 rest = bounds[:index] + bounds[index + 1 :]
@@ -123,7 +121,7 @@ class TestBoundKernels:
     def test_cumulative_extents_are_prefix_unions(self):
         rng = random.Random(7)
         bounds = [random_moving_rect(rng) for _ in range(8)]
-        extents = kernels.batch_extents(bounds, 1.0)
+        extents = [kernels.extent_of(b, 1.0) for b in bounds]
         prefix = kernels.cumulative_extents(extents)
         for index in range(len(bounds)):
             assert prefix[index] == pytest.approx(
@@ -268,8 +266,6 @@ class TestSoaIntersectMany:
 
     @staticmethod
     def _columns(entries):
-        from array import array
-
         columns = [array("d") for _ in range(9)]
         for bound in entries:
             values = (
@@ -377,3 +373,159 @@ class TestSoaIntersectMany:
         info = self._info(query, query.reference_time + 5.0, query.reference_time + 1.0)
         with pytest.raises(ValueError):
             kernels.soa_intersect_many(*self._columns([entry]), [info])
+
+
+# ----------------------------------------------------------------------
+# Choose-subtree: the fused column kernels versus the hook-driven loop
+# ----------------------------------------------------------------------
+def _reference_choose(columns, ext_new, time, extent_cost):
+    """The scan the kernels replaced (``TPRTree._pick_child`` before PR 24), verbatim."""
+    best_slot = -1
+    best_key = None
+    for slot, ext in enumerate(kernels.soa_extents(*columns, time=time)):
+        cost = extent_cost(ext)
+        enlargement = extent_cost(kernels.union_extent(ext, ext_new)) - cost
+        key = (enlargement, cost)
+        if best_key is None or key < best_key:
+            best_key = key
+            best_slot = slot
+    return best_slot
+
+
+# Small pools make exact ties, shared edges and equal VBR components common;
+# the float ranges keep the arithmetic honest between them.
+_positions = st.sampled_from([-40.0, 0.0, 10.0, 25.0, 80.0]) | st.floats(-1e4, 1e4)
+_sizes = st.sampled_from([0.0, 0.0, 5.0, 30.0]) | st.floats(0.0, 500.0)
+_speeds = st.sampled_from([-7.5, -1.0, -0.0, 0.0, 1.0, 7.5]) | st.floats(-60.0, 60.0)
+_times = st.sampled_from([0.0, 4.0, 9.0, 15.0])
+_fractions = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def _children(draw):
+    """One child bound ``(x0, y0, x1, y1, vx0, vy0, vx1, vy1, tref)``.
+
+    A zero size with one speed per axis is a leaf-style (object) bound;
+    two sorted speeds give a VBR of every sign pattern, ``(0.0, -0.0)``
+    included.
+    """
+    x0, y0 = draw(_positions), draw(_positions)
+    vx0, vx1 = sorted((draw(_speeds), draw(_speeds)))
+    vy0, vy1 = sorted((draw(_speeds), draw(_speeds)))
+    if draw(st.booleans()):
+        vx1, vy1 = vx0, vy0
+    return (x0, y0, x0 + draw(_sizes), y0 + draw(_sizes), vx0, vy0, vx1, vy1, draw(_times))
+
+
+def _inside(draw, lo, hi):
+    return min(hi, lo + draw(_fractions) * (hi - lo))
+
+
+@st.composite
+def _choose_cases(draw):
+    """``(columns, ext_new, time)`` built to tie: copies of children, an entry inside one.
+
+    A copy is either exact (a full tie, the lower slot must win) or has one
+    VBR component pushed outward; the entry lies inside one child's box and
+    VBR (enlargement exactly 0.0 there and in every copy) or strays outward
+    on one VBR component by less than the widened copies cover, so the
+    copy wins on enlargement alone and loses the moment the original is
+    not charged for its wider union VBR.
+    """
+    children = draw(st.lists(_children(), min_size=1, max_size=6))
+    for slot in draw(st.lists(st.integers(0, len(children) - 1), max_size=4)):
+        copy = list(children[slot])
+        component = draw(st.sampled_from([None, 4, 5, 6, 7]))
+        if component is not None:
+            copy[component] += draw(st.sampled_from([1.0, 100.0])) * (-1 if component < 6 else 1)
+        children.append(tuple(copy))
+    time = draw(_times)
+    columns = [array("d", column) for column in zip(*children)]
+    if draw(st.booleans()):
+        return columns, draw(_children())[:8], time
+    host = draw(st.sampled_from(kernels.soa_extents(*columns, time=time)))
+    x0, x1 = sorted(_inside(draw, host[0], host[2]) for _ in range(2))
+    y0, y1 = sorted(_inside(draw, host[1], host[3]) for _ in range(2))
+    vx0, vx1 = sorted(_inside(draw, host[4], host[6]) for _ in range(2))
+    vy0, vy1 = sorted(_inside(draw, host[5], host[7]) for _ in range(2))
+    ext_new = [x0, y0, x1, y1, vx0, vy0, vx1, vy1]
+    component = draw(st.sampled_from([None, 4, 5, 6, 7]))
+    if component is not None:
+        ext_new[component] += draw(st.sampled_from([0.5, 90.0])) * (-1 if component < 6 else 1)
+    return columns, tuple(ext_new), time
+
+
+_sweep_parameters = st.tuples(
+    st.sampled_from([0.0, 3.5, 1000.0]), st.sampled_from([0.5, 1.0, 60.0, 120.0])
+)
+
+
+def _nodes_to_scan(columns):
+    """The node itself, then every two of its children as a node of their own.
+
+    A kernel returns only the winning slot; scanning each pair as well pins
+    the order of every two keys, so a mispriced child shows even when it is
+    not the one that wins the whole node.
+    """
+    yield columns
+    for low in range(len(columns[0])):
+        for high in range(low + 1, len(columns[0])):
+            yield [array("d", (column[low], column[high])) for column in columns]
+
+
+class TestChooseChildKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(_choose_cases())
+    def test_area_kernel_picks_the_reference_slot(self, case):
+        columns, ext_new, time = case
+        for node in _nodes_to_scan(columns):
+            assert kernels.soa_choose_child_area(*node, ext_new, time) == _reference_choose(
+                node, ext_new, time, kernels.extent_area
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(_choose_cases(), _sweep_parameters)
+    def test_sweep_kernel_picks_the_reference_slot(self, case, parameters):
+        columns, ext_new, time = case
+        query_extent, horizon = parameters
+        cost = partial(kernels.extent_sweep_volume, query_extent=query_extent, horizon=horizon)
+        for node in _nodes_to_scan(columns):
+            assert kernels.soa_choose_child_sweep(
+                *node, ext_new, time, query_extent, horizon
+            ) == _reference_choose(node, ext_new, time, cost)
+
+    def test_hand_built_ties_and_late_anchors(self):
+        """The cases the strategy aims at, once each with the slot spelled out."""
+        big = (0.0, 0.0, 100.0, 100.0, -2.0, -2.0, 2.0, 2.0, 0.0)
+        small = (10.0, 10.0, 60.0, 60.0, -1.0, 0.0, -0.0, 1.0, 0.0)
+        late = (10.0, 10.0, 60.0, 60.0, -1.0, 0.0, -0.0, 1.0, 9.0)  # anchored after the scan
+        far = (500.0, 500.0, 510.0, 510.0, 3.0, 3.0, 3.0, 3.0, 0.0)
+        inside_both = (20.0, 20.0, 20.0, 20.0, -0.5, 0.5, -0.5, 0.5)
+        off_vbr = (20.0, 20.0, 20.0, 20.0, 40.0, 0.5, 40.0, 0.5)
+
+        def slots(children, ext_new, time):
+            columns = [array("d", column) for column in zip(*children)]
+            area = kernels.soa_choose_child_area(*columns, ext_new, time)
+            sweep = kernels.soa_choose_child_sweep(*columns, ext_new, time, 1000.0, 60.0)
+            cost = partial(kernels.extent_sweep_volume, query_extent=1000.0, horizon=60.0)
+            assert area == _reference_choose(columns, ext_new, time, kernels.extent_area)
+            assert sweep == _reference_choose(columns, ext_new, time, cost)
+            return area, sweep
+
+        # Zero enlargement in three children: the cheaper pair wins, and of
+        # the full tie between `small` and its copy the lower slot.
+        assert slots([far, big, small, small], inside_both, 0.0) == (2, 2)
+        # At time 4 `small` has grown, its twin anchored at 9 has not.
+        assert slots([far, big, small, late], inside_both, 4.0) == (3, 3)
+        # Off every VBR (the arm that recomputes the union's velocity
+        # terms): spatial containment still decides the area scan, the
+        # sweep scan pays for the widened VBR everywhere.
+        assert slots([far, big, small, small], off_vbr, 0.0)[0] == 2
+
+    def test_an_empty_node_has_no_child_to_choose(self):
+        columns = [array("d") for _ in range(9)]
+        ext_new = (0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            kernels.soa_choose_child_area(*columns, ext_new, 0.0)
+        with pytest.raises(ValueError):
+            kernels.soa_choose_child_sweep(*columns, ext_new, 0.0, 1000.0, 60.0)

@@ -1,5 +1,7 @@
 """Tests for the TPR-tree and TPR*-tree."""
 
+import hashlib
+import math
 import random
 from functools import partial
 
@@ -8,6 +10,7 @@ import pytest
 from repro.core.partitioned_index import (
     analyze_sample,
     make_index,
+    make_vp_tprstar_tree,
     sample_velocities_from_objects,
 )
 from repro.geometry.point import Point
@@ -89,6 +92,15 @@ class TestInsertDelete:
             TPRTree(max_entries=2)
         with pytest.raises(ValueError):
             TPRTree(min_fill=0.9)
+
+    @pytest.mark.parametrize("cls", [TPRTree, TPRStarTree])
+    @pytest.mark.parametrize("horizon", [0.0, -60.0, float("inf"), float("nan")])
+    def test_horizon_must_be_positive_and_finite(self, cls, horizon):
+        # At horizon <= 0 every sweeping volume is 0.0, every TPR* child
+        # ties and slot 0 always wins: a tree that answers correctly from
+        # leaves 70x the area, so the constructor is where it has to stop.
+        with pytest.raises(ValueError, match="horizon"):
+            small_tree(cls, horizon=horizon)
 
     def test_page_size_controls_fanout(self):
         tree = TPRTree(page_size=1024)
@@ -412,3 +424,85 @@ class TestVectorizedTraversal:
         never_vector = answers(10**9)
         assert always_vector == never_vector
         assert any(always_vector), "queries must actually return candidates"
+
+
+# ----------------------------------------------------------------------
+# Tree identity of a seeded insertion-built replay
+# ----------------------------------------------------------------------
+#: ``family -> sha256`` over every node (page id, kind, parent, refs and the
+#: nine bound columns, in page-id order) and the four page-I/O totals after
+#: :func:`_identity_replay`.  Recorded on the commit before choose-subtree
+#: became a fused column kernel (PR 24) and must repeat exactly: the TPR
+#: family's insertion path may get cheaper, but a moved digest means a
+#: different child was chosen somewhere, i.e. a different tree.  This is the
+#: fast-tier twin of the ``full`` CI job's ``git diff --exit-code
+#: benchmarks/results``.
+PINNED_TREES = {
+    "TPR": "0d0c17340fa5aee3b05b48daf5dfea4262a7bd71faab288a13df9ae8be33a58a",
+    "TPR*": "85644ae9c1848c1b3087e62f648563b19e40a10a7e008183fff8da5cf43d15da",
+    "TPR*(VP)": "d6b34b5a040e5827a75c64c7a1d5905a191d7d57e56318147fcfb710d4051c8c",
+}
+
+
+def _identity_replay(family):
+    """Insert 1,500 seeded objects one by one, then four ``update_batch`` rounds."""
+    rng = random.Random(24)
+
+    def velocity():
+        # Two thirds of the traffic follows the axes (the VP trees get
+        # populated DVA partitions), the rest moves freely (outliers).
+        speed = rng.uniform(1.0, 40.0)
+        kind = rng.randrange(3)
+        if kind == 0:
+            return Vector(speed * rng.choice((-1.0, 1.0)), 0.0)
+        if kind == 1:
+            return Vector(0.0, speed * rng.choice((-1.0, 1.0)))
+        angle = rng.uniform(0.0, math.tau)
+        return Vector(speed * math.cos(angle), speed * math.sin(angle))
+
+    objects = [
+        MovingObject(oid, Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000)), velocity(), 0.0)
+        for oid in range(1500)
+    ]
+    build = {
+        "TPR": TPRTree,
+        "TPR*": TPRStarTree,
+        "TPR*(VP)": partial(
+            make_vp_tprstar_tree, analyze_sample(sample_velocities_from_objects(objects))
+        ),
+    }[family]
+    index = build(buffer=BufferManager(capacity=40), max_entries=6)
+    for obj in objects:
+        index.insert(obj)
+    for now in (5.0, 10.0, 15.0, 20.0):
+        pairs = []
+        for oid in rng.sample(range(len(objects)), 250):
+            old = objects[oid]
+            objects[oid] = MovingObject(oid, old.position_at(now), velocity(), now)
+            pairs.append((old, objects[oid]))
+        assert index.update_batch(pairs) == len(pairs)
+    return index
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_TREES))
+def test_insertion_built_tree_is_the_pinned_tree(family):
+    index = _identity_replay(family)
+    index.buffer.flush()
+    stats = index.buffer.stats
+    totals = (
+        stats.logical.reads,
+        stats.logical.writes,
+        stats.physical.reads,
+        stats.physical.writes,
+    )
+    trees = [index] if family != "TPR*(VP)" else [*index.dva_indexes, index.outlier_index]
+    assert max(tree.height for tree in trees) >= 3
+    digest = hashlib.sha256(repr(totals).encode())
+    for node in sorted(
+        (node for tree in trees for node in tree._iter_nodes()), key=lambda node: node.page_id
+    ):
+        digest.update(repr((node.page_id, node.is_leaf, node.parent_page_id)).encode())
+        digest.update(node.refs.tobytes())
+        for column in node.columns:
+            digest.update(column.tobytes())
+    assert digest.hexdigest() == PINNED_TREES[family]
