@@ -380,9 +380,10 @@ def measure_htap(
         index = build_standard_indexes(
             workload, params, which=(name,), shards=HTAP_SHARDS, executor=executor
         )[name]
-        oracle = EpochOracle(
-            num_shards=HTAP_SHARDS, shard_factory=index.shard_factory, space=params.space
-        )
+        twin = build_standard_indexes(
+            workload, params, which=(name,), shards=HTAP_SHARDS, executor="serial"
+        )[name]
+        oracle = EpochOracle(twin, space=params.space)
         try:
             index.bulk_load(workload.initial_objects)
             oracle.record_mutation(index.epoch, "bulk_load", workload.initial_objects)

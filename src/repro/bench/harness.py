@@ -341,8 +341,9 @@ def build_standard_indexes(
     :class:`~repro.serve.ShardedIndex` built through
     :meth:`~repro.serve.ShardedIndex.build`: ``shards`` independent instances
     (each with its own buffer pool — the shared-nothing serving model gives
-    every worker its own RAM) behind the hash router, the same recipe armed
-    as ``shard_factory`` for WAL-replay recovery (``docs/robustness.md``).
+    every worker its own RAM) behind the hash router; each shard's as-built
+    state is its in-memory recovery baseline, which WAL replay rebuilds a
+    failed shard from (``docs/robustness.md``).
     The velocity analysis still runs once; the shards share its result.
     ``supervisor`` tunes the retry/breaker/timeout policy, ``executor`` picks
     where shard calls run (``"serial"`` / ``"thread"`` / ``"process"``) and
@@ -350,7 +351,8 @@ def build_standard_indexes(
 
     ``disk_profile`` (a :class:`~repro.storage.faults.FaultProfile`)
     slides a fault injector under every built instance's simulated disk —
-    sharded, unsharded baseline and recovery-factory shards alike — so a
+    sharded and unsharded alike, and through the recovery baseline every
+    recovered shard too — so a
     whole comparison runs under one device model (e.g. an SSD-class
     ``read_latency_s``).  The injector travels with the shard into worker
     processes under the ``process`` executor.

@@ -22,7 +22,7 @@ that cannot be served fails with nothing on disk and no worker spawned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.serve.executor import make_executor
 
@@ -40,28 +40,18 @@ class ServeConfig:
             (unattached) :class:`~repro.serve.Executor` instance.
         max_workers: fan-out width for the parallel executors (default:
             the shard count).
-        shard_factory: zero-argument callable building one empty shard;
-            arms WAL-replay recovery for in-memory deployments.
         supervisor: retry/breaker/timeout policy
             (:class:`~repro.serve.SupervisorConfig`).
         stores: per-shard durable page stores, each carrying its shard's
             write-ahead log (set by :class:`~repro.serve.DurableStore`).
-        snapshots: epoch-based snapshot isolation (see ``docs/htap.md``).
-            When true (the default) every applied update batch advances a
-            global epoch, queries pin a consistent cross-shard epoch, and
-            shards keep the undo deltas readers still need.  ``False``
-            restores the quiescent-read contract with zero overlay
-            overhead (and makes epoch pinning raise).
     """
 
     name: Optional[str] = None
     space: Optional[Any] = None
     executor: Optional[Any] = None
     max_workers: Optional[int] = None
-    shard_factory: Optional[Callable[[], Any]] = None
     supervisor: Optional[Any] = None
     stores: Optional[Sequence[Any]] = field(default=None, repr=False)
-    snapshots: bool = True
 
     def merged(self, **overrides: Any) -> "ServeConfig":
         """A copy with every non-``None`` override applied."""

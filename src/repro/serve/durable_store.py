@@ -65,6 +65,7 @@ from repro.geometry.rect import Rect
 from repro.serve.config import ServeConfig, check_constructible
 from repro.serve.shard_log import DurableShardLog, ShardLog
 from repro.serve.sharded_index import ShardedIndex
+from repro.serve.snapshot import VersionedShard
 from repro.storage.buffer_manager import DEFAULT_BUFFER_PAGES, BufferManager
 from repro.storage.disk_manager import DiskManager
 from repro.storage.durable import (
@@ -78,8 +79,10 @@ from repro.storage.stats import IOStats
 _META_HEADER = struct.Struct("<II")
 _MANIFEST = "MANIFEST.json"
 #: Covers the WAL record shapes too (the log files carry no version of
-#: their own); 3 = every record is one of the four batch ``LOG_OPS``.
-_MANIFEST_VERSION = 3
+#: their own); 4 = every record is one of the four batch ``LOG_OPS`` with
+#: an ``int`` epoch, and every checkpoint image (generation 0 included)
+#: is a :class:`~repro.serve.snapshot.VersionedShard`.
+_MANIFEST_VERSION = 4
 
 
 # ----------------------------------------------------------------------
@@ -255,13 +258,18 @@ class ShardStore:
         )
         return BufferManager(disk=self.disk, capacity=self.buffer_pages)
 
-    def create(self, factory: Callable[[BufferManager], Any]) -> Any:
-        """Build a fresh shard and commit its generation-0 checkpoint."""
+    def create(self, factory: Callable[[BufferManager], Any]) -> VersionedShard:
+        """Build a fresh shard and commit its generation-0 checkpoint.
+
+        The shard is epoch-versioned before that checkpoint, so every image
+        the store ever restores is a :class:`VersionedShard` and WAL replay
+        hands each record its epoch.
+        """
         if os.path.exists(self._meta_path()):
             raise DurabilityError(f"{self.root}: shard store already exists; open() it")
         os.makedirs(self.root, exist_ok=True)
         buffer = self._open_disk()
-        index = factory(buffer)
+        index = VersionedShard(factory(buffer))
         self.log = DurableShardLog(
             self._wal_path(0), fsync=self._fsync, crash_hook=self._crash_hook
         )
@@ -419,9 +427,8 @@ class DurableStore:
         """Create a new durable sharded index at :attr:`root`.
 
         ``shard_factory`` takes the shard's :class:`BufferManager` and
-        returns an empty index over it — unlike the in-memory
-        ``shard_factory`` of :class:`ShardedIndex`, which allocates its
-        own storage, a durable shard's storage is owned by its store.
+        returns an empty index over it: a durable shard's storage is owned
+        by its store.
         ``config`` carries the serving policy (supervisor, fan-out width,
         executor — which must stay in-process for durable shards) and the
         default ``space``; ``family`` is recorded in the manifest for

@@ -295,7 +295,7 @@ class _ProcessShard(ScalarVerbs):
     # -- mutations -----------------------------------------------------
     # Mutations forward **kwargs so the serving layer's snapshot plumbing
     # (``epoch=…, gc_floor=…``) crosses the pipe to the versioned shard
-    # hosted in the worker; without snapshots the kwargs are simply empty.
+    # hosted in the worker.
     def insert_batch(self, objects, **kwargs) -> None:
         return self._call("insert_batch", list(objects), **kwargs)
 
@@ -309,23 +309,15 @@ class _ProcessShard(ScalarVerbs):
         return self._call("bulk_load", list(objects), **kwargs)
 
     # -- queries -------------------------------------------------------
-    # ``epoch`` crosses the pipe only when pinned: an unversioned hosted
-    # shard (snapshots disabled) does not accept the parameter.
     def range_query_batch(self, queries, epoch=None) -> List[List[int]]:
-        extra = {} if epoch is None else {"epoch": epoch}
-        return self._call("range_query_batch", list(queries), **extra)
+        return self._call("range_query_batch", list(queries), epoch=epoch)
 
     def knn_query_batch(self, queries, space=None, radius_state=None, epoch=None):
         # radius_state crosses as a pickled copy: the worker still shares
         # radii *within* the batch, but cross-shard adaptation is cut —
         # a pure perf hint either way (answers are radius independent).
-        extra = {} if epoch is None else {"epoch": epoch}
         return self._call(
-            "knn_query_batch",
-            list(queries),
-            space=space,
-            radius_state=radius_state,
-            **extra,
+            "knn_query_batch", list(queries), space=space, radius_state=radius_state, epoch=epoch
         )
 
     def __len__(self) -> int:

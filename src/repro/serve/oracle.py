@@ -6,10 +6,13 @@ epoch-pinned answer must be **bit-identical** to what a quiescent index
 nothing else — would answer.  :class:`EpochOracle` is the harness that
 checks it.
 
-It maintains a *twin*: a second :class:`~repro.serve.ShardedIndex` with
-the same shard count and shard family as the index under test, serial
-executor, snapshots disabled — the plainest quiescent configuration the
-serving layer offers, sharing the exact merge code the live index uses.
+It drives a *twin*: a second :class:`~repro.serve.ShardedIndex` the
+caller builds with the same recipe (shard count and shard family) as the
+index under test but the serial executor — the plainest quiescent
+configuration the serving layer offers, sharing the exact merge code the
+live index uses.  Only the oracle mutates it, one batch at a time, and it
+is queried at its newest epoch, so nothing is ever read from its undo
+overlay.
 The workload records every mutation it applies as ``(epoch, op,
 payload)`` — ``op`` and ``payload`` exactly as the write-ahead log holds
 them (:mod:`repro.serve.shard_log`) — and every epoch-pinned answer it
@@ -32,9 +35,8 @@ and replayable.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
-from repro.serve.config import ServeConfig
 from repro.serve.shard_log import apply_record
 from repro.serve.sharded_index import ShardedIndex
 
@@ -48,16 +50,19 @@ class EpochOracle:
     """Replay a recorded epoch stream into a quiescent twin and compare.
 
     Args:
-        num_shards: shard count of the index under test (the twin must
-            match it — answers are shard-count invariant, but matching
-            removes even that reliance from the verdict).
-        shard_factory: zero-argument callable building one empty shard of
-            the same index family as the system under test.
+        twin: an empty :class:`~repro.serve.ShardedIndex` built like the
+            index under test — same family and shard count (answers are
+            shard-count invariant, but matching removes even that reliance
+            from the verdict) — on the ``"serial"`` executor.  The oracle
+            owns it from here on and closes it.
         space: default kNN space forwarded to the twin's queries.
 
     Usage::
 
-        oracle = EpochOracle(num_shards=4, shard_factory=make_bx, space=space)
+        twin = build_standard_indexes(
+            workload, params, which=("Bx",), shards=4, executor="serial"
+        )["Bx"]
+        oracle = EpochOracle(twin, space=space)
         # workload side (under test):
         index.bulk_load(objects)
         oracle.record_mutation(index.epoch, "bulk_load", objects)
@@ -70,20 +75,9 @@ class EpochOracle:
         assert not mismatches, mismatches[0]
     """
 
-    def __init__(
-        self,
-        num_shards: int,
-        shard_factory: Callable[[], Any],
-        space: Optional[Any] = None,
-    ) -> None:
-        self.num_shards = int(num_shards)
+    def __init__(self, twin: ShardedIndex, space: Optional[Any] = None) -> None:
+        self.twin = twin
         self.space = space
-        self.twin = ShardedIndex(
-            [shard_factory() for _ in range(self.num_shards)],
-            config=ServeConfig(
-                name="oracle-twin", space=space, executor="serial", snapshots=False
-            ),
-        )
         self._mutations: List[_Mutation] = []
         self._samples: List[Tuple[int, str, Any, Any]] = []
         self._seq = 0

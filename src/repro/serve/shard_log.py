@@ -49,7 +49,6 @@ import threading
 import zlib
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.serve.snapshot import VersionedShard
 from repro.storage.durable import DurabilityError
 
 #: Operations a :class:`ShardLog` record may carry: the four mutations of
@@ -76,22 +75,22 @@ class ShardLog:
     __slots__ = ("_records",)
 
     def __init__(self) -> None:
-        self._records: List[Tuple[str, Any, Optional[int]]] = []
+        self._records: List[Tuple[str, Any, int]] = []
 
-    def append(self, op: str, payload: Any, epoch: Optional[int] = None) -> None:
+    def append(self, op: str, payload: Any, epoch: int) -> None:
         """Append one record; ``op`` must be a member of :data:`LOG_OPS`.
 
         The payload is copied into a tuple so a caller mutating its
         batch list after the call cannot corrupt the replay history.
-        ``epoch`` is the global snapshot epoch the mutation was assigned
-        (``None`` for unversioned callers); replaying through a versioned
-        shard restores its epoch counter from these values.
+        ``epoch`` is the global snapshot epoch the mutation was assigned;
+        replay hands it back to the shard, which restores its epoch
+        counter and snapshot overlay from these values.
         """
         if op not in LOG_OPS:
             raise ValueError(f"unknown shard-log op {op!r}")
         self._store(op, tuple(payload), epoch)
 
-    def _store(self, op: str, payload: Any, epoch: Optional[int]) -> None:
+    def _store(self, op: str, payload: Any, epoch: int) -> None:
         """Persist one canonicalized record (subclasses add durability)."""
         self._records.append((op, payload, epoch))
 
@@ -114,29 +113,19 @@ class ShardLog:
         shard — exactly what the supervisor must hand back to the caller
         whose mutation triggered the recovery.
 
-        A versioned shard receives each record with its epoch, so recovery
-        also restores its epoch counter and snapshot overlay; a bare index
-        gets the plain calls.
+        ``index`` is a :class:`~repro.serve.snapshot.VersionedShard`: each
+        record reaches it with its epoch, so recovery also restores the
+        shard's epoch counter and snapshot overlay.
         """
         result: Any = None
-        versioned = isinstance(index, VersionedShard)
         for op, payload, epoch in self._records:
-            kwargs = {"epoch": epoch} if versioned else {}
-            result = apply_record(index, op, payload, **kwargs)
+            result = apply_record(index, op, payload, epoch=epoch)
         return result
 
     @property
-    def entries(self) -> Sequence[Tuple[str, Any, Optional[int]]]:
+    def entries(self) -> Sequence[Tuple[str, Any, int]]:
         """The logged ``(op, payload, epoch)`` records, oldest first."""
         return tuple(self._records)
-
-    @property
-    def last_epoch(self) -> int:
-        """Highest epoch any record carries (0 when none do)."""
-        return max(
-            (epoch for _, _, epoch in self._records if epoch is not None),
-            default=0,
-        )
 
     def __len__(self) -> int:
         return len(self._records)
@@ -179,9 +168,10 @@ class DurableShardLog(ShardLog):
     executed (append happens before execution) and never acknowledged, so
     dropping it keeps the log consistent with every answer the index ever
     returned.  A frame whose checksum holds but whose body is not an
-    ``(op, payload, epoch)`` record is not a torn write; opening refuses it
-    with :class:`~repro.storage.durable.DurabilityError` instead of
-    silently dropping it and every acknowledged record after it.
+    ``(op, payload, epoch)`` record — an unknown op, or an epoch that is
+    not an ``int`` — is not a torn write; opening refuses it with
+    :class:`~repro.storage.durable.DurabilityError` instead of silently
+    dropping it and every acknowledged record after it.
 
     Appends are serialized by an internal lock — the serving layer appends
     outside the per-shard locks, so two routed mutations may hit the same
@@ -251,6 +241,11 @@ class DurableShardLog(ShardLog):
                 raise DurabilityError(
                     f"{self._path}: WAL frame at offset {offset} names unknown op {op!r}"
                 )
+            if type(epoch) is not int:
+                raise DurabilityError(
+                    f"{self._path}: WAL frame at offset {offset} carries epoch "
+                    f"{epoch!r}, not an int"
+                )
             self._records.append((op, payload, epoch))
             self._starts.append(offset)
             offset += header.size + length
@@ -261,7 +256,7 @@ class DurableShardLog(ShardLog):
             os.ftruncate(self._fd, offset)
             self._file_sync()
 
-    def _store(self, op: str, payload: Any, epoch: Optional[int]) -> None:
+    def _store(self, op: str, payload: Any, epoch: int) -> None:
         body = pickle.dumps((op, payload, epoch), protocol=pickle.HIGHEST_PROTOCOL)
         frame = self._HEADER.pack(len(body), zlib.crc32(body)) + body
         with self._lock:

@@ -30,9 +30,11 @@ breakers stop calling a shard that keeps failing; fanned-out calls can
 carry a per-shard timeout.  A failed *mutation* never blind-retries —
 the shard's state is suspect — and instead triggers **recovery**: every
 routed mutation is appended to a per-shard write-ahead
-:class:`~repro.serve.shard_log.ShardLog` *before* execution, so a fresh
-shard built by ``shard_factory`` and replayed from the log is equivalent,
-answer for answer, to a shard that never failed.  Queries can opt into
+:class:`~repro.serve.shard_log.ShardLog` *before* execution, so the
+shard's recovery source — its durable checkpoint image, or in memory a
+deepcopy of the shard as it was handed over (replaced at every
+checkpoint) — replayed from the log is equivalent, answer for answer, to
+a shard that never failed.  Queries can opt into
 **degraded answers** (``partial=True``): open-circuit or failing shards
 are skipped and the healthy shards' merged answers come back in a
 :class:`~repro.serve.supervisor.PartialResult` instead of an exception.
@@ -75,7 +77,7 @@ from repro.objects.queries import RangeQuery
 from repro.serve.config import ServeConfig, check_constructible
 from repro.serve.executor import Executor
 from repro.serve.shard_log import ShardLog, apply_record
-from repro.serve.snapshot import SnapshotTooOldError, VersionedShard
+from repro.serve.snapshot import VersionedShard
 from repro.serve.supervisor import (
     SHARD_FAILED,
     SHARD_SKIPPED,
@@ -210,7 +212,6 @@ class ShardedIndex(ScalarVerbs):
             f"{getattr(shards[0], 'name', type(shards[0]).__name__)}"
         )
         self.space = resolved.space
-        self.shard_factory = resolved.shard_factory
         self._config = (
             resolved.supervisor if resolved.supervisor is not None else SupervisorConfig()
         )
@@ -221,30 +222,28 @@ class ShardedIndex(ScalarVerbs):
         else:
             self._stores = list(resolved.stores)
             self._logs = [store.log for store in self._stores]
-        self._snapshots = bool(resolved.snapshots)
-        if self._snapshots:
-            # Epoch-version every shard.  A shard restored from a durable
-            # checkpoint arrives already wrapped (the wrapper travels
-            # through the checkpoint blob, epoch included); a raw shard
-            # starts at the highest epoch its WAL carries — its content
-            # already reflects those records (either it is fresh with an
-            # empty log, or the store replayed the tail into it).
-            shards = [
-                shard
-                if isinstance(shard, VersionedShard)
-                else VersionedShard(shard, epoch=self._logs[shard_id].last_epoch)
-                for shard_id, shard in enumerate(shards)
-            ]
+        # Epoch-version every shard.  A shard restored from a durable
+        # checkpoint arrives already wrapped (the wrapper travels through
+        # the checkpoint image, and the store replayed the WAL tail into it
+        # epoch by epoch); an in-memory shard has an empty log and starts
+        # at epoch 0.
+        shards = [
+            shard if isinstance(shard, VersionedShard) else VersionedShard(shard)
+            for shard in shards
+        ]
         self._backend: Executor = resolved.executor
         # Handles: the objects supervised tasks run against.  For the
         # in-process executors these are the shard indexes themselves;
         # for the process executor they are worker proxies.
         self.shards = self._backend.attach(shards, resolved.max_workers)
         self.buffer = _AggregateBuffer(self.shards)
-        # Per-shard deepcopy of the shard at its last checkpoint: the
-        # in-memory recovery source once the WAL has been compacted
-        # (durable shards restore from their checkpoint image instead).
-        self._baselines: List[Optional[object]] = [None for _ in shards]
+        # The in-memory recovery source: a deepcopy of each shard as it was
+        # handed over (the WAL holds everything since), replaced by every
+        # checkpoint.  Durable shards restore their checkpoint image instead.
+        self._baselines: List[Optional[object]] = [
+            copy.deepcopy(shard) if store is None else None
+            for shard, store in zip(shards, self._stores)
+        ]
         self._closed = False
         self._breakers = [
             CircuitBreaker(
@@ -266,12 +265,7 @@ class ShardedIndex(ScalarVerbs):
         # every routed shard, and queries pin the published epoch.  Pins
         # are refcounts keyed by epoch — their minimum is the GC floor no
         # shard may prune past.
-        start_epoch = 0
-        if self._snapshots:
-            start_epoch = max(
-                max(shard.epoch for shard in shards),
-                max(log.last_epoch for log in self._logs),
-            )
+        start_epoch = max(shard.epoch for shard in shards)
         self._epoch_counter = start_epoch
         self._published_epoch = start_epoch
         self._pins: Dict[int, int] = {}
@@ -311,11 +305,6 @@ class ShardedIndex(ScalarVerbs):
     # Snapshot epochs (see docs/htap.md)
     # ------------------------------------------------------------------
     @property
-    def snapshots_enabled(self) -> bool:
-        """Whether epoch-based snapshot serving is on (``ServeConfig.snapshots``)."""
-        return self._snapshots
-
-    @property
     def epoch(self) -> int:
         """The published snapshot epoch: the highest fully applied batch.
 
@@ -346,16 +335,8 @@ class ShardedIndex(ScalarVerbs):
         finally:
             self._unpin_epoch(epoch)
 
-    def _require_snapshots(self) -> None:
-        if not self._snapshots:
-            raise RuntimeError(
-                "snapshot serving is disabled for this index "
-                "(ServeConfig.snapshots=False); epochs cannot be pinned"
-            )
-
     def _pin_epoch(self) -> int:
         """Register a pin on the published epoch and return it."""
-        self._require_snapshots()
         with self._epoch_lock:
             epoch = self._published_epoch
             self._pins[epoch] = self._pins.get(epoch, 0) + 1
@@ -369,18 +350,17 @@ class ShardedIndex(ScalarVerbs):
             else:
                 self._pins.pop(epoch, None)
 
-    def _resolve_pin(self, epoch: Optional[int]) -> Tuple[Optional[int], bool]:
+    def _resolve_pin(self, epoch: Optional[int]) -> Tuple[int, bool]:
         """The epoch a query runs at, and whether this call owns the pin.
 
-        ``None`` with snapshots enabled auto-pins the published epoch for
-        the duration of the call; an explicit epoch is trusted (callers
-        obtain one from :meth:`pin`, which keeps its deltas alive) but
-        must already be published — pinning the future would break the
-        consistent-cut guarantee.
+        ``None`` auto-pins the published epoch for the duration of the
+        call; an explicit epoch is trusted (callers obtain one from
+        :meth:`pin`, which keeps its deltas alive) but must already be
+        published — pinning the future would break the consistent-cut
+        guarantee.
         """
         if epoch is None:
-            return (self._pin_epoch(), True) if self._snapshots else (None, False)
-        self._require_snapshots()
+            return self._pin_epoch(), True
         epoch = int(epoch)
         if epoch < 0 or epoch > self._published_epoch:
             raise ValueError(
@@ -402,9 +382,6 @@ class ShardedIndex(ScalarVerbs):
         is the oldest epoch a live pin still needs — computed under the
         epoch lock so a pin registered concurrently can never be starved.
         """
-        if not self._snapshots:
-            yield None, None
-            return
         with self._write_lock:
             with self._epoch_lock:
                 self._epoch_counter += 1
@@ -469,10 +446,10 @@ class ShardedIndex(ScalarVerbs):
 
         Per shard (under its lock): flush the buffer's dirty frames, then
         either commit a new checkpoint generation through the shard's
-        durable store, or — for in-memory shards — capture a baseline
-        snapshot through the executor; in both cases the WAL is truncated
-        afterwards, so the next recovery replays only the tail logged
-        since this call.
+        durable store, or — for in-memory shards — replace the shard's
+        baseline with a snapshot taken through the executor; in both cases
+        the WAL is truncated afterwards, so the next recovery replays only
+        the tail logged since this call.
         """
         self._ensure_open()
         for shard_id in range(len(self.shards)):
@@ -496,11 +473,10 @@ class ShardedIndex(ScalarVerbs):
     ) -> "ShardedIndex":
         """Build a ready-to-serve sharded index from one recipe.
 
-        Wires the shards, the shard factory (arming WAL-replay recovery),
-        the executor and — with ``durable_dir`` — the per-shard durable
-        stores.  Every combination that cannot be served is refused by
-        :func:`~repro.serve.config.check_constructible` before anything
-        is created.
+        Wires the shards, the executor and — with ``durable_dir`` — the
+        per-shard durable stores.  Every combination that cannot be served
+        is refused by :func:`~repro.serve.config.check_constructible`
+        before anything is created.
 
         Args:
             family: an unpartitioned family name (``"Bx"``, ``"TPR"``,
@@ -520,8 +496,7 @@ class ShardedIndex(ScalarVerbs):
                 was created with.  Requires a *named* family, the paged key
                 store and an in-process executor.
             config: the rest of the recipe (supervisor, fan-out width,
-                snapshots, name); ``executor`` and ``space`` override its
-                fields.
+                name); ``executor`` and ``space`` override its fields.
             space: data space for ``"Bx"`` shards and kNN defaults.
             buffer_pages: per-shard buffer-pool capacity.
             page_size: page size in bytes (family default when ``None``).
@@ -547,12 +522,7 @@ class ShardedIndex(ScalarVerbs):
             family_name = family
         base = config if config is not None else ServeConfig()
         base = check_constructible(
-            base.merged(
-                name=base.name or family_name,
-                space=space,
-                executor=executor,
-                shard_factory=factory,
-            ),
+            base.merged(name=base.name or family_name, space=space, executor=executor),
             shards,
             durable=durable_dir is not None,
             family=family,
@@ -611,7 +581,7 @@ class ShardedIndex(ScalarVerbs):
             retry = self._config.retry
             rng = self._rngs[shard_id]
             if not breaker.allow():
-                if read_only or not self._can_recover(shard_id):
+                if read_only:
                     status.state = SHARD_SKIPPED
                     status.error = "circuit open"
                     raise _ShardSkipped(shard_id)
@@ -635,11 +605,6 @@ class ShardedIndex(ScalarVerbs):
                         status.state = SHARD_FAILED
                         status.error = f"{type(fault).__name__}: {fault}"
                         raise ShardFailedError(shard_id, fault) from fault
-                    if not self._can_recover(shard_id):
-                        breaker.record_failure()
-                        status.state = SHARD_FAILED
-                        status.error = f"{type(fault).__name__}: {fault}"
-                        raise ShardFailedError(shard_id, fault) from fault
                     try:
                         return self._recover_locked(shard_id)
                     except InjectedFault as recovery_fault:
@@ -655,39 +620,18 @@ class ShardedIndex(ScalarVerbs):
                     return value
             raise AssertionError("unreachable: retry loop always returns or raises")
 
-    def _can_recover(self, shard_id: int) -> bool:
-        """Whether the shard has any recovery source (store/baseline/factory)."""
-        return (
-            self._stores[shard_id] is not None
-            or self._baselines[shard_id] is not None
-            or self.shard_factory is not None
-        )
-
-    def _fresh_shard_locked(self, shard_id: int) -> object:
+    def _fresh_shard_locked(self, shard_id: int) -> VersionedShard:
         """A shard holding exactly the state the WAL tail replays on top of.
 
         Durable shards restore their last checkpoint image; in-memory
-        shards deepcopy their checkpoint baseline when one exists (the
-        WAL was compacted at that point) and otherwise rebuild empty from
-        ``shard_factory`` (the WAL still holds the full history then).
+        shards deepcopy their baseline (the shard as handed over, or as of
+        its last checkpoint — the WAL holds every record since).  Either
+        is a :class:`VersionedShard`, epoch and retained overlay included.
         """
         store = self._stores[shard_id]
         if store is not None:
-            fresh = store.restore_image()
-        else:
-            baseline = self._baselines[shard_id]
-            if baseline is not None:
-                # Baselines captured with snapshots on are wrappers
-                # already (epoch and retained overlay included).
-                fresh = copy.deepcopy(baseline)
-            else:
-                fresh = self.shard_factory()
-        if self._snapshots and not isinstance(fresh, VersionedShard):
-            # A raw recovery source predates every WAL record about to be
-            # replayed (checkpoint images compact the log), so it starts
-            # at epoch 0 and the replay advances it to the tail's epochs.
-            fresh = VersionedShard(fresh)
-        return fresh
+            return store.restore_image()
+        return copy.deepcopy(self._baselines[shard_id])
 
     def _compact_locked(self, shard_id: int) -> None:
         """Checkpoint one shard and truncate its WAL (lock held by caller).
@@ -716,10 +660,10 @@ class ShardedIndex(ScalarVerbs):
         """Rebuild one shard from its WAL (caller holds the shard lock).
 
         Builds a fresh shard — restored from its durable checkpoint
-        image, deepcopied from its in-memory baseline, or built empty by
-        ``shard_factory`` — and replays the write-ahead log into it,
-        retrying with backoff when the replay itself hits transient
-        faults (each attempt starts over on a new fresh shard, so a
+        image or deepcopied from its in-memory baseline — and replays the
+        write-ahead log into it, retrying with backoff when the replay
+        itself hits transient faults (each attempt starts over on a new
+        fresh shard, so a
         half-replayed attempt is simply discarded).  On success the shard
         is swapped in, its breaker force-closed, the log compacted (the
         recovered state becomes the next checkpoint, so future
@@ -728,11 +672,6 @@ class ShardedIndex(ScalarVerbs):
         triggered the recovery would have returned on a never-failed
         shard.
         """
-        if not self._can_recover(shard_id):
-            raise ShardFailedError(
-                shard_id,
-                RuntimeError("no shard_factory, checkpoint baseline or store"),
-            )
         retry = self._config.retry
         rng = self._rngs[shard_id]
         started = time.perf_counter()
@@ -774,8 +713,7 @@ class ShardedIndex(ScalarVerbs):
         """Rebuild one shard from its write-ahead log, unconditionally.
 
         The operational entry point (a health checker or operator would
-        call this on a shard whose circuit stays open); requires a
-        ``shard_factory``.
+        call this on a shard whose circuit stays open).
         """
         self._ensure_open()
         with self._locks[shard_id]:
@@ -924,9 +862,10 @@ class ShardedIndex(ScalarVerbs):
         with self._update_epoch() as (epoch, gc_floor):
             for shard_id, payload in payloads.items():
                 self._logs[shard_id].append(op, payload, epoch=epoch)
-            kwargs = {} if epoch is None else {"epoch": epoch, "gc_floor": gc_floor}
             tasks = {
-                shard_id: partial(apply_record, op=op, payload=payload, **kwargs)
+                shard_id: partial(
+                    apply_record, op=op, payload=payload, epoch=epoch, gc_floor=gc_floor
+                )
                 for shard_id, payload in payloads.items()
             }
             results: Dict[int, object] = {}
@@ -1040,9 +979,9 @@ class ShardedIndex(ScalarVerbs):
         serving layer's canonical answer order, chosen because it is
         shard-count invariant — per-candidate traversal order is not.
 
-        With snapshots enabled the whole batch is answered at one pinned
-        epoch: either the ``epoch`` argument (≤ the published epoch) or,
-        when ``None``, the epoch published at call time — so the batch
+        The whole batch is answered at one pinned epoch: either the
+        ``epoch`` argument (≤ the published epoch) or, when ``None``, the
+        epoch published at call time — so the batch
         sees a consistent cross-shard cut even while update batches are
         applied concurrently (see ``docs/htap.md``).
 
@@ -1057,9 +996,8 @@ class ShardedIndex(ScalarVerbs):
         try:
             if not queries:
                 return PartialResult([], [], epoch=pinned) if partial else []
-            shard_kwargs = {} if pinned is None else {"epoch": pinned}
             per_shard, statuses = self._fan_out(
-                lambda shard: shard.range_query_batch(queries, **shard_kwargs),
+                lambda shard: shard.range_query_batch(queries, epoch=pinned),
                 partial=partial,
             )
         finally:
@@ -1105,10 +1043,10 @@ class ShardedIndex(ScalarVerbs):
         its observe/suggest races are benign (answers are provably
         radius-schedule independent).
 
-        With snapshots enabled the batch is answered at one pinned epoch
-        (``epoch`` when given, else the epoch published at call time), so
-        the cross-shard merge ranks candidates from a single consistent
-        cut (see ``docs/htap.md``).
+        The batch is answered at one pinned epoch (``epoch`` when given,
+        else the epoch published at call time), so the cross-shard merge
+        ranks candidates from a single consistent cut (see
+        ``docs/htap.md``).
         """
         queries = list(queries)
         pinned, owned = self._resolve_pin(epoch)
@@ -1116,13 +1054,9 @@ class ShardedIndex(ScalarVerbs):
             if not queries:
                 return PartialResult([], [], epoch=pinned) if partial else []
             search_space = space if space is not None else self.space
-            shard_kwargs = {} if pinned is None else {"epoch": pinned}
             per_shard, statuses = self._fan_out(
                 lambda shard: shard.knn_query_batch(
-                    queries,
-                    space=search_space,
-                    radius_state=radius_state,
-                    **shard_kwargs,
+                    queries, space=search_space, radius_state=radius_state, epoch=pinned
                 ),
                 partial=partial,
             )

@@ -83,12 +83,12 @@ class VersionedShard(ScalarVerbs):
     into a worker process.
     """
 
-    def __init__(self, base: object, epoch: int = 0) -> None:
+    def __init__(self, base: object) -> None:
         self.base = base
         #: Highest epoch whose mutations this shard has applied.
-        self.epoch = int(epoch)
+        self.epoch = 0
         #: Oldest epoch whose snapshot is still reconstructible.
-        self.floor = int(epoch)
+        self.floor = 0
         #: Ascending ``(epoch, {oid: prior state})`` undo deltas.
         self._deltas: List[Tuple[int, Dict[int, Optional[MovingObject]]]] = []
 

@@ -245,8 +245,7 @@ class PartialResult(Sequence):
     * :attr:`failed_shards` — ids of shards whose objects are missing
       from the answer;
     * :attr:`statuses` — the per-shard :class:`ShardStatus` records;
-    * :attr:`epoch` — the snapshot epoch the answer was pinned at
-      (``None`` when the index serves without snapshots).
+    * :attr:`epoch` — the snapshot epoch the answer was pinned at.
 
     Answers from healthy shards are exact for those shards' objects, so a
     partial range answer is a *subset* of the true answer and a partial
@@ -258,7 +257,7 @@ class PartialResult(Sequence):
         self,
         results: List[object],
         statuses: Sequence[ShardStatus],
-        epoch: Optional[int] = None,
+        epoch: int,
     ) -> None:
         self.results = results
         self.statuses = list(statuses)

@@ -179,7 +179,7 @@ def test_wal_recovery_preserves_backend_and_answers(
 # ----------------------------------------------------------------------
 # Configuration plumbing
 # ----------------------------------------------------------------------
-def test_build_key_store_reaches_every_shard_and_the_armed_factory(workload):
+def test_build_key_store_reaches_every_shard_and_its_recovery(workload):
     # The backend is part of the shard recipe (a ``build`` keyword), not of
     # the serving policy: ServeConfig has no such field.
     with pytest.raises(TypeError):
@@ -189,8 +189,9 @@ def test_build_key_store_reaches_every_shard_and_the_armed_factory(workload):
     ) as index:
         for shard in index.shards:
             assert isinstance(shard.store, FlatKeyStore)
-        # The armed factory keeps the backend choice too.
-        assert isinstance(index.shard_factory().store, FlatKeyStore)
+        # A recovered shard keeps the backend choice too.
+        index.recover_shard(0)
+        assert isinstance(index.shards[0].store, FlatKeyStore)
     with ShardedIndex.build(family="Bx", shards=2, space=PARAMS.space) as index:
         for shard in index.shards:
             assert isinstance(shard.store, BTreeKeyStore)

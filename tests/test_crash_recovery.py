@@ -24,8 +24,8 @@ import crash_child
 import repro
 from repro.core.partitioned_index import analyze_sample, sample_velocities_from_objects
 from repro.objects.moving_object import MovingObject
-from repro.serve import ServeConfig, ShardedIndex
-from repro.serve.durable_store import DurableStore
+from repro.serve import ServeConfig, ShardedIndex, VersionedShard
+from repro.serve.durable_store import DurableStore, ShardStore
 from repro.storage import FaultProfile, fault_wrap
 from repro.storage.durable import DurabilityError, FileDiskManager
 
@@ -117,7 +117,7 @@ def test_abandoned_store_reopen_replays_bounded_tail(tmp_path):
 
 def test_abandoned_bx_store_replays_a_bulk_load(tmp_path):
     # No checkpoint follows the bulk load, so reopening restores the empty
-    # generation-0 image (a bare BxTree) and replays that one record.
+    # generation-0 image (a versioned BxTree) and replays that one record.
     root = str(tmp_path / "store")
     objects = crash_child.make_objects()
 
@@ -258,6 +258,18 @@ def test_open_refuses_a_manifest_of_another_version(tmp_path):
     with pytest.raises(DurabilityError, match="manifest version 2"):
         DurableStore(root, fsync=False).open(ServeConfig(max_workers=1))
     assert snapshot() == before  # nothing truncated or rewritten
+
+
+def test_every_checkpoint_image_is_a_versioned_shard(tmp_path):
+    # Generation 0 included: WAL replay hands every record its epoch, so
+    # the manifest version moved past 3, whose first image was the bare index.
+    shard_store = ShardStore(str(tmp_path / "shard"), fsync=False)
+    assert isinstance(shard_store.create(crash_child.make_shard), VersionedShard)
+    assert isinstance(shard_store.restore_image(), VersionedShard)
+    shard_store.close()
+    _create_store(str(tmp_path / "store")).close()
+    with open(tmp_path / "store" / "MANIFEST.json", encoding="utf-8") as handle:
+        assert json.load(handle)["version"] == 4
 
 
 def _open_descriptors_under(root):

@@ -14,7 +14,7 @@ layer's checkpoint/WAL protocol (``docs/storage.md``):
 * composition with the fault injector and the buffer manager (including
   the ``with`` form that flushes on exit);
 * the durable WAL's reopen rule: a torn tail is dropped, a whole frame
-  that is not a record is refused.
+  that is not a record — or whose epoch is not an ``int`` — is refused.
 """
 
 import os
@@ -429,8 +429,14 @@ def test_wal_retract_cuts_the_file_back_to_the_previous_record(tmp_path):
         # What a parent-commit WAL may hold: a scalar op this build no longer replays.
         (pickle.dumps(("update", (_moving_object(2),) * 2, 3)), "unknown op 'update'"),
         (b"not a pickle", "WAL frame"),
+        # What a version-3 store's WAL may hold: a record without an epoch.
+        (
+            pickle.dumps(("insert_batch", (_moving_object(2),), None)),
+            r"offset \d+ carries epoch None, not an int",
+        ),
+        (pickle.dumps(("insert_batch", (_moving_object(2),), 3.0)), "carries epoch 3.0, not"),
     ),
-    ids=("two_tuple", "unknown_op", "scalar_op", "not_a_pickle"),
+    ids=("two_tuple", "unknown_op", "scalar_op", "not_a_pickle", "none_epoch", "float_epoch"),
 )
 def test_wal_reopen_refuses_a_whole_frame_that_is_not_a_record(tmp_path, body, names):
     path = str(tmp_path / "wal.log")
@@ -448,3 +454,4 @@ def test_wal_reopen_refuses_a_whole_frame_that_is_not_a_record(tmp_path, body, n
     with pytest.raises(DurabilityError, match=names):
         DurableShardLog(path, fsync=False)
     assert os.path.getsize(path) == size  # refused, not truncated
+

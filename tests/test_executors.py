@@ -306,7 +306,7 @@ def test_build_classmethod_serves_end_to_end(workload):
         assert index.executor.kind == "process"
         index.bulk_load(workload.initial_objects)
         assert len(index) == len(workload.initial_objects)
-        # The factory is armed: recovery works out of the box.
+        # Every shard has a recovery baseline: recovery works out of the box.
         os.kill(index.executor.worker_pid(0), signal.SIGKILL)
         updates = [(e.old, e.new) for e in workload.update_events[:50]]
         index.update_batch(updates)

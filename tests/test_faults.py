@@ -25,6 +25,7 @@ import time
 
 import pytest
 
+from repro import make_index
 from repro.bench.harness import build_standard_indexes
 from repro.objects.knn import KNNQuery
 from repro.serve import (
@@ -40,6 +41,7 @@ from repro.serve import (
     ShardFailedError,
     ShardLog,
     SupervisorConfig,
+    VersionedShard,
     shard_of,
 )
 from repro.storage import (
@@ -507,9 +509,9 @@ def test_breaker_reset_force_closes():
 def test_shard_log_rejects_unknown_ops_and_freezes_payloads(workload):
     log = ShardLog()
     with pytest.raises(ValueError):
-        log.append("compact", [])
+        log.append("compact", [], epoch=1)
     batch = list(workload.initial_objects[:3])
-    log.append("insert_batch", batch)
+    log.append("insert_batch", batch, epoch=1)
     batch.clear()  # mutating the caller's list must not corrupt the log
     op, payload, _ = log.entries[0]
     assert op == "insert_batch"
@@ -519,13 +521,14 @@ def test_shard_log_rejects_unknown_ops_and_freezes_payloads(workload):
 def test_shard_log_replay_rebuilds_and_returns_last_result(workload):
     objects = list(workload.initial_objects[:20])
     log = ShardLog()
-    log.append("bulk_load", objects[:10])
-    log.append("insert_batch", objects[10:])
-    log.append("delete_batch", objects[:1])
-    replica = build_standard_indexes(workload, PARAMS, which=("Bx",))["Bx"]
+    log.append("bulk_load", objects[:10], epoch=1)
+    log.append("insert_batch", objects[10:], epoch=2)
+    log.append("delete_batch", objects[:1], epoch=3)
+    replica = VersionedShard(make_index("Bx", **PARAMS.index_kwargs()))
     result = log.replay(replica)
     assert result == [True]  # delete_batch() of a present object
     assert len(replica) == 19
+    assert replica.epoch == 3  # the replay restored the shard's epoch counter
 
 
 # ----------------------------------------------------------------------
@@ -832,48 +835,27 @@ def test_recover_shard_is_explicitly_callable(workload):
         index.close()
 
 
-def test_unversioned_bx_shard_recovers_a_bulk_load(workload):
-    # With snapshots off the record replays straight into a bare BxTree.
-    index = ShardedIndex.build(
-        "Bx",
-        shards=2,
-        config=ServeConfig(snapshots=False, supervisor=_supervisor()),
-        space=PARAMS.space,
-        max_update_interval=PARAMS.max_update_interval,
-    )
-    try:
-        index.bulk_load(workload.initial_objects)
-        queries = [e.query for e in workload.query_events]
-        before = index.range_query_batch(queries)
-        index.recover_shard(0)
-        assert index.recovery_events[0]["replayed_records"] == 1
-        assert index.range_query_batch(queries) == before
-    finally:
-        index.close()
-
-
-def test_recovery_without_factory_fails_strictly(workload):
-    shards = [
-        build_standard_indexes(workload, PARAMS, which=("Bx",))["Bx"] for _ in range(2)
-    ]
+@pytest.mark.parametrize("executor", ("serial", "thread", "process"))
+def test_recovery_keeps_what_a_shard_was_handed_over_with(workload, executor):
+    # Shards loaded before the ShardedIndex existed: their WALs never saw
+    # the load, so recovery must start from the shard as it was handed over.
+    objects = workload.initial_objects
+    shards = []
+    for shard_id in range(2):
+        shard = make_index("Bx", **PARAMS.index_kwargs())
+        shard.bulk_load([obj for obj in objects if shard_of(obj.oid, 2) == shard_id])
+        shards.append(shard)
     index = ShardedIndex(
-        shards, ServeConfig(space=PARAMS.space, supervisor=_supervisor())
+        shards, ServeConfig(space=PARAMS.space, executor=executor, supervisor=_supervisor())
     )
     try:
-        index.bulk_load(workload.initial_objects)
-        injector = fault_wrap(index.shards[0].buffer)
-        index.shards[0].buffer.clear()  # cold cache: the update must read
-        injector.kill()
-        pairs = [
-            (e.old, e.new)
-            for e in workload.update_events
-            if index.shard_of(e.old.oid) == 0
-        ][:1]
-        assert pairs, "workload routes no update to shard 0"
-        with pytest.raises(ShardFailedError):
-            index.update_batch(pairs)
-        with pytest.raises(ShardFailedError):
-            index.recover_shard(0)
+        probes = _knn_probes(workload, ks=(10,))
+        before = index.knn_query_batch(probes)
+        assert len(index) == len(objects)
+        index.recover_shard(0)
+        assert index.recovery_events[0]["replayed_records"] == 0
+        assert len(index) == len(objects)
+        assert index.knn_query_batch(probes) == before
     finally:
         index.close()
 

@@ -6,8 +6,8 @@ sees a consistent cross-shard cut — bit-identical to a quiescent twin
 that applied exactly the batches up to that epoch — even while later
 batches stream in.  These tests check the claim deterministically for
 all four index families across all three executors, plus the epoch
-API's edge semantics (held pins, GC floor, disabled snapshots, empty
-batches, WAL recovery, durable restart).
+API's edge semantics (held pins, GC floor, empty batches, WAL recovery,
+durable restart).
 
 The concurrent version of the same claim (threads actually racing) is
 ``tests/test_htap_stress.py``.
@@ -28,7 +28,7 @@ from repro.geometry.vector import Vector
 from repro.objects.knn import KNNQuery
 from repro.objects.moving_object import MovingObject
 from repro.objects.queries import RectangularRange, TimeSliceRangeQuery
-from repro.serve import DurableStore, EpochOracle, ServeConfig, ShardedIndex, SnapshotTooOldError
+from repro.serve import DurableStore, EpochOracle, ShardedIndex, SnapshotTooOldError
 from repro.workload.events import UpdateEvent
 from repro.workload.generator import build_workload
 from repro.workload.parameters import WorkloadParameters
@@ -82,12 +82,9 @@ def _build(workload, name="Bx", shards=SHARDS, executor="serial"):
     )[name]
 
 
-def _oracle(index):
-    return EpochOracle(
-        num_shards=index.num_shards,
-        shard_factory=index.shard_factory,
-        space=PARAMS.space,
-    )
+def _oracle(index, workload, name="Bx"):
+    """An oracle whose twin is ``index``'s recipe on the serial executor."""
+    return EpochOracle(_build(workload, name, shards=index.num_shards), space=PARAMS.space)
 
 
 def _loaded(index, oracle, workload):
@@ -121,7 +118,7 @@ def test_pinned_answers_match_quiescent_twin(
     and demands bit-identical answers at every recorded epoch.
     """
     index = _build(workload, name, executor=executor)
-    with index, _oracle(index) as oracle:
+    with index, _oracle(index, workload, name) as oracle:
         _loaded(index, oracle, workload)
         mid = len(update_batches) // 2
         for pairs in update_batches[:mid]:
@@ -245,28 +242,6 @@ def test_mixed_hit_and_miss_batch_leaves_no_phantom_in_a_pinned_cut(workload):
         _assert_pinned_cut_survives(index, index.update_batch, [ghost, _moved(hit)])
 
 
-def test_snapshots_disabled_serves_live_and_rejects_pins(workload, queries):
-    index = ShardedIndex.build(
-        family="Bx",
-        shards=2,
-        executor="serial",
-        config=ServeConfig(snapshots=False),
-        space=PARAMS.space,
-        buffer_pages=50,
-        max_update_interval=PARAMS.max_update_interval,
-    )
-    with index:
-        assert not index.snapshots_enabled
-        index.bulk_load(workload.initial_objects)
-        assert index.epoch == 0  # no epochs are assigned at all
-        assert index.range_query_batch(queries) == index.range_query_batch(queries)
-        with pytest.raises(RuntimeError, match="snapshots"):
-            with index.pin():
-                pass
-        with pytest.raises(RuntimeError, match="snapshots"):
-            index.range_query_batch(queries, epoch=0)
-
-
 def test_empty_batches_consume_no_epoch_and_write_no_wal(workload):
     index = _build(workload)
     with index:
@@ -319,7 +294,7 @@ def test_held_pin_blocks_gc_until_released(workload, update_batches, queries):
 def test_pinned_answers_survive_worker_sigkill(workload, update_batches, queries, probes):
     """WAL recovery replays epochs: post-recovery cuts stay oracle-exact."""
     index = _build(workload, executor="process")
-    with index, _oracle(index) as oracle:
+    with index, _oracle(index, workload) as oracle:
         _loaded(index, oracle, workload)
         for pairs in update_batches[:2]:
             index.update_batch(pairs)

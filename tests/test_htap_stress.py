@@ -94,12 +94,9 @@ def _build(workload, executor):
     )["Bx"]
 
 
-def _oracle(index):
-    return EpochOracle(
-        num_shards=index.num_shards,
-        shard_factory=index.shard_factory,
-        space=PARAMS.space,
-    )
+def _oracle(workload):
+    """An oracle whose twin is the index's recipe on the serial executor."""
+    return EpochOracle(_build(workload, "serial"), space=PARAMS.space)
 
 
 @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
@@ -109,7 +106,7 @@ def test_concurrent_pinned_answers_are_oracle_consistent(
 ):
     """Racing updater + query clients: every answered cut is bit-exact."""
     index = _build(workload, executor)
-    with index, _oracle(index) as oracle:
+    with index, _oracle(workload) as oracle:
         index.bulk_load(workload.initial_objects)
         oracle.record_mutation(index.epoch, "bulk_load", workload.initial_objects)
         report = load_driver.run_htap(
@@ -144,7 +141,7 @@ def test_sigkill_mid_stream_keeps_post_recovery_epochs_consistent(
     """
     victim = 2
     index = _build(workload, "process")
-    with index, _oracle(index) as oracle:
+    with index, _oracle(workload) as oracle:
         index.bulk_load(workload.initial_objects)
         oracle.record_mutation(index.epoch, "bulk_load", workload.initial_objects)
 

@@ -17,8 +17,9 @@ Four contracts that everything above the index families leans on:
 * the configuration matrix is a table (:data:`MATRIX`): every cell of
   family x key store x executor x durable is either built through
   ``make_index`` / ``ShardedIndex.build`` and answers like its unsharded
-  twin, or is refused by ``serve/config.py::check_constructible`` with
-  nothing on disk and no worker spawned.  ``docs/serving.md`` carries the
+  twin — before and after a shard recovery — or is refused by
+  ``serve/config.py::check_constructible`` with nothing on disk and no
+  worker spawned.  ``docs/serving.md`` carries the
   same table, rendered by :func:`matrix_table`.
 """
 
@@ -246,16 +247,16 @@ def test_every_cell_of_the_matrix_is_served_or_refused_up_front(
         assert (index.name, index.num_shards, index.executor.kind) == (family, 2, executor)
         assert not durable or os.path.exists(os.path.join(root, "MANIFEST.json"))
         index.bulk_load(workload.initial_objects)
-        assert len(index) == len(twin)
-        assert index.range_query_batch(queries) == [
-            sorted(answer) for answer in twin.range_query_batch(queries)
-        ]
-        assert index.knn_query_batch(probes, space=PARAMS.space) == (
-            twin.knn_query_batch(probes, space=PARAMS.space)
-        )
-        if family.startswith("Bx"):  # the armed recovery recipe kept the backend
-            shard = index.shard_factory()
-            assert getattr(shard, "outlier_index", shard).store.name == (key_store or "btree")
+        for recover in (False, True):
+            if recover:  # from the durable image or the in-memory baseline
+                index.recover_shard(0)
+            assert len(index) == len(twin)
+            assert index.range_query_batch(queries) == [
+                sorted(answer) for answer in twin.range_query_batch(queries)
+            ]
+            assert index.knn_query_batch(probes, space=PARAMS.space) == (
+                twin.knn_query_batch(probes, space=PARAMS.space)
+            )
 
 
 @pytest.mark.parametrize("durable", (False, True), ids=("memory", "durable"))
@@ -337,7 +338,7 @@ def test_each_mutation_is_one_record_per_routed_shard_and_replays(workload, exec
             for query in queries
         ]
         for sid in range(index.num_shards):
-            fresh = index.shard_factory()
+            fresh = _recipe("Bx", None)()
             for op, payload, _ in index.shard_log(sid).entries:
                 apply_record(fresh, op, payload)
             live = index.shards[sid]

@@ -49,7 +49,6 @@ ALLOWED = {
     "SupervisorConfig.reset_timeout_s": "tests/test_faults.py::_supervisor(**overrides)",
     "SupervisorConfig.sleep": "injectable sleep: tests/test_faults.py::_supervisor(**overrides)",
     "SupervisorConfig.clock": "injectable clock, the pair of sleep (docs/robustness.md)",
-    "ServeConfig.shard_factory": "ServeConfig.merged(shard_factory=...) in ShardedIndex.build",
     "ServeConfig.stores": "ServeConfig.merged(stores=...) in DurableStore._assemble",
     "WorkloadParameters.rectangular_queries": "WorkloadParameters.scaled(...) / tiny_params(**)",
     "WorkloadParameters.rectangle_side": "tiny_params(**overrides), WorkloadParameters(**SPEC)",
