@@ -294,18 +294,18 @@ class BxTree(ScalarVerbs):
         """Delete a batch of snapshots; per-object success flags."""
         return self.apply_batch(deletes=objs)[0]
 
-    def update_batch(self, pairs: Iterable[Tuple[MovingObject, MovingObject]]) -> int:
-        """Apply a batch of updates; returns how many old snapshots existed.
+    def update_batch(self, pairs: Iterable[Tuple[MovingObject, MovingObject]]) -> List[bool]:
+        """Apply a batch of updates; per pair, whether its old snapshot existed.
 
         Equivalent to calling :meth:`update` pair by pair (same final tree
-        contents, counts and sizes); see :meth:`apply_batch`.
+        contents, counts, sizes and flags); see :meth:`apply_batch`.
         """
         pairs = list(pairs)
         oids = [old.oid for old, _ in pairs]
         if len(set(oids)) != len(oids):
             # Same object updated twice in one batch: order matters, so fall
             # back to the sequential path.
-            return sum(1 for old, new in pairs if self.update(old, new))
+            return [self.update(old, new) for old, new in pairs]
         return self.apply_batch(updates=pairs)[1]
 
     def apply_batch(
@@ -313,7 +313,7 @@ class BxTree(ScalarVerbs):
         deletes: Sequence[MovingObject] = (),
         inserts: Sequence[MovingObject] = (),
         updates: Sequence[Tuple[MovingObject, MovingObject]] = (),
-    ) -> Tuple[List[bool], int]:
+    ) -> Tuple[List[bool], List[bool]]:
         """Apply a mixed batch of operations in one pass over the index.
 
         The per-operation overhead is amortized across the whole batch:
@@ -331,22 +331,21 @@ class BxTree(ScalarVerbs):
         :meth:`~repro.bxtree.velocity_histogram.VelocityHistogram.add_batch`),
         which never changes query answers, only candidate counts.
 
-        Returns ``(delete_flags, updates_removed)``: per-deletion success
-        flags aligned with ``deletes`` and the number of update pairs whose
-        old snapshot existed.
+        Returns ``(delete_flags, update_flags)``: per-deletion success flags
+        aligned with ``deletes`` and, aligned with ``updates``, whether each
+        pair's old snapshot existed.
         """
         deletes = list(deletes)
         inserts = list(inserts)
         updates = list(updates)
         total = len(deletes) + len(inserts) + 2 * len(updates)
         if total == 0:
-            return [], 0
+            return [], []
         if total < MIN_VECTOR_BATCH:
             flags = [self.delete(obj) for obj in deletes]
             for obj in inserts:
                 self.insert(obj)
-            removed_updates = sum(1 for old, new in updates if self.update(old, new))
-            return flags, removed_updates
+            return flags, [self.update(old, new) for old, new in updates]
         olds = [old for old, _ in updates]
         news = [new for _, new in updates]
         everything = deletes + inserts + olds + news
@@ -401,8 +400,12 @@ class BxTree(ScalarVerbs):
             self.histogram.add_batch(lx[added], ly[added], vx[added], vy[added])
         inserted = ni + len(moves) + (len(same) - sum(upsert_flags))
         self.size += inserted - sum(plain_flags) - sum(move_flags)
-        removed_updates = sum(move_flags) + sum(upsert_flags)
-        return plain_flags, removed_updates
+        update_flags = [False] * nu
+        for i, flag in zip(moves, move_flags):
+            update_flags[i] = flag
+        for i, flag in zip(same, upsert_flags):
+            update_flags[i] = flag
+        return plain_flags, update_flags
 
     def __len__(self) -> int:
         return self.size

@@ -91,8 +91,14 @@ class MovingIndex(Protocol):
     def delete_batch(self, objects: Sequence[MovingObject]) -> List[bool]:
         """Delete a batch; success flags aligned with the input."""
 
-    def update_batch(self, pairs: Sequence[Tuple[MovingObject, MovingObject]]) -> int:
-        """Apply ``(old, new)`` pairs; returns how many olds existed."""
+    def update_batch(self, pairs: Sequence[Tuple[MovingObject, MovingObject]]) -> List[bool]:
+        """Apply ``(old, new)`` pairs; per pair, whether its ``old`` existed.
+
+        Flags align with the input, as ``delete_batch``'s do: a pair whose
+        ``old`` was not stored is an upsert (``new`` is stored afterwards
+        either way), and in a batch that repeats an id each pair sees the
+        pairs before it.
+        """
 
     def range_query_batch(self, queries: Sequence[RangeQuery]) -> List[List[int]]:
         """Per query, the ids of the qualifying objects; aligned with the input."""
@@ -127,8 +133,8 @@ class SubIndex(MovingIndex, Protocol):
         deletes: Sequence[MovingObject] = (),
         inserts: Sequence[MovingObject] = (),
         updates: Sequence[Tuple[MovingObject, MovingObject]] = (),
-    ) -> Tuple[List[bool], int]:
-        """One mixed sweep: ``(delete flags, how many update olds existed)``."""
+    ) -> Tuple[List[bool], List[bool]]:
+        """One mixed sweep: ``(delete flags, update flags)``, each aligned with its input."""
 
     def knn_candidates_batch(
         self, queries: Sequence[RangeQuery], ids_only: bool = False
@@ -376,8 +382,8 @@ class VPIndex(ScalarVerbs):
                 flags[position] = bool(result)
         return flags
 
-    def update_batch(self, pairs: Sequence[Tuple[MovingObject, MovingObject]]) -> int:
-        """Apply a batch of updates; returns how many old snapshots existed.
+    def update_batch(self, pairs: Sequence[Tuple[MovingObject, MovingObject]]) -> List[bool]:
+        """Apply a batch of updates; per pair, whether its old snapshot existed.
 
         The batch is classified in one vectorized pass (perpendicular
         distances to every DVA for the whole batch at once instead of N
@@ -398,15 +404,16 @@ class VPIndex(ScalarVerbs):
         if len(pairs) < 2 or len(set(oids)) != len(oids):
             # Repeated oids: relative order matters (a later pair's existence
             # depends on an earlier pair's insert), so take the scalar path.
-            return sum(1 for old, new in pairs if self.update(old, new))
+            return [self.update(old, new) for old, new in pairs]
         partitions, stored_objects = self._classify_and_transform(objects)
         same: Dict[int, List[Tuple[MovingObject, MovingObject]]] = {}
         deletes: Dict[int, List[MovingObject]] = {}
         inserts: Dict[int, List[MovingObject]] = {}
         directory = self._directory
-        before = len(directory)
+        flags: List[bool] = []
         for obj, partition, stored in zip(objects, partitions, stored_objects):
             record = directory.get(obj.oid)
+            flags.append(record is not None)
             if record is None:
                 inserts.setdefault(partition, []).append(stored)
                 directory[obj.oid] = _StoredObject(
@@ -432,9 +439,7 @@ class VPIndex(ScalarVerbs):
                 inserts=inserts.get(partition, []),
                 updates=same.get(partition, []),
             )
-        # With unique oids every pair's object exists afterwards, so the
-        # directory growth is exactly the number of pairs that did NOT exist.
-        return len(pairs) - (len(directory) - before)
+        return flags
 
     # ------------------------------------------------------------------
     # Queries (Algorithm 3)

@@ -132,7 +132,7 @@ class ScalarVerbs:
 
     def update(self, old: MovingObject, new: MovingObject, **kwargs) -> bool:
         """Replace ``old`` by ``new`` (same id); True when ``old`` existed."""
-        return bool(self.update_batch([(old, new)], **kwargs))
+        return self.update_batch([(old, new)], **kwargs)[0]
 
     def range_query(self, query: RangeQuery, **kwargs) -> List[int]:
         """Ids of the objects qualifying for ``query``."""

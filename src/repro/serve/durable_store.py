@@ -194,8 +194,9 @@ class ShardStore:
         self.disk: Optional[FileDiskManager] = None
         self.log: Optional[DurableShardLog] = None
         #: WAL records replayed by the last :meth:`open` (the bounded
-        #: recovery tail; 0 after a clean shutdown).
-        self.replayed_on_open = 0
+        #: recovery tail; 0 after a clean shutdown), and how many of them
+        #: the shard rejected, as it did live.
+        self.replayed_on_open = self.rejected_on_open = 0
         self._blob: Optional[bytes] = None
 
     # -- paths ---------------------------------------------------------
@@ -298,7 +299,7 @@ class ShardStore:
             crash_hook=self._crash_hook,
         )
         self.replayed_on_open = len(self.log)
-        self.log.replay(index)
+        _, self.rejected_on_open = self.log.replay(index)
         return index
 
     def restore_image(self) -> Any:
@@ -379,8 +380,9 @@ class DurableStore:
         self.root = str(root)
         self._fsync = fsync
         self._crash_hook = crash_hook
-        #: Per-shard WAL-tail lengths replayed by the last :meth:`open`.
+        #: Per shard, the WAL records the last :meth:`open` replayed and rejected.
         self.replayed_on_open: List[int] = []
+        self.rejected_on_open: List[int] = []
 
     @property
     def exists(self) -> bool:
@@ -503,6 +505,7 @@ class DurableStore:
         stores = self._stores(manifest)
         shards = [store.open() for store in stores]
         self.replayed_on_open = [store.replayed_on_open for store in stores]
+        self.rejected_on_open = [store.rejected_on_open for store in stores]
         return self._assemble(shards, stores, manifest, config)
 
 

@@ -302,7 +302,7 @@ class _ProcessShard(ScalarVerbs):
     def delete_batch(self, objects, **kwargs) -> List[bool]:
         return self._call("delete_batch", list(objects), **kwargs)
 
-    def update_batch(self, pairs, **kwargs) -> int:
+    def update_batch(self, pairs, **kwargs) -> List[bool]:
         return self._call("update_batch", list(pairs), **kwargs)
 
     def bulk_load(self, objects, **kwargs) -> None:

@@ -14,11 +14,10 @@ Logging ahead of execution is what makes mid-operation failure safe: if
 a shard dies halfway through applying a batch, its on-"disk" state is
 suspect, but the log still holds the full batch — recovery discards the
 suspect shard entirely and replays the log, so the batch is applied
-exactly once on the rebuilt timeline.  The one record that must *not* be
-replayed is a mutation the shard rejected (raised something other than a
-fault, leaving its state as it was): the serving layer takes it back with
-:meth:`ShardLog.retract`, the inverse of ``append``, so a log holds
-exactly what its shard applied.
+exactly once on the rebuilt timeline.  A record the shard *rejected*
+(:func:`apply_outcome`: a duplicate id, a bad argument) stays too and
+replays as the same rejection, the no-op it was live.  A log is never
+edited after an append, so there is no undo for a crash to interrupt.
 
 The base :class:`ShardLog` is in-memory; replay cost is kept bounded by
 *compaction* — the serving layer truncates the log after a successful
@@ -50,10 +49,14 @@ import zlib
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.storage.durable import DurabilityError
+from repro.storage.faults import InjectedFault
 
 #: Operations a :class:`ShardLog` record may carry: the four mutations of
 #: the index protocol (``repro.core.index_manager.MovingIndex``).
 LOG_OPS = ("bulk_load", "insert_batch", "delete_batch", "update_batch")
+
+#: What applying one record came to: ``(result, None)`` or ``(None, rejection)``.
+Outcome = Tuple[Any, Optional[Exception]]
 
 
 def apply_record(index: Any, op: str, payload: Any, **epoch_kwargs: int) -> Any:
@@ -67,6 +70,22 @@ def apply_record(index: Any, op: str, payload: Any, **epoch_kwargs: int) -> Any:
     if op not in LOG_OPS:
         raise ValueError(f"unknown shard-log op {op!r}")
     return getattr(index, op)(list(payload), **epoch_kwargs)
+
+
+def apply_outcome(index: Any, op: str, payload: Any, **epoch_kwargs: int) -> Outcome:
+    """:func:`apply_record`, with a rejection returned instead of raised.
+
+    The one rule for what a shard's exception means, live and on replay:
+    an :class:`~repro.storage.faults.InjectedFault` is a failure (the
+    shard's state is suspect) and propagates; any other exception is the
+    shard *rejecting* the record, which a replay meets again.
+    """
+    try:
+        return apply_record(index, op, payload, **epoch_kwargs), None
+    except InjectedFault:
+        raise
+    except Exception as rejection:
+        return None, rejection
 
 
 class ShardLog:
@@ -94,33 +113,25 @@ class ShardLog:
         """Persist one canonicalized record (subclasses add durability)."""
         self._records.append((op, payload, epoch))
 
-    def retract(self) -> None:
-        """Drop the newest record: the inverse of :meth:`append`.
+    def replay(self, index: Any) -> Tuple[Outcome, int]:
+        """Apply every record to ``index`` in order, each by :func:`apply_outcome`.
 
-        For the one case where a logged mutation must not be replayed —
-        the shard *rejected* it (raised something other than a fault), so
-        the live shard never applied it and a replay would raise again.
-        The serving layer calls this from the writer that appended the
-        record, before any other append (``ShardedIndex._mutate``).
-        """
-        self._records.pop()
-
-    def replay(self, index: Any) -> Any:
-        """Apply every record to ``index`` in order; returns the last result.
-
-        The last record's return value is what the *current* (most
-        recently logged) operation would have returned on a never-failed
-        shard — exactly what the supervisor must hand back to the caller
-        whose mutation triggered the recovery.
+        Returns the last record's outcome and how many records the shard
+        rejected.  The last outcome — a result or a rejection — is what the
+        *current* (most recently logged) operation came to on a
+        never-failed shard: exactly what the supervisor must hand back to
+        the caller whose mutation triggered the recovery.
 
         ``index`` is a :class:`~repro.serve.snapshot.VersionedShard`: each
         record reaches it with its epoch, so recovery also restores the
         shard's epoch counter and snapshot overlay.
         """
-        result: Any = None
+        outcome: Outcome = (None, None)
+        rejected = 0
         for op, payload, epoch in self._records:
-            result = apply_record(index, op, payload, epoch=epoch)
-        return result
+            outcome = apply_outcome(index, op, payload, epoch=epoch)
+            rejected += outcome[1] is not None
+        return outcome, rejected
 
     @property
     def entries(self) -> Sequence[Tuple[str, Any, int]]:
@@ -185,7 +196,7 @@ class DurableShardLog(ShardLog):
             inside a torn WAL write.
     """
 
-    __slots__ = ("_path", "_fsync_enabled", "_crash_hook", "_lock", "_fd", "_size", "_starts")
+    __slots__ = ("_path", "_fsync_enabled", "_crash_hook", "_lock", "_fd", "_size")
 
     _HEADER = struct.Struct("<II")
 
@@ -202,8 +213,6 @@ class DurableShardLog(ShardLog):
         self._lock = threading.Lock()
         self._fd = os.open(self._path, os.O_RDWR | os.O_CREAT, 0o644)
         self._size = 0
-        #: File offset each record's frame starts at (what retract cuts back to).
-        self._starts: List[int] = []
         try:
             self._load_existing()
         except DurabilityError:
@@ -247,7 +256,6 @@ class DurableShardLog(ShardLog):
                     f"{epoch!r}, not an int"
                 )
             self._records.append((op, payload, epoch))
-            self._starts.append(offset)
             offset += header.size + length
         self._size = offset
         if offset < len(data):
@@ -268,23 +276,13 @@ class DurableShardLog(ShardLog):
                 self._crash_hook("wal:torn")
                 os.pwrite(self._fd, frame[half:], self._size + half)
             self._file_sync()
-            self._starts.append(self._size)
             self._size += len(frame)
             self._records.append((op, payload, epoch))
-
-    def retract(self) -> None:
-        """Drop the newest record and cut the file back to where it began."""
-        with self._lock:
-            self._records.pop()
-            self._size = self._starts.pop()
-            os.ftruncate(self._fd, self._size)
-            self._file_sync()
 
     def truncate(self) -> None:
         """Compact: drop the records and empty the backing file."""
         with self._lock:
             self._records.clear()
-            self._starts.clear()
             os.ftruncate(self._fd, 0)
             self._file_sync()
             self._size = 0
@@ -303,7 +301,6 @@ class DurableShardLog(ShardLog):
             self._fd = os.open(self._path, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o644)
             self._file_sync()
             self._records.clear()
-            self._starts.clear()
             self._size = 0
 
     def close(self) -> None:
@@ -314,4 +311,4 @@ class DurableShardLog(ShardLog):
                 self._fd = -1
 
 
-__all__ = ["LOG_OPS", "DurableShardLog", "ShardLog", "apply_record"]
+__all__ = ["LOG_OPS", "DurableShardLog", "Outcome", "ShardLog", "apply_outcome", "apply_record"]

@@ -54,7 +54,7 @@ import copy
 import random
 import threading
 import time
-from concurrent.futures import CancelledError, Future
+from concurrent.futures import CancelledError, Future, wait
 from contextlib import contextmanager
 from functools import partial
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -76,7 +76,7 @@ from repro.objects.moving_object import MovingObject
 from repro.objects.queries import RangeQuery
 from repro.serve.config import ServeConfig, check_constructible
 from repro.serve.executor import Executor
-from repro.serve.shard_log import ShardLog, apply_record
+from repro.serve.shard_log import Outcome, ShardLog, apply_outcome
 from repro.serve.snapshot import VersionedShard
 from repro.serve.supervisor import (
     SHARD_FAILED,
@@ -257,7 +257,8 @@ class ShardedIndex(ScalarVerbs):
         # even when several shards retry concurrently.
         self._rngs = [random.Random(shard_id) for shard_id in range(len(shards))]
         #: Completed recoveries, oldest first (shard id, wall seconds,
-        #: replayed record count, attempts) — read by the fault bench.
+        #: replayed and rejected record counts, attempts) — read by the
+        #: fault bench.
         self.recovery_events: List[Dict[str, float]] = []
         # Snapshot-epoch state (see docs/htap.md).  One global counter,
         # advanced per mutation batch under the single-writer lock; the
@@ -375,12 +376,12 @@ class ShardedIndex(ScalarVerbs):
 
         Yields ``(epoch, gc_floor)`` under the single-writer lock; the
         epoch is published in the ``finally`` — its WAL records exist and
-        every routed shard either applied the batch or is marked failed
-        (a failed shard cannot silently answer a torn cut: strict queries
-        raise on it and partial queries skip it until it recovers, and
-        recovery replays the WAL through this very epoch).  The GC floor
-        is the oldest epoch a live pin still needs — computed under the
-        epoch lock so a pin registered concurrently can never be starved.
+        every routed shard applied its slice, rejected it whole, or is
+        marked failed (a failed shard cannot silently answer a torn cut:
+        strict queries raise on it and partial queries skip it until it
+        recovers, and recovery replays the WAL through this very epoch).
+        The GC floor is the oldest epoch a live pin still needs — computed
+        under the epoch lock so a concurrently registered pin is never starved.
         """
         with self._write_lock:
             with self._epoch_lock:
@@ -572,9 +573,11 @@ class ShardedIndex(ScalarVerbs):
 
         Read-only calls retry transient faults with backoff; mutations
         never blind-retry (the shard may have half-applied the batch) and
-        recover from the write-ahead log instead.  Non-fault exceptions
+        recover from the write-ahead log instead.  Only an
+        :class:`InjectedFault` is a failure: a query's other exceptions
         (caller bugs like a bad argument) propagate unchanged and do not
-        touch the breaker.
+        touch the breaker, and a mutation task returns its rejection as
+        an :data:`~repro.serve.shard_log.Outcome` (:func:`apply_outcome`).
         """
         with self._locks[shard_id]:
             breaker = self._breakers[shard_id]
@@ -656,21 +659,21 @@ class ShardedIndex(ScalarVerbs):
             self._baselines[shard_id] = self._backend.snapshot(shard_id)
             log.truncate()
 
-    def _recover_locked(self, shard_id: int) -> object:
+    def _recover_locked(self, shard_id: int) -> Outcome:
         """Rebuild one shard from its WAL (caller holds the shard lock).
 
         Builds a fresh shard — restored from its durable checkpoint
         image or deepcopied from its in-memory baseline — and replays the
         write-ahead log into it, retrying with backoff when the replay
         itself hits transient faults (each attempt starts over on a new
-        fresh shard, so a
-        half-replayed attempt is simply discarded).  On success the shard
-        is swapped in, its breaker force-closed, the log compacted (the
-        recovered state becomes the next checkpoint, so future
-        recoveries replay only newer records), and the last replayed
-        record's result returned — exactly what the mutation that
-        triggered the recovery would have returned on a never-failed
-        shard.
+        fresh shard, so a half-replayed attempt is simply discarded).
+        Records the shard rejected live are rejected again and counted.
+        On success the shard is swapped in, its breaker force-closed, the
+        log compacted (the recovered state becomes the next checkpoint, so
+        future recoveries replay only newer records), and the last
+        replayed record's outcome returned — exactly what the mutation
+        that triggered the recovery came to on a never-failed shard,
+        rejection included.
         """
         retry = self._config.retry
         rng = self._rngs[shard_id]
@@ -678,7 +681,7 @@ class ShardedIndex(ScalarVerbs):
         for attempt in range(retry.max_attempts):
             fresh = self._fresh_shard_locked(shard_id)
             try:
-                result = self._logs[shard_id].replay(fresh)
+                outcome, rejected = self._logs[shard_id].replay(fresh)
             except InjectedFault:
                 if attempt + 1 < retry.max_attempts:
                     self._config.sleep(retry.backoff_delay(attempt, rng))
@@ -702,11 +705,12 @@ class ShardedIndex(ScalarVerbs):
                     "shard_id": shard_id,
                     "wall_s": time.perf_counter() - started,
                     "replayed_records": replayed,
+                    "rejected_records": rejected,
                     "attempts": attempt + 1,
                     "compacted": compacted,
                 }
             )
-            return result
+            return outcome
         raise AssertionError("unreachable: recovery loop always returns or raises")
 
     def recover_shard(self, shard_id: int) -> None:
@@ -724,17 +728,16 @@ class ShardedIndex(ScalarVerbs):
         futures: Dict[int, "Future[T]"],
         statuses: Dict[int, ShardStatus],
         timeout: Optional[float],
-        results: Dict[int, T],
-    ) -> Dict[int, ShardFailedError]:
-        """Collect fan-out futures into ``results``; returns the per-shard failures.
+    ) -> Tuple[Dict[int, T], Dict[int, ShardFailedError]]:
+        """Collect fan-out futures; returns the per-shard results and failures.
 
         A per-call ``timeout`` is a shared deadline: every future must
         resolve within ``timeout`` seconds of the gather starting.  On an
         unexpected (non-supervision) exception the remaining futures are
         cancelled and awaited before it propagates, so ``__exit__`` /
-        ``close()`` never races abandoned workers — and the ones that
-        still ran to completion are recorded in ``results`` like any other.
+        ``close()`` never races abandoned workers.
         """
+        results: Dict[int, T] = {}
         failures: Dict[int, ShardFailedError] = {}
         deadline = None if timeout is None else time.monotonic() + timeout
         pending = dict(futures)
@@ -770,28 +773,20 @@ class ShardedIndex(ScalarVerbs):
         except BaseException:
             for future in pending.values():
                 future.cancel()
-            for shard_id, future in pending.items():
-                try:
-                    results[shard_id] = future.result()
-                except BaseException:
-                    pass
+            wait(pending.values())
             raise
-        return failures
+        return results, failures
 
     def _supervised_run(
         self,
         tasks: Dict[int, Callable[[object], T]],
         read_only: bool,
         timeout: Optional[float],
-        results: Dict[int, T],
-    ) -> Tuple[Dict[int, ShardStatus], Dict[int, ShardFailedError]]:
+    ) -> Tuple[Dict[int, T], Dict[int, ShardStatus], Dict[int, ShardFailedError]]:
         """Run one supervised task per shard, in parallel when useful.
 
         Results, statuses and failures are keyed by shard so merge order
-        never depends on thread scheduling.  ``results`` is the caller's
-        dict: a shard is in it exactly when its task — or the recovery
-        that stood in for it — returned, which the caller can still read
-        when this call ends in a non-supervision exception.
+        never depends on thread scheduling.
         """
         self._ensure_open()
         statuses = {shard_id: ShardStatus(shard_id) for shard_id in tasks}
@@ -803,6 +798,7 @@ class ShardedIndex(ScalarVerbs):
         # deterministic, reproducible interleaving); per-call timeouts
         # need a second thread and are ignored there.
         if (len(tasks) <= 1 and timeout is None) or not self._backend.parallel:
+            results: Dict[int, T] = {}
             failures: Dict[int, ShardFailedError] = {}
             for shard_id, task in tasks.items():
                 try:
@@ -811,28 +807,19 @@ class ShardedIndex(ScalarVerbs):
                     pass
                 except ShardFailedError as error:
                     failures[shard_id] = error
-            return statuses, failures
+            return results, statuses, failures
         pool = self._backend.pool()
         futures = {
             shard_id: pool.submit(work, shard_id, task) for shard_id, task in tasks.items()
         }
-        return statuses, self._gather(futures, statuses, timeout, results)
+        results, failures = self._gather(futures, statuses, timeout)
+        return results, statuses, failures
 
     @staticmethod
-    def _raise_first(failures: Dict[int, ShardFailedError]) -> None:
-        """Raise the lowest-shard-id failure (deterministic strict mode)."""
+    def _raise_first(failures: Dict[int, Exception]) -> None:
+        """Raise the lowest-shard-id error (deterministic strict mode)."""
         if failures:
             raise failures[min(failures)]
-
-    def _strict_statuses(
-        self, statuses: Dict[int, ShardStatus], failures: Dict[int, ShardFailedError]
-    ) -> None:
-        """Strict mode: skipped shards are failures too (no silent gaps)."""
-        for shard_id, status in statuses.items():
-            if status.state == SHARD_SKIPPED and shard_id not in failures:
-                failures[shard_id] = ShardFailedError(
-                    shard_id, RuntimeError("circuit open")
-                )
 
     def _routed(self, items: Sequence[T], oids: Sequence[int]) -> Dict[int, List[T]]:
         """``items`` grouped by the owning shard of their ``oids`` (input order kept)."""
@@ -845,41 +832,37 @@ class ShardedIndex(ScalarVerbs):
         """Log and apply one mutation; returns the per-shard results.
 
         ``payloads`` maps each routed shard to its record payload (its
-        slice of the batch).  Under one epoch, every shard's record is appended to its
-        write-ahead log before any shard executes, and each shard is then
-        handed that same payload through ``apply_record`` — so what a
-        recovery replays is, by construction, what the live shard ran.
+        slice of the batch).  Under one epoch, every shard's record is
+        appended to its write-ahead log before any shard executes, and each
+        shard is then handed that same payload through
+        :func:`~repro.serve.shard_log.apply_outcome` — so what a recovery
+        replays is, by construction, what the live shard ran, and comes to
+        the same outcome.
 
-        Failures after the supervision policy (retry / recovery) are
-        strict — the first one raises, and the failed shard's record stays
-        logged: its recovery applies it.  A *rejection* is different: a
-        shard raising anything else (a caller's bug — a duplicate id, a bad
-        argument) refused its slice whole, as the ``MovingIndex`` mutations
-        do, and would refuse it again on every replay.  Its record is
-        retracted, as is that of every shard the aborted scatter never
-        ran, so each log holds exactly what its shard applied.
+        Every routed shard runs its slice, on every executor.  A shard
+        either applies it, *rejects* it whole (raises anything but a fault:
+        a duplicate id, a bad argument), or fails after the supervision
+        policy (retry / recovery).  Every record stays logged: a failed
+        shard's recovery applies it, a rejected one replays as the same
+        rejection.  Then the error of the lowest shard id — failure or
+        rejection — is raised, so what survives a raising call does not
+        depend on the executor.
         """
         with self._update_epoch() as (epoch, gc_floor):
             for shard_id, payload in payloads.items():
                 self._logs[shard_id].append(op, payload, epoch=epoch)
             tasks = {
                 shard_id: partial(
-                    apply_record, op=op, payload=payload, epoch=epoch, gc_floor=gc_floor
+                    apply_outcome, op=op, payload=payload, epoch=epoch, gc_floor=gc_floor
                 )
                 for shard_id, payload in payloads.items()
             }
-            results: Dict[int, object] = {}
-            try:
-                statuses, failures = self._supervised_run(
-                    tasks, read_only=False, timeout=None, results=results
-                )
-            except Exception:
-                for shard_id in payloads.keys() - results.keys():
-                    self._logs[shard_id].retract()
-                raise
-            self._strict_statuses(statuses, failures)
-            self._raise_first(failures)
-            return results
+            outcomes, _, errors = self._supervised_run(tasks, read_only=False, timeout=None)
+            for shard_id, (_, rejection) in outcomes.items():
+                if rejection is not None:
+                    errors[shard_id] = rejection
+            self._raise_first(errors)
+            return {shard_id: result for shard_id, (result, _) in outcomes.items()}
 
     def _fan_out(
         self, apply: Callable[[object], T], partial: bool
@@ -893,12 +876,14 @@ class ShardedIndex(ScalarVerbs):
         tasks = {
             shard_id: (lambda shard: apply(shard)) for shard_id in range(len(self.shards))
         }
-        results: Dict[int, T] = {}
-        statuses, failures = self._supervised_run(
-            tasks, read_only=True, timeout=self._config.query_timeout_s, results=results
+        results, statuses, failures = self._supervised_run(
+            tasks, read_only=True, timeout=self._config.query_timeout_s
         )
         if not partial:
-            self._strict_statuses(statuses, failures)
+            # Strict mode: skipped shards are failures too (no silent gaps).
+            for shard_id, status in statuses.items():
+                if status.state == SHARD_SKIPPED and shard_id not in failures:
+                    failures[shard_id] = ShardFailedError(shard_id, RuntimeError("circuit open"))
             self._raise_first(failures)
         return results, statuses
 
@@ -931,24 +916,27 @@ class ShardedIndex(ScalarVerbs):
         if objects:
             self._mutate("insert_batch", self._routed(objects, [obj.oid for obj in objects]))
 
-    def delete_batch(self, objects: Sequence[MovingObject]) -> List[bool]:
-        """Delete a batch; per-object success flags aligned with the input."""
-        objects = list(objects)
-        if not objects:
-            return []
-        positions = self._routed(range(len(objects)), [obj.oid for obj in objects])
+    def _flagged(self, op: str, items: List[T], oids: List[int]) -> List[bool]:
+        """Route one flag-returning mutation; its shards' flags scattered back to input order."""
+        positions = self._routed(range(len(items)), oids)
         flag_groups = self._mutate(
-            "delete_batch",
-            {shard_id: [objects[i] for i in members] for shard_id, members in positions.items()},
+            op, {shard_id: [items[i] for i in members] for shard_id, members in positions.items()}
         )
-        flags = [False] * len(objects)
+        flags = [False] * len(items)
         for shard_id, members in positions.items():
             for position, flag in zip(members, flag_groups[shard_id]):
                 flags[position] = bool(flag)
         return flags
 
-    def update_batch(self, pairs: Sequence[Tuple[MovingObject, MovingObject]]) -> int:
-        """Apply an update batch; returns how many old snapshots existed.
+    def delete_batch(self, objects: Sequence[MovingObject]) -> List[bool]:
+        """Delete a batch; per-object success flags aligned with the input."""
+        objects = list(objects)
+        if not objects:
+            return []
+        return self._flagged("delete_batch", objects, [obj.oid for obj in objects])
+
+    def update_batch(self, pairs: Sequence[Tuple[MovingObject, MovingObject]]) -> List[bool]:
+        """Apply an update batch; per pair, whether its old snapshot existed.
 
         Pairs are grouped by owning shard (the id routing makes old and
         new snapshots of one object land on the same shard) and each shard
@@ -959,9 +947,8 @@ class ShardedIndex(ScalarVerbs):
             if old.oid != new.oid:
                 raise ValueError("an update must keep the object id")
         if not pairs:
-            return 0
-        counts = self._mutate("update_batch", self._routed(pairs, [old.oid for old, _ in pairs]))
-        return sum(counts.values())
+            return []
+        return self._flagged("update_batch", pairs, [old.oid for old, _ in pairs])
 
     # ------------------------------------------------------------------
     # Queries (fan out to every shard, merge canonically)

@@ -184,17 +184,15 @@ class VersionedShard(ScalarVerbs):
         pairs: Sequence[Tuple[MovingObject, MovingObject]],
         epoch: Optional[int] = None,
         gc_floor: Optional[int] = None,
-    ) -> int:
+    ) -> List[bool]:
         pairs = list(pairs)
-        count = self.base.update_batch(pairs)
-        # The count decides the pre-images when every old existed or none
-        # did (so for every batch of one).  A mixed batch would need
-        # per-pair flags (ROADMAP item 6); it records the olds, which leaves
-        # a pinned reader a phantom for each pair that missed.
-        missed = count == 0
-        self._record(epoch, [(old.oid, None if missed else old) for old, _ in pairs])
+        flags = self.base.update_batch(pairs)
+        # A pair whose old was not stored is an upsert: the object was absent.
+        self._record(
+            epoch, [(old.oid, old if hit else None) for (old, _), hit in zip(pairs, flags)]
+        )
         self._prune(gc_floor)
-        return count
+        return flags
 
     def bulk_load(
         self,

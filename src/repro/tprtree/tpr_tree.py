@@ -370,8 +370,8 @@ class TPRTree(ScalarVerbs):
         for index in self._spatial_order(objects):
             self.insert(objects[index])
 
-    def update_batch(self, pairs: Sequence[Tuple[MovingObject, MovingObject]]) -> int:
-        """Apply a batch of updates; returns how many old snapshots existed.
+    def update_batch(self, pairs: Sequence[Tuple[MovingObject, MovingObject]]) -> List[bool]:
+        """Apply a batch of updates; per pair, whether its old snapshot existed.
 
         Runs one batched deletion phase followed by one batched insertion
         phase.  With distinct object ids per batch the two phases commute
@@ -379,41 +379,37 @@ class TPRTree(ScalarVerbs):
         query answer) matches sequential replay.
         """
         pairs = list(pairs)
-        if not pairs:
-            return 0
-        if len(pairs) == 1:
-            return 1 if self.update(pairs[0][0], pairs[0][1]) else 0
         oids = [old.oid for old, _ in pairs]
-        if len(set(oids)) != len(oids):
-            # Same object updated twice in one batch: order matters, fall
-            # back to the sequential path.
-            return sum(1 for old, new in pairs if self.update(old, new))
+        if len(pairs) < 2 or len(set(oids)) != len(oids):
+            # A batch of one, or the same object updated twice in one batch
+            # (order matters): the sequential path.
+            return [self.update(old, new) for old, new in pairs]
         self.current_time = max(
             self.current_time,
             max(max(o.reference_time, n.reference_time) for o, n in pairs),
         )
         flags = self.delete_batch([old for old, _ in pairs])
         self.insert_batch([new for _, new in pairs])
-        return sum(flags)
+        return flags
 
     def apply_batch(
         self,
         deletes: Sequence[MovingObject] = (),
         inserts: Sequence[MovingObject] = (),
         updates: Sequence[Tuple[MovingObject, MovingObject]] = (),
-    ) -> Tuple[List[bool], int]:
+    ) -> Tuple[List[bool], List[bool]]:
         """Apply a mixed batch: one deletion phase, then one insertion phase.
 
         Update pairs contribute their old snapshot to the deletion phase and
         their new snapshot to the insertion phase (they must not repeat an
         object id within one batch).  Returns ``(delete_flags,
-        updates_removed)`` mirroring the Bx-tree's ``apply_batch``.
+        update_flags)`` mirroring the Bx-tree's ``apply_batch``.
         """
         deletes = list(deletes)
         updates = list(updates)
         flags = self.delete_batch(deletes + [old for old, _ in updates])
         self.insert_batch(list(inserts) + [new for _, new in updates])
-        return flags[: len(deletes)], sum(flags[len(deletes):])
+        return flags[: len(deletes)], flags[len(deletes) :]
 
     def _tighten_parent(self, parent: TPRNode, child: TPRNode) -> None:
         """Refresh ``parent``'s bound entry for ``child`` from its live entries."""

@@ -168,14 +168,9 @@ def test_bulk_load_into_a_nonempty_index_is_rejected_before_it_is_logged(tmp_pat
     reopened.close()
 
 
-@pytest.mark.parametrize("kind", ["serial", "thread", "process", "durable"])
-def test_a_mutation_a_shard_rejects_leaves_no_record_behind(tmp_path, kind):
-    # Only the shard knows an id is already indexed, so the record is in the
-    # WAL before the KeyError; left there, every later recovery dies on it —
-    # and a shard the aborted scatter never ran would *gain* its slice.
-    root = str(tmp_path / "store")
-    objects = crash_child.make_objects()
-    recipe = partial(
+def _vp_recipe(objects):
+    """A ``Bx(VP)`` shard recipe: a VP shard rejects an id it already indexes."""
+    return partial(
         repro.make_index,
         "Bx(VP)",
         partitioning=analyze_sample(sample_velocities_from_objects(objects), k=2),
@@ -183,16 +178,48 @@ def test_a_mutation_a_shard_rejects_leaves_no_record_behind(tmp_path, kind):
         max_update_interval=crash_child.MAX_UPDATE_INTERVAL,
         page_size=crash_child.PAGE_SIZE,
     )
+
+
+def _vp_index(root, recipe, kind):
+    """Two ``Bx(VP)`` shards: a durable serial store at ``root``, or in memory on ``kind``."""
     if kind == "durable":
-        index = DurableStore(root, fsync=False).create(
+        return DurableStore(root, fsync=False).create(
             lambda buffer: recipe(buffer=buffer),
             num_shards=2,
             space=crash_child.SPACE,
             buffer_pages=crash_child.BUFFER_PAGES,
             config=ServeConfig(executor="serial"),
         )
-    else:
-        index = ShardedIndex.build(recipe, shards=2, executor=kind, space=crash_child.SPACE)
+    return ShardedIndex.build(recipe, shards=2, executor=kind, space=crash_child.SPACE)
+
+
+def _recovered(index, root, kind):
+    """``index`` rebuilt from its WALs, and each shard's count of rejected records.
+
+    A durable store is abandoned, not closed, and reopened; an in-memory
+    index recovers every shard in place.
+    """
+    if kind == "durable":
+        store = DurableStore(root, fsync=False)
+        recovered = store.open(ServeConfig(max_workers=1))
+        return recovered, store.rejected_on_open
+    for shard_id in range(index.num_shards):
+        index.recover_shard(shard_id)
+    return index, [event["rejected_records"] for event in index.recovery_events]
+
+
+@pytest.mark.parametrize("kind", ["serial", "thread", "process", "durable"])
+def test_a_rejected_batch_still_runs_every_shard_and_replays_as_the_same_rejection(
+    tmp_path, kind
+):
+    # Only the shard knows an id is already indexed, so its record is in the
+    # WAL before the KeyError.  The record stays and replays as the same
+    # rejection, and every other routed shard applies its slice — on every
+    # executor, so what survives the raising call does not depend on it.
+    root = str(tmp_path / "store")
+    objects = crash_child.make_objects()
+    recipe = _vp_recipe(objects)
+    index = _vp_index(root, recipe, kind)
     twin = ShardedIndex.build(recipe, shards=2, executor="serial", space=crash_child.SPACE)
     index.bulk_load(objects)
     twin.bulk_load(objects)
@@ -209,26 +236,41 @@ def test_a_mutation_a_shard_rejects_leaves_no_record_behind(tmp_path, kind):
         index.insert(duplicate)
     with pytest.raises(KeyError, match="already indexed"):
         index.insert_batch([duplicate, fresh])
-    # Shard 0 refused both; shard 1 ran its slice of the batch only where
-    # shard calls overlap (never on a serial executor, which stops at the
-    # first raise).  Each log holds exactly what its shard applied.
-    accepted = len(index.shards[1]) - len(twin.shards[1])
-    assert accepted in ((0,) if kind in ("serial", "durable") else (0, 1))
-    assert [len(index.shard_log(shard_id)) for shard_id in range(2)] == [1, 1 + accepted]
-    if accepted:
-        twin.insert(fresh)
+    # Shard 0 refused both; shard 1 applied its slice of the batch.  Every
+    # record stays logged: the bulk load, then what each shard was handed.
+    assert len(index.shards[1]) - len(twin.shards[1]) == 1
+    assert [len(index.shard_log(shard_id)) for shard_id in range(2)] == [3, 2]
+    twin.insert(fresh)
     expected = crash_child.answers(twin)
     assert crash_child.answers(index) == expected
 
-    if kind == "durable":
-        # Abandoned, not closed: reopening replays both WALs.
-        recovered = DurableStore(root, fsync=False).open(ServeConfig(max_workers=1))
-    else:
-        recovered = index
-        for shard_id in range(2):
-            index.recover_shard(shard_id)
-    assert len(recovered) == len(objects) + accepted
+    recovered, rejected = _recovered(index, root, kind)
+    assert rejected == [2, 0]
+    assert len(recovered) == len(objects) + 1
     assert crash_child.answers(recovered) == expected
+    recovered.close()
+    twin.close()
+
+
+@pytest.mark.parametrize("kind", ["serial", "durable"], ids=["memory", "durable"])
+def test_a_rejected_record_left_in_the_wal_recovers_as_a_rejection(tmp_path, kind):
+    # What a crash between the shard's rejection and the record's removal
+    # used to leave behind: the WAL holds a record the shard refuses.  Every
+    # recovery — and every DurableStore.open() — died on it with a KeyError.
+    root = str(tmp_path / "store")
+    objects = crash_child.make_objects()
+    recipe = _vp_recipe(objects)
+    index = _vp_index(root, recipe, kind)
+    twin = ShardedIndex.build(recipe, shards=2, executor="serial", space=crash_child.SPACE)
+    index.bulk_load(objects)
+    twin.bulk_load(objects)
+    duplicate = next(obj for obj in objects if index.shard_of(obj.oid) == 0)
+    index.shard_log(0).append("insert_batch", (duplicate,), epoch=index.epoch + 1)
+
+    recovered, rejected = _recovered(index, root, kind)
+    assert rejected == [1, 0]
+    assert len(recovered) == len(objects)
+    assert crash_child.answers(recovered) == crash_child.answers(twin)
     recovered.close()
     twin.close()
 

@@ -400,27 +400,6 @@ def test_wal_reopen_truncates_a_torn_tail(tmp_path, damage):
     reopened.close()
 
 
-def test_wal_retract_cuts_the_file_back_to_the_previous_record(tmp_path):
-    path = str(tmp_path / "wal.log")
-    log = DurableShardLog(path, fsync=False)
-    log.append("insert_batch", [_moving_object(1)], epoch=1)
-    size = os.path.getsize(path)
-    log.append("insert_batch", [_moving_object(1)], epoch=2)  # the shard refuses this one
-    log.retract()
-    assert os.path.getsize(path) == size
-    log.close()
-    # A record loaded from the file retracts like one appended in this process.
-    reopened = DurableShardLog(path, fsync=False)
-    assert [epoch for _, _, epoch in reopened.entries] == [1]
-    reopened.retract()
-    assert os.path.getsize(path) == 0 and len(reopened) == 0
-    reopened.append("insert_batch", [_moving_object(2)], epoch=3)
-    reopened.close()
-    final = DurableShardLog(path, fsync=False)
-    assert [epoch for _, _, epoch in final.entries] == [3]
-    final.close()
-
-
 @pytest.mark.parametrize(
     "body, names",
     (

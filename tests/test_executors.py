@@ -64,14 +64,14 @@ def _build(workload, name, shards=1, executor=None):
 
 
 def _replay(index, batches):
-    """Replay the grouped event stream; returns (update counts, answers)."""
-    counts, answers = [], []
+    """Replay the grouped event stream; returns (update flags, answers)."""
+    flags, answers = [], []
     for batch in batches:
         if isinstance(batch[0], UpdateEvent):
-            counts.append(index.update_batch([(e.old, e.new) for e in batch]))
+            flags.append(index.update_batch([(e.old, e.new) for e in batch]))
         else:
             answers.extend(index.range_query_batch([e.query for e in batch]))
-    return counts, answers
+    return flags, answers
 
 
 def _knn_probes(workload, ks=(1, 5, 10)):
@@ -104,14 +104,14 @@ def _stats_triple(index):
 def test_executors_answer_bit_identical(workload, batches, name):
     """Serial/thread/process answers are bit-identical, family by family.
 
-    Update return counts, range answers (canonical ascending-id order)
+    Per-pair update flags, range answers (canonical ascending-id order)
     and kNN answers (ids, distances *and* tie order) must all agree with
     the unsharded index — and the executors' aggregate I/O counters must
     agree with each other, which pins the process mode's parent-side
     stats mirror to exact (not sampled) accounting.
     """
     unsharded = _build(workload, name)
-    ref_counts, ref_answers = _replay(unsharded, batches)
+    ref_flags, ref_answers = _replay(unsharded, batches)
     ref_answers = [sorted(result) for result in ref_answers]
     probes = _knn_probes(workload)
     ref_knn = unsharded.knn_query_batch(probes, space=PARAMS.space)
@@ -120,8 +120,8 @@ def test_executors_answer_bit_identical(workload, batches, name):
     for executor in EXECUTOR_NAMES:
         index = _build(workload, name, shards=2, executor=executor)
         try:
-            counts, answers = _replay(index, batches)
-            assert counts == ref_counts, (name, executor)
+            flags, answers = _replay(index, batches)
+            assert flags == ref_flags, (name, executor)
             assert answers == ref_answers, (name, executor)
             knn = index.knn_query_batch(probes, space=PARAMS.space)
             assert knn == ref_knn, (name, executor)

@@ -525,8 +525,9 @@ def test_shard_log_replay_rebuilds_and_returns_last_result(workload):
     log.append("insert_batch", objects[10:], epoch=2)
     log.append("delete_batch", objects[:1], epoch=3)
     replica = VersionedShard(make_index("Bx", **PARAMS.index_kwargs()))
-    result = log.replay(replica)
-    assert result == [True]  # delete_batch() of a present object
+    outcome, rejected = log.replay(replica)
+    assert outcome == ([True], None)  # delete_batch() of a present object
+    assert rejected == 0
     assert len(replica) == 19
     assert replica.epoch == 3  # the replay restored the shard's epoch counter
 

@@ -212,9 +212,8 @@ def _assert_pinned_cut_survives(index, apply, pairs):
 def test_update_that_misses_leaves_no_phantom_in_a_pinned_cut(workload, executor):
     """An upsert-miss records "absent", not its ``old``, as the undo pre-image.
 
-    Exact whenever the returned count decides it: a batch of one (the
-    scalar ``update`` included), a batch where every old missed, a batch
-    where every old hit.
+    A batch of one (the scalar ``update`` included), a batch where every
+    old missed, a batch where every old hit.
     """
     index = _build(workload, executor=executor)
     with index:
@@ -228,18 +227,19 @@ def test_update_that_misses_leaves_no_phantom_in_a_pinned_cut(workload, executor
         _assert_pinned_cut_survives(index, index.update_batch, [_moved(o) for o in stored[:2]])
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a batch mixing hits and misses on one shard needs per-pair flags "
-    "from update_batch (ROADMAP item 6); docs/htap.md, 'Known gap'",
-)
-def test_mixed_hit_and_miss_batch_leaves_no_phantom_in_a_pinned_cut(workload):
-    index = _build(workload)
+@pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+def test_mixed_hit_and_miss_batch_leaves_no_phantom_in_a_pinned_cut(workload, executor):
+    """Per-pair flags decide each pre-image when one shard's slice both hits and misses."""
+    index = _build(workload, executor=executor)
     with index:
         index.bulk_load(workload.initial_objects)
         hit = workload.initial_objects[0]
         ghost = _ghost_pairs(index, index.shard_of(hit.oid), 1)[0]
-        _assert_pinned_cut_survives(index, index.update_batch, [ghost, _moved(hit)])
+
+        def update(pairs):
+            assert index.update_batch(pairs) == [False, True]
+
+        _assert_pinned_cut_survives(index, update, [ghost, _moved(hit)])
 
 
 def test_empty_batches_consume_no_epoch_and_write_no_wal(workload):

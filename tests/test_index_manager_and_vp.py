@@ -316,7 +316,7 @@ class TestVPFactories:
             for obj in objects[:30]
         ]
         for each in (index, twin):
-            assert each.update_batch(moved) == len(moved)
+            assert each.update_batch(moved) == [True] * len(moved)
         rng = random.Random(13)
         queries = [
             make_circular_query(

@@ -197,11 +197,42 @@ def test_every_index_satisfies_the_protocol(workload, partitioning, name):
         ghost = MovingObject(len(objects) + 7, old.position, old.velocity, 1.0)
         assert index.update(old, new) is True
         assert index.update(ghost, ghost) is False  # an upsert: it is stored now
-        assert index.insert(MovingObject(ghost.oid + 1, old.position, old.velocity, 1.0)) is None
+        extra = MovingObject(ghost.oid + 1, old.position, old.velocity, 1.0)
+        assert index.insert(extra) is None
         assert len(index) == len(objects) + 2
         assert index.delete(new) is True
         assert index.delete(new) is False
         assert len(index) == len(objects) + 1
+        # update_batch: one bool per pair, in input order, True iff its old
+        # was stored — mixed hits and misses, below and above the Bx-tree's
+        # MIN_VECTOR_BATCH (3 and 6 pairs), and a batch repeating an id
+        # (the sequential fallback: each pair sees the ones before it).
+        live = {obj.oid: obj for obj in (*objects[1:], ghost, extra)}
+        spare = itertools.count(extra.oid + 1)
+
+        def moved(obj, t):
+            return obj, obj.with_update(obj.position_at(t), obj.velocity, t)
+
+        def miss(t):
+            return moved(MovingObject(next(spare), old.position, old.velocity, t), t)
+
+        hits = [live[obj.oid] for obj in objects[1:7]]
+        repeated = moved(hits[5], 4.0)
+        unseen = miss(4.0)
+        for pairs in (
+            [moved(hits[0], 2.0), miss(2.0), moved(hits[1], 2.0)],
+            [miss(3.0), moved(hits[2], 3.0), miss(3.0), moved(hits[3], 3.0)]
+            + [moved(hits[4], 3.0), miss(3.0)],
+            [repeated, moved(repeated[1], 4.5), unseen, moved(unseen[1], 4.5)],
+        ):
+            expected = []
+            for pair_old, pair_new in pairs:
+                expected.append(pair_old.oid in live)
+                live[pair_old.oid] = pair_new
+            flags = index.update_batch(pairs)
+            assert type(flags) is list and {type(flag) for flag in flags} == {bool}
+            assert flags == expected
+        assert len(index) == len(live)
     finally:
         if owner is not None:
             owner.close()

@@ -43,7 +43,6 @@ ALLOWED = {
     "BxTree.curve": "make_index(**tree_kwargs): the curve ablation's curve=; tests' small_bx(**)",
     "BxTree.num_buckets": "tests/test_bx_tree.py::small_bx(**kwargs)",
     "make_index.buffer": "ShardedIndex.build hands a durable shard's pool: factory(buffer=buffer)",
-    "make_index.buffer_pages": "the Table-1 quartet arrives as **params.index_kwargs()",
     "new_york_like.space": "network_for calls NETWORK_BUILDERS[dataset](space=space)",
     "SupervisorConfig.failure_threshold": "tests/test_faults.py::_supervisor(**overrides)",
     "SupervisorConfig.reset_timeout_s": "tests/test_faults.py::_supervisor(**overrides)",

@@ -328,9 +328,9 @@ class TestBatchSurface:
             for i in range(0, 40, 2)
         ]
         sequential, batched = build(), build()
-        removed_seq = sum(1 for old, new in pairs if sequential.update(old, new))
+        removed_seq = [sequential.update(old, new) for old, new in pairs]
         removed_bat = batched.update_batch(pairs)
-        assert removed_seq == removed_bat == len(pairs)
+        assert removed_seq == removed_bat == [True] * len(pairs)
         assert sorted(oid for oid, _ in sequential.iter_objects()) == sorted(
             oid for oid, _ in batched.iter_objects()
         )
@@ -480,7 +480,7 @@ def _identity_replay(family):
             old = objects[oid]
             objects[oid] = MovingObject(oid, old.position_at(now), velocity(), now)
             pairs.append((old, objects[oid]))
-        assert index.update_batch(pairs) == len(pairs)
+        assert index.update_batch(pairs) == [True] * len(pairs)
     return index
 
 
