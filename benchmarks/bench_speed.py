@@ -21,7 +21,7 @@ regression from machine noise — speed claims go through ``perfbench``
 pairs.  Nothing is written unless ``--output`` names a file, and that
 file holds this run's report only::
 
-    PYTHONPATH=src python benchmarks/bench_speed.py serve --quick --workers 2
+    PYTHONPATH=src python benchmarks/bench_speed.py serve --quick
     PYTHONPATH=src python benchmarks/bench_speed.py faults --quick
     PYTHONPATH=src python benchmarks/bench_speed.py htap --quick --seed 1337
 """
@@ -158,10 +158,13 @@ HTAP_QUICK_PARAMS = dict(
 )
 
 #: Shard count, executor, query threads and families of the htap cell.
-#: The thread executor is the default: the consistency claim is about
-#: concurrent readers, which need a parallel backend to contend at all.
+#: The query lanes are threads under any executor, so readers contend with
+#: the updater on serial shards too, and serial sustains the most updates:
+#: at full scale on a 2-core machine, Bx 4.2-4.9k and TPR* 1.9-2.3k
+#: updates/s against 3.0-3.1k and 1.7-1.9k on a thread-pool fan-out, at
+#: equal query answers per second.
 HTAP_SHARDS = 4
-HTAP_EXECUTOR = "thread"
+HTAP_EXECUTOR = "serial"
 HTAP_QUERY_CLIENTS = 2
 HTAP_INDEXES = ("Bx", "TPR*")
 
@@ -202,7 +205,6 @@ def measure_serve(
     dataset: str = "SA",
     shards: Sequence[int] = SERVE_SHARD_COUNTS,
     executor: str = SERVE_EXECUTOR,
-    workers: Optional[int] = None,
 ) -> Dict[str, object]:
     """Shard-count sweep of TPR* under ``executor`` and the device model.
 
@@ -228,7 +230,6 @@ def measure_serve(
             which=(name,),
             shards=count,
             executor=executor if count > 1 else None,
-            max_workers=workers,
             disk_profile=FaultProfile(read_latency_s=SERVE_READ_LATENCY_S),
         )[name]
         try:
@@ -263,7 +264,6 @@ def measure_serve(
         rows,
         index=name,
         executor=executor,
-        workers=workers,
         read_latency_us=round(SERVE_READ_LATENCY_S * 1e6, 1),
     )
 
@@ -458,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--quick", action="store_true", help="small smoke-run scale")
     common.add_argument("--dataset", default="SA", help="workload dataset (default %(default)s)")
     common.add_argument("--output", help="also write this run's report as JSON to this path")
-    executors = ("serial", "thread", "process")
+    executors = ("serial", "process")
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     cells = parser.add_subparsers(dest="cell", required=True)
@@ -480,9 +480,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=executors,
         default=SERVE_EXECUTOR,
         help="shard executor backend (default %(default)s)",
-    )
-    serve.add_argument(
-        "--workers", type=int, help="fan-out width per call (default: one per shard)"
     )
     cells.add_parser(
         "faults",

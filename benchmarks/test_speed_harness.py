@@ -21,7 +21,7 @@ def _run(tmp_path, *argv):
 
 def test_serve_cell(tmp_path):
     """The executor-backed sweep: sharded rows answer like the unsharded row."""
-    status, report = _run(tmp_path, "serve", "--shards", "1,2", "--workers", "2")
+    status, report = _run(tmp_path, "serve", "--shards", "1,2")
     assert status == 0
     assert report["cell"] == "serve-quick"
     assert report["params"]["executor"] == bench_speed.SERVE_EXECUTOR

@@ -326,7 +326,6 @@ def build_standard_indexes(
     shards: int = 1,
     supervisor: Optional[SupervisorConfig] = None,
     executor: Optional[object] = None,
-    max_workers: Optional[int] = None,
     disk_profile: Optional[object] = None,
     key_store: Optional[str] = None,
 ) -> Dict[str, object]:
@@ -345,9 +344,9 @@ def build_standard_indexes(
     state is its in-memory recovery baseline, which WAL replay rebuilds a
     failed shard from (``docs/robustness.md``).
     The velocity analysis still runs once; the shards share its result.
-    ``supervisor`` tunes the retry/breaker/timeout policy, ``executor`` picks
-    where shard calls run (``"serial"`` / ``"thread"`` / ``"process"``) and
-    ``max_workers`` caps the fan-out width.  See ``docs/serving.md``.
+    ``supervisor`` tunes the retry/breaker/timeout policy and ``executor``
+    picks where shard calls run (``"serial"``, the default, or
+    ``"process"``).  See ``docs/serving.md``.
 
     ``disk_profile`` (a :class:`~repro.storage.faults.FaultProfile`)
     slides a fault injector under every built instance's simulated disk —
@@ -386,9 +385,7 @@ def build_standard_indexes(
             partial(make_instance, name),
             shards=shards,
             executor=executor,
-            config=ServeConfig(
-                name=name, space=params.space, supervisor=supervisor, max_workers=max_workers
-            ),
+            config=ServeConfig(name=name, space=params.space, supervisor=supervisor),
         )
         for name in which
     }

@@ -4,8 +4,8 @@ The package turns the single-index replay stack into a serving topology: a
 :class:`ShardedIndex` hash-partitions objects across N independent index
 shards (any of the standard index families underneath, each with its own
 buffer pool and I/O statistics), routes updates to the owning shard, fans
-queries out to every shard on a thread pool, and merges the per-shard
-answers into exactly the answer the unsharded index would have given.
+queries out to every shard, and merges the per-shard answers into exactly
+the answer the unsharded index would have given.
 
 Every shard call runs under a supervisor: transient storage faults are
 retried with bounded exponential backoff, per-shard circuit breakers stop
@@ -28,7 +28,6 @@ from repro.serve.executor import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     make_executor,
 )
 from repro.serve.oracle import EpochOracle
@@ -89,7 +88,6 @@ __all__ = [
     "ShardedIndex",
     "SnapshotTooOldError",
     "SupervisorConfig",
-    "ThreadExecutor",
     "VersionedShard",
     "dumps_index",
     "loads_index",

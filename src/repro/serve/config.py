@@ -35,13 +35,12 @@ class ServeConfig:
         name: display name used in reprs, logs and benchmark rows.
         space: default query-space rectangle forwarded to per-shard kNN
             calls that do not pass their own.
-        executor: where shard operations run — ``"serial"``, ``"thread"``
-            (the default when ``None``), ``"process"``, or a pre-built
-            (unattached) :class:`~repro.serve.Executor` instance.
-        max_workers: fan-out width for the parallel executors (default:
-            the shard count).
+        executor: where shard operations run — ``"serial"`` (the default
+            when ``None``), ``"process"``, or a pre-built (unattached)
+            :class:`~repro.serve.Executor` instance.
         supervisor: retry/breaker/timeout policy
-            (:class:`~repro.serve.SupervisorConfig`).
+            (:class:`~repro.serve.SupervisorConfig`); a query timeout
+            needs the process executor.
         stores: per-shard durable page stores, each carrying its shard's
             write-ahead log (set by :class:`~repro.serve.DurableStore`).
     """
@@ -49,7 +48,6 @@ class ServeConfig:
     name: Optional[str] = None
     space: Optional[Any] = None
     executor: Optional[Any] = None
-    max_workers: Optional[int] = None
     supervisor: Optional[Any] = None
     stores: Optional[Sequence[Any]] = field(default=None, repr=False)
 
@@ -76,12 +74,18 @@ def check_constructible(
     ``config`` with its executor spec resolved to an (unattached)
     :class:`~repro.serve.Executor`, which is how the executor's kind is
     known this early; unknown names stay :func:`make_executor`'s error.
+    A supervisor query timeout is refused on every executor but the
+    process one, the only one that can stop waiting for a shard.
     """
     config = replace(config, executor=make_executor(config.executor))
     if num_shards < 1:
         raise ValueError("a ShardedIndex needs at least one shard (shards >= 1)")
-    if config.max_workers is not None and config.max_workers < 1:
-        raise ValueError("max_workers must be at least 1")
+    timeout = None if config.supervisor is None else config.supervisor.query_timeout_s
+    if timeout is not None and config.executor.kind != "process":
+        raise ValueError(
+            f"a query timeout needs the process executor, not {config.executor.kind!r}: "
+            "a shard call running inline cannot be abandoned"
+        )
     if config.stores is not None and len(config.stores) != num_shards:
         raise ValueError("stores must match the shard count")
     if len({id(buffer) for buffer in buffers}) != len(buffers):
@@ -89,7 +93,7 @@ def check_constructible(
     if durable or config.stores is not None:
         if config.executor.kind == "process":
             raise ValueError(
-                "durable stores require an in-process executor (serial/thread): "
+                "durable stores require an in-process executor (serial): "
                 "checkpointing talks to the shard's pages directly"
             )
         if key_store not in (None, "btree"):

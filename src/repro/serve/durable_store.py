@@ -431,8 +431,8 @@ class DurableStore:
         ``shard_factory`` takes the shard's :class:`BufferManager` and
         returns an empty index over it: a durable shard's storage is owned
         by its store.
-        ``config`` carries the serving policy (supervisor, fan-out width,
-        executor — which must stay in-process for durable shards) and the
+        ``config`` carries the serving policy (supervisor, executor —
+        which must be the serial one for durable shards) and the
         default ``space``; ``family`` is recorded in the manifest for
         :meth:`open` to compare (``ShardedIndex.build`` passes it).
         """

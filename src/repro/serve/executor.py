@@ -6,12 +6,7 @@ runs on each shard (routing, supervision, WAL, merge); an
 
 * :class:`SerialExecutor` — every shard call runs inline on the calling
   thread, one shard after another.  No threads, no processes: the
-  deterministic reference backend (and the fastest one for tiny
-  workloads, where fan-out overhead dominates).
-* :class:`ThreadExecutor` — shard calls fan out on a thread pool.  This
-  is the historical default: updates scale (they route to one shard
-  each) but query fan-out shares one GIL, so per-query latency *loses*
-  at higher shard counts (PR 5's shard sweep, ROADMAP § Performance).
+  default, and the deterministic reference backend.
 * :class:`ProcessExecutor` — each shard lives in its own worker process
   and the serving layer talks to it through a :class:`_ProcessShard`
   proxy speaking a compact message protocol over a pipe.  Queries cross
@@ -22,9 +17,9 @@ runs on each shard (routing, supervision, WAL, merge); an
   recovers through the exact machinery shard faults do.
 
 **Handles.**  ``attach(shards)`` returns one *handle* per shard and the
-serving layer only ever talks to handles.  For the in-process executors
-the handle *is* the index; for the process executor it is a proxy with
-the same method surface (``bulk_load`` … ``knn_query_batch``, ``buffer``
+serving layer only ever talks to handles.  For the serial executor the
+handle *is* the index; for the process executor it is a proxy with the
+same method surface (``bulk_load`` … ``knn_query_batch``, ``buffer``
 with live ``stats``), so the supervision/merge code upstairs is executor
 agnostic.
 
@@ -64,28 +59,21 @@ class Executor:
     An executor is single-use: it binds to one :class:`ShardedIndex` via
     :meth:`attach` and is torn down by that index's ``close()``.  The
     serving layer holds the per-shard locks and the supervision policy;
-    the executor only provides placement (inline / thread / process) and
-    the handle objects the supervised calls run against.
+    the executor only provides placement (inline / process) and the
+    handle objects the supervised calls run against.
 
     Attributes:
-        kind: short name (``"serial"`` / ``"thread"`` / ``"process"``).
-        parallel: whether fanned-out calls should run on the fan-out
-            pool (False = the serving layer loops inline, which is what
-            makes :class:`SerialExecutor` deterministic).
+        kind: short name (``"serial"`` / ``"process"``).
     """
 
     kind = "base"
-    parallel = False
 
     def __init__(self) -> None:
         self._attached = False
         self._closed = False
-        self._max_workers = 1
-        self._fan_out_pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
 
     # -- lifecycle -----------------------------------------------------
-    def attach(self, shards: Sequence[Any], max_workers: Optional[int] = None) -> List[Any]:
+    def attach(self, shards: Sequence[Any]) -> List[Any]:
         """Bind the executor to ``shards``; returns one handle per shard."""
         if self._attached:
             raise RuntimeError(
@@ -95,42 +83,18 @@ class Executor:
         if self._closed:
             raise RuntimeError(f"{type(self).__name__} is closed")
         self._attached = True
-        self._max_workers = max_workers or len(shards) or 1
         return self._attach(list(shards))
 
     def _attach(self, shards: List[Any]) -> List[Any]:
-        return shards
+        raise NotImplementedError
 
     @property
     def closed(self) -> bool:
         """Whether :meth:`close` has run."""
         return self._closed
 
-    def pool(self) -> ThreadPoolExecutor:
-        """The fan-out thread pool (created lazily; parallel modes only)."""
-        with self._pool_lock:
-            if self._closed:
-                raise RuntimeError(f"{type(self).__name__} is closed")
-            if self._fan_out_pool is None:
-                self._fan_out_pool = ThreadPoolExecutor(
-                    max_workers=self._max_workers,
-                    thread_name_prefix=f"shard-{self.kind}",
-                )
-                # GC backstop only: a leaked index must not leak threads.
-                # The supported teardown path is ShardedIndex.close().
-                weakref.finalize(self, self._fan_out_pool.shutdown, wait=False)
-            return self._fan_out_pool
-
-    def quiesce(self) -> None:
-        """Stop the fan-out pool (waits for in-flight calls to finish)."""
-        with self._pool_lock:
-            pool, self._fan_out_pool = self._fan_out_pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-
     def close(self) -> None:
         """Tear the executor down (idempotent at this level)."""
-        self.quiesce()
         self._closed = True
 
     # -- shard plumbing ------------------------------------------------
@@ -152,13 +116,12 @@ class SerialExecutor(Executor):
     """Deterministic reference backend: every shard call runs inline.
 
     Fan-out order is always ascending shard id on the calling thread, so
-    a run's interleaving is reproducible operation for operation.  Per-
-    call timeouts cannot be enforced without a second thread and are
-    ignored (documented in ``docs/serving.md``).
+    a run's interleaving is reproducible operation for operation.  A
+    per-call query timeout would need a second thread to enforce, so
+    ``check_constructible`` refuses one here (``docs/serving.md``).
     """
 
     kind = "serial"
-    parallel = False
 
     def _attach(self, shards: List[Any]) -> List[Any]:
         self._shards = shards
@@ -170,19 +133,6 @@ class SerialExecutor(Executor):
 
     def snapshot(self, shard_id: int) -> Any:
         return copy.deepcopy(self._shards[shard_id])
-
-
-class ThreadExecutor(SerialExecutor):
-    """The historical backend: shard calls fan out on a thread pool.
-
-    Handles are the index instances themselves; parallelism is capped by
-    ``max_workers`` (default: the shard count) and, in CPython, by the
-    GIL — which is exactly the limitation :class:`ProcessExecutor`
-    removes.
-    """
-
-    kind = "thread"
-    parallel = True
 
 
 # ----------------------------------------------------------------------
@@ -382,10 +332,14 @@ class ProcessExecutor(Executor):
         start_method: the ``multiprocessing`` start method in use:
             ``"fork"`` where available (no interpreter re-import per
             worker) and ``"spawn"`` elsewhere.
+        pool: the fan-out thread pool, one thread per shard (created at
+            attach, threads started on first use).  A call fanned out to
+            several shards waits on their workers from it, so the workers
+            compute in parallel and one that overruns the supervisor's
+            query timeout can be abandoned while the others answer.
     """
 
     kind = "process"
-    parallel = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -395,13 +349,17 @@ class ProcessExecutor(Executor):
         self._workers: Dict[int, _Worker] = {}
         self._mirrors: List[IOStats] = []
         self._handles: List[_ProcessShard] = []
+        self.pool: Optional[ThreadPoolExecutor] = None
 
     def _attach(self, shards: List[Any]) -> List[Any]:
         for shard_id, shard in enumerate(shards):
             self._mirrors.append(IOStats())
             self._handles.append(self._spawn(shard_id, shard))
-        # GC backstop: terminate leaked workers (close() is the real path).
+        self.pool = ThreadPoolExecutor(len(shards), thread_name_prefix="shard-process")
+        # GC backstop: terminate leaked workers and pool threads (close()
+        # is the real path).
         weakref.finalize(self, _terminate_workers, self._workers, os.getpid())
+        weakref.finalize(self, self.pool.shutdown, wait=False)
         return list(self._handles)
 
     def _spawn(self, shard_id: int, index: Any) -> _ProcessShard:
@@ -492,8 +450,13 @@ class ProcessExecutor(Executor):
         return not worker.dead and worker.process.is_alive()
 
     def close(self) -> None:
-        """Quiesce the fan-out pool, then stop every worker process."""
-        self.quiesce()
+        """Stop the fan-out pool, then every worker process.
+
+        Queued fan-out calls are cancelled and running ones awaited, so no
+        pool thread can still be talking to a worker once this returns.
+        """
+        if self.pool is not None:
+            self.pool.shutdown(wait=True, cancel_futures=True)
         for shard_id, worker in self._workers.items():
             with worker.lock:
                 if not worker.dead:
@@ -517,7 +480,6 @@ class ProcessExecutor(Executor):
 #: Executor registry of the string spellings accepted by ServeConfig.
 EXECUTORS = {
     "serial": SerialExecutor,
-    "thread": ThreadExecutor,
     "process": ProcessExecutor,
 }
 
@@ -525,12 +487,12 @@ EXECUTORS = {
 def make_executor(spec: Any) -> Executor:
     """Resolve an executor spec: None, a kind name, or an instance.
 
-    ``None`` resolves to the historical default (:class:`ThreadExecutor`);
-    a string must be one of :data:`EXECUTORS`; an :class:`Executor`
-    instance passes through (it must not be attached or closed yet).
+    ``None`` resolves to the default, :class:`SerialExecutor`; a string
+    must be one of :data:`EXECUTORS`; an :class:`Executor` instance
+    passes through (it must not be attached or closed yet).
     """
     if spec is None:
-        return ThreadExecutor()
+        return SerialExecutor()
     if isinstance(spec, str):
         if spec not in EXECUTORS:
             raise ValueError(f"unknown executor {spec!r} (choose from {sorted(EXECUTORS)})")
@@ -545,6 +507,5 @@ __all__ = [
     "Executor",
     "ProcessExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "make_executor",
 ]

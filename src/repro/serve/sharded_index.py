@@ -10,8 +10,8 @@ any moving-object index family (``BxTree``, ``TPRTree``/``TPRStarTree``,
 fixed multiplicative hash of the id (:func:`shard_of`).  Updates,
 insertions and deletions are grouped by owning shard and each shard
 receives one batched call; queries cannot be routed (a range predicate
-says nothing about object ids), so they fan out to *all* shards on a
-thread pool and the per-shard answers are merged.
+says nothing about object ids), so they fan out to *all* shards and the
+per-shard answers are merged.
 
 **Merge semantics.**  Shards partition the object set, so a range query's
 per-shard answers are disjoint; the serving layer returns their union in
@@ -40,12 +40,14 @@ are skipped and the healthy shards' merged answers come back in a
 :class:`~repro.serve.supervisor.PartialResult` instead of an exception.
 
 **Concurrency.**  Shards share no mutable state, so work on different
-shards runs in parallel (thread pool).  Within one shard everything is
-serialized by a per-shard lock: the buffer pool's LRU bookkeeping mutates
-on every fetch, so even read-only queries must not interleave on a single
-shard.  Concurrent *calls into the same ShardedIndex* are therefore safe;
-what is not safe is touching a shard's underlying index directly while
-the serving layer is live (see ``docs/sharding.md``).
+shards runs in parallel (one call's slices in the process executor's
+workers; concurrent callers' on any executor).  Within one shard
+everything is serialized by a per-shard lock: the buffer pool's LRU
+bookkeeping mutates on every fetch, so even read-only queries must not
+interleave on a single shard.  Concurrent *calls into the same
+ShardedIndex* are therefore safe; what is not safe is touching a shard's
+underlying index directly while the serving layer is live (see
+``docs/sharding.md``).
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ from repro.objects.knn import AdaptiveRadius, KNNQuery, ScalarVerbs
 from repro.objects.moving_object import MovingObject
 from repro.objects.queries import RangeQuery
 from repro.serve.config import ServeConfig, check_constructible
-from repro.serve.executor import Executor
+from repro.serve.executor import Executor, ProcessExecutor
 from repro.serve.shard_log import Outcome, ShardLog, apply_outcome
 from repro.serve.snapshot import VersionedShard
 from repro.serve.supervisor import (
@@ -233,9 +235,9 @@ class ShardedIndex(ScalarVerbs):
         ]
         self._backend: Executor = resolved.executor
         # Handles: the objects supervised tasks run against.  For the
-        # in-process executors these are the shard indexes themselves;
-        # for the process executor they are worker proxies.
-        self.shards = self._backend.attach(shards, resolved.max_workers)
+        # serial executor these are the shard indexes themselves; for the
+        # process executor they are worker proxies.
+        self.shards = self._backend.attach(shards)
         self.buffer = _AggregateBuffer(self.shards)
         # The in-memory recovery source: a deepcopy of each shard as it was
         # handed over (the WAL holds everything since), replaced by every
@@ -408,18 +410,18 @@ class ShardedIndex(ScalarVerbs):
             )
 
     def close(self) -> None:
-        """Shut down the executor, flush every shard, persist durable shards.
+        """Flush every shard, persist durable shards, shut down the executor.
 
-        Queued-but-unstarted fan-out tasks are cancelled; running tasks
-        are awaited, so after ``close()`` returns no worker can still be
-        touching a shard.  Every shard's buffer is then flushed — a
-        durable backend must never silently drop dirty frames on a clean
-        shutdown (a shard whose storage is faulted cannot flush and is
-        skipped; nothing is lost in-memory, and a durable shard recovers
-        from its WAL).  Shards with a durable store are checkpointed and
+        Every shard's buffer is flushed under its lock — a durable backend
+        must never silently drop dirty frames on a clean shutdown (a shard
+        whose storage is faulted cannot flush and is skipped; nothing is
+        lost in-memory, and a durable shard recovers from its WAL).  Shards with a durable store are checkpointed and
         their stores closed, so a clean shutdown leaves an empty WAL and
         reopening replays nothing.  Finally the executor itself is torn
-        down — worker processes exit here, never via garbage collection.
+        down: queued fan-out calls are cancelled and running ones awaited,
+        so after ``close()`` returns no worker can still be touching a
+        shard, and worker processes exit here, never via garbage
+        collection.
 
         ``close()`` is terminal: the index rejects further operations,
         and a second ``close()`` raises ``RuntimeError`` (``with`` blocks
@@ -427,7 +429,6 @@ class ShardedIndex(ScalarVerbs):
         open).
         """
         self._ensure_open()
-        self._backend.quiesce()
         for shard_id in range(len(self.shards)):
             store = self._stores[shard_id]
             with self._locks[shard_id]:
@@ -488,16 +489,16 @@ class ShardedIndex(ScalarVerbs):
                 partitioning needs workload data:
                 ``partial(make_index, "Bx(VP)", partitioning=...)``).
             shards: shard count (default :data:`DEFAULT_SHARDS`).
-            executor: ``"serial"`` / ``"thread"`` / ``"process"`` or an
-                :class:`~repro.serve.Executor` instance; default thread.
+            executor: ``"serial"`` (the default) / ``"process"`` or an
+                :class:`~repro.serve.Executor` instance.
             durable_dir: when set, create a
                 :class:`~repro.serve.DurableStore` at this path instead of
                 serving from memory — or reopen the one already there,
                 provided ``family``/``shards``/``buffer_pages`` are what it
                 was created with.  Requires a *named* family, the paged key
-                store and an in-process executor.
-            config: the rest of the recipe (supervisor, fan-out width,
-                name); ``executor`` and ``space`` override its fields.
+                store and the serial executor.
+            config: the rest of the recipe (supervisor, name);
+                ``executor`` and ``space`` override its fields.
             space: data space for ``"Bx"`` shards and kNN defaults.
             buffer_pages: per-shard buffer-pool capacity.
             page_size: page size in bytes (family default when ``None``).
@@ -687,8 +688,8 @@ class ShardedIndex(ScalarVerbs):
                     self._config.sleep(retry.backoff_delay(attempt, rng))
                     continue
                 raise
-            # Hand the recovered shard to the executor: in-process
-            # backends swap it in place, the process backend ships it to
+            # Hand the recovered shard to the executor: the serial
+            # backend swaps it in place, the process backend ships it to
             # a respawned worker and returns a fresh proxy handle.
             self.shards[shard_id] = self._backend.replace(shard_id, fresh)
             self._breakers[shard_id].reset()
@@ -783,7 +784,7 @@ class ShardedIndex(ScalarVerbs):
         read_only: bool,
         timeout: Optional[float],
     ) -> Tuple[Dict[int, T], Dict[int, ShardStatus], Dict[int, ShardFailedError]]:
-        """Run one supervised task per shard, in parallel when useful.
+        """Run one supervised task per shard, in parallel on the process executor.
 
         Results, statuses and failures are keyed by shard so merge order
         never depends on thread scheduling.
@@ -794,10 +795,13 @@ class ShardedIndex(ScalarVerbs):
         def work(shard_id: int, task: Callable[[object], T]) -> T:
             return self._locked_supervised(shard_id, task, read_only, statuses[shard_id])
 
-        # Serial executors run every task inline (their point is a
-        # deterministic, reproducible interleaving); per-call timeouts
-        # need a second thread and are ignored there.
-        if (len(tasks) <= 1 and timeout is None) or not self._backend.parallel:
+        # Only worker processes compute in parallel, so only their calls
+        # fan out (pool threads wait on the pipes, and a timed-out one is
+        # abandoned) — unless there is one task and no deadline.  The rest
+        # runs inline, in ascending shard id: the serial executor's
+        # deterministic interleaving.
+        backend = self._backend
+        if not isinstance(backend, ProcessExecutor) or (len(tasks) <= 1 and timeout is None):
             results: Dict[int, T] = {}
             failures: Dict[int, ShardFailedError] = {}
             for shard_id, task in tasks.items():
@@ -808,9 +812,9 @@ class ShardedIndex(ScalarVerbs):
                 except ShardFailedError as error:
                     failures[shard_id] = error
             return results, statuses, failures
-        pool = self._backend.pool()
         futures = {
-            shard_id: pool.submit(work, shard_id, task) for shard_id, task in tasks.items()
+            shard_id: backend.pool.submit(work, shard_id, task)
+            for shard_id, task in tasks.items()
         }
         results, failures = self._gather(futures, statuses, timeout)
         return results, statuses, failures
@@ -940,7 +944,8 @@ class ShardedIndex(ScalarVerbs):
 
         Pairs are grouped by owning shard (the id routing makes old and
         new snapshots of one object land on the same shard) and each shard
-        receives one ``update_batch`` call, all shards in parallel.
+        receives one ``update_batch`` call (in parallel on the process
+        executor).
         """
         pairs = list(pairs)
         for old, new in pairs:
@@ -1014,12 +1019,12 @@ class ShardedIndex(ScalarVerbs):
     ) -> Union[List[List[Tuple[int, float]]], PartialResult]:
         """Answer kNN probes by merging every shard's local top-``k``.
 
-        Each shard answers the whole probe batch over its own objects
-        (shards run in parallel); per probe, the per-shard answers are
-        merged by ``(distance, oid)`` and truncated to ``k`` — exactly
-        the unsharded answer, because each of the global ``k`` nearest is
-        among the ``k`` nearest of its own shard (fewer than ``k``
-        objects in total are closer; see ``docs/sharding.md``).
+        Each shard answers the whole probe batch over its own objects (in
+        parallel on the process executor); per probe, the per-shard
+        answers are merged by ``(distance, oid)`` and truncated to ``k``
+        — exactly the unsharded answer, because each of the global ``k``
+        nearest is among the ``k`` nearest of its own shard (fewer than
+        ``k`` objects in total are closer; see ``docs/sharding.md``).
 
         With ``partial=True`` failing shards are skipped (see
         :meth:`range_query_batch`); the merged ranking then covers only

@@ -183,12 +183,13 @@ class SupervisorConfig:
             breaker.
         reset_timeout_s: breaker cool-down before a half-open probe.
         query_timeout_s: per-shard wall-clock budget of one fanned-out
-            query call (None disables the timeout).  A timed-out worker
-            cannot be interrupted — Python threads are not cancellable —
-            so the call is *abandoned*: its shard is marked failed for
-            this batch and the breaker records the failure, while the
-            worker finishes in the background under the shard lock.
-            Routed mutation calls carry no timeout.
+            query call (None disables the timeout); served by the
+            process executor only.  A timed-out call cannot be
+            interrupted — Python threads are not cancellable — so it is
+            *abandoned*: its shard is marked failed for this batch and
+            the breaker records the failure, while the worker finishes
+            in the background under the shard lock.  Routed mutation
+            calls carry no timeout.
         clock: time source for breaker cool-downs (fake-clock friendly).
         sleep: delay delivery for backoff (fake-sleep friendly).
     """

@@ -118,9 +118,7 @@ def answers(index):
 def build_twin():
     """An in-memory sharded twin (same factories, same topology)."""
     shards = [make_shard(BufferManager(capacity=BUFFER_PAGES)) for _ in range(NUM_SHARDS)]
-    return ShardedIndex(
-        shards, ServeConfig(name="Bx-twin", space=SPACE, max_workers=1)
-    )
+    return ShardedIndex(shards, ServeConfig(name="Bx-twin", space=SPACE))
 
 
 def main(root, kill_event, kill_ordinal):
@@ -140,7 +138,6 @@ def main(root, kill_event, kill_ordinal):
         name="Bx",
         space=SPACE,
         buffer_pages=BUFFER_PAGES,
-        config=ServeConfig(max_workers=1),
     )
     index.bulk_load(make_objects())
     index.checkpoint()

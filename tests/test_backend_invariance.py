@@ -100,7 +100,7 @@ def test_batch_and_scalar_paths_agree_on_flat(workload, queries):
 # ----------------------------------------------------------------------
 # Sharded serving: executors, epoch pins, WAL recovery
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("executor", ("serial", "thread"))
+@pytest.mark.parametrize("executor", ("serial",))
 def test_sharded_answers_bit_identical(
     workload, update_batches, queries, probes, executor
 ):

@@ -37,7 +37,6 @@ def _create_store(root):
         num_shards=crash_child.NUM_SHARDS,
         space=crash_child.SPACE,
         buffer_pages=crash_child.BUFFER_PAGES,
-        config=ServeConfig(max_workers=1),
     )
 
 
@@ -76,7 +75,7 @@ def test_clean_close_reopen_replays_nothing(tmp_path):
     index.close()
 
     store = DurableStore(root, fsync=False)
-    reopened = store.open(ServeConfig(max_workers=1))
+    reopened = store.open()
     # close() checkpointed every shard: nothing is left to replay.
     assert store.replayed_on_open == [0] * crash_child.NUM_SHARDS
     assert crash_child.answers(reopened) == live
@@ -102,7 +101,7 @@ def test_abandoned_store_reopen_replays_bounded_tail(tmp_path):
     # buffer pages never reach pages.db, no checkpoint, no close.
 
     store = DurableStore(root, fsync=False)
-    recovered = store.open(ServeConfig(max_workers=1))
+    recovered = store.open()
     # Bounded replay: the checkpoint truncated the bulk-load history, so
     # each shard replays exactly its post-checkpoint updates and nothing
     # else.
@@ -126,7 +125,7 @@ def test_abandoned_bx_store_replays_a_bulk_load(tmp_path):
     live = crash_child.answers(index)
 
     store = DurableStore(root, fsync=False)
-    recovered = store.open(ServeConfig(max_workers=1))
+    recovered = store.open()
     assert store.replayed_on_open == [1] * crash_child.NUM_SHARDS
     assert crash_child.answers(recovered) == live
     assert crash_child.answers(recovered) == crash_child.answers(
@@ -163,7 +162,7 @@ def test_bulk_load_into_a_nonempty_index_is_rejected_before_it_is_logged(tmp_pat
     assert crash_child.answers(in_memory) == live
     in_memory.close()
     # The durable index is abandoned, not closed: reopening replays its WAL.
-    reopened = DurableStore(root, fsync=False).open(ServeConfig(max_workers=1))
+    reopened = DurableStore(root, fsync=False).open()
     assert crash_child.answers(reopened) == live
     reopened.close()
 
@@ -201,14 +200,14 @@ def _recovered(index, root, kind):
     """
     if kind == "durable":
         store = DurableStore(root, fsync=False)
-        recovered = store.open(ServeConfig(max_workers=1))
+        recovered = store.open()
         return recovered, store.rejected_on_open
     for shard_id in range(index.num_shards):
         index.recover_shard(shard_id)
     return index, [event["rejected_records"] for event in index.recovery_events]
 
 
-@pytest.mark.parametrize("kind", ["serial", "thread", "process", "durable"])
+@pytest.mark.parametrize("kind", ["serial", "process", "durable"])
 def test_a_rejected_batch_still_runs_every_shard_and_replays_as_the_same_rejection(
     tmp_path, kind
 ):
@@ -298,7 +297,7 @@ def test_open_refuses_a_manifest_of_another_version(tmp_path):
 
     before = snapshot()
     with pytest.raises(DurabilityError, match="manifest version 2"):
-        DurableStore(root, fsync=False).open(ServeConfig(max_workers=1))
+        DurableStore(root, fsync=False).open()
     assert snapshot() == before  # nothing truncated or rewritten
 
 
@@ -398,7 +397,7 @@ def test_explicit_checkpoint_truncates_wals(tmp_path):
         assert wal is not None and os.path.getsize(wal) == 0
     # Abandon post-checkpoint: recovery now replays nothing at all.
     store = DurableStore(root, fsync=False)
-    recovered = store.open(ServeConfig(max_workers=1))
+    recovered = store.open()
     assert store.replayed_on_open == [0] * crash_child.NUM_SHARDS
     assert crash_child.answers(recovered) == live
     recovered.close()
@@ -428,7 +427,7 @@ def test_supervised_recovery_restores_durable_shard_from_store(tmp_path):
     index.close()
 
     store = DurableStore(root, fsync=False)
-    recovered = store.open(ServeConfig(max_workers=1))
+    recovered = store.open()
     assert crash_child.answers(recovered) == live
     recovered.close()
 
@@ -467,7 +466,7 @@ def test_sigkill_recovery_matches_clean_twin(tmp_path, kill_event, kill_ordinal)
     )
 
     store = DurableStore(root)
-    recovered = store.open(ServeConfig(max_workers=1))
+    recovered = store.open()
     # Bounded replay: only post-checkpoint updates live in the tails —
     # never the bulk load the checkpoint folded away.
     assert sum(store.replayed_on_open) <= crash_child.NUM_UPDATES

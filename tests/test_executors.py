@@ -1,12 +1,13 @@
 """Executor equivalence and lifecycle tests (the pluggable-backend claim).
 
 The serving layer promises that *where* shard calls run — inline
-(``SerialExecutor``), on a thread pool (``ThreadExecutor``) or in worker
-processes (``ProcessExecutor``) — never changes *what* they answer: every
-executor must return bit-identical range/kNN/update results for every
-index family, worker-process death must recover through the same WAL
-machinery as any shard fault, and a closed index must tear its workers
-down exactly once.  See ``docs/serving.md``.
+(``SerialExecutor``) or in worker processes (``ProcessExecutor``) — never
+changes *what* they answer: both executors must return bit-identical
+range/kNN/update results for every index family, worker-process death
+must recover through the same WAL machinery as any shard fault, a query
+timeout is served only where a stalled shard can be abandoned, and a
+closed index must tear its workers down exactly once.  See
+``docs/serving.md``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.serve import (
     ServeConfig,
     ShardedIndex,
     SupervisorConfig,
-    ThreadExecutor,
     make_executor,
     shard_of,
 )
@@ -42,7 +42,7 @@ WINDOW = 1.0
 
 INDEX_NAMES = ("Bx", "Bx(VP)", "TPR*", "TPR*(VP)")
 
-EXECUTOR_NAMES = ("serial", "thread", "process")
+EXECUTOR_NAMES = ("serial", "process")
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +102,7 @@ def _stats_triple(index):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", INDEX_NAMES)
 def test_executors_answer_bit_identical(workload, batches, name):
-    """Serial/thread/process answers are bit-identical, family by family.
+    """Serial and process answers are bit-identical, family by family.
 
     Per-pair update flags, range answers (canonical ascending-id order)
     and kNN answers (ids, distances *and* tie order) must all agree with
@@ -129,7 +129,6 @@ def test_executors_answer_bit_identical(workload, batches, name):
         finally:
             index.close()
     assert per_executor["process"] == per_executor["serial"], name
-    assert per_executor["thread"] == per_executor["serial"], name
 
 
 def test_process_shard_count_invariance(workload, batches):
@@ -189,16 +188,16 @@ def test_worker_sigkill_recovers_bit_identical_to_never_failed_twin(workload):
 
 
 # ----------------------------------------------------------------------
-# Timeout parity: a stalled worker degrades exactly like a stalled thread
+# Query timeouts: enforced by the process executor, refused elsewhere
 # ----------------------------------------------------------------------
-def _slow_disk_index(workload, executor, read_latency_s):
-    """A 2-shard index whose shard 0 pays ``read_latency_s`` per page read.
+def _slow_disk_index(workload, read_latency_s):
+    """A 2-shard process-backed index whose shard 0 pays ``read_latency_s`` per page read.
 
     The shards are loaded *before* the injector arms (loading through the
     slow disk would dominate the test) and the injector is slid under
-    shard 0 before the executor attaches, so in process mode it ships to
-    the worker with the shard (``time.sleep`` pickles; the latency fires
-    inside the worker).  Tiny buffers keep every query reading cold pages.
+    shard 0 before the executor attaches, so it ships to the worker with
+    the shard (``time.sleep`` pickles; the latency fires inside the
+    worker).  Tiny buffers keep every query reading cold pages.
     """
     shards = [
         BxTree(
@@ -219,27 +218,43 @@ def _slow_disk_index(workload, executor, read_latency_s):
         ServeConfig(
             name="Bx-slow",
             space=PARAMS.space,
-            executor=executor,
+            executor="process",
             supervisor=SupervisorConfig(query_timeout_s=0.05),
         ),
     )
 
 
 @pytest.mark.slow
-def test_partial_result_parity_when_a_worker_times_out(workload):
+def test_a_stalled_worker_degrades_to_a_partial_result(workload):
+    """The worker past the deadline is abandoned; the healthy shard's answers come back."""
     queries = [e.query for e in workload.query_events[:2]]
-    results = {}
-    for executor in ("thread", "process"):
-        index = _slow_disk_index(workload, executor, read_latency_s=0.2)
-        try:
-            degraded = index.range_query_batch(queries, partial=True)
-            assert degraded.failed_shards == [0], executor
-            assert "timeout" in degraded.statuses[0].error, executor
-            results[executor] = list(degraded)
-        finally:
-            index.close()
-    # The surviving (healthy-shard) answers are identical across backends.
-    assert results["thread"] == results["process"]
+    healthy = [obj for obj in workload.initial_objects if shard_of(obj.oid, 2) == 1]
+    index = _slow_disk_index(workload, read_latency_s=0.2)
+    try:
+        degraded = index.range_query_batch(queries, partial=True)
+        assert degraded.failed_shards == [0]
+        assert "timeout" in degraded.statuses[0].error
+        assert list(degraded) == [
+            sorted(obj.oid for obj in healthy if query.matches(obj)) for query in queries
+        ]
+    finally:
+        index.close()
+
+
+def test_a_query_timeout_is_refused_where_nothing_can_enforce_it(workload, tmp_path):
+    # An inline shard call cannot be abandoned: the timeout used to be
+    # accepted and silently never fire.
+    supervisor = SupervisorConfig(query_timeout_s=0.05)
+    shard = build_standard_indexes(workload, PARAMS, which=("Bx",))["Bx"]
+    for executor in (None, "serial"):
+        with pytest.raises(ValueError, match="query timeout needs the process executor"):
+            ShardedIndex([shard], ServeConfig(executor=executor, supervisor=supervisor))
+    root = str(tmp_path / "store")
+    with pytest.raises(ValueError, match="query timeout needs the process executor"):
+        ShardedIndex.build(
+            "Bx", shards=2, durable_dir=root, config=ServeConfig(supervisor=supervisor)
+        )
+    assert not os.path.exists(root)
 
 
 # ----------------------------------------------------------------------
@@ -268,14 +283,14 @@ def test_executor_instances_are_single_use(workload):
 
 
 def test_make_executor_specs():
-    assert isinstance(make_executor(None), ThreadExecutor)
+    assert isinstance(make_executor(None), SerialExecutor)
     assert isinstance(make_executor("serial"), SerialExecutor)
-    assert isinstance(make_executor("thread"), ThreadExecutor)
     assert isinstance(make_executor("process"), ProcessExecutor)
     ready = SerialExecutor()
     assert make_executor(ready) is ready
-    with pytest.raises(ValueError, match="unknown executor"):
-        make_executor("fibers")
+    for name in ("fibers", "thread"):
+        with pytest.raises(ValueError, match="unknown executor"):
+            make_executor(name)
     for spec in (42, SerialExecutor):  # a name or an instance: no class spelling
         with pytest.raises(TypeError):
             make_executor(spec)

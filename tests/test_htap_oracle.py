@@ -5,7 +5,7 @@ atomically advances a global epoch, and a query batch that pins an epoch
 sees a consistent cross-shard cut — bit-identical to a quiescent twin
 that applied exactly the batches up to that epoch — even while later
 batches stream in.  These tests check the claim deterministically for
-all four index families across all three executors, plus the epoch
+all four index families across both executors, plus the epoch
 API's edge semantics (held pins, GC floor, empty batches, WAL recovery,
 durable restart).
 
@@ -39,7 +39,7 @@ SHARDS = 3
 
 INDEX_NAMES = ("Bx", "Bx(VP)", "TPR*", "TPR*(VP)")
 
-EXECUTOR_NAMES = ("serial", "thread", "process")
+EXECUTOR_NAMES = ("serial", "process")
 
 
 @pytest.fixture(scope="module")

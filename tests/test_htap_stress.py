@@ -44,7 +44,7 @@ PARAMS = WorkloadParameters(num_objects=1_000, time_duration=30.0, num_queries=1
 
 SHARDS = 4
 
-EXECUTOR_NAMES = ("serial", "thread", "process")
+EXECUTOR_NAMES = ("serial", "process")
 
 
 def _seeds():

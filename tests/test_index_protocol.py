@@ -19,8 +19,9 @@ Four contracts that everything above the index families leans on:
   ``make_index`` / ``ShardedIndex.build`` and answers like its unsharded
   twin — before and after a shard recovery — or is refused by
   ``serve/config.py::check_constructible`` with nothing on disk and no
-  worker spawned.  ``docs/serving.md`` carries the
-  same table, rendered by :func:`matrix_table`.
+  worker spawned; with a supervisor query timeout, every serial cell is
+  refused and every process cell is what it was.  ``docs/serving.md``
+  carries the same table, rendered by :func:`matrix_table`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from repro import VelocityAnalyzer, make_index
 from repro.core.index_manager import MovingIndex, SubIndex
 from repro.objects.knn import KNNQuery, ScalarVerbs
 from repro.objects.moving_object import MovingObject
-from repro.serve import LOG_OPS, ServeConfig, ShardedIndex, VersionedShard
+from repro.serve import LOG_OPS, ServeConfig, ShardedIndex, SupervisorConfig, VersionedShard
 from repro.serve.executor import _ProcessShard
 from repro.serve.shard_log import apply_record
 from repro.workload.events import UpdateEvent
@@ -61,7 +62,7 @@ MEMBERS = (
 
 FAMILIES = ("Bx", "Bx(VP)", "TPR", "TPR*", "TPR*(VP)")
 KEY_STORES = (None, "btree", "flat")  # of the Bx families; the TPR family has none
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 def _refusal(family, key_store, executor, durable):
@@ -243,29 +244,30 @@ def _cell_id(cell):
     return f"{family}-{key_store}-{executor}-{'durable' if durable else 'memory'}"
 
 
-@pytest.mark.parametrize("cell", list(MATRIX), ids=_cell_id)
-def test_every_cell_of_the_matrix_is_served_or_refused_up_front(
-    workload, partitioning, tmp_path, cell
-):
+def _serve_or_refuse(workload, partitioning, tmp_path, cell, refusal, supervisor=None):
+    """Build ``cell``: refused with ``refusal`` up front, or served like its twin."""
     family, key_store, executor, durable = cell
     root = str(tmp_path / "store") if durable else None
     recipe = _recipe(family, partitioning, key_store)
 
     def build():
+        config = ServeConfig(supervisor=supervisor)
         if family.endswith("(VP)"):  # the analyzed workload rides in on a callable
-            config = ServeConfig(name=family, space=PARAMS.space)
+            config = config.merged(name=family, space=PARAMS.space)
             return ShardedIndex.build(recipe, 2, executor, root, config)
-        return _build_sharded(family, 2, executor, root, key_store)
+        return ShardedIndex.build(
+            family, 2, executor, root, config, key_store=key_store, **PARAMS.index_kwargs()
+        )
 
-    if MATRIX[cell] is not None:
-        with pytest.raises(ValueError, match=MATRIX[cell]) as raised:
+    if refusal is not None:
+        with pytest.raises(ValueError, match=refusal) as raised:
             build()
         frame = raised.traceback[-1]
         assert (frame.frame.f_globals["__name__"], frame.name) == (
             "repro.serve.config",
             "check_constructible",
         )
-        assert not os.path.exists(root)
+        assert root is None or not os.path.exists(root)
         assert multiprocessing.active_children() == []
         return
     queries = [event.query for event in workload.query_events]
@@ -288,6 +290,28 @@ def test_every_cell_of_the_matrix_is_served_or_refused_up_front(
             assert index.knn_query_batch(probes, space=PARAMS.space) == (
                 twin.knn_query_batch(probes, space=PARAMS.space)
             )
+
+
+@pytest.mark.parametrize("cell", list(MATRIX), ids=_cell_id)
+def test_every_cell_of_the_matrix_is_served_or_refused_up_front(
+    workload, partitioning, tmp_path, cell
+):
+    _serve_or_refuse(workload, partitioning, tmp_path, cell, MATRIX[cell])
+
+
+@pytest.mark.parametrize("cell", list(MATRIX), ids=_cell_id)
+def test_a_query_timeout_is_served_on_the_process_executor_and_refused_elsewhere(
+    workload, partitioning, tmp_path, cell
+):
+    # Only a worker process can be stopped waiting for, so the timeout is
+    # refused on every serial cell (before the cell's own refusal), and a
+    # process cell is served or refused exactly as without one.  The
+    # budget is generous: a served cell must answer in full, not degrade.
+    refusal = MATRIX[cell]
+    if cell[2] != "process":
+        refusal = "query timeout needs the process executor"
+    supervisor = SupervisorConfig(query_timeout_s=30.0)
+    _serve_or_refuse(workload, partitioning, tmp_path, cell, refusal, supervisor)
 
 
 @pytest.mark.parametrize("durable", (False, True), ids=("memory", "durable"))
@@ -318,7 +342,7 @@ def test_an_unknown_name_is_refused_by_the_function_that_owns_its_registry(
 def test_the_docs_carry_the_matrix_table():
     docs = pathlib.Path(__file__).resolve().parents[1] / "docs" / "serving.md"
     assert matrix_table() in docs.read_text(encoding="utf-8")
-    assert len(MATRIX) == 54 and sum(refusal is None for refusal in MATRIX.values()) == 35
+    assert len(MATRIX) == 36 and sum(refusal is None for refusal in MATRIX.values()) == 22
 
 
 def _mutation_script(workload):
@@ -344,7 +368,7 @@ def _mutation_script(workload):
     return rows
 
 
-@pytest.mark.parametrize("executor", ("serial", "thread", "process"))
+@pytest.mark.parametrize("executor", EXECUTORS)
 def test_each_mutation_is_one_record_per_routed_shard_and_replays(workload, executor):
     index = _build_sharded("Bx", 3, executor)
     try:

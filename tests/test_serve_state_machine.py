@@ -18,7 +18,7 @@ reopen replays it as the same rejection and counts it
 (``rejected_records`` / ``rejected_on_open``) — the model keeps the
 same per-shard tally.
 
-Cells: ``Bx(VP)`` on the serial, thread and process executors in memory,
+Cells: ``Bx(VP)`` on the serial and process executors in memory,
 ``Bx(VP)`` durable on the serial executor, and ``TPR*(VP)`` serial.  The
 Hypothesis seed is ``CHAOS_SEED`` (environment; CI runs the three
 published values), so a failing seed fails identically on any machine.
@@ -67,7 +67,6 @@ LOADED = 20
 #: ``(family, executor, durable)``.
 CELLS = (
     ("Bx(VP)", "serial", False),
-    ("Bx(VP)", "thread", False),
     ("Bx(VP)", "process", False),
     ("Bx(VP)", "serial", True),
     ("TPR*(VP)", "serial", False),
