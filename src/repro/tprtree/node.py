@@ -22,7 +22,8 @@ the columns on demand.  Whole-node dumps that need no exchange records (e.g.
 ``iter_objects``) use :meth:`TPRNode.iter_records`, which yields flat
 per-entry tuples straight off the columns.  All structural mutation goes through the node methods
 (``append_entry`` / ``remove_at`` / ``set_bound_at`` / ...), which keep the
-columns consistent.
+columns consistent and the node's cached tight extent exact or dropped (see
+:meth:`TPRNode.bound_extent` for which mutator keeps it and how).
 """
 
 from __future__ import annotations
@@ -42,6 +43,37 @@ TPR_ENTRY_BYTES = 80
 
 #: Default maximum node fan-out derived from the 4 KB page size.
 DEFAULT_MAX_ENTRIES = entries_per_page(TPR_ENTRY_BYTES)
+
+#: Per extent component: True where the bound keeps the minimum.
+_LOW = (True, True, False, False, True, True, False, False)
+
+
+def _project(x0, y0, x1, y1, vx0, vy0, vx1, vy1, tref, time) -> kernels.Extent:
+    """One column-stored bound at ``time``, with ``soa_bound_extent``'s arithmetic."""
+    elapsed = time - tref
+    if elapsed > 0.0:
+        x0, y0 = x0 + vx0 * elapsed, y0 + vy0 * elapsed
+        x1, y1 = x1 + vx1 * elapsed, y1 + vy1 * elapsed
+    return (x0, y0, x1, y1, vx0, vy0, vx1, vy1)
+
+
+def _rewritten(cached, old, new) -> Optional[kernels.Extent]:
+    """The scan's extent after one slot moves from ``old`` to ``new``, or None.
+
+    Per component: a strictly better value wins; the cached one stays if the
+    new one is strictly worse and the slot did not attain it, or ties a
+    non-zero extreme (equal non-zero floats are the same bits).  Anything
+    else (a signed-zero tie, a NaN, a vacated extreme) needs a rescan.
+    """
+    out = []
+    for low, c, o, v in zip(_LOW, cached, old, new):
+        if (v < c) if low else (v > c):
+            out.append(v)
+        elif ((v > c and o > c) if low else (v < c and o < c)) or (v == c and c != 0.0):
+            out.append(c)
+        else:
+            return None
+    return tuple(out)
 
 
 @dataclass
@@ -85,6 +117,8 @@ class TPRNode:
         "_vy1",
         "_tref",
         "_refs",
+        "_bound",
+        "_bound_time",
     )
 
     def __init__(
@@ -106,6 +140,7 @@ class TPRNode:
         self._vy1 = array("d")
         self._tref = array("d")
         self._refs = array("q")
+        self._bound = self._bound_time = None  # see bound_extent
 
     # ------------------------------------------------------------------
     # Column access (the kernel-facing hot surface)
@@ -187,9 +222,33 @@ class TPRNode:
         self._vy1.append(vy1)
         self._tref.append(tref)
         self._refs.append(ref)
+        if self._bound_time is not None:
+            # The new slot is the scan's last, so a tie keeps the incumbent.
+            n = _project(x0, y0, x1, y1, vx0, vy0, vx1, vy1, tref, self._bound_time)
+            c = self._bound
+            self._bound = (
+                n[0] if n[0] < c[0] else c[0], n[1] if n[1] < c[1] else c[1],
+                n[2] if n[2] > c[2] else c[2], n[3] if n[3] > c[3] else c[3],
+                n[4] if n[4] < c[4] else c[4], n[5] if n[5] < c[5] else c[5],
+                n[6] if n[6] > c[6] else c[6], n[7] if n[7] > c[7] else c[7],
+            )  # fmt: skip
+
+    def _slot_at(self, index: int, time: float) -> kernels.Extent:
+        """Slot ``index``'s bound projected at ``time``."""
+        return _project(
+            self._x0[index], self._y0[index], self._x1[index], self._y1[index],
+            self._vx0[index], self._vy0[index], self._vx1[index], self._vy1[index],
+            self._tref[index], time,
+        )  # fmt: skip
 
     def set_bound_at(self, index: int, ext: kernels.Extent, reference_time: float) -> None:
         """Overwrite the bound of slot ``index`` (parent-bound tightening)."""
+        time = self._bound_time
+        if time is not None:
+            old = self._slot_at(index, time)
+            self._bound = _rewritten(self._bound, old, _project(*ext, reference_time, time))
+            if self._bound is None:
+                self._bound_time = None
         self._x0[index] = ext[0]
         self._y0[index] = ext[1]
         self._x1[index] = ext[2]
@@ -202,6 +261,11 @@ class TPRNode:
 
     def remove_at(self, index: int) -> None:
         """Remove the entry at slot ``index`` from every column."""
+        if self._bound_time is not None:
+            o, c = self._slot_at(index, self._bound_time), self._bound
+            if not (o[0] > c[0] and o[1] > c[1] and o[2] < c[2] and o[3] < c[3]
+                    and o[4] > c[4] and o[5] > c[5] and o[6] < c[6] and o[7] < c[7]):  # fmt: skip
+                self._bound = self._bound_time = None
         for column in (
             self._x0,
             self._y0,
@@ -218,6 +282,7 @@ class TPRNode:
 
     def keep_only(self, indexes: Sequence[int]) -> None:
         """Keep exactly the slots in ``indexes`` (in the given order)."""
+        self._bound = self._bound_time = None
         for column in (
             self._x0,
             self._y0,
@@ -257,6 +322,7 @@ class TPRNode:
 
     def clear(self) -> None:
         """Drop every entry."""
+        self._bound = self._bound_time = None
         for column in (
             self._x0,
             self._y0,
@@ -327,10 +393,24 @@ class TPRNode:
     # Bounds
     # ------------------------------------------------------------------
     def bound_extent(self, reference_time: float) -> kernels.Extent:
-        """Tight bound over the node's entries as a flat kernel extent."""
+        """Tight bound over the node's entries as a flat kernel extent.
+
+        The one source of a node's bound.  The node caches the extent of its
+        last rescan with that rescan's time, and the mutators keep the cache
+        bit-identical to a rescan -- an append merges the new entry (a tie
+        keeps the incumbent, as the scan's strict comparisons do),
+        ``set_bound_at`` applies :func:`_rewritten`, ``remove_at`` keeps it
+        for an entry strictly inside on all eight components -- or drop it
+        (so do ``keep_only``, ``load`` and ``clear``; a new or decoded node
+        has none).  A request for any other time rescans.
+        """
+        if reference_time == self._bound_time:
+            return self._bound
         if not self._refs:
             raise ValueError("cannot bound an empty node")
-        return kernels.soa_bound_extent(*self.columns, time=reference_time)
+        self._bound = kernels.soa_bound_extent(*self.columns, time=reference_time)
+        self._bound_time = reference_time
+        return self._bound
 
     def bound(self, reference_time: float) -> MovingRect:
         """Tight time-parameterized bound over the node's entries."""

@@ -28,11 +28,11 @@ through the same subtrees while their pages are still buffered; a query
 batch runs as one shared traversal that visits each node once for all
 queries that need it, with the buffer manager advised to spare the
 traversal's own frontier (see :meth:`_shared_search`).  Results are
-identical to applying the operations one by one.  (A deferred once-per-node
-bound-tightening variant was measured and rejected: under the paper's
-small-buffer protocol the end-of-batch re-tightening pass re-reads cold
-pages and *raises* physical update I/O by ~25-70%, while the spatial sort
-alone keeps I/O at or below the per-object path.)
+identical to applying the operations one by one.  (A deferred end-of-batch
+tightening pass was rejected: re-reading cold pages *raised* physical update
+I/O ~25-70% under the paper's small buffer, where the sort alone stays at or
+below the per-object path.  Tightening is exact and per edit instead: each
+node caches its tight extent at the clock (:meth:`TPRNode.bound_extent`).)
 """
 
 from __future__ import annotations

@@ -111,7 +111,7 @@ class TPRStarTree(TPRTree):
         n = node.num_entries
         count = max(1, int(n * REINSERT_FRACTION))
         extents = kernels.soa_extents(*node.columns, time=t)
-        full_cost = self._extent_cost(kernels.soa_bound_extent(*node.columns, time=t))
+        full_cost = self._extent_cost(node.bound_extent(t))
         scored = [
             (full_cost - self._extent_cost(remaining), position)
             for position, remaining in enumerate(kernels.remove_one_extents(extents))

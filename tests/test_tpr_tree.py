@@ -3,9 +3,13 @@
 import hashlib
 import math
 import random
+import struct
+from collections import Counter
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.partitioned_index import (
     analyze_sample,
@@ -13,6 +17,8 @@ from repro.core.partitioned_index import (
     make_vp_tprstar_tree,
     sample_velocities_from_objects,
 )
+from repro.geometry import kernels
+from repro.geometry.moving_rect import MovingRect
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.objects.moving_object import MovingObject
@@ -55,6 +61,101 @@ class TestNode:
         assert node.num_entries == 0
         with pytest.raises(KeyError):
             node.find_entry_for_child(7)
+
+
+# ----------------------------------------------------------------------
+# The node's cached tight extent
+# ----------------------------------------------------------------------
+#: Per extent component: True where the bound keeps the minimum.
+LOW = (True, True, False, False, True, True, False, False)
+#: A small pool with both signed zeros and repeats, so ties are common.
+VALUES = st.sampled_from((-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0))
+TIMES = st.sampled_from((0.0, 1.0, 2.5))
+EXTENTS = st.tuples(*[VALUES] * 8)
+SLOTS = st.integers(0, 63)
+NODE_OPS = st.one_of(
+    st.tuples(st.just("append_entry"), EXTENTS, TIMES),
+    st.tuples(st.just("append_bound"), EXTENTS, TIMES),
+    st.tuples(
+        st.just("set_bound_at"),
+        SLOTS,
+        st.sampled_from(("grow", "shrink", "same", "tie", "any")),
+        EXTENTS,
+        TIMES,
+        SLOTS,
+    ),
+    st.tuples(st.just("remove_at"), SLOTS),
+    st.tuples(st.just("keep_only"), st.lists(SLOTS, max_size=6)),
+    st.tuples(st.just("load"), st.lists(SLOTS, max_size=6)),
+    st.tuples(st.just("clear")),
+    # A clock move the test does not look at leaves the cache at the old
+    # time, so the next edits update a cache anchored elsewhere.
+    st.tuples(st.just("clock"), TIMES, st.booleans()),
+)
+
+
+def apply_node_op(node: TPRNode, op, t: float) -> float:
+    """Apply one drawn edit to ``node`` at clock ``t``; returns the new clock."""
+    kind, args = op[0], op[1:]
+    n = node.num_entries
+    if kind == "clock":
+        return args[0]
+    if kind == "append_entry":
+        (x0, y0, x1, y1, vx0, vy0, vx1, vy1), tref = args
+        bound = MovingRect(
+            rect=Rect(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1)),
+            v_x_min=vx0,
+            v_y_min=vy0,
+            v_x_max=vx1,
+            v_y_max=vy1,
+            reference_time=tref,
+        )
+        node.append_entry(TPREntry(bound=bound, oid=n))
+    elif kind == "append_bound":
+        node.append_bound(args[0], args[1], n)
+    elif kind == "clear":
+        node.clear()
+    elif not n:
+        pass
+    elif kind == "set_bound_at":
+        slot, mode, ext, tref, other = args
+        slot %= n
+        extents = kernels.soa_extents(*node.columns, time=t)
+        here = extents[slot]
+        if mode == "same":
+            ext, tref = [column[slot] for column in node.columns[:8]], node.columns[8][slot]
+        elif mode == "tie":
+            ext, tref = extents[other % n], t
+        elif mode == "grow":
+            ext, tref = kernels.union_extent(here, ext), t
+        elif mode == "shrink":
+            ext = tuple(max(a, b) if low else min(a, b) for low, a, b in zip(LOW, here, ext))
+            tref = t
+        node.set_bound_at(slot, ext, tref)
+    elif kind == "remove_at":
+        node.remove_at(args[0] % n)
+    elif kind == "keep_only":
+        node.keep_only(list(dict.fromkeys(i % n for i in args[0])))
+    elif kind == "load":
+        records = node.snapshot()
+        node.load([records[i % n] for i in args[0]])
+    return t
+
+
+def packed(ext) -> bytes:
+    return struct.pack("<8d", *ext)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(NODE_OPS, max_size=40))
+def test_cached_tight_extent_equals_a_rescan_after_every_edit(ops):
+    node = TPRNode(page_id=0, is_leaf=True)
+    t = 0.0
+    for op in ops:
+        t = apply_node_op(node, op, t)
+        if node.num_entries and op[-1] is not False:
+            rescan = kernels.soa_bound_extent(*node.columns, time=t)
+            assert packed(node.bound_extent(t)) == packed(rescan), op
 
 
 class TestInsertDelete:
@@ -506,3 +607,37 @@ def test_insertion_built_tree_is_the_pinned_tree(family):
         for column in node.columns:
             digest.update(column.tobytes())
     assert digest.hexdigest() == PINNED_TREES[family]
+
+
+#: ``family -> (bound requests, column scans)`` over :func:`_identity_replay`.
+#: The tree pin cannot tell a node that answers from its cached extent from
+#: one that rescans every time; these counts can.  Recorded with the cache
+#: itself; a lower scan count with the tree pin green is a gain.
+PINNED_BOUND_SCANS = {
+    "TPR": (14309, 4194),
+    "TPR*": (24902, 7103),
+    "TPR*(VP)": (18182, 6319),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_BOUND_SCANS))
+def test_pinned_replay_serves_tight_bounds_from_the_cache(family, monkeypatch):
+    counts = Counter()
+    scan = kernels.soa_bound_extent
+    bound_extent = TPRNode.bound_extent
+
+    def counted_scan(*columns, time):
+        counts["scans"] += 1
+        return scan(*columns, time=time)
+
+    def checked_bound_extent(node, t):
+        counts["requests"] += 1
+        got = bound_extent(node, t)
+        assert packed(got) == packed(scan(*node.columns, time=t))
+        return got
+
+    monkeypatch.setattr(kernels, "soa_bound_extent", counted_scan)
+    monkeypatch.setattr(TPRNode, "bound_extent", checked_bound_extent)
+    _identity_replay(family)
+    assert (counts["requests"], counts["scans"]) == PINNED_BOUND_SCANS[family]
+    assert counts["scans"] < counts["requests"]
