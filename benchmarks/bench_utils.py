@@ -30,31 +30,34 @@ def _is_wall_clock(column: str) -> bool:
     return column.endswith(("_ms", "_s"))
 
 
-def print_figure(title: str, rows) -> None:
+#: Result files written in this session; a second write to one would
+#: silently replace a table, so it raises instead.
+_WRITTEN = set()
+
+
+def print_figure(name: str, title: str, rows) -> None:
     """Print a figure's table and persist its deterministic columns.
 
     pytest captures stdout of passing tests, so the copy under
-    ``benchmarks/results/`` is what survives a quiet benchmark run.
-    The printed table keeps the
+    ``benchmarks/results/<name>.txt`` is what survives a quiet benchmark
+    run.  The printed table keeps the
     wall-clock columns; the file drops them, so a committed figure changes
     only when an I/O count, hit ratio or answer size does (CI's full job
-    runs ``git diff --exit-code benchmarks/results`` after the slow tier).
+    fails on any diff or untracked file under ``benchmarks/results`` after
+    the slow tier).  Every table owns its file: writing ``name`` twice in
+    one session raises ``ValueError``.
     """
     print()
     print(format_table(rows, title=title))
+    if name in _WRITTEN:
+        raise ValueError(f"benchmarks/results/{name}.txt was already written in this session")
+    _WRITTEN.add(name)
     os.makedirs(RESULTS_DIR, exist_ok=True)
-    slug = (
-        title.split("—")[0]
-        .strip()
-        .lower()
-        .replace(" ", "_")
-        .replace("/", "-")
-    )
     stable = [
         {column: value for column, value in row.items() if not _is_wall_clock(column)}
         for row in rows
     ]
-    with open(os.path.join(RESULTS_DIR, f"{slug}.txt"), "w", encoding="utf-8") as handle:
+    with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w", encoding="utf-8") as handle:
         handle.write(format_table(stable, title=title))
 
 

@@ -30,7 +30,7 @@ def _run(params):
 
 def test_ablation_tpr_family(benchmark, sweep_params):
     rows = run_once(benchmark, _run, sweep_params)
-    print_figure("Ablation — TPR-tree family on CH", rows)
+    print_figure("ablation_tpr_family", "Ablation — TPR-tree family on CH", rows)
     by_name = {row["index"]: row for row in rows}
 
     # All three return identical answers.

@@ -26,7 +26,11 @@ def test_ablation_k_and_sample_size(benchmark, sweep_params):
         ks=(1, 2, 3),
         sample_sizes=(100, 1_000, 10_000),
     )
-    print_figure("Ablation — number of DVAs and velocity sample size (CH)", rows)
+    print_figure(
+        "ablation_k_and_sample_size",
+        "Ablation — number of DVAs and velocity sample size (CH)",
+        rows,
+    )
 
     k_rows = {row["value"]: row for row in rows if row["variant"] == "k"}
     # On a two-axis road network, k=2 must not be worse than k=1 (a single
@@ -43,7 +47,7 @@ def test_ablation_space_filling_curve(benchmark, sweep_params):
     rows = run_once(
         benchmark, experiments.ablation_space_filling_curve, "CH", sweep_params
     )
-    print_figure("Ablation — Hilbert versus Z-curve for the Bx-tree (CH)", rows)
+    print_figure("ablation_curve", "Ablation — Hilbert versus Z-curve for the Bx-tree (CH)", rows)
     by_curve = {row["curve"]: row for row in rows}
     assert set(by_curve) == {"hilbert", "z"}
     # Both curves answer the same queries; their costs should be in the same

@@ -22,7 +22,7 @@ def test_fig07_search_space_expansion(benchmark, bench_params):
     rows = run_once(
         benchmark, experiments.fig07_search_space_expansion, "CH", bench_params
     )
-    print_figure("Figure 7 — search space expansion on CH", rows)
+    print_figure("figure_7", "Figure 7 — search space expansion on CH", rows)
     grouped = by_index(rows)
 
     # The partitioned TPR*-tree's leaves expand mostly along the DVA: the

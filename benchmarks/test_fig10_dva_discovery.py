@@ -21,7 +21,7 @@ pytestmark = pytest.mark.slow
 
 def test_fig10_dva_discovery(benchmark, bench_params):
     rows = run_once(benchmark, experiments.fig10_dva_discovery, "SA", bench_params)
-    print_figure("Figures 10/11 — DVA discovery quality on SA", rows)
+    print_figure("figures_10-11", "Figures 10/11 — DVA discovery quality on SA", rows)
     by_method = {row["method"]: row for row in rows}
     ours = by_method["PC-distance k-means (ours)"]["mean_perp_speed"]
     naive_pca = by_method["PCA only (naive I)"]["mean_perp_speed"]

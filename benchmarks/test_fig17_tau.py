@@ -28,7 +28,9 @@ def test_fig17_tau_threshold(benchmark, sweep_params, dataset):
         sweep_params,
         fixed_taus=(0.0, 2.0, 5.0, 10.0, 20.0, 40.0, 60.0),
     )
-    print_figure(f"Figure 17 — τ threshold sweep on {dataset}", rows)
+    print_figure(
+        f"figure_17_{dataset.lower()}", f"Figure 17 — τ threshold sweep on {dataset}", rows
+    )
     for index_name in ("Bx(VP)", "TPR*(VP)"):
         auto = [r for r in rows if r["index"] == index_name and r["mode"] == "auto"]
         fixed = [r for r in rows if r["index"] == index_name and r["mode"] == "fixed"]

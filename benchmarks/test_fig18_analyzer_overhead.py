@@ -25,7 +25,7 @@ def test_fig18_velocity_analyzer_overhead(benchmark, bench_params):
         bench_params,
         repetitions=3,
     )
-    print_figure("Figure 18 — velocity analyzer overhead", rows)
+    print_figure("figure_18", "Figure 18 — velocity analyzer overhead", rows)
     assert [row["dataset"] for row in rows] == DATASETS
     times = [row["analyzer_ms"] for row in rows]
     assert all(t > 0.0 for t in times)

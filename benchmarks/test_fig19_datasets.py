@@ -19,7 +19,7 @@ pytestmark = pytest.mark.slow
 
 def test_fig19_effect_of_datasets(benchmark, bench_params):
     rows = run_once(benchmark, experiments.fig19_datasets, tuple(DATASETS), bench_params)
-    print_figure("Figure 19 — effect of varying data sets", rows)
+    print_figure("figure_19", "Figure 19 — effect of varying data sets", rows)
     grouped = by_index(rows, sweep_key="dataset")
 
     # (a)/(b): on every road network the VP indexes answer queries with no

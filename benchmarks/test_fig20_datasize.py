@@ -22,7 +22,7 @@ def test_fig20_effect_of_data_size(benchmark, sweep_params):
     rows = run_once(
         benchmark, experiments.fig20_data_size, "SA", sweep_params, sizes=SIZES
     )
-    print_figure("Figure 20 — effect of data size (SA)", rows)
+    print_figure("figure_20", "Figure 20 — effect of data size (SA)", rows)
 
     for index_name in ("Bx", "Bx(VP)", "TPR*", "TPR*(VP)"):
         io = series(rows, index_name, "num_objects")

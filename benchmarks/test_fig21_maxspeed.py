@@ -21,7 +21,7 @@ def test_fig21_effect_of_max_speed(benchmark, sweep_params):
     rows = run_once(
         benchmark, experiments.fig21_max_speed, "SA", sweep_params, speeds=SPEEDS
     )
-    print_figure("Figure 21 — effect of maximum object speed (SA)", rows)
+    print_figure("figure_21", "Figure 21 — effect of maximum object speed (SA)", rows)
 
     bx = series(rows, "Bx", "max_speed")
     bx_vp = series(rows, "Bx(VP)", "max_speed")

@@ -21,7 +21,7 @@ def test_fig22_effect_of_query_radius(benchmark, sweep_params):
     rows = run_once(
         benchmark, experiments.fig22_query_radius, "SA", sweep_params, radii=RADII
     )
-    print_figure("Figure 22 — effect of range query radius (SA)", rows)
+    print_figure("figure_22", "Figure 22 — effect of range query radius (SA)", rows)
 
     for index_name in ("Bx", "Bx(VP)", "TPR*", "TPR*(VP)"):
         io = series(rows, index_name, "query_radius")

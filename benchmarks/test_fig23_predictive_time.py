@@ -21,7 +21,7 @@ def test_fig23_effect_of_predictive_time(benchmark, sweep_params):
     rows = run_once(
         benchmark, experiments.fig23_predictive_time, "SA", sweep_params, times=TIMES
     )
-    print_figure("Figure 23 — effect of query predictive time (SA)", rows)
+    print_figure("figure_23", "Figure 23 — effect of query predictive time (SA)", rows)
 
     bx = series(rows, "Bx", "predictive_time")
     bx_vp = series(rows, "Bx(VP)", "predictive_time")

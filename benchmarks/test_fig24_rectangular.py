@@ -25,7 +25,7 @@ def test_fig24_rectangular_predictive_time(benchmark, sweep_params):
         sweep_params,
         times=TIMES,
     )
-    print_figure("Figure 24 — rectangular range queries (SA)", rows)
+    print_figure("figure_24", "Figure 24 — rectangular range queries (SA)", rows)
 
     bx = series(rows, "Bx", "predictive_time")
     bx_vp = series(rows, "Bx(VP)", "predictive_time")
