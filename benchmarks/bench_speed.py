@@ -47,7 +47,6 @@ from repro.bench.harness import (  # noqa: E402
     knn_queries_from_workload,
     run_knn,
 )
-from repro.objects.knn import AdaptiveRadius  # noqa: E402
 from repro.serve import EpochOracle, RetryPolicy, SupervisorConfig  # noqa: E402
 from repro.storage import fault_wrap  # noqa: E402
 from repro.storage.faults import FaultProfile  # noqa: E402
@@ -239,7 +238,6 @@ def measure_serve(
                 probes,
                 space=params.space,
                 batch_size=KNN_BATCH_SIZE,
-                radius_state=AdaptiveRadius(),
             )
         finally:
             if count > 1:

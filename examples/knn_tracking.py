@@ -12,12 +12,13 @@ This example shows the batched kNN surface end to end:
    (``knn_query_batch``: every expanding-range round is shared by all
    still-unfinished probes, so the index is traversed once per round
    instead of once per probe per round);
-3. carry an ``AdaptiveRadius`` across refresh ticks, so each tick starts
-   its filter circles at the radius the previous tick discovered instead
-   of re-deriving it from scratch.
+3. in both modes a probe's filter circle doubles each round until the
+   candidates it has pooled number ``k``, and from then on it never grows
+   past the k-th nearest of them: that circle already holds ``k``
+   vehicles, so the next round is the probe's last.
 
-Answers are identical in all modes — batching and radius seeding only cut
-traversals, filter rounds and physical I/O.
+Answers are identical in both modes — batching only cuts traversals and
+physical I/O.
 
 Run it with:  python examples/knn_tracking.py
 """
@@ -25,7 +26,6 @@ Run it with:  python examples/knn_tracking.py
 import random
 
 from repro import (
-    AdaptiveRadius,
     KNNQuery,
     WorkloadParameters,
     build_standard_indexes,
@@ -74,21 +74,17 @@ def main() -> None:
         ]
         per_event_io = stats.physical.total - io_before
 
-        # Batched: one call per refresh tick, radii seeded tick to tick.
-        radius_state = AdaptiveRadius()
+        # Batched: one call per refresh tick.
         io_before = stats.physical.total
         batched = []
         for probes in ticks:
-            batched.extend(
-                index.knn_query_batch(probes, space=params.space, radius_state=radius_state)
-            )
+            batched.extend(index.knn_query_batch(probes, space=params.space))
         batched_io = stats.physical.total - io_before
 
         assert batched == per_event, "batching must never change answers"
         print(
             f"{name:9s} physical I/O: {per_event_io:5d} per-probe -> {batched_io:5d} "
-            f"batched ({per_event_io / max(batched_io, 1):.1f}x); "
-            f"seeded filter radius ~{radius_state.suggest(10):.0f} m"
+            f"batched ({per_event_io / max(batched_io, 1):.1f}x)"
         )
 
     name, index = next(iter(indexes.items()))

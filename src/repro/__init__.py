@@ -41,7 +41,6 @@ from repro.objects import (
     TimeIntervalRangeQuery,
     MovingRangeQuery,
     KNNQuery,
-    AdaptiveRadius,
 )
 from repro.storage import BufferManager, DiskManager, IOStats
 from repro.tprtree import TPRTree, TPRStarTree
@@ -84,7 +83,6 @@ __all__ = [
     "TimeIntervalRangeQuery",
     "MovingRangeQuery",
     "KNNQuery",
-    "AdaptiveRadius",
     "BufferManager",
     "DiskManager",
     "IOStats",

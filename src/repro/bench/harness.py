@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.core.partitioned_index import FAMILIES, make_index
 from repro.core.velocity_analyzer import VelocityAnalyzer
 from repro.geometry.rect import Rect
-from repro.objects.knn import AdaptiveRadius, KNNQuery
+from repro.objects.knn import KNNQuery
 from repro.serve import ServeConfig, ShardedIndex, SupervisorConfig
 from repro.storage.faults import fault_wrap
 from repro.workload.events import UpdateEvent, Workload
@@ -270,7 +270,6 @@ def run_knn(
     probes: Sequence[KNNQuery],
     space: Optional[Rect] = None,
     batch_size: Optional[int] = None,
-    radius_state: Optional[AdaptiveRadius] = None,
 ) -> KNNMetrics:
     """Replay kNN probes against ``index`` and record per-probe metrics.
 
@@ -285,7 +284,6 @@ def run_knn(
         probes: the kNN probes to replay, in order.
         space: data space (initial radius seed and expansion cap).
         batch_size: probes per batch; None runs one batch.
-        radius_state: optional cross-batch adaptive radius seed.
 
     Returns:
         The replay's :class:`KNNMetrics`, including the per-probe answers.
@@ -299,7 +297,7 @@ def run_knn(
         io_before = stats.physical.total
         nodes_before = stats.logical.reads
         started = time.perf_counter()
-        answers = index.knn_query_batch(group, space=space, radius_state=radius_state)
+        answers = index.knn_query_batch(group, space=space)
         metrics.time_total += time.perf_counter() - started
         metrics.io_total += stats.physical.total - io_before
         metrics.node_accesses += stats.logical.reads - nodes_before

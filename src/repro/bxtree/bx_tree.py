@@ -50,7 +50,6 @@ from repro.bxtree.velocity_histogram import VelocityHistogram
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.objects.knn import (
-    AdaptiveRadius,
     MOTION,
     KNNQuery,
     ScalarVerbs,
@@ -477,7 +476,6 @@ class BxTree(ScalarVerbs):
         self,
         queries: Sequence[KNNQuery],
         space: Optional[Rect] = None,
-        radius_state: Optional[AdaptiveRadius] = None,
     ) -> List[List[Tuple[int, float]]]:
         """Answer a batch of kNN probes with shared expanding-range rounds.
 
@@ -492,7 +490,6 @@ class BxTree(ScalarVerbs):
         Args:
             queries: the kNN probes.
             space: data space override; defaults to the index's own space.
-            radius_state: optional cross-batch adaptive radius seed.
 
         Returns:
             Per probe, up to ``k`` ``(oid, distance)`` pairs sorted by
@@ -503,7 +500,6 @@ class BxTree(ScalarVerbs):
             queries,
             space=space if space is not None else self.space,
             population=len(self),
-            radius_state=radius_state,
         )
 
     def knn_candidates_batch(

@@ -36,7 +36,6 @@ from repro.geometry.rect import Rect
 from repro.geometry.vector import Vector
 from repro.core.velocity_analyzer import VelocityPartitioning
 from repro.objects.knn import (
-    AdaptiveRadius,
     KNNQuery,
     ScalarVerbs,
     expanding_knn_batch,
@@ -107,7 +106,6 @@ class MovingIndex(Protocol):
         self,
         queries: Sequence[KNNQuery],
         space: Optional[Rect] = None,
-        radius_state: Optional[AdaptiveRadius] = None,
     ) -> List[List[Tuple[int, float]]]:
         """Per probe, up to ``k`` ``(oid, distance)`` pairs; aligned with the input."""
 
@@ -481,7 +479,6 @@ class VPIndex(ScalarVerbs):
         self,
         queries: Sequence[KNNQuery],
         space: Optional[Rect] = None,
-        radius_state: Optional[AdaptiveRadius] = None,
     ) -> List[List[Tuple[int, float]]]:
         """Answer a batch of kNN probes with shared expanding-range rounds.
 
@@ -498,7 +495,6 @@ class VPIndex(ScalarVerbs):
             queries: the kNN probes (centers in the original frame).
             space: data space (initial radius seed and expansion cap);
                 defaults to the space the index was built with.
-            radius_state: optional cross-batch adaptive radius seed.
 
         Returns:
             Per probe, up to ``k`` ``(oid, distance)`` pairs sorted by
@@ -509,7 +505,6 @@ class VPIndex(ScalarVerbs):
             list(queries),
             space=space if space is not None else self.space,
             population=len(self),
-            radius_state=radius_state,
         )
 
     def _knn_candidates_batch(self, queries: Sequence[RangeQuery]) -> List[np.ndarray]:

@@ -10,7 +10,6 @@ from repro.objects.queries import (
     MovingRangeQuery,
 )
 from repro.objects.knn import (
-    AdaptiveRadius,
     KNNQuery,
     expanding_knn_batch,
     initial_knn_radius,
@@ -26,7 +25,6 @@ __all__ = [
     "TimeIntervalRangeQuery",
     "MovingRangeQuery",
     "KNNQuery",
-    "AdaptiveRadius",
     "expanding_knn_batch",
     "initial_knn_radius",
 ]

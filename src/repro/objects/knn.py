@@ -2,13 +2,18 @@
 
 The paper motivates the circular range query as "the filter step of the
 k Nearest Neighbor query" (Section 6).  This module completes that story
-with the standard expanding-range kNN algorithm: issue a circular
-time-slice range query, and if it returns fewer than ``k`` objects, double
-the radius and retry.  Once at least ``k`` objects fall inside the circle,
-the true k nearest are guaranteed to be among them (any object closer than
-the current k-th would also be inside the circle), so the candidates are
-ranked by their predicted distance at the query time and the top ``k``
-returned.
+with an expanding-range kNN algorithm: issue a circular time-slice range
+query, and while fewer than ``k`` of the objects it returned lie inside
+the circle, grow the radius and retry.  Once at least ``k`` objects fall
+inside the circle, the true k nearest are guaranteed to be among them (any
+object closer than the current k-th would also be inside the circle), so
+the candidates are ranked by their predicted distance at the query time
+and the top ``k`` returned.
+
+The radius grows by doubling, capped by what the probe already holds: an
+index's filter step returns a superset of the circle, and once those rows
+number ``k`` the circle through the k-th nearest of them provably holds
+``k`` objects, so no round needs a wider one.
 
 :func:`expanding_knn_batch` is the one driver, behind every index's
 ``knn_query_batch`` (a scalar ``knn_query`` is a batch of one).  A whole
@@ -16,10 +21,9 @@ batch of :class:`KNNQuery` probes shares each expanding-range *round*: all
 still-unfinished queries issue their circular filter queries together (one
 shared index traversal per round), candidate motion rows accumulate per
 query in one :data:`MOTION` array, and the candidate-ranking distance pass
-runs vectorized over its columns.  An optional :class:`AdaptiveRadius`
-carries the final radii of one batch into the initial radii of the next,
-which saves filter rounds without ever changing answers (the stopping
-rule and the final in-circle ranking are radius-schedule independent).
+runs vectorized over its columns.  Answers do not depend on the radius
+schedule (the stopping rule and the final in-circle ranking see only the
+objects inside the final circle), so the schedule is a cost decision only.
 
 :class:`ScalarVerbs` lives here too, beside the :class:`KNNQuery` it
 builds: this is the one module every index layer already imports.
@@ -29,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import median
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,11 +42,10 @@ from repro.geometry.rect import Rect
 from repro.objects.moving_object import MovingObject
 from repro.objects.queries import CircularRange, RangeQuery, TimeSliceRangeQuery
 
-#: How much the search radius grows between filter rounds.
+#: How much the search radius at most grows between filter rounds.
 RADIUS_GROWTH_FACTOR = 2.0
 
-#: Fallback initial radius when neither the data space nor an adaptive
-#: estimate is available.
+#: Fallback initial radius when the data space or population is unknown.
 DEFAULT_INITIAL_RADIUS = 100.0
 
 #: Safety bound on expansion rounds of the batched driver.  The radius grows
@@ -51,11 +53,6 @@ DEFAULT_INITIAL_RADIUS = 100.0
 #: terminate in a handful of rounds; the bound only guards degenerate
 #: configurations.
 DEFAULT_MAX_ROUNDS = 64
-
-#: :class:`AdaptiveRadius`: safety factor on the suggested radius, and the
-#: weight of the newest batch in the exponential moving average.
-RADIUS_MARGIN = 1.25
-RADIUS_SMOOTHING = 0.5
 
 #: One candidate's motion record — the one currency of the kNN path, from
 #: the key store to the ranker (and the slab row of the flat key store).
@@ -156,55 +153,6 @@ class ScalarVerbs:
         return self.knn_query_batch([probe], space=space, **kwargs)[0]
 
 
-class AdaptiveRadius:
-    """Carries kNN search radii across batches.
-
-    The right initial filter radius depends on the data density around the
-    query points, which the previous batch already discovered: each answered
-    probe's k-th neighbour distance *is* the minimal radius that would have
-    sufficed (the final filter radius stands in when a probe found fewer
-    than ``k``).  The state tracks the batch median of ``radius / sqrt(k)``
-    (the density-normalized unit radius — for a uniform density the radius
-    containing ``k`` objects scales with ``sqrt(k)``) with an exponential
-    moving average, and seeds the next batch with that unit scaled back up
-    by each query's ``k`` plus a safety margin.
-
-    Seeding is a pure performance hint: a larger-than-needed radius finishes
-    in fewer rounds and a smaller one in more, but the stopping rule and the
-    final in-circle ranking make the answers radius-schedule independent.
-    """
-
-    def __init__(self) -> None:
-        self._unit: Optional[float] = None
-
-    @property
-    def unit_radius(self) -> Optional[float]:
-        """Current density-normalized radius estimate (None before any batch)."""
-        return self._unit
-
-    def suggest(self, k: int) -> Optional[float]:
-        """Initial radius suggestion for a ``k``-NN probe (None without data)."""
-        if self._unit is None or k <= 0:
-            return None
-        return self._unit * math.sqrt(k) * RADIUS_MARGIN
-
-    def observe(self, finals: Sequence[Tuple[int, float]]) -> None:
-        """Fold one batch's ``(k, sufficient radius)`` pairs into the estimate."""
-        units = [
-            radius / math.sqrt(k)
-            for k, radius in finals
-            if k > 0 and radius > 0.0 and math.isfinite(radius)
-        ]
-        if not units:
-            return
-        batch_unit = median(units)
-        if self._unit is None:
-            self._unit = batch_unit
-        else:
-            s = RADIUS_SMOOTHING
-            self._unit = (1.0 - s) * self._unit + s * batch_unit
-
-
 def initial_knn_radius(space: Rect, population: int, k: int) -> float:
     """A radius expected to contain about ``2k`` uniformly spread objects.
 
@@ -224,7 +172,6 @@ def expanding_knn_batch(
     queries: Sequence[KNNQuery],
     space: Optional[Rect] = None,
     population: Optional[int] = None,
-    radius_state: Optional[AdaptiveRadius] = None,
 ) -> List[List[Tuple[int, float]]]:
     """Answer a batch of kNN probes with shared expanding-range rounds.
 
@@ -236,6 +183,13 @@ def expanding_knn_batch(
     distance pass that decides retirement and ranks the final answers runs
     vectorized over the pool's columns.
 
+    An unfinished probe's next radius is ``min(2r, d_k, max_radius)``,
+    where ``d_k`` is the k-th smallest predicted distance in its pool
+    (infinite while the pool holds fewer than ``k`` rows).  The circle of
+    radius ``d_k`` contains ``k`` pooled rows, so a capped probe retires in
+    the next round; every radius is at most doubling's, so no probe takes
+    more rounds than plain doubling would.
+
     Args:
         candidates_for: per-round candidate provider (see
             :data:`CandidateProvider`).
@@ -243,9 +197,6 @@ def expanding_knn_batch(
         space: data space; seeds the density-based initial radius and caps
             the expansion at the space diagonal.
         population: number of indexed objects (for the initial radius).
-        radius_state: optional cross-batch radius seed; its estimate
-            overrides the density-based initial radius and the batch's
-            final radii are folded back into it.
 
     Returns:
         Per probe, up to ``k`` ``(oid, distance)`` pairs sorted by
@@ -258,12 +209,9 @@ def expanding_knn_batch(
     radii: List[float] = []
     max_radii: List[float] = []
     for query in queries:
-        radius = None
-        if radius_state is not None:
-            radius = radius_state.suggest(query.k)
-        if radius is None and space is not None and population is not None:
+        if space is not None and population is not None:
             radius = initial_knn_radius(space, population, query.k)
-        if radius is None:
+        else:
             radius = DEFAULT_INITIAL_RADIUS
         radii.append(radius)
         if space is not None:
@@ -303,22 +251,13 @@ def expanding_knn_batch(
             )
             if done:
                 results[i] = _top_k(oids, distances, in_circle, query.k)
-            else:
-                radii[i] = min(radii[i] * RADIUS_GROWTH_FACTOR, max_radii[i])
-                still_active.append(i)
+                continue
+            radius = min(radii[i] * RADIUS_GROWTH_FACTOR, max_radii[i])
+            if pool.size >= query.k:
+                radius = min(radius, float(np.partition(distances, query.k - 1)[query.k - 1]))
+            radii[i] = radius
+            still_active.append(i)
         active = still_active
-    if radius_state is not None:
-        # A full answer's k-th distance is the tight density measurement;
-        # the final filter radius (biased upward by the doubling schedule)
-        # stands in only when fewer than k neighbours exist in range.
-        finals = []
-        for i in range(n):
-            answer = results[i]
-            if answer and len(answer) >= queries[i].k:
-                finals.append((queries[i].k, answer[-1][1]))
-            else:
-                finals.append((queries[i].k, radii[i]))
-        radius_state.observe(finals)
     return [result if result is not None else [] for result in results]
 
 

@@ -262,13 +262,8 @@ class _ProcessShard(ScalarVerbs):
     def range_query_batch(self, queries, epoch=None) -> List[List[int]]:
         return self._call("range_query_batch", list(queries), epoch=epoch)
 
-    def knn_query_batch(self, queries, space=None, radius_state=None, epoch=None):
-        # radius_state crosses as a pickled copy: the worker still shares
-        # radii *within* the batch, but cross-shard adaptation is cut —
-        # a pure perf hint either way (answers are radius independent).
-        return self._call(
-            "knn_query_batch", list(queries), space=space, radius_state=radius_state, epoch=epoch
-        )
+    def knn_query_batch(self, queries, space=None, epoch=None):
+        return self._call("knn_query_batch", list(queries), space=space, epoch=epoch)
 
     def __len__(self) -> int:
         return self._call("__len__")

@@ -73,7 +73,7 @@ from typing import (
 
 from repro.core.partitioned_index import make_index
 from repro.geometry.rect import Rect
-from repro.objects.knn import AdaptiveRadius, KNNQuery, ScalarVerbs
+from repro.objects.knn import KNNQuery, ScalarVerbs
 from repro.objects.moving_object import MovingObject
 from repro.objects.queries import RangeQuery
 from repro.serve.config import ServeConfig, check_constructible
@@ -1013,7 +1013,6 @@ class ShardedIndex(ScalarVerbs):
         self,
         queries: Sequence[KNNQuery],
         space: Optional[Rect] = None,
-        radius_state: Optional[AdaptiveRadius] = None,
         partial: bool = False,
         epoch: Optional[int] = None,
     ) -> Union[List[List[Tuple[int, float]]], PartialResult]:
@@ -1031,10 +1030,6 @@ class ShardedIndex(ScalarVerbs):
         healthy shards' candidates — distances remain exact, membership
         may miss nearer objects stored on failed shards.
 
-        ``radius_state`` is shared across the shards as a pure perf hint:
-        its observe/suggest races are benign (answers are provably
-        radius-schedule independent).
-
         The batch is answered at one pinned epoch (``epoch`` when given,
         else the epoch published at call time), so the cross-shard merge
         ranks candidates from a single consistent cut (see
@@ -1047,9 +1042,7 @@ class ShardedIndex(ScalarVerbs):
                 return PartialResult([], [], epoch=pinned) if partial else []
             search_space = space if space is not None else self.space
             per_shard, statuses = self._fan_out(
-                lambda shard: shard.knn_query_batch(
-                    queries, space=search_space, radius_state=radius_state, epoch=pinned
-                ),
+                lambda shard: shard.knn_query_batch(queries, space=search_space, epoch=pinned),
                 partial=partial,
             )
         finally:

@@ -47,7 +47,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.geometry.rect import Rect
-from repro.objects.knn import AdaptiveRadius, KNNQuery, ScalarVerbs, _rank_distances, motion_rows
+from repro.objects.knn import KNNQuery, ScalarVerbs, _rank_distances, motion_rows
 from repro.objects.moving_object import MovingObject
 from repro.objects.queries import RangeQuery
 
@@ -242,7 +242,6 @@ class VersionedShard(ScalarVerbs):
         self,
         queries: Sequence[KNNQuery],
         space: Optional[Rect] = None,
-        radius_state: Optional[AdaptiveRadius] = None,
         epoch: Optional[int] = None,
     ) -> List[List[Tuple[int, float]]]:
         """Per-probe ``(oid, distance)`` rankings at the pinned ``epoch``.
@@ -256,22 +255,16 @@ class VersionedShard(ScalarVerbs):
         """
         queries = list(queries)
         if epoch is None or epoch >= self.epoch:
-            return self.base.knn_query_batch(
-                queries, space=space, radius_state=radius_state
-            )
+            return self.base.knn_query_batch(queries, space=space)
         states = self.states_at(epoch)
         if not states:
-            return self.base.knn_query_batch(
-                queries, space=space, radius_state=radius_state
-            )
+            return self.base.knn_query_batch(queries, space=space)
         overfetch = len(states)
         widened = [
             replace(query, k=query.k + overfetch) if query.k > 0 else query
             for query in queries
         ]
-        raw = self.base.knn_query_batch(
-            widened, space=space, radius_state=radius_state
-        )
+        raw = self.base.knn_query_batch(widened, space=space)
         pool = motion_rows(state for state in states.values() if state is not None)
         # The expanding search never returns candidates beyond the space
         # diagonal; the brute-forced epoch states honour the same cap.

@@ -48,7 +48,6 @@ from repro.geometry.moving_rect import MovingRect
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.objects.knn import (
-    AdaptiveRadius,
     MOTION,
     CandidateState,
     KNNQuery,
@@ -498,7 +497,6 @@ class TPRTree(ScalarVerbs):
         self,
         queries: Sequence[KNNQuery],
         space: Optional[Rect] = None,
-        radius_state: Optional[AdaptiveRadius] = None,
     ) -> List[List[Tuple[int, float]]]:
         """Answer a batch of kNN probes with shared expanding-range rounds.
 
@@ -511,7 +509,6 @@ class TPRTree(ScalarVerbs):
         Args:
             queries: the kNN probes.
             space: data space (initial radius seed and expansion cap).
-            radius_state: optional cross-batch adaptive radius seed.
 
         Returns:
             Per probe, up to ``k`` ``(oid, distance)`` pairs sorted by
@@ -522,7 +519,6 @@ class TPRTree(ScalarVerbs):
             queries,
             space=space,
             population=len(self),
-            radius_state=radius_state,
         )
 
     def knn_candidates_batch(

@@ -201,7 +201,8 @@ def test_frontier_pinning_never_raises_physical_io():
 # ----------------------------------------------------------------------
 from repro.geometry.point import Point  # noqa: E402
 from repro.geometry.vector import Vector  # noqa: E402
-from repro.objects.knn import AdaptiveRadius, KNNQuery  # noqa: E402
+from repro.objects import knn  # noqa: E402
+from repro.objects.knn import KNNQuery  # noqa: E402
 from repro.objects.moving_object import MovingObject  # noqa: E402
 
 
@@ -325,18 +326,22 @@ def test_knn_batch_is_shuffle_invariant(workload, batches, name):
     assert unshuffled == reference, name
 
 
+@pytest.mark.parametrize(
+    "start", [1.0, PARAMS.space.width + PARAMS.space.height], ids=["tiny", "diagonal"]
+)
 @pytest.mark.parametrize("name", INDEX_NAMES)
-def test_knn_adaptive_radius_never_changes_answers(workload, batches, name):
-    """Cross-batch radius seeding is a pure perf hint: answers are invariant."""
+def test_knn_answers_ignore_the_start_radius(workload, batches, name, start, monkeypatch):
+    """The radius schedule is a cost decision only: answers are invariant.
+
+    A start radius far below the data density takes the batch through
+    many doubled and capped rounds; one at the space diagonal answers in
+    a single round.  Both rank exactly what the density seed ranks.
+    """
     index = _replayed_index(workload, batches, name)
     probes = _knn_probes(workload)
     reference = index.knn_query_batch(probes, space=PARAMS.space)
-    state = AdaptiveRadius()
-    half = len(probes) // 2
-    first = index.knn_query_batch(probes[:half], space=PARAMS.space, radius_state=state)
-    assert state.unit_radius is not None
-    second = index.knn_query_batch(probes[half:], space=PARAMS.space, radius_state=state)
-    assert first + second == reference, name
+    monkeypatch.setattr(knn, "initial_knn_radius", lambda space, population, k: start)
+    assert index.knn_query_batch(probes, space=PARAMS.space) == reference, name
 
 
 @pytest.mark.parametrize("name", INDEX_NAMES)

@@ -1,20 +1,24 @@
-"""The kNN candidate path: what it carries may change, what it scans may not.
+"""The kNN candidate path around ``knn_candidates_batch`` → ``expanding_knn_batch``.
 
-Two pins around ``knn_candidates_batch`` → ``expanding_knn_batch``:
+Three pins:
 
 * **Pools** (Hypothesis): the batched driver keeps each probe's candidates
   as one ``MOTION`` array, so answers — ids and float distances, compared
   with ``==`` — must not depend on the order or multiplicity of the rows a
   provider returns, and of two rows with one oid the first seen wins,
   within a round and across rounds.  No ``space`` is passed: every probe
-  starts at the 100-unit default radius and most take several doubling
-  rounds over the 2000-unit table.
-* **Page I/O**: the candidate path may carry tuples, arrays or bare ids
-  but never changes the scan — same enlarged windows, same merged curve
-  ranges, same leaf sequence, same frontier pins and eviction hints.  The
-  totals below were recorded on the commit before the path went columnar
-  (PR 20) and must repeat exactly; a moved count means the scan itself
-  changed, not just the marshaling.
+  starts at the 100-unit default radius and most take several rounds over
+  the 2000-unit table.
+* **Radius schedule** (Hypothesis): with a provider that returns a
+  superset of each circle, as an index's filter step does, a round's
+  radius is twice the last, or less once the probe's pool holds ``k``
+  rows: capped at the k-th pooled distance, and a probe whose circle
+  reaches that distance retires in that round.  Answers equal brute force.
+* **Page I/O**: the pages a seeded kNN replay reads on each of the four
+  standard indexes.  The scan is a function of the radius schedule, so a
+  moved count means the schedule or the scan changed, not just the
+  marshaling of candidates; the totals were re-recorded when each round's
+  radius became capped at the pool's k-th distance.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ from hypothesis import strategies as st
 
 from repro.bench.harness import build_standard_indexes, knn_queries_from_workload
 from repro.geometry.point import Point
-from repro.objects.knn import MOTION, AdaptiveRadius, KNNQuery, expanding_knn_batch
+from repro.objects.queries import CircularRange, TimeSliceRangeQuery
+from repro.objects import knn
+from repro.objects.knn import MOTION, KNNQuery, expanding_knn_batch
 from repro.workload.events import UpdateEvent
 from repro.workload.generator import build_workload
 from repro.workload.parameters import WorkloadParameters
@@ -112,6 +118,68 @@ def test_first_row_seen_for_an_oid_wins_across_rounds(table, probe):
     assert expanding_knn_batch(decoyed, [probe]) == expanding_knn_batch(scan, [probe])
 
 
+def _distances(table, probe):
+    """``oid -> predicted distance`` at the probe's time, computed as the driver does."""
+    dt = probe.query_time - table["t"]
+    px = table["x"] + table["vx"] * dt
+    py = table["y"] + table["vy"] * dt
+    distances = np.hypot(px - probe.center.x, py - probe.center.y)
+    return dict(zip(table["oid"].tolist(), distances.tolist()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    table=_motion_tables,
+    probes=st.lists(
+        _probes, max_size=4, unique_by=lambda p: (p.center.x, p.center.y, p.query_time)
+    ),
+    slack=st.floats(min_value=1.0, max_value=4.0),
+)
+def test_radius_doubles_capped_at_the_pools_kth_distance(table, probes, slack):
+    scan = _scanner(table)
+    radii = {}  # probe key -> the radius of each round it took part in
+    pooled = {}  # probe key -> after each of its rounds, the oids it holds
+
+    def recording(queries):
+        """Every row within ``slack`` times the radius: a superset, like an index's."""
+        wide = [
+            TimeSliceRangeQuery(
+                CircularRange(q.range.center, q.range.radius * slack), time=q.start_time
+            )
+            for q in queries
+        ]
+        found = scan(wide)
+        for query, rows in zip(queries, found):
+            key = (query.range.center.x, query.range.center.y, query.start_time)
+            radii.setdefault(key, []).append(query.range.radius)
+            held = pooled[key][-1] if key in pooled else set()
+            pooled.setdefault(key, []).append(held | set(rows["oid"].tolist()))
+        return found
+
+    answers = expanding_knn_batch(recording, probes)
+
+    for probe, answer in zip(probes, answers):
+        distance = _distances(table, probe)
+        ranked = sorted((d, oid) for oid, d in distance.items())[: max(probe.k, 0)]
+        assert answer == [(oid, d) for d, oid in ranked]  # brute force
+
+        key = (probe.center.x, probe.center.y, probe.query_time)
+        taken = radii.get(key, [])
+        assert (len(taken) > 0) == (probe.k > 0)
+        for r, (before, after) in enumerate(zip(taken, taken[1:])):
+            assert before < after <= 2.0 * before
+            held = pooled[key][r]
+            if len(held) < probe.k:
+                assert after == 2.0 * before
+                continue
+            # k pooled rows lie within their k-th distance: a circle that
+            # reaches it is the probe's last.
+            kth = sorted(distance[oid] for oid in held)[probe.k - 1]
+            assert after == min(2.0 * before, kth)
+            if after == kth:
+                assert len(taken) == r + 2
+
+
 # ----------------------------------------------------------------------
 # Page I/O of a seeded kNN replay at a 50-page pool
 # ----------------------------------------------------------------------
@@ -122,10 +190,10 @@ K = 10
 
 #: ``name -> (logical reads, physical reads)`` of the kNN phase alone.
 PINNED_READS = {
-    "Bx": (1639, 317),
-    "Bx(VP)": (1885, 333),
-    "TPR*": (783, 330),
-    "TPR*(VP)": (770, 331),
+    "Bx": (1461, 196),
+    "Bx(VP)": (1738, 266),
+    "TPR*": (743, 333),
+    "TPR*(VP)": (717, 301),
 }
 
 
@@ -134,15 +202,8 @@ def workload():
     return build_workload("SA", PARAMS)
 
 
-def _small_radius(radius: float) -> AdaptiveRadius:
-    """A radius seed far below the data density, so probes need many rounds."""
-    state = AdaptiveRadius()
-    state.observe([(K, radius)])
-    return state
-
-
 @pytest.mark.parametrize("name", sorted(PINNED_READS))
-def test_knn_replay_reads_the_pinned_pages(workload, name):
+def test_knn_replay_reads_the_pinned_pages(workload, name, monkeypatch):
     index = build_standard_indexes(workload, PARAMS, which=(name,))[name]
     index.bulk_load(workload.initial_objects)
     for batch in workload.grouped_events(window=1.0):
@@ -154,18 +215,13 @@ def test_knn_replay_reads_the_pinned_pages(workload, name):
     logical, physical = stats.logical.reads, stats.physical.reads
     writes = (stats.logical.writes, stats.physical.writes)
 
-    # One probe per request with a radius carried across requests, then the
-    # whole batch from the density seed, then from a seed that takes the
-    # batch through eight shared filter rounds.
-    carried = _small_radius(150.0)
-    answers = [
-        index.knn_query_batch([probe], space=PARAMS.space, radius_state=carried)[0]
-        for probe in probes[:6]
-    ]
-    answers += index.knn_query_batch(probes, space=PARAMS.space, radius_state=AdaptiveRadius())
-    answers += index.knn_query_batch(
-        probes, space=PARAMS.space, radius_state=_small_radius(100.0)
-    )
+    # One probe per request and then the whole batch from the density seed,
+    # then the batch again from a start radius far below the data density,
+    # which takes it through many shared filter rounds.
+    answers = [index.knn_query_batch([probe], space=PARAMS.space)[0] for probe in probes[:6]]
+    answers += index.knn_query_batch(probes, space=PARAMS.space)
+    monkeypatch.setattr(knn, "initial_knn_radius", lambda space, population, k: 100.0)
+    answers += index.knn_query_batch(probes, space=PARAMS.space)
 
     assert all(len(answer) == K for answer in answers)
     assert (stats.logical.reads - logical, stats.physical.reads - physical) == PINNED_READS[name]
