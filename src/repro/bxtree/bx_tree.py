@@ -115,6 +115,7 @@ class BxTree(ScalarVerbs):
         self.buffer = buffer if buffer is not None else BufferManager()
         self.space = space
         self.curve = _make_curve(curve, curve_order)
+        self.curve.index_table()  # windows slice it: build it now, or refuse the order
         self.grid = Grid(space, self.curve.cells_per_side, self.curve.cells_per_side)
         self.num_buckets = num_buckets
         self.bucket_duration = max_update_interval / num_buckets
@@ -243,9 +244,7 @@ class BxTree(ScalarVerbs):
         old_partition = self.partition_of(old.reference_time)
         new_partition = self.partition_of(new.reference_time)
         if old_key == new_key:
-            self.current_time = max(
-                self.current_time, old.reference_time, new.reference_time
-            )
+            self.current_time = max(self.current_time, old.reference_time, new.reference_time)
             if self.store.replace(old_key, old, new):
                 # Same key means same partition: counts and size are
                 # untouched, but the histogram still moves (the histogram
@@ -349,9 +348,7 @@ class BxTree(ScalarVerbs):
         news = [new for _, new in updates]
         everything = deletes + inserts + olds + news
         keys, parts, lx, ly, vx, vy = self._batch_key_data(everything)
-        self.current_time = max(
-            self.current_time, max(o.reference_time for o in everything)
-        )
+        self.current_time = max(self.current_time, max(o.reference_time for o in everything))
         nd, ni, nu = len(deletes), len(inserts), len(updates)
         del_keys = keys[:nd]
         ins_keys = keys[nd : nd + ni]
@@ -540,6 +537,14 @@ class BxTree(ScalarVerbs):
     def enlarged_window(self, query: RangeQuery, partition: int) -> Rect:
         """Query window enlarged back to the partition's label time.
 
+        An object indexed at position ``p`` (at the label time) with velocity
+        ``v`` is at ``p + v dt`` at ``dt`` past the label time, so it can fall
+        in the query's base window during the query interval iff ``p`` lies
+        in the base window shifted by ``-v dt``.  Taking the extreme
+        velocities and the extreme ``dt`` of the interval yields the enlarged
+        bounds (valid for query times before or after the label time — the
+        signs work out in both cases).
+
         The first enlargement uses the *global* velocity extrema (the original
         Bx-tree rule, always conservative).  Following Jensen et al.'s
         iterative improvement, the window is then refined: the extrema are
@@ -547,38 +552,48 @@ class BxTree(ScalarVerbs):
         and the enlargement recomputed, which can only shrink the window and
         never drops a qualifying object (every object that can reach the
         query window has its reference position — and therefore its histogram
-        cell — inside the current window).  Iteration stops at a fixpoint.
+        cell — inside the current window).  Iteration stops at a fixpoint or
+        after ``MAX_ENLARGEMENT_ITERATIONS`` refinements.  The rounds run on
+        bare bounds; only the result becomes a ``Rect``.
 
         Exposed separately because the search-space-expansion analysis of
         Figure 7 measures exactly this enlargement.
         """
         base = query.bounding_rect_over_interval()
         label = self.label_time(partition)
-        extrema = self.histogram.global_extrema()
-        window = _enlarge(base, label, query.start_time, query.end_time, *extrema)
-        for _ in range(MAX_ENLARGEMENT_ITERATIONS):
-            clipped = window.intersection(self.space) if window.intersects(self.space) else window
-            extrema = self.histogram.extrema_in(clipped)
-            refined = _enlarge(base, label, query.start_time, query.end_time, *extrema)
-            if refined.area >= window.area - 1e-9:
-                window = refined
+        dt_start = query.start_time - label
+        dt_end = query.end_time - label
+        space = self.space.as_tuple()
+        min_vx, min_vy, max_vx, max_vy = self.histogram.global_extrema()
+        for refinement in range(MAX_ENLARGEMENT_ITERATIONS + 1):
+            x_shift = (min_vx * dt_start, min_vx * dt_end, max_vx * dt_start, max_vx * dt_end)
+            y_shift = (min_vy * dt_start, min_vy * dt_end, max_vy * dt_start, max_vy * dt_end)
+            window = (
+                base.x_min - max(x_shift),
+                base.y_min - max(y_shift),
+                base.x_max - min(x_shift),
+                base.y_max - min(y_shift),
+            )
+            area = (window[2] - window[0]) * (window[3] - window[1])
+            if refinement == MAX_ENLARGEMENT_ITERATIONS or (
+                refinement and area >= last_area - 1e-9
+            ):
                 break
-            window = refined
-        return window.intersection(self.space) if window.intersects(self.space) else window
+            last_area = area
+            min_vx, min_vy, max_vx, max_vy = self.histogram.extrema_in(*_clip(window, space))
+        return Rect(*_clip(window, space))
 
     def _ranges_for_window(self, window: Rect) -> List[Tuple[int, int]]:
-        """Merged curve ranges covering ``window`` (vectorized decomposition).
+        """Merged curve ranges covering ``window``.
 
-        The cell block is enumerated as two flat index arrays and encoded
-        with the curve's batch kernel — the same cells and the same merged
-        ranges :meth:`~repro.bxtree.spacefill.SpaceFillingCurve.ranges_for_cells`
-        would produce, without a Python loop per cell.
+        The window's cell block is one slice of the curve's memoized cell →
+        index table; its sorted indexes merge into ranges.
         """
-        lo_x, lo_y, hi_x, hi_y = self.grid.cell_span(window)
-        span_y = hi_y - lo_y + 1
-        cx = np.repeat(np.arange(lo_x, hi_x + 1, dtype=np.int64), span_y)
-        cy = np.tile(np.arange(lo_y, hi_y + 1, dtype=np.int64), hi_x - lo_x + 1)
-        indexes = np.sort(self.curve.encode_many(cx, cy))
+        lo_x, lo_y, hi_x, hi_y = self.grid.cell_span(
+            window.x_min, window.y_min, window.x_max, window.y_max
+        )
+        block = self.curve.index_table()[lo_x : hi_x + 1, lo_y : hi_y + 1]
+        indexes = np.sort(block, axis=None)
         return self.curve.ranges_from_sorted_indexes(indexes, merge_gap=DEFAULT_RANGE_MERGE_GAP)
 
     def _scan_window(self, partition: int, window: Rect) -> List[MovingObject]:
@@ -614,43 +629,16 @@ def _make_curve(kind: str, order: int) -> SpaceFillingCurve:
     raise ValueError(f"unknown space-filling curve: {kind!r}")
 
 
-def _enlarge(
-    base: Rect,
-    label_time: float,
-    start_time: float,
-    end_time: float,
-    min_vx: float,
-    min_vy: float,
-    max_vx: float,
-    max_vy: float,
-) -> Rect:
-    """Enlarge ``base`` so it covers, at ``label_time``, every object that could
-    be inside ``base`` at some time in ``[start_time, end_time]``.
+def _clip(
+    window: Tuple[float, float, float, float], space: Tuple[float, float, float, float]
+) -> Tuple[float, float, float, float]:
+    """``window`` intersected with ``space``, or ``window`` itself if disjoint.
 
-    An object indexed at position ``p`` (at the label time) with velocity
-    ``v`` is at ``p + v (t - label_time)`` at time ``t``; it can fall in the
-    window iff ``p`` lies in the window shifted by ``-v (t - label_time)``.
-    Taking the extreme velocities and the extreme ``t`` of the interval
-    yields the enlarged boundaries below (valid for query times before or
-    after the label time — the signs work out in both cases).
+    The same comparisons, in the same argument order, as
+    ``Rect.intersects`` and ``Rect.intersection``.
     """
-    dt_start = start_time - label_time
-    dt_end = end_time - label_time
-
-    def displacement_extremes(v_min: float, v_max: float) -> Tuple[float, float]:
-        products = (
-            v_min * dt_start,
-            v_min * dt_end,
-            v_max * dt_start,
-            v_max * dt_end,
-        )
-        return min(products), max(products)
-
-    x_disp_min, x_disp_max = displacement_extremes(min_vx, max_vx)
-    y_disp_min, y_disp_max = displacement_extremes(min_vy, max_vy)
-    return Rect(
-        base.x_min - x_disp_max,
-        base.y_min - y_disp_max,
-        base.x_max - x_disp_min,
-        base.y_max - y_disp_min,
-    )
+    x_min, y_min, x_max, y_max = window
+    sx_min, sy_min, sx_max, sy_max = space
+    if sx_min > x_max or sx_max < x_min or sy_min > y_max or sy_max < y_min:
+        return window
+    return (max(x_min, sx_min), max(y_min, sy_min), min(x_max, sx_max), min(y_max, sy_max))

@@ -8,7 +8,8 @@ keys) and by the velocity histogram (cells accumulate velocity extrema).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from functools import cached_property
+from typing import Tuple
 
 import numpy as np
 
@@ -33,11 +34,11 @@ class Grid:
     # ------------------------------------------------------------------
     # Cell geometry
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def cell_width(self) -> float:
         return self.space.width / self.cells_x
 
-    @property
+    @cached_property
     def cell_height(self) -> float:
         return self.space.height / self.cells_y
 
@@ -49,9 +50,7 @@ class Grid:
         cy = min(max(cy, 0), self.cells_y - 1)
         return cx, cy
 
-    def cells_of_arrays(
-        self, xs: np.ndarray, ys: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def cells_of_arrays(self, xs: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`cell_of` over coordinate arrays (clamped)."""
         cx = ((xs - self.space.x_min) / self.cell_width).astype(np.int64)
         cy = ((ys - self.space.y_min) / self.cell_height).astype(np.int64)
@@ -63,11 +62,27 @@ class Grid:
         np.maximum(cy, 0, out=cy)
         return cx, cy
 
-    def cell_span(self, rect: Rect) -> Tuple[int, int, int, int]:
-        """Inclusive cell-index span ``(lo_x, lo_y, hi_x, hi_y)`` covering ``rect``."""
-        lo_x, lo_y = self.cell_of(Point(rect.x_min, rect.y_min))
-        hi_x, hi_y = self.cell_of(Point(rect.x_max, rect.y_max))
-        return lo_x, lo_y, hi_x, hi_y
+    def cell_span(
+        self, x_min: float, y_min: float, x_max: float, y_max: float
+    ) -> Tuple[int, int, int, int]:
+        """Inclusive cell-index span ``(lo_x, lo_y, hi_x, hi_y)`` covering a rectangle.
+
+        The rectangle is given by its bounds, and each corner's cell is the
+        one :meth:`cell_of` returns for it (same arithmetic, same clamping),
+        so a query window's hot path builds no ``Point``.
+        """
+        space, top_x, top_y = self.space, self.cells_x - 1, self.cells_y - 1
+        lo_x = int((x_min - space.x_min) / self.cell_width)
+        lo_y = int((y_min - space.y_min) / self.cell_height)
+        hi_x = int((x_max - space.x_min) / self.cell_width)
+        hi_y = int((y_max - space.y_min) / self.cell_height)
+        # cell_of's min(max(c, 0), top), with no builtin call for an in-grid cell.
+        return (
+            lo_x if 0 <= lo_x <= top_x else (0 if lo_x < 0 else top_x),
+            lo_y if 0 <= lo_y <= top_y else (0 if lo_y < 0 else top_y),
+            hi_x if 0 <= hi_x <= top_x else (0 if hi_x < 0 else top_x),
+            hi_y if 0 <= hi_y <= top_y else (0 if hi_y < 0 else top_y),
+        )
 
     def cell_rect(self, cx: int, cy: int) -> Rect:
         """The rectangle covered by cell ``(cx, cy)``."""
@@ -79,17 +94,3 @@ class Grid:
             self.space.x_min + (cx + 1) * self.cell_width,
             self.space.y_min + (cy + 1) * self.cell_height,
         )
-
-    def cells_overlapping(self, rect: Rect) -> Iterator[Tuple[int, int]]:
-        """All cells that intersect ``rect`` (clipped to the grid)."""
-        lo_x, lo_y = self.cell_of(Point(rect.x_min, rect.y_min))
-        hi_x, hi_y = self.cell_of(Point(rect.x_max, rect.y_max))
-        for cx in range(lo_x, hi_x + 1):
-            for cy in range(lo_y, hi_y + 1):
-                yield cx, cy
-
-    def cell_count_overlapping(self, rect: Rect) -> int:
-        """Number of cells intersecting ``rect`` (without materializing them)."""
-        lo_x, lo_y = self.cell_of(Point(rect.x_min, rect.y_min))
-        hi_x, hi_y = self.cell_of(Point(rect.x_max, rect.y_max))
-        return (hi_x - lo_x + 1) * (hi_y - lo_y + 1)

@@ -6,20 +6,20 @@ use the Hilbert curve; the Z-curve is provided as the alternative the
 original Bx-tree paper also supports (and is used in one ablation bench).
 
 Two encoding surfaces are exposed.  ``encode``/``decode`` are the scalar
-object API; ``encode_many`` is the batch kernel: it takes whole integer
-arrays of cell coordinates and runs the same construction with vectorized
-numpy arithmetic (branchless rotate/flip for the Hilbert case), which is
-what makes decomposing a query window into curve ranges cheap — a window
-covering thousands of cells costs a handful of array operations instead of
-one Python loop iteration per cell.  Both surfaces produce bit-identical
-indexes; use the scalar API for single cells and validated call sites, the
-batch kernel inside hot loops.
+object API; ``encode_many`` is the batch kernel over whole integer arrays
+of cell coordinates.  Behind it sits one memoized cell → index table per
+curve class and order (``index_table``), built once with vectorized numpy
+arithmetic (branchless rotate/flip for the Hilbert case): a batch encode
+is one gather from it, and decomposing a query window into curve ranges
+is one slice of it.  Both surfaces produce bit-identical indexes; use the
+scalar API for single cells and validated call sites, the batch kernel
+inside hot loops.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -47,6 +47,9 @@ class SpaceFillingCurve(ABC):
         """Grid cell of curve index ``index``."""
 
     @abstractmethod
+    def _encode_arrays(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`encode` over in-grid integer arrays (unchecked)."""
+
     def encode_many(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
         """Curve indexes of whole arrays of grid cells (vectorized).
 
@@ -58,27 +61,25 @@ class SpaceFillingCurve(ABC):
             :meth:`encode` element by element.
 
         Raises:
-            ValueError: if any cell lies outside the grid.
+            ValueError: if any cell lies outside the grid, or the curve's
+                order has no :meth:`index_table`.
         """
+        self._check_cells(cx, cy)
+        return self.index_table()[cx, cy]
 
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
     def _check_cell(self, cx: int, cy: int) -> None:
         if not (0 <= cx < self.cells_per_side and 0 <= cy < self.cells_per_side):
-            raise ValueError(
-                f"cell ({cx}, {cy}) outside the {self.cells_per_side}^2 grid"
-            )
+            raise ValueError(f"cell ({cx}, {cy}) outside the {self.cells_per_side}^2 grid")
 
     def _check_cells(self, cx: np.ndarray, cy: np.ndarray) -> None:
         side = self.cells_per_side
         if cx.shape != cy.shape:
             raise ValueError("cx and cy must have the same shape")
         if cx.size and (
-            int(cx.min()) < 0
-            or int(cy.min()) < 0
-            or int(cx.max()) >= side
-            or int(cy.max()) >= side
+            int(cx.min()) < 0 or int(cy.min()) < 0 or int(cx.max()) >= side or int(cy.max()) >= side
         ):
             raise ValueError(f"cells outside the {side}^2 grid")
 
@@ -86,45 +87,62 @@ class SpaceFillingCurve(ABC):
     def max_index(self) -> int:
         return self.cells_per_side * self.cells_per_side - 1
 
-    def ranges_for_cells(
-        self, cells: Iterable[Tuple[int, int]], merge_gap: int = 0
+    @staticmethod
+    def ranges_from_sorted_indexes(
+        indexes: np.ndarray, merge_gap: int = 0
     ) -> List[Tuple[int, int]]:
-        """Merge the curve indexes of ``cells`` into sorted inclusive ranges.
+        """Merge a sorted index array into sorted inclusive ranges.
 
         This is how a rectangular (enlarged) query window becomes a set of
         B+-tree range scans.  Consecutive indexes always collapse into one
         range; ``merge_gap`` additionally merges ranges separated by at most
         that many curve positions, trading a short extra leaf scan for one
         fewer root-to-leaf descent (the standard "jump" optimization of
-        Bx-tree query processing).
-        """
-        if merge_gap < 0:
-            raise ValueError("merge_gap must be non-negative")
-        cell_list = list(cells)
-        if not cell_list:
-            return []
-        cx = np.fromiter((c[0] for c in cell_list), dtype=np.int64, count=len(cell_list))
-        cy = np.fromiter((c[1] for c in cell_list), dtype=np.int64, count=len(cell_list))
-        indexes = np.sort(self.encode_many(cx, cy))
-        return self.ranges_from_sorted_indexes(indexes, merge_gap=merge_gap)
-
-    @staticmethod
-    def ranges_from_sorted_indexes(
-        indexes: np.ndarray, merge_gap: int = 0
-    ) -> List[Tuple[int, int]]:
-        """Merge a sorted index array into inclusive ranges (see above).
-
-        Split points are found with one vectorized gap comparison, so the
-        cost is O(n) array work plus O(#ranges) Python, not O(n) Python.
+        Bx-tree query processing).  Up to :data:`_LOOP_MERGE_MAX` indexes
+        are merged by a plain loop, longer arrays by one vectorized gap
+        comparison; both give the same ranges.
         """
         if merge_gap < 0:
             raise ValueError("merge_gap must be non-negative")
         if indexes.size == 0:
             return []
-        breaks = np.flatnonzero(np.diff(indexes) > merge_gap + 1)
+        step = merge_gap + 1
+        if indexes.size <= _LOOP_MERGE_MAX:
+            values = indexes.tolist()
+            ranges = []
+            lo = hi = values[0]
+            for value in values[1:]:
+                if value - hi > step:
+                    ranges.append((lo, hi))
+                    lo = value
+                hi = value
+            ranges.append((lo, hi))
+            return ranges
+        breaks = np.flatnonzero(np.diff(indexes) > step)
         starts = indexes[np.concatenate(([0], breaks + 1))]
         ends = indexes[np.concatenate((breaks, [indexes.size - 1]))]
-        return [(int(lo), int(hi)) for lo, hi in zip(starts, ends)]
+        return list(zip(starts.tolist(), ends.tolist()))
+
+    def index_table(self) -> np.ndarray:
+        """The read-only cell → index table, ``table[cx, cy] == encode(cx, cy)``.
+
+        Memoized once per process for each curve class and order: the trees
+        of every DVA partition share it, and pickling a tree never copies it.
+
+        Raises:
+            ValueError: if ``order`` exceeds :data:`MAX_ENCODE_TABLE_ORDER`.
+        """
+        key = (type(self), self.order)
+        table = _INDEX_TABLES.get(key)
+        if table is None:
+            if self.order > MAX_ENCODE_TABLE_ORDER:
+                raise ValueError(f"no index table above order {MAX_ENCODE_TABLE_ORDER}")
+            side = self.cells_per_side
+            cx, cy = np.divmod(np.arange(side * side, dtype=np.int64), side)
+            table = self._encode_arrays(cx, cy).reshape(side, side)
+            table.flags.writeable = False
+            _INDEX_TABLES[key] = table
+        return table
 
 
 class ZCurve(SpaceFillingCurve):
@@ -139,27 +157,32 @@ class ZCurve(SpaceFillingCurve):
             raise ValueError(f"index {index} outside the curve")
         return _deinterleave(index), _deinterleave(index >> 1)
 
-    def encode_many(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-        self._check_cells(cx, cy)
-        return _interleave_many(cx.astype(np.int64)) | (
-            _interleave_many(cy.astype(np.int64)) << 1
-        )
+    def _encode_arrays(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+        return _interleave_many(cx.astype(np.int64)) | (_interleave_many(cy.astype(np.int64)) << 1)
 
 
-#: Largest curve order for which ``encode_many`` memoizes the full cell →
-#: index table (2^(2*order) int64 entries; order 9 costs 2 MB).  The table
-#: turns a batch encode into one fancy-index gather, which matters because
-#: the vectorized Hilbert construction still pays ~50 numpy dispatches.
+#: Largest curve order with a cell → index table (2^(2*order) int64 entries;
+#: order 9 costs 2 MB), and so with ``encode_many``.  The table turns a
+#: batch encode into one gather and a Bx window's curve indexes into one
+#: slice, where the vectorized Hilbert construction pays ~50 numpy
+#: dispatches per call.
 MAX_ENCODE_TABLE_ORDER = 9
+
+#: The memoized tables, keyed by curve class and order (see ``index_table``).
+_INDEX_TABLES: Dict[Tuple[type, int], np.ndarray] = {}
+
+#: Longest sorted index array ``ranges_from_sorted_indexes`` merges with a
+#: plain loop.  Measured on a 2-core Xeon VM (Python 3.11, numpy 2.4) with
+#: a merge gap of 64, the vectorized merge (diff, flatnonzero, two
+#: concatenates, two gathers) against the loop: 12-18 us against 1 us at 12
+#: indexes; 12 us against 5 us at 100, the median Bx query window of a
+#: seed-42 ``perfbench`` ``replay-bx`` run; 17 us against 15 us at 200;
+#: 24 us against 27 us at 400.
+_LOOP_MERGE_MAX = 256
 
 
 class HilbertCurve(SpaceFillingCurve):
     """Hilbert curve via the classic rotate-and-reflect construction."""
-
-    #: Shared per-order encode tables: every curve of one order encodes
-    #: identically, so instances (e.g. one Bx-tree per DVA partition)
-    #: memoize the table once per process instead of once per tree.
-    _TABLE_CACHE: dict = {}
 
     def encode(self, cx: int, cy: int) -> int:
         self._check_cell(cx, cy)
@@ -190,19 +213,6 @@ class HilbertCurve(SpaceFillingCurve):
             t //= 4
             s *= 2
         return x, y
-
-    def encode_many(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-        self._check_cells(cx, cy)
-        if self.order <= MAX_ENCODE_TABLE_ORDER:
-            table = HilbertCurve._TABLE_CACHE.get(self.order)
-            if table is None:
-                side = self.cells_per_side
-                gx = np.repeat(np.arange(side, dtype=np.int64), side)
-                gy = np.tile(np.arange(side, dtype=np.int64), side)
-                table = self._encode_arrays(gx, gy).reshape(side, side)
-                HilbertCurve._TABLE_CACHE[self.order] = table
-            return table[cx, cy]
-        return self._encode_arrays(cx, cy)
 
     def _encode_arrays(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
         x = cx.astype(np.int64, copy=True)

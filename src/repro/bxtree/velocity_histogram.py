@@ -9,7 +9,9 @@ cell.
 
 Exact maintenance of a maximum under deletions would require keeping every
 value; like the original implementation, the histogram only grows on insert
-and is periodically rebuilt from the live objects (``rebuild``).
+and is periodically rebuilt from the live objects (``rebuild``).  An empty
+cell holds the sentinels ``+inf`` (minima) and ``-inf`` (maxima), so it
+drops out of any min/max reduction and a lookup needs no occupancy mask.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 
 from repro.bxtree.grid import Grid
 from repro.geometry.point import Point
-from repro.geometry.rect import Rect
 from repro.geometry.vector import Vector
 
 
@@ -30,15 +31,20 @@ class VelocityHistogram:
     def __init__(self, grid: Grid) -> None:
         self.grid = grid
         shape = (grid.cells_x, grid.cells_y)
-        self._max_vx = np.zeros(shape)
-        self._min_vx = np.zeros(shape)
-        self._max_vy = np.zeros(shape)
-        self._min_vy = np.zeros(shape)
+        #: Rows ``min_vx, min_vy, max_vx, max_vy``: one array, so a lookup
+        #: reduces the two minima and the two maxima in one call each.
+        self._extrema = np.empty((4,) + shape)
+        self._forget(slice(None), slice(None))
         self._count = np.zeros(shape, dtype=np.int64)
         #: Monotone change counter; bumped by every mutation so derived
         #: values (the global extrema below) can be cached safely.
         self._version = 0
         self._global_extrema_cache: Optional[Tuple[int, Tuple[float, float, float, float]]] = None
+
+    def _forget(self, cx, cy) -> None:
+        """Put the sentinels of an empty cell (or index arrays of cells) back."""
+        self._extrema[:2, cx, cy] = np.inf
+        self._extrema[2:, cx, cy] = -np.inf
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -47,24 +53,20 @@ class VelocityHistogram:
         """Record an object's velocity in the cell of its position."""
         self._version += 1
         cx, cy = self.grid.cell_of(position)
-        if self._count[cx, cy] == 0:
-            self._max_vx[cx, cy] = velocity.vx
-            self._min_vx[cx, cy] = velocity.vx
-            self._max_vy[cx, cy] = velocity.vy
-            self._min_vy[cx, cy] = velocity.vy
-        else:
-            self._max_vx[cx, cy] = max(self._max_vx[cx, cy], velocity.vx)
-            self._min_vx[cx, cy] = min(self._min_vx[cx, cy], velocity.vx)
-            self._max_vy[cx, cy] = max(self._max_vy[cx, cy], velocity.vy)
-            self._min_vy[cx, cy] = min(self._min_vy[cx, cy], velocity.vy)
+        # An empty cell holds the sentinels, so its first object resets it.
+        lo_vx, lo_vy, hi_vx, hi_vy = self._extrema[:, cx, cy].tolist()
+        vx, vy = velocity.vx, velocity.vy
+        self._extrema[:, cx, cy] = (min(lo_vx, vx), min(lo_vy, vy), max(hi_vx, vx), max(hi_vy, vy))
         self._count[cx, cy] += 1
 
     def remove(self, position: Point) -> None:
-        """Note the departure of an object (extrema are kept conservatively)."""
+        """Note the departure of an object (its cell forgets its extrema when it empties)."""
         self._version += 1
         cx, cy = self.grid.cell_of(position)
         if self._count[cx, cy] > 0:
             self._count[cx, cy] -= 1
+            if self._count[cx, cy] == 0:
+                self._forget(cx, cy)
 
     def add_batch(
         self,
@@ -76,11 +78,11 @@ class VelocityHistogram:
         """Vectorized :meth:`add` over parallel position/velocity arrays.
 
         A cell that is empty when the batch arrives takes its extrema from
-        the batch alone (the reset branch of :meth:`add`), while occupied
-        cells union the new velocities in.  Note one deliberate divergence
-        from interleaved scalar replay: when a batch both empties a cell
-        and repopulates it, the batched remove-then-add order always takes
-        the reset branch, whereas some scalar interleavings would have
+        the batch alone (its sentinels lose every comparison), while
+        occupied cells union the new velocities in.  Note one deliberate
+        divergence from interleaved scalar replay: when a batch both empties
+        a cell and repopulates it, the batched remove-then-add order always
+        resets the cell, whereas some scalar interleavings would have
         unioned into the stale (wider) extrema first.  The batched state is
         the *tighter* of the two and still covers every live occupant, so
         query enlargement stays conservative and exact answers are
@@ -89,20 +91,11 @@ class VelocityHistogram:
         if xs.size == 0:
             return
         self._version += 1
-        cx, cy = self.grid.cells_of_arrays(xs, ys)
-        empty = self._count[cx, cy] == 0
-        if empty.any():
-            ecx, ecy = cx[empty], cy[empty]
-            # Sentinels: every reset cell receives at least one add below.
-            self._max_vx[ecx, ecy] = -np.inf
-            self._min_vx[ecx, ecy] = np.inf
-            self._max_vy[ecx, ecy] = -np.inf
-            self._min_vy[ecx, ecy] = np.inf
-        cells = (cx, cy)
-        np.maximum.at(self._max_vx, cells, vxs)
-        np.minimum.at(self._min_vx, cells, vxs)
-        np.maximum.at(self._max_vy, cells, vys)
-        np.minimum.at(self._min_vy, cells, vys)
+        cells = self.grid.cells_of_arrays(xs, ys)
+        np.minimum.at(self._extrema[0], cells, vxs)
+        np.minimum.at(self._extrema[1], cells, vys)
+        np.maximum.at(self._extrema[2], cells, vxs)
+        np.maximum.at(self._extrema[3], cells, vys)
         np.add.at(self._count, cells, 1)
 
     def remove_batch(self, xs: np.ndarray, ys: np.ndarray) -> None:
@@ -113,14 +106,13 @@ class VelocityHistogram:
         cx, cy = self.grid.cells_of_arrays(xs, ys)
         np.subtract.at(self._count, (cx, cy), 1)
         np.maximum(self._count, 0, out=self._count)
+        emptied = self._count[cx, cy] == 0
+        self._forget(cx[emptied], cy[emptied])
 
     def rebuild(self, entries: Iterable[Tuple[Point, Vector]]) -> None:
         """Recompute the histogram from scratch from the live objects."""
         self._version += 1
-        self._max_vx.fill(0.0)
-        self._min_vx.fill(0.0)
-        self._max_vy.fill(0.0)
-        self._min_vy.fill(0.0)
+        self._forget(slice(None), slice(None))
         self._count.fill(0)
         for position, velocity in entries:
             self.add(position, velocity)
@@ -128,23 +120,23 @@ class VelocityHistogram:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def extrema_in(self, rect: Rect) -> Tuple[float, float, float, float]:
-        """``(min_vx, min_vy, max_vx, max_vy)`` over the cells covered by ``rect``.
+    def extrema_in(
+        self, x_min: float, y_min: float, x_max: float, y_max: float
+    ) -> Tuple[float, float, float, float]:
+        """``(min_vx, min_vy, max_vx, max_vy)`` over the cells a rectangle covers.
 
-        Cells with no recorded objects contribute zero velocity (they cannot
-        send objects into the window).  If no covered cell has any objects,
-        all extrema are zero and the query window is not enlarged.
+        The rectangle is given by its bounds.  Empty cells hold sentinels
+        and drop out of the reductions (they cannot send objects into the
+        window).  If no covered cell has any objects, all extrema are zero
+        and the query window is not enlarged.
         """
-        lo_x, lo_y = self.grid.cell_of(Point(rect.x_min, rect.y_min))
-        hi_x, hi_y = self.grid.cell_of(Point(rect.x_max, rect.y_max))
-        counts = self._count[lo_x : hi_x + 1, lo_y : hi_y + 1]
-        mask = counts > 0
-        if not mask.any():
+        lo_x, lo_y, hi_x, hi_y = self.grid.cell_span(x_min, y_min, x_max, y_max)
+        minima = self._extrema[:2, lo_x : hi_x + 1, lo_y : hi_y + 1].min(axis=(1, 2))
+        if minima[0] == np.inf:
             return (0.0, 0.0, 0.0, 0.0)
-        min_vx = float(np.min(self._min_vx[lo_x : hi_x + 1, lo_y : hi_y + 1][mask]))
-        min_vy = float(np.min(self._min_vy[lo_x : hi_x + 1, lo_y : hi_y + 1][mask]))
-        max_vx = float(np.max(self._max_vx[lo_x : hi_x + 1, lo_y : hi_y + 1][mask]))
-        max_vy = float(np.max(self._max_vy[lo_x : hi_x + 1, lo_y : hi_y + 1][mask]))
+        maxima = self._extrema[2:, lo_x : hi_x + 1, lo_y : hi_y + 1].max(axis=(1, 2))
+        min_vx, min_vy = minima.tolist()
+        max_vx, max_vy = maxima.tolist()
         return (min_vx, min_vy, max_vx, max_vy)
 
     def global_extrema(self) -> Tuple[float, float, float, float]:
@@ -157,7 +149,7 @@ class VelocityHistogram:
         cached = self._global_extrema_cache
         if cached is not None and cached[0] == self._version:
             return cached[1]
-        extrema = self.extrema_in(self.grid.space)
+        extrema = self.extrema_in(*self.grid.space.as_tuple())
         self._global_extrema_cache = (self._version, extrema)
         return extrema
 

@@ -81,8 +81,11 @@ _MANIFEST = "MANIFEST.json"
 #: Covers the WAL record shapes too (the log files carry no version of
 #: their own); 4 = every record is one of the four batch ``LOG_OPS`` with
 #: an ``int`` epoch, and every checkpoint image (generation 0 included)
-#: is a :class:`~repro.serve.snapshot.VersionedShard`.
-_MANIFEST_VERSION = 4
+#: is a :class:`~repro.serve.snapshot.VersionedShard`; 5 = a pickled Bx
+#: velocity histogram keeps its extrema in one array whose empty cells
+#: hold sentinels (a v4 image has four arrays with stale extrema in its
+#: empty cells, which a lookup without an occupancy mask would count).
+_MANIFEST_VERSION = 5
 
 
 # ----------------------------------------------------------------------

@@ -274,16 +274,24 @@ def test_a_rejected_record_left_in_the_wal_recovers_as_a_rejection(tmp_path, kin
     twin.close()
 
 
-def test_open_refuses_a_manifest_of_another_version(tmp_path):
-    # The manifest version also covers the WAL record shapes: a store
-    # written by another build is refused whole, not replayed on a guess.
+@pytest.mark.parametrize(
+    "version",
+    [
+        2,  # what builds that logged scalar insert/delete/update records wrote
+        4,  # Bx histograms with stale extrema in empty cells, not sentinels
+    ],
+)
+def test_open_refuses_a_manifest_of_another_version(tmp_path, version):
+    # The manifest version also covers the WAL record shapes and the
+    # pickled checkpoint images: a store written by another build is
+    # refused whole, not replayed or unpickled on a guess.
     root = str(tmp_path / "store")
     index = _create_store(root)
     index.bulk_load(crash_child.make_objects())  # abandoned: the WALs hold it
     manifest_path = os.path.join(root, "MANIFEST.json")
     with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
-    manifest["version"] = 2  # what builds that logged scalar insert/delete/update records wrote
+    manifest["version"] = version
     with open(manifest_path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle)
 
@@ -296,7 +304,7 @@ def test_open_refuses_a_manifest_of_another_version(tmp_path):
         return files
 
     before = snapshot()
-    with pytest.raises(DurabilityError, match="manifest version 2"):
+    with pytest.raises(DurabilityError, match=f"manifest version {version} "):
         DurableStore(root, fsync=False).open()
     assert snapshot() == before  # nothing truncated or rewritten
 
@@ -310,7 +318,7 @@ def test_every_checkpoint_image_is_a_versioned_shard(tmp_path):
     shard_store.close()
     _create_store(str(tmp_path / "store")).close()
     with open(tmp_path / "store" / "MANIFEST.json", encoding="utf-8") as handle:
-        assert json.load(handle)["version"] == 4
+        assert json.load(handle)["version"] == 5
 
 
 def _open_descriptors_under(root):

@@ -40,7 +40,6 @@ ALLOWED = {
     "VersionedShard.bulk_load.gc_floor": "apply_record(index, op, payload, **epoch_kwargs)",
     "BTreeKeyStore.*": "make_key_store calls KEY_STORES[name](buffer=..., page_size=...)",
     "FlatKeyStore.*": "make_key_store calls KEY_STORES[name](buffer=..., page_size=...)",
-    "BxTree.curve": "make_index(**tree_kwargs): the curve ablation's curve=; tests' small_bx(**)",
     "BxTree.num_buckets": "tests/test_bx_tree.py::small_bx(**kwargs)",
     "make_index.buffer": "ShardedIndex.build hands a durable shard's pool: factory(buffer=buffer)",
     "new_york_like.space": "network_for calls NETWORK_BUILDERS[dataset](space=space)",

@@ -1,5 +1,6 @@
 """Tests for space-filling curves, the grid, and the velocity histogram."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -50,17 +51,36 @@ class TestCurvesCommon:
             x2, y2 = curve.decode(index + 1)
             assert abs(x1 - x2) + abs(y1 - y2) == 1
 
-    def test_ranges_for_cells_merges_consecutive(self):
-        curve = HilbertCurve(order=3)
-        cells = [curve.decode(i) for i in (4, 5, 6, 10, 12)]
-        assert curve.ranges_for_cells(cells) == [(4, 6), (10, 10), (12, 12)]
+    @pytest.mark.parametrize("curve_cls", [HilbertCurve, ZCurve])
+    def test_index_table_matches_encode(self, curve_cls):
+        curve = curve_cls(order=4)
+        table = curve.index_table()
+        assert table is curve_cls(order=4).index_table()  # one memoized table
+        assert not table.flags.writeable
+        for cx in range(curve.cells_per_side):
+            for cy in range(curve.cells_per_side):
+                assert table[cx, cy] == curve.encode(cx, cy)
 
-    def test_ranges_for_cells_merge_gap(self):
+    def test_orders_beyond_the_index_table_are_refused(self):
+        from repro.bxtree.bx_tree import BxTree
+
+        with pytest.raises(ValueError, match="above order 9"):
+            BxTree(curve_order=10)
+        with pytest.raises(ValueError, match="above order 9"):
+            ZCurve(order=10).encode_many(np.array([0]), np.array([0]))
+
+    def test_ranges_merge_consecutive_indexes(self):
         curve = HilbertCurve(order=3)
-        cells = [curve.decode(i) for i in (4, 8, 20)]
-        assert curve.ranges_for_cells(cells, merge_gap=4) == [(4, 8), (20, 20)]
+        indexes = np.array([4, 5, 6, 10, 12])
+        assert curve.ranges_from_sorted_indexes(indexes) == [(4, 6), (10, 10), (12, 12)]
+
+    def test_ranges_merge_gap(self):
+        curve = HilbertCurve(order=3)
+        indexes = np.array([4, 8, 20])
+        assert curve.ranges_from_sorted_indexes(indexes, merge_gap=4) == [(4, 8), (20, 20)]
+        assert curve.ranges_from_sorted_indexes(indexes[:0], merge_gap=4) == []
         with pytest.raises(ValueError):
-            curve.ranges_for_cells(cells, merge_gap=-1)
+            curve.ranges_from_sorted_indexes(indexes, merge_gap=-1)
 
 
 class TestGrid:
@@ -86,10 +106,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             self.grid.cell_rect(10, 0)
 
-    def test_cells_overlapping(self):
-        cells = list(self.grid.cells_overlapping(Rect(5.0, 5.0, 25.0, 15.0)))
-        assert (0, 0) in cells and (2, 1) in cells
-        assert len(cells) == self.grid.cell_count_overlapping(Rect(5.0, 5.0, 25.0, 15.0))
+    def test_cell_span(self):
+        assert self.grid.cell_span(5.0, 5.0, 25.0, 15.0) == (0, 0, 2, 1)
+        # Corners outside the space clamp to the border cells.
+        assert self.grid.cell_span(-50.0, 20.0, 1000.0, 1000.0) == (0, 2, 9, 4)
+        assert self.grid.cell_span(-50.0, -50.0, -10.0, -10.0) == (0, 0, 0, 0)
 
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
@@ -101,17 +122,17 @@ class TestVelocityHistogram:
         self.hist = VelocityHistogram(Grid(Rect(0, 0, 100, 100), 10, 10))
 
     def test_extrema_of_empty_histogram_are_zero(self):
-        assert self.hist.extrema_in(Rect(0, 0, 100, 100)) == (0.0, 0.0, 0.0, 0.0)
+        assert self.hist.extrema_in(0, 0, 100, 100) == (0.0, 0.0, 0.0, 0.0)
 
     def test_add_updates_extrema(self):
         self.hist.add(Point(5, 5), Vector(10.0, -3.0))
         self.hist.add(Point(6, 6), Vector(-2.0, 7.0))
-        assert self.hist.extrema_in(Rect(0, 0, 10, 10)) == (-2.0, -3.0, 10.0, 7.0)
+        assert self.hist.extrema_in(0, 0, 10, 10) == (-2.0, -3.0, 10.0, 7.0)
 
     def test_extrema_respect_region(self):
         self.hist.add(Point(5, 5), Vector(50.0, 50.0))
         self.hist.add(Point(95, 95), Vector(-50.0, -50.0))
-        min_vx, min_vy, max_vx, max_vy = self.hist.extrema_in(Rect(0, 0, 20, 20))
+        min_vx, min_vy, max_vx, max_vy = self.hist.extrema_in(0, 0, 20, 20)
         # Only the slow-corner object is in the region, so the fast negative
         # velocities of the far corner must not leak into the extrema.
         assert (min_vx, min_vy, max_vx, max_vy) == (50.0, 50.0, 50.0, 50.0)
