@@ -22,21 +22,25 @@ from repro.bench import experiments
 from repro.bench.reporting import format_table, rows_to_csv
 from repro.workload.parameters import WorkloadParameters
 
-#: Registry of figure name -> (description, driver).  Drivers that take a
-#: dataset accept it as their first argument; the CLI passes the selected one.
+#: Registry of figure name -> (description, driver).  Every driver takes the
+#: selected dataset as its first argument; fig18 and fig19 (None here) sweep
+#: every dataset and are dispatched by name.
 FIGURES: Dict[str, tuple] = {
-    "fig07": ("search space expansion (Figure 7)", experiments.fig07_search_space_expansion, True),
-    "fig10": ("DVA discovery quality (Figures 10/11)", experiments.fig10_dva_discovery, True),
-    "fig17": ("tau threshold sweep (Figure 17)", experiments.fig17_tau_threshold, True),
-    "fig18": ("velocity analyzer overhead (Figure 18)", None, False),
-    "fig19": ("effect of data sets (Figure 19)", None, False),
-    "fig20": ("effect of data size (Figure 20)", experiments.fig20_data_size, True),
-    "fig21": ("effect of maximum speed (Figure 21)", experiments.fig21_max_speed, True),
-    "fig22": ("effect of query radius (Figure 22)", experiments.fig22_query_radius, True),
-    "fig23": ("effect of predictive time (Figure 23)", experiments.fig23_predictive_time, True),
-    "fig24": ("rectangular queries (Figure 24)", experiments.fig24_predictive_time_rectangular, True),
-    "ablation_vp": ("ablation of k and sample size", experiments.ablation_vp_parameters, True),
-    "ablation_curve": ("ablation of the space-filling curve", experiments.ablation_space_filling_curve, True),
+    "fig07": ("search space expansion (Figure 7)", experiments.fig07_search_space_expansion),
+    "fig10": ("DVA discovery quality (Figures 10/11)", experiments.fig10_dva_discovery),
+    "fig17": ("tau threshold sweep (Figure 17)", experiments.fig17_tau_threshold),
+    "fig18": ("velocity analyzer overhead (Figure 18)", None),
+    "fig19": ("effect of data sets (Figure 19)", None),
+    "fig20": ("effect of data size (Figure 20)", experiments.fig20_data_size),
+    "fig21": ("effect of maximum speed (Figure 21)", experiments.fig21_max_speed),
+    "fig22": ("effect of query radius (Figure 22)", experiments.fig22_query_radius),
+    "fig23": ("effect of predictive time (Figure 23)", experiments.fig23_predictive_time),
+    "fig24": ("rectangular queries (Figure 24)", experiments.fig24_predictive_time_rectangular),
+    "ablation_vp": ("ablation of k and sample size", experiments.ablation_vp_parameters),
+    "ablation_curve": (
+        "ablation of the space-filling curve",
+        experiments.ablation_space_filling_curve,
+    ),
 }
 
 
@@ -45,16 +49,13 @@ def _run_figure(
     dataset: str,
     params: WorkloadParameters,
     bulk_build: bool = False,
-    batch: bool = True,
 ) -> List[dict]:
     if name == "fig18":
         return experiments.fig18_analyzer_overhead(params=params)
     if name == "fig19":
-        return experiments.fig19_datasets(params=params, bulk_build=bulk_build, batch=batch)
-    _, driver, takes_dataset = FIGURES[name]
-    if takes_dataset:
-        return driver(dataset, params, bulk_build=bulk_build, batch=batch)
-    return driver(params=params, bulk_build=bulk_build, batch=batch)
+        return experiments.fig19_datasets(params=params, bulk_build=bulk_build)
+    _, driver = FIGURES[name]
+    return driver(dataset, params, bulk_build=bulk_build)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,13 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="build indexes with bulk_load (fast) instead of the paper's "
         "insertion-built measurement protocol",
     )
-    parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="replay events one by one instead of through the grouped "
-        "batch execution path (update_batch / range_query_batch); useful "
-        "for demonstrating both paths of the batched pipeline",
-    )
     return parser
 
 
@@ -91,7 +85,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Run the requested figures and print (or write) their tables."""
     args = build_parser().parse_args(argv)
     if args.list:
-        for name, (description, *_rest) in sorted(FIGURES.items()):
+        for name, (description, _driver) in sorted(FIGURES.items()):
             print(f"{name:15s} {description}")
         return 0
     if not args.all and not args.figure:
@@ -112,13 +106,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.makedirs(args.output, exist_ok=True)
     for name in names:
         description = FIGURES[name][0]
-        rows = _run_figure(
-            name,
-            args.dataset,
-            params,
-            bulk_build=args.bulk_build,
-            batch=not args.no_batch,
-        )
+        rows = _run_figure(name, args.dataset, params, bulk_build=args.bulk_build)
         print(format_table(rows, title=f"{name} — {description}"))
         if args.output:
             path = os.path.join(args.output, f"{name}.csv")

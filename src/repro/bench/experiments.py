@@ -53,13 +53,12 @@ def fig07_search_space_expansion(
     dataset: str = "CH",
     params: Optional[WorkloadParameters] = None,
     bulk_build: bool = False,
-    batch: bool = True,
 ) -> List[Row]:
     """Leaf-MBR / query expansion rates of the four indexes on one dataset."""
     params = _default_params(params)
     workload = build_workload(dataset, params)
     indexes = build_standard_indexes(workload, params)
-    runner = ExperimentRunner(workload, bulk_build=bulk_build, batch=batch)
+    runner = ExperimentRunner(workload, bulk_build=bulk_build)
     rows: List[Row] = []
     queries = [e.query for e in workload.query_events][:20]
     for name, index in indexes.items():
@@ -97,7 +96,6 @@ def fig10_dva_discovery(
     dataset: str = "SA",
     params: Optional[WorkloadParameters] = None,
     bulk_build: bool = False,
-    batch: bool = True,
 ) -> List[Row]:
     """Compare the naive DVA-finding approaches against Algorithm 2 (k = 2).
 
@@ -105,7 +103,7 @@ def fig10_dva_discovery(
     point to its assigned axis — small values mean the partitions really are
     near-1D, which is what the VP technique needs.
     """
-    del bulk_build, batch  # accepted for driver-signature uniformity; no index is built
+    del bulk_build  # accepted for driver-signature uniformity; no index is built
     params = _default_params(params)
     workload = build_workload(dataset, params, include_queries=False)
     velocities = workload.velocity_sample()
@@ -145,14 +143,13 @@ def fig17_tau_threshold(
     fixed_taus: Sequence[float] = (0.0, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 40.0, 60.0),
     which: Sequence[str] = ("Bx(VP)", "TPR*(VP)"),
     bulk_build: bool = False,
-    batch: bool = True,
 ) -> List[Row]:
     """Query I/O of the VP indexes under fixed τ values versus the automatic τ."""
     params = _default_params(params)
     workload = build_workload(dataset, params)
     analyzer = VelocityAnalyzer(k=2)
     auto = analyzer.analyze(workload.velocity_sample())
-    runner = ExperimentRunner(workload, bulk_build=bulk_build, batch=batch)
+    runner = ExperimentRunner(workload, bulk_build=bulk_build)
 
     def run_with(partitioning: VelocityPartitioning, label: str, tau_label: object) -> List[Row]:
         """Replay the workload on both VP indexes under one partitioning."""
@@ -221,14 +218,13 @@ def fig19_datasets(
     datasets: Sequence[str] = tuple(DATASETS),
     params: Optional[WorkloadParameters] = None,
     bulk_build: bool = False,
-    batch: bool = True,
 ) -> List[Row]:
     """Query and update cost of the four indexes across the datasets."""
     params = _default_params(params)
     rows: List[Row] = []
     for dataset in datasets:
         workload = build_workload(dataset, params)
-        for metrics in run_comparison(workload, params, bulk_build=bulk_build, batch=batch):
+        for metrics in run_comparison(workload, params, bulk_build=bulk_build):
             rows.append(metrics.as_row())
     return rows
 
@@ -243,13 +239,12 @@ def _sweep(
     values: Iterable,
     make_params,
     bulk_build: bool = False,
-    batch: bool = True,
 ) -> List[Row]:
     rows: List[Row] = []
     for value in values:
         swept = make_params(params, value)
         workload = build_workload(dataset, swept)
-        for metrics in run_comparison(workload, swept, bulk_build=bulk_build, batch=batch):
+        for metrics in run_comparison(workload, swept, bulk_build=bulk_build):
             row = metrics.as_row()
             row[sweep_name] = value
             rows.append(row)
@@ -261,7 +256,6 @@ def fig20_data_size(
     params: Optional[WorkloadParameters] = None,
     sizes: Sequence[int] = (1_000, 2_000, 3_000, 4_000, 5_000),
     bulk_build: bool = False,
-    batch: bool = True,
 ) -> List[Row]:
     """Effect of object cardinality on range-query cost (paper: 100K-500K)."""
     params = _default_params(params)
@@ -272,7 +266,6 @@ def fig20_data_size(
         sizes,
         lambda p, v: p.scaled(num_objects=v),
         bulk_build=bulk_build,
-        batch=batch,
     )
 
 
@@ -281,7 +274,6 @@ def fig21_max_speed(
     params: Optional[WorkloadParameters] = None,
     speeds: Sequence[float] = (20.0, 60.0, 100.0, 140.0, 200.0),
     bulk_build: bool = False,
-    batch: bool = True,
 ) -> List[Row]:
     """Effect of the maximum object speed on range-query cost (paper: 20-200)."""
     params = _default_params(params)
@@ -292,7 +284,6 @@ def fig21_max_speed(
         speeds,
         lambda p, v: p.scaled(max_speed=v),
         bulk_build=bulk_build,
-        batch=batch,
     )
 
 
@@ -301,7 +292,6 @@ def fig22_query_radius(
     params: Optional[WorkloadParameters] = None,
     radii: Sequence[float] = (100.0, 250.0, 500.0, 750.0, 1000.0),
     bulk_build: bool = False,
-    batch: bool = True,
 ) -> List[Row]:
     """Effect of the circular range radius on query cost (paper: 100-1000 m)."""
     params = _default_params(params)
@@ -312,7 +302,6 @@ def fig22_query_radius(
         radii,
         lambda p, v: p.scaled(query_radius=v),
         bulk_build=bulk_build,
-        batch=batch,
     )
 
 
@@ -321,7 +310,6 @@ def fig23_predictive_time(
     params: Optional[WorkloadParameters] = None,
     times: Sequence[float] = (20.0, 40.0, 60.0, 90.0, 120.0),
     bulk_build: bool = False,
-    batch: bool = True,
 ) -> List[Row]:
     """Effect of the query predictive time on query cost (paper: 20-120 ts)."""
     params = _default_params(params)
@@ -332,7 +320,6 @@ def fig23_predictive_time(
         times,
         lambda p, v: p.scaled(query_predictive_time=v),
         bulk_build=bulk_build,
-        batch=batch,
     )
 
 
@@ -341,7 +328,6 @@ def fig24_predictive_time_rectangular(
     params: Optional[WorkloadParameters] = None,
     times: Sequence[float] = (20.0, 40.0, 60.0, 90.0, 120.0),
     bulk_build: bool = False,
-    batch: bool = True,
 ) -> List[Row]:
     """Figure 23 repeated with 1000 m x 1000 m rectangular range queries."""
     params = _default_params(params).scaled(rectangular_queries=True)
@@ -352,7 +338,6 @@ def fig24_predictive_time_rectangular(
         times,
         lambda p, v: p.scaled(query_predictive_time=v),
         bulk_build=bulk_build,
-        batch=batch,
     )
 
 
@@ -365,12 +350,11 @@ def ablation_vp_parameters(
     ks: Sequence[int] = (1, 2, 3, 4),
     sample_sizes: Sequence[int] = (100, 1_000, 10_000),
     bulk_build: bool = False,
-    batch: bool = True,
 ) -> List[Row]:
     """Sensitivity of Bx(VP) query cost to the number of DVAs and sample size."""
     params = _default_params(params)
     workload = build_workload(dataset, params)
-    runner = ExperimentRunner(workload, bulk_build=bulk_build, batch=batch)
+    runner = ExperimentRunner(workload, bulk_build=bulk_build)
     rows: List[Row] = []
     for k in ks:
         analyzer = VelocityAnalyzer(k=k)
@@ -407,12 +391,11 @@ def ablation_space_filling_curve(
     dataset: str = "CH",
     params: Optional[WorkloadParameters] = None,
     bulk_build: bool = False,
-    batch: bool = True,
 ) -> List[Row]:
     """Hilbert versus Z-curve for the (unpartitioned) Bx-tree."""
     params = _default_params(params)
     workload = build_workload(dataset, params)
-    runner = ExperimentRunner(workload, bulk_build=bulk_build, batch=batch)
+    runner = ExperimentRunner(workload, bulk_build=bulk_build)
     rows: List[Row] = []
     for curve in ("hilbert", "z"):
         index = make_index("Bx", curve=curve, **params.index_kwargs())

@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.partitioned_index import FAMILIES, make_index
 from repro.core.velocity_analyzer import VelocityAnalyzer
@@ -48,7 +48,6 @@ class IndexMetrics:
     query_buffer_misses: int = 0
     update_buffer_hits: int = 0
     update_buffer_misses: int = 0
-    extra: Dict[str, float] = field(default_factory=dict)
 
     @property
     def avg_query_io(self) -> float:
@@ -98,7 +97,7 @@ class IndexMetrics:
 
     def as_row(self) -> Dict[str, object]:
         """Flat dictionary used by the reporting helpers."""
-        row: Dict[str, object] = {
+        return {
             "index": self.index_name,
             "dataset": self.dataset,
             "query_io": round(self.avg_query_io, 2),
@@ -113,12 +112,6 @@ class IndexMetrics:
             "query_hit_ratio": round(self.query_buffer_hit_ratio, 4),
             "update_hit_ratio": round(self.update_buffer_hit_ratio, 4),
         }
-        row.update({k: round(v, 4) for k, v in self.extra.items()})
-        return row
-
-
-#: An index builder maps a workload to a freshly built (empty) index.
-IndexBuilder = Callable[[Workload], object]
 
 
 #: Default width (in timestamps) of the batch-replay grouping window: the
@@ -131,6 +124,11 @@ DEFAULT_BATCH_WINDOW = 1.0
 class ExperimentRunner:
     """Replays a workload against one index and records metrics.
 
+    Events are grouped into same-window, same-type batches
+    (:data:`DEFAULT_BATCH_WINDOW`) and each group is replayed through the
+    index's ``update_batch`` / ``range_query_batch``; a singleton group is
+    a batch of one, which every index hands to its per-object path.
+
     Args:
         workload: the workload to replay.
         bulk_build: when True (default) the build phase uses the index's
@@ -138,17 +136,11 @@ class ExperimentRunner:
             steady-state update/query I/O rather than the Python overhead of
             N root-to-leaf insertions; pass False to force the incremental
             build path (used by the build-cost comparisons).
-        batch: when True (default) events are grouped into same-window,
-            same-type batches and replayed through the index's
-            ``update_batch`` / ``range_query_batch``; False replays
-            strictly event by event.  Both modes produce identical
-            query answers; batching only amortizes per-operation work.
     """
 
-    def __init__(self, workload: Workload, bulk_build: bool = True, batch: bool = True) -> None:
+    def __init__(self, workload: Workload, bulk_build: bool = True) -> None:
         self.workload = workload
         self.bulk_build = bulk_build
-        self.batch = batch
 
     def run(self, index, name: Optional[str] = None) -> IndexMetrics:
         """Load the initial objects, replay the events, and report metrics."""
@@ -165,23 +157,15 @@ class ExperimentRunner:
                 index.insert(obj)
         metrics.build_time = time.perf_counter() - build_start
 
-        window = DEFAULT_BATCH_WINDOW if self.batch else 0.0
-
-        # Replay in same-window, same-type batches: identical event order,
-        # with timing and I/O accounting per batch.  Single-event batches
-        # take the per-event path.
-        for batch in self.workload.grouped_events(window=window):
+        # Identical event order, with timing and I/O accounting per batch.
+        for batch in self.workload.grouped_events(window=DEFAULT_BATCH_WINDOW):
             before = stats.physical.total
             before_logical = stats.logical.reads
             before_hits = stats.buffer.hits
             before_misses = stats.buffer.misses
             if isinstance(batch[0], UpdateEvent):
                 started = time.perf_counter()
-                if self.batch and len(batch) > 1:
-                    index.update_batch([(event.old, event.new) for event in batch])
-                else:
-                    for event in batch:
-                        index.update(event.old, event.new)
+                index.update_batch([(event.old, event.new) for event in batch])
                 metrics.update_time_total += time.perf_counter() - started
                 metrics.update_io_total += stats.physical.total - before
                 metrics.update_node_accesses += stats.logical.reads - before_logical
@@ -191,12 +175,8 @@ class ExperimentRunner:
             else:
                 returned = 0
                 started = time.perf_counter()
-                if self.batch and len(batch) > 1:
-                    for result in index.range_query_batch([event.query for event in batch]):
-                        returned += len(result)
-                else:
-                    for event in batch:
-                        returned += len(index.range_query(event.query))
+                for result in index.range_query_batch([event.query for event in batch]):
+                    returned += len(result)
                 metrics.query_time_total += time.perf_counter() - started
                 metrics.query_io_total += stats.physical.total - before
                 metrics.query_node_accesses += stats.logical.reads - before_logical
@@ -393,9 +373,8 @@ def run_comparison(
     workload: Workload,
     params: Optional[WorkloadParameters] = None,
     bulk_build: bool = True,
-    batch: bool = True,
 ) -> List[IndexMetrics]:
     """Run the full comparison of the standard indexes on one workload."""
-    runner = ExperimentRunner(workload, bulk_build=bulk_build, batch=batch)
+    runner = ExperimentRunner(workload, bulk_build=bulk_build)
     indexes = build_standard_indexes(workload, params=params)
     return [runner.run(index, name=name) for name, index in indexes.items()]

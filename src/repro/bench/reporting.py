@@ -30,9 +30,7 @@ def format_table(rows: Sequence[Dict[str, object]], title: str = "") -> str:
     out.write(header + "\n")
     out.write("-" * len(header) + "\n")
     for row in rows:
-        out.write(
-            "  ".join(str(row.get(col, "")).ljust(widths[col]) for col in columns) + "\n"
-        )
+        out.write("  ".join(str(row.get(col, "")).ljust(widths[col]) for col in columns) + "\n")
     return out.getvalue()
 
 

@@ -83,14 +83,3 @@ class Grid:
             hi_x if 0 <= hi_x <= top_x else (0 if hi_x < 0 else top_x),
             hi_y if 0 <= hi_y <= top_y else (0 if hi_y < 0 else top_y),
         )
-
-    def cell_rect(self, cx: int, cy: int) -> Rect:
-        """The rectangle covered by cell ``(cx, cy)``."""
-        if not (0 <= cx < self.cells_x and 0 <= cy < self.cells_y):
-            raise ValueError(f"cell ({cx}, {cy}) outside the grid")
-        return Rect(
-            self.space.x_min + cx * self.cell_width,
-            self.space.y_min + cy * self.cell_height,
-            self.space.x_min + (cx + 1) * self.cell_width,
-            self.space.y_min + (cy + 1) * self.cell_height,
-        )

@@ -70,16 +70,3 @@ def first_principal_component(
     if variance <= 0.0 or first.magnitude == 0.0:
         return Vector(1.0, 0.0)
     return first.normalized()
-
-
-def explained_variance_ratio(velocities: Sequence[Vector]) -> float:
-    """Fraction of total variance captured by the first component.
-
-    A value close to 1.0 means the cluster is nearly one-dimensional in
-    velocity space — exactly the situation VP exploits.
-    """
-    components = principal_components(velocities)
-    total = sum(variance for _, variance in components)
-    if total <= 0.0:
-        return 1.0
-    return components[0][1] / total

@@ -61,24 +61,8 @@ class VelocityPartitioning:
             return best_index
         return None
 
-    def partition_for_batch(self, velocities: Sequence[Vector]) -> List[Optional[int]]:
-        """Vectorized :meth:`partition_for` over a whole velocity batch.
-
-        One pass over flat arrays replaces N scalar axis-distance loops;
-        see :meth:`partition_for_arrays` for the kernel.  Produces exactly
-        the per-point results of the scalar method (``None`` marks the
-        outlier partition).
-        """
-        n = len(velocities)
-        if n == 0:
-            return []
-        vx = np.fromiter((v.vx for v in velocities), np.float64, n)
-        vy = np.fromiter((v.vy for v in velocities), np.float64, n)
-        assigned = self.partition_for_arrays(vx, vy)
-        return [int(p) if p >= 0 else None for p in assigned]
-
     def partition_for_arrays(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-        """Array kernel behind :meth:`partition_for_batch`.
+        """Vectorized :meth:`partition_for` over parallel velocity arrays.
 
         Takes parallel velocity-component arrays and returns an ``int64``
         partition array where ``-1`` marks the outlier partition (the same

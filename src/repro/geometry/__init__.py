@@ -16,9 +16,6 @@ from repro.geometry.moving_rect import MovingRect
 from repro.geometry.sweep import (
     sweeping_area,
     sweeping_volume,
-    sweeping_volume_closed_form,
-    transformed_node,
-    expected_node_accesses,
 )
 
 __all__ = [
@@ -29,7 +26,4 @@ __all__ = [
     "MovingRect",
     "sweeping_area",
     "sweeping_volume",
-    "sweeping_volume_closed_form",
-    "transformed_node",
-    "expected_node_accesses",
 ]

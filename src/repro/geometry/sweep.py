@@ -1,57 +1,17 @@
-"""Sweeping regions and the TPR cost model of Tao et al.
+"""Sweeping regions of the TPR cost model of Tao et al. (reference form).
 
-Section 3.1 of the paper describes the cost model used to estimate the
-number of node accesses of a range query on a TPR-tree:
-
-1. a moving node ``N`` and a moving query ``Q`` are combined into a
-   *transformed node* ``N'`` whose MBR is grown by half the query extent and
-   whose VBR is the relative velocity of the node with respect to the query;
-2. ``N`` intersects ``Q`` during ``[0, qT]`` iff ``N'`` covers the (stationary)
-   query center at some time in the interval;
-3. assuming the query center is uniformly distributed in a unit data space,
-   that probability equals the area swept by ``N'`` during the interval; and
-4. summing the swept areas of every node gives the expected node accesses
-   (Equation 1).
-
-These functions are pure geometry; they are reused by the velocity analyzer
-(Section 5.2) and by the analytic comparison of partitioned versus
-unpartitioned indexes (Section 4).
+Section 3.1 of the paper estimates the node accesses of a TPR-tree range
+query (Equation 1) by summing, over every node, the time-integral of the
+area its bound sweeps during the query interval.  The functions here
+compute that swept area and its integral on :class:`MovingRect` objects,
+by geometry and Simpson's rule.  The index code uses the closed-form
+kernel :func:`repro.geometry.kernels.sweep_volume` instead; these are the
+reference it is tested against.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from repro.geometry import kernels
 from repro.geometry.moving_rect import MovingRect
-from repro.geometry.rect import Rect
-
-
-def transformed_node(node: MovingRect, query: MovingRect) -> MovingRect:
-    """Transformed node ``N'`` of ``node`` with respect to ``query``.
-
-    The MBR of ``N'`` in dimension *i* is ``<N_Ri- - |Q_Ri|/2, N_Ri+ + |Q_Ri|/2>``
-    and its VBR is ``<N_Vi- - Q_Vi+, N_Vi+ - Q_Vi->`` (Section 3.1).  Both
-    inputs must be expressed at the same reference time.
-    """
-    if node.reference_time != query.reference_time:
-        query = query.projected_to(node.reference_time)
-    half_qx = query.rect.width / 2.0
-    half_qy = query.rect.height / 2.0
-    rect = Rect(
-        node.rect.x_min - half_qx,
-        node.rect.y_min - half_qy,
-        node.rect.x_max + half_qx,
-        node.rect.y_max + half_qy,
-    )
-    return MovingRect(
-        rect=rect,
-        v_x_min=node.v_x_min - query.v_x_max,
-        v_y_min=node.v_y_min - query.v_y_max,
-        v_x_max=node.v_x_max - query.v_x_min,
-        v_y_max=node.v_y_max - query.v_y_min,
-        reference_time=node.reference_time,
-    )
 
 
 def sweeping_area(node: MovingRect, elapsed: float) -> float:
@@ -119,45 +79,3 @@ def sweeping_volume(node: MovingRect, query_interval: float, steps: int = 64) ->
         weight = 4.0 if i % 2 == 1 else 2.0
         total += weight * sweeping_area(node, i * h)
     return total * h / 3.0
-
-
-def sweeping_volume_closed_form(
-    width: float,
-    height: float,
-    v_x_min: float,
-    v_y_min: float,
-    v_x_max: float,
-    v_y_max: float,
-    horizon: float,
-) -> float:
-    """Closed-form time-integral of the swept area over ``[0, horizon]``.
-
-    The swept area is an exact quadratic in ``t`` whose closed-form integral
-    lives in :func:`repro.geometry.kernels.sweep_volume` (the hot path of the
-    TPR*-tree's insertion cost model); this name is kept as the public,
-    documented entry point of the cost model.
-    """
-    return kernels.sweep_volume(
-        width, height, v_x_min, v_y_min, v_x_max, v_y_max, horizon
-    )
-
-
-def expected_node_accesses(
-    nodes: Iterable[MovingRect],
-    query: MovingRect,
-    query_interval: float,
-) -> float:
-    """Expected number of node accesses of ``query`` (Equation 1).
-
-    Args:
-        nodes: moving bounds of every node in the tree.
-        query: the moving/expanding range query.
-        query_interval: length of the query time interval ``qT``.
-    """
-    total = 0.0
-    for node in nodes:
-        n_prime = transformed_node(node, query)
-        total += sweeping_volume(n_prime, query_interval)
-    if query_interval == 0.0:
-        return 0.0
-    return total

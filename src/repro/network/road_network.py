@@ -2,18 +2,15 @@
 
 Objects in the network workload travel along edges; the network therefore
 only needs node coordinates, adjacency, edge lengths and a way to pick
-routes.  Shortest paths use Dijkstra's algorithm; random walks are also
-provided because the benchmark generator mostly needs "keep driving
-somewhere plausible" rather than true shortest routes.
+routes.  Routes are random walks: the benchmark generator needs "keep
+driving somewhere plausible" rather than true shortest routes.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
@@ -125,36 +122,6 @@ class RoadNetwork:
 
     def random_edge(self, rng: random.Random) -> RoadEdge:
         return rng.choice(self._edges)
-
-    def shortest_path(self, source: int, target: int) -> Optional[List[int]]:
-        """Node sequence of the shortest path, or ``None`` when disconnected."""
-        if source == target:
-            return [source]
-        distances: Dict[int, float] = {source: 0.0}
-        previous: Dict[int, int] = {}
-        heap: List[Tuple[float, int]] = [(0.0, source)]
-        visited = set()
-        while heap:
-            distance, node = heapq.heappop(heap)
-            if node in visited:
-                continue
-            visited.add(node)
-            if node == target:
-                break
-            for edge in self._adjacency[node]:
-                neighbor = edge.other(node)
-                candidate = distance + edge.length
-                if candidate < distances.get(neighbor, math.inf):
-                    distances[neighbor] = candidate
-                    previous[neighbor] = node
-                    heapq.heappush(heap, (candidate, neighbor))
-        if target not in distances:
-            return None
-        path = [target]
-        while path[-1] != source:
-            path.append(previous[path[-1]])
-        path.reverse()
-        return path
 
     def next_node_random_walk(
         self, current: int, came_from: Optional[int], rng: random.Random

@@ -1,6 +1,6 @@
 """Moving-object data model and query types."""
 
-from repro.objects.moving_object import MovingObject, ObjectUpdate
+from repro.objects.moving_object import MovingObject
 from repro.objects.queries import (
     RangeQuery,
     CircularRange,
@@ -17,7 +17,6 @@ from repro.objects.knn import (
 
 __all__ = [
     "MovingObject",
-    "ObjectUpdate",
     "RangeQuery",
     "CircularRange",
     "RectangularRange",

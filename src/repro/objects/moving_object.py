@@ -57,26 +57,3 @@ class MovingObject:
     def speed(self) -> float:
         """Scalar speed of the object."""
         return self.velocity.magnitude
-
-
-@dataclass(frozen=True)
-class ObjectUpdate:
-    """An update event generated by the workload generator.
-
-    The update carries the previous snapshot (to delete) and the new snapshot
-    (to insert), matching the deletion-followed-by-insertion update model the
-    paper uses for both the TPR*-tree and the Bx-tree.
-    """
-
-    time: float
-    old: MovingObject
-    new: MovingObject
-
-    def __post_init__(self) -> None:
-        if self.old.oid != self.new.oid:
-            raise ValueError("an update must refer to a single object id")
-
-    @property
-    def oid(self) -> int:
-        """Id of the updated object."""
-        return self.new.oid

@@ -666,7 +666,7 @@ class ShardedIndex(ScalarVerbs):
         Builds a fresh shard — restored from its durable checkpoint
         image or deepcopied from its in-memory baseline — and replays the
         write-ahead log into it, retrying with backoff when the replay
-        itself hits transient faults (each attempt starts over on a new
+        itself meets transient faults (each attempt starts over on a new
         fresh shard, so a half-replayed attempt is simply discarded).
         Records the shard rejected live are rejected again and counted.
         On success the shard is swapped in, its breaker force-closed, the

@@ -81,8 +81,6 @@ class BufferManager:
         self.disk = disk if disk is not None else DiskManager(self.stats)
         self.capacity = capacity
         self._frames: "OrderedDict[int, Page]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
         #: Master switch for the sweep hints; benchmarks flip it off to
         #: measure the unhinted replacement policy on identical traffic.
         self.batch_hints_enabled = True
@@ -119,11 +117,9 @@ class BufferManager:
         """
         self.stats.record_logical_read()
         if page_id in self._frames:
-            self.hits += 1
             self.stats.record_buffer_hit()
             self._frames.move_to_end(page_id)
             return self._frames[page_id]
-        self.misses += 1
         self.stats.record_buffer_miss()
         self._ensure_capacity()
         page = self.disk.read(page_id)
@@ -308,11 +304,6 @@ class BufferManager:
 
     def __len__(self) -> int:
         return len(self._frames)
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     @property
     def frontier_page_ids(self) -> "frozenset[int]":

@@ -8,7 +8,9 @@ objects stored, and never touch more B+-tree nodes per update.
 
 The tests replay one real workload both ways against all four standard
 indexes, plus a property-style check that shuffling the order of updates
-inside a batch does not change the outcome.
+inside a batch does not change the outcome, and a check over every index
+family that a batch of one costs and answers exactly what the per-object
+call does (the harness replays singleton groups as batches of one).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import random
 import pytest
 
 from repro.bench.harness import build_standard_indexes
+from repro.core.partitioned_index import FAMILIES
 from repro.workload.events import UpdateEvent
 from repro.workload.generator import build_workload
 from repro.workload.parameters import WorkloadParameters
@@ -124,6 +127,51 @@ def test_batch_replay_matches_sequential(workload, batches, name):
         assert bat_nodes <= seq_nodes, (bat_nodes, seq_nodes)
     else:
         assert bat_nodes <= seq_nodes * 1.05, (bat_nodes, seq_nodes)
+
+
+def _counters(stats):
+    """Every I/O counter of the ledger, as one comparable tuple."""
+    return (
+        stats.physical.reads,
+        stats.physical.writes,
+        stats.logical.reads,
+        stats.logical.writes,
+        stats.buffer.hits,
+        stats.buffer.misses,
+    )
+
+
+@pytest.mark.parametrize("verb", ("update", "range_query"))
+@pytest.mark.parametrize("name", FAMILIES)
+def test_a_batch_of_one_is_the_per_object_call(workload, name, verb):
+    """A singleton batch does exactly what the per-object verb does.
+
+    The harness replays every grouped window through the batch verbs, a
+    singleton group included, so a batch of one must cost the same I/O on
+    every counter and return the same answer as the per-object call.  Each
+    event is replayed on twin indexes, ``verb`` through its batch of one on
+    one twin and per object on the other, and every counter is compared
+    after every event.
+    """
+    single = _build(workload, name)
+    batched = _build(workload, name)
+    assert _counters(single.buffer.stats) == _counters(batched.buffer.stats)
+    for event in workload.sorted_events():
+        if isinstance(event, UpdateEvent):
+            single.update(event.old, event.new)
+            if verb == "update":
+                batched.update_batch([(event.old, event.new)])
+            else:
+                batched.update(event.old, event.new)
+        else:
+            expected = single.range_query(event.query)
+            if verb == "range_query":
+                (answer,) = batched.range_query_batch([event.query])
+            else:
+                answer = batched.range_query(event.query)
+            assert answer == expected
+        assert _counters(batched.buffer.stats) == _counters(single.buffer.stats)
+    assert len(batched) == len(single)
 
 
 @pytest.mark.parametrize("name", INDEX_NAMES)

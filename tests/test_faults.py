@@ -353,7 +353,7 @@ def test_fetch_read_fault_leaves_pool_untouched_and_retries_cleanly():
     buffer = BufferManager(disk=disk, capacity=4)
     page = disk.allocate("victim-of-fate")
     assert page.page_id == 0
-    misses_before = buffer.misses
+    misses_before = buffer.stats.buffer.misses
     reads_before = buffer.stats.physical.reads
     with pytest.raises(PageReadError):
         buffer.fetch(page.page_id)
@@ -365,7 +365,7 @@ def test_fetch_read_fault_leaves_pool_untouched_and_retries_cleanly():
     fetched = buffer.fetch(page.page_id)
     assert fetched.payload == "victim-of-fate"
     assert page.page_id in buffer
-    assert buffer.misses == misses_before + 2
+    assert buffer.stats.buffer.misses == misses_before + 2
     assert buffer.stats.physical.reads == reads_before + 1
 
 

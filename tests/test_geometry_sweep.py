@@ -3,15 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.geometry import kernels
 from repro.geometry.moving_rect import MovingRect
 from repro.geometry.rect import Rect
-from repro.geometry.sweep import (
-    expected_node_accesses,
-    sweeping_area,
-    sweeping_volume,
-    sweeping_volume_closed_form,
-    transformed_node,
-)
+from repro.geometry.sweep import sweeping_area, sweeping_volume
 
 speed = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 extent = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
@@ -61,41 +56,31 @@ class TestSweepingVolume:
         v_y_min, v_y_max = sorted((v3, v4))
         node = MovingRect(Rect(0.0, 0.0, w, h), v_x_min, v_y_min, v_x_max, v_y_max)
         numeric = sweeping_volume(node, horizon, steps=256)
-        closed = sweeping_volume_closed_form(
-            w, h, v_x_min, v_y_min, v_x_max, v_y_max, horizon
-        )
+        closed = kernels.sweep_volume(w, h, v_x_min, v_y_min, v_x_max, v_y_max, horizon)
         assert closed == pytest.approx(numeric, rel=1e-6, abs=1e-6)
 
 
 class TestTransformedNode:
-    def test_transformed_node_grows_by_half_query_extent(self):
-        node = MovingRect(Rect(10, 10, 20, 20), 0, 0, 0, 0)
-        query = MovingRect(Rect(0, 0, 4, 6), 0, 0, 0, 0)
-        prime = transformed_node(node, query)
-        assert prime.rect.as_tuple() == (8.0, 7.0, 22.0, 23.0)
+    """The TPR* cost model's transformed node, fused into ``extent_sweep_volume``."""
 
-    def test_transformed_node_uses_relative_velocity(self):
-        node = MovingRect(Rect(0, 0, 1, 1), 1.0, 0.0, 1.0, 0.0)
-        query = MovingRect(Rect(0, 0, 1, 1), 1.0, 0.0, 1.0, 0.0)
-        prime = transformed_node(node, query)
-        # Same velocity: the transformed node is stationary relative to the query.
-        assert prime.v_x_min == 0.0
-        assert prime.v_x_max == 0.0
+    def test_transformed_node_grows_by_half_query_extent(self):
+        # A 10 x 10 node and a nominal 4 x 4 query: the transformed node is
+        # the node grown by 2 on every side.
+        ext = (10.0, 10.0, 20.0, 20.0, -1.0, 0.5, 2.0, 1.5)
+        grown = MovingRect(Rect(8.0, 8.0, 22.0, 22.0), -1.0, 0.5, 2.0, 1.5)
+        cost = kernels.extent_sweep_volume(ext, 4.0, 10.0)
+        assert cost == pytest.approx(sweeping_volume(grown, 10.0, steps=512), rel=1e-6)
+        # A stationary node sweeps its transformed area for the whole horizon.
+        still = (10.0, 10.0, 20.0, 20.0, 0.0, 0.0, 0.0, 0.0)
+        assert kernels.extent_sweep_volume(still, 4.0, 10.0) == pytest.approx(14.0 * 14.0 * 10.0)
 
 
 class TestExpectedNodeAccesses:
-    def test_more_nodes_means_more_accesses(self):
-        query = MovingRect(Rect(0, 0, 10, 10), 0, 0, 0, 0)
-        nodes_few = [MovingRect(Rect(0, 0, 5, 5), 0, 0, 0, 0)]
-        nodes_many = nodes_few * 4
-        few = expected_node_accesses(nodes_few, query, 10.0)
-        many = expected_node_accesses(nodes_many, query, 10.0)
-        assert many == pytest.approx(4 * few)
+    """The per-node term of Equation 1, as the TPR*-tree prices it."""
 
     def test_faster_nodes_cost_more(self):
-        query = MovingRect(Rect(0, 0, 10, 10), 0, 0, 0, 0)
-        slow = [MovingRect(Rect(0, 0, 5, 5), -1, -1, 1, 1)]
-        fast = [MovingRect(Rect(0, 0, 5, 5), -10, -10, 10, 10)]
-        assert expected_node_accesses(fast, query, 10.0) > expected_node_accesses(
-            slow, query, 10.0
+        slow = (0.0, 0.0, 5.0, 5.0, -1.0, -1.0, 1.0, 1.0)
+        fast = (0.0, 0.0, 5.0, 5.0, -10.0, -10.0, 10.0, 10.0)
+        assert kernels.extent_sweep_volume(fast, 10.0, 10.0) > kernels.extent_sweep_volume(
+            slow, 10.0, 10.0
         )

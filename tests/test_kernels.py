@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.geometry import kernels
 from repro.geometry.moving_rect import MovingRect
 from repro.geometry.rect import Rect
-from repro.geometry.sweep import sweeping_volume_closed_form
 
 
 def random_moving_rect(rng: random.Random, degenerate: bool = False) -> MovingRect:
@@ -140,18 +139,26 @@ class TestBoundKernels:
 
 class TestSweepKernels:
     def test_sweep_volume_is_the_closed_form(self):
+        # Expanding bounds (v_min <= 0 <= v_max) sweep (w + px t)(h + py t);
+        # a translating bound (v_min == v_max) sweeps wh + (w |vy| + h |vx|) t.
         rng = random.Random(8)
         for _ in range(100):
-            args = (
-                rng.uniform(0.0, 50.0),
-                rng.uniform(0.0, 50.0),
-                rng.uniform(-10.0, 10.0),
-                rng.uniform(-10.0, 10.0),
-                rng.uniform(-10.0, 10.0),
-                rng.uniform(-10.0, 10.0),
-                rng.uniform(0.0, 30.0),
+            w, h = rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)
+            horizon = rng.uniform(0.0, 30.0)
+            lo_x, lo_y = rng.uniform(-10.0, 0.0), rng.uniform(-10.0, 0.0)
+            hi_x, hi_y = rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)
+            px, py = hi_x - lo_x, hi_y - lo_y
+            expanding = (
+                w * h * horizon
+                + (w * py + h * px) * horizon**2 / 2.0
+                + px * py * horizon**3 / 3.0
             )
-            assert kernels.sweep_volume(*args) == sweeping_volume_closed_form(*args)
+            got = kernels.sweep_volume(w, h, lo_x, lo_y, hi_x, hi_y, horizon)
+            assert got == pytest.approx(expanding, rel=1e-12)
+            vx, vy = rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)
+            translating = w * h * horizon + (w * abs(vy) + h * abs(vx)) * horizon**2 / 2.0
+            got = kernels.sweep_volume(w, h, vx, vy, vx, vy, horizon)
+            assert got == pytest.approx(translating, rel=1e-12, abs=1e-9)
 
     def test_extent_sweep_volume_matches_enlarged_rect(self):
         rng = random.Random(9)

@@ -69,18 +69,6 @@ class TestRoadNetwork:
         with pytest.raises(ValueError):
             network.point_along(0, 1, 1.5)
 
-    def test_shortest_path(self):
-        network = tiny_network()
-        path = network.shortest_path(0, 3)
-        assert path[0] == 0 and path[-1] == 3
-        assert len(path) == 3
-        assert network.shortest_path(2, 2) == [2]
-
-    def test_shortest_path_disconnected(self):
-        network = tiny_network()
-        network.add_node(42, Point(9, 9))
-        assert network.shortest_path(0, 42) is None
-
     def test_random_walk_avoids_u_turn(self):
         network = tiny_network()
         rng = random.Random(0)

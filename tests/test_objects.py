@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.vector import Vector
-from repro.objects.moving_object import MovingObject, ObjectUpdate
+from repro.objects.moving_object import MovingObject
 from repro.objects.queries import (
     CircularRange,
     MovingRangeQuery,
@@ -15,6 +15,7 @@ from repro.objects.queries import (
     TimeIntervalRangeQuery,
     TimeSliceRangeQuery,
 )
+from repro.workload.events import UpdateEvent
 
 
 def obj(x, y, vx, vy, t=0.0, oid=1):
@@ -46,7 +47,7 @@ class TestMovingObject:
 
     def test_object_update_requires_same_oid(self):
         with pytest.raises(ValueError):
-            ObjectUpdate(time=1.0, old=obj(0, 0, 0, 0, oid=1), new=obj(0, 0, 0, 0, oid=2))
+            UpdateEvent(time=1.0, old=obj(0, 0, 0, 0, oid=1), new=obj(0, 0, 0, 0, oid=2))
 
 
 class TestQueryConstruction:

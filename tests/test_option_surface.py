@@ -1,4 +1,4 @@
-"""No parameter that nothing passes (the call-site twin of the dead-definition scan).
+"""No parameter that nothing passes: every option has a call site or a reason.
 
 Every defaulted parameter of a ``src/repro`` function, method, constructor
 or dataclass is passed — by keyword, or positionally — by at least one call
@@ -30,9 +30,7 @@ CALL_SITE_DIRS = ("src", "benchmarks", "perfbench", "examples", "tests")
 ALLOWED = {
     # -- fed by the CLI -------------------------------------------------
     "fig*.bulk_build": "`python -m repro.bench --bulk-build`, through the FIGURES registry",
-    "fig*.batch": "`python -m repro.bench --no-batch`, through the FIGURES registry",
     "ablation_*.bulk_build": "`python -m repro.bench --bulk-build`, through the FIGURES registry",
-    "ablation_*.batch": "`python -m repro.bench --no-batch`, through the FIGURES registry",
     # -- reached through **kwargs or a registry call --------------------
     "VersionedShard.*_batch.epoch": "apply_record(index, op, payload, **epoch_kwargs)",
     "VersionedShard.*_batch.gc_floor": "apply_record(index, op, payload, **epoch_kwargs)",

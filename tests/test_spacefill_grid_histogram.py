@@ -99,12 +99,11 @@ class TestGrid:
         assert self.grid.cell_of(Point(1000.0, 1000.0)) == (9, 4)
 
     def test_cell_rect_roundtrip(self):
-        rect = self.grid.cell_rect(3, 2)
-        assert self.grid.cell_of(rect.center) == (3, 2)
-
-    def test_cell_rect_out_of_range(self):
-        with pytest.raises(ValueError):
-            self.grid.cell_rect(10, 0)
+        width, height = self.grid.cell_width, self.grid.cell_height
+        for cx in range(self.grid.cells_x):
+            for cy in range(self.grid.cells_y):
+                center = Point((cx + 0.5) * width, (cy + 0.5) * height)
+                assert self.grid.cell_of(center) == (cx, cy)
 
     def test_cell_span(self):
         assert self.grid.cell_span(5.0, 5.0, 25.0, 15.0) == (0, 0, 2, 1)
