@@ -47,6 +47,12 @@ Extent = Tuple[float, float, float, float, float, float, float, float]
 
 _INF = float("inf")
 
+#: How far past an exact touch the range-scan kernels still report an
+#: intersection: twice the 1e-9 tolerance of
+#: :func:`segment_intersects_rect` (behind ``RangeQuery.matches``), so a
+#: scan never filters out an object that the refinement would accept.
+FILTER_SLACK = 2e-9
+
 
 # ----------------------------------------------------------------------
 # Projection
@@ -554,8 +560,9 @@ def intersects_interval(
     Float-only twin of :meth:`MovingRect.intersects_during` for the range
     scan loops: each argument group is an MBR, its VBR and its reference
     time.  The common case (both reference times at or before ``start``, so
-    every boundary is linear over the window) is solved inline; the rare
-    piecewise case falls back to the object API.
+    every boundary is linear over the window) is solved inline, with a
+    :data:`FILTER_SLACK` margin; the rare piecewise case falls back to the
+    object API.
     """
     if aref > start or bref > start:  # pragma: no cover - rare in index scans
         from repro.geometry.moving_rect import MovingRect
@@ -584,7 +591,7 @@ def intersects_interval(
         diff0 = p - q
         rate = pv - qv
         if rate == 0.0:
-            if diff0 > 1e-12:
+            if diff0 > FILTER_SLACK:
                 return False
             continue
         crossing = -diff0 / rate
@@ -594,7 +601,7 @@ def intersects_interval(
         else:
             if crossing > lo:
                 lo = crossing
-        if lo > hi:
+        if lo > hi + FILTER_SLACK:
             return False
     return True
 
@@ -673,12 +680,12 @@ def soa_intersect_many(
         diff0 = p - other
         rate = pv - ov
         zero = rate == 0.0
-        fail |= zero & (diff0 > 1e-12)
+        fail |= zero & (diff0 > FILTER_SLACK)
         with np.errstate(divide="ignore", invalid="ignore"):
             crossing = -diff0 / rate
         np.minimum(hi, crossing, out=hi, where=rate > 0.0)
         np.maximum(lo, crossing, out=lo, where=rate < 0.0)
-    result = ~fail & (lo <= hi)
+    result = ~fail & (lo <= hi + FILTER_SLACK)
 
     # Piecewise pairs (reference time inside the window) take the scalar
     # kernel's object-API fallback, preserving exact equivalence.

@@ -415,13 +415,13 @@ class ShardedIndex(ScalarVerbs):
         Every shard's buffer is flushed under its lock — a durable backend
         must never silently drop dirty frames on a clean shutdown (a shard
         whose storage is faulted cannot flush and is skipped; nothing is
-        lost in-memory, and a durable shard recovers from its WAL).  Shards with a durable store are checkpointed and
-        their stores closed, so a clean shutdown leaves an empty WAL and
-        reopening replays nothing.  Finally the executor itself is torn
-        down: queued fan-out calls are cancelled and running ones awaited,
-        so after ``close()`` returns no worker can still be touching a
-        shard, and worker processes exit here, never via garbage
-        collection.
+        lost in-memory, and a durable shard recovers from its WAL).
+        Shards with a durable store are checkpointed and their stores
+        closed, so a clean shutdown leaves an empty WAL and reopening
+        replays nothing.  Finally the executor itself is torn down: queued
+        fan-out calls are cancelled and running ones awaited, so after
+        ``close()`` returns no worker can still be touching a shard, and
+        worker processes exit here, never via garbage collection.
 
         ``close()`` is terminal: the index rejects further operations,
         and a second ``close()`` raises ``RuntimeError`` (``with`` blocks

@@ -3,10 +3,11 @@
 The serving layer promises that *where* shard calls run — inline
 (``SerialExecutor``) or in worker processes (``ProcessExecutor``) — never
 changes *what* they answer: both executors must return bit-identical
-range/kNN/update results for every index family, worker-process death
-must recover through the same WAL machinery as any shard fault, a query
-timeout is served only where a stalled shard can be abandoned, and a
-closed index must tear its workers down exactly once.  See
+range/kNN/update results for every index family, a query timeout is
+served only where a stalled shard can be abandoned, and a closed index
+must tear its workers down exactly once.  That worker-process death
+recovers through the same WAL machinery as any shard fault is a rule of
+the state machine in ``tests/test_serve_state_machine.py``.  See
 ``docs/serving.md``.
 """
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import os
 import signal
-import time
 
 import pytest
 
@@ -146,45 +146,6 @@ def test_process_shard_count_invariance(workload, batches):
             assert index.knn_query_batch(probes, space=PARAMS.space) == ref_knn, shards
         finally:
             index.close()
-
-
-# ----------------------------------------------------------------------
-# Worker-process death: ShardDownError -> WAL replay -> respawned worker
-# ----------------------------------------------------------------------
-def test_worker_sigkill_recovers_bit_identical_to_never_failed_twin(workload):
-    twin = _build(workload, "Bx", shards=2, executor="serial")
-    index = _build(workload, "Bx", shards=2, executor="process")
-    try:
-        updates = [(e.old, e.new) for e in workload.update_events]
-        half = len(updates) // 2
-        twin.update_batch(updates[:half])
-        index.update_batch(updates[:half])
-
-        victim = 1
-        os.kill(index.executor.worker_pid(victim), signal.SIGKILL)
-        deadline = time.monotonic() + 5.0
-        while index.executor.worker_alive(victim) and time.monotonic() < deadline:
-            time.sleep(0.01)
-
-        # The next mutation touching the dead worker sees ShardDownError,
-        # which is not retried blindly: the serving layer rebuilds the
-        # shard from its factory, replays the WAL and ships the result to
-        # a fresh worker process.
-        assert twin.update_batch(updates[half:]) == index.update_batch(updates[half:])
-        events = [e for e in index.recovery_events if e["shard_id"] == victim]
-        assert events and events[-1]["replayed_records"] > 0
-        assert index.executor.worker_alive(victim)
-
-        queries = [e.query for e in workload.query_events]
-        probes = _knn_probes(workload)
-        assert index.range_query_batch(queries) == twin.range_query_batch(queries)
-        assert index.knn_query_batch(probes, space=PARAMS.space) == twin.knn_query_batch(
-            probes, space=PARAMS.space
-        )
-        assert index.breaker_states() == ["closed", "closed"]
-    finally:
-        twin.close()
-        index.close()
 
 
 # ----------------------------------------------------------------------

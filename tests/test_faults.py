@@ -1,25 +1,29 @@
-"""Chaos suite: fault injection, supervision, recovery, degraded answers.
+"""Chaos suite: the fault injector and the supervisor's parts, one by one.
 
-Pins the robustness contracts of ``docs/robustness.md``:
+Pins the robustness contracts of ``docs/robustness.md`` that hold below
+or beside the serving surface:
 
 * the four fault families of :class:`FaultInjectingDiskManager` fire
   deterministically from seeded/scheduled profiles;
 * :class:`BufferManager` survives any injected fault with its pool
   invariants intact — a failed fetch retries cleanly;
-* the shard supervisor retries transient query faults with a
-  deterministic backoff schedule, trips per-shard circuit breakers, and
-  recovers failed shards by replaying their write-ahead log — after
-  which answers are **bit-identical** to a never-failed index;
-* ``partial=True`` queries degrade instead of raising, and
-  ``PartialResult.complete`` holds iff no shard failed.
+* :class:`RetryPolicy`'s backoff schedule is a pure function of its seed,
+  and :class:`CircuitBreaker` trips, cools down and probes under a fake
+  clock;
+* the ``ShardedIndex`` guard rails: :class:`ShardLog` refuses unknown
+  ops, ``close()`` is terminal (from a ``with`` block too), a non-fault
+  exception is not a shard failure, a query timeout degrades on the
+  process executor, an empty partial batch is complete, and recovery
+  starts from a shard as it was handed over.
 
-``CHAOS_SEED`` (environment) reseeds the end-to-end chaos runs; CI runs
-the suite under three published seeds.
+How the supervisor composes them — seeded retries, breakers tripping
+into skipped shards, partial answers, WAL recovery bit-identical to a
+never-failed index — is checked over every served cell by the state
+machine in ``tests/test_serve_state_machine.py``.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
 
@@ -32,16 +36,13 @@ from repro.serve import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
-    SHARD_SKIPPED,
     CircuitBreaker,
     PartialResult,
     RetryPolicy,
     ServeConfig,
     ShardedIndex,
-    ShardFailedError,
     ShardLog,
     SupervisorConfig,
-    VersionedShard,
     shard_of,
 )
 from repro.storage import (
@@ -51,30 +52,16 @@ from repro.storage import (
     PageReadError,
     PageWriteError,
     ShardDownError,
-    fault_wrap,
 )
-from repro.workload.events import UpdateEvent
 from repro.workload.generator import build_workload
 from repro.workload.parameters import WorkloadParameters
 
-#: Seed of the end-to-end chaos runs; CI publishes three values.
-CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
-
 PARAMS = WorkloadParameters(num_objects=400, time_duration=40.0, num_queries=12)
-
-WINDOW = 1.0
-
-NUM_SHARDS = 4
 
 
 @pytest.fixture(scope="module")
 def workload():
     return build_workload("SA", PARAMS)
-
-
-@pytest.fixture(scope="module")
-def batches(workload):
-    return workload.grouped_events(window=WINDOW)
 
 
 class FakeClock:
@@ -518,20 +505,6 @@ def test_shard_log_rejects_unknown_ops_and_freezes_payloads(workload):
     assert len(payload) == 3
 
 
-def test_shard_log_replay_rebuilds_and_returns_last_result(workload):
-    objects = list(workload.initial_objects[:20])
-    log = ShardLog()
-    log.append("bulk_load", objects[:10], epoch=1)
-    log.append("insert_batch", objects[10:], epoch=2)
-    log.append("delete_batch", objects[:1], epoch=3)
-    replica = VersionedShard(make_index("Bx", **PARAMS.index_kwargs()))
-    outcome, rejected = log.replay(replica)
-    assert outcome == ([True], None)  # delete_batch() of a present object
-    assert rejected == 0
-    assert len(replica) == 19
-    assert replica.epoch == 3  # the replay restored the shard's epoch counter
-
-
 # ----------------------------------------------------------------------
 # ShardedIndex supervision: lifecycle and guard rails
 # ----------------------------------------------------------------------
@@ -597,62 +570,8 @@ def test_non_fault_exceptions_propagate_raw(workload):
 
 
 # ----------------------------------------------------------------------
-# Supervised retries, breakers, timeouts
+# Query timeouts and degraded answers
 # ----------------------------------------------------------------------
-def test_transient_query_fault_is_retried_with_deterministic_backoff(workload):
-    sleep = FakeSleep()
-    index = _build(workload, shards=NUM_SHARDS, supervisor=_supervisor(sleep=sleep))
-    reference = index.range_query_batch([e.query for e in workload.query_events])
-    try:
-        # The very next read on shard 0 fails once; the retry succeeds.
-        injector = fault_wrap(
-            index.shards[0].buffer, FaultProfile(fail_reads_at=frozenset({0}))
-        )
-        index.shards[0].buffer.clear()  # cold cache: the query must read
-        answers = index.range_query_batch([e.query for e in workload.query_events])
-        assert answers == reference
-        assert injector.counters.read_errors == 1
-        # Exactly one backoff, equal to the seeded per-shard schedule.
-        expected = RetryPolicy().backoff_delay(0, random.Random(0 * 1_000_003 + 0))
-        assert sleep.delays == [pytest.approx(expected)]
-    finally:
-        index.close()
-
-
-def test_query_retries_exhaust_into_shard_failed_error(workload):
-    index = _build(workload, shards=2, supervisor=_supervisor())
-    try:
-        fault_wrap(index.shards[1].buffer, FaultProfile(read_error_rate=1.0))
-        index.shards[1].buffer.clear()  # cold cache: the query must read
-        with pytest.raises(ShardFailedError) as excinfo:
-            index.range_query_batch([workload.query_events[0].query])
-        assert excinfo.value.shard_id == 1
-        assert isinstance(excinfo.value.cause, PageReadError)
-    finally:
-        index.close()
-
-
-def test_breaker_opens_after_repeated_failures_then_skips(workload):
-    config = _supervisor(failure_threshold=2, reset_timeout_s=10_000.0)
-    index = _build(workload, shards=NUM_SHARDS, supervisor=config)
-    try:
-        injector = fault_wrap(index.shards[2].buffer)
-        index.shards[2].buffer.clear()  # cold cache: queries must read
-        injector.kill()
-        queries = [workload.query_events[0].query]
-        for _ in range(2):  # two failed calls trip the breaker
-            degraded = index.range_query_batch(queries, partial=True)
-            assert degraded.failed_shards == [2]
-        assert index.breaker_states()[2] == BREAKER_OPEN
-        # The third call never touches the dead shard: it is skipped.
-        degraded = index.range_query_batch(queries, partial=True)
-        skipped = degraded.statuses[2]
-        assert skipped.state == SHARD_SKIPPED
-        assert skipped.attempts == 0
-    finally:
-        index.close()
-
-
 def test_query_timeout_degrades_and_records_breaker_failure(workload):
     config = _supervisor(query_timeout_s=0.05)
     index = _build(workload, shards=2, supervisor=config, executor="process")
@@ -673,56 +592,6 @@ def test_query_timeout_degrades_and_records_breaker_failure(workload):
         index.close()
 
 
-# ----------------------------------------------------------------------
-# Degraded answers
-# ----------------------------------------------------------------------
-def test_partial_result_complete_iff_no_shard_failed(workload):
-    index = _build(workload, shards=NUM_SHARDS, supervisor=_supervisor())
-    try:
-        queries = [e.query for e in workload.query_events]
-        strict = index.range_query_batch(queries)
-        healthy = index.range_query_batch(queries, partial=True)
-        assert isinstance(healthy, PartialResult)
-        assert healthy.complete
-        assert healthy.failed_shards == []
-        assert healthy == strict  # complete partial answers equal strict mode
-        injector = fault_wrap(index.shards[3].buffer)
-        index.shards[3].buffer.clear()  # cold cache: queries must read
-        injector.kill()
-        degraded = index.range_query_batch(queries, partial=True)
-        assert not degraded.complete
-        assert degraded.failed_shards == [3]
-        for partial_ids, full_ids in zip(degraded, strict):
-            # The degraded answer is a subset of the true answer, exact
-            # for the healthy shards' objects.
-            assert set(partial_ids) <= set(full_ids)
-            assert [oid for oid in full_ids if shard_of(oid, NUM_SHARDS) != 3] == list(
-                partial_ids
-            )
-    finally:
-        index.close()
-
-
-def test_partial_knn_distances_stay_exact(workload):
-    index = _build(workload, shards=NUM_SHARDS, supervisor=_supervisor())
-    try:
-        probes = _knn_probes(workload)[:4]
-        strict = index.knn_query_batch(probes)
-        injector = fault_wrap(index.shards[1].buffer)
-        index.shards[1].buffer.clear()  # cold cache: queries must read
-        injector.kill()
-        degraded = index.knn_query_batch(probes, partial=True)
-        assert not degraded.complete
-        for partial_answer, full_answer in zip(degraded, strict):
-            full_distances = dict(full_answer)
-            for oid, distance in partial_answer:
-                assert shard_of(oid, NUM_SHARDS) != 1  # only healthy shards
-                if oid in full_distances:
-                    assert distance == full_distances[oid]  # distances exact
-    finally:
-        index.close()
-
-
 def test_empty_partial_batches(workload):
     index = _build(workload, shards=2, supervisor=_supervisor())
     try:
@@ -734,105 +603,8 @@ def test_empty_partial_batches(workload):
 
 
 # ----------------------------------------------------------------------
-# WAL-based shard recovery: bit-identical answers after a mid-stream kill
+# WAL-based shard recovery of shards handed over already loaded
 # ----------------------------------------------------------------------
-def test_shard_kill_recovery_is_bit_identical(workload, batches):
-    """Kill 1 of 4 shards mid-stream; recovery must erase every trace."""
-    reference = _build(workload, shards=NUM_SHARDS, supervisor=_supervisor())
-    faulted = _build(workload, shards=NUM_SHARDS, supervisor=_supervisor())
-    try:
-        update_batches = [b for b in batches if isinstance(b[0], UpdateEvent)]
-        query_batches = [b for b in batches if not isinstance(b[0], UpdateEvent)]
-        mid = len(update_batches) // 2
-        for batch in update_batches[:mid]:
-            pairs = [(e.old, e.new) for e in batch]
-            assert faulted.update_batch(pairs) == reference.update_batch(pairs)
-
-        injector = fault_wrap(faulted.shards[2].buffer)
-        faulted.shards[2].buffer.clear()  # cold cache: queries must read
-        injector.kill()
-
-        # During the outage, degraded queries answer from 3 healthy shards.
-        queries = [e.query for batch in query_batches for e in batch][:6]
-        strict = reference.range_query_batch(queries)
-        degraded = faulted.range_query_batch(queries, partial=True)
-        assert not degraded.complete
-        assert degraded.failed_shards == [2]
-        for partial_ids, full_ids in zip(degraded, strict):
-            assert set(partial_ids) <= set(full_ids)
-
-        # The second half of the stream flows into both; the first
-        # mutation routed to the dead shard triggers WAL-replay recovery.
-        for batch in update_batches[mid:]:
-            pairs = [(e.old, e.new) for e in batch]
-            assert faulted.update_batch(pairs) == reference.update_batch(pairs)
-        assert faulted.recovery_events, "no mutation reached the killed shard"
-        event = faulted.recovery_events[0]
-        assert event["shard_id"] == 2
-        assert event["replayed_records"] > 0
-        # Compaction: the successful recovery checkpointed the rebuilt
-        # shard and truncated its WAL, so the log now holds only the
-        # mutations routed to shard 2 *after* the recovery — strictly
-        # fewer than the full-history replay the recovery itself did.
-        assert event["compacted"]
-        assert len(faulted.shard_log(2)) < event["replayed_records"]
-
-        # Bit-identical from here on: every answer equals the
-        # never-failed index's answer.
-        assert len(faulted) == len(reference)
-        assert faulted.range_query_batch(queries) == reference.range_query_batch(
-            queries
-        )
-        probes = _knn_probes(workload)
-        assert faulted.knn_query_batch(probes) == reference.knn_query_batch(probes)
-        assert faulted.breaker_states()[2] == BREAKER_CLOSED
-        # The aggregate counters read through the recovered (fresh) shard.
-        aggregate = faulted.buffer.stats
-        per_shard = faulted.shard_stats()
-        assert aggregate.physical.reads == sum(s.physical.reads for s in per_shard)
-    finally:
-        reference.close()
-        faulted.close()
-
-
-def test_write_fault_on_mutation_triggers_recovery_not_blind_retry(
-    workload, batches
-):
-    reference = _build(workload, shards=NUM_SHARDS, supervisor=_supervisor())
-    faulted = _build(workload, shards=NUM_SHARDS, supervisor=_supervisor())
-    try:
-        # Every write on shard 1 fails: the first update batch that
-        # evicts a dirty page there must recover, never blind-retry.
-        fault_wrap(faulted.shards[1].buffer, FaultProfile(write_error_rate=1.0))
-        update_batches = [b for b in batches if isinstance(b[0], UpdateEvent)]
-        for batch in update_batches:
-            pairs = [(e.old, e.new) for e in batch]
-            assert faulted.update_batch(pairs) == reference.update_batch(pairs)
-            if faulted.recovery_events:
-                break
-        assert faulted.recovery_events, "no write fault fired on shard 1"
-        assert faulted.recovery_events[0]["shard_id"] == 1
-        queries = [e.query for e in workload.query_events]
-        assert faulted.range_query_batch(queries) == reference.range_query_batch(
-            queries
-        )
-    finally:
-        reference.close()
-        faulted.close()
-
-
-def test_recover_shard_is_explicitly_callable(workload):
-    index = _build(workload, shards=2, supervisor=_supervisor())
-    try:
-        before = index.range_query_batch([e.query for e in workload.query_events])
-        index.recover_shard(0)
-        assert index.recovery_events[0]["shard_id"] == 0
-        after = index.range_query_batch([e.query for e in workload.query_events])
-        assert after == before  # a recovery of a healthy shard is invisible
-    finally:
-        index.close()
-
-
 @pytest.mark.parametrize("executor", ("serial", "process"))
 def test_recovery_keeps_what_a_shard_was_handed_over_with(workload, executor):
     # Shards loaded before the ShardedIndex existed: their WALs never saw
@@ -856,50 +628,3 @@ def test_recovery_keeps_what_a_shard_was_handed_over_with(workload, executor):
         assert index.knn_query_batch(probes) == before
     finally:
         index.close()
-
-
-# ----------------------------------------------------------------------
-# Seeded end-to-end chaos run (CI publishes three CHAOS_SEED values)
-# ----------------------------------------------------------------------
-def test_seeded_chaos_run_converges_to_reference_answers(workload, batches):
-    """Scheduled faults on every shard; final answers must match exactly.
-
-    The schedule is a pure function of ``CHAOS_SEED``: a handful of read
-    and write ordinals per shard fail (each once), so bounded retries
-    always converge for queries and WAL recovery heals every mutation
-    fault.  The run must end with answers bit-identical to a fault-free
-    reference, whatever the seed.
-    """
-    chaos_rng = random.Random(CHAOS_SEED)
-    retry = RetryPolicy(max_attempts=6, base_delay_s=0.001, max_delay_s=0.01)
-    reference = _build(workload, shards=NUM_SHARDS, supervisor=_supervisor())
-    faulted = _build(
-        workload, shards=NUM_SHARDS, supervisor=_supervisor(retry=retry)
-    )
-    injectors = []
-    try:
-        for shard in faulted.shards:
-            profile = FaultProfile(
-                seed=chaos_rng.randrange(2**31),
-                fail_reads_at=frozenset(chaos_rng.sample(range(300), 4)),
-                fail_writes_at=frozenset(chaos_rng.sample(range(300), 4)),
-            )
-            injectors.append(fault_wrap(shard.buffer, profile))
-        queries_seen = 0
-        for batch in batches:
-            if isinstance(batch[0], UpdateEvent):
-                pairs = [(e.old, e.new) for e in batch]
-                assert faulted.update_batch(pairs) == reference.update_batch(pairs)
-            else:
-                queries = [e.query for e in batch]
-                assert faulted.range_query_batch(queries) == (
-                    reference.range_query_batch(queries)
-                )
-                queries_seen += len(queries)
-        assert queries_seen > 0
-        probes = _knn_probes(workload)
-        assert faulted.knn_query_batch(probes) == reference.knn_query_batch(probes)
-        assert len(faulted) == len(reference)
-    finally:
-        reference.close()
-        faulted.close()

@@ -41,9 +41,6 @@ ALLOWED = {
     "BxTree.num_buckets": "tests/test_bx_tree.py::small_bx(**kwargs)",
     "make_index.buffer": "ShardedIndex.build hands a durable shard's pool: factory(buffer=buffer)",
     "new_york_like.space": "network_for calls NETWORK_BUILDERS[dataset](space=space)",
-    "SupervisorConfig.failure_threshold": "tests/test_faults.py::_supervisor(**overrides)",
-    "SupervisorConfig.reset_timeout_s": "tests/test_faults.py::_supervisor(**overrides)",
-    "SupervisorConfig.sleep": "injectable sleep: tests/test_faults.py::_supervisor(**overrides)",
     "SupervisorConfig.clock": "injectable clock, the pair of sleep (docs/robustness.md)",
     "ServeConfig.stores": "ServeConfig.merged(stores=...) in DurableStore._assemble",
     "WorkloadParameters.rectangular_queries": "WorkloadParameters.scaled(...) / tiny_params(**)",

@@ -85,11 +85,6 @@ def test_shard_routing_is_deterministic_and_balanced():
         assert all(0.8 * fair <= count <= 1.2 * fair for count in counts), counts
 
 
-def test_shard_of_rejects_bad_counts():
-    with pytest.raises(ValueError):
-        shard_of(1, 0)
-
-
 # ----------------------------------------------------------------------
 # Answer equivalence (the acceptance claim)
 # ----------------------------------------------------------------------

@@ -282,6 +282,17 @@ class TestRangeQueries:
             )
             assert set(tree.range_query(query)) == brute_force_range(objects, query)
 
+    @pytest.mark.parametrize("cls", [TPRTree, TPRStarTree])
+    def test_scan_keeps_what_the_refinement_accepts_at_an_edge(self, cls):
+        """The scan is no stricter than ``RangeQuery.matches`` and its 1e-9 tolerance."""
+        tree = small_tree(cls)
+        obj = MovingObject(1, Point(900.0, 681.0), Vector(-0.4767561572167187, 0.01), 2.5)
+        tree.insert(obj)
+        edge = Rect(415.0, 183.0, 899.9999999999999, 844.0)  # 1e-13 short of the object
+        query = TimeSliceRangeQuery(RectangularRange(edge), time=2.5)
+        assert query.matches(obj)
+        assert tree.range_query(query) == [1]
+
     def test_inexact_query_is_superset(self):
         tree = small_tree()
         objects = make_objects(80, seed=47)
