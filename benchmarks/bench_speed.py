@@ -56,7 +56,7 @@ from repro.workload.parameters import WorkloadParameters  # noqa: E402
 
 #: The 0/1 flags a run is judged on: 1.0 means the answers were
 #: bit-identical to the cell's reference (the unsharded baseline row, the
-#: never-failed twin, the oracle's quiescent twin).
+#: never-failed twin, the oracle's brute-force model).
 CORRECTNESS_FLAGS = (
     "results_match",
     "knn_results_match",
@@ -364,7 +364,7 @@ def measure_htap(
     the workload's update batches flat out while ``clients`` threads
     answer epoch-pinned range/kNN batches.  Every mutation and every
     answer is recorded into an :class:`~repro.serve.EpochOracle`, whose
-    quiescent twin re-evaluates each answer at its pinned epoch — the
+    brute-force model re-evaluates each answer at its pinned epoch — the
     row's ``answers_consistent`` flag is 1.0 only if every concurrent
     answer was bit-identical.  ``update_throughput_ops`` is the sustained
     update rate under that concurrent read load, and ``epoch_lag_max``
@@ -378,10 +378,7 @@ def measure_htap(
         index = build_standard_indexes(
             workload, params, which=(name,), shards=HTAP_SHARDS, executor=executor
         )[name]
-        twin = build_standard_indexes(
-            workload, params, which=(name,), shards=HTAP_SHARDS, executor="serial"
-        )[name]
-        oracle = EpochOracle(twin, space=params.space)
+        oracle = EpochOracle()
         try:
             index.bulk_load(workload.initial_objects)
             oracle.record_mutation(index.epoch, "bulk_load", workload.initial_objects)
@@ -396,7 +393,6 @@ def measure_htap(
                 seed=seed,
             )
         finally:
-            oracle.close()
             index.close()
     return _report(
         dataset,

@@ -5,8 +5,8 @@ threads answer epoch-pinned range/kNN batches concurrently, every
 mutation and every answer recorded into an
 :class:`~repro.serve.EpochOracle` — the run's headline numbers are the
 sustained update throughput, the epoch lag queries observed, and the
-oracle's verdict that every concurrent answer was bit-identical to a
-quiescent evaluation at its pinned epoch (``docs/htap.md``).  It is
+oracle's verdict that every concurrent answer was bit-identical to its
+brute-force model's at the pinned epoch (``docs/htap.md``).  It is
 shared by ``bench_speed.py htap`` and ``tests/test_htap_stress.py``.
 
 Request latency under an arrival process (closed-loop saturation, then
@@ -83,11 +83,11 @@ def run_htap(
 
     The caller is expected to have bulk-loaded ``index`` already (and
     recorded that mutation into ``oracle``); afterwards,
-    ``oracle.check()`` replays everything into the quiescent twin.  The
-    returned report carries throughput, per-op-type latency percentiles,
+    ``oracle.check()`` replays everything into its model.  The returned
+    report carries throughput, per-op-type latency percentiles,
     epoch-lag statistics and the oracle verdict as
     ``answers_consistent`` (1.0 = every concurrent answer bit-identical
-    to its quiescent twin evaluation).
+    to the model's answer at its pinned epoch).
     """
     if query_clients < 1:
         raise ValueError("query_clients must be at least 1")

@@ -18,8 +18,8 @@ Since the snapshot-serving work, mixed read/write workloads are
 consistent too: every applied update batch atomically advances a global
 *epoch*, and each query batch pins one epoch and answers at that exact
 cross-shard cut (per-shard :class:`VersionedShard` undo overlays
-reconcile at merge time), verified bit-for-bit against a quiescent twin
-by the :class:`EpochOracle` harness.  See ``docs/htap.md``.
+reconcile at merge time), verified bit-for-bit against a brute-force
+model by the :class:`EpochOracle` harness.  See ``docs/htap.md``.
 """
 
 from repro.serve.config import ServeConfig
@@ -30,7 +30,7 @@ from repro.serve.executor import (
     SerialExecutor,
     make_executor,
 )
-from repro.serve.oracle import EpochOracle
+from repro.serve.oracle import EpochOracle, quiescent_answers
 from repro.serve.shard_log import LOG_OPS, DurableShardLog, ShardLog
 from repro.serve.snapshot import SnapshotTooOldError, VersionedShard
 from repro.serve.sharded_index import (
@@ -92,4 +92,5 @@ __all__ = [
     "dumps_index",
     "loads_index",
     "make_executor",
+    "quiescent_answers",
 ]

@@ -3,154 +3,131 @@
 The snapshot machinery's promise (``docs/htap.md``) is falsifiable: an
 epoch-pinned answer must be **bit-identical** to what a quiescent index
 — one that applied exactly the update batches up to the pinned epoch and
-nothing else — would answer.  :class:`EpochOracle` is the harness that
-checks it.
+nothing else — would answer.  :class:`EpochOracle` checks it against a
+model, not a second index: a dict of the live objects by id, answered by
+brute force (:func:`quiescent_answers`), so no routing, merge or index
+code takes part in judging itself.
 
-It drives a *twin*: a second :class:`~repro.serve.ShardedIndex` the
-caller builds with the same recipe (shard count and shard family) as the
-index under test but the serial executor — the plainest quiescent
-configuration the serving layer offers, sharing the exact merge code the
-live index uses.  Only the oracle mutates it, one batch at a time, and it
-is queried at its newest epoch, so nothing is ever read from its undo
-overlay.
 The workload records every mutation it applies as ``(epoch, op,
 payload)`` — ``op`` and ``payload`` exactly as the write-ahead log holds
-them (:mod:`repro.serve.shard_log`) — and every epoch-pinned answer it
-receives as ``(epoch, kind, payload, answer)``; :meth:`check` then
-replays the mutation stream into the twin epoch by epoch and
-re-evaluates each answered query batch at its pinned epoch, reporting
-every divergence.
-
-Bit-identity is deliberate: answers are ids and ``float`` distances
-computed by the same kernels on both sides, so even the distances must
-match exactly — any tolerance would mask a torn cut whose victim object
-moved less than the tolerance.
-
-The oracle is single-threaded by design.  Concurrency lives in the
-workload (threads hammering the index under test); the oracle only sees
-the recorded streams afterwards, which makes its verdict deterministic
-and replayable.
+them — and every epoch-pinned answer it receives as ``(epoch, kind,
+payload, answer)``; :meth:`EpochOracle.check` replays the mutations into
+an empty model epoch by epoch and re-evaluates each answer at its pinned
+epoch.  Equality is exact: ids and ``float`` distances come from the same
+distance kernel on both sides, and any tolerance would mask a torn cut
+whose victim object moved less than the tolerance.  Concurrency lives in
+the workload; the oracle only sees the recorded streams afterwards, so
+its verdict is deterministic and replayable.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from typing import Any, List, Optional, Tuple
+import operator
+from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.serve.shard_log import apply_record
-from repro.serve.sharded_index import ShardedIndex
+import numpy as np
 
-__all__ = ["EpochOracle"]
+from repro.objects.knn import KNNQuery, _rank_distances, motion_rows
+from repro.objects.moving_object import MovingObject
+from repro.objects.queries import RangeQuery
 
-#: One recorded mutation: ``(epoch, sequence, op, payload)``.
-_Mutation = Tuple[int, int, str, Any]
+__all__ = ["EpochOracle", "quiescent_answers"]
+
+
+def quiescent_answers(
+    live: Dict[int, MovingObject], queries: Sequence[RangeQuery], probes: Sequence[KNNQuery]
+) -> Tuple[List[List[int]], List[List[Tuple[int, float]]]]:
+    """What any index holding exactly ``live`` must answer, by brute force.
+
+    Range answers are the matching ids, ascending; kNN answers are the
+    ``k`` nearest ``(oid, distance)`` pairs, ordered by distance, then id.
+    """
+    ranges = [sorted(oid for oid, obj in live.items() if query.matches(obj)) for query in queries]
+    rows = motion_rows(live.values()) if probes else None
+    nearest = []
+    for probe in probes:
+        oids, distances = _rank_distances(rows, probe.center, probe.query_time)
+        order = np.lexsort((oids, distances))[: probe.k]
+        nearest.append([(int(oids[j]), float(distances[j])) for j in order])
+    return ranges, nearest
+
+
+def _apply(live: Dict[int, MovingObject], op: str, payload: Any) -> None:
+    """Apply one recorded mutation to the model."""
+    if op in ("bulk_load", "insert_batch"):
+        live.update((obj.oid, obj) for obj in payload)
+    elif op == "delete_batch":
+        for obj in payload:
+            live.pop(obj.oid, None)
+    elif op == "update_batch":
+        for old, new in payload:
+            live.pop(old.oid, None)
+            live[new.oid] = new
+    else:
+        raise ValueError(f"unknown mutation op {op!r}")
 
 
 class EpochOracle:
-    """Replay a recorded epoch stream into a quiescent twin and compare.
-
-    Args:
-        twin: an empty :class:`~repro.serve.ShardedIndex` built like the
-            index under test — same family and shard count (answers are
-            shard-count invariant, but matching removes even that reliance
-            from the verdict) — on the ``"serial"`` executor.  The oracle
-            owns it from here on and closes it.
-        space: default kNN space forwarded to the twin's queries.
+    """Record a workload's epoch stream, then replay it into the model and compare.
 
     Usage::
 
-        twin = build_standard_indexes(
-            workload, params, which=("Bx",), shards=4, executor="serial"
-        )["Bx"]
-        oracle = EpochOracle(twin, space=space)
-        # workload side (under test):
+        oracle = EpochOracle()
         index.bulk_load(objects)
         oracle.record_mutation(index.epoch, "bulk_load", objects)
-        ...
         with index.pin() as epoch:
             answer = index.range_query_batch(queries, epoch=epoch)
         oracle.record_answer(epoch, "range", queries, answer)
-        ...
-        mismatches = oracle.check()
-        assert not mismatches, mismatches[0]
+        oracle.assert_consistent()
     """
 
-    def __init__(self, twin: ShardedIndex, space: Optional[Any] = None) -> None:
-        self.twin = twin
-        self.space = space
-        self._mutations: List[_Mutation] = []
+    def __init__(self) -> None:
+        self._mutations: List[Tuple[int, str, Any]] = []
         self._samples: List[Tuple[int, str, Any, Any]] = []
-        self._seq = 0
-        self._applied = 0  # how many mutations the twin has absorbed
 
-    # -- recording (workload side) -------------------------------------
     def record_mutation(self, epoch: int, op: str, payload: Any) -> None:
         """Record one applied update batch and the epoch it was assigned.
 
         ``op``/``payload`` follow the WAL conventions
-        (:data:`repro.serve.shard_log.LOG_OPS`): a sequence of objects,
-        or of ``(old, new)`` pairs for ``update_batch``.
-        Recording may happen in any order; mutations are replayed sorted
-        by ``(epoch, recording order)``.
+        (:data:`repro.serve.LOG_OPS`): a sequence of objects, or of
+        ``(old, new)`` pairs for ``update_batch``.  Recording may happen in
+        any order; mutations replay sorted by ``(epoch, recording order)``.
         """
-        if self._applied:
-            raise RuntimeError("cannot record after check() started replaying")
-        insort(self._mutations, (int(epoch), self._seq, op, payload))
-        self._seq += 1
+        self._mutations.append((operator.index(epoch), op, payload))
 
     def record_answer(self, epoch: int, kind: str, payload: Any, answer: Any) -> None:
-        """Record one epoch-pinned answer the index under test returned.
-
-        ``kind`` is ``"range"`` (payload: the query list) or ``"knn"``
-        (payload: the probe list; the oracle's ``space`` is used).
-        """
+        """Record one epoch-pinned answer, of ``"range"`` queries or ``"knn"`` probes."""
         if kind not in ("range", "knn"):
             raise ValueError(f"unknown answer kind {kind!r}")
-        self._samples.append((int(epoch), kind, payload, answer))
+        self._samples.append((operator.index(epoch), kind, payload, answer))
 
     @property
     def answers_recorded(self) -> int:
         """How many epoch-pinned answers the workload recorded."""
         return len(self._samples)
 
-    # -- replay (verdict side) -----------------------------------------
-    def advance_to(self, epoch: int) -> None:
-        """Bring the twin to exactly the state at ``epoch`` (quiescent)."""
-        while self._applied < len(self._mutations):
-            mutation_epoch, _, op, payload = self._mutations[self._applied]
-            if mutation_epoch > epoch:
-                break
-            apply_record(self.twin, op, payload)
-            self._applied += 1
-
-    def expected(self, epoch: int, kind: str, payload: Any) -> Any:
-        """The quiescent answer at ``epoch`` (advances the twin to it)."""
-        self.advance_to(epoch)
-        if kind == "range":
-            return self.twin.range_query_batch(list(payload))
-        if kind == "knn":
-            return self.twin.knn_query_batch(list(payload), space=self.space)
-        raise ValueError(f"unknown answer kind {kind!r}")
-
     def check(self) -> List[str]:
-        """Compare every recorded answer against its quiescent twin answer.
+        """One description per recorded answer that differs from the model at its epoch.
 
-        Returns one human-readable description per mismatch (empty list
-        = every epoch-pinned answer was bit-identical to the twin's).
-        Samples are checked in ascending epoch order so the twin only
-        ever moves forward; equality is plain ``==`` — exact ids and
-        exact float distances, no tolerance.
+        Every call replays from an empty model, so a verdict may be
+        repeated and recording resumed after it.
         """
+        mutations = sorted(self._mutations, key=operator.itemgetter(0))
+        live: Dict[int, MovingObject] = {}
+        applied = 0
         mismatches: List[str] = []
-        for epoch, kind, payload, answer in sorted(
-            self._samples, key=lambda sample: sample[0]
-        ):
-            expected = self.expected(epoch, kind, payload)
-            got = list(answer)
-            if got != expected:
+        for epoch, kind, payload, answer in sorted(self._samples, key=operator.itemgetter(0)):
+            while applied < len(mutations) and mutations[applied][0] <= epoch:
+                _apply(live, *mutations[applied][1:])
+                applied += 1
+            ranges, nearest = quiescent_answers(
+                live, payload if kind == "range" else (), payload if kind == "knn" else ()
+            )
+            expected = ranges if kind == "range" else nearest
+            if list(answer) != expected:
                 mismatches.append(
-                    f"epoch {epoch} {kind} answer diverged from the quiescent "
-                    f"twin: got {got!r}, expected {expected!r}"
+                    f"epoch {epoch} {kind} answer diverged from the quiescent model: "
+                    f"got {list(answer)!r}, expected {expected!r}"
                 )
         return mismatches
 
@@ -159,16 +136,5 @@ class EpochOracle:
         mismatches = self.check()
         if mismatches:
             raise AssertionError(
-                f"{len(mismatches)} epoch-pinned answer(s) diverged; first: "
-                + mismatches[0]
+                f"{len(mismatches)} epoch-pinned answer(s) diverged; first: " + mismatches[0]
             )
-
-    def close(self) -> None:
-        """Tear down the twin's executor."""
-        self.twin.close()
-
-    def __enter__(self) -> "EpochOracle":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()

@@ -34,7 +34,7 @@ acknowledgement.  See ``docs/storage.md`` and ``docs/robustness.md``.
 A mutation is one record, ``(op, payload, epoch)``, everywhere it travels:
 the serving layer builds it, the log stores it, and :func:`apply_record`
 — the only code that turns an op name into an index call — applies it,
-whether to a live shard, a recovering one or the consistency oracle's twin.
+whether to a live shard or a recovering one.
 The payload is the op's data and nothing else, and has one shape: a tuple
 of objects, or of ``(old, new)`` pairs for ``update_batch``.
 """

@@ -53,6 +53,7 @@ underlying index directly while the serving layer is live (see
 from __future__ import annotations
 
 import copy
+import operator
 import random
 import threading
 import time
@@ -360,11 +361,11 @@ class ShardedIndex(ScalarVerbs):
         call; an explicit epoch is trusted (callers obtain one from
         :meth:`pin`, which keeps its deltas alive) but must already be
         published — pinning the future would break the consistent-cut
-        guarantee.
+        guarantee — and integral (``1.9`` raises ``TypeError``).
         """
         if epoch is None:
             return self._pin_epoch(), True
-        epoch = int(epoch)
+        epoch = operator.index(epoch)
         if epoch < 0 or epoch > self._published_epoch:
             raise ValueError(
                 f"epoch {epoch} is not published yet (published epoch: "

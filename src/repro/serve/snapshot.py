@@ -18,7 +18,7 @@ update batch, globally serialized) and threads the pinned epoch through
 every executor — including the process backend, where the wrapper
 travels to the worker whole and reconciles worker-side.
 
-Why reconciliation is *exact* (bit-identical to a quiescent twin):
+Why reconciliation is *exact* (bit-identical to a quiescent index):
 
 * Exact range answers are a pure function of index **contents** — the
   shard-count-invariance suite pins this.  Objects untouched since the

@@ -2,13 +2,13 @@
 
 The claim (``docs/htap.md``): every applied mutation batch atomically
 advances a global epoch, and a query batch that pins an epoch sees a
-consistent cross-shard cut — bit-identical to a quiescent twin that
+consistent cross-shard cut — bit-identical to a quiescent index that
 applied exactly the batches up to that epoch — even while later batches
 stream in.  The state machine in ``tests/test_serve_state_machine.py``
 checks it on every served cell, held pins, upsert misses, recoveries and
 SIGKILLed workers included.  This module pins the edges around it: an
-unpublished epoch, ``exact=``, empty batches, the GC floor, a held pin
-and a durable restart.
+unpublished or non-integral epoch, ``exact=``, empty batches, the GC
+floor, a held pin, a durable restart, and the oracle's own verdict.
 
 The concurrent version of the same claim (threads actually racing) is
 ``tests/test_htap_stress.py``.
@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import build_standard_indexes
-from repro.serve import DurableStore, ShardedIndex, SnapshotTooOldError
+from repro.bench.harness import build_standard_indexes, knn_queries_from_workload
+from repro.objects.queries import RectangularRange, TimeSliceRangeQuery
+from repro.serve import DurableStore, EpochOracle, ShardedIndex, SnapshotTooOldError, shard_of
 from repro.workload.events import UpdateEvent
 from repro.workload.generator import build_workload
 from repro.workload.parameters import WorkloadParameters
@@ -48,6 +49,11 @@ def queries(workload):
     return [event.query for event in workload.query_events]
 
 
+@pytest.fixture(scope="module")
+def probes(workload):
+    return knn_queries_from_workload(workload)
+
+
 def _build(workload):
     return build_standard_indexes(workload, PARAMS, which=("Bx",), shards=SHARDS)["Bx"]
 
@@ -64,6 +70,11 @@ def test_explicit_epoch_must_be_published(workload, queries):
             index.range_query_batch(queries, epoch=index.epoch + 1)
         with pytest.raises(ValueError, match="not published"):
             index.range_query_batch(queries, epoch=-1)
+        for epoch in (1.9, "1"):  # an epoch is an integer: 1.9 is not truncated to 1
+            with pytest.raises(TypeError):
+                index.range_query_batch(queries, epoch=epoch)
+            with pytest.raises(TypeError):
+                EpochOracle().record_answer(epoch, "range", queries, [])
 
 
 def test_sharded_range_query_batch_takes_no_exact(workload, queries):
@@ -121,6 +132,57 @@ def test_held_pin_blocks_gc_until_released(workload, update_batches, queries):
         index.update_batch(update_batches[4])
         with pytest.raises(SnapshotTooOldError):
             index.range_query_batch(queries, epoch=pinned)
+
+
+# ----------------------------------------------------------------------
+# The oracle: a repeatable verdict from a model that shares no merge code
+# ----------------------------------------------------------------------
+def test_oracle_check_is_repeatable(workload, update_batches, queries, probes):
+    """Each ``check()`` replays from an empty model, so it may repeat and recording resume."""
+    index, oracle = _build(workload), EpochOracle()
+    with index:
+        index.bulk_load(workload.initial_objects)
+        oracle.record_mutation(index.epoch, "bulk_load", workload.initial_objects)
+        with index.pin() as pinned:
+            early = index.knn_query_batch(probes, space=PARAMS.space, epoch=pinned)
+            for pairs in update_batches[:3]:
+                index.update_batch(pairs)
+                oracle.record_mutation(index.epoch, "update_batch", pairs)
+        late = index.knn_query_batch(probes, space=PARAMS.space)
+        assert early != late  # the two cuts differ
+        oracle.record_answer(pinned, "knn", probes, early)
+        oracle.record_answer(index.epoch, "knn", probes, late)
+        assert oracle.check() == []
+        assert oracle.check() == []
+        index.update_batch(update_batches[3])
+        oracle.record_mutation(index.epoch, "update_batch", update_batches[3])
+        oracle.record_answer(index.epoch, "range", queries, index.range_query_batch(queries))
+        assert oracle.check() == []
+
+
+def test_oracle_catches_a_merge_bug_every_sharded_index_shares(workload, monkeypatch):
+    """Drop the highest shard's ids from multi-shard range answers: the model disagrees."""
+    merged = ShardedIndex.range_query_batch
+
+    def drop_highest_shard(self, queries, **kwargs):
+        answers = []
+        for ids in merged(self, queries, **kwargs):
+            shards = {shard_of(oid, self.num_shards) for oid in ids}
+            last = max(shards) if len(shards) > 1 else None
+            answers.append([oid for oid in ids if shard_of(oid, self.num_shards) != last])
+        return answers
+
+    monkeypatch.setattr(ShardedIndex, "range_query_batch", drop_highest_shard)
+    wide = TimeSliceRangeQuery(RectangularRange(PARAMS.space), time=0.0)
+    index, oracle = _build(workload), EpochOracle()
+    with index:
+        index.bulk_load(workload.initial_objects)
+        oracle.record_mutation(index.epoch, "bulk_load", workload.initial_objects)
+        with index.pin() as epoch:
+            answer = index.range_query_batch([wide], epoch=epoch)
+        oracle.record_answer(epoch, "range", [wide], answer)
+    [mismatch] = oracle.check()
+    assert mismatch.startswith("epoch 1 range answer diverged")
 
 
 # ----------------------------------------------------------------------

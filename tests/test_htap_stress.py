@@ -4,9 +4,9 @@ The deterministic interleavings of ``tests/test_htap_oracle.py`` prove
 the epoch semantics; this module makes threads actually race.  An
 updater streams real workload batches while query clients pin epochs
 and answer range/kNN batches concurrently (``benchmarks/load_driver
-.run_htap``); every recorded answer is then replayed against the
-quiescent twin by :class:`~repro.serve.EpochOracle` — bit-identical or
-the run fails, with the seed in the test id for replay.
+.run_htap``); every recorded answer is then checked by
+:class:`~repro.serve.EpochOracle` against a brute-force model —
+bit-identical or the run fails, with the seed in the test id for replay.
 
 The seed matrix is published as ``load_driver.HTAP_SEEDS``; set the
 ``HTAP_SEED`` environment variable to pin a single seed (the CI htap
@@ -94,19 +94,14 @@ def _build(workload, executor):
     )["Bx"]
 
 
-def _oracle(workload):
-    """An oracle whose twin is the index's recipe on the serial executor."""
-    return EpochOracle(_build(workload, "serial"), space=PARAMS.space)
-
-
 @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
 @pytest.mark.parametrize("seed", _seeds())
 def test_concurrent_pinned_answers_are_oracle_consistent(
     workload, update_batches, queries, probes, executor, seed
 ):
     """Racing updater + query clients: every answered cut is bit-exact."""
-    index = _build(workload, executor)
-    with index, _oracle(workload) as oracle:
+    index, oracle = _build(workload, executor), EpochOracle()
+    with index:
         index.bulk_load(workload.initial_objects)
         oracle.record_mutation(index.epoch, "bulk_load", workload.initial_objects)
         report = load_driver.run_htap(
@@ -137,17 +132,16 @@ def test_sigkill_mid_stream_keeps_post_recovery_epochs_consistent(
     queries that catch the degraded window skip recording (strict reads
     on a dead shard fail loudly, never wrongly).  Afterwards the oracle
     replays every recorded answer — those answered across the recovery
-    boundary must still be bit-identical to the quiescent twin.
+    boundary must still be bit-identical to the model's answers.
     """
     victim = 2
-    index = _build(workload, "process")
-    with index, _oracle(workload) as oracle:
+    index, oracle = _build(workload, "process"), EpochOracle()
+    with index:
         index.bulk_load(workload.initial_objects)
         oracle.record_mutation(index.epoch, "bulk_load", workload.initial_objects)
 
         stop = threading.Event()
         errors: list = []
-        answers: list = []  # (epoch, kind, payload, answer), recorded post-join
         skipped = [0]
 
         def killer() -> None:
@@ -167,7 +161,6 @@ def test_sigkill_mid_stream_keeps_post_recovery_epochs_consistent(
 
         def query_client() -> None:
             rng = random.Random(seed * 7919 + 1)
-            local: list = []
             try:
                 while not stop.is_set():
                     batch = rng.sample(queries, min(4, len(queries)))
@@ -182,12 +175,11 @@ def test_sigkill_mid_stream_keeps_post_recovery_epochs_consistent(
                         # The dead-worker window: degraded, not wrong.
                         skipped[0] += 1
                         continue
-                    local.append((epoch, "range", batch, ranges))
-                    local.append((epoch, "knn", probe_batch, knn))
+                    oracle.record_answer(epoch, "range", batch, ranges)
+                    oracle.record_answer(epoch, "knn", probe_batch, knn)
             except BaseException as error:  # noqa: BLE001 - re-raised below
                 errors.append(error)
                 stop.set()
-            answers.extend(local)
 
         threads = [
             threading.Thread(target=updater),
@@ -206,8 +198,6 @@ def test_sigkill_mid_stream_keeps_post_recovery_epochs_consistent(
         assert index.executor.worker_alive(victim)
         assert index.epoch == 1 + len(update_batches)
 
-        for epoch, kind, payload, answer in answers:
-            oracle.record_answer(epoch, kind, payload, answer)
         assert oracle.answers_recorded > 0
         # Post-recovery cut, answered after the dust settled.
         with index.pin() as epoch:

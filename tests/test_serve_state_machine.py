@@ -7,9 +7,9 @@ checkpoints, faults and — on the durable cells — abandon-and-reopen, and
 checks every answer, flag and recovery count against a model that is
 nothing but a dict of objects per epoch: range answers by
 :meth:`RangeQuery.matches` over the dict, kNN answers by ranking the whole
-dict through the kernel the indexes use
-(:func:`repro.objects.knn._rank_distances`), so ids *and* float distances
-must be bit-identical.
+dict through the kernel the indexes use (:func:`repro.serve.quiescent_answers`,
+shared with :class:`EpochOracle`), so ids *and* float distances must be
+bit-identical.
 
 The write outcomes are what the model pins down hardest.  A shard's slice
 of a batch is applied or rejected whole (a ``VPIndex`` refuses an id it
@@ -56,7 +56,6 @@ import signal
 import time
 from functools import partial
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, event, seed, settings
 from hypothesis import strategies as st
@@ -74,7 +73,7 @@ from repro.core.partitioned_index import analyze_sample
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.vector import Vector
-from repro.objects.knn import KNNQuery, _rank_distances, motion_rows
+from repro.objects.knn import KNNQuery
 from repro.objects.moving_object import MovingObject
 from repro.objects.queries import RangeQuery, RectangularRange
 from repro.serve import (
@@ -89,6 +88,7 @@ from repro.serve import (
     ShardedIndex,
     ShardFailedError,
     SupervisorConfig,
+    quiescent_answers,
     shard_of,
 )
 from repro.storage import FaultProfile, PageReadError, ShardDownError, fault_wrap
@@ -164,18 +164,6 @@ def _partitioning():
 
 
 PARTITIONING = _partitioning()
-
-
-def _brute_range(state, query):
-    return sorted(oid for oid, obj in state.items() if query.matches(obj))
-
-
-def _brute_knn(state, probe):
-    if not state:
-        return []
-    oids, distances = _rank_distances(motion_rows(state.values()), probe.center, probe.query_time)
-    order = np.lexsort((oids, distances))[: probe.k]
-    return [(int(oids[j]), float(distances[j])) for j in order]
 
 
 class ServeMachine(RuleBasedStateMachine):
@@ -318,13 +306,6 @@ class ServeMachine(RuleBasedStateMachine):
         ]
         return queries, knn
 
-    @staticmethod
-    def _expected(state, queries, knn):
-        return (
-            [_brute_range(state, query) for query in queries],
-            [_brute_knn(state, probe) for probe in knn],
-        )
-
     def _check_answers(self, epoch, range_specs, probe_specs, partial=False):
         if epoch is not None:  # a pinned cut is checked whole
             range_specs = [EVERYTHING, *range_specs]
@@ -334,7 +315,7 @@ class ServeMachine(RuleBasedStateMachine):
             self.index.range_query_batch(queries, epoch=epoch, partial=partial),
             self.index.knn_query_batch(knn, space=SPACE, epoch=epoch, partial=partial),
         )
-        assert answers == self._expected(self.states[at], queries, knn)
+        assert answers == quiescent_answers(self.states[at], queries, knn)
         if partial:  # a complete degraded answer is the strict one
             for answer in answers:
                 assert (answer.complete, answer.epoch) == (True, at)
@@ -397,7 +378,7 @@ class ServeMachine(RuleBasedStateMachine):
             for oid, obj in self.states[self.epoch].items()
             if shard_of(oid, self.shards) != shard_id
         }
-        ranges, nearest = self._expected(healthy, queries, knn)
+        ranges, nearest = quiescent_answers(healthy, queries, knn)
         attempts = RETRY.max_attempts if cause is PageReadError else 1
         self._backoffs(shard_id, attempts - 1)
         with pytest.raises(ShardFailedError) as failed:
