@@ -25,7 +25,6 @@ gets, so the comparison is not biased by extra RAM.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
@@ -35,12 +34,7 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.vector import Vector
 from repro.core.velocity_analyzer import VelocityPartitioning
-from repro.objects.knn import (
-    KNNQuery,
-    ScalarVerbs,
-    expanding_knn_batch,
-    motion_rows,
-)
+from repro.objects.knn import MOTION, KNNQuery, ScalarVerbs, expanding_knn_batch
 from repro.objects.moving_object import MovingObject
 from repro.objects.queries import (
     CircularRange,
@@ -51,8 +45,6 @@ from repro.storage.buffer_manager import BufferManager
 
 #: Index of the outlier partition in :class:`VPIndex`'s partition numbering.
 OUTLIER_PARTITION = -1
-
-_ORIGINAL = attrgetter("original")
 
 
 @runtime_checkable
@@ -146,15 +138,24 @@ class SubIndex(MovingIndex, Protocol):
 
 @dataclass(slots=True)
 class _StoredObject:
-    """Bookkeeping for one live object."""
+    """Bookkeeping for one live object; ``slot`` is its row of ``VPIndex._rows``."""
 
     partition: int
     original: MovingObject
     stored: MovingObject
+    slot: int
 
 
 class VPIndex(ScalarVerbs):
-    """A velocity-partitioned moving-object index (Bx(VP), TPR*(VP))."""
+    """A velocity-partitioned moving-object index (Bx(VP), TPR*(VP)).
+
+    Beside the directory (oid → partition, original and stored snapshot),
+    every live object owns one row of ``_rows``: its *original* snapshot
+    as a :data:`~repro.objects.knn.MOTION` record, written by every
+    mutation from the arrays it already builds.  kNN candidates come back
+    from it as one gather.  The slab doubles when full; released rows go
+    to the free list ``_free`` and are reused first.
+    """
 
     def __init__(
         self,
@@ -184,6 +185,8 @@ class VPIndex(ScalarVerbs):
         ]
         self.outlier_index: SubIndex = index_factory(OUTLIER_PARTITION)
         self._directory: Dict[int, _StoredObject] = {}
+        self._rows = np.empty(0, dtype=MOTION)
+        self._free: List[int] = []
 
     # ------------------------------------------------------------------
     # Partition routing
@@ -217,47 +220,51 @@ class VPIndex(ScalarVerbs):
         partition = self.partition_for(obj)
         stored = self._transform_object(obj, partition)
         self._index_of(partition).insert(stored)
+        slot = self._allocate(1)[0]
+        self._rows[slot] = (
+            obj.oid,
+            obj.position.x,
+            obj.position.y,
+            obj.velocity.vx,
+            obj.velocity.vy,
+            obj.reference_time,
+        )
         self._directory[obj.oid] = _StoredObject(
-            partition=partition, original=obj, stored=stored
+            partition=partition, original=obj, stored=stored, slot=slot
         )
 
     def bulk_load(self, objects: Sequence[MovingObject]) -> None:
         """Partition-aware bulk build: route every object, pack each index once.
 
         All objects are routed to their partition and rotated into its frame
-        in one pass, then every sub-index is built with its own ``bulk_load``.
-        The velocity analysis itself happened up front, when the
+        in one vectorized pass (:meth:`_classify_and_transform`), then every
+        sub-index is built with its own ``bulk_load``, in the order the
+        partitions first appear in ``objects``.  The velocity analysis
+        itself happened up front, when the
         :class:`~repro.core.velocity_analyzer.VelocityPartitioning` was
         computed — bulk loading only routes and packs.
 
-        The directory is only committed after every input has been validated
-        and every sub-index loaded, so a rejected input (duplicate oid,
-        non-empty sub-index) does not leave the directory claiming objects
-        the sub-indexes never received.
+        The directory and the slab are only committed after every input has
+        been validated and every sub-index loaded, so a rejected input
+        (duplicate oid, non-empty sub-index) does not leave the directory
+        claiming objects the sub-indexes never received.
 
         Raises:
             KeyError: if any object id is already indexed or appears twice.
         """
-        groups: Dict[int, List[MovingObject]] = {}
-        records: Dict[int, _StoredObject] = {}
-        for obj in objects:
-            if obj.oid in self._directory or obj.oid in records:
-                raise KeyError(f"object {obj.oid} is already indexed; use update()")
-            partition = self.partition_for(obj)
-            stored = self._transform_object(obj, partition)
-            records[obj.oid] = _StoredObject(
-                partition=partition, original=obj, stored=stored
-            )
-            groups.setdefault(partition, []).append(stored)
-        for partition, group in groups.items():
+        objects = list(objects)
+        self._check_new([obj.oid for obj in objects])
+        partitions, stored_objects, motion = self._classify_and_transform(objects)
+        for partition, group in self._groups(partitions, stored_objects).items():
             self._index_of(partition).bulk_load(group)
-        self._directory.update(records)
+        self._commit(objects, partitions, stored_objects, motion)
 
     def delete(self, obj: MovingObject) -> bool:
         """Delete an object by id from whichever partition hosts it."""
         record = self._directory.pop(obj.oid, None)
         if record is None:
             return False
+        self._free.append(record.slot)
         return self._index_of(record.partition).delete(record.stored)
 
     def update(self, old: MovingObject, new: MovingObject) -> bool:
@@ -270,17 +277,19 @@ class VPIndex(ScalarVerbs):
 
     def _classify_and_transform(
         self, objects: List[MovingObject]
-    ) -> Tuple[List[int], List[MovingObject]]:
+    ) -> Tuple[List[int], List[MovingObject], np.ndarray]:
         """Vectorized partition classification + frame rotation for a batch.
 
-        One component-extraction pass for the whole batch feeds both the
+        One component-extraction pass for the whole batch feeds the
         vectorized classification (perpendicular distances to every DVA at
-        once) and the per-partition rotation.  The position and velocity
-        components are packed into one pair of arrays (positions in
-        ``[0, n)``, velocities in ``[n, 2n)``): a rotation is rigid, so one
-        array rotation covers both and the per-partition numpy dispatch
-        count halves.  Returns the partition per object and the stored
-        (frame-rotated) snapshot per object, aligned with the input.
+        once), the per-partition rotation and the slab rows.  The position
+        and velocity components are packed into one pair of arrays
+        (positions in ``[0, n)``, velocities in ``[n, 2n)``): a rotation is
+        rigid, so one array rotation covers both and the per-partition
+        numpy dispatch count halves.  Returns the partition per object, the
+        stored (frame-rotated) snapshot per object and the objects'
+        original :data:`~repro.objects.knn.MOTION` rows, aligned with the
+        input.
         """
         n = len(objects)
         xs = np.empty(2 * n)
@@ -289,17 +298,15 @@ class VPIndex(ScalarVerbs):
         ys[:n] = np.fromiter((o.position.y for o in objects), np.float64, n)
         xs[n:] = np.fromiter((o.velocity.vx for o in objects), np.float64, n)
         ys[n:] = np.fromiter((o.velocity.vy for o in objects), np.float64, n)
+        motion = np.empty(n, dtype=MOTION)
+        motion["oid"] = np.fromiter((o.oid for o in objects), np.int64, n)
+        motion["x"], motion["vx"] = xs[:n], xs[n:]
+        motion["y"], motion["vy"] = ys[:n], ys[n:]
+        motion["t"] = np.fromiter((o.reference_time for o in objects), np.float64, n)
         # partition_for_arrays marks outliers with -1 == OUTLIER_PARTITION.
         partitions = self.partitioning.partition_for_arrays(xs[n:], ys[n:]).tolist()
-        groups: Dict[int, List[int]] = {}
-        for i, partition in enumerate(partitions):
-            group = groups.get(partition)
-            if group is None:
-                groups[partition] = [i]
-            else:
-                group.append(i)
         stored_objects: List[Optional[MovingObject]] = [None] * n
-        for partition, members in groups.items():
+        for partition, members in self._groups(partitions, range(n)).items():
             frame = self.frame_of(partition)
             if frame is None:
                 for i in members:
@@ -319,15 +326,15 @@ class VPIndex(ScalarVerbs):
                     velocity=Vector(svx[j], svy[j]),
                     reference_time=obj.reference_time,
                 )
-        return partitions, stored_objects
+        return partitions, stored_objects, motion
 
     def insert_batch(self, objects: Sequence[MovingObject]) -> None:
         """Insert a batch of objects.
 
         The batch is classified and rotated in one vectorized pass
         (:meth:`_classify_and_transform`) and each touched sub-index
-        receives one grouped ``insert_batch`` call.  Directory state ends
-        up exactly as under object-by-object :meth:`insert`.
+        receives one grouped ``insert_batch`` call.  Directory and slab
+        state end up exactly as under object-by-object :meth:`insert`.
 
         Raises:
             KeyError: if any object id is already indexed or repeats
@@ -336,24 +343,11 @@ class VPIndex(ScalarVerbs):
         objects = list(objects)
         if not objects:
             return
-        oids = [obj.oid for obj in objects]
-        if len(self._directory.keys() & set(oids)) or len(set(oids)) != len(oids):
-            duplicate = next(
-                oid
-                for i, oid in enumerate(oids)
-                if oid in self._directory or oid in oids[:i]
-            )
-            raise KeyError(f"object {duplicate} is already indexed; use update()")
-        partitions, stored_objects = self._classify_and_transform(objects)
-        groups: Dict[int, List[int]] = {}
-        for i, partition in enumerate(partitions):
-            groups.setdefault(partition, []).append(i)
-        for partition, members in groups.items():
-            self._index_of(partition).insert_batch([stored_objects[i] for i in members])
-        for obj, partition, stored in zip(objects, partitions, stored_objects):
-            self._directory[obj.oid] = _StoredObject(
-                partition=partition, original=obj, stored=stored
-            )
+        self._check_new([obj.oid for obj in objects])
+        partitions, stored_objects, motion = self._classify_and_transform(objects)
+        for partition, group in self._groups(partitions, stored_objects).items():
+            self._index_of(partition).insert_batch(group)
+        self._commit(objects, partitions, stored_objects, motion)
 
     def delete_batch(self, objects: Sequence[MovingObject]) -> List[bool]:
         """Delete a batch of objects by id; flags align with the input order.
@@ -371,6 +365,7 @@ class VPIndex(ScalarVerbs):
             record = self._directory.pop(obj.oid, None)
             if record is None:
                 continue
+            self._free.append(record.slot)
             groups.setdefault(record.partition, []).append((position, record.stored))
         for partition, members in groups.items():
             results = self._index_of(partition).delete_batch(
@@ -391,8 +386,10 @@ class VPIndex(ScalarVerbs):
         updates go through the index's ``update_batch`` (where the
         Bx-tree collapses same-key updates into in-place replacements),
         migrations become one grouped ``delete_batch`` per source
-        partition and one grouped ``insert_batch`` per target.  Directory
-        state ends up exactly as under pair-by-pair :meth:`update`.
+        partition and one grouped ``insert_batch`` per target.  Existing
+        records keep their slab row, which is rewritten in place; upserts
+        get a new one.  Directory and slab state end up exactly as under
+        pair-by-pair :meth:`update`.
         """
         pairs = list(pairs)
         oids = [old.oid for old, _ in pairs]
@@ -403,20 +400,24 @@ class VPIndex(ScalarVerbs):
             # Repeated oids: relative order matters (a later pair's existence
             # depends on an earlier pair's insert), so take the scalar path.
             return [self.update(old, new) for old, new in pairs]
-        partitions, stored_objects = self._classify_and_transform(objects)
+        partitions, stored_objects, motion = self._classify_and_transform(objects)
         same: Dict[int, List[Tuple[MovingObject, MovingObject]]] = {}
         deletes: Dict[int, List[MovingObject]] = {}
         inserts: Dict[int, List[MovingObject]] = {}
         directory = self._directory
         flags: List[bool] = []
+        records: List[_StoredObject] = []
+        fresh: List[_StoredObject] = []
         for obj, partition, stored in zip(objects, partitions, stored_objects):
             record = directory.get(obj.oid)
             flags.append(record is not None)
             if record is None:
                 inserts.setdefault(partition, []).append(stored)
-                directory[obj.oid] = _StoredObject(
-                    partition=partition, original=obj, stored=stored
+                record = directory[obj.oid] = _StoredObject(
+                    partition=partition, original=obj, stored=stored, slot=-1
                 )
+                records.append(record)
+                fresh.append(record)
                 continue
             # Existing records are updated in place (the common case at
             # steady state) instead of being reallocated per update.
@@ -428,6 +429,10 @@ class VPIndex(ScalarVerbs):
                 record.partition = partition
             record.original = obj
             record.stored = stored
+            records.append(record)
+        for record, slot in zip(fresh, self._allocate(len(fresh))):
+            record.slot = slot
+        self._rows[[record.slot for record in records]] = motion
         # One mixed batch per touched index: its deletions (migrations out),
         # insertions (migrations in) and same-partition updates run in a
         # single sweep instead of three.
@@ -515,9 +520,10 @@ class VPIndex(ScalarVerbs):
         candidate surface: same shared machinery as ``range_query_batch``,
         but without the one-pass eviction hint — filter rounds re-scan
         grown windows — and without the exact predicate), and each distinct
-        id is resolved once through the directory to its *original*
-        (unrotated) snapshot, so the kNN distance ranking happens in the
-        frame the query was asked in and no rotated row is ever built.
+        id is resolved once through the directory to its slab row, the
+        *original* (unrotated) snapshot, so the candidates come back as one
+        gather and the kNN distance ranking happens in the frame the query
+        was asked in.
         """
         queries = list(queries)
         scans = [
@@ -528,8 +534,9 @@ class VPIndex(ScalarVerbs):
         ]
         scans.append(self.outlier_index.knn_candidates_batch(queries, ids_only=True))
         lookup = self._directory.get
+        rows = self._rows
         return [
-            motion_rows(map(_ORIGINAL, filter(None, map(lookup, np.unique(found).tolist()))))
+            rows[[record.slot for record in filter(None, map(lookup, np.unique(found).tolist()))]]
             for found in map(np.concatenate, zip(*scans))
         ]
 
@@ -568,6 +575,61 @@ class VPIndex(ScalarVerbs):
         if partition == OUTLIER_PARTITION:
             return self.outlier_index
         return self.dva_indexes[partition]
+
+    def _check_new(self, oids: List[int]) -> None:
+        """Raise ``KeyError`` on the first oid already indexed or repeated in ``oids``."""
+        if len(self._directory.keys() & set(oids)) or len(set(oids)) != len(oids):
+            duplicate = next(
+                oid
+                for i, oid in enumerate(oids)
+                if oid in self._directory or oid in oids[:i]
+            )
+            raise KeyError(f"object {duplicate} is already indexed; use update()")
+
+    @staticmethod
+    def _groups(partitions: List[int], items: Sequence[Any]) -> Dict[int, List[Any]]:
+        """``items`` grouped by partition, partitions in order of first appearance."""
+        groups: Dict[int, List[Any]] = {}
+        for partition, item in zip(partitions, items):
+            group = groups.get(partition)
+            if group is None:
+                groups[partition] = [item]
+            else:
+                group.append(item)
+        return groups
+
+    def _allocate(self, count: int) -> List[int]:
+        """Take ``count`` free slab rows, growing the slab when too few are free.
+
+        The slab at least doubles, or grows by exactly the shortfall when
+        that is more (a bulk load into an empty index sizes it exactly).
+        """
+        shortfall = count - len(self._free)
+        if shortfall > 0:
+            size = len(self._rows)
+            rows = np.empty(size + max(size, shortfall), dtype=MOTION)
+            rows[:size] = self._rows
+            self._rows = rows
+            self._free.extend(range(len(rows) - 1, size - 1, -1))
+        keep = len(self._free) - count
+        taken = self._free[keep:]
+        del self._free[keep:]
+        return taken
+
+    def _commit(
+        self,
+        objects: List[MovingObject],
+        partitions: List[int],
+        stored_objects: List[MovingObject],
+        motion: np.ndarray,
+    ) -> None:
+        """Record freshly inserted objects in the directory and the slab."""
+        slots = self._allocate(len(objects))
+        self._rows[slots] = motion
+        for obj, partition, stored, slot in zip(objects, partitions, stored_objects, slots):
+            self._directory[obj.oid] = _StoredObject(
+                partition=partition, original=obj, stored=stored, slot=slot
+            )
 
     def _transform_object(self, obj: MovingObject, partition: int) -> MovingObject:
         frame = self.frame_of(partition)

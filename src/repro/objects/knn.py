@@ -55,7 +55,8 @@ DEFAULT_INITIAL_RADIUS = 100.0
 DEFAULT_MAX_ROUNDS = 64
 
 #: One candidate's motion record — the one currency of the kNN path, from
-#: the key store to the ranker (and the slab row of the flat key store).
+#: the key store to the ranker (and the slab row of the flat key store and
+#: of ``VPIndex``).
 MOTION = np.dtype([("oid", "i8")] + [(name, "f8") for name in ("x", "y", "vx", "vy", "t")])
 
 #: What ``row.tolist()`` of a :data:`MOTION` row yields:
@@ -73,12 +74,14 @@ CandidateProvider = Callable[[List[RangeQuery]], List[np.ndarray]]
 def motion_rows(objects: Iterable[MovingObject]) -> np.ndarray:
     """The :data:`MOTION` array of ``objects`` (AttributeError if one is opaque).
 
-    The rows are gathered in a list on purpose.  ``np.fromiter`` over a
-    generator is a third faster, but then no container a kNN request
-    allocates outlives a statement, CPython's cyclic collector stops
-    running inside kNN, and the young generation that updates fill is swept
-    during update requests instead (``replay-bx`` ``update_p95_ms`` +35 %;
-    ROADMAP § Performance, PR 20).
+    The rows are gathered in a list, not ``np.fromiter`` over a generator
+    (a third faster).  That choice was made for ``VPIndex``'s kNN path,
+    which once built a row per candidate id here and so decided where
+    CPython's cyclic collector ran (ROADMAP § Performance); it now
+    gathers its candidates from a slab.  The callers that remain: the
+    paged Bx key store's kNN candidate scan, the flat key store's slab
+    writes, the epoch snapshots' reconcile pool and the epoch oracle's
+    brute-force model (``repro.serve.quiescent_answers``).
     """
     return np.array(
         [

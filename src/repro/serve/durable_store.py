@@ -84,8 +84,10 @@ _MANIFEST = "MANIFEST.json"
 #: is a :class:`~repro.serve.snapshot.VersionedShard`; 5 = a pickled Bx
 #: velocity histogram keeps its extrema in one array whose empty cells
 #: hold sentinels (a v4 image has four arrays with stale extrema in its
-#: empty cells, which a lookup without an occupancy mask would count).
-_MANIFEST_VERSION = 5
+#: empty cells, which a lookup without an occupancy mask would count);
+#: 6 = a pickled ``VPIndex`` keeps a ``MOTION`` slab of its objects'
+#: original snapshots (a v5 image has none, so its first kNN would fail).
+_MANIFEST_VERSION = 6
 
 
 # ----------------------------------------------------------------------

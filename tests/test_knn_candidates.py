@@ -1,6 +1,6 @@
 """The kNN candidate path around ``knn_candidates_batch`` → ``expanding_knn_batch``.
 
-Three pins:
+Four pins:
 
 * **Pools** (Hypothesis): the batched driver keeps each probe's candidates
   as one ``MOTION`` array, so answers — ids and float distances, compared
@@ -14,6 +14,12 @@ Three pins:
   radius is twice the last, or less once the probe's pool holds ``k``
   rows: capped at the k-th pooled distance, and a probe whose circle
   reaches that distance retires in that round.  Answers equal brute force.
+* **VP slab** (Hypothesis): ``VPIndex`` answers kNN from a ``MOTION``
+  slab of its objects' original snapshots, one row per live object.  After
+  every random mutation — bulk load, inserts, deletes with misses and
+  repeats, updates with migrations, upserts and repeated ids, rejected
+  batches — each live record's row is its original's, live rows are
+  distinct, and live rows plus the free list are the whole slab.
 * **Page I/O**: the pages a seeded kNN replay reads on each of the four
   standard indexes.  The scan is a function of the radius schedule, so a
   moved count means the schedule or the scan changed, not just the
@@ -31,10 +37,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.harness import build_standard_indexes, knn_queries_from_workload
+from repro.core.dva import DominantVelocityAxis
+from repro.core.partitioned_index import make_vp_bx_tree, make_vp_tprstar_tree
+from repro.core.velocity_analyzer import VelocityPartitioning
 from repro.geometry.point import Point
+from repro.geometry.rect import Rect
+from repro.geometry.vector import Vector
+from repro.objects.moving_object import MovingObject
 from repro.objects.queries import CircularRange, TimeSliceRangeQuery
 from repro.objects import knn
-from repro.objects.knn import MOTION, KNNQuery, expanding_knn_batch
+from repro.objects.knn import MOTION, KNNQuery, expanding_knn_batch, motion_rows
 from repro.workload.events import UpdateEvent
 from repro.workload.generator import build_workload
 from repro.workload.parameters import WorkloadParameters
@@ -178,6 +190,99 @@ def test_radius_doubles_capped_at_the_pools_kth_distance(table, probes, slack):
             assert after == min(2.0 * before, kth)
             if after == kth:
                 assert len(taken) == r + 2
+
+
+# ----------------------------------------------------------------------
+# The VP slab against the directory
+# ----------------------------------------------------------------------
+_SPACE = Rect(0.0, 0.0, 10_000.0, 10_000.0)
+#: Along the x axis, along the y axis, and diagonal: an outlier once fast.
+_HEADINGS = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8)]
+_motions = st.tuples(
+    st.integers(min_value=0, max_value=15),
+    st.floats(min_value=0.0, max_value=10_000.0),
+    st.floats(min_value=0.0, max_value=10_000.0),
+    st.sampled_from(_HEADINGS),
+    st.floats(min_value=10.0, max_value=50.0),
+)
+_VERBS = ["insert", "delete", "update", "rejected insert", "rejected bulk_load"]
+
+
+def _vp_index(family):
+    """An empty Bx(VP) or TPR*(VP) over the x and y axes (τ = 5)."""
+    partitioning = VelocityPartitioning(
+        dvas=[
+            DominantVelocityAxis(axis=Vector(1.0, 0.0), tau=5.0),
+            DominantVelocityAxis(axis=Vector(0.0, 1.0), tau=5.0),
+        ]
+    )
+    if family == "Bx(VP)":
+        return make_vp_bx_tree(partitioning, space=_SPACE, buffer_pages=32, page_size=1024)
+    return make_vp_tprstar_tree(partitioning, buffer_pages=32, page_size=1024, space=_SPACE)
+
+
+def _slab_state(index):
+    """Everything the slab invariants read, as comparable values."""
+    directory = {
+        oid: (r.partition, r.original, r.stored, r.slot) for oid, r in index._directory.items()
+    }
+    return directory, index._rows.tobytes(), list(index._free)
+
+
+def _assert_slab_matches(index, live):
+    records = index._directory
+    assert {oid: record.original for oid, record in records.items()} == live
+    for record in records.values():
+        assert index._rows[record.slot].tolist() == motion_rows([record.original])[0].tolist()
+    slots = [record.slot for record in records.values()]
+    assert len(set(slots)) == len(slots)
+    assert sorted(slots + index._free) == list(range(len(index._rows)))
+
+
+@pytest.mark.parametrize("family", ["Bx(VP)", "TPR*(VP)"])
+@settings(max_examples=40, deadline=None)
+@given(
+    loaded=st.lists(_motions, max_size=12),
+    steps=st.lists(st.tuples(st.sampled_from(_VERBS), st.lists(_motions, max_size=6)), max_size=10),
+)
+def test_vp_slab_rows_are_the_directorys_originals(family, loaded, steps):
+    index = _vp_index(family)
+
+    def objects(motions, time):
+        return [
+            MovingObject(oid, Point(x, y), Vector(speed * hx, speed * hy), reference_time=time)
+            for oid, x, y, (hx, hy), speed in motions
+        ]
+
+    live = {obj.oid: obj for obj in objects(loaded, 0.0)}
+    index.bulk_load(list(live.values()))
+    _assert_slab_matches(index, live)
+    for time, (verb, motions) in enumerate(steps, start=1):
+        batch = objects(motions, float(time))
+        if verb == "insert":
+            fresh = list({obj.oid: obj for obj in batch if obj.oid not in live}.values())
+            index.insert_batch(fresh)
+            live.update((obj.oid, obj) for obj in fresh)
+        elif verb == "delete":
+            expected = [live.pop(obj.oid, None) is not None for obj in batch]
+            assert index.delete_batch(batch) == expected
+        elif verb == "update":
+            # Repeated oids take the scalar fallback, unseen ones are upserts.
+            pairs, expected = [], []
+            for new in batch:
+                pairs.append((live.get(new.oid, new), new))
+                expected.append(new.oid in live)
+                live[new.oid] = new
+            assert index.update_batch(pairs) == expected
+        elif batch or live:
+            # A batch holding a live oid (or one oid twice) is refused whole.
+            duplicate = next(iter(live.values())) if live else batch[0]
+            before = _slab_state(index)
+            load = index.insert_batch if verb == "rejected insert" else index.bulk_load
+            with pytest.raises(KeyError):
+                load(batch + [duplicate])
+            assert _slab_state(index) == before
+        _assert_slab_matches(index, live)
 
 
 # ----------------------------------------------------------------------
