@@ -18,16 +18,16 @@ Two call surfaces are exposed, mirroring ``geometry/kernels.py``:
 
 * the **per-operation API** (``insert`` / ``delete`` / ``replace`` /
   ``range_search``) descends from the root once per call — use it for
-  isolated operations and validated public call sites;
-* the **batch API** (``insert_batch`` / ``delete_batch`` /
-  ``range_search_batch``) sorts its work by key and sweeps the tree left to
-  right, reusing the descent path whenever the next key still belongs to
-  the current leaf — use it whenever several operations arrive together
-  (the Bx-tree's grouped update/query batches), because the shared descents
-  are what turn N root-to-leaf walks into one sweep.
+  isolated operations; the Bx-tree's own searches never take it;
+* the **batch API** (``insert_batch`` / ``delete_batch`` / ``apply_batch``
+  / ``range_search_batch``) sorts its work by key and sweeps the tree left
+  to right, reusing the descent path whenever the next key still belongs
+  to the current leaf — the Bx-tree's grouped updates and every one of its
+  range scans (a single query's included) run through it, because the
+  shared descents are what turn N root-to-leaf walks into one sweep.
 
-Both surfaces leave identical tree contents for identical inputs; only the
-number of node visits differs.
+Both surfaces leave identical tree contents and scan results for
+identical inputs; only the number of node visits differs.
 """
 
 from __future__ import annotations
@@ -301,9 +301,7 @@ class BPlusTree:
         pinned as the sweep's *frontier* — each cursor slot repins its page
         as it moves — so a small buffer stops evicting the frontier
         mid-batch under the sweep's own leaf traffic.  (The query sweep of
-        :meth:`range_search_batch` uses the equivalent
-        :meth:`~repro.storage.BufferManager.pin_frontier` hint plus
-        sequential-eviction advice.)
+        :meth:`range_search_batch` pins its scan leaf the same way.)
 
         Returns ``(delete_flags, upsert_flags)``: per-deletion success and
         per-upsert replaced-in-place flags, aligned with their inputs.
@@ -550,7 +548,7 @@ class BPlusTree:
         return results
 
     def range_search_batch(
-        self, ranges: Sequence[Tuple[int, int]], sequential_hint: bool = True
+        self, ranges: Sequence[Tuple[int, int]]
     ) -> List[List[Tuple[int, Any]]]:
         """Run many inclusive range scans in one left-to-right sweep.
 
@@ -560,37 +558,25 @@ class BPlusTree:
         and the scan continues from that leaf.  Each individual scan visits
         exactly the leaves :meth:`range_search` would, so candidate order
         per range is identical — only shared descents are saved.  The sweep
-        pins its current leaf as the buffer frontier and, by default, runs
-        under the sequential-eviction hint, exactly like
-        :meth:`apply_batch`.
-
-        Args:
-            ranges: inclusive ``(lo, hi)`` key ranges to scan.
-            sequential_hint: advise the buffer that scanned leaves will not
-                be revisited.  Callers that re-scan overlapping ranges
-                shortly after — the kNN filter rounds grow their windows
-                around the same centers — pass False, because evicting the
-                just-scanned leaves would evict exactly the pages the next
-                round needs.
+        pins its current leaf as the buffer frontier and takes no
+        sequential-eviction advice.  That advice evicts the most recently
+        read page first, and here those are the interior pages the next
+        descent walks and the leaves that overlapping ranges (another
+        query's, or the next kNN filter round's) scan again: under it a
+        multi-query Bx range batch read about twice the pages.
         """
-        return self._leaf_sweep(ranges, sequential_hint, with_keys=True)
+        return self._leaf_sweep(ranges, with_keys=True)
 
-    def range_values_batch(
-        self, ranges: Sequence[Tuple[int, int]], sequential_hint: bool = True
-    ) -> List[List[Any]]:
+    def range_values_batch(self, ranges: Sequence[Tuple[int, int]]) -> List[List[Any]]:
         """:meth:`range_search_batch` without the keys: the same sweep, values only."""
-        return self._leaf_sweep(ranges, sequential_hint, with_keys=False)
+        return self._leaf_sweep(ranges, with_keys=False)
 
-    def _leaf_sweep(
-        self, ranges: Sequence[Tuple[int, int]], sequential_hint: bool, with_keys: bool
-    ) -> List[list]:
+    def _leaf_sweep(self, ranges: Sequence[Tuple[int, int]], with_keys: bool) -> List[list]:
         """The one batched leaf sweep; per range ``(key, value)`` pairs or values."""
         results: List[list] = [[] for _ in ranges]
         order = sorted(range(len(ranges)), key=lambda i: ranges[i][0])
         leaf: Optional[_LeafNode] = None
         buffer = self.buffer
-        if sequential_hint:
-            buffer.advise_sequential(True)
         try:
             for i in order:
                 key_lo, key_hi = ranges[i]
@@ -613,8 +599,6 @@ class BPlusTree:
                 leaf = node if node is not None else leaf
                 buffer.pin_frontier((leaf.page_id,))
         finally:
-            if sequential_hint:
-                buffer.advise_sequential(False)
             buffer.release_frontier()
         return results
 

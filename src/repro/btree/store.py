@@ -69,12 +69,8 @@ class BTreeKeyStore:
     def range_search(self, low: int, high: int) -> List[Tuple[int, Any]]:
         return self.tree.range_search(low, high)
 
-    def range_search_batch(
-        self,
-        ranges: Sequence[Tuple[int, int]],
-        sequential_hint: bool = True,
-    ) -> List[List[Tuple[int, Any]]]:
-        return self.tree.range_search_batch(ranges, sequential_hint=sequential_hint)
+    def range_search_batch(self, ranges: Sequence[Tuple[int, int]]) -> List[List[Tuple[int, Any]]]:
+        return self.tree.range_search_batch(ranges)
 
     def knn_candidates_batch(
         self, ranges: Sequence[Tuple[int, int]], ids_only: bool = False
@@ -82,11 +78,9 @@ class BTreeKeyStore:
         """Per-range candidates: ``MOTION`` rows, or ``int64`` oids with ``ids_only``.
 
         One values-only leaf sweep and one array for the whole batch, cut
-        into per-range slices.  No sequential-eviction hint: the kNN filter
-        rounds re-scan grown versions of these same ranges, so the
-        just-scanned leaves are exactly the pages the next round wants.
+        into per-range slices.
         """
-        scans = self.tree.range_values_batch(ranges, sequential_hint=False)
+        scans = self.tree.range_values_batch(ranges)
         stops = list(accumulate(map(len, scans)))
         values = chain.from_iterable(scans)
         if ids_only:

@@ -21,25 +21,24 @@ Range queries are answered per partition:
    become B+-tree range scans; and
 4. candidates are filtered with the exact query predicate.
 
-**Per-object versus batch API.**  Mirroring ``geometry/kernels.py`` and
-``btree/bplus_tree.py``, the index exposes two update/query surfaces with
-identical semantics.  ``insert``/``delete``/``update``/``range_query`` is
-the per-object algorithm (small batches fall back to it, and it overrides
-the batch-of-one :class:`~repro.objects.knn.ScalarVerbs`, which supplies
-``knn_query``); use it for isolated operations.  ``insert_batch``/``delete_batch``/``update_batch``/
-``range_query_batch`` amortize co-arriving work: Bx keys, label positions
-and histogram cells for a whole batch are computed in one pass over flat
-numpy arrays, the underlying B+-tree is swept left-to-right with shared
-descents, same-key updates collapse into in-place value replacement, and a
-query batch reuses one partition list, one cached set of global velocity
-extrema and one chained range sweep per partition.  The benchmark harness
-routes grouped same-window events through the batch surface; anything that
-replays more than a handful of operations at a time should do the same.
+**Per-object versus batch API.**  Mirroring ``btree/bplus_tree.py``, the
+index has per-object mutations (``insert``/``delete``/``update``, which
+small update batches fall back to; ``range_query`` and ``knn_query`` are
+the batch-of-one :class:`~repro.objects.knn.ScalarVerbs`) beside the
+batch surface ``insert_batch``/``delete_batch``/``update_batch``/
+``range_query_batch``, which amortizes co-arriving work: Bx keys, label
+positions and histogram cells for a whole batch are computed in one pass
+over flat numpy arrays, the underlying B+-tree is swept left-to-right with
+shared descents, same-key updates collapse into in-place value
+replacement, and a query batch reuses one partition list, one cached set
+of global velocity extrema and one chained range sweep per partition.
+That sweep is the tree's only range traversal: a single query is a batch
+of one, and the kNN filter rounds scan through it too.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -409,50 +408,24 @@ class BxTree(ScalarVerbs):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def range_query(self, query: RangeQuery, exact: bool = True) -> List[int]:
-        """Object ids qualifying for ``query``."""
-        results: List[int] = []
-        seen = set()
-        for partition in self.active_partitions:
-            window = self.enlarged_window(query, partition)
-            candidates = self._scan_window(partition, window)
-            for obj in candidates:
-                if obj.oid in seen:
-                    continue
-                if not exact or query.matches(obj):
-                    seen.add(obj.oid)
-                    results.append(obj.oid)
-        return results
-
     def range_query_batch(
         self, queries: Sequence[RangeQuery], exact: bool = True
     ) -> List[List[int]]:
         """Answer a batch of queries; results are aligned with the input.
 
-        Produces exactly the per-query answers (and answer order) of
-        :meth:`range_query`, but amortizes the per-query machinery: the
-        active-partition list and the histogram's global extrema are read
-        once per batch, and all curve-range scans of one partition — across
-        every query in the batch — run as a single left-to-right B+-tree
-        sweep with shared descents.
+        The Bx-tree's one range search; a single query is a batch of one.
+        The active-partition list and the histogram's global extrema are
+        read once per batch, and all curve-range scans of one partition —
+        across every query in the batch — run as a single left-to-right
+        B+-tree sweep with shared descents.  Each query's answer and its
+        order are those of the query asked alone.
         """
         queries = list(queries)
         if not queries:
             return []
-        if len(queries) == 1:
-            return [self.range_query(queries[0], exact=exact)]
         results: List[List[int]] = [[] for _ in queries]
         seen: List[set] = [set() for _ in queries]
-        curve_size = self._curve_size
-        for partition in self.active_partitions:
-            base_key = partition * curve_size
-            ranges: List[Tuple[int, int]] = []
-            owners: List[int] = []
-            for qi, query in enumerate(queries):
-                window = self.enlarged_window(query, partition)
-                for lo, hi in self._ranges_for_window(window):
-                    ranges.append((base_key + lo, base_key + hi))
-                    owners.append(qi)
+        for ranges, owners in self._key_ranges(queries):
             scans = self.store.range_search_batch(ranges)
             for qi, scanned in zip(owners, scans):
                 query = queries[qi]
@@ -512,6 +485,25 @@ class BxTree(ScalarVerbs):
         index asks for, since it ranks the original, unrotated records.
         """
         found: List[List[np.ndarray]] = [[] for _ in queries]
+        for ranges, owners in self._key_ranges(queries):
+            # Candidate extraction is the store's job (the flat backend
+            # serves it from its motion slab without touching the payload
+            # objects).
+            scans = self.store.knn_candidates_batch(ranges, ids_only=ids_only)
+            for qi, scanned in zip(owners, scans):
+                found[qi].append(scanned)
+        empty = np.empty(0, dtype=np.int64 if ids_only else MOTION)
+        return [np.concatenate(arrays) if arrays else empty for arrays in found]
+
+    def _key_ranges(
+        self, queries: Sequence[RangeQuery]
+    ) -> Iterator[Tuple[List[Tuple[int, int]], List[int]]]:
+        """Per active partition, every query's curve ranges as B+-tree key ranges.
+
+        Yields ``(ranges, owners)``: the key ranges of the partition's
+        enlarged windows, query by query, and the index of the query that
+        owns each range.
+        """
         curve_size = self._curve_size
         for partition in self.active_partitions:
             base_key = partition * curve_size
@@ -522,17 +514,7 @@ class BxTree(ScalarVerbs):
                 for lo, hi in self._ranges_for_window(window):
                     ranges.append((base_key + lo, base_key + hi))
                     owners.append(qi)
-            # Candidate extraction is the store's job (the flat backend
-            # serves it from its motion slab without touching the payload
-            # objects).  The store skips the sequential-eviction hint: the
-            # kNN filter rounds re-scan grown versions of these same
-            # ranges, so the just-scanned leaves are exactly the pages
-            # the next round wants resident.
-            scans = self.store.knn_candidates_batch(ranges, ids_only=ids_only)
-            for qi, scanned in zip(owners, scans):
-                found[qi].append(scanned)
-        empty = np.empty(0, dtype=np.int64 if ids_only else MOTION)
-        return [np.concatenate(arrays) if arrays else empty for arrays in found]
+            yield ranges, owners
 
     def enlarged_window(self, query: RangeQuery, partition: int) -> Rect:
         """Query window enlarged back to the partition's label time.
@@ -595,15 +577,6 @@ class BxTree(ScalarVerbs):
         block = self.curve.index_table()[lo_x : hi_x + 1, lo_y : hi_y + 1]
         indexes = np.sort(block, axis=None)
         return self.curve.ranges_from_sorted_indexes(indexes, merge_gap=DEFAULT_RANGE_MERGE_GAP)
-
-    def _scan_window(self, partition: int, window: Rect) -> List[MovingObject]:
-        ranges = self._ranges_for_window(window)
-        base_key = partition * self._curve_size
-        found: List[MovingObject] = []
-        for lo, hi in ranges:
-            for _, obj in self.store.range_search(base_key + lo, base_key + hi):
-                found.append(obj)
-        return found
 
     # ------------------------------------------------------------------
     # Introspection

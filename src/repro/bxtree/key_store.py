@@ -101,11 +101,9 @@ class KeyStore(Protocol):
 
     def range_search(self, low: int, high: int) -> List[Tuple[int, Any]]: ...
 
-    def range_search_batch(
-        self,
-        ranges: Sequence[Tuple[int, int]],
-        sequential_hint: bool = True,
-    ) -> List[List[Tuple[int, Any]]]: ...
+    def range_search_batch(self, ranges: Sequence[Tuple[int, int]]) -> List[List[Tuple[int, Any]]]:
+        """Per range, its ``(key, value)`` pairs in key order; the whole batch in one call."""
+        ...
 
     def knn_candidates_batch(
         self, ranges: Sequence[Tuple[int, int]], ids_only: bool = False
@@ -318,12 +316,7 @@ class FlatKeyStore:
         values = self._payload[self._slots[lo:hi]]
         return list(zip(self._keys[lo:hi].tolist(), values.tolist()))
 
-    def range_search_batch(
-        self,
-        ranges: Sequence[Tuple[int, int]],
-        sequential_hint: bool = True,
-    ) -> List[List[Tuple[int, Any]]]:
-        del sequential_hint  # no pages to evict either way
+    def range_search_batch(self, ranges: Sequence[Tuple[int, int]]) -> List[List[Tuple[int, Any]]]:
         if not ranges:
             return []
         lo_idx, hi_idx = self._bounds(ranges)

@@ -108,9 +108,11 @@ class SubIndex(MovingIndex, Protocol):
 
     Three things only :class:`VPIndex` asks for: unrefined range
     candidates (``exact=False``), a mixed mutation sweep and the kNN
-    candidate scan.  Its scalar ``insert``/``delete`` call the sub-index's
-    scalar verbs, which like everywhere are
-    :class:`~repro.objects.knn.ScalarVerbs`', not protocol.
+    candidate scan; both searches run the sub-index's one range
+    traversal, whatever the batch size.  Its scalar ``insert``/``delete``
+    call the sub-index's scalar verbs, which are not protocol: the tree
+    families override :class:`~repro.objects.knn.ScalarVerbs`' mutations
+    with their per-object algorithm.
     """
 
     def range_query_batch(
@@ -129,7 +131,7 @@ class SubIndex(MovingIndex, Protocol):
     def knn_candidates_batch(
         self, queries: Sequence[RangeQuery], ids_only: bool = False
     ) -> List[np.ndarray]:
-        """Per-query unfiltered candidates, scanned without eviction hints.
+        """Per-query unfiltered candidates from the sub-index's one range traversal.
 
         One ``repro.objects.knn.MOTION`` array per query, or one ``int64``
         array of just the oids with ``ids_only``.
@@ -452,8 +454,8 @@ class VPIndex(ScalarVerbs):
 
         Partition by partition, each DVA rotates every query of the batch
         once and hands the whole group to the sub-index's
-        ``range_query_batch`` (shared descents / traversals; a batch of one
-        is the sub-index's scalar search); Line 8's filter with the
+        ``range_query_batch``, its one range traversal (shared descents /
+        traversals; a batch of one included); Line 8's filter with the
         original query then runs per query, so each answer and its order
         are those of the query asked alone.
         """
@@ -518,8 +520,7 @@ class VPIndex(ScalarVerbs):
         The unrefined twin of :meth:`range_query_batch`: the sub-indexes
         return bare candidate ids from their rotated frames (the kNN
         candidate surface: same shared machinery as ``range_query_batch``,
-        but without the one-pass eviction hint — filter rounds re-scan
-        grown windows — and without the exact predicate), and each distinct
+        but without the exact predicate), and each distinct
         id is resolved once through the directory to its slab row, the
         *original* (unrotated) snapshot, so the candidates come back as one
         gather and the kNN distance ranking happens in the frame the query

@@ -118,8 +118,9 @@ class ScalarVerbs:
     in for the per-object spelling.  ``**kwargs`` go straight to the batch
     verb, so a layer whose batch verbs take more (``epoch``/``gc_floor`` in
     ``repro.serve``) takes it here too.  The tree families override the
-    scalar mutations and searches that *are* their algorithm (their small
-    batches fall back to them); ``knn_query`` is defined here alone.
+    scalar mutations that *are* their algorithm (their small batches fall
+    back to them); ``range_query`` and ``knn_query`` are defined here
+    alone, so a single query runs the family's one range traversal.
     """
 
     def insert(self, obj: MovingObject, **kwargs) -> None:

@@ -17,22 +17,24 @@ through the ``soa_*`` geometry kernels instead of materializing per-entry
 ``MovingRect`` objects.
 
 **Per-object versus batch API.**  Mirroring ``geometry/kernels.py``, the
-tree exposes its per-object algorithm (``insert`` / ``delete`` / ``update``
-/ ``range_query``, overriding the batch-of-one
-:class:`~repro.objects.knn.ScalarVerbs` that supplies ``knn_query``) plus
-the batch surface every index shares (``insert_batch`` / ``delete_batch``
-/ ``update_batch`` / ``range_query_batch`` / ``knn_query_batch``) for
-co-arriving operations.  A batch advances the clock once, then replays its
-operations in projected-position order, so consecutive operations descend
-through the same subtrees while their pages are still buffered; a query
-batch runs as one shared traversal that visits each node once for all
-queries that need it, with the buffer manager advised to spare the
-traversal's own frontier (see :meth:`_shared_search`).  Results are
-identical to applying the operations one by one.  (A deferred end-of-batch
-tightening pass was rejected: re-reading cold pages *raised* physical update
-I/O ~25-70% under the paper's small buffer, where the sort alone stays at or
-below the per-object path.  Tightening is exact and per edit instead: each
-node caches its tight extent at the clock (:meth:`TPRNode.bound_extent`).)
+tree exposes its per-object mutations (``insert`` / ``delete`` /
+``update``, overriding the batch-of-one
+:class:`~repro.objects.knn.ScalarVerbs` that supplies ``range_query`` and
+``knn_query``) plus the batch surface every index shares (``insert_batch``
+/ ``delete_batch`` / ``update_batch`` / ``range_query_batch`` /
+``knn_query_batch``) for co-arriving operations.  A batch advances the
+clock once, then replays its operations in projected-position order, so
+consecutive operations descend through the same subtrees while their pages
+are still buffered.  Every search — a single range query, a range batch,
+a kNN filter round — is one shared traversal that visits each node once
+for all queries that need it (:meth:`_shared_search`); except for a range
+batch of one, the buffer manager is advised to spare the traversal's own
+frontier.  Results are identical to applying the operations one by one.
+(A deferred end-of-batch tightening pass was rejected: re-reading cold
+pages *raised* physical update I/O ~25-70% under the paper's small buffer,
+where the sort alone stays at or below the per-object path.  Tightening is
+exact and per edit instead: each node caches its tight extent at the clock
+(:meth:`TPRNode.bound_extent`).)
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.objects.knn import (
     MOTION,
-    CandidateState,
     KNNQuery,
     ScalarVerbs,
     expanding_knn_batch,
@@ -433,51 +434,34 @@ class TPRTree(ScalarVerbs):
                 f"t={self.current_time}: a TPR-tree answers only the present and future"
             )
 
-    def range_query(self, query: RangeQuery, exact: bool = True) -> List[int]:
-        """Object ids qualifying for ``query``.
-
-        Args:
-            query: the predictive range query.
-            exact: when True (default) candidates from the tree traversal are
-                refined with the exact containment predicate; when False the
-                raw candidate set (every object whose bound intersects the
-                query's bounding rectangle over the interval) is returned.
-
-        Raises:
-            ValueError: if the query starts before :attr:`current_time`
-                (also from the batch and kNN surfaces).
-        """
-        self._refuse_past(query)
-        query_rect = query.as_moving_rect()
-        start, end = query.start_time, query.end_time
-        candidates = self._search(self.root_page_id, query_rect, start, end)
-        if not exact:
-            return [state[0] for state in candidates]
-        results: List[int] = []
-        for oid, x, y, vx, vy, tref in candidates:
-            # Leaf bounds of moving points are degenerate: the stored state
-            # is the reference position and velocity of the object.
-            if query.matches_motion(x, y, vx, vy, tref):
-                results.append(oid)
-        return results
-
     def range_query_batch(
         self, queries: Sequence[RangeQuery], exact: bool = True
     ) -> List[List[int]]:
         """Answer a batch of queries in one shared traversal.
 
-        The tree is walked once; at every node each entry is tested against
-        all queries still active for that subtree, so a node needed by
-        several queries of the batch is fetched a single time.  Per-query
-        candidate order (and therefore the result list) is identical to
-        running :meth:`range_query` per query.
+        The tree's one range search; a single query is a batch of one.  The
+        tree is walked once; at every node each entry is tested against all
+        queries still active for that subtree, so a node needed by several
+        queries of the batch is fetched a single time.  Each query's
+        candidate order (and therefore its result list) is that of the
+        query asked alone.  A batch of one runs without buffer hints, so a
+        lone query costs what a plain pre-order search costs.
+
+        Args:
+            queries: the predictive range queries.
+            exact: when True (default) candidates from the tree traversal
+                are refined with the exact containment predicate; when False
+                the raw candidate set (every object whose bound intersects
+                the query's bounding rectangle over the interval) is returned.
+
+        Raises:
+            ValueError: if a query starts before :attr:`current_time` (also
+                from the kNN surface).
         """
         queries = list(queries)
         if not queries:
             return []
-        if len(queries) == 1:
-            return [self.range_query(queries[0], exact=exact)]
-        candidates = self._shared_search(queries)
+        candidates = self._shared_search(queries, ids_only=False, hinted=len(queries) > 1)
         results: List[List[int]] = []
         for query, found in zip(queries, candidates):
             if not exact:
@@ -535,30 +519,37 @@ class TPRTree(ScalarVerbs):
         filter nor the motion rows of the rotated frame.
         """
         dtype = np.int64 if ids_only else MOTION
-        return [np.array(found, dtype=dtype) for found in self._shared_search(queries, ids_only)]
+        found = self._shared_search(queries, ids_only=ids_only, hinted=True)
+        return [np.array(states, dtype=dtype) for states in found]
 
     def _shared_search(
-        self, queries: Sequence[RangeQuery], ids_only: bool = False
+        self, queries: Sequence[RangeQuery], *, ids_only: bool, hinted: bool
     ) -> List[list]:
-        """Candidate motion states (or bare oids) per query from ONE hinted shared traversal.
+        """Candidate motion states (or bare oids) per query from ONE shared traversal.
 
         The pre-order traversal visits each node at most once for the whole
-        query group.  While it runs, the buffer manager is advised that a
-        one-pass sweep is in progress (:meth:`~repro.storage.buffer_manager
-        .BufferManager.advise_sequential` — completed subtree pages are the
-        preferred eviction victims, since a shared traversal never revisits
-        them) and the current root-to-node path is pinned as the sweep
-        frontier, so the traversal's own leaf traffic cannot evict the
-        interior pages it still needs.
+        query group.  When ``hinted``, the buffer manager is advised while
+        it runs that a one-pass sweep is in progress
+        (:meth:`~repro.storage.buffer_manager.BufferManager.advise_sequential`
+        — completed subtree pages are the preferred eviction victims, since
+        a shared traversal never revisits them) and the current root-to-node
+        path is pinned as the sweep frontier, so the traversal's own leaf
+        traffic cannot evict the interior pages it still needs.
 
         The hint stays on even for kNN filter rounds, which *do* revisit the
         tree: with the interior path pinned, the hint's MRU-clean victims
         are completed leaves, whereas plain LRU would evict the long-idle
         interior pages every next round's descent needs — measured 10-50%
-        lower physical I/O across buffer sizes.  (The Bx kNN scan makes the
-        opposite call — see ``BxTree.knn_candidates_batch`` — because a
-        B+-tree range scan pins only its scan leaf and the re-scanned data
-        leaves are themselves the hint's victims.)
+        lower physical I/O across buffer sizes.  (The Bx-tree's range sweep
+        makes the opposite call — see ``BPlusTree.range_search_batch`` —
+        because a B+-tree range scan pins only its scan leaf and the
+        re-scanned data leaves are themselves the hint's victims.)
+
+        A range batch of one runs unhinted (``range_query_batch`` decides
+        from the batch size): no advice and no pins, so every I/O counter
+        is that of a plain pre-order search.  Hinting it would cut the
+        TPR-family figures' query I/O by a fifth or more and move their VP
+        ratios, which is a fidelity question, not a refactor.
         """
         infos = []
         for query in queries:
@@ -583,14 +574,17 @@ class TPRTree(ScalarVerbs):
         out: List[list] = [[] for _ in queries]
         # One (num_queries, 11) float matrix for the whole traversal: the
         # vectorized per-node intersect pass slices its active rows out of
-        # it instead of re-packing tuples at every node.
-        infos_arr = np.asarray(infos, dtype=np.float64).reshape(len(infos), 11)
+        # it instead of re-packing tuples at every node.  A lone query never
+        # takes that pass.
+        infos_arr = np.asarray(infos, dtype=np.float64) if len(infos) > 1 else None
+        active = list(range(len(queries)))
+        if not hinted:
+            self._search_many(self.root_page_id, active, infos, infos_arr, out, None, ids_only)
+            return out
         buffer = self.buffer
         buffer.advise_sequential(True)
         try:
-            self._search_many(
-                self.root_page_id, list(range(len(queries))), infos, infos_arr, out, [], ids_only
-            )
+            self._search_many(self.root_page_id, active, infos, infos_arr, out, [], ids_only)
         finally:
             buffer.release_frontier()
             buffer.advise_sequential(False)
@@ -603,16 +597,17 @@ class TPRTree(ScalarVerbs):
         infos: List[Tuple],
         infos_arr,
         out: List[list],
-        path: List[int],
+        path: Optional[List[int]],
         ids_only: bool,
     ) -> None:
         """Pre-order traversal testing each entry against all active queries.
 
         ``path`` carries the page ids of the *interior* nodes currently being
         descended; they are pinned as the sweep frontier so the traversal's
-        own leaf traffic cannot evict them.  Leaves are deliberately left
-        unpinned: a visited leaf is never needed again, which makes it the
-        ideal eviction victim under :meth:`~repro.storage.buffer_manager
+        own leaf traffic cannot evict them (``None``: an unhinted traversal
+        pins nothing).  Leaves are deliberately left unpinned: a visited
+        leaf is never needed again, which makes it the ideal eviction
+        victim under :meth:`~repro.storage.buffer_manager
         .BufferManager.advise_sequential`.
 
         ``infos`` and ``infos_arr`` are the same query records twice — as
@@ -624,7 +619,8 @@ class TPRTree(ScalarVerbs):
         """
         node = self._node(page_id)
         is_leaf = node.is_leaf
-        if not is_leaf:
+        pinned = path is not None and not is_leaf
+        if pinned:
             path.append(page_id)
             self.buffer.pin_frontier(path)
         intersects = kernels.intersects_interval
@@ -662,15 +658,17 @@ class TPRTree(ScalarVerbs):
         elif len(active) == 1:
             # Once a subtree concerns a single query — the common case as
             # soon as the batch's probes separate spatially — skip the
-            # per-entry matching-list bookkeeping.
+            # per-entry matching-list bookkeeping, and pass the query's
+            # bounds as locals (a ``*info`` splat per entry costs more).
             (qi,) = active
-            info = infos[qi]
+            qx0, qy0, qx1, qy1, qvx0, qvy0, qvx1, qvy1, qref, start, end = infos[qi]
             bucket = out[qi]
             for i, (bx0, by0, bx1, by1, bvx0, bvy0, bvx1, bvy1, bref) in enumerate(
                 zip(*node.columns)
             ):
                 if not intersects(
-                    bx0, by0, bx1, by1, bvx0, bvy0, bvx1, bvy1, bref, *info
+                    bx0, by0, bx1, by1, bvx0, bvy0, bvx1, bvy1, bref,
+                    qx0, qy0, qx1, qy1, qvx0, qvy0, qvx1, qvy1, qref, start, end,
                 ):
                     continue
                 if is_leaf:
@@ -696,7 +694,7 @@ class TPRTree(ScalarVerbs):
                         out[qi].append(state)
                 else:
                     self._search_many(refs[i], matching, infos, infos_arr, out, path, ids_only)
-        if not is_leaf:
+        if pinned:
             path.pop()
 
     # ------------------------------------------------------------------
@@ -969,51 +967,3 @@ class TPRTree(ScalarVerbs):
             self.buffer.free_page(root.page_id)
         for entry, entry_level in orphans:
             self._insert_entry(entry, entry_level)
-
-    # ------------------------------------------------------------------
-    # Search machinery
-    # ------------------------------------------------------------------
-    def _search(
-        self, page_id: int, query_rect: MovingRect, start: float, end: float
-    ) -> List[CandidateState]:
-        node = self._node(page_id)
-        results: List[CandidateState] = []
-        qr = query_rect.rect
-        qx0, qy0, qx1, qy1 = qr.x_min, qr.y_min, qr.x_max, qr.y_max
-        qvx0, qvy0 = query_rect.v_x_min, query_rect.v_y_min
-        qvx1, qvy1 = query_rect.v_x_max, query_rect.v_y_max
-        qref = query_rect.reference_time
-        intersects = kernels.intersects_interval
-        is_leaf = node.is_leaf
-        refs = node.refs
-        for i, (bx0, by0, bx1, by1, bvx0, bvy0, bvx1, bvy1, bref) in enumerate(
-            zip(*node.columns)
-        ):
-            if not intersects(
-                bx0,
-                by0,
-                bx1,
-                by1,
-                bvx0,
-                bvy0,
-                bvx1,
-                bvy1,
-                bref,
-                qx0,
-                qy0,
-                qx1,
-                qy1,
-                qvx0,
-                qvy0,
-                qvx1,
-                qvy1,
-                qref,
-                start,
-                end,
-            ):
-                continue
-            if is_leaf:
-                results.append((refs[i], bx0, by0, bvx0, bvy0, bref))
-            else:
-                results.extend(self._search(refs[i], query_rect, start, end))
-        return results

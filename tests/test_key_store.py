@@ -152,9 +152,6 @@ def test_range_searches_match_btree(ops, bounds):
     for low, high in bounds:
         assert reference.range_search(low, high) == flat.range_search(low, high)
     assert reference.range_search_batch(bounds) == flat.range_search_batch(bounds)
-    assert reference.range_search_batch(
-        bounds, sequential_hint=False
-    ) == flat.range_search_batch(bounds, sequential_hint=False)
 
 
 @PROPERTY_SETTINGS
