@@ -127,9 +127,9 @@ class ExperimentRunner:
     Events are grouped into same-window, same-type batches
     (:data:`DEFAULT_BATCH_WINDOW`) and each group is replayed through the
     index's ``update_batch`` / ``range_query_batch``; a singleton group is
-    a batch of one.  A tree family hands a singleton update to its
-    per-object update, and runs a singleton query through its one range
-    traversal.
+    a batch of one and runs the family's one mutation path or range
+    traversal like any other group.  So does the insertion-built phase:
+    ``insert`` is a batch of one.
 
     Args:
         workload: the workload to replay.

@@ -48,15 +48,6 @@ class BTreeKeyStore:
     def bulk_load(self, items: Iterable[Tuple[int, Any]]) -> None:
         self.tree.bulk_load(items)
 
-    def insert(self, key: int, value: Any) -> None:
-        self.tree.insert(key, value)
-
-    def delete(self, key: int, value: Any) -> bool:
-        return self.tree.delete(key, value)
-
-    def replace(self, key: int, old_value: Any, new_value: Any) -> bool:
-        return self.tree.replace(key, old_value, new_value)
-
     def apply_batch(
         self,
         deletes: Sequence[Tuple[int, Any]] = (),

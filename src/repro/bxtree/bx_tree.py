@@ -21,16 +21,15 @@ Range queries are answered per partition:
    become B+-tree range scans; and
 4. candidates are filtered with the exact query predicate.
 
-**Per-object versus batch API.**  Mirroring ``btree/bplus_tree.py``, the
-index has per-object mutations (``insert``/``delete``/``update``, which
-small update batches fall back to; ``range_query`` and ``knn_query`` are
-the batch-of-one :class:`~repro.objects.knn.ScalarVerbs`) beside the
-batch surface ``insert_batch``/``delete_batch``/``update_batch``/
-``range_query_batch``, which amortizes co-arriving work: Bx keys, label
-positions and histogram cells for a whole batch are computed in one pass
-over flat numpy arrays, the underlying B+-tree is swept left-to-right with
-shared descents, same-key updates collapse into in-place value
-replacement, and a query batch reuses one partition list, one cached set
+**One mutation path.**  ``insert_batch``/``delete_batch``/``update_batch``
+all run :meth:`BxTree.apply_batch`, and the scalar ``insert``/``delete``/
+``update``/``range_query``/``knn_query`` are the batch-of-one
+:class:`~repro.objects.knn.ScalarVerbs`.  A mutation batch of any size
+computes its Bx keys, label positions and histogram cells in one pass
+(a plain loop below :data:`~repro.bulk.MIN_VECTOR_BATCH` objects, flat
+numpy arrays above, bit-identically), sweeps the key store left to right
+with shared descents, and turns same-key updates into in-place value
+replacements.  A query batch reuses one partition list, one cached set
 of global velocity extrema and one chained range sweep per partition.
 That sweep is the tree's only range traversal: a single query is a batch
 of one, and the kNN filter rounds scan through it too.
@@ -42,6 +41,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import bulk
 from repro.bxtree.grid import Grid
 from repro.bxtree.key_store import make_key_store
 from repro.bxtree.spacefill import HilbertCurve, SpaceFillingCurve, ZCurve
@@ -82,13 +82,6 @@ MAX_ENLARGEMENT_ITERATIONS = 5
 #: B+-tree scan (one extra short leaf scan is cheaper than another
 #: root-to-leaf descent).
 DEFAULT_RANGE_MERGE_GAP = 64
-
-#: Batches smaller than this take the scalar per-object path: below a
-#: handful of operations the fixed cost of the vectorized key pass (array
-#: construction, numpy dispatch) exceeds what the batch saves.  The VP
-#: index manager routinely produces such slivers when it splits a batch
-#: across partitions.
-MIN_VECTOR_BATCH = 8
 
 
 class BxTree(ScalarVerbs):
@@ -187,33 +180,6 @@ class BxTree(ScalarVerbs):
         self.store.bulk_load(pairs)
         self.size = len(objects)
 
-    def insert(self, obj: MovingObject) -> None:
-        """Insert an object snapshot."""
-        self._insert_keyed(obj, self.key_for(obj), self.partition_of(obj.reference_time))
-
-    def _insert_keyed(self, obj: MovingObject, key: int, partition: int) -> None:
-        self.current_time = max(self.current_time, obj.reference_time)
-        self.store.insert(key, obj)
-        self._bump_partition(partition, 1)
-        # The histogram is keyed by the *indexed* (label-time) position so the
-        # query-window refinement reasons about the same positions the keys
-        # encode; see enlarged_window() for why this keeps refinement safe.
-        self.histogram.add(self._label_position(obj), obj.velocity)
-        self.size += 1
-
-    def delete(self, obj: MovingObject) -> bool:
-        """Delete the snapshot previously inserted for this object."""
-        return self._delete_keyed(obj, self.key_for(obj), self.partition_of(obj.reference_time))
-
-    def _delete_keyed(self, obj: MovingObject, key: int, partition: int) -> bool:
-        self.current_time = max(self.current_time, obj.reference_time)
-        removed = self.store.delete(key, obj)
-        if removed:
-            self._bump_partition(partition, -1)
-            self.histogram.remove(self._label_position(obj))
-            self.size -= 1
-        return removed
-
     def _bump_partition(self, partition: int, delta: int) -> None:
         """Adjust a partition's live-object count, keeping the cache fresh."""
         count = self._partition_counts.get(partition, 0) + delta
@@ -230,45 +196,37 @@ class BxTree(ScalarVerbs):
         partition = self.partition_of(obj.reference_time)
         return obj.position_at(self.label_time(partition))
 
-    def update(self, old: MovingObject, new: MovingObject) -> bool:
-        """Delete ``old`` and insert ``new`` (the paper's update model).
-
-        When both snapshots map to the same Bx key (same partition and same
-        curve cell), the B+-tree entry is replaced in place — one descent
-        instead of the delete-descent plus insert-descent pair — and only
-        the histogram is re-pointed at the new label position and velocity.
-        """
-        old_key = self.key_for(old)
-        new_key = self.key_for(new)
-        old_partition = self.partition_of(old.reference_time)
-        new_partition = self.partition_of(new.reference_time)
-        if old_key == new_key:
-            self.current_time = max(self.current_time, old.reference_time, new.reference_time)
-            if self.store.replace(old_key, old, new):
-                # Same key means same partition: counts and size are
-                # untouched, but the histogram still moves (the histogram
-                # grid is finer than the curve grid).
-                self.histogram.remove(self._label_position(old))
-                self.histogram.add(self._label_position(new), new.velocity)
-                return True
-            self._insert_keyed(new, new_key, new_partition)
-            return False
-        removed = self._delete_keyed(old, old_key, old_partition)
-        self._insert_keyed(new, new_key, new_partition)
-        return removed
-
     # ------------------------------------------------------------------
     # Batch updates
     # ------------------------------------------------------------------
     def _batch_key_data(self, objs: Sequence[MovingObject]):
-        """Keys, partitions, label positions and velocities for a batch.
+        """Keys, partitions, label positions and velocities of a batch.
 
-        One pass over flat numpy arrays replaces the per-object
-        ``key_for``/``_label_position`` chain: partition and label time
-        arithmetic, label-position projection, grid cells and curve codes
-        are all evaluated vectorized, bit-identically to the scalar path.
+        Label positions and velocities come back as four columns.  Below
+        :data:`~repro.bulk.MIN_VECTOR_BATCH` objects they are lists filled
+        by a plain loop (``partition_of``, ``label_time``, the arithmetic of
+        ``position_at``, ``grid.cell_at`` and the curve's cell → index
+        table); larger batches evaluate the same arithmetic over flat numpy
+        arrays, bit-identically.
         """
         n = len(objs)
+        if n < bulk.MIN_VECTOR_BATCH:
+            curve_size = self._curve_size
+            table = self.curve.index_table()
+            keys, partitions, lx, ly, vx, vy = [], [], [], [], [], []
+            for obj in objs:
+                partition = self.partition_of(obj.reference_time)
+                dt = self.label_time(partition) - obj.reference_time  # as in position_at
+                velocity = obj.velocity
+                x = obj.position.x + velocity.vx * dt
+                y = obj.position.y + velocity.vy * dt
+                keys.append(partition * curve_size + int(table[self.grid.cell_at(x, y)]))
+                partitions.append(partition)
+                lx.append(x)
+                ly.append(y)
+                vx.append(velocity.vx)
+                vy.append(velocity.vy)
+            return keys, partitions, lx, ly, vx, vy
         rt = np.fromiter((o.reference_time for o in objs), np.float64, n)
         px = np.fromiter((o.position.x for o in objs), np.float64, n)
         py = np.fromiter((o.position.y for o in objs), np.float64, n)
@@ -294,15 +252,13 @@ class BxTree(ScalarVerbs):
     def update_batch(self, pairs: Iterable[Tuple[MovingObject, MovingObject]]) -> List[bool]:
         """Apply a batch of updates; per pair, whether its old snapshot existed.
 
-        Equivalent to calling :meth:`update` pair by pair (same final tree
-        contents, counts, sizes and flags); see :meth:`apply_batch`.
+        One :meth:`apply_batch`; a batch that updates the same object twice
+        goes through it pair by pair, since later pairs see earlier ones.
         """
         pairs = list(pairs)
         oids = [old.oid for old, _ in pairs]
         if len(set(oids)) != len(oids):
-            # Same object updated twice in one batch: order matters, so fall
-            # back to the sequential path.
-            return [self.update(old, new) for old, new in pairs]
+            return [self.apply_batch(updates=[pair])[1][0] for pair in pairs]
         return self.apply_batch(updates=pairs)[1]
 
     def apply_batch(
@@ -313,20 +269,16 @@ class BxTree(ScalarVerbs):
     ) -> Tuple[List[bool], List[bool]]:
         """Apply a mixed batch of operations in one pass over the index.
 
-        The per-operation overhead is amortized across the whole batch:
-        keys, partitions and label positions for every snapshot (deletes,
-        inserts, and both sides of every update) come from ONE vectorized
-        pass over flat arrays; same-key updates become in-place B+-tree
-        replacements; and all remaining deletions and insertions run as a
-        single key-ordered B+-tree sweep with shared descents.  The
-        histogram is maintained with batched array updates.  Final tree
-        contents, partition counts and size match applying the operations
-        one by one (updates must not repeat an object id within one batch —
-        callers with repeats use the sequential path); the histogram may
-        end slightly *tighter* than under interleaved scalar replay when a
-        batch turns over a cell's whole population (see
-        :meth:`~repro.bxtree.velocity_histogram.VelocityHistogram.add_batch`),
-        which never changes query answers, only candidate counts.
+        The Bx-tree's one mutation algorithm; a single insert, delete or
+        update is a batch of one.  Keys, partitions and label positions for
+        every snapshot (deletes, inserts, and both sides of every update)
+        come from one key pass (:meth:`_batch_key_data`); same-key updates
+        become in-place B+-tree replacements (an update moves an object's
+        key as a deletion plus an insertion); and all remaining deletions
+        and insertions run as a single key-ordered B+-tree sweep with
+        shared descents.  The histogram then forgets every removed snapshot
+        and records every added one.  Updates must not repeat an object id
+        within one batch (:meth:`update_batch` splits such batches).
 
         Returns ``(delete_flags, update_flags)``: per-deletion success flags
         aligned with ``deletes`` and, aligned with ``updates``, whether each
@@ -335,72 +287,51 @@ class BxTree(ScalarVerbs):
         deletes = list(deletes)
         inserts = list(inserts)
         updates = list(updates)
-        total = len(deletes) + len(inserts) + 2 * len(updates)
-        if total == 0:
+        if not (deletes or inserts or updates):
             return [], []
-        if total < MIN_VECTOR_BATCH:
-            flags = [self.delete(obj) for obj in deletes]
-            for obj in inserts:
-                self.insert(obj)
-            return flags, [self.update(old, new) for old, new in updates]
+        nd, nu = len(deletes), len(updates)
         olds = [old for old, _ in updates]
         news = [new for _, new in updates]
-        everything = deletes + inserts + olds + news
+        # Every snapshot that may leave the index, then every one that enters.
+        everything = deletes + olds + inserts + news
         keys, parts, lx, ly, vx, vy = self._batch_key_data(everything)
         self.current_time = max(self.current_time, max(o.reference_time for o in everything))
-        nd, ni, nu = len(deletes), len(inserts), len(updates)
-        del_keys = keys[:nd]
-        ins_keys = keys[nd : nd + ni]
-        old_keys = keys[nd + ni : nd + ni + nu]
-        new_keys = keys[nd + ni + nu :]
-        old_at = nd + ni
-        new_at = nd + ni + nu
+        entering = nd + nu
+        new_at = len(everything) - nu
         # Same-key update pairs become in-place upserts; the rest join the
         # plain deletions/insertions in ONE key-ordered B+-tree sweep.
-        same = [i for i in range(nu) if old_keys[i] == new_keys[i]]
-        moves = [i for i in range(nu) if old_keys[i] != new_keys[i]]
-        delete_flags, upsert_flags = self.store.apply_batch(
-            list(zip(del_keys, deletes)) + [(old_keys[i], olds[i]) for i in moves],
-            list(zip(ins_keys, inserts)) + [(new_keys[i], news[i]) for i in moves],
-            [(old_keys[i], olds[i], news[i]) for i in same],
-        )
-        plain_flags = delete_flags[:nd]
-        move_flags = delete_flags[nd:]
-        # Bookkeeping: counts, histogram and size move exactly as under the
-        # per-object path.  A successful in-place replacement keeps its
-        # partition count and the tree size (same key, same partition) but
-        # still moves the histogram entry.
-        removed_positions = []  # indexes into `everything` of removed olds
-        for i, flag in enumerate(plain_flags):
-            if flag:
-                self._bump_partition(parts[i], -1)
-                removed_positions.append(i)
-        for i in range(ni):
-            self._bump_partition(parts[nd + i], 1)
-        for i, flag in zip(moves, move_flags):
-            if flag:
-                self._bump_partition(parts[old_at + i], -1)
-                removed_positions.append(old_at + i)
-        for i in moves:
-            self._bump_partition(parts[new_at + i], 1)
-        for i, flag in zip(same, upsert_flags):
-            if flag:
-                removed_positions.append(old_at + i)
+        store_deletes = list(zip(keys, deletes))
+        store_inserts = list(zip(keys[entering:], inserts))
+        upserts, moves, same = [], [], []
+        for i in range(nu):
+            old_key, new_key = keys[nd + i], keys[new_at + i]
+            if old_key == new_key:
+                same.append(i)
+                upserts.append((old_key, olds[i], news[i]))
             else:
-                self._bump_partition(parts[new_at + i], 1)
-        if removed_positions:
-            self.histogram.remove_batch(lx[removed_positions], ly[removed_positions])
-        added = list(range(nd, nd + ni)) + list(range(new_at, new_at + nu))
-        if added:
-            self.histogram.add_batch(lx[added], ly[added], vx[added], vy[added])
-        inserted = ni + len(moves) + (len(same) - sum(upsert_flags))
-        self.size += inserted - sum(plain_flags) - sum(move_flags)
+                moves.append(i)
+                store_deletes.append((old_key, olds[i]))
+                store_inserts.append((new_key, news[i]))
+        delete_flags, upsert_flags = self.store.apply_batch(store_deletes, store_inserts, upserts)
         update_flags = [False] * nu
-        for i, flag in zip(moves, move_flags):
+        for i, flag in zip(moves + same, delete_flags[nd:] + upsert_flags):
             update_flags[i] = flag
-        for i, flag in zip(same, upsert_flags):
-            update_flags[i] = flag
-        return plain_flags, update_flags
+        # Bookkeeping: every removed old snapshot leaves its partition count
+        # and histogram cell, every new one enters them (an in-place
+        # replacement does both).  The histogram is keyed by the label-time
+        # position the key encodes; see enlarged_window() for why this keeps
+        # refinement safe.
+        removed = [i for i, flag in enumerate(delete_flags[:nd] + update_flags) if flag]
+        for i in removed:
+            self._bump_partition(parts[i], -1)
+        for partition in parts[entering:]:
+            self._bump_partition(partition, 1)
+        if removed:
+            self.histogram.remove_batch(*_take(removed, lx, ly))
+        if len(everything) > entering:
+            self.histogram.add_batch(lx[entering:], ly[entering:], vx[entering:], vy[entering:])
+        self.size += len(everything) - entering - len(removed)
+        return delete_flags[:nd], update_flags
 
     def __len__(self) -> int:
         return self.size
@@ -592,6 +523,13 @@ class BxTree(ScalarVerbs):
         self.histogram.rebuild(
             (self._label_position(obj), obj.velocity) for _, obj in self.store.items()
         )
+
+
+def _take(positions: List[int], *columns):
+    """Each column at ``positions``: one gather per numpy column, a loop per list."""
+    if isinstance(columns[0], np.ndarray):
+        return [column[positions] for column in columns]
+    return [[column[i] for i in positions] for column in columns]
 
 
 def _make_curve(kind: str, order: int) -> SpaceFillingCurve:

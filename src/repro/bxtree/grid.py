@@ -44,14 +44,18 @@ class Grid:
 
     def cell_of(self, point: Point) -> Tuple[int, int]:
         """Cell containing ``point``; points outside the space are clamped."""
-        cx = int((point.x - self.space.x_min) / self.cell_width)
-        cy = int((point.y - self.space.y_min) / self.cell_height)
+        return self.cell_at(point.x, point.y)
+
+    def cell_at(self, x: float, y: float) -> Tuple[int, int]:
+        """Cell containing the point ``(x, y)``; points outside the space are clamped."""
+        cx = int((x - self.space.x_min) / self.cell_width)
+        cy = int((y - self.space.y_min) / self.cell_height)
         cx = min(max(cx, 0), self.cells_x - 1)
         cy = min(max(cy, 0), self.cells_y - 1)
         return cx, cy
 
     def cells_of_arrays(self, xs: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`cell_of` over coordinate arrays (clamped)."""
+        """Vectorized :meth:`cell_at` over coordinate arrays (clamped)."""
         cx = ((xs - self.space.x_min) / self.cell_width).astype(np.int64)
         cy = ((ys - self.space.y_min) / self.cell_height).astype(np.int64)
         # minimum/maximum instead of np.clip: same result, less per-call

@@ -62,9 +62,10 @@ class KeyStore(Protocol):
     values are opaque payloads — the Bx-tree stores
     :class:`~repro.objects.moving_object.MovingObject` snapshots, the
     test suites also use plain ints.  Duplicate keys are allowed and
-    must preserve **insertion order** among equal keys; ``delete`` and
-    ``replace`` act on the *leftmost* value-equal entry of a duplicate
-    run.  All query results are ``(key, value)`` pairs in key order with
+    must preserve **insertion order** among equal keys; ``apply_batch``'s
+    deletions and upserts act on the *leftmost* value-equal entry of a
+    duplicate run.  Mutations come in batches only: a single one is a
+    batch of one.  All query results are ``(key, value)`` pairs in key order with
     keys returned as Python ints.
     """
 
@@ -83,12 +84,6 @@ class KeyStore(Protocol):
     def bulk_load(self, items: Iterable[Tuple[int, Any]]) -> None:
         """Build from ``(key, value)`` pairs (stable-sorted); store must be empty."""
         ...
-
-    def insert(self, key: int, value: Any) -> None: ...
-
-    def delete(self, key: int, value: Any) -> bool: ...
-
-    def replace(self, key: int, old_value: Any, new_value: Any) -> bool: ...
 
     def apply_batch(
         self,
@@ -130,15 +125,14 @@ class FlatKeyStore:
     store's lifetime once a payload without motion attributes is
     written; candidates are then read by attribute access per call.
 
-    Everything is driven by ``np.searchsorted``: point operations use one
-    scalar bisection, batch operations use **one** vectorized bisection
-    per batch.  ``apply_batch`` resolves the whole batch against a frozen
-    snapshot of the arrays (deletes/replacements recorded positionally,
-    insertions accumulated as a pending run) and then commits with
-    O(batch) slab writes, one ``np.delete`` and one merged ``np.insert``
-    — semantically identical to the B+-tree's sequential key-ordered
-    sweep, including flag values, duplicate-run ordering and upsert-miss
-    degradation.
+    Everything is driven by ``np.searchsorted``: every batch, mutation or
+    range scan, takes **one** vectorized bisection pair.  ``apply_batch``
+    resolves the whole batch against a frozen snapshot of the arrays
+    (deletes/replacements recorded positionally, insertions accumulated
+    as a pending run) and then commits with O(batch) slab writes, one
+    ``np.delete`` and one merged ``np.insert`` — semantically identical
+    to the B+-tree's sequential key-ordered sweep, including flag values,
+    duplicate-run ordering and upsert-miss degradation.
 
     The store keeps a :class:`BufferManager` reference purely for the
     uniform stats surface; it performs no paged I/O, so its I/O counters
@@ -180,29 +174,6 @@ class FlatKeyStore:
         self._keys = np.fromiter((k for k, _ in pairs), np.int64, len(pairs))
         self._slots = np.asarray(self._acquire(len(pairs)), dtype=np.int64)
         self._write(self._slots, [v for _, v in pairs])
-
-    def insert(self, key: int, value: Any) -> None:
-        pos = int(np.searchsorted(self._keys, key, side="right"))
-        slot = self._acquire(1)
-        self._write(slot, [value])
-        self._keys = np.insert(self._keys, pos, key)
-        self._slots = np.insert(self._slots, pos, slot[0])
-
-    def delete(self, key: int, value: Any) -> bool:
-        pos = self._find(key, value)
-        if pos < 0:
-            return False
-        self._release(self._slots[pos : pos + 1])
-        self._keys = np.delete(self._keys, pos)
-        self._slots = np.delete(self._slots, pos)
-        return True
-
-    def replace(self, key: int, old_value: Any, new_value: Any) -> bool:
-        pos = self._find(key, old_value)
-        if pos < 0:
-            return False
-        self._write(self._slots[pos : pos + 1], [new_value])
-        return True
 
     def apply_batch(
         self,
@@ -352,15 +323,6 @@ class FlatKeyStore:
         lo_idx = np.searchsorted(self._keys, lows, side="left").tolist()
         hi_idx = np.searchsorted(self._keys, highs, side="right").tolist()
         return lo_idx, hi_idx
-
-    def _find(self, key: int, value: Any) -> int:
-        """Position of the leftmost entry of ``key`` equal to ``value``, or -1."""
-        lo = int(np.searchsorted(self._keys, key, side="left"))
-        hi = int(np.searchsorted(self._keys, key, side="right"))
-        for pos in range(lo, hi):
-            if self._payload[self._slots[pos]] == value:
-                return pos
-        return -1
 
     def _acquire(self, n: int) -> List[int]:
         """Take ``n`` slab rows off the free list, doubling the slab if short."""

@@ -16,10 +16,11 @@ drops out of any min/max reduction and a lookup needs no occupancy mask.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import bulk
 from repro.bxtree.grid import Grid
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
@@ -52,17 +53,22 @@ class VelocityHistogram:
     def add(self, position: Point, velocity: Vector) -> None:
         """Record an object's velocity in the cell of its position."""
         self._version += 1
-        cx, cy = self.grid.cell_of(position)
+        self._add(position.x, position.y, velocity.vx, velocity.vy)
+
+    def _add(self, x: float, y: float, vx: float, vy: float) -> None:
+        cx, cy = self.grid.cell_at(x, y)
         # An empty cell holds the sentinels, so its first object resets it.
         lo_vx, lo_vy, hi_vx, hi_vy = self._extrema[:, cx, cy].tolist()
-        vx, vy = velocity.vx, velocity.vy
         self._extrema[:, cx, cy] = (min(lo_vx, vx), min(lo_vy, vy), max(hi_vx, vx), max(hi_vy, vy))
         self._count[cx, cy] += 1
 
     def remove(self, position: Point) -> None:
         """Note the departure of an object (its cell forgets its extrema when it empties)."""
         self._version += 1
-        cx, cy = self.grid.cell_of(position)
+        self._remove(position.x, position.y)
+
+    def _remove(self, x: float, y: float) -> None:
+        cx, cy = self.grid.cell_at(x, y)
         if self._count[cx, cy] > 0:
             self._count[cx, cy] -= 1
             if self._count[cx, cy] == 0:
@@ -70,44 +76,49 @@ class VelocityHistogram:
 
     def add_batch(
         self,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        vxs: np.ndarray,
-        vys: np.ndarray,
+        xs: Sequence[float],
+        ys: Sequence[float],
+        vxs: Sequence[float],
+        vys: Sequence[float],
     ) -> None:
-        """Vectorized :meth:`add` over parallel position/velocity arrays.
+        """:meth:`add` over parallel position/velocity columns (lists or arrays).
 
-        A cell that is empty when the batch arrives takes its extrema from
-        the batch alone (its sentinels lose every comparison), while
-        occupied cells union the new velocities in.  Note one deliberate
-        divergence from interleaved scalar replay: when a batch both empties
-        a cell and repopulates it, the batched remove-then-add order always
-        resets the cell, whereas some scalar interleavings would have
-        unioned into the stale (wider) extrema first.  The batched state is
-        the *tighter* of the two and still covers every live occupant, so
-        query enlargement stays conservative and exact answers are
-        unaffected — only candidate counts can shrink.
+        Below :data:`~repro.bulk.MIN_VECTOR_BATCH` objects the columns are
+        added one by one; larger batches take one numpy pass, in which a
+        cell that is empty when the batch arrives takes its extrema from
+        the batch alone (its sentinels lose every comparison) and occupied
+        cells union the new velocities in.  Both leave the same arrays.
         """
-        if xs.size == 0:
-            return
+        if len(xs) < bulk.MIN_VECTOR_BATCH:
+            for x, y, vx, vy in zip(xs, ys, vxs, vys):
+                self._add(x, y, vx, vy)
+        else:
+            cells = self.grid.cells_of_arrays(np.asarray(xs), np.asarray(ys))
+            np.minimum.at(self._extrema[0], cells, vxs)
+            np.minimum.at(self._extrema[1], cells, vys)
+            np.maximum.at(self._extrema[2], cells, vxs)
+            np.maximum.at(self._extrema[3], cells, vys)
+            np.add.at(self._count, cells, 1)
         self._version += 1
-        cells = self.grid.cells_of_arrays(xs, ys)
-        np.minimum.at(self._extrema[0], cells, vxs)
-        np.minimum.at(self._extrema[1], cells, vys)
-        np.maximum.at(self._extrema[2], cells, vxs)
-        np.maximum.at(self._extrema[3], cells, vys)
-        np.add.at(self._count, cells, 1)
 
-    def remove_batch(self, xs: np.ndarray, ys: np.ndarray) -> None:
-        """Vectorized :meth:`remove` (counts never drop below zero)."""
-        if xs.size == 0:
-            return
+    def remove_batch(self, xs: Sequence[float], ys: Sequence[float]) -> None:
+        """:meth:`remove` over parallel position columns (counts never drop below zero).
+
+        Below :data:`~repro.bulk.MIN_VECTOR_BATCH` positions they are removed
+        one by one; larger batches subtract in one numpy pass and clamp only
+        the cells they touched.  Both leave the same arrays.
+        """
+        if len(xs) < bulk.MIN_VECTOR_BATCH:
+            for x, y in zip(xs, ys):
+                self._remove(x, y)
+        else:
+            cx, cy = self.grid.cells_of_arrays(np.asarray(xs), np.asarray(ys))
+            np.subtract.at(self._count, (cx, cy), 1)
+            counts = np.maximum(self._count[cx, cy], 0)
+            self._count[cx, cy] = counts
+            emptied = counts == 0
+            self._forget(cx[emptied], cy[emptied])
         self._version += 1
-        cx, cy = self.grid.cells_of_arrays(xs, ys)
-        np.subtract.at(self._count, (cx, cy), 1)
-        np.maximum(self._count, 0, out=self._count)
-        emptied = self._count[cx, cy] == 0
-        self._forget(cx[emptied], cy[emptied])
 
     def rebuild(self, entries: Iterable[Tuple[Point, Vector]]) -> None:
         """Recompute the histogram from scratch from the live objects."""

@@ -57,8 +57,10 @@ class CoordinateFrame:
         """Express a moving object in the frame's coordinates.
 
         Inlines the rotation arithmetic (bit-identical to the point/vector
-        helpers) because this sits on the index manager's per-object update
-        path, where the intermediate ``Vector`` allocations are measurable.
+        helpers and to :meth:`to_frame_arrays`) because the index manager
+        rotates every batch below :data:`~repro.bulk.MIN_VECTOR_BATCH`
+        objects through it, where the intermediate ``Vector`` allocations
+        are measurable.
         """
         ax, ay = self.axis.vx, self.axis.vy
         position = obj.position

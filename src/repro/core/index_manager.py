@@ -29,6 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tupl
 
 import numpy as np
 
+from repro import bulk
 from repro.core.dva import CoordinateFrame
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -64,7 +65,8 @@ class MovingIndex(Protocol):
 
     The scalar spellings (``insert``, ``delete``, ``update``,
     ``range_query``, ``knn_query``) are not protocol: every index has them
-    from :class:`~repro.objects.knn.ScalarVerbs`, as a batch of one.
+    from :class:`~repro.objects.knn.ScalarVerbs`, as a batch of one, and
+    none overrides them.
     """
 
     #: Buffer pool surface: ``stats`` and ``flush()`` (the hint kill-switch
@@ -108,11 +110,9 @@ class SubIndex(MovingIndex, Protocol):
 
     Three things only :class:`VPIndex` asks for: unrefined range
     candidates (``exact=False``), a mixed mutation sweep and the kNN
-    candidate scan; both searches run the sub-index's one range
-    traversal, whatever the batch size.  Its scalar ``insert``/``delete``
-    call the sub-index's scalar verbs, which are not protocol: the tree
-    families override :class:`~repro.objects.knn.ScalarVerbs`' mutations
-    with their per-object algorithm.
+    candidate scan.  Both searches run the sub-index's one range
+    traversal and every mutation its one mutation path, whatever the
+    batch size.
     """
 
     def range_query_batch(
@@ -215,26 +215,6 @@ class VPIndex(ScalarVerbs):
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-    def insert(self, obj: MovingObject) -> None:
-        """Insert an object into the partition its velocity selects."""
-        if obj.oid in self._directory:
-            raise KeyError(f"object {obj.oid} is already indexed; use update()")
-        partition = self.partition_for(obj)
-        stored = self._transform_object(obj, partition)
-        self._index_of(partition).insert(stored)
-        slot = self._allocate(1)[0]
-        self._rows[slot] = (
-            obj.oid,
-            obj.position.x,
-            obj.position.y,
-            obj.velocity.vx,
-            obj.velocity.vy,
-            obj.reference_time,
-        )
-        self._directory[obj.oid] = _StoredObject(
-            partition=partition, original=obj, stored=stored, slot=slot
-        )
-
     def bulk_load(self, objects: Sequence[MovingObject]) -> None:
         """Partition-aware bulk build: route every object, pack each index once.
 
@@ -261,39 +241,34 @@ class VPIndex(ScalarVerbs):
             self._index_of(partition).bulk_load(group)
         self._commit(objects, partitions, stored_objects, motion)
 
-    def delete(self, obj: MovingObject) -> bool:
-        """Delete an object by id from whichever partition hosts it."""
-        record = self._directory.pop(obj.oid, None)
-        if record is None:
-            return False
-        self._free.append(record.slot)
-        return self._index_of(record.partition).delete(record.stored)
-
-    def update(self, old: MovingObject, new: MovingObject) -> bool:
-        """Deletion + insertion (possibly migrating partitions); True when it existed."""
-        if old.oid != new.oid:
-            raise ValueError("an update must keep the object id")
-        existed = self.delete(old)
-        self.insert(new)
-        return existed
-
     def _classify_and_transform(
         self, objects: List[MovingObject]
-    ) -> Tuple[List[int], List[MovingObject], np.ndarray]:
-        """Vectorized partition classification + frame rotation for a batch.
+    ) -> Tuple[List[int], List[MovingObject], Sequence]:
+        """Partition classification + frame rotation for a batch.
 
-        One component-extraction pass for the whole batch feeds the
+        Returns the partition per object, the stored (frame-rotated)
+        snapshot per object and the objects' original
+        :data:`~repro.objects.knn.MOTION` rows, aligned with the input.
+        Below :data:`~repro.bulk.MIN_VECTOR_BATCH` objects each one is
+        routed (:meth:`partition_for`) and rotated on its own, and its row
+        is a tuple (:meth:`_write_rows` writes them one by one).  Larger
+        batches take one component-extraction pass that feeds the
         vectorized classification (perpendicular distances to every DVA at
-        once), the per-partition rotation and the slab rows.  The position
+        once), the per-partition rotation and the slab rows; the position
         and velocity components are packed into one pair of arrays
         (positions in ``[0, n)``, velocities in ``[n, 2n)``): a rotation is
         rigid, so one array rotation covers both and the per-partition
-        numpy dispatch count halves.  Returns the partition per object, the
-        stored (frame-rotated) snapshot per object and the objects'
-        original :data:`~repro.objects.knn.MOTION` rows, aligned with the
-        input.
+        numpy dispatch count halves.  Both give bit-identical results.
         """
         n = len(objects)
+        if n < bulk.MIN_VECTOR_BATCH:
+            partitions = [self.partition_for(obj) for obj in objects]
+            stored = [self._transform_object(o, p) for o, p in zip(objects, partitions)]
+            motion = [
+                (o.oid, o.position.x, o.position.y, o.velocity.vx, o.velocity.vy, o.reference_time)
+                for o in objects
+            ]
+            return partitions, stored, motion
         xs = np.empty(2 * n)
         ys = np.empty(2 * n)
         xs[:n] = np.fromiter((o.position.x for o in objects), np.float64, n)
@@ -335,8 +310,7 @@ class VPIndex(ScalarVerbs):
 
         The batch is classified and rotated in one vectorized pass
         (:meth:`_classify_and_transform`) and each touched sub-index
-        receives one grouped ``insert_batch`` call.  Directory and slab
-        state end up exactly as under object-by-object :meth:`insert`.
+        receives one grouped ``insert_batch`` call.
 
         Raises:
             KeyError: if any object id is already indexed or repeats
@@ -357,8 +331,7 @@ class VPIndex(ScalarVerbs):
         Ids are grouped by their *current* partition (directory lookup,
         Section 5.3) and each sub-index receives one grouped
         ``delete_batch`` of the stored snapshots.  A repeated or unknown
-        id yields ``False``, exactly as repeated :meth:`delete` calls
-        would.
+        id yields ``False``; only the first occurrence of an id deletes it.
         """
         objects = list(objects)
         flags = [False] * len(objects)
@@ -390,18 +363,17 @@ class VPIndex(ScalarVerbs):
         migrations become one grouped ``delete_batch`` per source
         partition and one grouped ``insert_batch`` per target.  Existing
         records keep their slab row, which is rewritten in place; upserts
-        get a new one.  Directory and slab state end up exactly as under
-        pair-by-pair :meth:`update`.
+        get a new one.
         """
         pairs = list(pairs)
         oids = [old.oid for old, _ in pairs]
         objects = [new for _, new in pairs]
         if oids != [obj.oid for obj in objects]:
             raise ValueError("an update must keep the object id")
-        if len(pairs) < 2 or len(set(oids)) != len(oids):
-            # Repeated oids: relative order matters (a later pair's existence
-            # depends on an earlier pair's insert), so take the scalar path.
-            return [self.update(old, new) for old, new in pairs]
+        if len(set(oids)) != len(oids):
+            # Repeated oids: a later pair's existence depends on an earlier
+            # pair's insert, so the pairs go through one at a time.
+            return [flag for pair in pairs for flag in self.update_batch([pair])]
         partitions, stored_objects, motion = self._classify_and_transform(objects)
         same: Dict[int, List[Tuple[MovingObject, MovingObject]]] = {}
         deletes: Dict[int, List[MovingObject]] = {}
@@ -434,7 +406,7 @@ class VPIndex(ScalarVerbs):
             records.append(record)
         for record, slot in zip(fresh, self._allocate(len(fresh))):
             record.slot = slot
-        self._rows[[record.slot for record in records]] = motion
+        self._write_rows([record.slot for record in records], motion)
         # One mixed batch per touched index: its deletions (migrations out),
         # insertions (migrations in) and same-partition updates run in a
         # single sweep instead of three.
@@ -617,16 +589,28 @@ class VPIndex(ScalarVerbs):
         del self._free[keep:]
         return taken
 
+    def _write_rows(self, slots: List[int], motion: Sequence) -> None:
+        """Write the rows of :meth:`_classify_and_transform` to slab rows ``slots``.
+
+        One fancy-indexed write, or below :data:`~repro.bulk.MIN_VECTOR_BATCH`
+        rows one write per row (a quarter of the cost at one row).
+        """
+        if len(slots) < bulk.MIN_VECTOR_BATCH:
+            for slot, row in zip(slots, motion):
+                self._rows[slot] = row
+        else:
+            self._rows[slots] = motion
+
     def _commit(
         self,
         objects: List[MovingObject],
         partitions: List[int],
         stored_objects: List[MovingObject],
-        motion: np.ndarray,
+        motion: Sequence,
     ) -> None:
         """Record freshly inserted objects in the directory and the slab."""
         slots = self._allocate(len(objects))
-        self._rows[slots] = motion
+        self._write_rows(slots, motion)
         for obj, partition, stored, slot in zip(objects, partitions, stored_objects, slots):
             self._directory[obj.oid] = _StoredObject(
                 partition=partition, original=obj, stored=stored, slot=slot

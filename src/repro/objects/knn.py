@@ -117,10 +117,8 @@ class ScalarVerbs:
     families, ``VPIndex`` and the serving layer's shard views — mixes this
     in for the per-object spelling.  ``**kwargs`` go straight to the batch
     verb, so a layer whose batch verbs take more (``epoch``/``gc_floor`` in
-    ``repro.serve``) takes it here too.  The tree families override the
-    scalar mutations that *are* their algorithm (their small batches fall
-    back to them); ``range_query`` and ``knn_query`` are defined here
-    alone, so a single query runs the family's one range traversal.
+    ``repro.serve``) takes it here too.  No index overrides them, so a
+    single mutation or query runs the family's one batch algorithm.
     """
 
     def insert(self, obj: MovingObject, **kwargs) -> None:

@@ -16,23 +16,22 @@ choose-subtree, split scoring, forced reinsertion — read the columns
 through the ``soa_*`` geometry kernels instead of materializing per-entry
 ``MovingRect`` objects.
 
-**Per-object versus batch API.**  Mirroring ``geometry/kernels.py``, the
-tree exposes its per-object mutations (``insert`` / ``delete`` /
-``update``, overriding the batch-of-one
-:class:`~repro.objects.knn.ScalarVerbs` that supplies ``range_query`` and
-``knn_query``) plus the batch surface every index shares (``insert_batch``
-/ ``delete_batch`` / ``update_batch`` / ``range_query_batch`` /
-``knn_query_batch``) for co-arriving operations.  A batch advances the
-clock once, then replays its operations in projected-position order, so
-consecutive operations descend through the same subtrees while their pages
-are still buffered.  Every search — a single range query, a range batch,
-a kNN filter round — is one shared traversal that visits each node once
-for all queries that need it (:meth:`_shared_search`); except for a range
-batch of one, the buffer manager is advised to spare the traversal's own
-frontier.  Results are identical to applying the operations one by one.
+**One mutation path.**  The batch surface every index shares
+(``insert_batch`` / ``delete_batch`` / ``update_batch`` /
+``range_query_batch`` / ``knn_query_batch``) is the tree's only one; the
+scalar ``insert`` / ``delete`` / ``update`` / ``range_query`` /
+``knn_query`` are the batch-of-one :class:`~repro.objects.knn.ScalarVerbs`.
+A mutation batch advances the clock once, then replays its operations in
+projected-position order (:meth:`TPRTree._insert_one`,
+:meth:`TPRTree._delete_one`), so consecutive operations descend through
+the same subtrees while their pages are still buffered.  Every search — a
+single range query, a range batch, a kNN filter round — is one shared
+traversal that visits each node once for all queries that need it
+(:meth:`_shared_search`); except for a range batch of one, the buffer
+manager is advised to spare the traversal's own frontier.
 (A deferred end-of-batch tightening pass was rejected: re-reading cold
 pages *raised* physical update I/O ~25-70% under the paper's small buffer,
-where the sort alone stays at or below the per-object path.  Tightening is
+where the sort alone stays at or below object-by-object replay.  Tightening is
 exact and per edit instead: each node caches its tight extent at the clock
 (:meth:`TPRNode.bound_extent`).)
 """
@@ -163,13 +162,6 @@ class TPRTree(ScalarVerbs):
     def __len__(self) -> int:
         return self.size
 
-    def insert(self, obj: MovingObject) -> None:
-        """Insert a moving object."""
-        self.current_time = max(self.current_time, obj.reference_time)
-        entry = TPREntry(bound=obj.as_moving_rect(), oid=obj.oid)
-        self._insert_entry(entry, level=0)
-        self.size += 1
-
     def bulk_load(self, objects: Iterable[MovingObject]) -> None:
         """Build the tree bottom-up from ``objects`` with STR packing.
 
@@ -274,22 +266,15 @@ class TPRTree(ScalarVerbs):
             count -= 1
         return count
 
-    def delete(self, obj: MovingObject) -> bool:
-        """Delete the object snapshot ``obj``.
+    def _delete_one(self, obj: MovingObject) -> bool:
+        """Delete the snapshot ``obj`` at the already-advanced clock.
 
         The snapshot must be the one previously inserted (same reference
         position, velocity and time); the search descends only into subtrees
         whose bound covers the object's current position, exactly as a
-        disk-based TPR-tree deletion would.
-
-        Returns:
-            True when the object was found and removed.
+        disk-based TPR-tree deletion would.  True when it was found and
+        removed.
         """
-        self.current_time = max(self.current_time, obj.reference_time)
-        return self._delete_one(obj)
-
-    def _delete_one(self, obj: MovingObject) -> bool:
-        """Delete at the already-advanced clock (shared by both surfaces)."""
         target = obj.position_at(self.current_time)
         path = self._find_leaf_path(self.root_page_id, obj.oid, target, [])
         if path is None:
@@ -304,11 +289,10 @@ class TPRTree(ScalarVerbs):
         self._condense(path)
         return True
 
-    def update(self, old: MovingObject, new: MovingObject) -> bool:
-        """Update an object: a deletion of ``old`` followed by an insertion of ``new``."""
-        removed = self.delete(old)
-        self.insert(new)
-        return removed
+    def _insert_one(self, obj: MovingObject) -> None:
+        """Insert ``obj`` at the already-advanced clock."""
+        self._insert_entry(TPREntry(bound=obj.as_moving_rect(), oid=obj.oid), level=0)
+        self.size += 1
 
     # ------------------------------------------------------------------
     # Batch API (space-ordered replay)
@@ -342,8 +326,6 @@ class TPRTree(ScalarVerbs):
         objects = list(objects)
         if not objects:
             return []
-        if len(objects) == 1:
-            return [self.delete(objects[0])]
         self.current_time = max(
             self.current_time, max(o.reference_time for o in objects)
         )
@@ -355,20 +337,18 @@ class TPRTree(ScalarVerbs):
     def insert_batch(self, objects: Sequence[MovingObject]) -> None:
         """Insert a batch of snapshots in one space-ordered sweep.
 
-        Splits and (for the TPR*-tree) forced reinsertions behave exactly
-        as in per-object insertion — only the replay order and the single
-        clock advance differ.
+        Every insertion runs the ordinary machinery (choose-subtree,
+        splits and, for the TPR*-tree, forced reinsertion); the batch
+        advances the clock once and orders the work spatially.
         """
         objects = list(objects)
         if not objects:
             return
-        if len(objects) == 1:
-            return self.insert(objects[0])
         self.current_time = max(
             self.current_time, max(o.reference_time for o in objects)
         )
         for index in self._spatial_order(objects):
-            self.insert(objects[index])
+            self._insert_one(objects[index])
 
     def update_batch(self, pairs: Sequence[Tuple[MovingObject, MovingObject]]) -> List[bool]:
         """Apply a batch of updates; per pair, whether its old snapshot existed.
@@ -380,10 +360,12 @@ class TPRTree(ScalarVerbs):
         """
         pairs = list(pairs)
         oids = [old.oid for old, _ in pairs]
-        if len(pairs) < 2 or len(set(oids)) != len(oids):
-            # A batch of one, or the same object updated twice in one batch
-            # (order matters): the sequential path.
-            return [self.update(old, new) for old, new in pairs]
+        if len(set(oids)) != len(oids):
+            # The same object updated twice in one batch: later pairs see
+            # earlier ones, so the pairs go through one at a time.
+            return [flag for pair in pairs for flag in self.update_batch([pair])]
+        if not pairs:
+            return []
         self.current_time = max(
             self.current_time,
             max(max(o.reference_time, n.reference_time) for o, n in pairs),

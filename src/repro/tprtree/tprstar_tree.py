@@ -76,9 +76,9 @@ class TPRStarTree(TPRTree):
     # ------------------------------------------------------------------
     # Insertion with pick-worst forced reinsertion
     # ------------------------------------------------------------------
-    def insert(self, obj: MovingObject) -> None:
+    def _insert_one(self, obj: MovingObject) -> None:
         self._reinsert_done_levels = set()
-        super().insert(obj)
+        super()._insert_one(obj)
 
     def _handle_overflow_and_adjust(self, path: List[TPRNode], base_level: int = 0) -> None:
         index = len(path) - 1

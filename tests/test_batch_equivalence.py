@@ -8,19 +8,22 @@ objects stored, and never touch more B+-tree nodes per update.
 
 The tests replay one real workload both ways against all four standard
 indexes, plus a property-style check that shuffling the order of updates
-inside a batch does not change the outcome, and a check over every index
-family that an update batch of one costs exactly what the per-object
-update does (the harness replays singleton groups as batches of one) and
-that a range batch of one takes no buffer hints.
+inside a batch does not change the outcome, a check over every index
+family that a range batch of one takes no buffer hints, and a check that
+the batch size at which the mutation helpers switch from a plain loop to
+numpy changes no bit of the resulting indexes.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
+from repro import bulk
 from repro.bench.harness import build_standard_indexes
+from repro.bxtree import BxTree
 from repro.core.partitioned_index import FAMILIES
 from repro.workload.events import UpdateEvent
 from repro.workload.generator import build_workload
@@ -44,8 +47,12 @@ def batches(workload):
     return workload.grouped_events(window=WINDOW)
 
 
+def _fresh(workload, name):
+    return build_standard_indexes(workload, PARAMS, which=(name,))[name]
+
+
 def _build(workload, name):
-    index = build_standard_indexes(workload, PARAMS, which=(name,))[name]
+    index = _fresh(workload, name)
     index.bulk_load(workload.initial_objects)
     return index
 
@@ -142,28 +149,83 @@ def _counters(stats):
     )
 
 
-@pytest.mark.parametrize("name", FAMILIES)
-def test_a_batch_of_one_is_the_per_object_call(workload, name):
-    """A singleton update batch does exactly what the per-object update does.
+def _mutation_state(index):
+    """Everything a mutation leaves behind in ``index`` and its sub-trees.
 
-    The harness replays every grouped window through the batch verbs, a
-    singleton group included, so an update batch of one must cost the same
-    I/O on every counter as the per-object call.  Each event is replayed on
-    twin indexes, updates through a batch of one on one twin and per object
-    on the other, and every counter is compared after every event.  (A
-    range query has one spelling only: ``range_query`` is the batch of one.)
+    Per Bx tree its key-store items, size, partition counts and the raw
+    bytes of its velocity histogram; per TPR tree its entries in traversal
+    order; for a VP index also its directory and the slab rows it names.
     """
-    single = _build(workload, name)
-    batched = _build(workload, name)
-    assert _counters(single.buffer.stats) == _counters(batched.buffer.stats)
-    for event in workload.sorted_events():
-        if isinstance(event, UpdateEvent):
-            single.update(event.old, event.new)
-            batched.update_batch([(event.old, event.new)])
+    trees = [index]
+    state = []
+    if hasattr(index, "dva_indexes"):
+        trees = [*index.dva_indexes, index.outlier_index]
+        directory = dict(index._directory)
+        slots = [record.slot for record in directory.values()]
+        state += [directory, index._rows[slots].tobytes(), index.partition_sizes()]
+    for tree in trees:
+        if isinstance(tree, BxTree):
+            histogram = tree.histogram
+            state += [
+                list(tree.store.items()),
+                len(tree),
+                dict(tree._partition_counts),
+                histogram._extrema.tobytes(),
+                histogram._count.tobytes(),
+            ]
         else:
-            assert batched.range_query(event.query) == single.range_query(event.query)
-        assert _counters(batched.buffer.stats) == _counters(single.buffer.stats)
-    assert len(batched) == len(single)
+            state += [list(tree.iter_objects()), len(tree)]
+    return state
+
+
+@pytest.mark.parametrize("name", ("Bx", "Bx(VP)", "TPR*(VP)"))
+@pytest.mark.parametrize("dataset", ("SA", "CH"))
+def test_the_vector_threshold_changes_nothing(dataset, name, monkeypatch):
+    """Loop and numpy arithmetic leave bit-identical indexes.
+
+    ``MIN_VECTOR_BATCH`` only picks how the batch helpers compute keys,
+    histogram cells and VP routing, never the algorithm.  Twin indexes are
+    insertion-built in chunks of 1-11 objects and replay the stream window
+    by window, one twin with the threshold at 0 (numpy for every batch) and
+    one at 10**9 (a plain loop for every batch); after every batch their
+    flags, answers, stored state and every I/O counter must agree.
+    """
+    workload = build_workload(dataset, PARAMS)
+    twins = {threshold: _fresh(workload, name) for threshold in (0, 10**9)}
+
+    def each(call):
+        results = []
+        for threshold, index in twins.items():
+            monkeypatch.setattr(bulk, "MIN_VECTOR_BATCH", threshold)
+            results.append(call(index))
+        numpy_twin, loop_twin = twins.values()
+        assert results[0] == results[1]
+        assert _counters(numpy_twin.buffer.stats) == _counters(loop_twin.buffer.stats)
+        assert _mutation_state(numpy_twin) == _mutation_state(loop_twin)
+
+    objects = workload.initial_objects
+    start = 0
+    for size in itertools.cycle(range(1, 12)):
+        if start >= len(objects):
+            break
+        chunk = objects[start : start + size]
+        each(lambda index: index.insert_batch(chunk))
+        start += size
+    for batch in workload.grouped_events(window=WINDOW):
+        if isinstance(batch[0], UpdateEvent):
+            pairs = [(event.old, event.new) for event in batch]
+            each(lambda index: index.update_batch(pairs))
+        else:
+            queries = [event.query for event in batch]
+            each(lambda index: index.range_query_batch(queries))
+    current = {
+        event.new.oid: event.new
+        for event in workload.sorted_events()
+        if isinstance(event, UpdateEvent)
+    }
+    leaving = [current.get(obj.oid, obj) for obj in objects[::7]]
+    each(lambda index: index.delete_batch(leaving[:3]))
+    each(lambda index: index.delete_batch(leaving[3:]))
 
 
 @pytest.mark.parametrize("name", FAMILIES)

@@ -205,9 +205,10 @@ def test_every_index_satisfies_the_protocol(workload, partitioning, name):
         assert index.delete(new) is False
         assert len(index) == len(objects) + 1
         # update_batch: one bool per pair, in input order, True iff its old
-        # was stored — mixed hits and misses, below and above the Bx-tree's
-        # MIN_VECTOR_BATCH (3 and 6 pairs), and a batch repeating an id
-        # (the sequential fallback: each pair sees the ones before it).
+        # was stored — mixed hits and misses, below and above
+        # repro.bulk.MIN_VECTOR_BATCH (3 and 6 pairs, 6 and 12 Bx
+        # snapshots), and a batch repeating an id (applied pair by pair:
+        # each pair sees the ones before it).
         live = {obj.oid: obj for obj in (*objects[1:], ghost, extra)}
         spare = itertools.count(extra.oid + 1)
 

@@ -2,11 +2,12 @@
 
 The flat vectorized backend re-implements the exact semantics the
 Bx-tree historically consumed from the paged B+-tree — duplicate keys in
-insertion order, leftmost-match delete/replace, the merged
+insertion order, leftmost-match delete/upsert, the merged
 ``apply_batch`` work ordering (deletes before upserts before inserts of
 the same key, upsert-miss degrading to an insertion) and ``(key, value)``
-range results in key order.  The Hypothesis suites drive both backends
-through random operation interleavings and mixed batches over a tiny
+range results in key order.  Mutations are batches only, so the
+Hypothesis suites drive both backends through random interleavings of
+batches of one (insert, delete, upsert) and mixed batches over a tiny
 key/value domain (so duplicate keys and value collisions are the common
 case, not the edge case) and require the stores to agree after every
 step — once with int payloads (the opaque fallback) and once with
@@ -80,15 +81,21 @@ motions = values.map(_motion)
 
 
 def _apply(store, op):
-    """Apply one drawn operation; returns the backend's observable result."""
+    """Apply one drawn operation as one ``apply_batch``; returns its flags.
+
+    A point operation is a batch of one: an insert, a delete, or a
+    ``replace`` as an upsert (which degrades to inserting its new value
+    when the old one is missing).
+    """
     if op[0] == "insert":
-        return store.insert(op[1], op[2])
-    if op[0] == "delete":
-        return store.delete(op[1], op[2])
-    if op[0] == "replace":
-        return store.replace(op[1], op[2], op[3])
-    _, deletes, inserts, upserts = op
-    flags = store.apply_batch(deletes, inserts, upserts)
+        batch = ([], [op[1:]], [])
+    elif op[0] == "delete":
+        batch = ([op[1:]], [], [])
+    elif op[0] == "replace":
+        batch = ([], [], [op[1:]])
+    else:
+        batch = op[1:]
+    flags = store.apply_batch(*batch)
     return (list(flags[0]), list(flags[1]))
 
 
@@ -102,12 +109,7 @@ def test_random_interleavings_match_btree(ops):
     reference = BPlusTree()
     flat = FlatKeyStore()
     for op in ops:
-        expected = _apply(reference, op)
-        actual = _apply(flat, op)
-        if op[0] == "batch":
-            assert (list(expected[0]), list(expected[1])) == actual
-        else:
-            assert expected == actual
+        assert _apply(reference, op) == _apply(flat, op)
         assert list(reference.items()) == list(flat.items())
 
 
@@ -117,7 +119,7 @@ def test_motion_payload_interleavings_keep_the_slab_current(loaded, ops):
     """The motion slab answers like the paged store after every single step.
 
     Duplicates, same-key upserts, upsert misses, delete-then-reinsert in
-    one batch, point operations and growth past the bulk-loaded slab all
+    one batch, batches of one and growth past the bulk-loaded slab all
     write motion rows in place; none may leave a stale or shared row.
     """
     paged = BTreeKeyStore()
@@ -193,22 +195,23 @@ def test_empty_store_edges():
     assert flat.range_search_batch([(0, 5), (5, 0)]) == [[], []]
     assert flat.knn_candidates_batch([]) == []
     assert list(flat.items()) == []
-    assert flat.delete(3, 1) is False
-    assert flat.replace(3, 1, 2) is False
     assert flat.apply_batch() == ([], [])
+    assert flat.apply_batch(deletes=[(3, 1)]) == ([False], [])
+    assert list(flat.items()) == []
+    assert flat.apply_batch(upserts=[(3, 1, 2)]) == ([], [False])
+    assert list(flat.items()) == [(3, 2)]
 
 
 def test_bulk_load_requires_empty():
     flat = FlatKeyStore()
-    flat.insert(1, 1)
+    flat.apply_batch(inserts=[(1, 1)])
     with pytest.raises(ValueError, match="empty"):
         flat.bulk_load([(2, 2)])
 
 
 def test_boundary_ranges_are_inclusive():
     flat = FlatKeyStore()
-    for key in (2, 2, 5, 9):
-        flat.insert(key, key * 10)
+    flat.apply_batch(inserts=[(key, key * 10) for key in (2, 2, 5, 9)])
     assert flat.range_search(2, 2) == [(2, 20), (2, 20)]
     assert flat.range_search(3, 4) == []
     assert flat.range_search(9, 9) == [(9, 90)]
@@ -218,7 +221,7 @@ def test_boundary_ranges_are_inclusive():
 def test_results_are_python_scalars():
     """No numpy scalar types may leak into results (pickle/JSON identity)."""
     flat = FlatKeyStore()
-    flat.insert(7, "x")
+    flat.apply_batch(inserts=[(7, "x")])
     ((key, _),) = flat.range_search(0, 10)
     assert type(key) is int
     ((key, _),) = list(flat.items())
@@ -249,14 +252,14 @@ def test_knn_candidates_match_btree_backend():
 def test_knn_candidates_fall_back_for_opaque_payloads():
     """Non-motion payloads (the property suites use ints) must not crash."""
     flat = FlatKeyStore()
-    flat.insert(1, 123)
-    flat.delete(1, 123)
+    flat.apply_batch(inserts=[(1, 123)])
+    flat.apply_batch(deletes=[(1, 123)])
     objects = [
         MovingObject(oid=i, position=Point(1.0, 2.0), velocity=Vector(0.0, 0.0))
         for i in range(3)
     ]
     for i, obj in enumerate(objects):
-        flat.insert(i, obj)
+        flat.apply_batch(inserts=[(i, obj)])
     assert _candidate_lists(flat, [(0, 2)]) == [
         [(o.oid, 1.0, 2.0, 0.0, 0.0, 0.0) for o in objects]
     ]
@@ -280,7 +283,7 @@ def test_opaque_payload_drops_the_motion_slab_for_good():
 
     # The slab does not come back once the opaque payload is gone, and
     # later writes (growth included) keep serving by attribute access.
-    assert flat.delete(9, "opaque")
+    assert flat.apply_batch(deletes=[(9, "opaque")]) == ([True], [])
     extra = [_motion(i) for i in range(4, 12)]
     flat.apply_batch(inserts=[(4 + i, obj) for i, obj in enumerate(extra)])
     assert flat._motion is None
@@ -355,7 +358,7 @@ def test_bxtree_selects_backend_and_rejects_nonempty_instance():
     assert isinstance(BxTree().store, BTreeKeyStore)
     assert isinstance(BxTree(key_store="flat").store, FlatKeyStore)
     used = FlatKeyStore()
-    used.insert(1, 1)
+    used.apply_batch(inserts=[(1, 1)])
     with pytest.raises(TypeError, match="backend name"):
         BxTree(key_store=used)  # empty or not: no instance is ever handed over
 

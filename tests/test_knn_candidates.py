@@ -296,7 +296,7 @@ K = 10
 #: ``name -> (logical reads, physical reads)`` of the kNN phase alone.
 PINNED_READS = {
     "Bx": (1461, 196),
-    "Bx(VP)": (1738, 266),
+    "Bx(VP)": (1737, 265),
     "TPR*": (743, 333),
     "TPR*(VP)": (717, 301),
 }
