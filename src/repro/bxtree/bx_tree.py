@@ -29,7 +29,9 @@ computes its Bx keys, label positions and histogram cells in one pass
 (a plain loop below :data:`~repro.bulk.MIN_VECTOR_BATCH` objects, flat
 numpy arrays above, bit-identically), sweeps the key store left to right
 with shared descents, and turns same-key updates into in-place value
-replacements.  A query batch reuses one partition list, one cached set
+replacements.  :meth:`BxTree.bulk_load` is the one construction path: the
+same key pass, one histogram ``add_batch`` and one sorted packing of the
+key store.  A query batch reuses one partition list, one cached set
 of global velocity extrema and one chained range sweep per partition.
 That sweep is the tree's only range traversal: a single query is a batch
 of one, and the kNN filter rounds scan through it too.
@@ -140,23 +142,18 @@ class BxTree(ScalarVerbs):
         """Common reference time of a partition (the end of its bucket)."""
         return (partition + 1) * self.bucket_duration
 
-    def key_for(self, obj: MovingObject) -> int:
-        """Bx key of an object snapshot."""
-        partition = self.partition_of(obj.reference_time)
-        position = obj.position_at(self.label_time(partition))
-        cell = self.grid.cell_of(position)
-        return partition * self._curve_size + self.curve.encode(*cell)
-
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
     def bulk_load(self, objects) -> None:
         """Build the index from ``objects`` with one sorted B+-tree packing.
 
-        Bx keys are computed for every snapshot up front (one pass that also
-        feeds the velocity histogram and the partition counters), then the
-        underlying B+-tree is leaf-packed in key order instead of descending
-        from the root once per object.
+        The construction twin of :meth:`apply_batch`: one key pass
+        (:meth:`_batch_key_data`) yields every key, partition and label
+        position; the partition counters take one count per partition, the
+        velocity histogram one :meth:`~VelocityHistogram.add_batch`, and the
+        key store is leaf-packed in key order instead of descended once per
+        object.
 
         Raises:
             ValueError: if the index is not empty.
@@ -166,18 +163,13 @@ class BxTree(ScalarVerbs):
             raise ValueError("bulk_load requires an empty index")
         if not objects:
             return
-        curve_size = self._curve_size
-        pairs = []
-        for obj in objects:
-            self.current_time = max(self.current_time, obj.reference_time)
-            partition = self.partition_of(obj.reference_time)
-            self._bump_partition(partition, 1)
-            position = obj.position_at(self.label_time(partition))
-            self.histogram.add(position, obj.velocity)
-            cell = self.grid.cell_of(position)
-            key = partition * curve_size + self.curve.encode(*cell)
-            pairs.append((key, obj))
-        self.store.bulk_load(pairs)
+        keys, parts, lx, ly, vx, vy = self._batch_key_data(objects)
+        self.current_time = max(self.current_time, max(o.reference_time for o in objects))
+        partitions, counts = np.unique(parts, return_counts=True)
+        for partition, count in zip(partitions.tolist(), counts.tolist()):
+            self._bump_partition(partition, count)
+        self.histogram.add_batch(lx, ly, vx, vy)
+        self.store.bulk_load(list(zip(keys, objects)))
         self.size = len(objects)
 
     def _bump_partition(self, partition: int, delta: int) -> None:

@@ -9,6 +9,7 @@ in that frame so that their movement is (nearly) one-dimensional.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -139,9 +140,25 @@ class DominantVelocityAxis:
         if self.tau < 0:
             raise ValueError("tau must be non-negative")
 
+    @cached_property
+    def unit_axis(self) -> Vector:
+        """``axis.normalized()``, computed once.
+
+        Not ``axis`` itself: re-normalizing a unit vector can move its last
+        bit, and routing measures against the re-normalized axis, as
+        ``Vector.perpendicular_distance_to_axis`` does.  It is no dataclass
+        field: equality and hashing stay those of ``(axis, tau, frame)``,
+        and a DVA pickled without the cached value computes it on first use.
+        """
+        return self.axis.normalized()
+
     def perpendicular_speed(self, velocity: Vector) -> float:
-        """Perpendicular distance from a velocity point to this axis."""
-        return velocity.perpendicular_distance_to_axis(self.axis)
+        """Perpendicular distance from a velocity point to this axis.
+
+        ``velocity.perpendicular_distance_to_axis(self.axis)`` without
+        normalizing the axis again on every call.
+        """
+        return abs(velocity.cross(self.unit_axis))
 
     def accepts(self, velocity: Vector) -> bool:
         """Whether an object with ``velocity`` may live in this DVA's partition."""

@@ -11,15 +11,24 @@ Three approaches are implemented:
 * :func:`find_dvas` — the paper's approach: k-means where the distance
   measure is the perpendicular distance to each cluster's first principal
   component, so points are grouped by direction of travel (Figure 11).
+
+Algorithm 2 runs over two velocity columns (:func:`velocity_columns`):
+every iteration evaluates one ``(k, n)`` matrix of perpendicular distances,
+assigns each point to its first closest axis and recomputes each axis with
+one PCA over its members' rows.  The arithmetic is element for element
+that of :meth:`~repro.geometry.vector.Vector.perpendicular_distance_to_axis`,
+so axes, assignments and iteration counts are those of the per-point loop.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.pca import first_principal_component
+import numpy as np
+
+from repro.core.pca import first_principal_component, first_principal_component_of
 from repro.geometry.vector import Vector
 
 #: Safety bound on the reassignment loops of both k-means variants.
@@ -48,8 +57,30 @@ class PCKMeansResult:
         return groups
 
 
+def velocity_columns(velocities: Sequence[Vector]) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``vx`` and ``vy`` columns of a sample of velocity points."""
+    n = len(velocities)
+    vx = np.fromiter((v.vx for v in velocities), np.float64, n)
+    vy = np.fromiter((v.vy for v in velocities), np.float64, n)
+    return vx, vy
+
+
+def perpendicular_distances(vx: np.ndarray, vy: np.ndarray, unit: Vector) -> np.ndarray:
+    """Distance of every velocity point to the axis along the unit vector ``unit``.
+
+    ``|v x unit|``: the operations of ``Vector.cross`` in the same order, so
+    each element equals ``perpendicular_distance_to_axis`` of that point.
+    """
+    return np.abs(vx * unit.vy - vy * unit.vx)
+
+
 def find_dvas(velocities: Sequence[Vector], k: int, seed: Optional[int] = 0) -> PCKMeansResult:
     """Algorithm 2: k-means clustering based on distance to each cluster's 1st PC.
+
+    The sample becomes two velocity columns once; every iteration then
+    assigns all points from one ``(k, n)`` distance matrix and recomputes
+    each axis with one PCA over its members
+    (:func:`find_dvas_in_columns`).
 
     Args:
         velocities: sample of velocity points (Figure 1b style).
@@ -62,48 +93,45 @@ def find_dvas(velocities: Sequence[Vector], k: int, seed: Optional[int] = 0) -> 
     Raises:
         ValueError: when the sample is smaller than ``k``.
     """
+    return find_dvas_in_columns(*velocity_columns(velocities), k, seed)
+
+
+def find_dvas_in_columns(
+    vx: np.ndarray, vy: np.ndarray, k: int, seed: Optional[int] = 0
+) -> PCKMeansResult:
+    """:func:`find_dvas` over the velocity columns of the sample."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if len(velocities) < k:
+    n = len(vx)
+    if n < k:
         raise ValueError("need at least k velocity points")
     rng = random.Random(seed)
     # Line 3-4 of Algorithm 2: random initial assignment, but guarantee every
     # partition is non-empty so its first PC is defined.
-    assignments = [rng.randrange(k) for _ in velocities]
+    initial = [rng.randrange(k) for _ in range(n)]
     for partition in range(k):
-        if partition not in assignments:
-            assignments[rng.randrange(len(assignments))] = partition
+        if partition not in initial:
+            initial[rng.randrange(n)] = partition
+    assignments = np.array(initial, dtype=np.int64)
 
-    axes = _axes_of(velocities, assignments, k)
+    axes = _axes_of(vx, vy, assignments, k)
+    points = np.arange(n)
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
-        moved = False
-        new_assignments = []
-        for velocity, current in zip(velocities, assignments):
-            best = min(
-                range(k),
-                key=lambda p: velocity.perpendicular_distance_to_axis(axes[p]),
-            )
-            new_assignments.append(best)
-            if best != current:
-                moved = True
-        assignments = new_assignments
+        distances = np.stack([perpendicular_distances(vx, vy, a.normalized()) for a in axes])
+        best = distances.argmin(axis=0)  # ties go to the lowest axis index
+        moved = not np.array_equal(best, assignments)
+        assignments = best
         # Guard against a partition emptying out: re-seed it with the point
-        # farthest from its current axis assignment.
+        # farthest from its current axis assignment (the first one on ties).
         for partition in range(k):
-            if partition not in assignments:
-                farthest = max(
-                    range(len(velocities)),
-                    key=lambda i: velocities[i].perpendicular_distance_to_axis(
-                        axes[assignments[i]]
-                    ),
-                )
-                assignments[farthest] = partition
+            if not (assignments == partition).any():
+                assignments[distances[assignments, points].argmax()] = partition
                 moved = True
-        axes = _axes_of(velocities, assignments, k)
+        axes = _axes_of(vx, vy, assignments, k)
         if not moved:
             break
-    return PCKMeansResult(axes=axes, assignments=assignments, iterations=iterations)
+    return PCKMeansResult(axes=axes, assignments=assignments.tolist(), iterations=iterations)
 
 
 def pca_only_dva(velocities: Sequence[Vector]) -> PCKMeansResult:
@@ -140,17 +168,17 @@ def centroid_kmeans_dvas(velocities: Sequence[Vector], k: int) -> PCKMeansResult
                 )
         if not moved:
             break
-    axes = _axes_of(velocities, assignments, k)
+    axes = _axes_of(*velocity_columns(velocities), np.array(assignments), k)
     return PCKMeansResult(axes=axes, assignments=assignments, iterations=iterations)
 
 
-def _axes_of(velocities: Sequence[Vector], assignments: Sequence[int], k: int) -> List[Vector]:
+def _axes_of(vx: np.ndarray, vy: np.ndarray, assignments: np.ndarray, k: int) -> List[Vector]:
     """First principal component of every partition (Line 6 of Algorithm 2)."""
     axes: List[Vector] = []
     for partition in range(k):
-        members = [v for v, a in zip(velocities, assignments) if a == partition]
-        if members:
-            axes.append(first_principal_component(members))
+        members = assignments == partition
+        if members.any():
+            axes.append(first_principal_component_of(np.stack((vx[members], vy[members]), axis=1)))
         else:
             axes.append(Vector(1.0, 0.0))
     return axes

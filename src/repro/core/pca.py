@@ -9,6 +9,10 @@ line through the origin of the velocity space, not through the data mean),
 the components are computed from the second-moment matrix about the origin
 by default; centering about the mean is available for the generic use of
 PCA.
+
+One kernel, :func:`principal_components_of`, runs over an ``(n, 2)`` array
+of velocity points; the ``Vector``-list entry points build that array and
+call it, and Algorithm 2 hands it rows of its velocity columns.
 """
 
 from __future__ import annotations
@@ -20,18 +24,13 @@ import numpy as np
 from repro.geometry.vector import Vector
 
 
-def principal_components(
-    velocities: Sequence[Vector], center: bool = False
-) -> List[Tuple[Vector, float]]:
-    """Ranked principal components of a set of velocity points.
+def principal_components(velocities: Sequence[Vector]) -> List[Tuple[Vector, float]]:
+    """Ranked principal components of a set of velocity points, about the origin.
 
-    Args:
-        velocities: the sample of velocity points.
-        center: when True the data is centered about its mean first (classic
-            PCA); when False (default) components are computed about the
-            origin, which is the right notion for velocity *axes*: a road
-            carries traffic in both directions, so its velocity points are
-            symmetric about the origin rather than about their mean.
+    Components about the origin are the right notion for velocity *axes*: a
+    road carries traffic in both directions, so its velocity points are
+    symmetric about the origin rather than about their mean.  (Classic,
+    mean-centered PCA is ``principal_components_of(data, center=True)``.)
 
     Returns:
         List of ``(unit_vector, variance)`` pairs sorted by decreasing
@@ -40,13 +39,32 @@ def principal_components(
     Raises:
         ValueError: if fewer than one velocity point is supplied.
     """
-    if len(velocities) < 1:
+    return principal_components_of(_as_array(velocities))
+
+
+def first_principal_component(velocities: Sequence[Vector], center: bool = False) -> Vector:
+    """The first principal component (the candidate DVA) of ``velocities``.
+
+    Degenerate inputs (a single point at the origin, or all points at the
+    origin) fall back to the x-axis, which keeps the clustering loop of
+    Algorithm 2 well defined.
+    """
+    return first_principal_component_of(_as_array(velocities), center=center)
+
+
+def principal_components_of(data: np.ndarray, center: bool = False) -> List[Tuple[Vector, float]]:
+    """:func:`principal_components` of an ``(n, 2)`` float array of velocity points.
+
+    The one PCA kernel: the ``Vector`` entry points build this array
+    (``np.stack((vx, vy), axis=1)`` over velocity columns is the same
+    C-contiguous array, so both see the same bytes).
+    """
+    if len(data) < 1:
         raise ValueError("PCA requires at least one velocity point")
-    data = np.array([[v.vx, v.vy] for v in velocities], dtype=float)
     if center:
         data = data - data.mean(axis=0)
     # Second-moment (scatter) matrix; eigenvectors give the principal axes.
-    scatter = data.T @ data / len(velocities)
+    scatter = data.T @ data / len(data)
     eigenvalues, eigenvectors = np.linalg.eigh(scatter)
     order = np.argsort(eigenvalues)[::-1]
     components: List[Tuple[Vector, float]] = []
@@ -56,17 +74,13 @@ def principal_components(
     return components
 
 
-def first_principal_component(
-    velocities: Sequence[Vector], center: bool = False
-) -> Vector:
-    """The first principal component (the candidate DVA) of ``velocities``.
-
-    Degenerate inputs (a single point at the origin, or all points at the
-    origin) fall back to the x-axis, which keeps the clustering loop of
-    Algorithm 2 well defined.
-    """
-    components = principal_components(velocities, center=center)
-    first, variance = components[0]
+def first_principal_component_of(data: np.ndarray, center: bool = False) -> Vector:
+    """:func:`first_principal_component` of an ``(n, 2)`` float array."""
+    first, variance = principal_components_of(data, center=center)[0]
     if variance <= 0.0 or first.magnitude == 0.0:
         return Vector(1.0, 0.0)
     return first.normalized()
+
+
+def _as_array(velocities: Sequence[Vector]) -> np.ndarray:
+    return np.array([[v.vx, v.vy] for v in velocities], dtype=float)

@@ -16,8 +16,8 @@ import numpy as np
 
 from repro.core.dva import DominantVelocityAxis
 from repro.core.outlier import optimal_tau
-from repro.core.pc_kmeans import find_dvas
-from repro.core.pca import first_principal_component
+from repro.core.pc_kmeans import find_dvas_in_columns, perpendicular_distances, velocity_columns
+from repro.core.pca import first_principal_component_of
 from repro.geometry.vector import Vector
 
 #: Number of sample velocity points the paper's velocity analyzer uses.
@@ -74,11 +74,7 @@ class VelocityPartitioning:
         n = len(vx)
         if n == 0:
             return np.empty(0, dtype=np.int64)
-        distances = np.empty((len(self.dvas), n))
-        for index, dva in enumerate(self.dvas):
-            axis = dva.axis.normalized()
-            # Perpendicular speed = |v x axis| for a unit axis.
-            distances[index] = np.abs(vx * axis.vy - vy * axis.vx)
+        distances = np.stack([perpendicular_distances(vx, vy, dva.unit_axis) for dva in self.dvas])
         best = distances.argmin(axis=0)
         best_distance = distances[best, np.arange(n)]
         taus = np.fromiter((dva.tau for dva in self.dvas), np.float64, len(self.dvas))
@@ -110,27 +106,30 @@ class VelocityAnalyzer:
             ValueError: if the sample has fewer points than ``k``.
         """
         started = _time.perf_counter()
-        sample = self._subsample(velocities)
+        vx, vy = velocity_columns(self._subsample(velocities))
         # Line 2: find the DVA partitions with PC-distance k-means.
-        clustering = find_dvas(sample, self.k)
-        groups = clustering.partition_members(sample)
+        clustering = find_dvas_in_columns(vx, vy, self.k)
+        assignments = np.asarray(clustering.assignments)
 
         dvas: List[DominantVelocityAxis] = []
-        for axis, members in zip(clustering.axes, groups):
-            if not members:
+        for partition, axis in enumerate(clustering.axes):
+            members = assignments == partition
+            if not members.any():
                 dvas.append(DominantVelocityAxis(axis=axis, tau=0.0))
                 continue
+            mvx, mvy = vx[members], vy[members]
             # Line 4: maximum perpendicular distance threshold τ.
-            speeds = [v.perpendicular_distance_to_axis(axis) for v in members]
+            speeds = perpendicular_distances(mvx, mvy, axis.normalized())
             tau = optimal_tau(speeds).tau
             # Line 5: points beyond τ go to the outlier partition;
             # Line 6: recompute the DVA from the points that remain.
-            kept = [
-                v
-                for v, speed in zip(members, speeds)
-                if speed <= tau
-            ]
-            refined_axis = first_principal_component(kept) if kept else axis
+            kept = speeds <= tau
+            if kept.any():
+                refined_axis = first_principal_component_of(
+                    np.stack((mvx[kept], mvy[kept]), axis=1)
+                )
+            else:
+                refined_axis = axis
             dvas.append(DominantVelocityAxis(axis=refined_axis, tau=tau))
         elapsed = _time.perf_counter() - started
         return VelocityPartitioning(dvas=dvas, analysis_time_seconds=elapsed)

@@ -3,19 +3,23 @@
 For seeded workloads, a bulk-loaded index must return exactly the same
 range- and kNN-query result sets as an index built by N individual
 insertions, keep every structural invariant (balanced height, min/max node
-fill), and behave identically under subsequent incremental updates.
+fill), and behave identically under subsequent incremental updates.  The
+Bx bulk load is also held, bit for bit, to the per-object loop it replaced.
 """
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 
+from repro import bulk
 from repro.btree.bplus_tree import BPlusTree
 from repro.bxtree.bx_tree import BxTree
 from repro.core.partitioned_index import (
     analyze_sample,
+    make_index,
     make_vp_bx_tree,
     make_vp_tprstar_tree,
     sample_velocities_from_objects,
@@ -27,9 +31,13 @@ from repro.objects.queries import (
     TimeIntervalRangeQuery,
     TimeSliceRangeQuery,
 )
+from repro.core.velocity_analyzer import VelocityAnalyzer
 from repro.storage.buffer_manager import BufferManager
 from repro.tprtree.tpr_tree import TPRTree
 from repro.tprtree.tprstar_tree import TPRStarTree
+from repro.workload.events import UpdateEvent
+from repro.workload.generator import build_workload
+from repro.workload.parameters import WorkloadParameters
 
 from tests.conftest import SMALL_SPACE, brute_force_range, make_objects
 
@@ -319,3 +327,121 @@ class TestVPIndexBulkLoad:
         with pytest.raises(KeyError):
             fresh.bulk_load([objects[0], objects[0]])
         assert len(fresh) == 0
+
+
+# ----------------------------------------------------------------------
+# Bx bulk load against the per-object loop it replaced
+# ----------------------------------------------------------------------
+IDENTITY_PARAMS = WorkloadParameters(num_objects=2_000, time_duration=150.0, num_queries=0)
+
+
+def object_loop_bulk_load(tree: BxTree, objects) -> None:
+    """The reference model: ``BxTree.bulk_load`` as one scalar step per object.
+
+    Partition, label position, grid cell and curve index of every snapshot
+    through the scalar helpers, one histogram ``add`` and one partition bump
+    each, then one packing of the key store.
+    """
+    objects = list(objects)
+    if tree.size:
+        raise ValueError("bulk_load requires an empty index")
+    if not objects:
+        return
+    pairs = []
+    for obj in objects:
+        tree.current_time = max(tree.current_time, obj.reference_time)
+        partition = tree.partition_of(obj.reference_time)
+        tree._bump_partition(partition, 1)
+        position = obj.position_at(tree.label_time(partition))
+        tree.histogram.add(position, obj.velocity)
+        cell = tree.grid.cell_of(position)
+        pairs.append((partition * tree._curve_size + tree.curve.encode(*cell), obj))
+    tree.store.bulk_load(pairs)
+    tree.size = len(objects)
+
+
+@pytest.fixture(scope="module", params=("SA", "uniform"))
+def latest_snapshots(request):
+    """Every object's last snapshot of a 150-timestamp stream (three Bx partitions)."""
+    workload = build_workload(request.param, IDENTITY_PARAMS, include_queries=False)
+    latest = {obj.oid: obj for obj in workload.initial_objects}
+    for event in workload.events:
+        if isinstance(event, UpdateEvent):
+            latest[event.new.oid] = event.new
+    return workload, list(latest.values())
+
+
+def _bx_trees(index):
+    return [*index.dva_indexes, index.outlier_index] if hasattr(index, "dva_indexes") else [index]
+
+
+def _construction_state(index):
+    """What a bulk load leaves: per Bx tree, its whole state; then every page and counter."""
+    state = []
+    for tree in _bx_trees(index):
+        state += [
+            list(tree.store.items()),
+            tree.histogram._extrema.tobytes(),
+            tree.histogram._count.tobytes(),
+            dict(tree._partition_counts),
+            list(tree.active_partitions),
+            tree.current_time,
+            tree.size,
+        ]
+    buffer = index.buffer
+    disk = buffer.disk
+    stats = buffer.stats
+    state += [
+        list(buffer._frames),
+        [
+            (page_id, disk.peek(page_id).dirty, pickle.dumps(disk.peek(page_id).payload))
+            for page_id in sorted(disk.allocated_page_ids)
+        ],
+        (
+            stats.physical.reads,
+            stats.physical.writes,
+            stats.logical.reads,
+            stats.logical.writes,
+            stats.buffer.hits,
+            stats.buffer.misses,
+        ),
+    ]
+    return state
+
+
+@pytest.mark.parametrize("count", (None, 5))
+@pytest.mark.parametrize("key_store", ("btree", "flat"))
+@pytest.mark.parametrize("family", ("Bx", "Bx(VP)"))
+def test_bulk_load_equals_the_object_loop(latest_snapshots, family, key_store, count, monkeypatch):
+    """The batch key pass builds what the per-object loop built, bit for bit.
+
+    Twin indexes load the same snapshots, one through ``BxTree.bulk_load``
+    and one with it patched to :func:`object_loop_bulk_load` (a VP index
+    loads every sub-tree through it).  Store items, histogram bytes,
+    partition counters, clock, size, every page image and all six I/O
+    counters must agree: on ~2,000 objects over three partitions, and on a
+    load of five, below ``MIN_VECTOR_BATCH``.
+    """
+    workload, snapshots = latest_snapshots
+    objects = snapshots[:count]
+    partitioning = VelocityAnalyzer().analyze(workload.velocity_sample())
+
+    def load():
+        index = make_index(
+            family,
+            partitioning=partitioning,
+            key_store=key_store,
+            **IDENTITY_PARAMS.index_kwargs(),
+        )
+        index.bulk_load(objects)
+        return index
+
+    batched = load()
+    with monkeypatch.context() as patch:
+        patch.setattr(BxTree, "bulk_load", object_loop_bulk_load)
+        model = load()
+    if count is None:
+        assert len({p for tree in _bx_trees(model) for p in tree.active_partitions}) >= 3
+    else:
+        assert count < bulk.MIN_VECTOR_BATCH
+    assert _construction_state(batched) == _construction_state(model)

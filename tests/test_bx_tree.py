@@ -38,13 +38,13 @@ class TestKeying:
         tree = small_bx()
         obj_a = MovingObject(1, Point(100, 100), Vector(0, 0), reference_time=0.0)
         obj_b = MovingObject(2, Point(100, 100), Vector(0, 0), reference_time=25.0)
-        assert tree.key_for(obj_a) != tree.key_for(obj_b)
+        assert tree._batch_key_data([obj_a])[0] != tree._batch_key_data([obj_b])[0]
 
     def test_key_uses_label_time_position(self):
         tree = small_bx()
         still = MovingObject(1, Point(500, 500), Vector(0, 0), reference_time=0.0)
         mover = MovingObject(2, Point(500, 500), Vector(50.0, 0.0), reference_time=0.0)
-        assert tree.key_for(still) != tree.key_for(mover)
+        assert tree._batch_key_data([still])[0] != tree._batch_key_data([mover])[0]
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

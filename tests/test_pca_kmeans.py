@@ -5,9 +5,20 @@ import random
 
 import pytest
 
-from repro.core.pc_kmeans import centroid_kmeans_dvas, find_dvas, pca_only_dva
+from repro.core.dva import DominantVelocityAxis
+from repro.core.outlier import optimal_tau
+from repro.core.pc_kmeans import (
+    MAX_ITERATIONS,
+    PCKMeansResult,
+    centroid_kmeans_dvas,
+    find_dvas,
+    pca_only_dva,
+)
 from repro.core.pca import first_principal_component, principal_components
+from repro.core.velocity_analyzer import VelocityAnalyzer
 from repro.geometry.vector import Vector
+from repro.workload.generator import DATASETS, build_workload
+from repro.workload.parameters import WorkloadParameters
 
 
 def axis_sample(angles_degrees, points_per_axis=200, noise=2.0, speed=60.0, seed=0):
@@ -159,3 +170,113 @@ class TestNaiveBaselines:
     def test_centroid_kmeans_requires_enough_points(self):
         with pytest.raises(ValueError):
             centroid_kmeans_dvas([Vector(1, 0)], k=2)
+
+
+# ----------------------------------------------------------------------
+# Algorithm 2 over velocity columns against the per-point loop
+# ----------------------------------------------------------------------
+def scalar_find_dvas(velocities, k, seed=0):
+    """The reference model: Algorithm 2 one velocity point at a time.
+
+    Returns the result and how many times an emptied partition was
+    re-seeded.
+    """
+    rng = random.Random(seed)
+    assignments = [rng.randrange(k) for _ in velocities]
+    for partition in range(k):
+        if partition not in assignments:
+            assignments[rng.randrange(len(assignments))] = partition
+    axes = scalar_axes_of(velocities, assignments, k)
+    iterations = reseeds = 0
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        moved = False
+        new_assignments = []
+        for velocity, current in zip(velocities, assignments):
+            best = min(range(k), key=lambda p: velocity.perpendicular_distance_to_axis(axes[p]))
+            new_assignments.append(best)
+            if best != current:
+                moved = True
+        assignments = new_assignments
+        for partition in range(k):
+            if partition not in assignments:
+                farthest = max(
+                    range(len(velocities)),
+                    key=lambda i: velocities[i].perpendicular_distance_to_axis(
+                        axes[assignments[i]]
+                    ),
+                )
+                assignments[farthest] = partition
+                moved = True
+                reseeds += 1
+        axes = scalar_axes_of(velocities, assignments, k)
+        if not moved:
+            break
+    return PCKMeansResult(axes=axes, assignments=assignments, iterations=iterations), reseeds
+
+
+def scalar_axes_of(velocities, assignments, k):
+    axes = []
+    for partition in range(k):
+        members = [v for v, a in zip(velocities, assignments) if a == partition]
+        axes.append(first_principal_component(members) if members else Vector(1.0, 0.0))
+    return axes
+
+
+def scalar_analyze(velocities, clustering):
+    """The reference model of ``VelocityAnalyzer.analyze`` after the clustering."""
+    dvas = []
+    for axis, members in zip(clustering.axes, clustering.partition_members(velocities)):
+        if not members:
+            dvas.append(DominantVelocityAxis(axis=axis, tau=0.0))
+            continue
+        speeds = [v.perpendicular_distance_to_axis(axis) for v in members]
+        tau = optimal_tau(speeds).tau
+        kept = [v for v, speed in zip(members, speeds) if speed <= tau]
+        dvas.append(
+            DominantVelocityAxis(axis=first_principal_component(kept) if kept else axis, tau=tau)
+        )
+    return dvas
+
+
+def bits(vectors):
+    return [(v.vx.hex(), v.vy.hex()) for v in vectors]
+
+
+def assert_columns_equal_the_loop(velocities, k):
+    """``find_dvas`` and ``analyze`` reproduce the model bit for bit; the model's reseeds."""
+    expected, reseeds = scalar_find_dvas(velocities, k)
+    result = find_dvas(velocities, k)
+    assert bits(result.axes) == bits(expected.axes)
+    assert result.assignments == expected.assignments
+    assert result.iterations == expected.iterations
+    analyzed = VelocityAnalyzer(k=k).analyze(velocities).dvas
+    modelled = scalar_analyze(velocities, expected)
+    assert [(bits([d.axis]), d.tau.hex()) for d in analyzed] == [
+        (bits([d.axis]), d.tau.hex()) for d in modelled
+    ]
+    return reseeds
+
+
+@pytest.fixture(scope="module", params=DATASETS)
+def dataset_sample(request):
+    params = WorkloadParameters(num_objects=2_000, time_duration=1.0, num_queries=0)
+    return build_workload(request.param, params, include_queries=False).velocity_sample()
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_algorithm_2_over_columns_equals_the_point_loop(dataset_sample, k):
+    """Axes, assignments, iteration counts and every DVA's ``(axis, tau)`` are exact."""
+    assert len(dataset_sample) == 2_000
+    assert_columns_equal_the_loop(dataset_sample, k)
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_an_emptied_partition_is_reseeded_as_the_point_loop_does(k):
+    """On one axis every distance ties, so all points pick axis 0 and the rest empty.
+
+    Each iteration then re-seeds the empty partitions with the first of the
+    equally far points, as ``max`` picks it, until the iteration bound.
+    """
+    rng = random.Random(k)
+    velocities = [Vector(rng.uniform(-30.0, 30.0), 0.0) for _ in range(300)]
+    assert assert_columns_equal_the_loop(velocities, k) > 0
