@@ -44,7 +44,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import bulk
-from repro.bxtree.grid import Grid
+from repro.bxtree.grid import CountGrid, Grid
 from repro.bxtree.key_store import make_key_store
 from repro.bxtree.spacefill import HilbertCurve, SpaceFillingCurve, ZCurve
 from repro.bxtree.velocity_histogram import VelocityHistogram
@@ -382,7 +382,8 @@ class BxTree(ScalarVerbs):
 
         Args:
             queries: the kNN probes.
-            space: data space override; defaults to the index's own space.
+            space: data space override (the expansion cap); defaults to
+                the index's own space.
 
         Returns:
             Per probe, up to ``k`` ``(oid, distance)`` pairs sorted by
@@ -392,7 +393,8 @@ class BxTree(ScalarVerbs):
             self.knn_candidates_batch,
             queries,
             space=space if space is not None else self.space,
-            population=len(self),
+            # The histogram's counts of label positions, kept by every mutation.
+            density=CountGrid(self.histogram.grid, self.histogram._count),
         )
 
     def knn_candidates_batch(

@@ -1,18 +1,21 @@
 """Uniform grid over a rectangular data space.
 
 The grid converts between continuous coordinates and discrete cell indexes.
-It is used both by the Bx-tree (cells are mapped to space-filling-curve
-keys) and by the velocity histogram (cells accumulate velocity extrema).
+It is used by the Bx-tree (cells are mapped to space-filling-curve keys),
+by the velocity histogram (cells accumulate velocity extrema) and by
+:class:`CountGrid`, the per-cell object counts that seed every kNN probe's
+first filter radius (:func:`repro.objects.knn.density_seed`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
+from repro import bulk
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 
@@ -87,3 +90,47 @@ class Grid:
             hi_x if 0 <= hi_x <= top_x else (0 if hi_x < 0 else top_x),
             hi_y if 0 <= hi_y <= top_y else (0 if hi_y < 0 else top_y),
         )
+
+
+@dataclass(frozen=True, eq=False)
+class CountGrid:
+    """Per-cell object counts over a :class:`Grid`: the kNN density.
+
+    ``counts`` is a ``(cells_x, cells_y)`` ``int64`` array, changed in
+    place.  The Bx-tree wraps its velocity histogram's counts (label
+    positions, already kept by every Bx mutation) in one; the TPR family
+    and ``VPIndex`` each keep their own over reference positions.
+    """
+
+    grid: Grid
+    counts: np.ndarray
+
+    @classmethod
+    def over(cls, space: Rect, cells: int) -> "CountGrid":
+        """An empty ``cells`` x ``cells`` count grid over ``space``."""
+        return cls(Grid(space, cells, cells), np.zeros((cells, cells), dtype=np.int64))
+
+    def add(self, xs: Sequence[float], ys: Sequence[float], delta: int) -> None:
+        """Add ``delta`` to the cell of every point ``(xs[i], ys[i])`` (clamped).
+
+        ``delta`` is 1 for objects arriving and -1 for objects leaving.
+        Below :data:`~repro.bulk.MIN_VECTOR_BATCH` points each cell comes
+        from :meth:`Grid.cell_at`, larger batches take their cells in one
+        numpy pass; both leave the same counts.  The increments are a
+        Python loop in both: ``np.add.at`` (like ``np.bincount`` or a sort)
+        releases the GIL even on a handful of cells, and an updater thread
+        that drops and retakes the GIL every batch wins every retake, so
+        threads waiting for it (epoch-pinned readers, or the thread that
+        starts them) starve for the whole update stream.
+        """
+        counts = self.counts.reshape(-1)  # a view: the array is C-contiguous
+        cells_y = self.grid.cells_y
+        if len(xs) < bulk.MIN_VECTOR_BATCH:
+            cell_at = self.grid.cell_at
+            for x, y in zip(xs, ys):
+                cx, cy = cell_at(x, y)
+                counts[cx * cells_y + cy] += delta
+        else:
+            cx, cy = self.grid.cells_of_arrays(np.asarray(xs), np.asarray(ys))
+            for cell in (cx * cells_y + cy).tolist():
+                counts[cell] += delta

@@ -30,6 +30,8 @@ from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tupl
 import numpy as np
 
 from repro import bulk
+from repro.bxtree.bx_tree import DEFAULT_HISTOGRAM_CELLS
+from repro.bxtree.grid import CountGrid
 from repro.core.dva import CoordinateFrame
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -156,7 +158,10 @@ class VPIndex(ScalarVerbs):
     as a :data:`~repro.objects.knn.MOTION` record, written by every
     mutation from the arrays it already builds.  kNN candidates come back
     from it as one gather.  The slab doubles when full; released rows go
-    to the free list ``_free`` and are reused first.
+    to the free list ``_free`` and are reused first.  ``density`` counts
+    the live rows' positions per grid cell (the original frame), so kNN
+    probes start from a density-seeded radius: rows written add to it,
+    rows freed or overwritten are read back and subtracted first.
     """
 
     def __init__(
@@ -176,7 +181,9 @@ class VPIndex(ScalarVerbs):
                 ``buffer``; not kept, so the index pickles and deep-copies.
             buffer: the buffer pool shared by every sub-index.
             name: display name used by the harness (e.g. ``"Bx(VP)"``).
-            space: data space, when known; seeds kNN filter radii.
+            space: data space, when known: the kNN expansion cap and the
+                extent of ``density`` (without one, kNN probes start at
+                :data:`~repro.objects.knn.DEFAULT_INITIAL_RADIUS`).
         """
         self.partitioning = partitioning
         self.buffer = buffer
@@ -189,6 +196,9 @@ class VPIndex(ScalarVerbs):
         self._directory: Dict[int, _StoredObject] = {}
         self._rows = np.empty(0, dtype=MOTION)
         self._free: List[int] = []
+        self.density: Optional[CountGrid] = (
+            CountGrid.over(space, DEFAULT_HISTOGRAM_CELLS) if space is not None else None
+        )
 
     # ------------------------------------------------------------------
     # Partition routing
@@ -336,12 +346,15 @@ class VPIndex(ScalarVerbs):
         objects = list(objects)
         flags = [False] * len(objects)
         groups: Dict[int, List[Tuple[int, MovingObject]]] = {}
+        freed: List[int] = []
         for position, obj in enumerate(objects):
             record = self._directory.pop(obj.oid, None)
             if record is None:
                 continue
-            self._free.append(record.slot)
+            freed.append(record.slot)
             groups.setdefault(record.partition, []).append((position, record.stored))
+        self._free.extend(freed)
+        self._count(self._rows[freed], -1)
         for partition, members in groups.items():
             results = self._index_of(partition).delete_batch(
                 [stored for _, stored in members]
@@ -404,9 +417,12 @@ class VPIndex(ScalarVerbs):
             record.original = obj
             record.stored = stored
             records.append(record)
+        overwritten = [record.slot for record in records if record.slot >= 0]
+        self._count(self._rows[overwritten], -1)
         for record, slot in zip(fresh, self._allocate(len(fresh))):
             record.slot = slot
         self._write_rows([record.slot for record in records], motion)
+        self._count(motion, 1)
         # One mixed batch per touched index: its deletions (migrations out),
         # insertions (migrations in) and same-partition updates run in a
         # single sweep instead of three.
@@ -472,8 +488,8 @@ class VPIndex(ScalarVerbs):
 
         Args:
             queries: the kNN probes (centers in the original frame).
-            space: data space (initial radius seed and expansion cap);
-                defaults to the space the index was built with.
+            space: data space (the expansion cap); defaults to the space
+                the index was built with.
 
         Returns:
             Per probe, up to ``k`` ``(oid, distance)`` pairs sorted by
@@ -483,7 +499,7 @@ class VPIndex(ScalarVerbs):
             self._knn_candidates_batch,
             list(queries),
             space=space if space is not None else self.space,
-            population=len(self),
+            density=self.density,
         )
 
     def _knn_candidates_batch(self, queries: Sequence[RangeQuery]) -> List[np.ndarray]:
@@ -601,6 +617,20 @@ class VPIndex(ScalarVerbs):
         else:
             self._rows[slots] = motion
 
+    def _count(self, motion: Sequence, delta: int) -> None:
+        """Add ``delta`` to :attr:`density` at the positions of ``motion``'s rows.
+
+        ``motion`` is a :data:`~repro.objects.knn.MOTION` array or, as
+        :meth:`_classify_and_transform` returns it for small batches, a
+        list of row tuples.
+        """
+        if self.density is None:
+            return
+        if isinstance(motion, np.ndarray):
+            self.density.add(motion["x"], motion["y"], delta)
+        else:
+            self.density.add([row[1] for row in motion], [row[2] for row in motion], delta)
+
     def _commit(
         self,
         objects: List[MovingObject],
@@ -611,6 +641,7 @@ class VPIndex(ScalarVerbs):
         """Record freshly inserted objects in the directory and the slab."""
         slots = self._allocate(len(objects))
         self._write_rows(slots, motion)
+        self._count(motion, 1)
         for obj, partition, stored, slot in zip(objects, partitions, stored_objects, slots):
             self._directory[obj.oid] = _StoredObject(
                 partition=partition, original=obj, stored=stored, slot=slot

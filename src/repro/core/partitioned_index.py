@@ -75,21 +75,24 @@ def make_vp_tprstar_tree(
     partitioning: VelocityPartitioning,
     buffer: Optional[BufferManager] = None,
     buffer_pages: int = DEFAULT_BUFFER_PAGES,
-    space: Optional[Rect] = None,
+    space: Rect = DEFAULT_SPACE,
     **tpr_kwargs,
 ) -> VPIndex:
     """Build a TPR*(VP)-tree: one TPR*-tree per DVA plus an outlier TPR*-tree.
 
     Keyword arguments (``page_size``, ``max_entries``, ...) are forwarded to every
-    underlying :class:`~repro.tprtree.TPRStarTree`; ``space``, when given,
-    only seeds kNN filter radii (the TPR family needs no space bounds).
+    underlying :class:`~repro.tprtree.TPRStarTree`.  ``space`` bounds no
+    node: each tree takes the partition's rotated space bounds (its kNN
+    cap and count grid), as the Bx(VP) trees do, and the index keeps
+    ``space`` for its own count grid in the original frame.
     """
     shared_buffer = buffer if buffer is not None else BufferManager(capacity=buffer_pages)
+    frame_bounds = rotated_space_bounds(space, partitioning)
 
     def factory(partition: int) -> TPRStarTree:
-        """Build one TPR*-tree on the shared buffer pool."""
-        del partition  # the TPR*-tree needs no space bounds
-        return TPRStarTree(buffer=shared_buffer, **tpr_kwargs)
+        """Build one TPR*-tree over the partition's rotated space bounds."""
+        tree_space = space if partition == OUTLIER_PARTITION else frame_bounds[partition]
+        return TPRStarTree(buffer=shared_buffer, space=tree_space, **tpr_kwargs)
 
     return VPIndex(partitioning, factory, shared_buffer, name="TPR*(VP)", space=space)
 
@@ -146,7 +149,7 @@ def make_index(
             partitioning, buffer=buffer, space=space, page_size=page_size, **tree_kwargs
         )
     tree = TPRTree if family == "TPR" else TPRStarTree
-    return tree(buffer=buffer, page_size=page_size, **tree_kwargs)
+    return tree(buffer=buffer, page_size=page_size, space=space, **tree_kwargs)
 
 
 def sample_velocities_from_objects(objects: Sequence[MovingObject]) -> List[Vector]:

@@ -12,7 +12,6 @@ from repro.objects.queries import (
 from repro.objects.knn import (
     KNNQuery,
     expanding_knn_batch,
-    initial_knn_radius,
 )
 
 __all__ = [
@@ -25,5 +24,4 @@ __all__ = [
     "MovingRangeQuery",
     "KNNQuery",
     "expanding_knn_batch",
-    "initial_knn_radius",
 ]

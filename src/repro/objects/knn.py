@@ -10,10 +10,19 @@ object closer than the current k-th would also be inside the circle), so
 the candidates are ranked by their predicted distance at the query time
 and the top ``k`` returned.
 
-The radius grows by doubling, capped by what the probe already holds: an
-index's filter step returns a superset of the circle, and once those rows
-number ``k`` the circle through the k-th nearest of them provably holds
-``k`` objects, so no round needs a wider one.
+Each probe's first radius is read off per-cell object counts
+(:func:`density_seed`): the distance from the probe at which the cells
+around it, nearest centre first, hold ``2k`` objects.  Moving objects
+crowd onto roads, so a uniform-density estimate (``sqrt(2k * area /
+(pi * n))``) would start most probes far too small or far too large.
+Every family keeps the counts its mutations already
+touch: the Bx-tree its velocity histogram's counts of label positions,
+the TPR family and ``VPIndex`` a :class:`~repro.bxtree.grid.CountGrid`
+over reference positions.  From there the radius grows by doubling,
+capped by what the probe already holds: an index's filter step returns a
+superset of the circle, and once those rows number ``k`` the circle
+through the k-th nearest of them provably holds ``k`` objects, so no
+round needs a wider one.
 
 :func:`expanding_knn_batch` is the one driver, behind every index's
 ``knn_query_batch`` (a scalar ``knn_query`` is a batch of one).  A whole
@@ -33,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,11 +51,18 @@ from repro.geometry.rect import Rect
 from repro.objects.moving_object import MovingObject
 from repro.objects.queries import CircularRange, RangeQuery, TimeSliceRangeQuery
 
+if TYPE_CHECKING:  # the Bx package imports this module
+    from repro.bxtree.grid import CountGrid
+
 #: How much the search radius at most grows between filter rounds.
 RADIUS_GROWTH_FACTOR = 2.0
 
-#: Fallback initial radius when the data space or population is unknown.
+#: Start radius of a probe whose provider keeps no count grid (a bare
+#: candidate provider, or a ``VPIndex`` built without a data space).
 DEFAULT_INITIAL_RADIUS = 100.0
+
+#: Smallest seeded radius (a probe at a cell centre would otherwise get 0).
+MIN_SEED_RADIUS = 1e-6
 
 #: Safety bound on expansion rounds of the batched driver.  The radius grows
 #: geometrically and is capped at the space diagonal, so real searches
@@ -148,32 +164,53 @@ class ScalarVerbs:
     ) -> List[Tuple[int, float]]:
         """Up to ``k`` ``(oid, distance)`` pairs nearest ``center`` at ``query_time``.
 
-        Sorted by ``(distance, oid)``; ``space`` seeds the initial filter
-        radius and caps the expansion (see :func:`expanding_knn_batch`).
+        Sorted by ``(distance, oid)``; ``space`` caps the expansion at its
+        diagonal (see :func:`expanding_knn_batch`).
         """
         probe = KNNQuery(center=center, k=k, query_time=query_time, issue_time=issue_time)
         return self.knn_query_batch([probe], space=space, **kwargs)[0]
 
 
-def initial_knn_radius(space: Rect, population: int, k: int) -> float:
-    """A radius expected to contain about ``2k`` uniformly spread objects.
+def density_seed(density: "CountGrid", center: Point, target: int) -> float:
+    """The radius whose circle around ``center`` holds about ``target`` objects.
 
-    Starting too small wastes filter rounds, starting too large wastes I/O;
-    the uniform-density estimate ``sqrt(2k * area / (pi * n))`` is the usual
-    compromise and is clamped to a sane floor.
+    Read off the per-cell counts: starting from the probe's cell (clamped
+    to the grid), a square window of cells with half-width 1, 2, 4, ...
+    grows until it holds ``target`` objects; its cells, sorted by the
+    distance of their centres from ``center``, are then summed nearest
+    first, and the seed is the centre distance at which the sum reaches
+    ``target`` (at least :data:`MIN_SEED_RADIUS`).  A grid holding fewer
+    than ``target`` objects in all seeds the diagonal of its space.  The
+    window is sliced and summed per probe rather than read from a
+    summed-area table, because the counts change between requests.
     """
-    if population <= 0 or k <= 0:
-        return max(space.width, space.height)
-    area_per_hit = space.area / population
-    radius = math.sqrt(2.0 * k * area_per_hit / math.pi)
-    return max(radius, 1e-6)
+    grid, counts = density.grid, density.counts
+    cx, cy = grid.cell_at(center.x, center.y)
+    cells_x, cells_y = counts.shape
+    half = 1
+    while True:
+        x0, x1 = max(cx - half, 0), min(cx + half + 1, cells_x)
+        y0, y1 = max(cy - half, 0), min(cy + half + 1, cells_y)
+        window = counts[x0:x1, y0:y1]
+        if window.sum() >= target:
+            break
+        if x1 - x0 == cells_x and y1 - y0 == cells_y:
+            return math.hypot(grid.space.width, grid.space.height)
+        half *= 2
+    space = grid.space
+    dx = space.x_min + (np.arange(x0, x1) + 0.5) * grid.cell_width - center.x
+    dy = space.y_min + (np.arange(y0, y1) + 0.5) * grid.cell_height - center.y
+    distances = np.hypot(dx[:, None], dy[None, :]).ravel()
+    order = np.argsort(distances, kind="stable")
+    reached = int(np.searchsorted(np.cumsum(window.ravel()[order]), target))
+    return max(float(distances[order[reached]]), MIN_SEED_RADIUS)
 
 
 def expanding_knn_batch(
     candidates_for: CandidateProvider,
     queries: Sequence[KNNQuery],
     space: Optional[Rect] = None,
-    population: Optional[int] = None,
+    density: Optional["CountGrid"] = None,
 ) -> List[List[Tuple[int, float]]]:
     """Answer a batch of kNN probes with shared expanding-range rounds.
 
@@ -185,7 +222,10 @@ def expanding_knn_batch(
     distance pass that decides retirement and ranks the final answers runs
     vectorized over the pool's columns.
 
-    An unfinished probe's next radius is ``min(2r, d_k, max_radius)``,
+    A probe starts at :func:`density_seed`'s radius for ``2k`` objects
+    (capped at ``max_radius``), or at :data:`DEFAULT_INITIAL_RADIUS`
+    without a ``density``.  An unfinished probe's next radius is
+    ``min(2r, d_k, max_radius)``,
     where ``d_k`` is the k-th smallest predicted distance in its pool
     (infinite while the pool holds fewer than ``k`` rows).  The circle of
     radius ``d_k`` contains ``k`` pooled rows, so a capped probe retires in
@@ -196,9 +236,10 @@ def expanding_knn_batch(
         candidates_for: per-round candidate provider (see
             :data:`CandidateProvider`).
         queries: the kNN probes.
-        space: data space; seeds the density-based initial radius and caps
-            the expansion at the space diagonal.
-        population: number of indexed objects (for the initial radius).
+        space: data space; caps the expansion at the space diagonal
+            (``max_radius``).
+        density: the index's per-cell object counts, which seed each
+            probe's first radius.
 
     Returns:
         Per probe, up to ``k`` ``(oid, distance)`` pairs sorted by
@@ -211,15 +252,14 @@ def expanding_knn_batch(
     radii: List[float] = []
     max_radii: List[float] = []
     for query in queries:
-        if space is not None and population is not None:
-            radius = initial_knn_radius(space, population, query.k)
-        else:
-            radius = DEFAULT_INITIAL_RADIUS
-        radii.append(radius)
+        radius = DEFAULT_INITIAL_RADIUS
+        if density is not None and query.k > 0:
+            radius = density_seed(density, query.center, 2 * query.k)
         if space is not None:
             max_radii.append(math.hypot(space.width, space.height))
         else:
             max_radii.append(radius * (RADIUS_GROWTH_FACTOR ** DEFAULT_MAX_ROUNDS))
+        radii.append(min(radius, max_radii[-1]))
     pools: List[np.ndarray] = [np.empty(0, dtype=MOTION)] * n
     active = [i for i in range(n) if queries[i].k > 0]
     for i in range(n):

@@ -86,8 +86,11 @@ _MANIFEST = "MANIFEST.json"
 #: hold sentinels (a v4 image has four arrays with stale extrema in its
 #: empty cells, which a lookup without an occupancy mask would count);
 #: 6 = a pickled ``VPIndex`` keeps a ``MOTION`` slab of its objects'
-#: original snapshots (a v5 image has none, so its first kNN would fail).
-_MANIFEST_VERSION = 6
+#: original snapshots (a v5 image has none, so its first kNN would fail);
+#: 7 = a pickled ``VPIndex`` and TPR-family tree keep a ``CountGrid`` of
+#: their objects' positions, and a TPR tree its ``space`` (a v6 image has
+#: neither, so its first kNN would fail).
+_MANIFEST_VERSION = 7
 
 
 # ----------------------------------------------------------------------

@@ -44,6 +44,8 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.bulk import chunk_count, even_chunks
+from repro.bxtree.bx_tree import DEFAULT_HISTOGRAM_CELLS, DEFAULT_SPACE
+from repro.bxtree.grid import CountGrid
 from repro.geometry import kernels
 from repro.geometry.moving_rect import MovingRect
 from repro.geometry.point import Point
@@ -92,6 +94,8 @@ class TPRTree(ScalarVerbs):
             the bound expansion; positive and finite (at zero every
             sweeping volume is 0.0 and TPR* choose-subtree degenerates to
             "always the first child").
+        space: data space; caps kNN expansion at its diagonal and carries
+            the count grid that seeds kNN radii (no node bound depends on it).
 
     Raises:
         ValueError: on a fan-out, fill factor or horizon outside its range.
@@ -106,6 +110,7 @@ class TPRTree(ScalarVerbs):
         min_fill: float = 0.4,
         horizon: float = DEFAULT_HORIZON,
         page_size: Optional[int] = None,
+        space: Rect = DEFAULT_SPACE,
     ) -> None:
         if max_entries is None:
             if page_size is not None:
@@ -125,6 +130,9 @@ class TPRTree(ScalarVerbs):
         self.max_entries = max_entries
         self.min_entries = max(2, int(max_entries * min_fill))
         self.horizon = horizon
+        self.space = space
+        #: Per-cell counts of the stored reference positions (kNN seeds).
+        self.density = CountGrid.over(space, DEFAULT_HISTOGRAM_CELLS)
         self.current_time = 0.0
         self.size = 0
         root = TPRNode(page_id=-1, is_leaf=True)
@@ -212,6 +220,7 @@ class TPRTree(ScalarVerbs):
         self._write_node(root)
         self._height = levels + 1
         self.size = len(objects)
+        self._count(objects, 1)
 
     def _pack_level(self, entries: List[TPREntry]) -> List[TPREntry]:
         """Pack one level of entries into nodes; returns the parent entries."""
@@ -332,6 +341,7 @@ class TPRTree(ScalarVerbs):
         flags = [False] * len(objects)
         for index in self._spatial_order(objects):
             flags[index] = self._delete_one(objects[index])
+        self._count([obj for obj, deleted in zip(objects, flags) if deleted], -1)
         return flags
 
     def insert_batch(self, objects: Sequence[MovingObject]) -> None:
@@ -349,6 +359,11 @@ class TPRTree(ScalarVerbs):
         )
         for index in self._spatial_order(objects):
             self._insert_one(objects[index])
+        self._count(objects, 1)
+
+    def _count(self, objects: Sequence[MovingObject], delta: int) -> None:
+        """Add ``delta`` to :attr:`density` at each object's reference position."""
+        self.density.add([o.position.x for o in objects], [o.position.y for o in objects], delta)
 
     def update_batch(self, pairs: Sequence[Tuple[MovingObject, MovingObject]]) -> List[bool]:
         """Apply a batch of updates; per pair, whether its old snapshot existed.
@@ -474,7 +489,8 @@ class TPRTree(ScalarVerbs):
 
         Args:
             queries: the kNN probes.
-            space: data space (initial radius seed and expansion cap).
+            space: data space override (the expansion cap); defaults to
+                the tree's own space.
 
         Returns:
             Per probe, up to ``k`` ``(oid, distance)`` pairs sorted by
@@ -483,8 +499,8 @@ class TPRTree(ScalarVerbs):
         return expanding_knn_batch(
             self.knn_candidates_batch,
             queries,
-            space=space,
-            population=len(self),
+            space=space if space is not None else self.space,
+            density=self.density,
         )
 
     def knn_candidates_batch(

@@ -17,6 +17,7 @@ numpy changes no bit of the resulting indexes.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -162,7 +163,12 @@ def _mutation_state(index):
         trees = [*index.dva_indexes, index.outlier_index]
         directory = dict(index._directory)
         slots = [record.slot for record in directory.values()]
-        state += [directory, index._rows[slots].tobytes(), index.partition_sizes()]
+        state += [
+            directory,
+            index._rows[slots].tobytes(),
+            index.partition_sizes(),
+            index.density.counts.tobytes(),
+        ]
     for tree in trees:
         if isinstance(tree, BxTree):
             histogram = tree.histogram
@@ -174,7 +180,7 @@ def _mutation_state(index):
                 histogram._count.tobytes(),
             ]
         else:
-            state += [list(tree.iter_objects()), len(tree)]
+            state += [list(tree.iter_objects()), len(tree), tree.density.counts.tobytes()]
     return state
 
 
@@ -188,7 +194,8 @@ def test_the_vector_threshold_changes_nothing(dataset, name, monkeypatch):
     insertion-built in chunks of 1-11 objects and replay the stream window
     by window, one twin with the threshold at 0 (numpy for every batch) and
     one at 10**9 (a plain loop for every batch); after every batch their
-    flags, answers, stored state and every I/O counter must agree.
+    flags, answers, stored state (kNN count grids included) and every I/O
+    counter must agree.
     """
     workload = build_workload(dataset, PARAMS)
     twins = {threshold: _fresh(workload, name) for threshold in (0, 10**9)}
@@ -489,20 +496,30 @@ def test_knn_batch_is_shuffle_invariant(workload, batches, name):
 
 
 @pytest.mark.parametrize(
-    "start", [1.0, PARAMS.space.width + PARAMS.space.height], ids=["tiny", "diagonal"]
+    "start",
+    [1e-6, math.hypot(PARAMS.space.width, PARAMS.space.height)],
+    ids=["tiny", "diagonal"],
 )
-@pytest.mark.parametrize("name", INDEX_NAMES)
-def test_knn_answers_ignore_the_start_radius(workload, batches, name, start, monkeypatch):
+@pytest.mark.parametrize(
+    "name, key_store",
+    [(name, "btree") for name in INDEX_NAMES] + [("Bx", "flat"), ("Bx(VP)", "flat")],
+)
+def test_knn_answers_ignore_the_start_radius(
+    workload, batches, name, key_store, start, monkeypatch
+):
     """The radius schedule is a cost decision only: answers are invariant.
 
     A start radius far below the data density takes the batch through
     many doubled and capped rounds; one at the space diagonal answers in
-    a single round.  Both rank exactly what the density seed ranks.
+    a single round.  Both rank exactly what the count-grid seed ranks, on
+    either Bx key store.
     """
-    index = _replayed_index(workload, batches, name)
+    index = build_standard_indexes(workload, PARAMS, which=(name,), key_store=key_store)[name]
+    index.bulk_load(workload.initial_objects)
+    _replay(index, batches, "batch")
     probes = _knn_probes(workload)
     reference = index.knn_query_batch(probes, space=PARAMS.space)
-    monkeypatch.setattr(knn, "initial_knn_radius", lambda space, population, k: start)
+    monkeypatch.setattr(knn, "density_seed", lambda density, center, target: start)
     assert index.knn_query_batch(probes, space=PARAMS.space) == reference, name
 
 

@@ -1,10 +1,12 @@
 """Tests for the kNN filter-and-refine query and the Section 5.5 τ adaptation."""
 
+import math
 import random
 
 import pytest
 
 from repro.bxtree.bx_tree import BxTree
+from repro.bxtree.grid import CountGrid
 from repro.core.adaptation import TauMonitor, refresh_taus
 from repro.core.dva import DominantVelocityAxis
 from repro.core.partitioned_index import (
@@ -15,7 +17,7 @@ from repro.core.partitioned_index import (
 from repro.core.velocity_analyzer import VelocityPartitioning
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
-from repro.objects.knn import initial_knn_radius
+from repro.objects.knn import MIN_SEED_RADIUS, density_seed
 from repro.storage.buffer_manager import BufferManager
 from repro.tprtree.tprstar_tree import TPRStarTree
 
@@ -98,11 +100,35 @@ class TestKNN:
         tree = TPRStarTree(buffer=BufferManager(capacity=16))
         assert tree.knn_query(Point(0, 0), 0, 1.0) == []
 
-    def test_initial_radius_scales_with_density(self):
-        sparse = initial_knn_radius(SMALL_SPACE, population=10, k=3)
-        dense = initial_knn_radius(SMALL_SPACE, population=10_000, k=3)
-        assert sparse > dense
-        assert initial_knn_radius(SMALL_SPACE, population=0, k=3) >= SMALL_SPACE.width
+    def test_the_seed_radius_follows_the_cell_counts(self):
+        rng = random.Random(5)
+        center = Point(5_000.0, 5_000.0)
+
+        def seeded(count):
+            density = CountGrid.over(SMALL_SPACE, 50)
+            xs = [rng.uniform(0.0, SMALL_SPACE.width) for _ in range(count)]
+            ys = [rng.uniform(0.0, SMALL_SPACE.height) for _ in range(count)]
+            density.add(xs, ys, 1)
+            return density_seed(density, center, 6)
+
+        assert seeded(10) > seeded(10_000) >= MIN_SEED_RADIUS
+        # Fewer than ``target`` objects in the whole grid: the diagonal.
+        empty = CountGrid.over(SMALL_SPACE, 50)
+        diagonal = math.hypot(SMALL_SPACE.width, SMALL_SPACE.height)
+        assert density_seed(empty, center, 6) == diagonal
+        # Two objects in the probe's own cell and four in a cell 3 columns
+        # away: the sum reaches 6 at that cell's centre.
+        cell = empty.grid.cell_width
+        empty.add([center.x, center.x], [center.y, center.y], 1)
+        assert density_seed(empty, center, 6) == diagonal
+        empty.add([center.x + 3 * cell] * 4, [center.y] * 4, 1)
+        probe_cx = SMALL_SPACE.x_min + (int(center.x / cell) + 3.5) * cell
+        probe_cy = SMALL_SPACE.y_min + (int(center.y / cell) + 0.5) * cell
+        expected = math.hypot(probe_cx - center.x, probe_cy - center.y)
+        assert density_seed(empty, center, 6) == pytest.approx(expected)
+        assert density_seed(empty, center, 2) == pytest.approx(
+            math.hypot(probe_cx - 3 * cell - center.x, probe_cy - center.y)
+        )
 
 
 class TestTauAdaptation:

@@ -24,7 +24,11 @@ Four pins:
   standard indexes.  The scan is a function of the radius schedule, so a
   moved count means the schedule or the scan changed, not just the
   marshaling of candidates; the totals were re-recorded when each round's
-  radius became capped at the pool's k-th distance.
+  radius became capped at the pool's k-th distance, and again when each
+  probe's first radius came from a count grid instead of a uniform
+  density (every total fell: Bx (1461, 196) → (1228, 174), Bx(VP)
+  (1737, 265) → (1424, 223), TPR* (743, 333) → (626, 280), TPR*(VP)
+  (717, 301) → (583, 245)).
 """
 
 from __future__ import annotations
@@ -295,10 +299,10 @@ K = 10
 
 #: ``name -> (logical reads, physical reads)`` of the kNN phase alone.
 PINNED_READS = {
-    "Bx": (1461, 196),
-    "Bx(VP)": (1737, 265),
-    "TPR*": (743, 333),
-    "TPR*(VP)": (717, 301),
+    "Bx": (1228, 174),
+    "Bx(VP)": (1424, 223),
+    "TPR*": (626, 280),
+    "TPR*(VP)": (583, 245),
 }
 
 
@@ -320,12 +324,12 @@ def test_knn_replay_reads_the_pinned_pages(workload, name, monkeypatch):
     logical, physical = stats.logical.reads, stats.physical.reads
     writes = (stats.logical.writes, stats.physical.writes)
 
-    # One probe per request and then the whole batch from the density seed,
-    # then the batch again from a start radius far below the data density,
+    # One probe per request and then the whole batch from the count-grid
+    # seed, then the batch again from a start radius far below the density,
     # which takes it through many shared filter rounds.
     answers = [index.knn_query_batch([probe], space=PARAMS.space)[0] for probe in probes[:6]]
     answers += index.knn_query_batch(probes, space=PARAMS.space)
-    monkeypatch.setattr(knn, "initial_knn_radius", lambda space, population, k: 100.0)
+    monkeypatch.setattr(knn, "density_seed", lambda density, center, target: 100.0)
     answers += index.knn_query_batch(probes, space=PARAMS.space)
 
     assert all(len(answer) == K for answer in answers)
