@@ -79,7 +79,10 @@ def run_htap(
     ``query_clients`` threads pin an epoch via ``index.pin()`` and
     answer seeded-random range/kNN batches at it, recording every answer
     — with the epoch it was pinned at and the lag behind the published
-    epoch at completion — until the update stream is exhausted.
+    epoch at completion — until the update stream is exhausted.  The
+    query threads start first, and the updater waits on a barrier until
+    each of them has answered one pinned batch, so every lane answers
+    whatever the GIL's hand-offs between threads.
 
     The caller is expected to have bulk-loaded ``index`` already (and
     recorded that mutation into ``oracle``); afterwards,
@@ -96,6 +99,7 @@ def run_htap(
     latencies: Dict[str, List[float]] = {"update": [], "range": [], "knn": []}
     lags: List[int] = []
     merge = threading.Lock()
+    ready = threading.Barrier(query_clients + 1)
     updates_applied = 0
 
     def updater() -> None:
@@ -103,6 +107,7 @@ def run_htap(
         local: List[float] = []
         applied = 0
         try:
+            ready.wait()  # every query lane has answered one pinned batch
             for pairs in update_batches:
                 issued = time.perf_counter()
                 index.update_batch(pairs)
@@ -111,6 +116,8 @@ def run_htap(
                 # epoch this batch was assigned.
                 oracle.record_mutation(index.epoch, "update_batch", pairs)
                 applied += len(pairs)
+        except threading.BrokenBarrierError:
+            pass  # a query lane failed before its first answer; its error is raised
         except BaseException as error:  # noqa: BLE001 - re-raised below
             errors.append(error)
         finally:
@@ -139,19 +146,24 @@ def run_htap(
                         local["knn"].append(time.perf_counter() - issued)
                         oracle.record_answer(epoch, "knn", probe_batch, answer)
                     local_lags.append(index.epoch - epoch)
+                if len(local_lags) == 1:
+                    ready.wait()  # first batch answered: release the updater
+        except threading.BrokenBarrierError:
+            pass  # another query lane failed first; its error is raised
         except BaseException as error:  # noqa: BLE001 - re-raised below
             errors.append(error)
+            ready.abort()
             stop.set()
         with merge:
             for kind, values in local.items():
                 latencies[kind].extend(values)
             lags.extend(local_lags)
 
-    threads = [threading.Thread(target=updater)]
-    threads.extend(
+    threads = [
         threading.Thread(target=query_worker, args=(worker_id,))
         for worker_id in range(query_clients)
-    )
+    ]
+    threads.append(threading.Thread(target=updater))
     started = time.perf_counter()
     for thread in threads:
         thread.start()

@@ -7,6 +7,7 @@ speed is ``perfbench``'s job.
 from __future__ import annotations
 
 import json
+import sys
 
 import bench_speed
 import pytest
@@ -58,6 +59,24 @@ def test_htap_cell(tmp_path):
         assert row["updates_applied"] > 0, name
         assert row["answers_checked"] > 0, name
         assert row["answers_consistent"] == 1.0, name
+
+
+def test_htap_cell_answers_when_threads_rarely_switch(tmp_path):
+    """Every query lane answers before the updater starts, at any GIL pace.
+
+    With a 2 s switch interval a thread keeps the GIL until it blocks, so
+    an updater that did not wait for the lanes would run the whole stream
+    before any of them answered.
+    """
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(2.0)
+    try:
+        status, report = _run(tmp_path, "htap")
+    finally:
+        sys.setswitchinterval(interval)
+    assert status == 0
+    for name, row in report["rows"].items():
+        assert row["answers_checked"] > 0, name
 
 
 @pytest.mark.parametrize("flag", bench_speed.CORRECTNESS_FLAGS)

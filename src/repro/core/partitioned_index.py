@@ -82,17 +82,16 @@ def make_vp_tprstar_tree(
 
     Keyword arguments (``page_size``, ``max_entries``, ...) are forwarded to every
     underlying :class:`~repro.tprtree.TPRStarTree`.  ``space`` bounds no
-    node: each tree takes the partition's rotated space bounds (its kNN
-    cap and count grid), as the Bx(VP) trees do, and the index keeps
-    ``space`` for its own count grid in the original frame.
+    node: the index keeps it for its kNN cap and its count grid in the
+    original frame, and the trees take none (``space=None``), so they keep
+    no grid: ``VPIndex`` seeds every probe from its own grid and asks the
+    trees only for candidates.
     """
     shared_buffer = buffer if buffer is not None else BufferManager(capacity=buffer_pages)
-    frame_bounds = rotated_space_bounds(space, partitioning)
 
     def factory(partition: int) -> TPRStarTree:
-        """Build one TPR*-tree over the partition's rotated space bounds."""
-        tree_space = space if partition == OUTLIER_PARTITION else frame_bounds[partition]
-        return TPRStarTree(buffer=shared_buffer, space=tree_space, **tpr_kwargs)
+        """Build one grid-less TPR*-tree for a partition."""
+        return TPRStarTree(buffer=shared_buffer, space=None, **tpr_kwargs)
 
     return VPIndex(partitioning, factory, shared_buffer, name="TPR*(VP)", space=space)
 

@@ -15,16 +15,16 @@ speed for ``t - reference_time`` time units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from repro.geometry import kernels
 from repro.geometry.point import Point
+from repro.geometry.record import value_record
 from repro.geometry.rect import Rect
 from repro.geometry.vector import Vector
 
 
-@dataclass(frozen=True)
+@value_record
 class MovingRect:
     """A rectangle whose edges move linearly with time."""
 

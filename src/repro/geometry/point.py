@@ -8,14 +8,15 @@ which pairs a reference :class:`Point` with a :class:`repro.geometry.Vector`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Tuple
+
+from repro.geometry.record import value_record
 
 if TYPE_CHECKING:  # pragma: no cover - import used only for type hints
     from repro.geometry.vector import Vector
 
 
-@dataclass(frozen=True)
+@value_record
 class Point:
     """A point in the 2-D data space.
 

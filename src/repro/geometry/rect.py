@@ -7,13 +7,13 @@ and as the bounding boxes of transformed (rotated) circular queries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple
 
 from repro.geometry.point import Point
+from repro.geometry.record import value_record
 
 
-@dataclass(frozen=True)
+@value_record
 class Rect:
     """Axis-aligned rectangle ``[x_min, x_max] x [y_min, y_max]``.
 

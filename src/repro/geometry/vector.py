@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Tuple
 
+from repro.geometry.record import value_record
 
-@dataclass(frozen=True)
+
+@value_record
 class Vector:
     """A 2-D vector.
 

@@ -41,12 +41,12 @@ builds: this is the one module every index layer already imports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.geometry.point import Point
+from repro.geometry.record import value_record
 from repro.geometry.rect import Rect
 from repro.objects.moving_object import MovingObject
 from repro.objects.queries import CircularRange, RangeQuery, TimeSliceRangeQuery
@@ -108,7 +108,7 @@ def motion_rows(objects: Iterable[MovingObject]) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
+@value_record
 class KNNQuery:
     """One k-nearest-neighbour probe.
 

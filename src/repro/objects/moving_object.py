@@ -8,14 +8,15 @@ by an insertion) whenever its velocity changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from repro.geometry.moving_rect import MovingRect
 from repro.geometry.point import Point
+from repro.geometry.record import value_record
 from repro.geometry.vector import Vector
 
 
-@dataclass(frozen=True)
+@value_record
 class MovingObject:
     """A moving point object.
 

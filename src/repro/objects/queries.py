@@ -17,18 +17,18 @@ filtering step of the VP range-query algorithm (Algorithm 3, line 8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.geometry import kernels
 from repro.geometry.moving_rect import MovingRect
 from repro.geometry.point import Point
+from repro.geometry.record import value_record
 from repro.geometry.rect import Rect
 from repro.geometry.vector import Vector
 from repro.objects.moving_object import MovingObject
 
 
-@dataclass(frozen=True)
+@value_record
 class CircularRange:
     """A circular spatial range."""
 
@@ -48,7 +48,7 @@ class CircularRange:
         return Rect.from_center(self.center, self.radius, self.radius)
 
 
-@dataclass(frozen=True)
+@value_record
 class RectangularRange:
     """A rectangular spatial range."""
 
@@ -71,7 +71,7 @@ class RectangularRange:
 SpatialRange = Union[CircularRange, RectangularRange]
 
 
-@dataclass(frozen=True)
+@value_record
 class RangeQuery:
     """A predictive range query.
 

@@ -89,8 +89,11 @@ _MANIFEST = "MANIFEST.json"
 #: original snapshots (a v5 image has none, so its first kNN would fail);
 #: 7 = a pickled ``VPIndex`` and TPR-family tree keep a ``CountGrid`` of
 #: their objects' positions, and a TPR tree its ``space`` (a v6 image has
-#: neither, so its first kNN would fail).
-_MANIFEST_VERSION = 7
+#: neither, so its first kNN would fail); 8 = the value records (points,
+#: vectors, moving objects, queries) pickle by position, as their class and
+#: field values (a v7 WAL body or image carries each record's field dict,
+#: which a slotted record without ``__setstate__`` refuses to load).
+_MANIFEST_VERSION = 8
 
 
 # ----------------------------------------------------------------------

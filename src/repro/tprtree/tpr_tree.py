@@ -96,6 +96,8 @@ class TPRTree(ScalarVerbs):
             "always the first child").
         space: data space; caps kNN expansion at its diagonal and carries
             the count grid that seeds kNN radii (no node bound depends on it).
+            ``None`` keeps no grid, for a sub-tree whose kNN probes are
+            seeded by the index that owns it (TPR*(VP)).
 
     Raises:
         ValueError: on a fan-out, fill factor or horizon outside its range.
@@ -110,7 +112,7 @@ class TPRTree(ScalarVerbs):
         min_fill: float = 0.4,
         horizon: float = DEFAULT_HORIZON,
         page_size: Optional[int] = None,
-        space: Rect = DEFAULT_SPACE,
+        space: Optional[Rect] = DEFAULT_SPACE,
     ) -> None:
         if max_entries is None:
             if page_size is not None:
@@ -132,7 +134,9 @@ class TPRTree(ScalarVerbs):
         self.horizon = horizon
         self.space = space
         #: Per-cell counts of the stored reference positions (kNN seeds).
-        self.density = CountGrid.over(space, DEFAULT_HISTOGRAM_CELLS)
+        self.density: Optional[CountGrid] = (
+            CountGrid.over(space, DEFAULT_HISTOGRAM_CELLS) if space is not None else None
+        )
         self.current_time = 0.0
         self.size = 0
         root = TPRNode(page_id=-1, is_leaf=True)
@@ -363,6 +367,8 @@ class TPRTree(ScalarVerbs):
 
     def _count(self, objects: Sequence[MovingObject], delta: int) -> None:
         """Add ``delta`` to :attr:`density` at each object's reference position."""
+        if self.density is None:
+            return
         self.density.add([o.position.x for o in objects], [o.position.y for o in objects], delta)
 
     def update_batch(self, pairs: Sequence[Tuple[MovingObject, MovingObject]]) -> List[bool]:

@@ -7,12 +7,13 @@ from dataclasses import dataclass, field
 from typing import List, Union
 
 from repro.geometry.rect import Rect
+from repro.geometry.record import value_record
 from repro.geometry.vector import Vector
 from repro.objects.moving_object import MovingObject
 from repro.objects.queries import RangeQuery
 
 
-@dataclass(frozen=True)
+@value_record
 class UpdateEvent:
     """A velocity/position update for one object (deletion + insertion)."""
 
@@ -25,7 +26,7 @@ class UpdateEvent:
             raise ValueError("an update must keep the object id")
 
 
-@dataclass(frozen=True)
+@value_record
 class QueryEvent:
     """A predictive range query issued at ``time``."""
 

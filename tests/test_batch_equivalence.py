@@ -180,7 +180,8 @@ def _mutation_state(index):
                 histogram._count.tobytes(),
             ]
         else:
-            state += [list(tree.iter_objects()), len(tree), tree.density.counts.tobytes()]
+            grid = None if tree.density is None else tree.density.counts.tobytes()
+            state += [list(tree.iter_objects()), len(tree), grid]
     return state
 
 

@@ -281,6 +281,7 @@ def test_a_rejected_record_left_in_the_wal_recovers_as_a_rejection(tmp_path, kin
         4,  # Bx histograms with stale extrema in empty cells, not sentinels
         5,  # VP images without the motion slab
         6,  # VP and TPR images without a kNN count grid
+        7,  # value records pickled with a field dict, not by position
     ],
 )
 def test_open_refuses_a_manifest_of_another_version(tmp_path, version):
@@ -320,7 +321,7 @@ def test_every_checkpoint_image_is_a_versioned_shard(tmp_path):
     shard_store.close()
     _create_store(str(tmp_path / "store")).close()
     with open(tmp_path / "store" / "MANIFEST.json", encoding="utf-8") as handle:
-        assert json.load(handle)["version"] == 7
+        assert json.load(handle)["version"] == 8
 
 
 def _open_descriptors_under(root):

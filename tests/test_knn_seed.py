@@ -11,8 +11,9 @@ kind of mutation:
 
 * ``VPIndex``'s grid (original frame) equals the counts of its live
   slots' slab rows;
-* a TPR-family tree's grid (its own frame: rotated inside a TPR*(VP))
-  equals the counts of the reference positions it stores, from a model;
+* a TPR-family tree's grid equals the counts of the reference positions
+  it stores, from a model;
+* the trees inside a TPR*(VP) keep no grid: the index seeds their probes;
 
 and a checkpointed durable shard restores its grids equal.
 """
@@ -26,7 +27,6 @@ import pytest
 
 from repro import bulk
 from repro.core.dva import DominantVelocityAxis
-from repro.core.index_manager import OUTLIER_PARTITION
 from repro.core.partitioned_index import make_vp_bx_tree, make_vp_tprstar_tree
 from repro.core.velocity_analyzer import VelocityPartitioning
 from repro.geometry.point import Point
@@ -77,16 +77,9 @@ def _assert_grids_hold(index, live):
     np.testing.assert_array_equal(
         index.density.counts, _counts(index.density, rows["x"], rows["y"])
     )
-    partitions = list(range(index.partitioning.k)) + [OUTLIER_PARTITION]
-    for partition in partitions:
-        sub = index._index_of(partition)
-        if isinstance(sub, TPRTree):  # a TPR*(VP) tree counts its rotated snapshots
-            stored = {
-                oid: record.stored
-                for oid, record in index._directory.items()
-                if record.partition == partition
-            }
-            _assert_grids_hold(sub, stored)
+    for sub in index.dva_indexes + [index.outlier_index]:
+        if isinstance(sub, TPRTree):  # a TPR*(VP) tree is seeded by the index
+            assert sub.density is None
 
 
 def _stream(rng, index, live):
@@ -165,18 +158,10 @@ def test_a_checkpoint_restores_the_grids(tmp_path, family):
     shard.update_batch([(obj, _moving(rng, obj.oid, 1.0)) for obj in objects[:20]])
     store.checkpoint(shard, store.log)
     restored = store.restore_image()
-    grids, restored_grids = _grids(shard.base), _grids(restored.base)
-    assert len(grids) == len(restored_grids) == (4 if family == "TPR*(VP)" else 1)
-    for grid, again in zip(grids, restored_grids):
-        assert grid.grid == again.grid
-        np.testing.assert_array_equal(grid.counts, again.counts)
+    grid, again = shard.base.density, restored.base.density
+    assert grid.grid == again.grid
+    np.testing.assert_array_equal(grid.counts, again.counts)
+    if family == "TPR*(VP)":
+        subs = restored.base.dva_indexes + [restored.base.outlier_index]
+        assert [sub.density for sub in subs] == [None] * len(subs)
     store.close()
-
-
-def _grids(index):
-    """The count grids of ``index`` and, inside a VP index, of its TPR trees."""
-    grids = [index.density]
-    if not isinstance(index, TPRTree):
-        subs = index.dva_indexes + [index.outlier_index]
-        grids += [sub.density for sub in subs if isinstance(sub, TPRTree)]
-    return grids
