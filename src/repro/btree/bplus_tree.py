@@ -14,20 +14,13 @@ with a parallel Python value list on leaves, so searches and splits run
 ``bisect``/slice operations over contiguous memory instead of chasing a
 list of boxed ints.
 
-Two call surfaces are exposed, mirroring ``geometry/kernels.py``:
-
-* the **per-operation API** (``insert`` / ``delete`` / ``replace`` /
-  ``range_search``) descends from the root once per call — use it for
-  isolated operations; the Bx-tree's own searches never take it;
-* the **batch API** (``insert_batch`` / ``delete_batch`` / ``apply_batch``
-  / ``range_search_batch``) sorts its work by key and sweeps the tree left
-  to right, reusing the descent path whenever the next key still belongs
-  to the current leaf — the Bx-tree's grouped updates and every one of its
-  range scans (a single query's included) run through it, because the
-  shared descents are what turn N root-to-leaf walks into one sweep.
-
-Both surfaces leave identical tree contents and scan results for
-identical inputs; only the number of node visits differs.
+The tree has one surface, like every index above it: ``bulk_load`` builds
+it, ``apply_batch`` is its one mutation (a lone insert, delete or in-place
+replacement is a batch of one), and every read — ``range_search_batch``,
+``range_values_batch`` and the single-range ``range_search`` — is one
+leaf sweep.  Both sort their work by key and move left to right, reusing
+the descent path whenever the next key still belongs to the current leaf,
+so N root-to-leaf walks become one sweep.
 """
 
 from __future__ import annotations
@@ -227,46 +220,6 @@ class BPlusTree:
         self._height = height
         self.size = len(items)
 
-    def insert(self, key: int, value: Any) -> None:
-        """Insert ``(key, value)``; duplicate keys are allowed."""
-        path, leaf, _ = self._descend_insert(key)
-        self._leaf_insert(path, leaf, key, value)
-
-    def insert_batch(self, pairs: Iterable[Tuple[int, Any]]) -> None:
-        """Insert many pairs in one key-ordered sweep with shared descents.
-
-        The pairs are sorted by key (stably, so duplicates keep their
-        arrival order and the final tree contents match inserting the batch
-        pair by pair in key order); see :meth:`apply_batch` for the sweep.
-        """
-        self.apply_batch((), list(pairs))
-
-    def delete(self, key: int, value: Any) -> bool:
-        """Delete one entry with ``key`` whose value equals ``value``.
-
-        Underflow is handled lazily (nodes are allowed to become sparse but
-        are removed when empty), which matches the behaviour of the original
-        Bx-tree implementation where expiring time buckets shed entries in
-        bulk.
-
-        Returns:
-            True when a matching entry was found and removed.
-        """
-        removed = self._delete_from_leaf(self._descend_delete(key), key, value)
-        if removed:
-            self._collapse_if_needed()
-        return removed
-
-    def delete_batch(self, pairs: Sequence[Tuple[int, Any]]) -> List[bool]:
-        """Delete many ``(key, value)`` pairs in one key-ordered sweep.
-
-        Returns per-pair success flags aligned with the *input* order.  The
-        descent path is shared between adjacent keys exactly as in
-        :meth:`insert_batch`; root collapse (the only structural effect of
-        lazy deletion) is checked once per batch instead of once per pair.
-        """
-        return self.apply_batch(list(pairs), ())[0]
-
     def apply_batch(
         self,
         deletes: Sequence[Tuple[int, Any]],
@@ -279,12 +232,19 @@ class BPlusTree:
         value)`` pairs, and ``upserts`` ``(key, old_value, new_value)``
         triples: an upsert replaces ``old_value`` in place when present and
         degrades to an insertion of ``new_value`` otherwise (the Bx-tree's
-        same-key update).  All three work lists are sorted by key and
-        merged, so the sweep advances monotonically through the leaf chain
-        and every leaf neighbourhood is visited once per batch — operations
-        that target the same region (the common case for a moving-object
-        update whose old and new keys are close) hit the buffer while it is
-        still hot, instead of paying separate passes.
+        same-key update).  The batch acts as if applied one operation at a
+        time in ``(key, kind, arrival)`` order, deletes before upserts
+        before inserts of one key: an insertion goes after the key's
+        duplicates (``bisect_right``), and a deletion or upsert acts on the
+        leftmost entry whose key and value are equal to its own.  Underflow
+        is lazy: a leaf may go sparse or empty and stays in the chain.
+
+        All three work lists are sorted by key and merged, so the sweep
+        advances monotonically through the leaf chain and every leaf
+        neighbourhood is visited once per batch — operations that target
+        the same region (the common case for a moving-object update whose
+        old and new keys are close) hit the buffer while it is still hot,
+        instead of paying separate passes.
 
         Descent sharing works at two levels.  While the next key still
         falls inside the cached leaf, no descent happens at all; when it
@@ -309,8 +269,7 @@ class BPlusTree:
         delete_flags = [False] * len(deletes)
         upsert_flags = [False] * len(upserts)
         # One merged work list of (key, kind, index); kind ids keep the sort
-        # stable and cheap.  Relative order among equal keys is irrelevant:
-        # a batch never deletes a value it also inserts.
+        # stable and cheap.
         work = sorted(
             [(key, 0, i) for i, (key, _) in enumerate(deletes)]
             + [(key, 1, i) for i, (key, _, _) in enumerate(upserts)]
@@ -470,16 +429,20 @@ class BPlusTree:
                 if kind == 2:
                     do_insert(key, inserts[index][1])
                 elif kind == 0:
-                    if self._delete_from_leaf(
-                        locate_scan_leaf(key), key, deletes[index][1]
-                    ):
+                    leaf, at = self._find_entry(locate_scan_leaf(key), key, deletes[index][1])
+                    if leaf is not None:
+                        del leaf.keys[at]
+                        del leaf.values[at]
+                        self._mark_dirty(leaf)
+                        self.size -= 1
                         delete_flags[index] = True
                         any_removed = True
                 else:
                     _, old_value, new_value = upserts[index]
-                    if self._replace_from_leaf(
-                        locate_scan_leaf(key), key, old_value, new_value
-                    ):
+                    leaf, at = self._find_entry(locate_scan_leaf(key), key, old_value)
+                    if leaf is not None:
+                        leaf.values[at] = new_value
+                        self._mark_dirty(leaf)
                         upsert_flags[index] = True
                     else:
                         do_insert(key, new_value)
@@ -489,63 +452,9 @@ class BPlusTree:
             self._collapse_if_needed()
         return delete_flags, upsert_flags
 
-    def replace(self, key: int, old_value: Any, new_value: Any) -> bool:
-        """Replace the value of one ``(key, old_value)`` entry in place.
-
-        This is the Bx-tree same-key update fast path: when an object's new
-        snapshot maps to the same Bx key, one descent suffices where
-        ``delete`` + ``insert`` would pay two.  The entry keeps its position
-        among duplicates of ``key``.
-
-        Returns:
-            True when a matching entry was found and replaced.
-        """
-        return self._replace_from_leaf(
-            self._descend_delete(key), key, old_value, new_value
-        )
-
-    def _replace_from_leaf(
-        self, leaf: _LeafNode, key: int, old_value: Any, new_value: Any
-    ) -> bool:
-        """Replace one ``(key, old_value)`` entry starting at ``leaf`` (chain-walks)."""
-        index = bisect.bisect_left(leaf.keys, key)
-        while leaf is not None:
-            while index < len(leaf.keys) and leaf.keys[index] == key:
-                if leaf.values[index] == old_value:
-                    leaf.values[index] = new_value
-                    self._mark_dirty(leaf)
-                    return True
-                index += 1
-            # Duplicates may continue in later leaves; empty leaves (lazy
-            # deletion) are skipped rather than treated as the end.
-            if index < len(leaf.keys) or leaf.next_leaf is None:
-                return False
-            leaf = self._node(leaf.next_leaf)
-            if leaf.keys and leaf.keys[0] > key:
-                return False
-            index = bisect.bisect_left(leaf.keys, key)
-        return False
-
-    def search(self, key: int) -> List[Any]:
-        """All values stored under ``key``."""
-        return [value for _, value in self.range_search(key, key)]
-
     def range_search(self, key_lo: int, key_hi: int) -> List[Tuple[int, Any]]:
-        """All ``(key, value)`` pairs with ``key_lo <= key <= key_hi``."""
-        if key_hi < key_lo:
-            return []
-        results: List[Tuple[int, Any]] = []
-        leaf = self._descend_path(key_lo)[-1][0]
-        while leaf is not None:
-            start = bisect.bisect_left(leaf.keys, key_lo)
-            for i in range(start, len(leaf.keys)):
-                if leaf.keys[i] > key_hi:
-                    return results
-                results.append((leaf.keys[i], leaf.values[i]))
-            if leaf.next_leaf is None:
-                break
-            leaf = self._node(leaf.next_leaf)
-        return results
+        """All ``(key, value)`` pairs with ``key_lo <= key <= key_hi``: a sweep of one range."""
+        return self._leaf_sweep(((key_lo, key_hi),), with_keys=True)[0]
 
     def range_search_batch(
         self, ranges: Sequence[Tuple[int, int]]
@@ -555,10 +464,10 @@ class BPlusTree:
         Results are aligned with the input order.  The ranges are visited
         sorted by lower bound; when the next range starts inside the leaf
         where the previous scan ended, the root-to-leaf descent is skipped
-        and the scan continues from that leaf.  Each individual scan visits
-        exactly the leaves :meth:`range_search` would, so candidate order
-        per range is identical — only shared descents are saved.  The sweep
-        pins its current leaf as the buffer frontier and takes no
+        and the scan continues from that leaf.  Each range's scan visits
+        exactly the leaves a sweep of that range alone would, so candidate
+        order per range is identical — only shared descents are saved.  The
+        sweep pins its current leaf as the buffer frontier and takes no
         sequential-eviction advice.  That advice evicts the most recently
         read page first, and here those are the interior pages the next
         descent walks and the leaves that overlapping ranges (another
@@ -661,13 +570,6 @@ class BPlusTree:
             node = self._node(node.children[index])
         return path, node, upper
 
-    def _descend_delete(self, key: int) -> _LeafNode:
-        """Descend to the leftmost leaf for ``key`` (``bisect_left`` convention)."""
-        node = self._node(self.root_page_id)
-        while not node.is_leaf:
-            node = self._node(node.children[bisect.bisect_left(node.keys, key)])
-        return node
-
     def _leaf_insert(
         self,
         path: List[Tuple[_InteriorNode, int]],
@@ -703,34 +605,29 @@ class BPlusTree:
         self._height += 1
         self._mark_dirty(new_root)
 
-    def _delete_from_leaf(self, leaf: _LeafNode, key: int, value: Any) -> bool:
-        """Remove one ``(key, value)`` entry starting at ``leaf`` (chain-walks)."""
+    def _find_entry(
+        self, leaf: _LeafNode, key: int, value: Any
+    ) -> Tuple[Optional[_LeafNode], int]:
+        """The leftmost ``(key, value)`` entry at or after ``leaf``: ``(leaf, index)``.
+
+        Walks the duplicate run of ``key`` along the leaf chain and stops
+        where the run ends — inside a leaf, or at a leaf whose first key is
+        larger; empty leaves (lazy deletion) are skipped rather than taken
+        for the end.  ``(None, -1)`` when no entry matches.
+        """
         index = bisect.bisect_left(leaf.keys, key)
-        while index < len(leaf.keys) and leaf.keys[index] == key:
-            if leaf.values[index] == value:
-                del leaf.keys[index]
-                del leaf.values[index]
-                self._mark_dirty(leaf)
-                self.size -= 1
-                return True
-            index += 1
-        # The entry may live in a subsequent leaf when duplicates span pages.
-        # Empty leaves (left behind by lazy deletion) are skipped, not treated
-        # as the end of the duplicate run.
-        next_id = leaf.next_leaf
-        while next_id is not None:
-            leaf = self._node(next_id)
+        while True:
+            keys = leaf.keys
+            while index < len(keys) and keys[index] == key:
+                if leaf.values[index] == value:
+                    return leaf, index
+                index += 1
+            if index < len(keys) or leaf.next_leaf is None:
+                return None, -1
+            leaf = self._node(leaf.next_leaf)
             if leaf.keys and leaf.keys[0] > key:
-                break
-            for i, (k, v) in enumerate(zip(leaf.keys, leaf.values)):
-                if k == key and v == value:
-                    del leaf.keys[i]
-                    del leaf.values[i]
-                    self._mark_dirty(leaf)
-                    self.size -= 1
-                    return True
-            next_id = leaf.next_leaf
-        return False
+                return None, -1
+            index = bisect.bisect_left(leaf.keys, key)
 
     def _split_leaf(self, leaf: _LeafNode) -> Tuple[int, int]:
         sibling = self._new_leaf()

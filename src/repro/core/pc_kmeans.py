@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.pca import first_principal_component, first_principal_component_of
+from repro.core.pca import first_principal_component
 from repro.geometry.vector import Vector
 
 #: Safety bound on the reassignment loops of both k-means variants.
@@ -48,13 +48,6 @@ class PCKMeansResult:
     axes: List[Vector]
     assignments: List[int]
     iterations: int = 0
-
-    def partition_members(self, velocities: Sequence[Vector]) -> List[List[Vector]]:
-        """Group the input velocity points by their assigned partition."""
-        groups: List[List[Vector]] = [[] for _ in self.axes]
-        for velocity, assignment in zip(velocities, self.assignments):
-            groups[assignment].append(velocity)
-        return groups
 
 
 def velocity_columns(velocities: Sequence[Vector]) -> Tuple[np.ndarray, np.ndarray]:
@@ -136,7 +129,7 @@ def find_dvas_in_columns(
 
 def pca_only_dva(velocities: Sequence[Vector]) -> PCKMeansResult:
     """Naive approach I: one PCA over all points, a single "average" axis."""
-    axis = first_principal_component(velocities)
+    axis = first_principal_component(np.stack(velocity_columns(velocities), axis=1))
     return PCKMeansResult(axes=[axis], assignments=[0] * len(velocities), iterations=1)
 
 
@@ -178,7 +171,7 @@ def _axes_of(vx: np.ndarray, vy: np.ndarray, assignments: np.ndarray, k: int) ->
     for partition in range(k):
         members = assignments == partition
         if members.any():
-            axes.append(first_principal_component_of(np.stack((vx[members], vy[members]), axis=1)))
+            axes.append(first_principal_component(np.stack((vx[members], vy[members]), axis=1)))
         else:
             axes.append(Vector(1.0, 0.0))
     return axes

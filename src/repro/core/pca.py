@@ -10,27 +10,28 @@ the components are computed from the second-moment matrix about the origin
 by default; centering about the mean is available for the generic use of
 PCA.
 
-One kernel, :func:`principal_components_of`, runs over an ``(n, 2)`` array
-of velocity points; the ``Vector``-list entry points build that array and
-call it, and Algorithm 2 hands it rows of its velocity columns.
+Both functions take an ``(n, 2)`` float array of velocity points, one row
+per point; callers holding ``Vector`` samples build it from
+:func:`~repro.core.pc_kmeans.velocity_columns`, and Algorithm 2 hands
+them rows of those columns.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.geometry.vector import Vector
 
 
-def principal_components(velocities: Sequence[Vector]) -> List[Tuple[Vector, float]]:
-    """Ranked principal components of a set of velocity points, about the origin.
+def principal_components(data: np.ndarray, center: bool = False) -> List[Tuple[Vector, float]]:
+    """Ranked principal components of an ``(n, 2)`` array of velocity points.
 
     Components about the origin are the right notion for velocity *axes*: a
     road carries traffic in both directions, so its velocity points are
-    symmetric about the origin rather than about their mean.  (Classic,
-    mean-centered PCA is ``principal_components_of(data, center=True)``.)
+    symmetric about the origin rather than about their mean.  ``center``
+    gives classic, mean-centered PCA.
 
     Returns:
         List of ``(unit_vector, variance)`` pairs sorted by decreasing
@@ -38,26 +39,6 @@ def principal_components(velocities: Sequence[Vector]) -> List[Tuple[Vector, flo
 
     Raises:
         ValueError: if fewer than one velocity point is supplied.
-    """
-    return principal_components_of(_as_array(velocities))
-
-
-def first_principal_component(velocities: Sequence[Vector], center: bool = False) -> Vector:
-    """The first principal component (the candidate DVA) of ``velocities``.
-
-    Degenerate inputs (a single point at the origin, or all points at the
-    origin) fall back to the x-axis, which keeps the clustering loop of
-    Algorithm 2 well defined.
-    """
-    return first_principal_component_of(_as_array(velocities), center=center)
-
-
-def principal_components_of(data: np.ndarray, center: bool = False) -> List[Tuple[Vector, float]]:
-    """:func:`principal_components` of an ``(n, 2)`` float array of velocity points.
-
-    The one PCA kernel: the ``Vector`` entry points build this array
-    (``np.stack((vx, vy), axis=1)`` over velocity columns is the same
-    C-contiguous array, so both see the same bytes).
     """
     if len(data) < 1:
         raise ValueError("PCA requires at least one velocity point")
@@ -74,13 +55,14 @@ def principal_components_of(data: np.ndarray, center: bool = False) -> List[Tupl
     return components
 
 
-def first_principal_component_of(data: np.ndarray, center: bool = False) -> Vector:
-    """:func:`first_principal_component` of an ``(n, 2)`` float array."""
-    first, variance = principal_components_of(data, center=center)[0]
+def first_principal_component(data: np.ndarray, center: bool = False) -> Vector:
+    """The first principal component (the candidate DVA) of an ``(n, 2)`` array.
+
+    Degenerate inputs (a single point at the origin, or all points at the
+    origin) fall back to the x-axis, which keeps the clustering loop of
+    Algorithm 2 well defined.
+    """
+    first, variance = principal_components(data, center=center)[0]
     if variance <= 0.0 or first.magnitude == 0.0:
         return Vector(1.0, 0.0)
     return first.normalized()
-
-
-def _as_array(velocities: Sequence[Vector]) -> np.ndarray:
-    return np.array([[v.vx, v.vy] for v in velocities], dtype=float)

@@ -17,7 +17,7 @@ import numpy as np
 from repro.core.dva import DominantVelocityAxis
 from repro.core.outlier import optimal_tau
 from repro.core.pc_kmeans import find_dvas_in_columns, perpendicular_distances, velocity_columns
-from repro.core.pca import first_principal_component_of
+from repro.core.pca import first_principal_component
 from repro.geometry.vector import Vector
 
 #: Number of sample velocity points the paper's velocity analyzer uses.
@@ -125,9 +125,7 @@ class VelocityAnalyzer:
             # Line 6: recompute the DVA from the points that remain.
             kept = speeds <= tau
             if kept.any():
-                refined_axis = first_principal_component_of(
-                    np.stack((mvx[kept], mvy[kept]), axis=1)
-                )
+                refined_axis = first_principal_component(np.stack((mvx[kept], mvy[kept]), axis=1))
             else:
                 refined_axis = axis
             dvas.append(DominantVelocityAxis(axis=refined_axis, tau=tau))

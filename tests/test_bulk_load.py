@@ -108,15 +108,14 @@ class TestBPlusTreeBulkLoad:
         bulk = BPlusTree(page_size=512)
         bulk.bulk_load(items)
         incremental = BPlusTree(page_size=512)
-        for key, value in items:
-            incremental.insert(key, value)
+        for pair in items:
+            incremental.apply_batch((), [pair])
         assert len(bulk) == len(incremental) == len(items)
-        assert sorted(bulk.items()) == sorted(incremental.items())
+        # Both keep duplicates in arrival order, so even the order agrees.
+        assert list(bulk.items()) == list(incremental.items())
         for key in {k for k, _ in items[:100]}:
-            assert sorted(bulk.search(key)) == sorted(incremental.search(key))
-        assert sorted(bulk.range_search(100, 300)) == sorted(
-            incremental.range_search(100, 300)
-        )
+            assert bulk.range_search(key, key) == incremental.range_search(key, key)
+        assert bulk.range_search(100, 300) == incremental.range_search(100, 300)
 
     def test_bulk_load_leaf_chain_is_key_ordered(self):
         tree = BPlusTree(leaf_capacity=4, interior_capacity=4)
@@ -128,14 +127,14 @@ class TestBPlusTreeBulkLoad:
     def test_updates_after_bulk_load(self):
         tree = BPlusTree(leaf_capacity=6, interior_capacity=5)
         tree.bulk_load([(i, i) for i in range(200)])
-        assert tree.delete(13, 13)
-        tree.insert(13, "replaced")
-        assert tree.search(13) == ["replaced"]
+        assert tree.apply_batch([(13, 13)], ()) == ([True], [])
+        tree.apply_batch((), [(13, "replaced")])
+        assert tree.range_search(13, 13) == [(13, "replaced")]
         assert len(tree) == 200
 
     def test_bulk_load_requires_empty_tree(self):
         tree = BPlusTree()
-        tree.insert(1, "one")
+        tree.apply_batch((), [(1, "one")])
         with pytest.raises(ValueError):
             tree.bulk_load([(2, "two")])
 

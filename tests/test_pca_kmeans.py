@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.dva import DominantVelocityAxis
@@ -41,6 +42,19 @@ def axis_sample(angles_degrees, points_per_axis=200, noise=2.0, speed=60.0, seed
     return velocities
 
 
+def as_array(velocities):
+    """The ``(n, 2)`` array of velocity points the PCA functions take."""
+    return np.array([[v.vx, v.vy] for v in velocities], dtype=float)
+
+
+def members_of(velocities, assignments, k):
+    """The velocity points of each of ``k`` partitions, in input order."""
+    groups = [[] for _ in range(k)]
+    for velocity, assignment in zip(velocities, assignments):
+        groups[assignment].append(velocity)
+    return groups
+
+
 def angle_of(axis: Vector) -> float:
     return math.degrees(axis.angle) % 180.0
 
@@ -53,11 +67,11 @@ def angular_difference(a: float, b: float) -> float:
 class TestPCA:
     def test_requires_data(self):
         with pytest.raises(ValueError):
-            principal_components([])
+            principal_components(np.empty((0, 2)))
 
     def test_components_are_orthonormal(self):
         velocities = axis_sample([30.0])
-        components = principal_components(velocities)
+        components = principal_components(as_array(velocities))
         (v1, _), (v2, _) = components
         assert v1.magnitude == pytest.approx(1.0)
         assert v2.magnitude == pytest.approx(1.0)
@@ -65,21 +79,21 @@ class TestPCA:
 
     def test_first_component_finds_single_axis(self):
         velocities = axis_sample([40.0], noise=1.0)
-        axis = first_principal_component(velocities)
+        axis = first_principal_component(as_array(velocities))
         assert angular_difference(angle_of(axis), 40.0) < 3.0
 
     def test_variances_sorted_descending(self):
         velocities = axis_sample([10.0])
-        components = principal_components(velocities)
+        components = principal_components(as_array(velocities))
         assert components[0][1] >= components[1][1]
 
     def test_explained_variance_near_one_for_1d_data(self):
         velocities = axis_sample([75.0], noise=0.5)
-        variances = [variance for _, variance in principal_components(velocities)]
+        variances = [variance for _, variance in principal_components(as_array(velocities))]
         assert variances[0] / sum(variances) > 0.95
 
     def test_degenerate_input_falls_back_to_x_axis(self):
-        axis = first_principal_component([Vector(0.0, 0.0), Vector(0.0, 0.0)])
+        axis = first_principal_component(np.zeros((2, 2)))
         assert axis == Vector(1.0, 0.0)
 
     def test_centered_pca_differs_for_shifted_data(self):
@@ -87,8 +101,8 @@ class TestPCA:
         # uncentered PCA sees mostly the offset direction.
         rng = random.Random(1)
         velocities = [Vector(50.0 + rng.gauss(0, 1), rng.gauss(0, 10)) for _ in range(500)]
-        uncentered = first_principal_component(velocities, center=False)
-        centered = first_principal_component(velocities, center=True)
+        uncentered = first_principal_component(as_array(velocities), center=False)
+        centered = first_principal_component(as_array(velocities), center=True)
         assert angular_difference(angle_of(uncentered), 0.0) < 10.0
         assert angular_difference(angle_of(centered), 90.0) < 10.0
 
@@ -117,7 +131,7 @@ class TestFindDVAs:
     def test_partition_members_counts(self):
         velocities = axis_sample([0.0, 90.0], points_per_axis=100, seed=5)
         result = find_dvas(velocities, k=2)
-        groups = result.partition_members(velocities)
+        groups = members_of(velocities, result.assignments, 2)
         assert sum(len(g) for g in groups) == len(velocities)
         # Roughly balanced between the two axes.
         assert min(len(g) for g in groups) > 50
@@ -218,14 +232,15 @@ def scalar_axes_of(velocities, assignments, k):
     axes = []
     for partition in range(k):
         members = [v for v, a in zip(velocities, assignments) if a == partition]
-        axes.append(first_principal_component(members) if members else Vector(1.0, 0.0))
+        axes.append(first_principal_component(as_array(members)) if members else Vector(1.0, 0.0))
     return axes
 
 
 def scalar_analyze(velocities, clustering):
     """The reference model of ``VelocityAnalyzer.analyze`` after the clustering."""
     dvas = []
-    for axis, members in zip(clustering.axes, clustering.partition_members(velocities)):
+    groups = members_of(velocities, clustering.assignments, len(clustering.axes))
+    for axis, members in zip(clustering.axes, groups):
         if not members:
             dvas.append(DominantVelocityAxis(axis=axis, tau=0.0))
             continue
@@ -233,7 +248,9 @@ def scalar_analyze(velocities, clustering):
         tau = optimal_tau(speeds).tau
         kept = [v for v, speed in zip(members, speeds) if speed <= tau]
         dvas.append(
-            DominantVelocityAxis(axis=first_principal_component(kept) if kept else axis, tau=tau)
+            DominantVelocityAxis(
+                axis=first_principal_component(as_array(kept)) if kept else axis, tau=tau
+            )
         )
     return dvas
 
