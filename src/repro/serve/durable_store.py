@@ -92,8 +92,11 @@ _MANIFEST = "MANIFEST.json"
 #: neither, so its first kNN would fail); 8 = the value records (points,
 #: vectors, moving objects, queries) pickle by position, as their class and
 #: field values (a v7 WAL body or image carries each record's field dict,
-#: which a slotted record without ``__setstate__`` refuses to load).
-_MANIFEST_VERSION = 8
+#: which a slotted record without ``__setstate__`` refuses to load); 9 = a
+#: pickled ``VPIndex`` keeps ``_by_oid``, its kNN candidates' oid-sorted
+#: view of the directory (a v8 image has no such attribute, so its first
+#: kNN would fail).
+_MANIFEST_VERSION = 9
 
 
 # ----------------------------------------------------------------------

@@ -282,6 +282,7 @@ def test_a_rejected_record_left_in_the_wal_recovers_as_a_rejection(tmp_path, kin
         5,  # VP images without the motion slab
         6,  # VP and TPR images without a kNN count grid
         7,  # value records pickled with a field dict, not by position
+        8,  # VP images without the kNN candidates' oid-sorted view
     ],
 )
 def test_open_refuses_a_manifest_of_another_version(tmp_path, version):
@@ -321,7 +322,7 @@ def test_every_checkpoint_image_is_a_versioned_shard(tmp_path):
     shard_store.close()
     _create_store(str(tmp_path / "store")).close()
     with open(tmp_path / "store" / "MANIFEST.json", encoding="utf-8") as handle:
-        assert json.load(handle)["version"] == 8
+        assert json.load(handle)["version"] == 9
 
 
 def _open_descriptors_under(root):

@@ -19,7 +19,11 @@ Four pins:
   every random mutation — bulk load, inserts, deletes with misses and
   repeats, updates with migrations, upserts and repeated ids, rejected
   batches — each live record's row is its original's, live rows are
-  distinct, and live rows plus the free list are the whole slab.
+  distinct, live rows plus the free list are the whole slab, a built
+  oid-sorted view equals the directory's ``(oid, slot)`` pairs, and a kNN
+  batch (k = 1 and 3) answers as a brute-force ranking of the live objects.
+  kNN on an empty or emptied index answers nothing, and a candidate id
+  the directory does not hold is dropped.
 * **Page I/O**: the pages a seeded kNN replay reads on each of the four
   standard indexes.  The scan is a function of the radius schedule, so a
   moved count means the schedule or the scan changed, not just the
@@ -241,6 +245,27 @@ def _assert_slab_matches(index, live):
     slots = [record.slot for record in records.values()]
     assert len(set(slots)) == len(slots)
     assert sorted(slots + index._free) == list(range(len(index._rows)))
+    if index._by_oid is not None:
+        oids, view_slots = index._by_oid
+        assert list(zip(oids.tolist(), view_slots.tolist())) == sorted(
+            (oid, record.slot) for oid, record in records.items()
+        )
+
+
+#: Probe centres at least 2,500 from the space's edges: every object (at
+#: most 550 outside the space by the last step) lies within the diagonal cap.
+_CENTERS = [Point(5_000.0, 5_000.0), Point(2_500.0, 7_500.0)]
+
+
+def _assert_knn_is_brute_force(index, live, time):
+    """A kNN batch (k = 1 and 3 per centre) against a ``(distance, oid)`` ranking of ``live``."""
+    probes = [KNNQuery(center, k, time, issue_time=time) for center in _CENTERS for k in (1, 3)]
+    table = motion_rows(list(live.values())) if live else np.empty(0, dtype=MOTION)
+    expected = []
+    for probe in probes:
+        ranked = sorted((d, oid) for oid, d in _distances(table, probe).items())[: probe.k]
+        expected.append([(oid, d) for d, oid in ranked])
+    assert index.knn_query_batch(probes) == expected
 
 
 @pytest.mark.parametrize("family", ["Bx(VP)", "TPR*(VP)"])
@@ -260,6 +285,8 @@ def test_vp_slab_rows_are_the_directorys_originals(family, loaded, steps):
 
     live = {obj.oid: obj for obj in objects(loaded, 0.0)}
     index.bulk_load(list(live.values()))
+    _assert_slab_matches(index, live)
+    _assert_knn_is_brute_force(index, live, 0.0)
     _assert_slab_matches(index, live)
     for time, (verb, motions) in enumerate(steps, start=1):
         batch = objects(motions, float(time))
@@ -287,6 +314,64 @@ def test_vp_slab_rows_are_the_directorys_originals(family, loaded, steps):
                 load(batch + [duplicate])
             assert _slab_state(index) == before
         _assert_slab_matches(index, live)
+        _assert_knn_is_brute_force(index, live, float(time))
+        _assert_slab_matches(index, live)
+
+
+def _spread(count):
+    """``count`` objects with oids 10, 20, …, over the three headings and a grid of positions."""
+    return [
+        MovingObject(
+            10 * (i + 1),
+            Point(1_000.0 + 800.0 * (i % 10), 1_000.0 + 800.0 * (i // 10)),
+            Vector(30.0 * _HEADINGS[i % 3][0], 30.0 * _HEADINGS[i % 3][1]),
+            reference_time=0.0,
+        )
+        for i in range(count)
+    ]
+
+
+@pytest.mark.parametrize("family", ["Bx(VP)", "TPR*(VP)"])
+def test_knn_on_an_empty_vp_index_answers_nothing(family):
+    probes = [KNNQuery(center, 3, 1.0, issue_time=1.0) for center in _CENTERS]
+    index = _vp_index(family)
+    assert index.knn_query_batch(probes) == [[], []]
+    objects = _spread(30)
+    index.bulk_load(objects)
+    assert all(len(answer) == 3 for answer in index.knn_query_batch(probes))
+    assert index.delete_batch(objects) == [True] * len(objects)
+    assert len(index) == 0
+    assert index.knn_query_batch(probes) == [[], []]
+
+
+@pytest.mark.parametrize("family", ["Bx(VP)", "TPR*(VP)"])
+def test_a_candidate_the_directory_does_not_hold_is_dropped(family, monkeypatch):
+    index = _vp_index(family)
+    objects = _spread(30)
+    index.bulk_load(objects)
+    probes = [KNNQuery(center, k, 1.0, issue_time=1.0) for center in _CENTERS for k in (1, 3)]
+    circles = [
+        TimeSliceRangeQuery(CircularRange(center, 6_000.0), time=1.0, issue_time=1.0)
+        for center in _CENTERS
+    ]
+    answers = index.knn_query_batch(probes)
+    candidates = index._knn_candidates_batch(circles)
+    assert all(len(rows) for rows in candidates)
+
+    # Below, between and above every live oid (10, 20, …, 300).
+    unknown = np.array([-1, 15, 10**12], dtype=np.int64)
+    scan = index.outlier_index.knn_candidates_batch
+
+    def with_unknown(queries, ids_only=False):
+        return [np.concatenate((found, unknown)) for found in scan(queries, ids_only=ids_only)]
+
+    monkeypatch.setattr(index.outlier_index, "knn_candidates_batch", with_unknown)
+    assert index.knn_query_batch(probes) == answers
+    for rows, expected in zip(index._knn_candidates_batch(circles), candidates):
+        assert np.sort(rows, order="oid").tobytes() == np.sort(expected, order="oid").tobytes()
+    index.delete_batch(objects)
+    assert index.knn_query_batch(probes) == [[] for _ in probes]
+    assert [len(rows) for rows in index._knn_candidates_batch(circles)] == [0, 0]
 
 
 # ----------------------------------------------------------------------
