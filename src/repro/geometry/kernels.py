@@ -40,8 +40,6 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 ProjectedRect = Tuple[float, float, float, float]
 Extent = Tuple[float, float, float, float, float, float, float, float]
 
@@ -606,105 +604,112 @@ def intersects_interval(
     return True
 
 
-#: Float info record of one query for :func:`soa_intersect_many`: the
+#: Float info record of one query for :func:`soa_intersect_hits`: the
 #: query's MBR, VBR, reference time and time window, i.e. ``(x_min, y_min,
 #: x_max, y_max, v_x_min, v_y_min, v_x_max, v_y_max, reference_time,
 #: start, end)``.
 QueryInfo = Tuple[float, float, float, float, float, float, float, float, float, float, float]
 
 
-def soa_intersect_many(
-    x0s, y0s, x1s, y1s, vx0s, vy0s, vx1s, vy1s, trefs, infos: Sequence[QueryInfo]
-) -> np.ndarray:
-    """Moving-window intersection of a node's columns against many queries.
+def soa_intersect_hits(
+    x0s, y0s, x1s, y1s, vx0s, vy0s, vx1s, vy1s, trefs, info: QueryInfo
+) -> List[int]:
+    """Slots of a node whose column-stored bounds meet one query over its window.
 
-    The numpy twin of calling :func:`intersects_interval` for every
-    ``(query, entry)`` pair of a node: the nine parallel ``array('d')``
-    bound columns are wrapped zero-copy, the per-entry *extent pass*
-    (positions projected to each query's window start) and the four
-    linear slab constraints of the *intersect pass* run as fused array
-    operations over the whole ``(num_queries, num_entries)`` grid, and a
-    boolean matrix of the same shape comes back.
+    Column twin of calling :func:`intersects_interval` on every entry of an
+    array-backed node (``TPRNode.columns``): the query's four edges are
+    projected to the window start once, and each entry's four slab
+    constraints run inline in the scalar kernel's order, with its early
+    exits and :data:`FILTER_SLACK`, so the slots are exactly those the
+    scalar kernel accepts.  An entry or query anchored after the window
+    start takes the scalar kernel's piecewise fallback.
 
-    The arithmetic is operation-for-operation the scalar kernel's, so the
-    matrix is bit-identical to the scalar loop; the rare piecewise pairs
-    (an entry or query whose reference time falls *inside* the window)
-    are recomputed through the scalar fallback, exactly as the scalar
-    kernel defers them to the object API.
-
-    Args:
-        x0s..trefs: the nine bound columns of an array-backed node
-            (``TPRNode.columns``).
-        infos: one :data:`QueryInfo` record per query — a sequence of
-            tuples, or (the fast path for callers testing many nodes) a
-            ready ``(num_queries, 11)`` float array built once per
-            traversal.
-
-    Returns:
-        Boolean matrix ``result[q][e]`` — whether entry ``e`` intersects
-        query ``q`` at any time in the query's window.
+    Raises:
+        ValueError: if the window ends before it starts.
     """
-    q = np.asarray(infos, dtype=np.float64).reshape(len(infos), 11)
-    ex0 = np.frombuffer(x0s, dtype=np.float64)
-    ey0 = np.frombuffer(y0s, dtype=np.float64)
-    ex1 = np.frombuffer(x1s, dtype=np.float64)
-    ey1 = np.frombuffer(y1s, dtype=np.float64)
-    evx0 = np.frombuffer(vx0s, dtype=np.float64)
-    evy0 = np.frombuffer(vy0s, dtype=np.float64)
-    evx1 = np.frombuffer(vx1s, dtype=np.float64)
-    evy1 = np.frombuffer(vy1s, dtype=np.float64)
-    etref = np.frombuffer(trefs, dtype=np.float64)
-    n = ex0.shape[0]
-
-    qx0, qy0, qx1, qy1 = q[:, 0:1], q[:, 1:2], q[:, 2:3], q[:, 3:4]
-    qvx0, qvy0, qvx1, qvy1 = q[:, 4:5], q[:, 5:6], q[:, 6:7], q[:, 7:8]
-    qref, start, end = q[:, 8:9], q[:, 9:10], q[:, 10:11]
+    qx0, qy0, qx1, qy1, qvx0, qvy0, qvx1, qvy1, qref, start, end = info
     duration = end - start
-    if np.any(duration < 0.0):
+    if duration < 0.0:
         raise ValueError("end must not precede start")
-
-    # Extent pass: positions at each query's window start (the scalar
-    # kernel's `p + pv * elapsed` terms), broadcast queries x entries.
-    ea = start - etref
+    columns = zip(x0s, y0s, x1s, y1s, vx0s, vy0s, vx1s, vy1s, trefs)
+    if qref > start:
+        return [slot for slot, bound in enumerate(columns) if intersects_interval(*bound, *info)]
     eb = start - qref
-    lo = np.zeros((q.shape[0], n))
-    hi = np.broadcast_to(duration, (q.shape[0], n)).copy()
-    fail = np.zeros((q.shape[0], n), dtype=bool)
-    constraints = (
-        (ex0 + evx0 * ea, evx0, qx1 + qvx1 * eb, qvx1),
-        (qx0 + qvx0 * eb, qvx0, ex1 + evx1 * ea, evx1),
-        (ey0 + evy0 * ea, evy0, qy1 + qvy1 * eb, qvy1),
-        (qy0 + qvy0 * eb, qvy0, ey1 + evy1 * ea, evy1),
-    )
-    for p, pv, other, ov in constraints:
-        diff0 = p - other
-        rate = pv - ov
-        zero = rate == 0.0
-        fail |= zero & (diff0 > FILTER_SLACK)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    q_x1 = qx1 + qvx1 * eb
+    q_x0 = qx0 + qvx0 * eb
+    q_y1 = qy1 + qvy1 * eb
+    q_y0 = qy0 + qvy0 * eb
+    hits: List[int] = []
+    for slot, (x0, y0, x1, y1, vx0, vy0, vx1, vy1, tref) in enumerate(columns):
+        if tref > start:
+            if intersects_interval(x0, y0, x1, y1, vx0, vy0, vx1, vy1, tref, *info):
+                hits.append(slot)
+            continue
+        ea = start - tref
+        lo = 0.0
+        hi = duration
+        # Entry x_min against query x_max.
+        diff0 = x0 + vx0 * ea - q_x1
+        rate = vx0 - qvx1
+        if rate == 0.0:
+            if diff0 > FILTER_SLACK:
+                continue
+        else:
             crossing = -diff0 / rate
-        np.minimum(hi, crossing, out=hi, where=rate > 0.0)
-        np.maximum(lo, crossing, out=lo, where=rate < 0.0)
-    result = ~fail & (lo <= hi + FILTER_SLACK)
-
-    # Piecewise pairs (reference time inside the window) take the scalar
-    # kernel's object-API fallback, preserving exact equivalence.
-    late = (etref[None, :] > start) | (qref > start)
-    if late.any():
-        for qi, ei in zip(*np.nonzero(late)):
-            result[qi, ei] = intersects_interval(
-                ex0[ei],
-                ey0[ei],
-                ex1[ei],
-                ey1[ei],
-                evx0[ei],
-                evy0[ei],
-                evx1[ei],
-                evy1[ei],
-                etref[ei],
-                *infos[qi],
-            )
-    return result
+            if rate > 0.0:
+                if crossing < hi:
+                    hi = crossing
+            elif crossing > lo:
+                lo = crossing
+            if lo > hi + FILTER_SLACK:
+                continue
+        # Query x_min against entry x_max.
+        diff0 = q_x0 - (x1 + vx1 * ea)
+        rate = qvx0 - vx1
+        if rate == 0.0:
+            if diff0 > FILTER_SLACK:
+                continue
+        else:
+            crossing = -diff0 / rate
+            if rate > 0.0:
+                if crossing < hi:
+                    hi = crossing
+            elif crossing > lo:
+                lo = crossing
+            if lo > hi + FILTER_SLACK:
+                continue
+        # Entry y_min against query y_max.
+        diff0 = y0 + vy0 * ea - q_y1
+        rate = vy0 - qvy1
+        if rate == 0.0:
+            if diff0 > FILTER_SLACK:
+                continue
+        else:
+            crossing = -diff0 / rate
+            if rate > 0.0:
+                if crossing < hi:
+                    hi = crossing
+            elif crossing > lo:
+                lo = crossing
+            if lo > hi + FILTER_SLACK:
+                continue
+        # Query y_min against entry y_max.
+        diff0 = q_y0 - (y1 + vy1 * ea)
+        rate = qvy0 - vy1
+        if rate == 0.0:
+            if diff0 > FILTER_SLACK:
+                continue
+        else:
+            crossing = -diff0 / rate
+            if rate > 0.0:
+                if crossing < hi:
+                    hi = crossing
+            elif crossing > lo:
+                lo = crossing
+            if lo > hi + FILTER_SLACK:
+                continue
+        hits.append(slot)
+    return hits
 
 
 # ----------------------------------------------------------------------

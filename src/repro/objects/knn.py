@@ -280,9 +280,10 @@ def expanding_knn_batch(
         still_active: List[int] = []
         for i, rows in zip(active, fetched):
             # np.unique's indices name the first occurrence of each oid:
-            # earlier rounds' rows come first, so they win.
+            # earlier rounds' rows come first, so they win.  ``take``
+            # gathers the structured rows without fancy indexing's overhead.
             seen = np.concatenate((pools[i], rows))
-            pool = pools[i] = seen[np.unique(seen["oid"], return_index=True)[1]]
+            pool = pools[i] = seen.take(np.unique(seen["oid"], return_index=True)[1])
             query = queries[i]
             oids, distances = _rank_distances(pool, query.center, query.query_time)
             in_circle = distances <= radii[i]

@@ -27,8 +27,11 @@ projected-position order (:meth:`TPRTree._insert_one`,
 the same subtrees while their pages are still buffered.  Every search — a
 single range query, a range batch, a kNN filter round — is one shared
 traversal that visits each node once for all queries that need it
-(:meth:`_shared_search`); except for a range batch of one, the buffer
-manager is advised to spare the traversal's own frontier.
+(:meth:`_shared_search`) and tests the node's entries with one fused
+column scan per active query
+(:func:`~repro.geometry.kernels.soa_intersect_hits`); except for a range
+batch of one, the buffer manager is advised to spare the traversal's own
+frontier.
 (A deferred end-of-batch tightening pass was rejected: re-reading cold
 pages *raised* physical update I/O ~25-70% under the paper's small buffer,
 where the sort alone stays at or below object-by-object replay.  Tightening is
@@ -70,16 +73,6 @@ DEFAULT_HORIZON = 60.0
 #: Slightly below 1.0 leaves headroom so the first trickle of updates after
 #: a bulk build does not immediately split every node.
 DEFAULT_BULK_FILL = 0.9
-
-#: Minimum ``active_queries * node_entries`` grid size at which the shared
-#: traversal switches from the scalar per-entry intersect loop to the fused
-#: numpy pass (:func:`repro.geometry.kernels.soa_intersect_many`), measured
-#: against the kernel's ~80 us fixed dispatch cost per node; single-query
-#: subtrees always stay scalar because the scalar loop's per-entry early
-#: exits beat one fused pass there.  Both paths are bit-identical, so the
-#: constant is purely a performance knob (tests pin the equivalence by
-#: forcing it to 0 and to infinity).
-VECTOR_MATCH_MIN_WORK = 100
 
 
 class TPRTree(ScalarVerbs):
@@ -532,8 +525,11 @@ class TPRTree(ScalarVerbs):
         """Candidate motion states (or bare oids) per query from ONE shared traversal.
 
         The pre-order traversal visits each node at most once for the whole
-        query group.  When ``hinted``, the buffer manager is advised while
-        it runs that a one-pass sweep is in progress
+        query group and scans it once per query that reaches it, with
+        :func:`~repro.geometry.kernels.soa_intersect_hits` over the node's
+        columns (no per-entry call, whatever the group's size).  When
+        ``hinted``, the buffer manager is advised while it runs that a
+        one-pass sweep is in progress
         (:meth:`~repro.storage.buffer_manager.BufferManager.advise_sequential`
         — completed subtree pages are the preferred eviction victims, since
         a shared traversal never revisits them) and the current root-to-node
@@ -576,19 +572,14 @@ class TPRTree(ScalarVerbs):
                 )
             )
         out: List[list] = [[] for _ in queries]
-        # One (num_queries, 11) float matrix for the whole traversal: the
-        # vectorized per-node intersect pass slices its active rows out of
-        # it instead of re-packing tuples at every node.  A lone query never
-        # takes that pass.
-        infos_arr = np.asarray(infos, dtype=np.float64) if len(infos) > 1 else None
         active = list(range(len(queries)))
         if not hinted:
-            self._search_many(self.root_page_id, active, infos, infos_arr, out, None, ids_only)
+            self._search_many(self.root_page_id, active, infos, out, None, ids_only)
             return out
         buffer = self.buffer
         buffer.advise_sequential(True)
         try:
-            self._search_many(self.root_page_id, active, infos, infos_arr, out, [], ids_only)
+            self._search_many(self.root_page_id, active, infos, out, [], ids_only)
         finally:
             buffer.release_frontier()
             buffer.advise_sequential(False)
@@ -598,8 +589,7 @@ class TPRTree(ScalarVerbs):
         self,
         page_id: int,
         active: List[int],
-        infos: List[Tuple],
-        infos_arr,
+        infos: List[kernels.QueryInfo],
         out: List[list],
         path: Optional[List[int]],
         ids_only: bool,
@@ -614,12 +604,11 @@ class TPRTree(ScalarVerbs):
         victim under :meth:`~repro.storage.buffer_manager
         .BufferManager.advise_sequential`.
 
-        ``infos`` and ``infos_arr`` are the same query records twice — as
-        tuples for the scalar per-entry loops and as one ``(Q, 11)`` float
-        matrix for the vectorized per-node pass, which kicks in once the
-        node's ``active x entries`` grid reaches
-        :data:`VECTOR_MATCH_MIN_WORK`.  With ``ids_only`` a leaf hit
-        records the entry's oid instead of its motion state.
+        Each active query's hits in the node come from one
+        :func:`~repro.geometry.kernels.soa_intersect_hits` pass over the
+        node's columns, in query order.  A leaf hit records the entry's
+        motion state (with ``ids_only``, its oid); the children are then
+        visited in slot order, each with the queries that matched its slot.
         """
         node = self._node(page_id)
         is_leaf = node.is_leaf
@@ -627,77 +616,26 @@ class TPRTree(ScalarVerbs):
         if pinned:
             path.append(page_id)
             self.buffer.pin_frontier(path)
-        intersects = kernels.intersects_interval
+        columns = node.columns
         refs = node.refs
-        if len(active) > 1 and len(active) * len(refs) >= VECTOR_MATCH_MIN_WORK:
-            # Fused extent + intersect pass over the whole (queries x
-            # entries) grid of the node; bit-identical to the scalar
-            # loops below, which stay in place for small grids (and for
-            # single-query subtrees) where the numpy dispatch overhead
-            # would dominate.
-            columns = node.columns
-            x0s, y0s, vx0s, vy0s, trefs = (
-                columns[0],
-                columns[1],
-                columns[4],
-                columns[5],
-                columns[8],
-            )
-            matrix = kernels.soa_intersect_many(*columns, infos_arr[active])
-            hit_counts = matrix.sum(axis=0)
-            for i in np.nonzero(hit_counts)[0].tolist():
-                if hit_counts[i] == len(active):
-                    matching = active
-                else:
-                    matching = [
-                        active[j] for j in np.nonzero(matrix[:, i])[0].tolist()
-                    ]
-                if is_leaf:
+        hits = kernels.soa_intersect_hits
+        if is_leaf:
+            x0s, y0s, vx0s, vy0s, trefs = columns[0], columns[1], columns[4], columns[5], columns[8]
+            for qi in active:
+                bucket = out[qi]
+                for i in hits(*columns, infos[qi]):
                     oid = refs[i]
-                    state = oid if ids_only else (oid, x0s[i], y0s[i], vx0s[i], vy0s[i], trefs[i])
-                    for qi in matching:
-                        out[qi].append(state)
-                else:
-                    self._search_many(refs[i], matching, infos, infos_arr, out, path, ids_only)
-        elif len(active) == 1:
-            # Once a subtree concerns a single query — the common case as
-            # soon as the batch's probes separate spatially — skip the
-            # per-entry matching-list bookkeeping, and pass the query's
-            # bounds as locals (a ``*info`` splat per entry costs more).
-            (qi,) = active
-            qx0, qy0, qx1, qy1, qvx0, qvy0, qvx1, qvy1, qref, start, end = infos[qi]
-            bucket = out[qi]
-            for i, (bx0, by0, bx1, by1, bvx0, bvy0, bvx1, bvy1, bref) in enumerate(
-                zip(*node.columns)
-            ):
-                if not intersects(
-                    bx0, by0, bx1, by1, bvx0, bvy0, bvx1, bvy1, bref,
-                    qx0, qy0, qx1, qy1, qvx0, qvy0, qvx1, qvy1, qref, start, end,
-                ):
-                    continue
-                if is_leaf:
-                    bucket.append(refs[i] if ids_only else (refs[i], bx0, by0, bvx0, bvy0, bref))
-                else:
-                    self._search_many(refs[i], active, infos, infos_arr, out, path, ids_only)
-        else:
-            for i, (bx0, by0, bx1, by1, bvx0, bvy0, bvx1, bvy1, bref) in enumerate(
-                zip(*node.columns)
-            ):
-                matching = [
-                    qi
-                    for qi in active
-                    if intersects(
-                        bx0, by0, bx1, by1, bvx0, bvy0, bvx1, bvy1, bref, *infos[qi]
+                    bucket.append(
+                        oid if ids_only else (oid, x0s[i], y0s[i], vx0s[i], vy0s[i], trefs[i])
                     )
-                ]
-                if not matching:
-                    continue
-                if is_leaf:
-                    state = refs[i] if ids_only else (refs[i], bx0, by0, bvx0, bvy0, bref)
-                    for qi in matching:
-                        out[qi].append(state)
-                else:
-                    self._search_many(refs[i], matching, infos, infos_arr, out, path, ids_only)
+        else:
+            matching: List[List[int]] = [[] for _ in refs]
+            for qi in active:
+                for i in hits(*columns, infos[qi]):
+                    matching[i].append(qi)
+            for child, queries in zip(refs, matching):
+                if queries:
+                    self._search_many(child, queries, infos, out, path, ids_only)
         if pinned:
             path.pop()
 

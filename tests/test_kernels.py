@@ -8,6 +8,7 @@ the index refactors cannot silently drift.
 
 from __future__ import annotations
 
+import math
 import random
 from array import array
 from functools import partial
@@ -268,30 +269,11 @@ class TestSegmentKernels:
                 assert reported
 
 
-class TestSoaIntersectMany:
-    """The vectorized (queries x entries) intersect pass versus the scalar kernel."""
+class TestSoaIntersectHits:
+    """The fused per-node intersect scan versus the scalar kernel, slot by slot."""
 
     @staticmethod
-    def _columns(entries):
-        columns = [array("d") for _ in range(9)]
-        for bound in entries:
-            values = (
-                bound.rect.x_min,
-                bound.rect.y_min,
-                bound.rect.x_max,
-                bound.rect.y_max,
-                bound.v_x_min,
-                bound.v_y_min,
-                bound.v_x_max,
-                bound.v_y_max,
-                bound.reference_time,
-            )
-            for column, value in zip(columns, values):
-                column.append(value)
-        return columns
-
-    @staticmethod
-    def _info(bound, start, end):
+    def _bound(bound):
         return (
             bound.rect.x_min,
             bound.rect.y_min,
@@ -302,84 +284,102 @@ class TestSoaIntersectMany:
             bound.v_x_max,
             bound.v_y_max,
             bound.reference_time,
-            start,
-            end,
         )
 
-    def test_matrix_matches_scalar_kernel(self):
-        rng = random.Random(77)
-        for _ in range(40):
-            entries = [random_moving_rect(rng) for _ in range(rng.randint(1, 20))]
-            queries = []
-            for _ in range(rng.randint(1, 8)):
-                bound = random_moving_rect(rng)
-                start = bound.reference_time + rng.uniform(0.0, 3.0)
-                queries.append((bound, start, start + rng.uniform(0.0, 5.0)))
-            columns = self._columns(entries)
-            infos = [self._info(bound, start, end) for bound, start, end in queries]
-            matrix = kernels.soa_intersect_many(*columns, infos)
-            assert matrix.shape == (len(queries), len(entries))
-            for qi, info in enumerate(infos):
-                for ei, entry in enumerate(entries):
-                    scalar = kernels.intersects_interval(
-                        entry.rect.x_min,
-                        entry.rect.y_min,
-                        entry.rect.x_max,
-                        entry.rect.y_max,
-                        entry.v_x_min,
-                        entry.v_y_min,
-                        entry.v_x_max,
-                        entry.v_y_max,
-                        entry.reference_time,
-                        *info,
-                    )
-                    assert bool(matrix[qi, ei]) == scalar, (qi, ei)
+    def _check(self, entries, info):
+        """Assert the kernel's slots are the scalar kernel's; return them."""
+        columns = [array("d") for _ in range(9)]
+        for entry in entries:
+            for column, value in zip(columns, self._bound(entry)):
+                column.append(value)
+        expected = [
+            slot
+            for slot, entry in enumerate(entries)
+            if kernels.intersects_interval(*self._bound(entry), *info)
+        ]
+        assert kernels.soa_intersect_hits(*columns, info) == expected
+        return expected
 
-    def test_piecewise_pairs_take_the_scalar_fallback(self):
-        """Entries/queries whose reference time falls inside the window."""
+    @staticmethod
+    def _anchored(bound, reference_time):
+        return MovingRect(
+            bound.rect,
+            bound.v_x_min,
+            bound.v_y_min,
+            bound.v_x_max,
+            bound.v_y_max,
+            reference_time,
+        )
+
+    def test_random_nodes_match_the_scalar_kernel(self):
+        rng = random.Random(77)
+        total = 0
+        for _ in range(300):
+            entries = [
+                random_moving_rect(rng, degenerate=rng.random() < 0.5)
+                for _ in range(rng.randint(0, 40))
+            ]
+            query = random_moving_rect(rng)
+            start = max([query.reference_time] + [e.reference_time for e in entries])
+            start += rng.uniform(0.0, 3.0)
+            end = start + (0.0 if rng.random() < 0.3 else rng.uniform(0.0, 10.0))
+            total += len(self._check(entries, (*self._bound(query), start, end)))
+        assert total > 500, "the seeded nodes must produce hits"
+
+    def test_entries_and_queries_anchored_after_the_start_take_the_fallback(self):
         rng = random.Random(78)
-        for _ in range(40):
-            entries = []
-            for _ in range(6):
-                bound = random_moving_rect(rng)
-                # Half the entries anchor after the window start.
-                if rng.random() < 0.5:
-                    bound = MovingRect(
-                        rect=bound.rect,
-                        v_x_min=bound.v_x_min,
-                        v_y_min=bound.v_y_min,
-                        v_x_max=bound.v_x_max,
-                        v_y_max=bound.v_y_max,
-                        reference_time=bound.reference_time + 10.0,
-                    )
-                entries.append(bound)
+        for _ in range(100):
+            entries = [random_moving_rect(rng) for _ in range(12)]
             query = random_moving_rect(rng)
             start = query.reference_time + rng.uniform(0.0, 2.0)
-            info = self._info(query, start, start + 20.0)
-            columns = self._columns(entries)
-            matrix = kernels.soa_intersect_many(*columns, [info])
-            for ei, entry in enumerate(entries):
-                scalar = kernels.intersects_interval(
-                    entry.rect.x_min,
-                    entry.rect.y_min,
-                    entry.rect.x_max,
-                    entry.rect.y_max,
-                    entry.v_x_min,
-                    entry.v_y_min,
-                    entry.v_x_max,
-                    entry.v_y_max,
-                    entry.reference_time,
-                    *info,
-                )
-                assert bool(matrix[0, ei]) == scalar, ei
+            entries = [
+                self._anchored(e, start + rng.uniform(0.1, 15.0)) if rng.random() < 0.5 else e
+                for e in entries
+            ]
+            if rng.random() < 0.25:
+                query = self._anchored(query, start + rng.uniform(0.1, 15.0))
+            self._check(entries, (*self._bound(query), start, start + 20.0))
+
+    def test_a_zero_rate_keeps_an_edge_exactly_the_slack_away(self):
+        slack = kernels.FILTER_SLACK
+        past = math.nextafter(slack, math.inf)
+        query = MovingRect(Rect(0.0, 0.0, 0.0, 0.0), 0.0, 0.0, 0.0, 0.0, 5.0)
+        info = (*self._bound(query), 5.0, 8.0)
+        entries = []
+        for gap in (slack, past):
+            # Each gap opens on one side: past x_max, before x_min, past
+            # y_max, before y_min (the other side's difference is -gap);
+            # every relative rate is zero.
+            for x0, y0 in ((gap, 0.0), (-gap, 0.0), (0.0, gap), (0.0, -gap)):
+                entries.append(MovingRect(Rect(x0, y0, x0, y0), 0.0, 0.0, 0.0, 0.0, 5.0))
+        assert self._check(entries, info) == [0, 1, 2, 3]
+
+    def test_a_window_shut_exactly_by_the_slack_still_meets(self):
+        slack = kernels.FILTER_SLACK
+        query = MovingRect(Rect(0.0, 0.0, 0.0, 0.0), 0.0, 0.0, 0.0, 0.0, 5.0)
+        info = (*self._bound(query), 5.0, 5.0)
+        # Closing at rate 1 from `slack` (x) or crossing zero at `slack`
+        # from either y edge: lo ends at exactly hi + FILTER_SLACK.
+        inside = [
+            MovingRect(Rect(slack, 0.0, 1.0, 0.0), -1.0, 0.0, 0.0, 0.0, 5.0),
+            MovingRect(Rect(-1.0, slack, 0.0, 1.0), 0.0, -1.0, 0.0, 0.0, 5.0),
+            MovingRect(Rect(-1.0, -1.0, 1.0, -slack), 0.0, 0.0, 0.0, 1.0, 5.0),
+            MovingRect(Rect(-1.0, -1.0, -slack, 1.0), 0.0, 0.0, 1.0, 0.0, 5.0),
+        ]
+        past = math.nextafter(2 * slack, math.inf)
+        outside = [MovingRect(Rect(past, 0.0, 1.0, 0.0), -1.0, 0.0, 0.0, 0.0, 5.0)]
+        assert self._check(inside + outside, info) == [0, 1, 2, 3]
+
+    def test_an_empty_node_has_no_hits(self):
+        assert kernels.soa_intersect_hits(*[array("d")] * 9, (0.0,) * 11) == []
 
     def test_rejects_inverted_window(self):
         rng = random.Random(79)
         entry = random_moving_rect(rng)
         query = random_moving_rect(rng)
-        info = self._info(query, query.reference_time + 5.0, query.reference_time + 1.0)
+        info = (*self._bound(query), query.reference_time + 5.0, query.reference_time + 1.0)
         with pytest.raises(ValueError):
-            kernels.soa_intersect_many(*self._columns([entry]), [info])
+            kernels.soa_intersect_hits(*[array("d", [v]) for v in self._bound(entry)], info)
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,14 @@ from repro.geometry.moving_rect import MovingRect
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.objects.moving_object import MovingObject
-from repro.objects.queries import RectangularRange, TimeSliceRangeQuery
+from repro.objects.knn import KNNQuery
+from repro.objects.queries import (
+    CircularRange,
+    MovingRangeQuery,
+    RectangularRange,
+    TimeIntervalRangeQuery,
+    TimeSliceRangeQuery,
+)
 from repro.geometry.rect import Rect
 from repro.serve import ShardedIndex
 from repro.storage.buffer_manager import BufferManager
@@ -499,45 +506,6 @@ class TestColumnarIterator:
             assert dumped[obj.oid] == obj.as_moving_rect()
 
 
-class TestVectorizedTraversal:
-    def test_vector_and_scalar_shared_search_agree(self, monkeypatch):
-        """Forcing the numpy pass on or off must not change any batch answer."""
-        import repro.tprtree.tpr_tree as tpr_module
-
-        rng = random.Random(17)
-        objects = [
-            MovingObject(
-                oid,
-                Point(rng.uniform(0, 1000), rng.uniform(0, 1000)),
-                Vector(rng.uniform(-10, 10), rng.uniform(-10, 10)),
-            )
-            for oid in range(300)
-        ]
-        queries = [
-            TimeSliceRangeQuery(
-                RectangularRange(
-                    Rect(x, y, x + rng.uniform(50, 300), y + rng.uniform(50, 300))
-                ),
-                time=rng.uniform(0.0, 20.0),
-            )
-            for x, y in (
-                (rng.uniform(0, 800), rng.uniform(0, 800)) for _ in range(12)
-            )
-        ]
-
-        def answers(min_work):
-            monkeypatch.setattr(tpr_module, "VECTOR_MATCH_MIN_WORK", min_work)
-            tree = TPRTree(buffer=BufferManager(capacity=64), max_entries=8)
-            for obj in objects:
-                tree.insert(obj)
-            return tree.range_query_batch(queries)
-
-        always_vector = answers(0)
-        never_vector = answers(10**9)
-        assert always_vector == never_vector
-        assert any(always_vector), "queries must actually return candidates"
-
-
 # ----------------------------------------------------------------------
 # Tree identity of a seeded insertion-built replay
 # ----------------------------------------------------------------------
@@ -652,3 +620,67 @@ def test_pinned_replay_serves_tight_bounds_from_the_cache(family, monkeypatch):
     _identity_replay(family)
     assert (counts["requests"], counts["scans"]) == PINNED_BOUND_SCANS[family]
     assert counts["scans"] < counts["requests"]
+
+
+# ----------------------------------------------------------------------
+# Page reads and answers of the shared search over the pinned replay
+# ----------------------------------------------------------------------
+#: ``family -> (logical reads, physical reads, sha256 of the answers)`` of
+#: the query phase after :func:`_identity_replay` (see :func:`_pin_queries`).
+#: Recorded on the commit before node scans became one fused kernel per
+#: (node, query): a scan may get cheaper, but a moved count is a node fetched
+#: in another order or a subtree pruned differently, and a moved digest a
+#: different answer.  The fast-tier twin of the slow tier's TPR query columns.
+PINNED_QUERY_READS = {
+    "TPR": (475, 395, "a8f536ff3a945b323595fc9095e07e9f6c35bf12e5ba700c65421ee15ab7f3f2"),
+    "TPR*": (490, 417, "c79d6a98b9a11d8ea595013ff5d8fabd0479e3e7e22cad6374428913308974ec"),
+    "TPR*(VP)": (507, 412, "c33dd2e5503c7817bc2b719df39c7ca13873750a8b3d5087a025451723d2323e"),
+}
+
+
+def _pin_queries():
+    """Sixteen seeded range queries after the replay's clock: slices, windows, moving."""
+    rng = random.Random(46)
+    queries = []
+    for i in range(16):
+        x, y = rng.uniform(0.0, 9_000.0), rng.uniform(0.0, 9_000.0)
+        start = 20.0 + rng.uniform(0.0, 10.0)
+        end = start + rng.uniform(0.0, 20.0)
+        kind = i % 4
+        if kind == 0:
+            rect = Rect(x, y, x + rng.uniform(100.0, 1_000.0), y + rng.uniform(100.0, 1_000.0))
+            queries.append(TimeSliceRangeQuery(RectangularRange(rect), start, issue_time=20.0))
+        elif kind == 1:
+            circle = CircularRange(Point(x, y), rng.uniform(100.0, 800.0))
+            queries.append(TimeSliceRangeQuery(circle, start, issue_time=20.0))
+        elif kind == 2:
+            rect = Rect(x, y, x + rng.uniform(100.0, 600.0), y + rng.uniform(100.0, 600.0))
+            queries.append(TimeIntervalRangeQuery(RectangularRange(rect), start, end, 20.0))
+        else:
+            velocity = Vector(rng.uniform(-30.0, 30.0), rng.uniform(-30.0, 30.0))
+            circle = CircularRange(Point(x, y), rng.uniform(100.0, 500.0))
+            queries.append(MovingRangeQuery(circle, velocity, start, end, 20.0))
+    return queries
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_QUERY_READS))
+def test_pinned_replay_searches_read_the_pinned_pages(family):
+    """Six lone (unhinted) range queries, one hinted batch of ten, one kNN batch."""
+    index = _identity_replay(family)
+    index.buffer.flush()
+    queries = _pin_queries()
+    probes = [
+        KNNQuery(query.range.bounding_rect().center, 8, query.end_time, 20.0)
+        for query in queries[:8]
+    ]
+    stats = index.buffer.stats
+    logical, physical = stats.logical.reads, stats.physical.reads
+
+    answers = [index.range_query_batch([query]) for query in queries[:6]]
+    answers.append(index.range_query_batch(queries[6:]))
+    answers.append(index.knn_query_batch(probes))
+
+    assert sum(map(len, (found for batch in answers[:-1] for found in batch))) > 0
+    digest = hashlib.sha256(repr(answers).encode()).hexdigest()
+    reads = (stats.logical.reads - logical, stats.physical.reads - physical)
+    assert (*reads, digest) == PINNED_QUERY_READS[family]
