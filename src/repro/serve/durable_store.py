@@ -4,9 +4,10 @@ This module makes a :class:`~repro.serve.ShardedIndex` outlive its
 process.  Each shard gets a directory holding:
 
 * ``pages.db`` — the live :class:`~repro.storage.FileDiskManager` page
-  file (CRC'd slots, double-write torn-page protection);
-* ``pages.<G>.ckpt`` — the generation-``G`` checkpoint image: a byte copy
-  of ``pages.db`` taken after a full buffer flush + fsync, plus nothing
+  file (CRC'd slots), which the buffer writes pages out to and which is
+  never fsync'd;
+* ``pages.<G>.ckpt`` — the generation-``G`` checkpoint image: an fsync'd
+  byte copy of ``pages.db`` taken after a full buffer flush, plus nothing
   else — the only version of the page file recovery ever trusts;
 * ``wal.<G>.log`` — the :class:`~repro.serve.shard_log.DurableShardLog`
   of every mutation since checkpoint ``G``;
@@ -20,15 +21,15 @@ evicting dirty pages into ``pages.db``, so the live page file holds a
 state strictly *newer* than the checkpoint — replaying the WAL tail onto
 it would apply every operation twice.  Recovery therefore always restores
 ``pages.db`` from the generation image first, then replays the tail onto
-that exact checkpoint state.  The double-write/CRC machinery still earns
-its keep underneath: it keeps every *individual* file mutation atomic, so
-the image copy never snapshots a half-written page and a reopened store
-never reads one.
+that exact checkpoint state.  The durable state is the image,
+``checkpoint.meta`` and the WAL, all fsync'd; whatever a crash leaves in
+``pages.db`` — stale pages, a torn page, no file at all — is overwritten
+unread.
 
 **Checkpoint commit protocol** (per shard, crash-safe at every step):
 
 1. flush the buffer and ``sync()`` the disk — ``pages.db`` now holds the
-   complete shard state, durably;
+   complete shard state (in the page cache; it is never fsync'd);
 2. write ``pages.<G+1>.ckpt`` (copy to a temp file, fsync, rename);
 3. create an empty ``wal.<G+1>.log`` (fsync'd);
 4. **commit point**: atomically replace ``checkpoint.meta`` with a record
@@ -95,8 +96,9 @@ _MANIFEST = "MANIFEST.json"
 #: which a slotted record without ``__setstate__`` refuses to load); 9 = a
 #: pickled ``VPIndex`` keeps ``_by_oid``, its kNN candidates' oid-sorted
 #: view of the directory (a v8 image has no such attribute, so its first
-#: kNN would fail).
-_MANIFEST_VERSION = 9
+#: kNN would fail); 10 = the images hold format-2 page files, whose pages
+#: start at slot 1 (a v9 image is a format-1 file, which the disk refuses).
+_MANIFEST_VERSION = 10
 
 
 # ----------------------------------------------------------------------
@@ -266,10 +268,7 @@ class ShardStore:
     # -- lifecycle -----------------------------------------------------
     def _open_disk(self) -> BufferManager:
         self.disk = FileDiskManager(
-            self._pages_path(),
-            slot_bytes=self.slot_bytes,
-            fsync=self._fsync,
-            crash_hook=self._crash_hook,
+            self._pages_path(), slot_bytes=self.slot_bytes, crash_hook=self._crash_hook
         )
         return BufferManager(disk=self.disk, capacity=self.buffer_pages)
 
@@ -319,8 +318,9 @@ class ShardStore:
     def restore_image(self) -> Any:
         """A fresh shard at exactly the current checkpoint's state.
 
-        Replaces ``pages.db`` with the generation image and rebuilds the
-        index metadata over a fresh buffer.  The WAL is untouched: the
+        Replaces ``pages.db`` with the generation image (not fsync'd: a
+        crash before the next checkpoint restores it again) and rebuilds
+        the index metadata over a fresh buffer.  The WAL is untouched: the
         caller replays whatever tail it needs (recovery replays all of
         it).
         """
@@ -329,7 +329,7 @@ class ShardStore:
         if self.disk is not None:
             self.disk.close()
             self.disk = None
-        _copy_file(self._image_path(self.generation), self._pages_path(), self._fsync)
+        _copy_file(self._image_path(self.generation), self._pages_path(), fsync=False)
         buffer = self._open_disk()
         return loads_index(self._blob, buffer)
 

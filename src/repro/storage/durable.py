@@ -1,4 +1,4 @@
-"""Crash-safe file-backed page store behind the ``DiskManager`` contract.
+"""Checksummed file-backed page store behind the ``DiskManager`` contract.
 
 :class:`FileDiskManager` persists pages into a single file of fixed-size
 *slots*, duck-type compatible with the in-memory
@@ -10,10 +10,10 @@ wrapper, which composes injected faults with real file I/O.
 
 **File layout.**  Slot 0 holds the store header (magic, format version,
 byte order, slot size, allocation state: ``next_id`` plus the free list);
-slot 1 is the double-write buffer; page ``p`` lives in slot ``2 + p``.
-Every slot is framed as ``crc32 | length | body`` where the CRC covers the
-*frame id* and body length as well as the body, so an all-zero slot, a
-short slot, or a frame misdirected to the wrong slot can never validate.
+page ``p`` lives in slot ``1 + p``.  Every slot is framed as
+``crc32 | length | body`` where the CRC covers the *frame id* and body
+length as well as the body, so an all-zero slot, a short slot, or a frame
+misdirected to the wrong slot can never validate.
 
 **Checksums.**  Every :meth:`read` decodes the frame and verifies its CRC;
 a mismatch raises :class:`PageCorruptionError`, a subclass of the fault
@@ -22,36 +22,21 @@ that as a transient infrastructure fault (bounded retries, then breaker +
 recovery), so a flipped bit on disk degrades into a shard recovery instead
 of silently corrupt answers.
 
-**Torn-write protection.**  A page write first lands in the double-write
-slot (tagged with its target page id) and is fsync'd there before the home
-slot is touched.  A crash therefore leaves at most one of the two copies
-torn: if the home write tore, the DW slot holds a complete copy and
-:meth:`_recover_double_write` redoes it on the next open; if the DW write
-tore, the home slot still holds the previous complete version and the torn
-DW frame simply fails its CRC and is ignored.  The DW fsync doubles as the
-barrier that makes reusing the single DW slot safe — fsync covers the
-whole file, so every earlier home write is durable before the DW copy
-protecting it is overwritten.
-
-**What fsync guarantees here.**  ``write()`` guarantees *atomicity* (never
-a half page), not durability: a page write is durable only once a later
-fsync covers its home slot — the next page write's DW fsync, or
-:meth:`sync`, which also persists the allocation header.  The checkpoint
-protocol in :mod:`repro.serve.durable_store` calls ``sync()`` before it
-snapshots the file, which is the only point the recovery path ever trusts
-``pages.db``.  With ``fsync=False`` the same writes happen without any
-barrier — tests use it for speed; real durability requires the default.
+**No fsync, no torn-write protection.**  A page write is one framed
+``pwrite``, and nothing here ever fsyncs the file.  The file is the
+buffer pool's write-back target, not durable state: the checkpoint
+protocol in :mod:`repro.serve.durable_store` copies it into an fsync'd
+generation image, and every recovery overwrites it from that image
+before opening it, so a write torn by a crash is never read back.
 
 Page payloads are serialized with :mod:`repro.storage.codec`; a payload
 whose encoding outgrows the slot raises :class:`PageOverflowError` (raise
 ``slot_bytes`` — the slot is deliberately larger than the simulated 4 KB
 logical page because Python object encodings are not byte-budgeted).
 
-The CRC detects corruption, not staleness: a crash can leave a page slot
-holding an older *complete* version of the page (see the fsync note
-above).  Layers that need point-in-time consistency must recover from a
-synced snapshot plus a log, which is exactly what the serve-layer
-checkpoint/WAL protocol does.
+The CRC detects corruption, not staleness: layers that need
+point-in-time consistency recover from a synced snapshot plus a log,
+which is exactly what the serve-layer checkpoint/WAL protocol does.
 """
 
 from __future__ import annotations
@@ -74,15 +59,20 @@ from repro.storage.stats import IOStats
 DEFAULT_SLOT_BYTES = 16384
 
 _MAGIC = b"RPRODSK1"
-_FORMAT_VERSION = 1
-#: Synthetic frame ids of the non-page slots (real page ids are >= 0).
+#: 2 = pages start at slot 1 (format 1 kept slot 1 for a second copy of
+#: every page write).
+_FORMAT_VERSION = 2
+#: Synthetic frame id of the header slot (real page ids are >= 0).
 _HEADER_ID = -2
-_DW_ID = -3
 
 _FRAME_HEADER = struct.Struct("<II")
 _CRC_PREFIX = struct.Struct("<qI")
 _HEADER_FIXED = struct.Struct("<8sIBIqI")
-_I64 = struct.Struct("<q")
+
+
+def _slot_offset(frame_id: int, slot_bytes: int) -> int:
+    """Byte offset of ``frame_id``'s slot: the header at 0, page ``p`` at ``1 + p``."""
+    return 0 if frame_id == _HEADER_ID else (1 + frame_id) * slot_bytes
 
 
 class DurabilityError(RuntimeError):
@@ -105,29 +95,22 @@ class PageCorruptionError(PageReadError):
 
 
 class FileDiskManager:
-    """A ``DiskManager`` over one paged file with CRC + double-write safety.
+    """A ``DiskManager`` over one paged file with a CRC on every frame.
 
     Args:
-        path: backing file; created when absent, reopened (with
-            double-write recovery) when present.
+        path: backing file; created when absent, reopened when present.
         slot_bytes: on-disk slot size; must match the file's header when
             reopening an existing store.
-        fsync: issue real fsync barriers (see the module docstring);
-            disable only in tests where durability across a host crash is
-            irrelevant.
-        crash_hook: optional test-only callable invoked at named points of
-            the write protocol (``"dw:torn"`` between the two halves of a
-            double-write frame, ``"dw:synced"`` after its fsync,
-            ``"home:torn"`` between the halves of a home-slot write).  The
-            crash tests SIGKILL the process inside the hook to land a real
-            kill exactly inside a chosen torn-write window.
+        crash_hook: optional test-only callable invoked as
+            ``crash_hook("page:torn")`` between the two halves of every
+            frame write.  The crash tests SIGKILL the process inside the
+            hook to land a real kill inside a torn write.
     """
 
     def __init__(
         self,
         path: str,
         slot_bytes: int = DEFAULT_SLOT_BYTES,
-        fsync: bool = True,
         crash_hook: Optional[Callable[[str], None]] = None,
     ) -> None:
         if slot_bytes < 256:
@@ -135,7 +118,6 @@ class FileDiskManager:
         self.path = str(path)
         self.slot_bytes = slot_bytes
         self.stats = IOStats()
-        self._fsync_enabled = fsync
         self._crash_hook = crash_hook
         self._free_ids: List[int] = []
         self._next_id = 0
@@ -144,44 +126,31 @@ class FileDiskManager:
         #: exist in memory (matching the in-memory manager, where a read
         #: after allocate returns the live object).
         self._pending: Dict[int, Page] = {}
-        #: Double-write redo performed while opening (0 or 1).
-        self.dw_recoveries = 0
         #: CRC mismatches detected by :meth:`read`/:meth:`peek`.
         self.checksum_failures = 0
         self._closed = False
         existed = os.path.exists(self.path) and os.path.getsize(self.path) > 0
         self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
         if existed:
-            self._recover_double_write()
             self._load_header()
         else:
             self._write_header()
-            self._file_sync()
 
     # ------------------------------------------------------------------
     # Frame plumbing
     # ------------------------------------------------------------------
-    def _hook(self, event: str) -> None:
-        if self._crash_hook is not None:
-            self._crash_hook(event)
-
-    def _file_sync(self) -> None:
-        if self._fsync_enabled:
-            os.fsync(self._fd)
-
-    def _slot_offset(self, frame_id: int) -> int:
-        if frame_id == _HEADER_ID:
-            return 0
-        if frame_id == _DW_ID:
-            return self.slot_bytes
-        return (2 + frame_id) * self.slot_bytes
-
-    def _frame(self, frame_id: int, body: bytes) -> bytes:
-        crc = zlib.crc32(_CRC_PREFIX.pack(frame_id, len(body)) + body)
-        return _FRAME_HEADER.pack(crc, len(body)) + body
-
-    def _write_frame(self, frame_id: int, frame: bytes, label: str) -> None:
-        offset = self._slot_offset(frame_id)
+    def _write_frame(self, frame_id: int, body: bytes) -> None:
+        """Frame ``body`` (CRC over id, length and body) and write it to its slot."""
+        frame = _FRAME_HEADER.pack(
+            zlib.crc32(_CRC_PREFIX.pack(frame_id, len(body)) + body), len(body)
+        ) + body
+        if len(frame) > self.slot_bytes:
+            raise PageOverflowError(
+                f"frame {frame_id}: encoded payload is {len(body)} bytes and "
+                f"does not fit a {self.slot_bytes}-byte slot (construct the "
+                "FileDiskManager with a larger slot_bytes)"
+            )
+        offset = _slot_offset(frame_id, self.slot_bytes)
         if self._crash_hook is None:
             os.pwrite(self._fd, frame, offset)
             return
@@ -189,12 +158,12 @@ class FileDiskManager:
         # inside the hook leaves a genuinely torn frame on disk.
         half = max(1, len(frame) // 2)
         os.pwrite(self._fd, frame[:half], offset)
-        self._hook(f"{label}:torn")
+        self._crash_hook("page:torn")
         os.pwrite(self._fd, frame[half:], offset + half)
 
     def _read_frame(self, frame_id: int) -> Optional[bytes]:
         """The frame body at ``frame_id``'s slot, or None if torn/invalid."""
-        data = os.pread(self._fd, self.slot_bytes, self._slot_offset(frame_id))
+        data = os.pread(self._fd, self.slot_bytes, _slot_offset(frame_id, self.slot_bytes))
         if len(data) < _FRAME_HEADER.size:
             return None
         crc, length = _FRAME_HEADER.unpack_from(data)
@@ -205,61 +174,25 @@ class FileDiskManager:
             return None
         return body
 
-    def _protected_write(self, frame_id: int, body: bytes) -> None:
-        """Write ``body`` to its slot under the double-write protocol."""
-        frame = self._frame(frame_id, body)
-        dw_body = _I64.pack(frame_id) + body
-        dw_frame = self._frame(_DW_ID, dw_body)
-        if len(dw_frame) > self.slot_bytes:
-            raise PageOverflowError(
-                f"frame {frame_id}: encoded payload is {len(body)} bytes; the "
-                f"double-write copy does not fit a {self.slot_bytes}-byte slot "
-                "(construct the FileDiskManager with a larger slot_bytes)"
-            )
-        self._write_frame(_DW_ID, dw_frame, "dw")
-        self._file_sync()
-        self._hook("dw:synced")
-        self._write_frame(frame_id, frame, "home")
-
-    def _recover_double_write(self) -> None:
-        """Redo the home write a crash may have torn (idempotent)."""
-        dw_body = self._read_frame(_DW_ID)
-        if dw_body is None or len(dw_body) < _I64.size:
-            return
-        (target,) = _I64.unpack_from(dw_body)
-        body = dw_body[_I64.size :]
-        if self._read_frame(target) != body:
-            os.pwrite(self._fd, self._frame(target, body), self._slot_offset(target))
-            self._file_sync()
-            self.dw_recoveries += 1
-        # Invalidate the DW slot so a later crash cannot replay a stale
-        # copy over a page that has legitimately moved on.
-        os.pwrite(self._fd, b"\0" * _FRAME_HEADER.size, self._slot_offset(_DW_ID))
-        self._file_sync()
-
     # ------------------------------------------------------------------
     # Header (allocation state) persistence
     # ------------------------------------------------------------------
-    def _header_body(self) -> bytes:
+    def _write_header(self) -> None:
         free = sorted(self._free_ids)
-        fixed = _HEADER_FIXED.pack(
+        body = _HEADER_FIXED.pack(
             _MAGIC,
             _FORMAT_VERSION,
             1 if sys.byteorder == "little" else 0,
             self.slot_bytes,
             self._next_id,
             len(free),
-        )
-        return fixed + struct.pack(f"<{len(free)}q", *free)
-
-    def _write_header(self) -> None:
-        body = self._header_body()
-        if len(body) + _FRAME_HEADER.size + _I64.size > self.slot_bytes:
+        ) + struct.pack(f"<{len(free)}q", *free)
+        if len(body) + _FRAME_HEADER.size > self.slot_bytes:
             raise DurabilityError(
                 f"free list with {len(self._free_ids)} entries overflows the "
                 f"{self.slot_bytes}-byte header slot; raise slot_bytes"
             )
-        self._protected_write(_HEADER_ID, body)
+        self._write_frame(_HEADER_ID, body)
 
     def _load_header(self) -> None:
         body = self._read_frame(_HEADER_ID)
@@ -335,27 +268,14 @@ class FileDiskManager:
                 a physical read (the read never yielded a page, matching
                 the fault injector's accounting of failed attempts).
         """
-        if page_id not in self._allocated:
-            raise KeyError(f"page {page_id} does not exist")
-        pending = self._pending.get(page_id)
-        if pending is not None:
-            self.stats.record_physical_read()
-            return pending
-        body = self._read_frame(page_id)
-        if body is None:
-            self.checksum_failures += 1
-            raise PageCorruptionError(
-                f"page {page_id} failed its CRC32 check in {self.path}"
-            )
+        page = self.peek(page_id)
         self.stats.record_physical_read()
-        return Page(page_id=page_id, payload=decode_payload(body))
+        return page
 
     def write(self, page: Page) -> None:
-        """Serialize and persist a page under the double-write protocol.
+        """Serialize a page into its slot (one framed ``pwrite``, no fsync).
 
-        Counted as one physical write; the page's home slot is atomic from
-        this call on (see the module docstring), durable from the next
-        fsync-bearing operation on.
+        Counted as one physical write.
 
         Raises:
             KeyError: if the page is not allocated.
@@ -363,23 +283,22 @@ class FileDiskManager:
         """
         if page.page_id not in self._allocated:
             raise KeyError(f"page {page.page_id} does not exist")
-        self._protected_write(page.page_id, encode_payload(page.payload))
+        self._write_frame(page.page_id, encode_payload(page.payload))
         self._pending.pop(page.page_id, None)
         page.dirty = False
         page.write_backs += 1
         self.stats.record_physical_write()
 
     def sync(self) -> None:
-        """Persist the allocation header and fsync the file.
+        """Write the allocation header into slot 0 (no fsync).
 
-        After ``sync()`` returns, every previously written page and the
-        current ``next_id``/free-list are durable — the precondition for
-        snapshotting the file as a checkpoint image.  Pages still pending
-        (allocated, never written) are *not* persisted; flush the buffer
+        After ``sync()`` returns, the file holds every previously written
+        page and the current ``next_id``/free-list — the precondition for
+        copying it into a checkpoint image.  Pages still pending
+        (allocated, never written) are *not* in it; flush the buffer
         first.
         """
         self._write_header()
-        self._file_sync()
 
     def close(self) -> None:
         """``sync()`` then close the file descriptor (idempotent)."""
@@ -422,10 +341,6 @@ class FileDiskManager:
 # ----------------------------------------------------------------------
 # File-level fault injection (the durable analogue of faults.py)
 # ----------------------------------------------------------------------
-def _page_slot_offset(page_id: int, slot_bytes: int) -> int:
-    return (2 + page_id) * slot_bytes
-
-
 def inject_bit_flip(
     path: str,
     page_id: int,
@@ -438,7 +353,7 @@ def inject_bit_flip(
     ``byte_offset`` is relative to the frame *body*; the frame's CRC is
     left untouched, so the next read of the page must fail its checksum.
     """
-    offset = _page_slot_offset(page_id, slot_bytes) + _FRAME_HEADER.size + byte_offset
+    offset = _slot_offset(page_id, slot_bytes) + _FRAME_HEADER.size + byte_offset
     fd = os.open(path, os.O_RDWR)
     try:
         byte = os.pread(fd, 1, offset)
@@ -453,7 +368,7 @@ def inject_torn_page(
     path: str, page_id: int, slot_bytes: int = DEFAULT_SLOT_BYTES
 ) -> None:
     """Zero the second half of a page's slot (a simulated torn write)."""
-    offset = _page_slot_offset(page_id, slot_bytes)
+    offset = _slot_offset(page_id, slot_bytes)
     half = slot_bytes // 2
     fd = os.open(path, os.O_RDWR)
     try:

@@ -6,8 +6,8 @@ at a chosen ordinal of a chosen crash-hook event during an update storm:
 
     python crash_child.py <store_root> <kill_event> <kill_ordinal>
 
-``kill_event`` is one of the storage layer's torn-write windows
-(``dw:torn``, ``dw:synced``, ``home:torn``) or the WAL's ``wal:torn``.
+``kill_event`` is the page file's torn-write window (``page:torn``) or
+the WAL's (``wal:torn``).
 The parent test asserts the process died of SIGKILL, reopens the store,
 and compares its answers against a clean twin built by the same
 deterministic helpers below — which is why they live here, importable
@@ -41,7 +41,7 @@ BUFFER_PAGES = 8
 SPACE = Rect(0.0, 0.0, 100.0, 100.0)
 MAX_UPDATE_INTERVAL = 20.0
 #: Tiny pages (many nodes) + the small pool guarantee evictions — and so
-#: double-write windows — during the armed update storm.
+#: torn page-write windows — during the armed update storm.
 PAGE_SIZE = 512
 SEED = 20260808
 

@@ -6,13 +6,15 @@ Two tiers (see ``docs/storage.md`` for the recovery state machine):
   :class:`~repro.serve.DurableStore` without closing it, then reopen and
   pin bit-identical range/kNN answers plus bounded WAL-tail replay;
 * subprocess tests (marked slow) land a real ``SIGKILL`` inside a chosen
-  torn-write window — mid double-write, after the DW fsync but before
-  the home write, and mid WAL append — via the storage crash hooks, then
-  recover in the parent and compare against a clean twin.
+  torn-write window — mid page write and mid WAL append — via the
+  storage crash hooks, then recover in the parent and compare against a
+  clean twin.
 """
 
+import glob
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -110,6 +112,43 @@ def test_abandoned_store_reopen_replays_bounded_tail(tmp_path):
         ops = [op for op, _, _ in recovered.shard_log(shard_id).entries]
         assert "bulk_load" not in ops
     assert crash_child.answers(recovered) == live
+    _assert_pages_checksum_clean(recovered)
+    recovered.close()
+
+
+def test_recovery_never_reads_the_live_page_file(tmp_path):
+    # The durable state is each shard's checkpoint image, checkpoint.meta
+    # and WAL.  pages.db is only where the buffer writes pages out to, so
+    # whatever a crash leaves in it — here random bytes in one shard and
+    # an empty file in the other — recovery overwrites unread.
+    root = str(tmp_path / "store")
+    objects = crash_child.make_objects()
+    updates = crash_child.make_updates(objects)
+
+    index = _create_store(root)
+    index.bulk_load(objects)
+    index.checkpoint()
+    for old, new in updates:
+        index.update(old, new)
+    # Abandoned.  The 8-page pools evicted post-checkpoint pages into
+    # pages.db, so the live file is newer than the image in every shard.
+    rng = random.Random(crash_child.SEED)
+    for shard_id in range(crash_child.NUM_SHARDS):
+        shard_root = os.path.join(root, f"shard-{shard_id:03d}")
+        (image,) = glob.glob(os.path.join(shard_root, "pages.*.ckpt"))
+        with open(image, "rb") as handle:
+            checkpointed = handle.read()
+        pages = os.path.join(shard_root, "pages.db")
+        with open(pages, "rb") as handle:
+            live = handle.read()
+        assert live != checkpointed
+        with open(pages, "wb") as handle:
+            handle.write(rng.randbytes(len(live)) if shard_id == 0 else b"")
+
+    recovered = DurableStore(root, fsync=False).open()
+    assert crash_child.answers(recovered) == crash_child.answers(
+        _twin_with_history(objects, updates)
+    )
     _assert_pages_checksum_clean(recovered)
     recovered.close()
 
@@ -283,6 +322,7 @@ def test_a_rejected_record_left_in_the_wal_recovers_as_a_rejection(tmp_path, kin
         6,  # VP and TPR images without a kNN count grid
         7,  # value records pickled with a field dict, not by position
         8,  # VP images without the kNN candidates' oid-sorted view
+        9,  # format-1 page files, with a double-write slot before the pages
     ],
 )
 def test_open_refuses_a_manifest_of_another_version(tmp_path, version):
@@ -322,7 +362,7 @@ def test_every_checkpoint_image_is_a_versioned_shard(tmp_path):
     shard_store.close()
     _create_store(str(tmp_path / "store")).close()
     with open(tmp_path / "store" / "MANIFEST.json", encoding="utf-8") as handle:
-        assert json.load(handle)["version"] == 9
+        assert json.load(handle)["version"] == 10
 
 
 def _open_descriptors_under(root):
@@ -415,6 +455,44 @@ def test_explicit_checkpoint_truncates_wals(tmp_path):
     recovered.close()
 
 
+def test_checkpoint_fsyncs_do_not_depend_on_the_pages_it_writes(tmp_path, monkeypatch):
+    # A checkpoint fsyncs its image, its new WAL, checkpoint.meta and their
+    # directories — never pages.db — so a checkpoint that writes out a
+    # whole bulk-loaded tree runs as many fsyncs as one after one update.
+    index = DurableStore(str(tmp_path / "store")).create(
+        crash_child.make_shard,
+        num_shards=2,
+        space=crash_child.SPACE,
+        buffer_pages=200,  # the whole tree stays dirty until the checkpoint
+    )
+    fsyncs = []
+    real_fsync = os.fsync
+
+    def counting_fsync(fd):
+        fsyncs.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+
+    def checkpoint():
+        """(fsyncs, pages written) of one ``index.checkpoint()``."""
+        disks = [shard.buffer.disk for shard in index.shards]
+        writes = sum(disk.stats.physical.writes for disk in disks)
+        fsyncs.clear()
+        index.checkpoint()
+        return len(fsyncs), sum(disk.stats.physical.writes for disk in disks) - writes
+
+    objects = crash_child.make_objects()
+    index.bulk_load(objects)
+    many_fsyncs, many_pages = checkpoint()
+    old, new = crash_child.make_updates(objects)[0]
+    index.update(old, new)
+    few_fsyncs, few_pages = checkpoint()
+    assert 0 < 4 * few_pages < many_pages
+    assert few_fsyncs == many_fsyncs > 0
+    index.close()
+
+
 def test_supervised_recovery_restores_durable_shard_from_store(tmp_path):
     """An injected mid-batch kill on a durable shard recovers through its
     store (checkpoint image + WAL replay), not a factory rebuild."""
@@ -464,9 +542,7 @@ def _run_child(root, kill_event, kill_ordinal):
 @pytest.mark.parametrize(
     "kill_event,kill_ordinal",
     [
-        ("dw:torn", 3),  # mid double-write-slot write
-        ("dw:synced", 3),  # DW durable, home slot not yet written
-        ("home:torn", 3),  # mid home-slot write (DW protects it)
+        ("page:torn", 3),  # mid page write (recovery never reads pages.db)
         ("wal:torn", 4),  # mid WAL append (record never executed)
     ],
 )

@@ -9,8 +9,9 @@ layer's checkpoint/WAL protocol (``docs/storage.md``):
 * CRC verification — injected bit flips and torn pages surface as
   :class:`PageCorruptionError` (a ``PageReadError``, so the serving
   supervisor treats corruption as a transient fault);
-* double-write torn-page recovery on reopen, for both torn-home and
-  torn-DW crash windows;
+* a page write torn by a crash is refused on read after reopening (the
+  file has no torn-write protection: recovery never reads it after a
+  crash);
 * composition with the fault injector and the buffer manager (including
   the ``with`` form that flushes on exit);
 * the durable WAL's reopen rule: a torn tail is dropped, a whole frame
@@ -43,6 +44,7 @@ from repro.storage import (
     inject_bit_flip,
     inject_torn_page,
 )
+from repro.storage import durable
 from repro.storage.codec import decode_payload, encode_payload
 from repro.tprtree.node import TPREntry, TPRNode
 
@@ -130,7 +132,7 @@ def test_codec_rejects_unknown_tags():
 # FileDiskManager: DiskManager contract
 # ----------------------------------------------------------------------
 def test_file_disk_allocate_write_read_round_trip(tmp_path):
-    disk = FileDiskManager(str(tmp_path / "pages.db"), slot_bytes=SLOT, fsync=False)
+    disk = FileDiskManager(str(tmp_path / "pages.db"), slot_bytes=SLOT)
     page = disk.allocate(_moving_object(1))
     # Pending page: allocated but never written — reads return the live
     # object, exactly like the in-memory manager.
@@ -150,7 +152,7 @@ def test_file_disk_allocate_write_read_round_trip(tmp_path):
 
 
 def test_file_disk_missing_pages_raise_key_error(tmp_path):
-    disk = FileDiskManager(str(tmp_path / "pages.db"), slot_bytes=SLOT, fsync=False)
+    disk = FileDiskManager(str(tmp_path / "pages.db"), slot_bytes=SLOT)
     for call in (disk.read, disk.peek, disk.free):
         with pytest.raises(KeyError):
             call(99)
@@ -162,7 +164,7 @@ def test_file_disk_missing_pages_raise_key_error(tmp_path):
 
 
 def test_file_disk_free_list_reuse_is_lifo(tmp_path):
-    disk = FileDiskManager(str(tmp_path / "pages.db"), slot_bytes=SLOT, fsync=False)
+    disk = FileDiskManager(str(tmp_path / "pages.db"), slot_bytes=SLOT)
     pages = [disk.allocate(i) for i in range(4)]
     disk.free(pages[1].page_id)
     disk.free(pages[2].page_id)
@@ -175,14 +177,14 @@ def test_file_disk_free_list_reuse_is_lifo(tmp_path):
 
 def test_file_disk_state_survives_reopen(tmp_path):
     path = str(tmp_path / "pages.db")
-    disk = FileDiskManager(path, slot_bytes=SLOT, fsync=False)
+    disk = FileDiskManager(path, slot_bytes=SLOT)
     for i in range(3):
         page = disk.allocate(_moving_object(i))
         disk.write(page)
     disk.free(1)
     disk.close()
 
-    reopened = FileDiskManager(path, slot_bytes=SLOT, fsync=False)
+    reopened = FileDiskManager(path, slot_bytes=SLOT)
     assert reopened.allocated_page_ids == [0, 2]
     assert reopened.read(0).payload == _moving_object(0)
     assert reopened.read(2).payload == _moving_object(2)
@@ -193,7 +195,7 @@ def test_file_disk_state_survives_reopen(tmp_path):
 
 
 def test_file_disk_close_is_idempotent(tmp_path):
-    disk = FileDiskManager(str(tmp_path / "pages.db"), slot_bytes=SLOT, fsync=False)
+    disk = FileDiskManager(str(tmp_path / "pages.db"), slot_bytes=SLOT)
     disk.close()
     disk.close()
 
@@ -204,24 +206,33 @@ def test_file_disk_rejects_tiny_slots(tmp_path):
 
 
 def test_file_disk_overflowing_payload_raises(tmp_path):
-    disk = FileDiskManager(str(tmp_path / "pages.db"), slot_bytes=256, fsync=False)
+    disk = FileDiskManager(str(tmp_path / "pages.db"), slot_bytes=256)
     page = disk.allocate(b"x" * 1024)
     with pytest.raises(PageOverflowError, match="slot_bytes"):
         disk.write(page)
     disk.close()
 
 
-def test_file_disk_header_mismatches_refuse_to_open(tmp_path):
+def test_file_disk_header_mismatches_refuse_to_open(tmp_path, monkeypatch):
     path = str(tmp_path / "pages.db")
-    FileDiskManager(path, slot_bytes=SLOT, fsync=False).close()
+    FileDiskManager(path, slot_bytes=SLOT).close()
     with pytest.raises(DurabilityError, match="slots"):
-        FileDiskManager(path, slot_bytes=2 * SLOT, fsync=False)
+        FileDiskManager(path, slot_bytes=2 * SLOT)
+
+    # Format 1 kept slot 1 for a double-write copy, so its pages sit one
+    # slot further in: refused, not read from the wrong slots.
+    format_1 = str(tmp_path / "format-1.db")
+    monkeypatch.setattr(durable, "_FORMAT_VERSION", 1)
+    FileDiskManager(format_1, slot_bytes=SLOT).close()
+    monkeypatch.undo()
+    with pytest.raises(DurabilityError, match="format version 1 "):
+        FileDiskManager(format_1, slot_bytes=SLOT)
 
     garbage = str(tmp_path / "garbage.db")
     with open(garbage, "wb") as handle:
         handle.write(b"\x00" * SLOT * 2)
     with pytest.raises(DurabilityError, match="missing or corrupt"):
-        FileDiskManager(garbage, slot_bytes=SLOT, fsync=False)
+        FileDiskManager(garbage, slot_bytes=SLOT)
 
 
 # ----------------------------------------------------------------------
@@ -229,13 +240,13 @@ def test_file_disk_header_mismatches_refuse_to_open(tmp_path):
 # ----------------------------------------------------------------------
 def test_bit_flip_fails_checksum_on_read_and_peek(tmp_path):
     path = str(tmp_path / "pages.db")
-    disk = FileDiskManager(path, slot_bytes=SLOT, fsync=False)
+    disk = FileDiskManager(path, slot_bytes=SLOT)
     page = disk.allocate([1, 2, 3])
     disk.write(page)
     disk.close()
 
     inject_bit_flip(path, page.page_id, slot_bytes=SLOT, byte_offset=2, bit=5)
-    reopened = FileDiskManager(path, slot_bytes=SLOT, fsync=False)
+    reopened = FileDiskManager(path, slot_bytes=SLOT)
     with pytest.raises(PageCorruptionError):
         reopened.read(page.page_id)
     with pytest.raises(PageCorruptionError):
@@ -249,77 +260,53 @@ def test_bit_flip_fails_checksum_on_read_and_peek(tmp_path):
 
 def test_torn_page_fails_checksum(tmp_path):
     path = str(tmp_path / "pages.db")
-    disk = FileDiskManager(path, slot_bytes=SLOT, fsync=False)
+    disk = FileDiskManager(path, slot_bytes=SLOT)
     # The payload must span the tear point (half the slot) to be affected.
     page = disk.allocate(b"\xa5" * (SLOT * 3 // 4))
     disk.write(page)
     disk.close()
 
     inject_torn_page(path, page.page_id, slot_bytes=SLOT)
-    reopened = FileDiskManager(path, slot_bytes=SLOT, fsync=False)
+    reopened = FileDiskManager(path, slot_bytes=SLOT)
     with pytest.raises(PageCorruptionError):
         reopened.read(page.page_id)
     reopened.close()
 
 
 # ----------------------------------------------------------------------
-# Double-write protection: both torn-write windows recover on reopen
+# A torn page write: refused on read, never repaired
 # ----------------------------------------------------------------------
 class _CrashNow(Exception):
     pass
 
 
-def _crash_at(event_name):
-    """A crash hook aborting the process-under-test at ``event_name``."""
-    state = {"armed": False}
+def test_torn_page_write_is_refused_on_read_after_reopen(tmp_path):
+    # The hook fires between the two halves of the frame write, so the
+    # slot is left as a real torn write leaves it: the first half new (CRC,
+    # length, body start), the second half old.  Nothing repairs it — the
+    # checkpoint protocol restores pages.db from its image after a crash.
+    path = str(tmp_path / "pages.db")
+    armed = [False]
 
     def hook(event):
-        if state["armed"] and event == event_name:
+        assert event == "page:torn"
+        if armed[0]:
             raise _CrashNow(event)
 
-    return state, hook
-
-
-def test_torn_home_write_is_redone_from_double_write_slot(tmp_path):
-    path = str(tmp_path / "pages.db")
-    state, hook = _crash_at("home:torn")
-    disk = FileDiskManager(path, slot_bytes=SLOT, fsync=False, crash_hook=hook)
+    disk = FileDiskManager(path, slot_bytes=SLOT, crash_hook=hook)
     page = disk.allocate("version-1")
     disk.write(page)
-    disk.sync()  # allocation state durable before the simulated crash
-    state["armed"] = True
+    disk.sync()  # the allocation state is in the file before the crash
+    armed[0] = True
     page.payload = "version-2"
     with pytest.raises(_CrashNow):
         disk.write(page)
     # Simulated kill: the manager is abandoned without close()/sync().
 
-    reopened = FileDiskManager(path, slot_bytes=SLOT, fsync=False)
-    # Home tore mid-write, but the DW slot held a complete copy: reopening
-    # redoes the home write, so the *new* version survives.
-    assert reopened.dw_recoveries == 1
-    assert reopened.read(page.page_id).payload == "version-2"
-    assert reopened.checksum_failures == 0
-    reopened.close()
-
-
-def test_torn_double_write_leaves_previous_version_intact(tmp_path):
-    path = str(tmp_path / "pages.db")
-    state, hook = _crash_at("dw:torn")
-    disk = FileDiskManager(path, slot_bytes=SLOT, fsync=False, crash_hook=hook)
-    page = disk.allocate("version-1")
-    disk.write(page)
-    disk.sync()
-    state["armed"] = True
-    page.payload = "version-2"
-    with pytest.raises(_CrashNow):
-        disk.write(page)
-
-    reopened = FileDiskManager(path, slot_bytes=SLOT, fsync=False)
-    # The DW copy tore before the home slot was touched: the torn DW frame
-    # fails its CRC and is ignored, and the previous version still reads.
-    assert reopened.dw_recoveries == 0
-    assert reopened.read(page.page_id).payload == "version-1"
-    assert reopened.checksum_failures == 0
+    reopened = FileDiskManager(path, slot_bytes=SLOT)
+    with pytest.raises(PageCorruptionError):
+        reopened.read(page.page_id)
+    assert reopened.checksum_failures == 1
     reopened.close()
 
 
@@ -327,7 +314,7 @@ def test_torn_double_write_leaves_previous_version_intact(tmp_path):
 # Composition: fault injector and buffer manager over the file store
 # ----------------------------------------------------------------------
 def test_fault_injector_wraps_file_disk(tmp_path):
-    inner = FileDiskManager(str(tmp_path / "pages.db"), slot_bytes=SLOT, fsync=False)
+    inner = FileDiskManager(str(tmp_path / "pages.db"), slot_bytes=SLOT)
     disk = FaultInjectingDiskManager(
         inner=inner, profile=FaultProfile(fail_reads_at=frozenset({1}))
     )
@@ -343,21 +330,21 @@ def test_fault_injector_wraps_file_disk(tmp_path):
 
 def test_buffer_manager_context_manager_flushes_on_exit(tmp_path):
     path = str(tmp_path / "pages.db")
-    disk = FileDiskManager(path, slot_bytes=SLOT, fsync=False)
+    disk = FileDiskManager(path, slot_bytes=SLOT)
     with BufferManager(disk=disk, capacity=4) as buffer:
         page = buffer.new_page("durable-me")
         page.mark_dirty()
         page_id = page.page_id
     disk.sync()
     disk.close()
-    reopened = FileDiskManager(path, slot_bytes=SLOT, fsync=False)
+    reopened = FileDiskManager(path, slot_bytes=SLOT)
     assert reopened.read(page_id).payload == "durable-me"
     reopened.close()
 
 
 def test_buffer_manager_context_manager_flushes_on_exception(tmp_path):
     path = str(tmp_path / "pages.db")
-    disk = FileDiskManager(path, slot_bytes=SLOT, fsync=False)
+    disk = FileDiskManager(path, slot_bytes=SLOT)
     with pytest.raises(RuntimeError, match="boom"):
         with BufferManager(disk=disk, capacity=4) as buffer:
             page = buffer.new_page("still-flushed")
@@ -365,7 +352,7 @@ def test_buffer_manager_context_manager_flushes_on_exception(tmp_path):
             page_id = page.page_id
             raise RuntimeError("boom")
     disk.close()
-    reopened = FileDiskManager(path, slot_bytes=SLOT, fsync=False)
+    reopened = FileDiskManager(path, slot_bytes=SLOT)
     assert reopened.read(page_id).payload == "still-flushed"
     reopened.close()
 
