@@ -39,7 +39,6 @@ class IndexMetrics:
     query_io_total: int = 0
     update_io_total: int = 0
     query_node_accesses: int = 0
-    update_node_accesses: int = 0
     query_time_total: float = 0.0
     update_time_total: float = 0.0
     build_time: float = 0.0
@@ -58,11 +57,6 @@ class IndexMetrics:
     def avg_query_node_accesses(self) -> float:
         """Logical node accesses per query (buffer hits included)."""
         return self.query_node_accesses / self.num_queries if self.num_queries else 0.0
-
-    @property
-    def avg_update_node_accesses(self) -> float:
-        """Logical node accesses per update (buffer hits included)."""
-        return self.update_node_accesses / self.num_updates if self.num_updates else 0.0
 
     @property
     def avg_update_io(self) -> float:
@@ -170,7 +164,6 @@ class ExperimentRunner:
                 index.update_batch([(event.old, event.new) for event in batch])
                 metrics.update_time_total += time.perf_counter() - started
                 metrics.update_io_total += stats.physical.total - before
-                metrics.update_node_accesses += stats.logical.reads - before_logical
                 metrics.update_buffer_hits += stats.buffer.hits - before_hits
                 metrics.update_buffer_misses += stats.buffer.misses - before_misses
                 metrics.num_updates += len(batch)

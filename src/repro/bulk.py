@@ -2,7 +2,8 @@
 
 The chunking helpers size the nodes of the bottom-up (bulk) packers;
 :data:`MIN_VECTOR_BATCH` picks how the batch mutation helpers do their
-arithmetic.
+arithmetic, and :data:`MIN_VECTOR_FILTER` how the VP range filter does
+its own.
 """
 
 from __future__ import annotations
@@ -17,6 +18,19 @@ from typing import List
 #: speed; it never picks an algorithm.  Read it as ``bulk.MIN_VECTOR_BATCH``
 #: at call time, so one assignment moves every helper.
 MIN_VECTOR_BATCH = 8
+
+#: A range query with fewer sub-index candidates than this runs the VP range
+#: filter (Algorithm 3, Line 8) one candidate at a time instead of resolving
+#: them to slab rows and deciding them with one ``RangeQuery.matches_rows``
+#: call.  Measured in place over a seed-42 ``replay-bx`` request list (each
+#: query's candidates filtered both ways, best of 5): the vector path costs
+#: 28-34 us up to 32 candidates and 36-38 us at 48-128, the scalar one
+#: about 1 us a candidate (24 us at 24-32, 32 us at 32-48, 46 us at 48-64),
+#: so parity sits at 32-48.  ``replay-tpr`` hands the filter at most 19
+#: candidates a query, so TPR*(VP) never vectorizes.  Both paths give
+#: bit-identical answers, so the constant only trades speed; read it as
+#: ``bulk.MIN_VECTOR_FILTER`` at call time.
+MIN_VECTOR_FILTER = 32
 
 
 def chunk_count(n: int, capacity: int) -> int:

@@ -25,6 +25,7 @@ gets, so the comparison is not biased by extra RAM.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
@@ -156,16 +157,16 @@ class VPIndex(ScalarVerbs):
     Beside the directory (oid → partition, original and stored snapshot),
     every live object owns one row of ``_rows``: its *original* snapshot
     as a :data:`~repro.objects.knn.MOTION` record, written by every
-    mutation from the arrays it already builds.  kNN candidates come back
-    from it as one gather, their rows found through ``_by_oid``: derived
-    state, dropped by every change of the live set (``_commit``,
-    ``delete_batch``, an upsert) and rebuilt by the next kNN; updates and
-    migrations keep their slot, so they keep it.  The slab doubles when
-    full; released rows go to the free list ``_free`` and are reused
-    first.  ``density`` counts the live rows' positions per grid cell (the
-    original frame), so kNN probes start from a density-seeded radius:
-    rows written add to it, rows freed or overwritten are read back and
-    subtracted first.
+    mutation from the arrays it already builds.  kNN candidates and the
+    range filter's rows come back from it as one gather, found through
+    ``_by_oid`` (:meth:`_slots_of`): derived state, dropped by every change
+    of the live set (``_commit``, ``delete_batch``, an upsert) and rebuilt
+    by the next lookup; updates and migrations keep their slot, so they
+    keep it.  The slab doubles when full; released rows go to the free
+    list ``_free`` and are reused first.  ``density`` counts the live
+    rows' positions per grid cell (the original frame), so kNN probes
+    start from a density-seeded radius: rows written add to it, rows freed
+    or overwritten are read back and subtracted first.
     """
 
     def __init__(
@@ -200,9 +201,9 @@ class VPIndex(ScalarVerbs):
         self._directory: Dict[int, _StoredObject] = {}
         self._rows = np.empty(0, dtype=MOTION)
         self._free: List[int] = []
-        #: ``(oids, slots)`` of the directory sorted by oid, the kNN
-        #: candidates' id → row lookup; ``None`` after a change of the live
-        #: set, rebuilt by the next kNN.
+        #: ``(oids, slots)`` of the directory sorted by oid, the id → row
+        #: lookup of kNN candidates and of the range filter; ``None`` after
+        #: a change of the live set, rebuilt by :meth:`_slots_of`.
         self._by_oid: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self.density: Optional[CountGrid] = (
             CountGrid.over(space, DEFAULT_HISTOGRAM_CELLS) if space is not None else None
@@ -456,28 +457,20 @@ class VPIndex(ScalarVerbs):
         once and hands the whole group to the sub-index's
         ``range_query_batch``, its one range traversal (shared descents /
         traversals; a batch of one included); Line 8's filter with the
-        original query then runs per query, so each answer and its order
-        are those of the query asked alone.
+        original query then runs per query (:meth:`_filter`), so each
+        answer and its order are those of the query asked alone.
         """
         queries = list(queries)
         if not queries:
             return []
-        results: List[List[int]] = [[] for _ in queries]
-        seen: List[set] = [set() for _ in queries]
-
-        def run(index: SubIndex, transformed: List[RangeQuery]) -> None:
-            """Collect one sub-index's candidates through its batch surface."""
-            candidate_lists = index.range_query_batch(transformed, exact=False)
-            for qi, candidates in enumerate(candidate_lists):
-                self._filter_into(candidates, queries[qi], seen[qi], results[qi])
-
-        for partition in range(self.partitioning.k):
-            run(
-                self._index_of(partition),
-                [self.transform_query(query, partition) for query in queries],
+        scans = [
+            self._index_of(partition).range_query_batch(
+                [self.transform_query(query, partition) for query in queries], exact=False
             )
-        run(self.outlier_index, queries)
-        return results
+            for partition in range(self.partitioning.k)
+        ]
+        scans.append(self.outlier_index.range_query_batch(queries, exact=False))
+        return [self._filter(query, found) for query, found in zip(queries, zip(*scans))]
 
     # ------------------------------------------------------------------
     # kNN queries (batched expanding-range filter over Algorithm 3)
@@ -521,12 +514,12 @@ class VPIndex(ScalarVerbs):
         return bare candidate ids from their rotated frames (the kNN
         candidate surface: same shared machinery as ``range_query_batch``,
         but without the exact predicate).  Per query, the ids of every
-        sub-index are sorted and resolved with one ``searchsorted`` into
-        ``_by_oid`` (rebuilt here when a mutation dropped it) and come back
-        as one gather of slab rows, the *original* (unrotated) snapshots,
-        so the kNN distance ranking happens in the frame the query was
-        asked in.  An id the directory does not hold is dropped.  Ids are
-        not deduplicated: an object lives in one sub-index, and
+        sub-index are sorted and resolved to slab rows by :meth:`_slots_of`
+        (the range filter's lookup too) and come back as one gather of slab
+        rows, the *original* (unrotated) snapshots, so the kNN distance
+        ranking happens in the frame the query was asked in.  An id the
+        directory does not hold is dropped.  Ids are not deduplicated: an
+        object lives in one sub-index, and
         :func:`~repro.objects.knn.expanding_knn_batch` dedups each pool by
         oid.
         """
@@ -538,25 +531,12 @@ class VPIndex(ScalarVerbs):
             for partition in range(self.partitioning.k)
         ]
         scans.append(self.outlier_index.knn_candidates_batch(queries, ids_only=True))
-        if self._by_oid is None:
-            oids = np.fromiter(self._directory, np.int64, len(self._directory))
-            slots = np.fromiter(
-                (record.slot for record in self._directory.values()), np.intp, len(oids)
-            )
-            order = np.argsort(oids)
-            self._by_oid = oids[order], slots[order]
-        oids, slots = self._by_oid
-        rows = self._rows
-        if not oids.size:
-            return [rows[:0] for _ in queries]
         candidates = []
         for found in map(np.concatenate, zip(*scans)):
             # Sorted needles halve the binary searches' cost, and ``take``
             # gathers structured rows several times faster than ``rows[...]``.
-            found = np.sort(found)
-            at = oids.searchsorted(found)
-            hit = oids.take(at, mode="clip") == found
-            candidates.append(rows.take(slots[at[hit]]))
+            _, slots = self._slots_of(np.sort(found))
+            candidates.append(self._rows.take(slots))
         return candidates
 
     def transform_query(self, query: RangeQuery, partition: int) -> RangeQuery:
@@ -684,23 +664,57 @@ class VPIndex(ScalarVerbs):
             return obj
         return frame.to_frame_object(obj)
 
-    def _filter_into(
-        self,
-        candidate_oids: Sequence[int],
-        query: RangeQuery,
-        seen: set,
-        results: List[int],
-    ) -> None:
-        """Line 8 of Algorithm 3: keep candidates the original query accepts."""
-        for oid in candidate_oids:
-            if oid in seen:
-                continue
-            record = self._directory.get(oid)
-            if record is None:
-                continue
-            if query.matches(record.original):
-                seen.add(oid)
-                results.append(oid)
+    def _slots_of(self, oids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Which of ``oids`` the directory holds (a mask over them), and their slab rows.
+
+        One ``searchsorted`` into ``_by_oid``, rebuilt here when a change
+        of the live set dropped it; the rows are those of the held ids, in
+        the order of ``oids``.
+        """
+        if self._by_oid is None:
+            held = np.fromiter(self._directory, np.int64, len(self._directory))
+            slots = np.fromiter(
+                (record.slot for record in self._directory.values()), np.intp, len(held)
+            )
+            order = np.argsort(held)
+            self._by_oid = held[order], slots[order]
+        held, slots = self._by_oid
+        if not held.size:
+            return np.zeros(len(oids), dtype=bool), slots
+        at = held.searchsorted(oids)
+        hit = held.take(at, mode="clip") == oids
+        return hit, slots[at[hit]]
+
+    def _filter(self, query: RangeQuery, found: Sequence[List[int]]) -> List[int]:
+        """Line 8 of Algorithm 3: the candidates the original query accepts.
+
+        ``found`` holds one candidate list per sub-index, the outlier's
+        last.  Accepted ids come back in candidate order, each once; an id
+        the directory does not hold is dropped.  From
+        :data:`~repro.bulk.MIN_VECTOR_FILTER` candidates on, the ids are
+        resolved to slab rows at once (:meth:`_slots_of`) and
+        :meth:`RangeQuery.matches_rows` decides them together; below it,
+        each candidate's original snapshot is matched on its own.  Both
+        give the same answer.
+        """
+        total = sum(map(len, found))
+        if total < bulk.MIN_VECTOR_FILTER:
+            directory = self._directory
+            kept: Dict[int, None] = {}
+            for oid in chain.from_iterable(found):
+                if oid not in kept:
+                    record = directory.get(oid)
+                    if record is not None and query.matches(record.original):
+                        kept[oid] = None
+            return list(kept)
+        oids = np.fromiter(chain.from_iterable(found), np.int64, total)
+        # Sorted needles halve the binary searches' cost; the verdicts are
+        # scattered back to candidate order.
+        order = oids.argsort()
+        hit, slots = self._slots_of(oids.take(order))
+        accepted = np.zeros(total, dtype=bool)
+        accepted[order[hit]] = query.matches_rows(self._rows.take(slots))
+        return list(dict.fromkeys(oids[accepted].tolist()))
 
     # ------------------------------------------------------------------
     # Introspection used by experiments

@@ -20,7 +20,10 @@ This module is the flat, structure-of-arrays alternative for those loops:
   return tuples/lists of floats;
 * the ``soa_*`` kernels take the nine parallel ``array('d')`` bound columns
   of an array-backed node (``TPRNode.columns``) and make one fused pass
-  over them.
+  over them;
+* the ``*_rows`` kernels are numpy twins of the two refinement predicates
+  (``segment_intersects_circle`` / ``_rect``): one boolean per row of
+  float64 columns, the scalar kernel's boolean bit for bit.
 
 When to use what:
 
@@ -39,6 +42,8 @@ unchanged (bounds never shrink going backwards).
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 ProjectedRect = Tuple[float, float, float, float]
 Extent = Tuple[float, float, float, float, float, float, float, float]
@@ -779,3 +784,75 @@ def segment_intersects_rect(
         if t0 > t1 + 1e-9:
             return False
     return True
+
+
+# ----------------------------------------------------------------------
+# Row twins of the refinement predicates (one boolean per row)
+# ----------------------------------------------------------------------
+# The segment arguments are float64 arrays of one length (one row per
+# candidate); the range arguments stay scalars.  Each twin repeats its
+# scalar kernel's operations in the same order, so every row gets exactly
+# the scalar kernel's boolean.  A branch becomes a mask: where the scalar
+# kernel would divide by zero, the array divides by 1.0 and the mask
+# discards that row's quotient, so no division by zero is ever attempted.
+
+
+def segment_intersects_circle_rows(
+    px: np.ndarray,
+    py: np.ndarray,
+    vx: np.ndarray,
+    vy: np.ndarray,
+    duration: float,
+    cx: float,
+    cy: float,
+    radius: float,
+) -> np.ndarray:
+    """Per row, :func:`segment_intersects_circle` of that row's segment."""
+    dx = px - cx
+    dy = py - cy
+    a = vx * vx + vy * vy
+    b = 2.0 * (dx * vx + dy * vy)
+    c = dx * dx + dy * dy
+    still = a == 0.0
+    t_star = -b / np.where(still, 1.0, 2.0 * a)
+    # The clamps: below 0 -> 0, above duration -> duration (duration >= 0).
+    t_star = np.minimum(np.maximum(t_star, 0.0), duration)
+    best = np.minimum(a * t_star * t_star + b * t_star + c, c)
+    best = np.minimum(best, a * duration * duration + b * duration + c)
+    return np.where(still, c, best) <= radius * radius + 1e-9
+
+
+def segment_intersects_rect_rows(
+    px: np.ndarray,
+    py: np.ndarray,
+    vx: np.ndarray,
+    vy: np.ndarray,
+    duration: float,
+    x_min: float,
+    y_min: float,
+    x_max: float,
+    y_max: float,
+) -> np.ndarray:
+    """Per row, :func:`segment_intersects_rect` of that row's segment.
+
+    A row the x slab rejects is ``False`` whatever its y slab computes, as
+    the scalar kernel's early exit makes it.  A tiny nonzero velocity puts
+    a slab crossing beyond the float range: the quotient is then ``inf``,
+    as in the scalar kernel, and numpy's overflow warning is not raised.
+    """
+    t0 = 0.0
+    t1 = duration
+    inside = []
+    with np.errstate(over="ignore"):
+        for p, v, lo, hi in ((px, vx, x_min, x_max), (py, vy, y_min, y_max)):
+            still = v == 0.0
+            safe = np.where(still, 1.0, v)
+            t_enter = (lo - p) / safe
+            t_exit = (hi - p) / safe
+            # The swap, then "enter later" / "exit earlier".
+            t0 = np.where(still, t0, np.maximum(t0, np.minimum(t_enter, t_exit)))
+            t1 = np.where(still, t1, np.minimum(t1, np.maximum(t_enter, t_exit)))
+            inside.append(
+                np.where(still, ~((p < lo - 1e-9) | (p > hi + 1e-9)), ~(t0 > t1 + 1e-9))
+            )
+    return inside[0] & inside[1]

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
+import numpy as np
+
 from repro.geometry import kernels
 from repro.geometry.moving_rect import MovingRect
 from repro.geometry.point import Point
@@ -203,6 +205,39 @@ class RangeQuery:
             )
         rect = start_range.rect
         return kernels.segment_intersects_rect(
+            px, py, rel_vx, rel_vy, duration, rect.x_min, rect.y_min, rect.x_max, rect.y_max
+        )
+
+    def matches_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Array twin of :meth:`matches_motion`: one boolean per :data:`MOTION` row.
+
+        ``rows`` is a ``repro.objects.knn.MOTION`` array (``oid``, ``x``,
+        ``y``, ``vx``, ``vy``, ``t``).  The arithmetic is
+        :meth:`matches_motion`'s, operation for operation, through the row
+        twins of its kernels, so each row gets exactly the boolean the
+        scalar predicate gives that row's object.  It is the predicate of
+        the VP range filter (Algorithm 3, Line 8) and of the serving
+        layer's brute-force model.
+        """
+        vx = rows["vx"]
+        vy = rows["vy"]
+        rel_vx, rel_vy = vx, vy
+        if self.velocity is not None:
+            rel_vx = vx - self.velocity.vx
+            rel_vy = vy - self.velocity.vy
+        start_range = self.range_at(self.start_time)
+        elapsed = self.start_time - rows["t"]
+        px = rows["x"] + vx * elapsed
+        py = rows["y"] + vy * elapsed
+        duration = self.end_time - self.start_time
+
+        if isinstance(start_range, CircularRange):
+            center = start_range.center
+            return kernels.segment_intersects_circle_rows(
+                px, py, rel_vx, rel_vy, duration, center.x, center.y, start_range.radius
+            )
+        rect = start_range.rect
+        return kernels.segment_intersects_rect_rows(
             px, py, rel_vx, rel_vy, duration, rect.x_min, rect.y_min, rect.x_max, rect.y_max
         )
 

@@ -39,11 +39,15 @@ def quiescent_answers(
 ) -> Tuple[List[List[int]], List[List[Tuple[int, float]]]]:
     """What any index holding exactly ``live`` must answer, by brute force.
 
-    Range answers are the matching ids, ascending; kNN answers are the
-    ``k`` nearest ``(oid, distance)`` pairs, ordered by distance, then id.
+    Range answers are the matching ids, ascending, decided over the live
+    objects' :data:`~repro.objects.knn.MOTION` rows by
+    :meth:`RangeQuery.matches_rows` (the array twin of ``matches``); kNN
+    answers are the ``k`` nearest ``(oid, distance)`` pairs, ordered by
+    distance, then id.
     """
-    ranges = [sorted(oid for oid, obj in live.items() if query.matches(obj)) for query in queries]
-    rows = motion_rows(live.values()) if probes else None
+    rows = motion_rows(live.values())
+    rows = rows.take(np.argsort(rows["oid"]))
+    ranges = [rows["oid"][query.matches_rows(rows)].tolist() for query in queries]
     nearest = []
     for probe in probes:
         oids, distances = _rank_distances(rows, probe.center, probe.query_time)
