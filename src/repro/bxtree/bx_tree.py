@@ -48,7 +48,6 @@ from repro.bxtree.grid import CountGrid, Grid
 from repro.bxtree.key_store import make_key_store
 from repro.bxtree.spacefill import HilbertCurve, SpaceFillingCurve, ZCurve
 from repro.bxtree.velocity_histogram import VelocityHistogram
-from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.objects.knn import (
     MOTION,
@@ -182,11 +181,6 @@ class BxTree(ScalarVerbs):
             if count == delta:  # partition newly active
                 self._sorted_partitions = None
             self._partition_counts[partition] = count
-
-    def _label_position(self, obj: MovingObject) -> Point:
-        """Position of ``obj`` at its partition's label time (the indexed position)."""
-        partition = self.partition_of(obj.reference_time)
-        return obj.position_at(self.label_time(partition))
 
     # ------------------------------------------------------------------
     # Batch updates
@@ -511,12 +505,6 @@ class BxTree(ScalarVerbs):
         if self._sorted_partitions is None:
             self._sorted_partitions = sorted(self._partition_counts)
         return self._sorted_partitions
-
-    def rebuild_histogram(self) -> None:
-        """Recompute the velocity histogram from the live objects."""
-        self.histogram.rebuild(
-            (self._label_position(obj), obj.velocity) for _, obj in self.store.items()
-        )
 
 
 def _take(positions: List[int], *columns):

@@ -98,23 +98,6 @@ class CoordinateFrame:
         corners = [self.to_frame_point(c) for c in rect.corners()]
         return Rect.bounding_points(corners)
 
-    # ------------------------------------------------------------------
-    # Inverse transform (frame -> original)
-    # ------------------------------------------------------------------
-    def from_frame_point(self, point: Point) -> Point:
-        """Map a frame-coordinates point back to the original frame."""
-        return Point(
-            point.x * self.axis.vx + point.y * self.normal.vx,
-            point.x * self.axis.vy + point.y * self.normal.vy,
-        )
-
-    def from_frame_vector(self, vector: Vector) -> Vector:
-        """Map a frame-coordinates vector back to the original frame."""
-        return Vector(
-            vector.vx * self.axis.vx + vector.vy * self.normal.vx,
-            vector.vx * self.axis.vy + vector.vy * self.normal.vy,
-        )
-
 
 @dataclass(frozen=True)
 class DominantVelocityAxis:

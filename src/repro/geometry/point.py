@@ -8,12 +8,9 @@ which pairs a reference :class:`Point` with a :class:`repro.geometry.Vector`.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, Tuple
+from typing import Iterator, Tuple
 
 from repro.geometry.record import value_record
-
-if TYPE_CHECKING:  # pragma: no cover - import used only for type hints
-    from repro.geometry.vector import Vector
 
 
 @value_record
@@ -49,7 +46,3 @@ class Point:
     def translate(self, dx: float, dy: float) -> "Point":
         """Return a new point shifted by ``(dx, dy)``."""
         return Point(self.x + dx, self.y + dy)
-
-    def at_time(self, velocity: "Vector", elapsed: float) -> "Point":
-        """Project the point along ``velocity`` for ``elapsed`` time units."""
-        return Point(self.x + velocity.vx * elapsed, self.y + velocity.vy * elapsed)

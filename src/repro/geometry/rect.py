@@ -93,10 +93,6 @@ class Rect:
         return self.width * self.height
 
     @property
-    def perimeter(self) -> float:
-        return 2.0 * (self.width + self.height)
-
-    @property
     def center(self) -> Point:
         return Point((self.x_min + self.x_max) / 2.0, (self.y_min + self.y_max) / 2.0)
 
@@ -181,16 +177,8 @@ class Rect:
     def translated(self, dx: float, dy: float) -> "Rect":
         return Rect(self.x_min + dx, self.y_min + dy, self.x_max + dx, self.y_max + dy)
 
-    def enlargement_area(self, other: "Rect") -> float:
-        """Extra area needed for this rectangle to also cover ``other``."""
-        return self.union(other).area - self.area
-
     def min_distance_to_point(self, point: Point) -> float:
         """Minimum Euclidean distance from the rectangle to ``point``."""
         dx = max(self.x_min - point.x, 0.0, point.x - self.x_max)
         dy = max(self.y_min - point.y, 0.0, point.y - self.y_max)
         return math.hypot(dx, dy)
-
-    def intersects_circle(self, center: Point, radius: float) -> bool:
-        """Whether the rectangle intersects a circle (used for circular queries)."""
-        return self.min_distance_to_point(center) <= radius

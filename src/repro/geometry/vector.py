@@ -86,10 +86,6 @@ class Vector:
         unit = axis.normalized()
         return abs(self.cross(unit))
 
-    def component_along(self, axis: "Vector") -> float:
-        """Signed component of this vector along the (normalized) ``axis``."""
-        return self.dot(axis.normalized())
-
     def __add__(self, other: "Vector") -> "Vector":
         return Vector(self.vx + other.vx, self.vy + other.vy)
 

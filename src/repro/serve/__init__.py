@@ -35,7 +35,6 @@ from repro.serve.shard_log import LOG_OPS, DurableShardLog, ShardLog
 from repro.serve.snapshot import SnapshotTooOldError, VersionedShard
 from repro.serve.sharded_index import (
     DEFAULT_SHARDS,
-    AggregateStats,
     ShardedIndex,
     shard_of,
 )
@@ -61,7 +60,6 @@ from repro.serve.supervisor import (
 )
 
 __all__ = [
-    "AggregateStats",
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",

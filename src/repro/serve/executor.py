@@ -1,8 +1,9 @@
 """Pluggable shard executors: where a shard's operations actually run.
 
 The :class:`~repro.serve.ShardedIndex` above this module decides *what*
-runs on each shard (routing, supervision, WAL, merge); an
-:class:`Executor` decides *where*:
+runs on each shard (routing, WAL, merge) and its
+:class:`~repro.serve.supervisor.Supervisor` how failures are handled; an
+:class:`Executor` decides *where* (:meth:`Executor.run`):
 
 * :class:`SerialExecutor` — every shard call runs inline on the calling
   thread, one shard after another.  No threads, no processes: the
@@ -43,14 +44,19 @@ import copy
 import multiprocessing
 import os
 import threading
+import time
 import warnings
 import weakref
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor, wait
+from concurrent.futures import TimeoutError as FutureTimeoutError
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.objects.knn import ScalarVerbs
+from repro.serve.supervisor import ShardFailedError
 from repro.storage.faults import ShardDownError
 from repro.storage.stats import IOStats
+
+T = TypeVar("T")
 
 
 class Executor:
@@ -58,9 +64,10 @@ class Executor:
 
     An executor is single-use: it binds to one :class:`ShardedIndex` via
     :meth:`attach` and is torn down by that index's ``close()``.  The
-    serving layer holds the per-shard locks and the supervision policy;
-    the executor only provides placement (inline / process) and the
-    handle objects the supervised calls run against.
+    :class:`~repro.serve.supervisor.Supervisor` holds the per-shard locks
+    and the supervision policy; the executor only provides placement
+    (:meth:`run`: inline / fanned out) and the handle objects the
+    supervised calls run against.
 
     Attributes:
         kind: short name (``"serial"`` / ``"process"``).
@@ -96,6 +103,25 @@ class Executor:
     def close(self) -> None:
         """Tear the executor down (idempotent at this level)."""
         self._closed = True
+
+    # -- placement -----------------------------------------------------
+    def run(
+        self, calls: Dict[int, Callable[[], T]], timeout: Optional[float]
+    ) -> Tuple[Dict[int, T], Dict[int, BaseException]]:
+        """Run one call per shard; returns their results and failures, keyed by shard.
+
+        A call raising :class:`~repro.serve.supervisor.ShardFailedError`
+        is a failure; any other exception propagates.  This default runs
+        the calls inline, in the order given (no ``timeout`` reaches it).
+        """
+        results: Dict[int, T] = {}
+        failures: Dict[int, BaseException] = {}
+        for shard_id, call in calls.items():
+            try:
+                results[shard_id] = call()
+            except ShardFailedError as error:
+                failures[shard_id] = error
+        return results, failures
 
     # -- shard plumbing ------------------------------------------------
     def replace(self, shard_id: int, fresh: Any) -> Any:
@@ -323,15 +349,16 @@ class ProcessExecutor(Executor):
     recovered shard is shipped to a respawned worker by
     :meth:`replace`.
 
+    :meth:`run` fans calls out on a private thread pool, one thread per
+    shard (created at attach, threads started on first use): pool threads
+    wait on the workers' pipes, so the workers compute in parallel, and
+    one that overruns the supervisor's query timeout can be abandoned
+    while the others answer.
+
     Attributes:
         start_method: the ``multiprocessing`` start method in use:
             ``"fork"`` where available (no interpreter re-import per
             worker) and ``"spawn"`` elsewhere.
-        pool: the fan-out thread pool, one thread per shard (created at
-            attach, threads started on first use).  A call fanned out to
-            several shards waits on their workers from it, so the workers
-            compute in parallel and one that overruns the supervisor's
-            query timeout can be abandoned while the others answer.
     """
 
     kind = "process"
@@ -344,17 +371,17 @@ class ProcessExecutor(Executor):
         self._workers: Dict[int, _Worker] = {}
         self._mirrors: List[IOStats] = []
         self._handles: List[_ProcessShard] = []
-        self.pool: Optional[ThreadPoolExecutor] = None
+        self._pool: Optional[ThreadPoolExecutor] = None
 
     def _attach(self, shards: List[Any]) -> List[Any]:
         for shard_id, shard in enumerate(shards):
             self._mirrors.append(IOStats())
             self._handles.append(self._spawn(shard_id, shard))
-        self.pool = ThreadPoolExecutor(len(shards), thread_name_prefix="shard-process")
+        self._pool = ThreadPoolExecutor(len(shards), thread_name_prefix="shard-process")
         # GC backstop: terminate leaked workers and pool threads (close()
         # is the real path).
         weakref.finalize(self, _terminate_workers, self._workers, os.getpid())
-        weakref.finalize(self, self.pool.shutdown, wait=False)
+        weakref.finalize(self, self._pool.shutdown, wait=False)
         return list(self._handles)
 
     def _spawn(self, shard_id: int, index: Any) -> _ProcessShard:
@@ -410,6 +437,57 @@ class ProcessExecutor(Executor):
             return payload
         raise payload
 
+    def run(
+        self, calls: Dict[int, Callable[[], T]], timeout: Optional[float]
+    ) -> Tuple[Dict[int, T], Dict[int, BaseException]]:
+        """Fan the calls out on the pool under one shared deadline.
+
+        One call without a deadline runs inline (a pool thread would only
+        wait on the pipe).  A call still running at the deadline is
+        abandoned and fails as a :class:`TimeoutError`; one ``close()``
+        cancelled before it started fails as a :class:`RuntimeError`.
+        """
+        if len(calls) <= 1 and timeout is None:
+            return super().run(calls, timeout)
+        futures = {shard_id: self._pool.submit(call) for shard_id, call in calls.items()}
+        return self._gather(futures, timeout)
+
+    def _gather(
+        self, futures: Dict[int, "Future[T]"], timeout: Optional[float]
+    ) -> Tuple[Dict[int, T], Dict[int, BaseException]]:
+        """Collect fan-out futures; returns the per-shard results and failures.
+
+        A per-call ``timeout`` is a shared deadline: every future must
+        resolve within ``timeout`` seconds of the gather starting.  On an
+        unexpected (non-supervision) exception the remaining futures are
+        cancelled and awaited before it propagates, so ``__exit__`` /
+        ``close()`` never races abandoned workers.
+        """
+        results: Dict[int, T] = {}
+        failures: Dict[int, BaseException] = {}
+        deadline = None if timeout is None else time.monotonic() + timeout
+        pending = dict(futures)
+        try:
+            for shard_id, future in futures.items():
+                remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
+                try:
+                    results[shard_id] = future.result(timeout=remaining)
+                except ShardFailedError as error:
+                    failures[shard_id] = error
+                except FutureTimeoutError:
+                    # The worker cannot be interrupted; abandon it.
+                    failures[shard_id] = TimeoutError(f"shard call exceeded {timeout}s")
+                except CancelledError:
+                    failures[shard_id] = RuntimeError("shard call cancelled")
+                finally:
+                    pending.pop(shard_id, None)
+        except BaseException:
+            for future in pending.values():
+                future.cancel()
+            wait(pending.values())
+            raise
+        return results, failures
+
     def replace(self, shard_id: int, fresh: Any) -> Any:
         """Ship a recovered shard to a fresh worker process."""
         old = self._workers.get(shard_id)
@@ -450,8 +528,8 @@ class ProcessExecutor(Executor):
         Queued fan-out calls are cancelled and running ones awaited, so no
         pool thread can still be talking to a worker once this returns.
         """
-        if self.pool is not None:
-            self.pool.shutdown(wait=True, cancel_futures=True)
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
         for shard_id, worker in self._workers.items():
             with worker.lock:
                 if not worker.dead:

@@ -22,55 +22,30 @@ top-``k`` lists by ``(distance, oid)`` and keeping the first ``k`` yields
 exactly the unsharded answer — see ``docs/sharding.md`` for the one-line
 proof.
 
-**Supervision.**  Every shard call runs under a supervisor (see
-``docs/robustness.md``): transient I/O faults
-(:class:`~repro.storage.faults.InjectedFault`) on read-only calls are
-retried with bounded exponential backoff + jitter; per-shard circuit
-breakers stop calling a shard that keeps failing; fanned-out calls can
-carry a per-shard timeout.  A failed *mutation* never blind-retries —
-the shard's state is suspect — and instead triggers **recovery**: every
-routed mutation is appended to a per-shard write-ahead
-:class:`~repro.serve.shard_log.ShardLog` *before* execution, so the
-shard's recovery source — its durable checkpoint image, or in memory a
-deepcopy of the shard as it was handed over (replaced at every
-checkpoint) — replayed from the log is equivalent, answer for answer, to
-a shard that never failed.  Queries can opt into
-**degraded answers** (``partial=True``): open-circuit or failing shards
-are skipped and the healthy shards' merged answers come back in a
+**Logging, supervision, epochs, placement.**  Every routed mutation is
+appended to a per-shard write-ahead
+:class:`~repro.serve.shard_log.ShardLog` *before* execution, so a failed
+shard rebuilt from its recovery source plus the log is equivalent,
+answer for answer, to a shard that never failed.  Three collaborators do
+the rest: a :class:`~repro.serve.supervisor.Supervisor` runs every shard
+call under the retry / breaker / recovery policy and serializes calls on
+one shard (``docs/robustness.md``); an
+:class:`~repro.serve.snapshot.EpochClock` numbers mutation batches and
+pins the epochs queries read at (``docs/htap.md``); the
+:class:`~repro.serve.executor.Executor` places the calls — inline, or
+fanned out to worker processes (``docs/serving.md``).  Queries can opt
+into **degraded answers** (``partial=True``): open-circuit or failing
+shards are skipped and the healthy shards' merged answers come back in a
 :class:`~repro.serve.supervisor.PartialResult` instead of an exception.
-
-**Concurrency.**  Shards share no mutable state, so work on different
-shards runs in parallel (one call's slices in the process executor's
-workers; concurrent callers' on any executor).  Within one shard
-everything is serialized by a per-shard lock: the buffer pool's LRU
-bookkeeping mutates on every fetch, so even read-only queries must not
-interleave on a single shard.  Concurrent *calls into the same
-ShardedIndex* are therefore safe; what is not safe is touching a shard's
-underlying index directly while the serving layer is live (see
-``docs/sharding.md``).
+Concurrent *calls into the same ShardedIndex* are safe; touching a
+shard's underlying index directly while the serving layer is live is not
+(see ``docs/sharding.md``).
 """
 
 from __future__ import annotations
 
-import copy
-import operator
-import random
-import threading
-import time
-from concurrent.futures import CancelledError, Future, wait
-from contextlib import contextmanager
 from functools import partial
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-    Union,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.core.partitioned_index import make_index
 from repro.geometry.rect import Rect
@@ -78,20 +53,11 @@ from repro.objects.knn import KNNQuery, ScalarVerbs
 from repro.objects.moving_object import MovingObject
 from repro.objects.queries import RangeQuery
 from repro.serve.config import ServeConfig, check_constructible
-from repro.serve.executor import Executor, ProcessExecutor
-from repro.serve.shard_log import Outcome, ShardLog, apply_outcome
-from repro.serve.snapshot import VersionedShard
-from repro.serve.supervisor import (
-    SHARD_FAILED,
-    SHARD_SKIPPED,
-    CircuitBreaker,
-    PartialResult,
-    ShardFailedError,
-    ShardStatus,
-    SupervisorConfig,
-)
+from repro.serve.executor import Executor, _stats_tuple
+from repro.serve.shard_log import ShardLog, apply_outcome
+from repro.serve.snapshot import EpochClock, VersionedShard
+from repro.serve.supervisor import PartialResult, ShardStatus, Supervisor
 from repro.storage.buffer_manager import DEFAULT_BUFFER_PAGES
-from repro.storage.faults import InjectedFault, ShardDownError
 from repro.storage.stats import BufferCounter, Counter, IOStats
 
 #: Default shard count of the serving layer.
@@ -123,67 +89,37 @@ def shard_of(oid: int, num_shards: int) -> int:
     return (mixed >> 32) % num_shards
 
 
-class _ShardSkipped(Exception):
-    """Internal control flow: a query skipped a shard whose circuit is open."""
+class _AggregateStats:
+    """The shards' :class:`IOStats`, summed anew at every counter read.
 
-    def __init__(self, shard_id: int) -> None:
-        super().__init__(f"shard {shard_id} skipped (circuit open)")
-        self.shard_id = shard_id
-
-
-class AggregateStats:
-    """Live read-only sum of several shards' :class:`IOStats`.
-
-    Each property materializes a fresh counter summed across the shards at
-    access time, so harness-style ``before = stats.physical.total`` /
-    ``after - before`` accounting works unchanged on a sharded index.
-
-    ``parts`` is a callable returning the current sequence of
-    :class:`IOStats`, so the aggregate follows shard *recovery* (a rebuilt
-    shard brings a fresh stats object; a fixed list would keep summing the
-    dead one).
-    """
-
-    def __init__(self, parts: Callable[[], Sequence[IOStats]]) -> None:
-        self._provider = parts
-
-    @property
-    def physical(self) -> Counter:
-        """Summed physical read/write counter."""
-        parts = self._provider()
-        return Counter(
-            reads=sum(p.physical.reads for p in parts),
-            writes=sum(p.physical.writes for p in parts),
-        )
-
-    @property
-    def logical(self) -> Counter:
-        """Summed logical read/write counter."""
-        parts = self._provider()
-        return Counter(
-            reads=sum(p.logical.reads for p in parts),
-            writes=sum(p.logical.writes for p in parts),
-        )
-
-    @property
-    def buffer(self) -> BufferCounter:
-        """Summed buffer hit/miss counter."""
-        parts = self._provider()
-        return BufferCounter(
-            hits=sum(p.buffer.hits for p in parts),
-            misses=sum(p.buffer.misses for p in parts),
-        )
-
-
-class _AggregateBuffer:
-    """Buffer facade summing the shards' pools (what the harness reads).
-
-    Reads through the live shard list so the aggregate stays correct
-    after a shard is swapped out by recovery.
+    A caller may hold it across requests and diff its counters, as it
+    would an unsharded index's own ``IOStats`` (the harness and perfbench
+    do).  It reads through the live shard list, so the sum follows a
+    shard swapped out by recovery.
     """
 
     def __init__(self, shards: Sequence) -> None:
-        self.stats = AggregateStats(lambda: [shard.buffer.stats for shard in shards])
+        self._shards = shards
+
+    def _summed(self) -> IOStats:
+        columns = zip(*(_stats_tuple(shard.buffer.stats) for shard in self._shards))
+        reads, writes, logical_reads, logical_writes, hits, misses = map(sum, columns)
+        return IOStats(
+            Counter(reads, writes),
+            Counter(logical_reads, logical_writes),
+            BufferCounter(hits, misses),
+        )
+
+    physical = property(lambda self: self._summed().physical, doc="Summed physical counter.")
+    logical = property(lambda self: self._summed().logical, doc="Summed logical counter.")
+    buffer = property(lambda self: self._summed().buffer, doc="Summed buffer hit/miss counter.")
+
+
+class _AggregateBuffer:
+    """Buffer facade over the shards' pools: ``stats`` is their live sum."""
+
+    def __init__(self, shards: Sequence) -> None:
+        self.stats = _AggregateStats(shards)
 
 
 class ShardedIndex(ScalarVerbs):
@@ -215,16 +151,6 @@ class ShardedIndex(ScalarVerbs):
             f"{getattr(shards[0], 'name', type(shards[0]).__name__)}"
         )
         self.space = resolved.space
-        self._config = (
-            resolved.supervisor if resolved.supervisor is not None else SupervisorConfig()
-        )
-        self._locks = [threading.Lock() for _ in shards]
-        if resolved.stores is None:
-            self._stores: List[Optional[object]] = [None for _ in shards]
-            self._logs: List[ShardLog] = [ShardLog() for _ in shards]
-        else:
-            self._stores = list(resolved.stores)
-            self._logs = [store.log for store in self._stores]
         # Epoch-version every shard.  A shard restored from a durable
         # checkpoint arrives already wrapped (the wrapper travels through
         # the checkpoint image, and the store replayed the WAL tail into it
@@ -240,41 +166,15 @@ class ShardedIndex(ScalarVerbs):
         # process executor they are worker proxies.
         self.shards = self._backend.attach(shards)
         self.buffer = _AggregateBuffer(self.shards)
-        # The in-memory recovery source: a deepcopy of each shard as it was
-        # handed over (the WAL holds everything since), replaced by every
-        # checkpoint.  Durable shards restore their checkpoint image instead.
-        self._baselines: List[Optional[object]] = [
-            copy.deepcopy(shard) if store is None else None
-            for shard, store in zip(shards, self._stores)
-        ]
-        self._closed = False
-        self._breakers = [
-            CircuitBreaker(
-                failure_threshold=self._config.failure_threshold,
-                reset_timeout_s=self._config.reset_timeout_s,
-                clock=self._config.clock,
-            )
-            for _ in shards
-        ]
-        # One jitter RNG per shard: backoff schedules stay deterministic
-        # even when several shards retry concurrently.
-        self._rngs = [random.Random(shard_id) for shard_id in range(len(shards))]
+        self._supervisor = Supervisor(
+            self.shards, shards, self._backend, resolved.supervisor, resolved.stores
+        )
         #: Completed recoveries, oldest first (shard id, wall seconds,
         #: replayed and rejected record counts, attempts) — read by the
         #: fault bench.
-        self.recovery_events: List[Dict[str, float]] = []
-        # Snapshot-epoch state (see docs/htap.md).  One global counter,
-        # advanced per mutation batch under the single-writer lock; the
-        # *published* epoch trails it until the batch has scattered to
-        # every routed shard, and queries pin the published epoch.  Pins
-        # are refcounts keyed by epoch — their minimum is the GC floor no
-        # shard may prune past.
-        start_epoch = max(shard.epoch for shard in shards)
-        self._epoch_counter = start_epoch
-        self._published_epoch = start_epoch
-        self._pins: Dict[int, int] = {}
-        self._write_lock = threading.Lock()
-        self._epoch_lock = threading.Lock()
+        self.recovery_events: List[Dict[str, float]] = self._supervisor.recovery_events
+        self._epochs = EpochClock(max(shard.epoch for shard in shards))
+        self._closed = False
 
     # ------------------------------------------------------------------
     # Shard plumbing
@@ -294,11 +194,11 @@ class ShardedIndex(ScalarVerbs):
 
     def shard_log(self, shard_id: int) -> ShardLog:
         """The write-ahead log of one shard (tests and tooling)."""
-        return self._logs[shard_id]
+        return self._supervisor.logs[shard_id]
 
     def breaker_states(self) -> List[str]:
         """Current circuit-breaker state per shard."""
-        return [breaker.state for breaker in self._breakers]
+        return self._supervisor.breaker_states()
 
     @property
     def executor(self) -> Executor:
@@ -317,9 +217,8 @@ class ShardedIndex(ScalarVerbs):
         batches numbered at or below it, on every shard, regardless of
         what later batches are concurrently applying.
         """
-        return self._published_epoch
+        return self._epochs.published
 
-    @contextmanager
     def pin(self):
         """Pin the published epoch for a multi-call consistent read.
 
@@ -333,70 +232,7 @@ class ShardedIndex(ScalarVerbs):
                 ids = index.range_query_batch(queries, epoch=epoch)
                 nn = index.knn_query_batch(probes, epoch=epoch)
         """
-        epoch = self._pin_epoch()
-        try:
-            yield epoch
-        finally:
-            self._unpin_epoch(epoch)
-
-    def _pin_epoch(self) -> int:
-        """Register a pin on the published epoch and return it."""
-        with self._epoch_lock:
-            epoch = self._published_epoch
-            self._pins[epoch] = self._pins.get(epoch, 0) + 1
-        return epoch
-
-    def _unpin_epoch(self, epoch: int) -> None:
-        with self._epoch_lock:
-            count = self._pins.get(epoch, 0) - 1
-            if count > 0:
-                self._pins[epoch] = count
-            else:
-                self._pins.pop(epoch, None)
-
-    def _resolve_pin(self, epoch: Optional[int]) -> Tuple[int, bool]:
-        """The epoch a query runs at, and whether this call owns the pin.
-
-        ``None`` auto-pins the published epoch for the duration of the
-        call; an explicit epoch is trusted (callers obtain one from
-        :meth:`pin`, which keeps its deltas alive) but must already be
-        published — pinning the future would break the consistent-cut
-        guarantee — and integral (``1.9`` raises ``TypeError``).
-        """
-        if epoch is None:
-            return self._pin_epoch(), True
-        epoch = operator.index(epoch)
-        if epoch < 0 or epoch > self._published_epoch:
-            raise ValueError(
-                f"epoch {epoch} is not published yet (published epoch: "
-                f"{self._published_epoch})"
-            )
-        return epoch, False
-
-    @contextmanager
-    def _update_epoch(self):
-        """Serialize one mutation batch and hand it the next epoch.
-
-        Yields ``(epoch, gc_floor)`` under the single-writer lock; the
-        epoch is published in the ``finally`` — its WAL records exist and
-        every routed shard applied its slice, rejected it whole, or is
-        marked failed (a failed shard cannot silently answer a torn cut:
-        strict queries raise on it and partial queries skip it until it
-        recovers, and recovery replays the WAL through this very epoch).
-        The GC floor is the oldest epoch a live pin still needs — computed
-        under the epoch lock so a concurrently registered pin is never starved.
-        """
-        with self._write_lock:
-            with self._epoch_lock:
-                self._epoch_counter += 1
-                epoch = self._epoch_counter
-                gc_floor = min(self._pins) if self._pins else self._published_epoch
-            try:
-                yield epoch, gc_floor
-            finally:
-                with self._epoch_lock:
-                    if epoch > self._published_epoch:
-                        self._published_epoch = epoch
+        return self._epochs.pin()
 
     @property
     def closed(self) -> bool:
@@ -414,15 +250,13 @@ class ShardedIndex(ScalarVerbs):
         """Flush every shard, persist durable shards, shut down the executor.
 
         Every shard's buffer is flushed under its lock — a durable backend
-        must never silently drop dirty frames on a clean shutdown (a shard
-        whose storage is faulted cannot flush and is skipped; nothing is
-        lost in-memory, and a durable shard recovers from its WAL).
-        Shards with a durable store are checkpointed and their stores
-        closed, so a clean shutdown leaves an empty WAL and reopening
-        replays nothing.  Finally the executor itself is torn down: queued
-        fan-out calls are cancelled and running ones awaited, so after
-        ``close()`` returns no worker can still be touching a shard, and
-        worker processes exit here, never via garbage collection.
+        must never silently drop dirty frames on a clean shutdown — and
+        durable shards are checkpointed and their stores closed, so
+        reopening replays nothing (:meth:`Supervisor.close`).  Then the
+        executor is torn down: queued fan-out calls are cancelled and
+        running ones awaited, so after ``close()`` returns no worker can
+        still be touching a shard, and worker processes exit here, never
+        via garbage collection.
 
         ``close()`` is terminal: the index rejects further operations,
         and a second ``close()`` raises ``RuntimeError`` (``with`` blocks
@@ -430,34 +264,20 @@ class ShardedIndex(ScalarVerbs):
         open).
         """
         self._ensure_open()
-        for shard_id in range(len(self.shards)):
-            store = self._stores[shard_id]
-            with self._locks[shard_id]:
-                if store is not None:
-                    self._compact_locked(shard_id)
-                    store.close()
-                else:
-                    try:
-                        self.shards[shard_id].buffer.flush()
-                    except InjectedFault:
-                        pass
+        self._supervisor.close()
         self._backend.close()
         self._closed = True
 
     def checkpoint(self) -> None:
         """Checkpoint every shard and truncate its write-ahead log.
 
-        Per shard (under its lock): flush the buffer's dirty frames, then
-        either commit a new checkpoint generation through the shard's
-        durable store, or — for in-memory shards — replace the shard's
-        baseline with a snapshot taken through the executor; in both cases
-        the WAL is truncated afterwards, so the next recovery replays only
-        the tail logged since this call.
+        Per shard, under its lock: a durable shard commits a new checkpoint
+        generation; an in-memory one flushes its buffer and its baseline
+        becomes a snapshot taken through the executor.  The next recovery
+        replays only the tail logged since this call.
         """
         self._ensure_open()
-        for shard_id in range(len(self.shards)):
-            with self._locks[shard_id]:
-                self._compact_locked(shard_id)
+        self._supervisor.checkpoint()
 
     @classmethod
     def build(
@@ -555,165 +375,11 @@ class ShardedIndex(ScalarVerbs):
 
     def __exit__(self, *exc_info) -> None:
         # Runs on success *and* when an exception escaped mid-fan-out;
-        # _gather has already cancelled/awaited that call's futures, so
+        # Executor.run has already cancelled/awaited its pending calls, so
         # shutdown cannot deadlock on abandoned work.  Tolerates an index
         # the body already closed (close() itself is once-only).
         if not self._closed:
             self.close()
-
-    # ------------------------------------------------------------------
-    # Supervised execution
-    # ------------------------------------------------------------------
-    def _locked_supervised(
-        self,
-        shard_id: int,
-        task: Callable[[object], T],
-        read_only: bool,
-        status: ShardStatus,
-    ) -> T:
-        """Run ``task(shard)`` under the shard lock with the full policy.
-
-        Read-only calls retry transient faults with backoff; mutations
-        never blind-retry (the shard may have half-applied the batch) and
-        recover from the write-ahead log instead.  Only an
-        :class:`InjectedFault` is a failure: a query's other exceptions
-        (caller bugs like a bad argument) propagate unchanged and do not
-        touch the breaker, and a mutation task returns its rejection as
-        an :data:`~repro.serve.shard_log.Outcome` (:func:`apply_outcome`).
-        """
-        with self._locks[shard_id]:
-            breaker = self._breakers[shard_id]
-            retry = self._config.retry
-            rng = self._rngs[shard_id]
-            if not breaker.allow():
-                if read_only:
-                    status.state = SHARD_SKIPPED
-                    status.error = "circuit open"
-                    raise _ShardSkipped(shard_id)
-                # A mutation routed to an open shard: the WAL already
-                # holds it, so recovery both heals the shard and applies
-                # the mutation.
-                value = self._recover_locked(shard_id)
-                status.attempts = 1
-                return value
-            for attempt in range(retry.max_attempts):
-                status.attempts = attempt + 1
-                try:
-                    value = task(self.shards[shard_id])
-                except InjectedFault as fault:
-                    transient = not isinstance(fault, ShardDownError)
-                    if read_only:
-                        if transient and attempt + 1 < retry.max_attempts:
-                            self._config.sleep(retry.backoff_delay(attempt, rng))
-                            continue
-                        breaker.record_failure()
-                        status.state = SHARD_FAILED
-                        status.error = f"{type(fault).__name__}: {fault}"
-                        raise ShardFailedError(shard_id, fault) from fault
-                    try:
-                        return self._recover_locked(shard_id)
-                    except InjectedFault as recovery_fault:
-                        breaker.record_failure()
-                        status.state = SHARD_FAILED
-                        status.error = (
-                            f"recovery failed: {type(recovery_fault).__name__}: "
-                            f"{recovery_fault}"
-                        )
-                        raise ShardFailedError(shard_id, recovery_fault) from recovery_fault
-                else:
-                    breaker.record_success()
-                    return value
-            raise AssertionError("unreachable: retry loop always returns or raises")
-
-    def _fresh_shard_locked(self, shard_id: int) -> VersionedShard:
-        """A shard holding exactly the state the WAL tail replays on top of.
-
-        Durable shards restore their last checkpoint image; in-memory
-        shards deepcopy their baseline (the shard as handed over, or as of
-        its last checkpoint — the WAL holds every record since).  Either
-        is a :class:`VersionedShard`, epoch and retained overlay included.
-        """
-        store = self._stores[shard_id]
-        if store is not None:
-            return store.restore_image()
-        return copy.deepcopy(self._baselines[shard_id])
-
-    def _compact_locked(self, shard_id: int) -> None:
-        """Checkpoint one shard and truncate its WAL (lock held by caller).
-
-        A durable shard commits a new checkpoint generation through its
-        store; an in-memory shard flushes its buffer and captures a
-        deepcopy baseline.  Either way the log's records are folded into
-        the recovery source, so truncating them afterwards preserves the
-        recovery invariant (fresh shard + tail replay == never-failed
-        shard) while bounding replay to the post-checkpoint tail.
-        """
-        shard = self.shards[shard_id]
-        store = self._stores[shard_id]
-        log = self._logs[shard_id]
-        if store is not None:
-            store.checkpoint(shard, log)
-        else:
-            shard.buffer.flush()
-            # The executor materializes the baseline in the parent: a
-            # deepcopy in-process, the worker's pickled state in process
-            # mode — either way a real index object, not a handle.
-            self._baselines[shard_id] = self._backend.snapshot(shard_id)
-            log.truncate()
-
-    def _recover_locked(self, shard_id: int) -> Outcome:
-        """Rebuild one shard from its WAL (caller holds the shard lock).
-
-        Builds a fresh shard — restored from its durable checkpoint
-        image or deepcopied from its in-memory baseline — and replays the
-        write-ahead log into it, retrying with backoff when the replay
-        itself meets transient faults (each attempt starts over on a new
-        fresh shard, so a half-replayed attempt is simply discarded).
-        Records the shard rejected live are rejected again and counted.
-        On success the shard is swapped in, its breaker force-closed, the
-        log compacted (the recovered state becomes the next checkpoint, so
-        future recoveries replay only newer records), and the last
-        replayed record's outcome returned — exactly what the mutation
-        that triggered the recovery came to on a never-failed shard,
-        rejection included.
-        """
-        retry = self._config.retry
-        rng = self._rngs[shard_id]
-        started = time.perf_counter()
-        for attempt in range(retry.max_attempts):
-            fresh = self._fresh_shard_locked(shard_id)
-            try:
-                outcome, rejected = self._logs[shard_id].replay(fresh)
-            except InjectedFault:
-                if attempt + 1 < retry.max_attempts:
-                    self._config.sleep(retry.backoff_delay(attempt, rng))
-                    continue
-                raise
-            # Hand the recovered shard to the executor: the serial
-            # backend swaps it in place, the process backend ships it to
-            # a respawned worker and returns a fresh proxy handle.
-            self.shards[shard_id] = self._backend.replace(shard_id, fresh)
-            self._breakers[shard_id].reset()
-            replayed = len(self._logs[shard_id])
-            try:
-                self._compact_locked(shard_id)
-                compacted = True
-            except InjectedFault:
-                # The shard is healthy either way; an uncompacted WAL just
-                # keeps its history until the next successful checkpoint.
-                compacted = False
-            self.recovery_events.append(
-                {
-                    "shard_id": shard_id,
-                    "wall_s": time.perf_counter() - started,
-                    "replayed_records": replayed,
-                    "rejected_records": rejected,
-                    "attempts": attempt + 1,
-                    "compacted": compacted,
-                }
-            )
-            return outcome
-        raise AssertionError("unreachable: recovery loop always returns or raises")
 
     def recover_shard(self, shard_id: int) -> None:
         """Rebuild one shard from its write-ahead log, unconditionally.
@@ -722,103 +388,7 @@ class ShardedIndex(ScalarVerbs):
         call this on a shard whose circuit stays open).
         """
         self._ensure_open()
-        with self._locks[shard_id]:
-            self._recover_locked(shard_id)
-
-    def _gather(
-        self,
-        futures: Dict[int, "Future[T]"],
-        statuses: Dict[int, ShardStatus],
-        timeout: Optional[float],
-    ) -> Tuple[Dict[int, T], Dict[int, ShardFailedError]]:
-        """Collect fan-out futures; returns the per-shard results and failures.
-
-        A per-call ``timeout`` is a shared deadline: every future must
-        resolve within ``timeout`` seconds of the gather starting.  On an
-        unexpected (non-supervision) exception the remaining futures are
-        cancelled and awaited before it propagates, so ``__exit__`` /
-        ``close()`` never races abandoned workers.
-        """
-        results: Dict[int, T] = {}
-        failures: Dict[int, ShardFailedError] = {}
-        deadline = None if timeout is None else time.monotonic() + timeout
-        pending = dict(futures)
-        try:
-            for shard_id, future in futures.items():
-                remaining: Optional[float] = None
-                if deadline is not None:
-                    remaining = max(0.0, deadline - time.monotonic())
-                try:
-                    results[shard_id] = future.result(timeout=remaining)
-                except _ShardSkipped:
-                    pass
-                except ShardFailedError as error:
-                    failures[shard_id] = error
-                except FutureTimeoutError:
-                    # The worker cannot be interrupted; abandon it (it
-                    # still holds the shard lock until it finishes) and
-                    # record the failure against the breaker.
-                    statuses[shard_id].state = SHARD_FAILED
-                    statuses[shard_id].error = f"timeout after {timeout}s"
-                    self._breakers[shard_id].record_failure()
-                    failures[shard_id] = ShardFailedError(
-                        shard_id, TimeoutError(f"shard call exceeded {timeout}s")
-                    )
-                except CancelledError:
-                    statuses[shard_id].state = SHARD_FAILED
-                    statuses[shard_id].error = "cancelled"
-                    failures[shard_id] = ShardFailedError(
-                        shard_id, RuntimeError("shard call cancelled")
-                    )
-                finally:
-                    pending.pop(shard_id, None)
-        except BaseException:
-            for future in pending.values():
-                future.cancel()
-            wait(pending.values())
-            raise
-        return results, failures
-
-    def _supervised_run(
-        self,
-        tasks: Dict[int, Callable[[object], T]],
-        read_only: bool,
-        timeout: Optional[float],
-    ) -> Tuple[Dict[int, T], Dict[int, ShardStatus], Dict[int, ShardFailedError]]:
-        """Run one supervised task per shard, in parallel on the process executor.
-
-        Results, statuses and failures are keyed by shard so merge order
-        never depends on thread scheduling.
-        """
-        self._ensure_open()
-        statuses = {shard_id: ShardStatus(shard_id) for shard_id in tasks}
-
-        def work(shard_id: int, task: Callable[[object], T]) -> T:
-            return self._locked_supervised(shard_id, task, read_only, statuses[shard_id])
-
-        # Only worker processes compute in parallel, so only their calls
-        # fan out (pool threads wait on the pipes, and a timed-out one is
-        # abandoned) — unless there is one task and no deadline.  The rest
-        # runs inline, in ascending shard id: the serial executor's
-        # deterministic interleaving.
-        backend = self._backend
-        if not isinstance(backend, ProcessExecutor) or (len(tasks) <= 1 and timeout is None):
-            results: Dict[int, T] = {}
-            failures: Dict[int, ShardFailedError] = {}
-            for shard_id, task in tasks.items():
-                try:
-                    results[shard_id] = work(shard_id, task)
-                except _ShardSkipped:
-                    pass
-                except ShardFailedError as error:
-                    failures[shard_id] = error
-            return results, statuses, failures
-        futures = {
-            shard_id: backend.pool.submit(work, shard_id, task)
-            for shard_id, task in tasks.items()
-        }
-        results, failures = self._gather(futures, statuses, timeout)
-        return results, statuses, failures
+        self._supervisor.recover(shard_id)
 
     @staticmethod
     def _raise_first(failures: Dict[int, Exception]) -> None:
@@ -853,16 +423,17 @@ class ShardedIndex(ScalarVerbs):
         rejection — is raised, so what survives a raising call does not
         depend on the executor.
         """
-        with self._update_epoch() as (epoch, gc_floor):
+        self._ensure_open()
+        with self._epochs.advance() as (epoch, gc_floor):
             for shard_id, payload in payloads.items():
-                self._logs[shard_id].append(op, payload, epoch=epoch)
+                self._supervisor.logs[shard_id].append(op, payload, epoch=epoch)
             tasks = {
                 shard_id: partial(
                     apply_outcome, op=op, payload=payload, epoch=epoch, gc_floor=gc_floor
                 )
                 for shard_id, payload in payloads.items()
             }
-            outcomes, _, errors = self._supervised_run(tasks, read_only=False, timeout=None)
+            outcomes, _, errors = self._supervisor.run(tasks, read_only=False)
             for shard_id, (_, rejection) in outcomes.items():
                 if rejection is not None:
                     errors[shard_id] = rejection
@@ -878,17 +449,12 @@ class ShardedIndex(ScalarVerbs):
         shard; partial mode returns whatever the healthy shards answered
         plus the per-shard statuses.
         """
-        tasks = {
-            shard_id: (lambda shard: apply(shard)) for shard_id in range(len(self.shards))
-        }
-        results, statuses, failures = self._supervised_run(
-            tasks, read_only=True, timeout=self._config.query_timeout_s
+        self._ensure_open()
+        results, statuses, failures = self._supervisor.run(
+            dict.fromkeys(range(len(self.shards)), apply), read_only=True
         )
         if not partial:
             # Strict mode: skipped shards are failures too (no silent gaps).
-            for shard_id, status in statuses.items():
-                if status.state == SHARD_SKIPPED and shard_id not in failures:
-                    failures[shard_id] = ShardFailedError(shard_id, RuntimeError("circuit open"))
             self._raise_first(failures)
         return results, statuses
 
@@ -985,17 +551,13 @@ class ShardedIndex(ScalarVerbs):
         no shard failed — then the payload equals the strict answer).
         """
         queries = list(queries)
-        pinned, owned = self._resolve_pin(epoch)
-        try:
+        with self._epochs.pin(epoch) as pinned:
             if not queries:
                 return PartialResult([], [], epoch=pinned) if partial else []
             per_shard, statuses = self._fan_out(
                 lambda shard: shard.range_query_batch(queries, epoch=pinned),
                 partial=partial,
             )
-        finally:
-            if owned:
-                self._unpin_epoch(pinned)
         results: List[List[int]] = []
         answered = sorted(per_shard)
         for qi in range(len(queries)):
@@ -1037,8 +599,7 @@ class ShardedIndex(ScalarVerbs):
         ``docs/htap.md``).
         """
         queries = list(queries)
-        pinned, owned = self._resolve_pin(epoch)
-        try:
+        with self._epochs.pin(epoch) as pinned:
             if not queries:
                 return PartialResult([], [], epoch=pinned) if partial else []
             search_space = space if space is not None else self.space
@@ -1046,9 +607,6 @@ class ShardedIndex(ScalarVerbs):
                 lambda shard: shard.knn_query_batch(queries, space=search_space, epoch=pinned),
                 partial=partial,
             )
-        finally:
-            if owned:
-                self._unpin_epoch(pinned)
         results: List[List[Tuple[int, float]]] = []
         answered = sorted(per_shard)
         for qi, probe in enumerate(queries):

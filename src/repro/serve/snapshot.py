@@ -13,10 +13,11 @@ did not exist).  A query pinned at epoch ``E`` is then answered as
 to its first recorded prior state above E``
 
 so the shard can serve any retained historical epoch while updates keep
-streaming in.  The sharded layer above assigns epochs (one per applied
-update batch, globally serialized) and threads the pinned epoch through
-every executor — including the process backend, where the wrapper
-travels to the worker whole and reconciles worker-side.
+streaming in.  :class:`EpochClock` assigns the sharded layer's epochs
+(one per applied update batch, globally serialized) and keeps its pins;
+the sharded layer threads the pinned epoch through every executor —
+including the process backend, where the wrapper travels to the worker
+whole and reconciles worker-side.
 
 Why reconciliation is *exact* (bit-identical to a quiescent index):
 
@@ -43,6 +44,9 @@ already relies on for determinism.
 from __future__ import annotations
 
 import math
+import operator
+import threading
+from contextlib import contextmanager
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -284,3 +288,81 @@ class VersionedShard(ScalarVerbs):
             merged.sort(key=lambda pair: (pair[1], pair[0]))
             reconciled.append(merged[: query.k])
         return reconciled
+
+
+class EpochClock:
+    """The global snapshot epochs of one :class:`~repro.serve.ShardedIndex`.
+
+    One counter, advanced per mutation batch under the single-writer lock;
+    the *published* epoch trails it until the batch has scattered to every
+    routed shard, and queries pin the published epoch.  Pins are refcounts
+    keyed by epoch — their minimum is the GC floor no shard may prune past
+    (see ``docs/htap.md``).
+    """
+
+    def __init__(self, start: int) -> None:
+        self._epoch_counter = start
+        self._published_epoch = start
+        self._pins: Dict[int, int] = {}
+        self._write_lock = threading.Lock()
+        self._epoch_lock = threading.Lock()
+
+    @property
+    def published(self) -> int:
+        """The highest epoch whose batch reached every shard it routes to."""
+        return self._published_epoch
+
+    @contextmanager
+    def pin(self, epoch: Optional[int] = None):
+        """Yield the epoch a read runs at: ``epoch``, or a pin on the published one.
+
+        An explicit epoch is trusted (a ``pin()`` block keeps its deltas
+        alive) but must already be published — pinning the future would
+        break the consistent-cut guarantee — and integral.
+        """
+        if epoch is not None:
+            epoch = operator.index(epoch)
+            if epoch < 0 or epoch > self._published_epoch:
+                raise ValueError(
+                    f"epoch {epoch} is not published yet (published epoch: "
+                    f"{self._published_epoch})"
+                )
+            yield epoch
+            return
+        with self._epoch_lock:
+            epoch = self._published_epoch
+            self._pins[epoch] = self._pins.get(epoch, 0) + 1
+        try:
+            yield epoch
+        finally:
+            with self._epoch_lock:
+                count = self._pins.get(epoch, 0) - 1
+                if count > 0:
+                    self._pins[epoch] = count
+                else:
+                    self._pins.pop(epoch, None)
+
+    @contextmanager
+    def advance(self):
+        """Serialize one mutation batch and hand it the next epoch.
+
+        Yields ``(epoch, gc_floor)`` under the single-writer lock; the
+        epoch is published in the ``finally`` — its WAL records exist and
+        every routed shard applied its slice, rejected it whole, or is
+        marked failed (a failed shard cannot silently answer a torn cut:
+        strict queries raise on it and partial queries skip it until it
+        recovers, and recovery replays the WAL through this very epoch).
+        The GC floor is the oldest epoch a live pin still needs — computed
+        under the epoch lock so a concurrently registered pin is never starved.
+        """
+        with self._write_lock:
+            with self._epoch_lock:
+                self._epoch_counter += 1
+                epoch = self._epoch_counter
+                gc_floor = min(self._pins) if self._pins else self._published_epoch
+            try:
+                yield epoch, gc_floor
+            finally:
+                with self._epoch_lock:
+                    if epoch > self._published_epoch:
+                        self._published_epoch = epoch

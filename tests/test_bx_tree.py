@@ -81,16 +81,6 @@ class TestUpdates:
         assert tree.partition_of(25.0) in tree.active_partitions
         assert len(tree) == 1
 
-    def test_rebuild_histogram_reflects_live_objects(self):
-        tree = small_bx()
-        fast = MovingObject(1, Point(100, 100), Vector(40.0, 0.0))
-        slow = MovingObject(2, Point(200, 200), Vector(1.0, 0.0))
-        tree.insert(fast)
-        tree.insert(slow)
-        tree.delete(fast)
-        tree.rebuild_histogram()
-        assert tree.histogram.global_extrema()[2] == pytest.approx(1.0)
-
 
 class TestQueries:
     def test_matches_brute_force_time_slice(self):

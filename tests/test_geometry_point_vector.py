@@ -22,11 +22,6 @@ class TestPoint:
     def test_translate(self):
         assert Point(1.0, 1.0).translate(2.0, -3.0) == Point(3.0, -2.0)
 
-    def test_at_time_projects_linearly(self):
-        p = Point(10.0, 20.0)
-        moved = p.at_time(Vector(2.0, -1.0), 5.0)
-        assert moved == Point(20.0, 15.0)
-
     def test_iter_and_tuple(self):
         p = Point(3.5, -2.0)
         assert tuple(p) == (3.5, -2.0)
@@ -88,14 +83,11 @@ class TestVector:
             v.perpendicular_distance_to_axis(-axis)
         )
 
-    def test_component_along(self):
-        assert Vector(3.0, 4.0).component_along(Vector(1.0, 0.0)) == pytest.approx(3.0)
-
     @given(finite, finite)
     def test_perpendicular_and_parallel_components_reconstruct_magnitude(self, vx, vy):
         v = Vector(vx, vy)
         axis = Vector(1.0, 2.0)
-        parallel = v.component_along(axis)
+        parallel = v.dot(axis.normalized())
         perpendicular = v.perpendicular_distance_to_axis(axis)
         assert math.hypot(parallel, perpendicular) == pytest.approx(v.magnitude, abs=1e-6)
 

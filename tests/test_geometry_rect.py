@@ -42,12 +42,11 @@ class TestConstruction:
 
 
 class TestProperties:
-    def test_width_height_area_perimeter(self):
+    def test_width_height_area(self):
         r = Rect(0.0, 0.0, 4.0, 3.0)
         assert r.width == 4.0
         assert r.height == 3.0
         assert r.area == 12.0
-        assert r.perimeter == 14.0
 
     def test_center(self):
         assert Rect(0.0, 0.0, 4.0, 2.0).center == Point(2.0, 1.0)
@@ -75,11 +74,6 @@ class TestPredicates:
         assert a.intersects(Rect(2.0, 2.0, 3.0, 3.0))  # touching counts
         assert not a.intersects(Rect(2.1, 2.1, 3.0, 3.0))
 
-    def test_intersects_circle(self):
-        r = Rect(0.0, 0.0, 1.0, 1.0)
-        assert r.intersects_circle(Point(2.0, 0.5), 1.0)
-        assert not r.intersects_circle(Point(3.0, 0.5), 1.0)
-
 
 class TestCombinators:
     def test_union(self):
@@ -101,9 +95,6 @@ class TestCombinators:
 
     def test_translated(self):
         assert Rect(0, 0, 1, 1).translated(5, -1).as_tuple() == (5, -1, 6, 0)
-
-    def test_enlargement_area(self):
-        assert Rect(0, 0, 1, 1).enlargement_area(Rect(0, 0, 2, 1)) == pytest.approx(1.0)
 
     def test_min_distance_to_point(self):
         r = Rect(0, 0, 1, 1)

@@ -51,7 +51,6 @@ ALLOWED = {
     "ShardStatus.*": "outcome record the supervisor fills in",
     "FaultCounters.*": "counters the fault injector bumps",
     "Page.*": "page state the buffer manager mutates",
-    "IOStats.*": "counters; the field defaults are the zero state",
     "_LeafNode.is_leaf": "node-kind tag, fixed per class",
     "_InteriorNode.is_leaf": "node-kind tag, fixed per class",
     "DominantVelocityAxis.frame": "derived in __post_init__ from axis",

@@ -35,7 +35,8 @@ from hypothesis.stateful import get_state_machine_test
 from repro.serve import ShardedIndex
 from repro.serve.executor import ProcessExecutor
 from repro.serve.shard_log import ShardLog
-from repro.serve.snapshot import VersionedShard
+from repro.serve.snapshot import EpochClock, VersionedShard
+from repro.serve.supervisor import Supervisor
 from tests.test_serve_state_machine import MACHINE_SETTINGS, ServeMachine
 
 
@@ -74,43 +75,43 @@ MUTANTS = {
         "        for op, payload, epoch in self._records[:-1]:",
     ),
     "backoff-of-the-next-attempt": Mutant(
-        ShardedIndex,
+        Supervisor,
         "_locked_supervised",
         "self._config.sleep(retry.backoff_delay(attempt, rng))",
         "self._config.sleep(retry.backoff_delay(attempt + 1, rng))",
     ),
     "transient-read-not-retried": Mutant(
-        ShardedIndex,
+        Supervisor,
         "_locked_supervised",
         _RETRY,
         "                        if False:",
     ),
     "exhausted-retries-raise-the-raw-fault": Mutant(
-        ShardedIndex,
+        Supervisor,
         "_locked_supervised",
         "raise ShardFailedError(shard_id, fault) from fault",
         "raise fault",
     ),
     "failure-never-reaches-the-breaker": Mutant(
-        ShardedIndex,
+        Supervisor,
         "_locked_supervised",
         _FAILED,
         _FAILED.replace("                        breaker.record_failure()\n", ""),
     ),
     "failed-shard-status-stays-ok": Mutant(
-        ShardedIndex,
+        Supervisor,
         "_locked_supervised",
         _FAILED,
         _FAILED.replace("                        status.state = SHARD_FAILED\n", ""),
     ),
     "mutation-fault-blind-retried": Mutant(
-        ShardedIndex,
+        Supervisor,
         "_locked_supervised",
         _GUARD,
         _GUARD.replace("if read_only:", "if True:"),
     ),
     "mutation-fault-re-raised": Mutant(
-        ShardedIndex,
+        Supervisor,
         "_locked_supervised",
         "                        return self._recover_locked(shard_id)",
         "                        raise fault",
@@ -138,20 +139,20 @@ MUTANTS = {
         "self.buffer = _AggregateBuffer(list(self.shards))",
     ),
     "breaker-not-reset-by-recovery": Mutant(
-        ShardedIndex,
+        Supervisor,
         "_recover_locked",
         "            self._breakers[shard_id].reset()\n",
         "",
     ),
     "recovery-skips-the-compaction-it-reports": Mutant(
-        ShardedIndex,
+        Supervisor,
         "_recover_locked",
         "                self._compact_locked(shard_id)\n",
         "",
     ),
     "recover-shard-is-a-no-op": Mutant(
-        ShardedIndex,
-        "recover_shard",
+        Supervisor,
+        "recover",
         "            self._recover_locked(shard_id)",
         "            pass",
     ),
@@ -164,8 +165,8 @@ MUTANTS = {
             self._mutate(""",
     ),
     "gc-floor-ignores-pins": Mutant(
-        ShardedIndex,
-        "_update_epoch",
+        EpochClock,
+        "advance",
         "gc_floor = min(self._pins) if self._pins else self._published_epoch",
         "gc_floor = self._published_epoch",
     ),

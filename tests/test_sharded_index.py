@@ -152,13 +152,18 @@ def test_single_probe_knn_matches_batch(workload, batches):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_aggregate_stats_equal_sum_of_shards(workload, batches, shards):
-    """The aggregate counters are exactly the sum of the per-shard IOStats."""
+    """The aggregate counters are exactly the sum of the per-shard IOStats.
+
+    The aggregate is taken before the replay and read after it: like an
+    unsharded index's own IOStats, it is live, so harness-style callers
+    can hold it across requests and diff its counters.
+    """
     index = _build(workload, "Bx", shards=shards)
+    stats = index.buffer.stats
     _replay(index, batches)
     index.knn_query_batch(_knn_probes(workload), space=PARAMS.space)
     if shards == 1:
         return  # unsharded indexes expose their IOStats directly
-    stats = index.buffer.stats
     parts = index.shard_stats()
     assert stats.physical.reads == sum(p.physical.reads for p in parts)
     assert stats.physical.writes == sum(p.physical.writes for p in parts)
